@@ -25,9 +25,8 @@ from .scenario import (Scenario, ScenarioValidationError, eval_field_expression,
                        export_budget_csv, export_timeseries, load_scenario,
                        parse_scenario)
 from .solver import (FieldState, RunAborted, SolverConfig, StepRejected,
-                     Trajectory, continuity_step, convective_fluxes, heat_flux,
-                     internal_energy_step, momentum_step, run, stable_dt, step,
-                     temperature_subproblem_step, viscous_stress)
+                     Trajectory, convective_fluxes, euler_step, heat_flux, run,
+                     stable_dt, step, viscous_stress)
 from .studies import ConvergenceStudy, convergence_study, weak_strong_study
 from .thermo import (ConservativeState, EosDomainError, EosSpec,
                      EosValidationError, OutOfDomainError, ThermoState,

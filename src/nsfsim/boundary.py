@@ -104,9 +104,6 @@ class BoundarySpec:
     def faces(self):
         return (self.left, self.right)
 
-    def all_wall(self) -> bool:
-        return all(f.kind is FaceKind.WALL for f in self.faces)
-
 
 def make_boundary(u_b_left: float = 0.0, u_b_right: float = 0.0,
                   x_left: float = 0.0, x_right: float = 1.0,

@@ -14,7 +14,9 @@ Conventions (all with constant-in-time test function, outward normals):
   energy inequality, including the delta/epsilon correction terms when the
   regularization is active; nonpositive values comply with the inequality.
 * entropy production: entropy storage change plus outflow efflux minus
-  dissipation, regularization terms, and the inflow entropy-flux terms;
+  dissipation, regularization terms, and the inflow entropy-flux terms
+  (with epsilon > 0 these include the entropy the Robin inflow mass flux
+  carries, which keeps the production independent of the entropy gauge);
   must be nonnegative up to a scaled tolerance.
 """
 
@@ -27,7 +29,6 @@ import numpy as np
 
 from .relent import (RelEnergyTrace, relative_energy_fields)
 from .solver import FieldState, Trajectory, boundary_velocity_extension
-from .thermo import specific_entropy, specific_internal_energy
 
 DEFAULT_ENTROPY_TOL = 1e-8
 DEFAULT_MASS_TOL_PER_STEP = 1e-11
@@ -66,20 +67,16 @@ def _energy_storage(traj: Trajectory, t: float) -> float:
     cfg = traj.config
     st = traj.state_at(t)
     ub, _ = boundary_velocity_extension(traj.mesh, traj.boundary)
-    e = np.asarray(specific_internal_energy(traj.eos, st.rho, st.theta))
-    dens = 0.5 * st.rho * (st.u - ub) ** 2 + st.rho * (e + cfg.delta * st.theta)
+    dens = (0.5 * st.rho * (st.u - ub) ** 2
+            + st.rho * cfg.internal_energy(traj.eos, st.rho, st.theta))
     if cfg.delta > 0.0:
         dens = dens + cfg.delta * (st.rho ** cfg.Gamma / (cfg.Gamma - 1.0) + st.rho ** 2)
     return traj.mesh.integrate(dens)
 
 
 def _entropy_storage(traj: Trajectory, t: float) -> float:
-    cfg = traj.config
     st = traj.state_at(t)
-    s = np.asarray(specific_entropy(traj.eos, st.rho, st.theta))
-    if cfg.delta > 0.0:
-        s = s + cfg.delta * np.log(st.theta)
-    return traj.mesh.integrate(st.rho * s)
+    return traj.mesh.integrate(st.rho * traj.config.entropy(traj.eos, st.rho, st.theta))
 
 
 def _ballistic_storage(traj: Trajectory, t: float) -> float:
@@ -150,6 +147,7 @@ def entropy_budget(traj: Trajectory, window=None):
     terms["radiation_sink"] = eps * _delta_acc(traj, "theta4", window)
     terms["mass_diffusion_entropy"] = eps * _delta_acc(traj, "grad_rho_grad_g", window)
     terms["inflow_terms"] = _delta_acc(traj, "entropy_in", window)
+    terms["inflow_robin"] = _delta_acc(traj, "entropy_in_robin", window)
     terms["manufactured_source"] = _delta_acc(traj, "mms_energy_source_over_theta", window)
     production = (terms["storage"] + terms["outflow_efflux"]
                   - terms["dissipation"]
@@ -157,6 +155,7 @@ def entropy_budget(traj: Trajectory, window=None):
                   + terms["radiation_sink"]
                   - terms["mass_diffusion_entropy"]
                   - terms["inflow_terms"]
+                  - terms["inflow_robin"]
                   - terms["manufactured_source"])
     return production, terms
 

@@ -38,6 +38,3 @@ class Mesh1D:
     def integrate(self, cell_values: np.ndarray) -> float:
         """Midpoint (cell-average) quadrature."""
         return float(np.sum(np.asarray(cell_values, dtype=float)) * self.h)
-
-    def refined(self, factor: int) -> "Mesh1D":
-        return Mesh1D(self.x_left, self.x_right, self.n_cells * factor)

@@ -115,12 +115,8 @@ def relative_energy_conservative(eos: EosSpec, c: ConservativeState,
     theta_ref = float(temperature_from_entropy(eos, cref.rho, cref.S))
     u_ref = cref.m / cref.rho
 
-    if c.rho > 0.0:
-        kin = float(_kinetic(c.rho, c.m / c.rho, u_ref))
-    else:
-        # at vacuum m = 0; the kinetic Bregman part reduces to (1/2) rho~ |u~|^2 - ...
-        kin = float(0.5 * cref.rho * np.dot(u_ref, u_ref)) * 0.0
-        kin = 0.0
+    # at vacuum m = 0 and the kinetic part vanishes
+    kin = float(_kinetic(c.rho, c.m / c.rho, u_ref)) if c.rho > 0.0 else 0.0
 
     e_int = extended_internal_energy(eos, c.rho, c.S)
     if not np.isfinite(e_int):
@@ -162,12 +158,6 @@ def relative_energy_integral(eos: EosSpec, fields, ref_fields, mesh: Mesh1D) -> 
             raise ValueError("fields and reference must be per-cell arrays on the given mesh")
     kin, breg = relative_energy_fields(eos, rho, u, theta, rr, ur, tr)
     return mesh.integrate(kin + breg)
-
-
-def relative_energy_parts_integral(eos: EosSpec, fields, ref_fields, mesh: Mesh1D):
-    kin, breg = relative_energy_fields(eos, fields.rho, fields.u, fields.theta,
-                                       ref_fields.rho, ref_fields.u, ref_fields.theta)
-    return mesh.integrate(kin), mesh.integrate(breg)
 
 
 def ballistic_free_energy(eos: EosSpec, rho_b, theta_tilde, theta):

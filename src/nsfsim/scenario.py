@@ -108,7 +108,9 @@ def eval_field_expression(expr: str, x: np.ndarray) -> np.ndarray:
     """Evaluate an initial-data expression of x over cell centers."""
     try:
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
-        vals = _eval_node(tree, np.asarray(x, dtype=float))
+        # non-finite values are reported by the caller, under their own name
+        with np.errstate(all="ignore"):
+            vals = _eval_node(tree, np.asarray(x, dtype=float))
     except ExpressionError:
         raise
     except Exception as err:  # syntax errors from ast.parse
@@ -269,7 +271,13 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
                     fields[key] = arr
             except ExpressionError as err:
                 issues.append(Issue(f"initial.{key}", "initial-schema", str(err)))
-        if len(fields) == 3:
+        nonfinite = {k: int(np.sum(~np.isfinite(v))) for k, v in fields.items()}
+        for key, count in nonfinite.items():
+            if count:
+                issues.append(Issue(f"initial.{key}", "initial-finite",
+                                    f"initial {key} is not finite in {count} of "
+                                    f"{mesh.n_cells} cells"))
+        if len(fields) == 3 and not any(nonfinite.values()):
             if np.any(fields["rho"] <= 0.0):
                 issues.append(Issue("initial.rho", "initial-positivity",
                                     "initial density must be positive everywhere"))

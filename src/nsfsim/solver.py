@@ -22,21 +22,23 @@ a two-stage strong-stability-preserving Runge-Kutta pair with step
 rejection: a stage that loses positivity (density or temperature floors,
 or a failed temperature recovery) halves dt and retries.
 
-Every budget-relevant face flux and volume integrand is accumulated during
-the run with the same stage weights as the update itself, so the discrete
-mass identity telescopes to rounding and the audits in
-:mod:`nsfsim.budgets` separate scheme error from quadrature error.
+Each stage pads the state with one ghost cell per side and evaluates p,
+e_delta and s_delta once on the padded arrays; fluxes, sources and the
+budget record all read that one evaluation.  Every budget-relevant face
+flux and volume integrand is accumulated during the run with the same
+stage weights as the update itself, so the discrete mass identity
+telescopes to rounding and the audits in :mod:`nsfsim.budgets` separate
+scheme error from quadrature error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .boundary import BoundaryFace, BoundarySpec, FaceKind
+from .boundary import BoundarySpec, FaceKind
 from .mesh import Mesh1D
 from .thermo import (EosSpec, TransportSpec, OutOfDomainError,
                      energy_theta_slope, pressure, sound_speed_sq,
@@ -97,6 +99,28 @@ class SolverConfig:
     def deviatoric_factor(self) -> float:
         return 2.0 * (1.0 - 1.0 / self.d)
 
+    def viscosity(self, ts: TransportSpec, theta):
+        """1D normal viscosity (mu + delta theta) 2(1 - 1/d) + eta."""
+        return (ts.mu(theta) + self.delta * theta) * self.deviatoric_factor + ts.eta(theta)
+
+    def conductivity(self, ts: TransportSpec, theta):
+        """Regularized conductivity kappa + delta (theta^Gamma + 1/theta)."""
+        cond = ts.kappa(theta)
+        if self.delta > 0.0:
+            cond = cond + self.delta * (theta ** self.Gamma + 1.0 / theta)
+        return cond
+
+    def internal_energy(self, eos: EosSpec, rho, theta):
+        """Regularized specific internal energy e_delta = e + delta theta."""
+        return specific_internal_energy(eos, rho, theta) + self.delta * theta
+
+    def entropy(self, eos: EosSpec, rho, theta):
+        """Regularized specific entropy s_delta = s + delta log theta."""
+        s = specific_entropy(eos, rho, theta)
+        if self.delta > 0.0:
+            s = s + self.delta * np.log(theta)
+        return s
+
 
 @dataclass(frozen=True)
 class FieldState:
@@ -116,18 +140,13 @@ class FieldState:
 
 def viscous_stress(ts: TransportSpec, cfg: SolverConfig, theta, du_dx):
     """1D normal viscous stress (mu + delta theta) 2(1 - 1/d) du/dx + eta du/dx."""
-    theta = np.asarray(theta, dtype=float)
-    du_dx = np.asarray(du_dx, dtype=float)
-    coeff = (ts.mu(theta) + cfg.delta * theta) * cfg.deviatoric_factor + ts.eta(theta)
-    return coeff * du_dx
+    coeff = cfg.viscosity(ts, np.asarray(theta, dtype=float))
+    return coeff * np.asarray(du_dx, dtype=float)
 
 
 def heat_flux(ts: TransportSpec, cfg: SolverConfig, theta, dtheta_dx):
     """Regularized heat flux -(kappa + delta (theta^Gamma + 1/theta)) dtheta/dx."""
-    theta = np.asarray(theta, dtype=float)
-    cond = ts.kappa(theta)
-    if cfg.delta > 0.0:
-        cond = cond + cfg.delta * (theta ** cfg.Gamma + 1.0 / theta)
+    cond = cfg.conductivity(ts, np.asarray(theta, dtype=float))
     return -cond * np.asarray(dtheta_dx, dtype=float)
 
 
@@ -157,13 +176,33 @@ def _ghosts(state: FieldState, bspec: BoundarySpec):
     return rho_p, u_p, theta_p
 
 
+@dataclass(frozen=True)
+class StageFields:
+    """Ghost-padded fields of one stage and the closures evaluated on them.
+
+    Entries [0] and [-1] are the ghosts of the left and right faces (the
+    inflow data, or the interior trace), entries [1:-1] are the cells.
+    ``e`` and ``s`` are the regularized e_delta and s_delta, ``w`` is the
+    energy density rho e_delta.
+    """
+
+    rho: np.ndarray
+    u: np.ndarray
+    theta: np.ndarray
+    p: np.ndarray
+    e: np.ndarray
+    s: np.ndarray
+    w: np.ndarray
+
+
 @dataclass
 class StageRecord:
     """Named budget integrands of one RHS evaluation.
 
     ``scalars`` hold instantaneous rates (volume and boundary integrals);
     time-weighted sums of them reproduce the scheme's own updates exactly.
-    ``cells`` holds per-cell diagnostics for tests.
+    ``cells`` holds per-cell arrays: the energy density ``w`` the stage
+    started from, and diagnostics for tests.
     """
 
     scalars: dict = dc_field(default_factory=dict)
@@ -177,7 +216,9 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     Energy and entropy transport rho e_delta and rho s_delta.  Inflow faces
     donate (rho_b, u_b, interior theta); outflow faces donate interior
     traces; the returned energy flux is purely convective (the prescribed
-    total inflow flux replaces it in the update).
+    total inflow flux replaces it in the update).  The last entry is the
+    :class:`StageFields` the fluxes were built from: every closure of a
+    stage is evaluated here, once, on the ghost-padded arrays.
     """
     rho_p, u_p, theta_p = _ghosts(state, bspec)
     n = mesh.n_cells
@@ -185,24 +226,24 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     u_face[0] = bspec.left.u_b
     u_face[-1] = bspec.right.u_b
 
-    e_p = specific_internal_energy(eos, rho_p, theta_p)
-    w_p = rho_p * (e_p + cfg.delta * theta_p)
-    s_p = rho_p * specific_entropy(eos, rho_p, theta_p)
-    if cfg.delta > 0.0:
-        s_p = s_p + cfg.delta * rho_p * np.log(theta_p)
+    e_p = cfg.internal_energy(eos, rho_p, theta_p)
+    s_p = cfg.entropy(eos, rho_p, theta_p)
+    pad = StageFields(rho=rho_p, u=u_p, theta=theta_p, p=pressure(eos, rho_p, theta_p),
+                      e=e_p, s=s_p, w=rho_p * e_p)
+    rho_s = rho_p * s_p
 
     take_left = u_face >= 0.0
     rho_up = np.where(take_left, rho_p[:-1], rho_p[1:])
     u_up = np.where(take_left, u_p[:-1], u_p[1:])
-    w_up = np.where(take_left, w_p[:-1], w_p[1:])
-    s_up = np.where(take_left, s_p[:-1], s_p[1:])
+    w_up = np.where(take_left, pad.w[:-1], pad.w[1:])
+    s_up = np.where(take_left, rho_s[:-1], rho_s[1:])
 
     f_mass = rho_up * u_face
     f_mom = f_mass * u_up
     f_energy = w_up * u_face
     f_entropy = s_up * u_face
     assert f_mass.shape == (n + 1,)
-    return f_mass, f_mom, f_energy, f_entropy, u_face
+    return f_mass, f_mom, f_energy, f_entropy, u_face, pad
 
 
 def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
@@ -211,10 +252,9 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     n = mesh.n_cells
     h = mesh.h
     rho, u, theta = state.rho, state.u, state.theta
-    rho_p, u_p, theta_p = _ghosts(state, bspec)
-
-    f_mass, f_mom, f_energy, f_entropy, u_face = convective_fluxes(
+    f_mass, f_mom, f_energy, _, u_face, pad = convective_fluxes(
         state, mesh, bspec, eos, cfg)
+    u_p, theta_p = pad.u, pad.theta
 
     # face-centered diffusive pieces
     theta_face = 0.5 * (theta_p[:-1] + theta_p[1:])
@@ -226,11 +266,9 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     q_face[-1] = 0.0  # insulation on walls/outflow; inflow handled via F_ib
 
     # cell pressures and face averages (ghost-padded)
-    p_p = pressure(eos, rho_p, theta_p)
+    p_delta_p = pad.p
     if cfg.delta > 0.0:
-        p_delta_p = p_p + cfg.delta * (rho_p ** cfg.Gamma + rho_p ** 2)
-    else:
-        p_delta_p = p_p
+        p_delta_p = pad.p + cfg.delta * (pad.rho ** cfg.Gamma + pad.rho ** 2)
     p_face = 0.5 * (p_delta_p[:-1] + p_delta_p[1:])
 
     # mass diffusion and the Robin inflow flux (x-direction fluxes)
@@ -262,17 +300,20 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     g = cfg.body_force(t, x)
     dm = dm + rho * g
 
-    grad_rho_c = (rho_p[2:] - rho_p[:-2]) / (2.0 * h)
+    grad_rho_c = (pad.rho[2:] - pad.rho[:-2]) / (2.0 * h)
     if cfg.epsilon > 0.0:
         grad_u_c = (u_p[2:] - u_p[:-2]) / (2.0 * h)
         dm = dm - cfg.epsilon * grad_rho_c * grad_u_c
 
     # internal energy sources
     div_u = (u_face[1:] - u_face[:-1]) / h
-    p_cell = p_p[1:-1]
+    p_cell = pad.p[1:-1]
+    p_div_u = p_cell * div_u
     diss_cell = 0.5 * (stress_face[:-1] * du_face[:-1] + stress_face[1:] * du_face[1:])
     heat_diss_cell = -0.5 * (q_face[:-1] * dth_face[:-1] + q_face[1:] * dth_face[1:])
-    source = diss_cell - p_cell * div_u
+    grad_rho_sq = grad_rho_c ** 2
+    grad_rho_coeff = cfg.Gamma * rho ** (cfg.Gamma - 2.0) + 2.0
+    source = diss_cell - p_div_u
     if cfg.energy_source is not None:
         mms = np.asarray(cfg.energy_source(t, x), dtype=float) * np.ones_like(x)
         source = source + mms
@@ -284,94 +325,22 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     if cfg.delta > 0.0:
         source = source + cfg.delta / theta ** 2
         if cfg.epsilon > 0.0:
-            source = source + (cfg.epsilon * cfg.delta
-                               * (cfg.Gamma * rho ** (cfg.Gamma - 2.0) + 2.0)
-                               * grad_rho_c ** 2)
+            source = source + cfg.epsilon * cfg.delta * grad_rho_coeff * grad_rho_sq
     if cfg.epsilon > 0.0:
         source = source - cfg.epsilon * theta ** 5
 
     dW = -(e_flux[1:] - e_flux[:-1]) / h + source
 
-    rec = _record_stage(mesh, eos, ts, cfg, bspec, t, state, rho_p, u_p, theta_p,
-                        mass_flux, f_mass, f_entropy, e_flux, u_face, stress_face,
-                        q_face, dth_face, du_face, p_cell, p_delta_p, div_u,
-                        diss_cell, heat_diss_cell, grad_rho_c, g, mms_total, mms_over_theta)
-    rec.cells["div_u"] = div_u
-    rec.cells["dissipation"] = diss_cell
-    rec.cells["p_div_u"] = p_cell * div_u
-    rec.cells["source"] = source
-    rec.cells["drho"] = drho
-    rec.cells["dm"] = dm
-    rec.cells["dW"] = dW
-    return drho, dm, dW, rec
-
-
-def _record_stage(mesh, eos, ts, cfg, bspec, t, state, rho_p, u_p, theta_p,
-                  mass_flux, f_mass, f_entropy, e_flux, u_face, stress_face,
-                  q_face, dth_face, du_face, p_cell, p_delta_p, div_u,
-                  diss_cell, heat_diss_cell, grad_rho_c, g, mms_total, mms_over_theta):
-    """Instantaneous budget integrands (outward-normal boundary values)."""
-    n = mesh.n_cells
-    h = mesh.h
-    rho, u, theta = state.rho, state.u, state.theta
-    sc = {}
-
-    ub_ext, grad_ub = boundary_velocity_extension(mesh, bspec)
-
-    # --- boundary terms ---
+    # budget integrands; g is extended into the ghosts by its end values
+    g_cell = pad.e[1:-1] / theta - pad.s[1:-1] + p_cell / (rho * theta)
+    g_pad = np.concatenate([g_cell[:1], g_cell, g_cell[-1:]])
+    sc = _boundary_terms(cfg, bspec, pad, g_pad)
     sc["mass_bdry"] = -mass_flux[0] + mass_flux[-1]
-    sc["mass_in_conv"] = 0.0
-    sc["mass_out_conv"] = 0.0
-    sc["mass_robin"] = 0.0
-    sc["energy_bdry_in"] = 0.0
-    sc["energy_out_conv"] = 0.0
-    sc["energy_out_delta"] = 0.0
-    sc["energy_in_gamma_breg"] = 0.0
-    sc["energy_in_rho_sq"] = 0.0
-    sc["energy_in_rho_b_gamma"] = 0.0
-    sc["entropy_out_conv"] = 0.0
-    sc["entropy_in"] = 0.0
     sc["energy_bdry_total"] = -e_flux[0] + e_flux[-1]
-    sc["apriori_in_coercive"] = 0.0
-    sc["apriori_out_ballistic"] = 0.0
 
-    gm = cfg.Gamma
-    for f, idx, pos in ((bspec.left, 0, 0), (bspec.right, -1, n)):
-        udn = f.u_dot_n
-        th_tr = theta[idx]
-        if f.kind is FaceKind.IN:
-            sc["mass_in_conv"] += f.rho_b * udn
-            sc["mass_robin"] += (f.rho_b - rho[idx]) * udn
-            sc["energy_bdry_in"] += f.F_ib
-            rb, rc = f.rho_b, rho[idx]
-            sc["energy_in_gamma_breg"] += (rb ** gm / (gm - 1.0)
-                                           - gm / (gm - 1.0) * rc ** (gm - 1.0) * (rb - rc)
-                                           - rc ** gm / (gm - 1.0)) * udn
-            sc["energy_in_rho_sq"] += (rc - rb) ** 2 * udn
-            sc["energy_in_rho_b_gamma"] += rb ** gm / (gm - 1.0) * udn
-            e_b = float(specific_internal_energy(eos, rb, th_tr))
-            s_b = float(specific_entropy(eos, rb, th_tr))
-            ent_in = -f.F_ib / th_tr + (e_b / th_tr - s_b) * rb * udn
-            if cfg.delta > 0.0:
-                ent_in += cfg.delta * rb * (1.0 - math.log(th_tr)) * udn
-            sc["entropy_in"] += ent_in
-            sc["apriori_in_coercive"] += 1.0 / th_tr + th_tr ** 3 * abs(udn)
-        elif f.kind is FaceKind.OUT:
-            rc = rho[idx]
-            e_c = float(specific_internal_energy(eos, rc, th_tr))
-            s_c = float(specific_entropy(eos, rc, th_tr))
-            e_del = e_c + cfg.delta * th_tr
-            s_del = s_c + (cfg.delta * math.log(th_tr) if cfg.delta > 0.0 else 0.0)
-            sc["mass_out_conv"] += rc * udn
-            sc["energy_out_conv"] += rc * e_del * udn
-            sc["energy_out_delta"] += (rc ** gm / (gm - 1.0) + rc ** 2) * udn
-            sc["entropy_out_conv"] += rc * s_del * udn
-            sc["apriori_out_ballistic"] += rc * (e_del - cfg.theta_bar * s_del) * udn
-
-    # --- volume terms ---
     inv_theta = 1.0 / theta
     sc["S_grad_u"] = mesh.integrate(diss_cell)
-    sc["p_div_u"] = mesh.integrate(p_cell * div_u)
+    sc["p_div_u"] = mesh.integrate(p_div_u)
     # (1/theta)(S:grad u - q.grad theta/theta): the heat part carries 1/theta^2
     diss_weighted = inv_theta * diss_cell + inv_theta ** 2 * heat_diss_cell
     sc["dissipation_no_delta"] = mesh.integrate(diss_weighted)
@@ -382,44 +351,82 @@ def _record_stage(mesh, eos, ts, cfg, bspec, t, state, rho_p, u_p, theta_p,
     sc["theta5"] = mesh.integrate(theta ** 5)
     sc["inv_theta2"] = mesh.integrate(inv_theta ** 2)
     sc["inv_theta3"] = mesh.integrate(inv_theta ** 3)
-    sc["grad_rho_sq_gamma"] = mesh.integrate(
-        (cfg.Gamma * rho ** (cfg.Gamma - 2.0) + 2.0) * grad_rho_c ** 2)
+    sc["grad_rho_sq_gamma"] = mesh.integrate(grad_rho_coeff * grad_rho_sq)
     sc["grad_rho_sq_gamma_over_theta"] = mesh.integrate(
-        inv_theta * (cfg.Gamma * rho ** (cfg.Gamma - 2.0) + 2.0) * grad_rho_c ** 2)
-
+        inv_theta * grad_rho_coeff * grad_rho_sq)
     # epsilon-level entropy correction: grad rho . grad(e_d/theta - s_d + p/(rho theta))
-    e_cell = specific_internal_energy(eos, rho_p[1:-1], theta_p[1:-1])
-    s_cell = specific_entropy(eos, rho_p[1:-1], theta_p[1:-1])
-    if cfg.delta > 0.0:
-        e_cell = e_cell + cfg.delta * theta_p[1:-1]
-        s_cell = s_cell + cfg.delta * np.log(theta_p[1:-1])
-    g_pad = np.empty(n + 2)
-    g_pad[1:-1] = e_cell / theta - s_cell + p_cell / (rho * theta)
-    g_pad[0] = g_pad[1]
-    g_pad[-1] = g_pad[-2]
     grad_g = (g_pad[2:] - g_pad[:-2]) / (2.0 * h)
     sc["grad_rho_grad_g"] = mesh.integrate(grad_rho_c * grad_g)
 
     # total-energy budget terms built on the boundary-velocity extension
-    stress_cell = 0.5 * (stress_face[:-1] + stress_face[1:])
-    sc["S_grad_ub"] = mesh.integrate(stress_cell * grad_ub) if grad_ub != 0.0 else 0.0
-    sc["conv_p_grad_ub"] = mesh.integrate(
-        (rho * u * u + p_delta_p[1:-1]) * grad_ub) if grad_ub != 0.0 else 0.0
-    sc["rho_u_grad_ub2"] = mesh.integrate(
-        rho * u * 2.0 * ub_ext * grad_ub) if grad_ub != 0.0 else 0.0
+    ub_ext, grad_ub = boundary_velocity_extension(mesh, bspec)
+    if grad_ub != 0.0:
+        stress_cell = 0.5 * (stress_face[:-1] + stress_face[1:])
+        sc["S_grad_ub"] = mesh.integrate(stress_cell * grad_ub)
+        sc["conv_p_grad_ub"] = mesh.integrate((rho * u * u + p_delta_p[1:-1]) * grad_ub)
+        sc["rho_u_grad_ub2"] = mesh.integrate(rho * u * 2.0 * ub_ext * grad_ub)
+    else:
+        sc["S_grad_ub"] = sc["conv_p_grad_ub"] = sc["rho_u_grad_ub2"] = 0.0
     sc["rho_g_rel_u"] = mesh.integrate(rho * g * (u - ub_ext))
     if cfg.epsilon > 0.0:
-        du_rel = (u_p[2:] - u_p[:-2]) / (2.0 * h) - grad_ub
-        sc["eps_mom_ub"] = mesh.integrate(grad_rho_c * du_rel * ub_ext)
+        sc["eps_mom_ub"] = mesh.integrate(grad_rho_c * (grad_u_c - grad_ub) * ub_ext)
     else:
         sc["eps_mom_ub"] = 0.0
     sc["mms_energy_source"] = mms_total
     sc["mms_energy_source_over_theta"] = mms_over_theta
-    return StageRecord(scalars=sc)
+
+    cells = {"w": pad.w[1:-1], "div_u": div_u, "dissipation": diss_cell,
+             "p_div_u": p_div_u, "source": source, "drho": drho, "dm": dm, "dW": dW}
+    return drho, dm, dW, StageRecord(scalars=sc, cells=cells)
+
+
+def _boundary_terms(cfg: SolverConfig, bspec: BoundarySpec, pad: StageFields, g_pad):
+    """Instantaneous boundary integrands (outward-normal values).
+
+    Face values are the ghost entries of the stage fields: the inflow data
+    with the interior temperature trace, or the interior trace on outflow
+    faces.  ``g_pad`` holds e_delta/theta - s_delta + p/(rho theta) per
+    padded cell.
+    """
+    sc = dict.fromkeys(
+        ("mass_in_conv", "mass_out_conv", "mass_robin", "energy_bdry_in",
+         "energy_out_conv", "energy_out_delta", "energy_in_gamma_breg",
+         "energy_in_rho_sq", "energy_in_rho_b_gamma", "entropy_out_conv", "entropy_in",
+         "entropy_in_robin", "apriori_in_coercive", "apriori_out_ballistic"), 0.0)
+    gm = cfg.Gamma
+    for f, ghost, cell in ((bspec.left, 0, 1), (bspec.right, -1, -2)):
+        udn = f.u_dot_n
+        th = pad.theta[ghost]
+        if f.kind is FaceKind.IN:
+            rb, rc = f.rho_b, pad.rho[cell]
+            robin = (rb - rc) * udn
+            sc["mass_in_conv"] += rb * udn
+            sc["mass_robin"] += robin
+            sc["energy_bdry_in"] += f.F_ib
+            sc["energy_in_gamma_breg"] += (rb ** gm / (gm - 1.0)
+                                           - gm / (gm - 1.0) * rc ** (gm - 1.0) * (rb - rc)
+                                           - rc ** gm / (gm - 1.0)) * udn
+            sc["energy_in_rho_sq"] += (rc - rb) ** 2 * udn
+            sc["energy_in_rho_b_gamma"] += rb ** gm / (gm - 1.0) * udn
+            sc["entropy_in"] += -f.F_ib / th + (pad.e[ghost] / th - pad.s[ghost]) * rb * udn
+            if cfg.epsilon > 0.0:
+                # the Robin mass flux enters the mass balance and carries
+                # g with it; without this term the production would depend
+                # on the additive entropy gauge
+                sc["entropy_in_robin"] += g_pad[cell] * robin
+            sc["apriori_in_coercive"] += 1.0 / th + th ** 3 * abs(udn)
+        elif f.kind is FaceKind.OUT:
+            rc, e_del, s_del = pad.rho[ghost], pad.e[ghost], pad.s[ghost]
+            sc["mass_out_conv"] += rc * udn
+            sc["energy_out_conv"] += rc * e_del * udn
+            sc["energy_out_delta"] += (rc ** gm / (gm - 1.0) + rc ** 2) * udn
+            sc["entropy_out_conv"] += rc * s_del * udn
+            sc["apriori_out_ballistic"] += rc * (e_del - cfg.theta_bar * s_del) * udn
+    return sc
 
 
 # ---------------------------------------------------------------------------
-# temperature recovery and single forward-Euler building blocks
+# temperature recovery and the forward-Euler stage
 # ---------------------------------------------------------------------------
 
 
@@ -430,14 +437,14 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
     theta = np.asarray(theta_guess, dtype=float).copy()
     delta = cfg.delta
     for _ in range(40):
-        f = rho * (specific_internal_energy(eos, rho, theta) + delta * theta) - w
+        f = rho * cfg.internal_energy(eos, rho, theta) - w
         df = rho * (energy_theta_slope(eos, rho, theta) + delta)
         step = f / df
         theta_new = theta - step
         theta = np.where(theta_new > 0.1 * theta, theta_new, 0.1 * theta)
         if np.max(np.abs(step) / (theta + 1e-300)) < 1e-14:
             break
-    f = rho * (specific_internal_energy(eos, rho, theta) + delta * theta) - w
+    f = rho * cfg.internal_energy(eos, rho, theta) - w
     bad = np.abs(f) > 1e-9 * (np.abs(w) + 1.0)
     if np.any(bad):
         try:
@@ -452,51 +459,24 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
     return theta
 
 
-def _conserved(eos: EosSpec, cfg: SolverConfig, state: FieldState):
-    rho, u, theta = state.rho, state.u, state.theta
-    w = rho * (specific_internal_energy(eos, rho, theta) + cfg.delta * theta)
-    return rho.copy(), rho * u, w
-
-
 def _primitive(eos: EosSpec, cfg: SolverConfig, rho, m, w, theta_guess):
     theta = _recover_theta(eos, cfg, rho, w, theta_guess)
     return FieldState(rho=rho, u=m / rho, theta=theta)
 
 
-def continuity_step(state: FieldState, mesh: Mesh1D, eos: EosSpec,
-                    ts: TransportSpec, cfg: SolverConfig, bspec: BoundarySpec,
-                    dt: float, t: float = 0.0) -> np.ndarray:
-    """Forward-Euler density update (upwind transport + mass diffusion)."""
-    drho, _, _, _ = _stage_rhs(mesh, eos, ts, cfg, bspec, t, state)
-    rho_new = state.rho + dt * drho
-    if np.any(rho_new < cfg.rho_floor):
+def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
+               cfg: SolverConfig, bspec: BoundarySpec, dt: float, t: float = 0.0):
+    """One forward-Euler stage; returns the new (rho, m, theta).
+
+    theta is recovered at the frozen density ``state.rho``: it is the
+    temperature update of the energy balance with (rho, u) held fixed.
+    """
+    drho, dm, dW, rec = _stage_rhs(mesh, eos, ts, cfg, bspec, t, state)
+    rho = state.rho + dt * drho
+    if np.any(rho < cfg.rho_floor):
         raise StepRejected("density fell below its floor")
-    return rho_new
-
-
-def momentum_step(state: FieldState, mesh: Mesh1D, eos: EosSpec,
-                  ts: TransportSpec, cfg: SolverConfig, bspec: BoundarySpec,
-                  dt: float, t: float = 0.0) -> np.ndarray:
-    """Forward-Euler momentum update; returns the new momentum field."""
-    _, dm, _, _ = _stage_rhs(mesh, eos, ts, cfg, bspec, t, state)
-    return state.rho * state.u + dt * dm
-
-
-def internal_energy_step(state: FieldState, mesh: Mesh1D, eos: EosSpec,
-                         ts: TransportSpec, cfg: SolverConfig, bspec: BoundarySpec,
-                         dt: float, t: float = 0.0) -> np.ndarray:
-    """Forward-Euler energy update; returns the new temperature field."""
-    _, _, dW, _ = _stage_rhs(mesh, eos, ts, cfg, bspec, t, state)
-    rho, _, w = _conserved(eos, cfg, state)
-    return _recover_theta(eos, cfg, rho, w + dt * dW, state.theta)
-
-
-def temperature_subproblem_step(state: FieldState, mesh: Mesh1D, eos: EosSpec,
-                                ts: TransportSpec, cfg: SolverConfig,
-                                bspec: BoundarySpec, dt: float,
-                                t: float = 0.0) -> np.ndarray:
-    """Advance only the energy balance for frozen (rho, u); returns theta."""
-    return internal_energy_step(state, mesh, eos, ts, cfg, bspec, dt, t=t)
+    theta = _recover_theta(eos, cfg, state.rho, rec.cells["w"] + dt * dW, state.theta)
+    return rho, state.rho * state.u + dt * dm, theta
 
 
 def stable_dt(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
@@ -506,12 +486,9 @@ def stable_dt(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     h = mesh.h
     cs = np.sqrt(sound_speed_sq(eos, rho, theta))
     dt_a = h / np.max(np.abs(u) + cs)
-    nu = ((ts.mu(theta) + cfg.delta * theta) * cfg.deviatoric_factor
-          + ts.eta(theta)) / rho
-    cond = ts.kappa(theta)
-    if cfg.delta > 0.0:
-        cond = cond + cfg.delta * (theta ** cfg.Gamma + 1.0 / theta)
-    chi = cond / (rho * (energy_theta_slope(eos, rho, theta) + cfg.delta))
+    nu = cfg.viscosity(ts, theta) / rho
+    chi = cfg.conductivity(ts, theta) / (rho * (energy_theta_slope(eos, rho, theta)
+                                                + cfg.delta))
     dt_nu = h * h / (2.0 * max(np.max(nu), 1e-300))
     dt_chi = h * h / (2.0 * max(np.max(chi), 1e-300))
     dt = min(dt_a, dt_nu, dt_chi)
@@ -522,8 +499,8 @@ def stable_dt(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
 
 def _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt):
     """One SSP-RK2 step; returns (new_state, averaged accumulator increments)."""
-    rho0, m0, w0 = _conserved(eos, cfg, state)
     d1rho, d1m, d1w, rec1 = _stage_rhs(mesh, eos, ts, cfg, bspec, t, state)
+    rho0, m0, w0 = state.rho, state.rho * state.u, rec1.cells["w"]
     st1 = _primitive(eos, cfg, rho0 + dt * d1rho, m0 + dt * d1m, w0 + dt * d1w,
                      state.theta)
     d2rho, d2m, d2w, rec2 = _stage_rhs(mesh, eos, ts, cfg, bspec, t + dt, st1)
@@ -606,6 +583,11 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
         raise ValueError("output times beyond t_end")
 
     state = initial.copy()
+    for name in ("rho", "u", "theta"):
+        n_bad = int(np.sum(~np.isfinite(getattr(state, name))))
+        if n_bad:
+            raise ValueError(f"initial {name} is not finite in {n_bad} of "
+                             f"{mesh.n_cells} cells")
     if np.any(state.rho < cfg.rho_floor) or np.any(state.theta < cfg.theta_floor):
         raise ValueError("initial data violates the positivity floors")
 

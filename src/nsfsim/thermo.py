@@ -548,16 +548,6 @@ def energy_theta_slope(eos: EosSpec, rho, theta):
             + 4.0 * eos.a * theta ** 3 / rho)
 
 
-def energy_rho_slope(eos: EosSpec, rho, theta):
-    """de/drho at fixed theta."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    z = _zvar(rho, theta)
-    return (1.5 * (theta * eos.shape_fn.dp(z) / rho
-                   - theta ** 2.5 * eos.shape_fn.p(z) / rho ** 2)
-            - eos.a * theta ** 4 / rho ** 2)
-
-
 def entropy_theta_slope(eos: EosSpec, rho, theta):
     """ds/dtheta at fixed rho ( = de/dtheta / theta, by Gibbs)."""
     rho = np.asarray(rho, dtype=float)
@@ -565,15 +555,6 @@ def entropy_theta_slope(eos: EosSpec, rho, theta):
     z = _zvar(rho, theta)
     return (-1.5 * z / theta * eos.shape_fn.entropy_shape_slope(z)
             + 4.0 * eos.a * theta ** 2 / rho)
-
-
-def entropy_rho_slope(eos: EosSpec, rho, theta):
-    """ds/drho at fixed theta."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    z = _zvar(rho, theta)
-    return (eos.shape_fn.entropy_shape_slope(z) * theta ** -1.5
-            - (4.0 * eos.a / 3.0) * theta ** 3 / rho ** 2)
 
 
 def gibbs_residual(eos: EosSpec, rho, theta):
@@ -747,7 +728,13 @@ def _interior_energy_density(eos: EosSpec, rho, S):
         # the required temperature underflows; rho e has saturated cold
         return _cold_energy_density(eos, rho)
     theta = temperature_from_entropy(eos, rho, S, lo=lo, hi=hi)
-    return rho * specific_internal_energy(eos, rho, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = rho * specific_internal_energy(eos, rho, theta)
+    if not np.all(np.isfinite(w)):
+        # theta sits at the cold end of the bracket, where the closure
+        # overflows; rho e has saturated cold there
+        return _cold_energy_density(eos, rho)
+    return w
 
 
 def _ray_limit(eos: EosSpec, rho, S, tol: float = 1e-6, max_halvings: int = 60):

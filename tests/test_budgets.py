@@ -138,6 +138,24 @@ def test_throughflow_entropy_production_nonnegative(throughflow_traj):
     assert production >= -tol
 
 
+def test_regularized_entropy_production_is_gauge_free(transport):
+    # the Robin inflow mass flux carries entropy: the production must not
+    # move with the additive entropy constant
+    n = 32
+    mesh = Mesh1D(0.0, 1.0, n)
+    x = mesh.centers
+    bspec = bd.make_boundary(u_b_left=0.5, u_b_right=0.5, rho_b_left=1.05,
+                             F_ib_left=-2.5)
+    cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.005)
+    initial = sv.FieldState(rho=1 + 0.02 * np.sin(np.pi * x), u=np.full(n, 0.5),
+                            theta=1 + 0.2 * x ** 2 * (3 - 2 * x))
+    prods = [bg.entropy_budget(sv.run(mesh, th.iconic_eos(entropy_const=c), transport,
+                                      cfg, bspec, initial))[0]
+             for c in (0.0, 5.0, -5.0)]
+    assert prods[1] == pytest.approx(prods[0], rel=1e-9)
+    assert prods[2] == pytest.approx(prods[0], rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # a priori monitors
 # ---------------------------------------------------------------------------

@@ -89,6 +89,16 @@ def test_positive_initial_density_required():
     assert any(i.code == "initial-positivity" for i in err.value.issues)
 
 
+def test_nonfinite_initial_field_reported():
+    doc = minimal_doc()
+    doc["initial"]["theta"] = "1 + 0*log(x - 0.5)"
+    with pytest.raises(sc.ScenarioValidationError) as err:
+        sc.parse_scenario(doc)
+    (issue,) = [i for i in err.value.issues if i.code == "initial-finite"]
+    assert issue.path == "initial.theta"
+    assert "8 of 16 cells" in issue.message
+
+
 def test_shipped_scenarios_validate():
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         if path.name.startswith("eos_"):

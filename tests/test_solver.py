@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,7 @@ def test_upwind_takes_upstream_cell(eos, transport):
     state = sv.FieldState(rho=np.array([1.0, 2.0, 3.0, 4.0]),
                           u=np.full(4, 0.5), theta=np.ones(4))
     cfg = sv.SolverConfig(t_end=1.0)
-    f_mass, _, _, _, u_face = sv.convective_fluxes(state, mesh, bspec, eos, cfg)
+    f_mass, _, _, _, u_face, _ = sv.convective_fluxes(state, mesh, bspec, eos, cfg)
     # interior face 1 sits between cells 0 and 1; u > 0 picks the left donor
     assert f_mass[1] == pytest.approx(1.0 * u_face[1])
     assert f_mass[2] == pytest.approx(2.0 * u_face[2])
@@ -70,7 +72,7 @@ def test_inflow_face_donates_prescribed_density(eos):
                              F_ib_left=-9.0)
     state = _uniform_state(4, rho=1.0, u=1.0)
     cfg = sv.SolverConfig(t_end=1.0)
-    f_mass, _, _, _, _ = sv.convective_fluxes(state, mesh, bspec, eos, cfg)
+    f_mass, _, _, _, _, _ = sv.convective_fluxes(state, mesh, bspec, eos, cfg)
     # outward-normal flux at the left face: rho_b u_b . n = -2
     assert -f_mass[0] == pytest.approx(2.0 * (1.0 * -1.0))
 
@@ -79,7 +81,7 @@ def test_uniform_closed_state_has_flat_fluxes(eos):
     mesh = Mesh1D(0.0, 1.0, 8)
     state = _uniform_state(8, rho=1.3, u=0.0, theta=0.9)
     cfg = sv.SolverConfig(t_end=1.0)
-    f_mass, f_mom, f_energy, f_entropy, _ = sv.convective_fluxes(
+    f_mass, f_mom, f_energy, f_entropy, _, _ = sv.convective_fluxes(
         state, mesh, bd.make_boundary(), eos, cfg)
     for f in (f_mass, f_mom, f_energy, f_entropy):
         assert np.all(f == f[0])
@@ -94,7 +96,7 @@ def test_continuity_uniform_box_unchanged(eos, transport, box):
     mesh, walls = box
     state = _uniform_state(32, rho=1.7)
     cfg = sv.SolverConfig(t_end=1.0)
-    rho_new = sv.continuity_step(state, mesh, eos, transport, cfg, walls, 1e-4)
+    rho_new = sv.euler_step(state, mesh, eos, transport, cfg, walls, 1e-4)[0]
     np.testing.assert_array_equal(rho_new, state.rho)
 
 
@@ -105,8 +107,8 @@ def test_robin_flux_vanishes_at_matched_density(eos, transport):
     state = _uniform_state(16, rho=1.0, u=0.5)
     base = sv.SolverConfig(t_end=1.0)
     reg = sv.SolverConfig(epsilon=0.1, t_end=1.0)
-    r0 = sv.continuity_step(state, mesh, eos, transport, base, bspec, 1e-4)
-    r1 = sv.continuity_step(state, mesh, eos, transport, reg, bspec, 1e-4)
+    r0 = sv.euler_step(state, mesh, eos, transport, base, bspec, 1e-4)[0]
+    r1 = sv.euler_step(state, mesh, eos, transport, reg, bspec, 1e-4)[0]
     np.testing.assert_allclose(r0, r1, atol=1e-15)
 
 
@@ -127,7 +129,7 @@ def test_hydrostatic_rest_keeps_zero_momentum(eos, transport, box):
     mesh, walls = box
     state = _uniform_state(32, rho=1.2, theta=0.8)
     cfg = sv.SolverConfig(t_end=1.0)
-    m_new = sv.momentum_step(state, mesh, eos, transport, cfg, walls, 1e-4)
+    m_new = sv.euler_step(state, mesh, eos, transport, cfg, walls, 1e-4)[1]
     np.testing.assert_array_equal(m_new, np.zeros(32))
 
 
@@ -146,7 +148,7 @@ def test_momentum_update_matches_hand_assembled_operator(eos):
     state = sv.FieldState(rho=np.ones(n), u=u.copy(), theta=np.ones(n))
     bspec = bd.make_boundary(u_b_left=u[0], u_b_right=u[-1], rho_b_left=1.0,
                              F_ib_left=-3.0)
-    dm = sv.momentum_step(state, mesh, eos, ts, cfg, bspec, 1.0) - state.rho * u
+    dm = sv.euler_step(state, mesh, eos, ts, cfg, bspec, 1.0)[1] - state.rho * u
 
     u_pad = np.concatenate([[u[0]], u, [u[-1]]])  # inflow ghost u_b, outflow copy
     u_face = 0.5 * (u_pad[:-1] + u_pad[1:])
@@ -166,8 +168,8 @@ def test_delta_pressure_gradient_vanishes_for_uniform_density(eos, transport, bo
     state = _uniform_state(32, rho=1.5, theta=1.1)
     plain = sv.SolverConfig(t_end=1.0)
     reg = sv.SolverConfig(delta=0.3, t_end=1.0)
-    m0 = sv.momentum_step(state, mesh, eos, transport, plain, walls, 1e-4)
-    m1 = sv.momentum_step(state, mesh, eos, transport, reg, walls, 1e-4)
+    m0 = sv.euler_step(state, mesh, eos, transport, plain, walls, 1e-4)[1]
+    m1 = sv.euler_step(state, mesh, eos, transport, reg, walls, 1e-4)[1]
     np.testing.assert_allclose(m0, m1, atol=1e-14)
 
 
@@ -178,7 +180,7 @@ def test_closed_insulated_internal_energy_constant(eos, transport, box):
                           theta=1 + 0.1 * np.cos(np.pi * x))
     cfg = sv.SolverConfig(t_end=1.0)
     dt = 1e-5
-    theta_new = sv.internal_energy_step(state, mesh, eos, transport, cfg, walls, dt)
+    theta_new = sv.euler_step(state, mesh, eos, transport, cfg, walls, dt)[2]
     w_old = state.rho * np.asarray(th.specific_internal_energy(eos, state.rho, state.theta))
     w_new = state.rho * np.asarray(th.specific_internal_energy(eos, state.rho, theta_new))
     assert mesh.integrate(w_new) == pytest.approx(mesh.integrate(w_old), abs=1e-12)
@@ -189,13 +191,40 @@ def test_delta_source_heats_uniform_box(eos, transport, box):
     state = _uniform_state(32)
     cfg = sv.SolverConfig(delta=0.2, t_end=1.0)
     dt = 1e-5
-    theta_new = sv.internal_energy_step(state, mesh, eos, transport, cfg, walls, dt)
+    theta_new = sv.euler_step(state, mesh, eos, transport, cfg, walls, dt)[2]
     w_old = state.rho * (np.asarray(th.specific_internal_energy(eos, 1.0, 1.0))
                          + cfg.delta * 1.0)
     w_new = state.rho * (np.asarray(th.specific_internal_energy(eos, state.rho, theta_new))
                          + cfg.delta * theta_new)
     # the delta/theta^2 source adds delta * dt per unit volume at theta = 1
     np.testing.assert_allclose(w_new - w_old, cfg.delta * dt, rtol=1e-8)
+
+
+@pytest.mark.parametrize("channel", [False, True])
+def test_stage_evaluates_each_closure_once(eos, transport, monkeypatch, channel):
+    n = 16
+    mesh = Mesh1D(0.0, 1.0, n)
+    x = mesh.centers
+    if channel:
+        bspec = bd.make_boundary(u_b_left=0.5, u_b_right=0.5, rho_b_left=1.1,
+                                 F_ib_left=-2.5)
+        cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=1.0)
+        u = 0.5 + 0.05 * np.sin(np.pi * x)
+    else:
+        bspec = bd.make_boundary()
+        cfg = sv.SolverConfig(t_end=1.0)
+        u = 0.05 * np.sin(np.pi * x)
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=u,
+                          theta=1 + 0.1 * np.cos(np.pi * x))
+    calls = {}
+    for name, fn in list(vars(sv).items()):
+        if inspect.isfunction(fn) and fn.__module__ == th.__name__:
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(sv, name, counted)
+    sv._stage_rhs(mesh, eos, transport, cfg, bspec, 0.0, state)
+    assert calls == {"pressure": 1, "specific_internal_energy": 1, "specific_entropy": 1}
 
 
 def test_uniform_compression_source(eos, transport):
@@ -294,8 +323,8 @@ def test_reversing_boundary_velocity_swaps_roles(eos):
     mirror = sv.FieldState(rho=state.rho[::-1].copy(), u=-state.u[::-1].copy(),
                            theta=state.theta[::-1].copy())
     cfg = sv.SolverConfig(t_end=1.0)
-    f1, _, e1, _, _ = sv.convective_fluxes(state, mesh, fwd, eos, cfg)
-    f2, _, e2, _, _ = sv.convective_fluxes(mirror, mesh, rev, eos, cfg)
+    f1, _, e1, _, _, _ = sv.convective_fluxes(state, mesh, fwd, eos, cfg)
+    f2, _, e2, _, _, _ = sv.convective_fluxes(mirror, mesh, rev, eos, cfg)
     np.testing.assert_allclose(f1, -f2[::-1], atol=1e-14)
     np.testing.assert_allclose(e1, -e2[::-1], atol=1e-14)
 
@@ -333,7 +362,7 @@ def test_constant_temperature_unchanged_without_sources(eos, transport, box):
     mesh, walls = box
     state = _uniform_state(32, rho=1.3, theta=0.7)
     cfg = sv.SolverConfig(t_end=1.0)
-    theta = sv.temperature_subproblem_step(state, mesh, eos, transport, cfg, walls, 1e-4)
+    theta = sv.euler_step(state, mesh, eos, transport, cfg, walls, 1e-4)[2]
     np.testing.assert_allclose(theta, 0.7, atol=1e-14)
 
 
@@ -354,10 +383,10 @@ def test_comparison_principle_ordering(eos, transport, rng):
                        sv.stable_dt(hi_state, mesh, eos, transport, cfg))
         a, b = t_lo.copy(), t_hi.copy()
         for _ in range(60):
-            a = sv.temperature_subproblem_step(
-                sv.FieldState(rho=rho, u=u, theta=a), mesh, eos, transport, cfg, walls, dt)
-            b = sv.temperature_subproblem_step(
-                sv.FieldState(rho=rho, u=u, theta=b), mesh, eos, transport, cfg, walls, dt)
+            a = sv.euler_step(
+                sv.FieldState(rho=rho, u=u, theta=a), mesh, eos, transport, cfg, walls, dt)[2]
+            b = sv.euler_step(
+                sv.FieldState(rho=rho, u=u, theta=b), mesh, eos, transport, cfg, walls, dt)[2]
             assert np.all(a <= b + 1e-12)
 
 
@@ -375,9 +404,9 @@ def test_uniform_bounds_pure_conduction(eos, transport, rng):
     dt = 0.5 * sv.stable_dt(sv.FieldState(rho=rho, u=np.zeros(n), theta=state_theta),
                             mesh, eos, transport, cfg)
     for _ in range(100):
-        state_theta = sv.temperature_subproblem_step(
+        state_theta = sv.euler_step(
             sv.FieldState(rho=rho, u=np.zeros(n), theta=state_theta),
-            mesh, eos, transport, cfg, walls, dt)
+            mesh, eos, transport, cfg, walls, dt)[2]
         assert state_theta.min() >= lo0 - 1e-10
         assert state_theta.max() <= hi0 + 1e-10
 
@@ -385,6 +414,14 @@ def test_uniform_bounds_pure_conduction(eos, transport, rng):
 # ---------------------------------------------------------------------------
 # run control
 # ---------------------------------------------------------------------------
+
+
+def test_run_rejects_nonfinite_initial_data(eos, transport, box):
+    mesh, walls = box
+    state = _uniform_state(32)
+    state.u[3] = np.nan
+    with pytest.raises(ValueError, match="initial u is not finite in 1 of 32 cells"):
+        sv.run(mesh, eos, transport, sv.SolverConfig(t_end=0.01), walls, state)
 
 
 def test_zero_horizon_returns_initial(eos, transport, box):
