@@ -37,5 +37,25 @@ from .thermo import (ConservativeState, EosDomainError, EosSpec,
                      stability_margins, tabulated_eos, to_conservative,
                      transport_coefficients)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AdmissibilityReport", "BoundaryFace", "BoundarySpec", "BudgetReport",
+    "ConservativeState", "ConvergenceStudy", "EosDomainError", "EosSpec",
+    "EosValidationError", "FaceKind", "FieldState", "Mesh1D", "MmsCase",
+    "OutOfDomainError", "RelEnergySample", "RelEnergyTrace", "RunAborted",
+    "Scenario", "ScenarioValidationError", "SolverConfig", "StepRejected",
+    "ThermoState", "Trajectory", "TransportSpec", "admissibility_check",
+    "admissibility_margin", "apriori_monitor", "audit", "ballistic_free_energy",
+    "check_eos_invariants", "classify", "classify_faces", "cold_heat_flux_split",
+    "convective_fluxes", "convergence_study", "energy_budget", "entropy_budget",
+    "entropy_inflow_flux", "euler_step", "eval_field_expression",
+    "export_budget_csv", "export_timeseries", "extended_internal_energy",
+    "from_conservative", "gibbs_residual", "gronwall_envelope", "heat_flux",
+    "iconic_eos", "load_scenario", "make_boundary", "manufactured_case",
+    "mass_budget", "parse_scenario", "pressure", "relative_energy_conservative",
+    "relative_energy_integral", "relative_energy_standard", "run", "sound_speed_sq",
+    "specific_entropy", "specific_internal_energy", "stability_margins",
+    "stable_dt", "step", "tabulated_eos", "to_conservative", "total_energy",
+    "total_energy_gradient", "transport_coefficients", "viscous_stress",
+    "weak_strong_study", "weak_strong_trace",
+]
 __version__ = "0.1.0"

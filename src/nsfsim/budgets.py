@@ -6,6 +6,11 @@ volume term reuses the solver's own stage-weighted accumulators, so the
 mass identity telescopes to rounding and the reported energy/entropy
 residuals measure scheme error, not quadrature error.
 
+Storage is evaluated on the recorded states stacked into (k, n) arrays, one
+closure call per quantity.  The a-priori sup over all T outputs is thus one
+e and one s call on O(n T) array work, not T calls, and a window audit
+costs the same number of closure calls whatever the output count.
+
 Conventions (all with constant-in-time test function, outward normals):
 
 * mass residual: change of total mass plus the boundary mass-flux integral;
@@ -59,28 +64,24 @@ def _delta_acc(traj: Trajectory, key: str, window) -> float:
     return a1 - a0
 
 
-def _mass_storage(traj: Trajectory, t: float) -> float:
-    return traj.mesh.integrate(traj.state_at(t).rho)
+def _storages(traj: Trajectory, states, energy=True, entropy=True):
+    """Mass, energy and entropy integrals of each state; None where not asked.
 
-
-def _energy_storage(traj: Trajectory, t: float) -> float:
-    cfg = traj.config
-    st = traj.state_at(t)
-    ub, _ = boundary_velocity_extension(traj.mesh, traj.boundary)
-    dens = (0.5 * st.rho * (st.u - ub) ** 2
-            + st.rho * cfg.internal_energy(traj.eos, st.rho, st.theta))
-    if cfg.delta > 0.0:
-        dens = dens + cfg.delta * (st.rho ** cfg.Gamma / (cfg.Gamma - 1.0) + st.rho ** 2)
-    return traj.mesh.integrate(dens)
-
-
-def _entropy_storage(traj: Trajectory, t: float) -> float:
-    st = traj.state_at(t)
-    return traj.mesh.integrate(st.rho * traj.config.entropy(traj.eos, st.rho, st.theta))
-
-
-def _ballistic_storage(traj: Trajectory, t: float) -> float:
-    return _energy_storage(traj, t) - traj.config.theta_bar * _entropy_storage(traj, t)
+    The states are stacked into (k, n) arrays, so each closure runs once on
+    the stack; row sums times h are the :meth:`Mesh1D.integrate` quadrature.
+    """
+    cfg, h = traj.config, traj.mesh.h
+    rho, u, theta = np.stack([(st.rho, st.u, st.theta) for st in states], axis=1)
+    out = [rho.sum(axis=1) * h, None, None]
+    if energy:
+        ub, _ = boundary_velocity_extension(traj.mesh, traj.boundary)
+        dens = 0.5 * rho * (u - ub) ** 2 + rho * cfg.internal_energy(traj.eos, rho, theta)
+        if cfg.delta > 0.0:
+            dens = dens + cfg.delta * (rho ** cfg.Gamma / (cfg.Gamma - 1.0) + rho ** 2)
+        out[1] = dens.sum(axis=1) * h
+    if entropy:
+        out[2] = (rho * cfg.entropy(traj.eos, rho, theta)).sum(axis=1) * h
+    return out
 
 
 def _default_window(traj: Trajectory, window):
@@ -97,8 +98,8 @@ def mass_budget(traj: Trajectory, window=None) -> float:
     Robin diffusive flux when the mass regularization is active).
     """
     window = _default_window(traj, window)
-    return (_mass_storage(traj, window[1]) - _mass_storage(traj, window[0])
-            + _delta_acc(traj, "mass_bdry", window))
+    mass = _storages(traj, map(traj.state_at, window), energy=False, entropy=False)[0]
+    return float(mass[1] - mass[0]) + _delta_acc(traj, "mass_bdry", window)
 
 
 def energy_budget(traj: Trajectory, window=None):
@@ -107,7 +108,8 @@ def energy_budget(traj: Trajectory, window=None):
     cfg = traj.config
     eps, dlt = cfg.epsilon, cfg.delta
     terms = {}
-    terms["storage"] = _energy_storage(traj, window[1]) - _energy_storage(traj, window[0])
+    energy = _storages(traj, map(traj.state_at, window), entropy=False)[1]
+    terms["storage"] = float(energy[1] - energy[0])
     terms["outflow_internal_energy"] = _delta_acc(traj, "energy_out_conv", window)
     terms["outflow_delta_pressure"] = dlt * _delta_acc(traj, "energy_out_delta", window)
     terms["inflow_energy_flux"] = _delta_acc(traj, "energy_bdry_in", window)
@@ -140,7 +142,8 @@ def entropy_budget(traj: Trajectory, window=None):
     cfg = traj.config
     eps, dlt = cfg.epsilon, cfg.delta
     terms = {}
-    terms["storage"] = _entropy_storage(traj, window[1]) - _entropy_storage(traj, window[0])
+    entropy = _storages(traj, map(traj.state_at, window), energy=False)[2]
+    terms["storage"] = float(entropy[1] - entropy[0])
     terms["outflow_efflux"] = _delta_acc(traj, "entropy_out_conv", window)
     terms["dissipation"] = _delta_acc(traj, "dissipation", window)
     terms["grad_rho_entropy"] = eps * dlt * _delta_acc(traj, "grad_rho_sq_gamma_over_theta", window)
@@ -168,7 +171,8 @@ def apriori_monitor(traj: Trajectory, epsilon=None, delta=None) -> dict:
     dlt = cfg.delta if delta is None else float(delta)
     window = (traj.times[0], traj.times[-1])
     out = {}
-    out["energy_sup"] = max(_ballistic_storage(traj, t) for t in traj.times)
+    _, energy, entropy = _storages(traj, traj.states)
+    out["energy_sup"] = float(np.max(energy - cfg.theta_bar * entropy))
     out["dissipation_integral"] = cfg.theta_bar * _delta_acc(traj, "dissipation_no_delta", window)
     out["inflow_coercive"] = _delta_acc(traj, "apriori_in_coercive", window)
     out["outflow_ballistic"] = _delta_acc(traj, "apriori_out_ballistic", window)

@@ -33,6 +33,7 @@ scheme error from quadrature error.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Union
 
@@ -516,8 +517,15 @@ def step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
          cfg: SolverConfig, bspec: BoundarySpec, dt: float, t: float = 0.0):
     """One adaptive SSP-RK2 step; halves dt on rejection (up to max_rejects).
 
-    Returns (new_state, dt_used, accumulator_increments, n_rejects).
+    Returns (new_state, dt_used, accumulator_increments, n_rejects).  A
+    non-finite start state aborts at once, naming the field and first bad cell.
     """
+    for name in ("rho", "u", "theta"):
+        values = getattr(state, name)
+        if not np.isfinite(values).all():
+            cell = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise RunAborted(f"step at t={t:.6g}: {name} is not finite at cell {cell} "
+                             f"({values[cell]}); diagnostic state attached", state=state)
     rejects = 0
     while True:
         try:
@@ -556,8 +564,11 @@ class Trajectory:
         return self.accums[self._index(t)]
 
     def _index(self, t: float) -> int:
-        times = np.asarray(self.times)
-        idx = int(np.argmin(np.abs(times - t)))
+        """Index of the recorded time nearest t (the lower one on a tie)."""
+        times = self.times
+        idx = bisect.bisect_left(times, t)
+        if idx == len(times) or (idx > 0 and t - times[idx - 1] <= times[idx] - t):
+            idx -= 1
         if abs(times[idx] - t) > 1e-9 * (1.0 + abs(t)):
             raise KeyError(f"time {t} not recorded (have {list(times)})")
         return idx

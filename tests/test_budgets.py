@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,32 @@ def test_audit_report_shape(throughflow_traj):
     assert report.passed
     assert report.verdicts["entropy"]["passed"] == (
         report.entropy_production >= -report.verdicts["entropy"]["tol"])
+
+
+def test_window_audit_cost_independent_of_output_count(eos, throughflow_setup, monkeypatch):
+    # storage is evaluated on the stacked states: one e and one s call for
+    # the whole a-priori sup, however many outputs were recorded
+    mesh, ts, _, bspec, initial = throughflow_setup
+    cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.01)
+    trajs = [sv.run(mesh, eos, ts, cfg, bspec, initial,
+                    output_times=np.linspace(0.0, cfg.t_end, k)) for k in (5, 41)]
+    calls = {}
+    for name, fn in list(vars(sv).items()):
+        if inspect.isfunction(fn) and fn.__module__ == th.__name__:
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(sv, name, counted)
+    counts = []
+    for traj in trajs:
+        calls.clear()
+        bg.audit(traj, window=(traj.times[1], traj.times[2]))
+        counts.append(dict(calls))
+    assert [len(traj.times) for traj in trajs] == [5, 41]
+    assert counts[0] == counts[1] == {"specific_internal_energy": 2, "specific_entropy": 2}
+    calls.clear()
+    bg.mass_budget(trajs[1], window=(trajs[1].times[1], trajs[1].times[2]))
+    assert calls == {}
 
 
 # ---------------------------------------------------------------------------

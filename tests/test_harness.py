@@ -1,10 +1,12 @@
 import copy
 import json
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsfsim
 from nsfsim import cli, mms, scenario as sc, studies
 from nsfsim.mesh import Mesh1D
 
@@ -294,3 +296,13 @@ def test_cli_run_and_audit(tmp_path, capsys):
     assert (tmp_path / "budget.csv").exists()
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_package_exports_are_explicit():
+    names = nsfsim.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        assert not isinstance(getattr(nsfsim, name), types.ModuleType), name
+    public = {n for n, v in vars(nsfsim).items()
+              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert set(names) == public

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -343,6 +344,37 @@ def test_step_rejection_and_abort(eos, transport, box):
     new, dt_used, _, rejects = sv.step(state, mesh, eos, transport, cfg_ok, walls, huge)
     assert rejects > 0 and dt_used < huge
     assert np.all(new.theta >= cfg_ok.theta_floor)
+
+
+@pytest.mark.parametrize("name, cell, bad", [("rho", 0, np.inf), ("u", 5, np.nan),
+                                             ("theta", 31, -np.inf)])
+def test_step_names_nonfinite_state(eos, transport, box, monkeypatch, name, cell, bad):
+    mesh, walls = box
+    state = _uniform_state(32)
+    getattr(state, name)[cell] = bad
+    attempts = []
+    heun = sv._heun_step
+    monkeypatch.setattr(sv, "_heun_step", lambda *a: attempts.append(1) or heun(*a))
+    with pytest.raises(sv.RunAborted, match=rf"{name} is not finite at cell {cell} ") as err:
+        sv.step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)
+    assert err.value.state is state
+    assert attempts == []
+
+
+def test_trajectory_index_lookup(closed_box_traj):
+    traj = closed_box_traj
+    assert traj.times == [0.0, 0.01, 0.02, 0.03, 0.04]
+    for i in (0, 2, 4):
+        assert traj._index(traj.times[i]) == i
+    assert traj._index(0.02 + 1e-12) == 2
+    assert traj._index(0.02 - 1e-12) == 2
+    assert traj.state_at(0.03 + 1e-12) is traj.states[3]
+    for t in (0.015, -0.01, 0.05):
+        with pytest.raises(KeyError, match="not recorded"):
+            traj._index(t)
+    # equidistant recorded times within the tolerance resolve to the lower one
+    tied = dataclasses.replace(traj, times=[0.0, 2e-10, 1.0])
+    assert tied._index(1e-10) == 0
 
 
 # ---------------------------------------------------------------------------
