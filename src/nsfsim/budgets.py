@@ -8,8 +8,9 @@ residuals measure scheme error, not quadrature error.
 
 Storage is evaluated on the recorded states stacked into (k, n) arrays, one
 closure call per quantity.  The a-priori sup over all T outputs is thus one
-e and one s call on O(n T) array work, not T calls, and a window audit
-costs the same number of closure calls whatever the output count.
+e and one s call on O(n T) array work, not T calls.  A window audit
+evaluates only its two window-end storages, whatever the output count: the
+window-independent a-priori monitor of its report is evaluated when read.
 
 Conventions (all with constant-in-time test function, outward normals):
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,19 +44,29 @@ ENERGY_SLACK_COEFF = 5.0
 
 @dataclass(frozen=True)
 class BudgetReport:
-    """Residuals of the discrete balances over a window, with verdicts."""
+    """Residuals of the discrete balances over a window, with verdicts.
+
+    ``apriori`` does not depend on the window: it is the
+    :func:`apriori_monitor` of the whole ``trajectory``, evaluated when it
+    is first read, so a window audit evaluates no storage beyond its own
+    window ends.
+    """
 
     window: tuple
     mass_residual: float
     energy_residual: float
     entropy_production: float
     boundary_terms: dict
-    apriori: dict
+    trajectory: Trajectory = field(repr=False, compare=False)
     verdicts: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return all(v["passed"] for v in self.verdicts.values())
+
+    @cached_property
+    def apriori(self) -> dict:
+        return apriori_monitor(self.trajectory)
 
 
 def _delta_acc(traj: Trajectory, key: str, window) -> float:
@@ -199,7 +211,6 @@ def audit(traj: Trajectory, window=None, entropy_tol: float = DEFAULT_ENTROPY_TO
     mass_res = mass_budget(traj, window)
     energy_res, energy_terms = energy_budget(traj, window)
     entropy_prod, entropy_terms = entropy_budget(traj, window)
-    apriori = apriori_monitor(traj)
 
     mass_tol = mass_tol_per_step * max(1, traj.n_steps)
     ent_tol = entropy_tol * traj.mesh.measure * max(window[1] - window[0], 1e-30)
@@ -219,7 +230,7 @@ def audit(traj: Trajectory, window=None, entropy_tol: float = DEFAULT_ENTROPY_TO
     return BudgetReport(window=window, mass_residual=mass_res,
                         energy_residual=energy_res,
                         entropy_production=entropy_prod,
-                        boundary_terms=boundary_terms, apriori=apriori,
+                        boundary_terms=boundary_terms, trajectory=traj,
                         verdicts=verdicts)
 
 

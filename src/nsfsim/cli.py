@@ -8,6 +8,7 @@ sampling used by demonstration scripts and tests.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -120,7 +121,16 @@ def _cmd_converge(args) -> int:
     print("manufactured residual probe:",
           {k: f"{v:.3g}" for k, v in probe.items()})
     ns = [int(n) for n in args.resolutions.split(",")]
-    study = convergence_study(case, ns, t_end=args.t_end)
+    study = convergence_study(case, ns, t_end=args.t_end,
+                              with_energy_budget=args.csv is not None)
+    if args.csv:
+        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
+        with open(args.csv, "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(["n", "err_rho", "err_u", "err_theta", "energy_residual"])
+            for i, n in enumerate(study.resolutions):
+                out.writerow([n, study.errors["rho"][i], study.errors["u"][i],
+                              study.errors["theta"][i], study.energy_residuals[i]])
     ok = max(probe.values()) < 1e-6
     for f in ("rho", "u", "theta"):
         errs = "  ".join(f"{e:.4e}" for e in study.errors[f])
@@ -188,6 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=0.15, dest="t_end")
     p.add_argument("--order-lo", type=float, default=0.8)
     p.add_argument("--order-hi", type=float, default=1.5)
+    p.add_argument("--csv", default=None,
+                   help="per-resolution errors and energy residual CSV path")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("weak-strong", help="coarse-vs-fine relative energy study")

@@ -25,17 +25,23 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import sympy as sp
 
 from . import boundary as bd
 from .mesh import Mesh1D
 from .solver import FieldState, SolverConfig
 from .thermo import EosSpec, TransportSpec, iconic_eos, specific_internal_energy
 
-_T, _X = sp.symbols("t x", real=True)
+
+def _symbols():
+    """sympy and the (t, x) symbols; sympy is imported only to build a case."""
+    import sympy as sp
+
+    return sp, *sp.symbols("t x", real=True)
 
 
 def _iconic_closures(eos: EosSpec, rho, theta):
+    import sympy as sp
+
     a = sp.Float(eos.a)
     p_inf = sp.Float(eos.p_inf)
     p = rho * theta + p_inf * rho ** sp.Rational(5, 3) + a * theta ** 4 / 3
@@ -118,26 +124,27 @@ class MmsCase:
 
 def _build_case(name: str, rho_e, u_e, theta_e, eos: EosSpec, ts: TransportSpec,
                 x_left: float = 0.0, x_right: float = 1.0) -> MmsCase:
+    sp, T, X = _symbols()
     p_e, e_e = _iconic_closures(eos, rho_e, theta_e)
     lam = sp.Rational(1, 2) if ts.lambda_exp == 0.5 else sp.Float(ts.lambda_exp)
     mu_e = sp.Float(ts.mu_scale) * (1 + theta_e ** lam)
     eta_e = sp.Float(ts.eta_scale) * (1 + theta_e ** lam)
     kappa_e = sp.Float(ts.kappa_scale) * (1 + theta_e ** 3)
-    ux_e = sp.diff(u_e, _X)
+    ux_e = sp.diff(u_e, X)
     stress_e = (mu_e * sp.Rational(4, 3) + eta_e) * ux_e  # d = 3
-    q_e = -kappa_e * sp.diff(theta_e, _X)
+    q_e = -kappa_e * sp.diff(theta_e, X)
 
-    mass_res = sp.simplify(sp.diff(rho_e, _T) + sp.diff(rho_e * u_e, _X))
+    mass_res = sp.simplify(sp.diff(rho_e, T) + sp.diff(rho_e * u_e, X))
     if mass_res != 0:
         raise ValueError(f"case {name}: continuity is not exactly satisfied: {mass_res}")
 
-    g_e = (sp.diff(rho_e * u_e, _T) + sp.diff(rho_e * u_e ** 2, _X)
-           + sp.diff(p_e, _X) - sp.diff(stress_e, _X)) / rho_e
-    s_e = (sp.diff(rho_e * e_e, _T) + sp.diff(rho_e * e_e * u_e, _X)
-           + sp.diff(q_e, _X) - stress_e * ux_e + p_e * ux_e)
+    g_e = (sp.diff(rho_e * u_e, T) + sp.diff(rho_e * u_e ** 2, X)
+           + sp.diff(p_e, X) - sp.diff(stress_e, X)) / rho_e
+    s_e = (sp.diff(rho_e * e_e, T) + sp.diff(rho_e * e_e * u_e, X)
+           + sp.diff(q_e, X) - stress_e * ux_e + p_e * ux_e)
 
     def lam2(expr):
-        f = sp.lambdify((_T, _X), expr, "numpy")
+        f = sp.lambdify((T, X), expr, "numpy")
         return lambda t, x: np.asarray(f(t, x), dtype=float)
 
     fr, fu, fth = lam2(rho_e), lam2(u_e), lam2(theta_e)
@@ -145,15 +152,15 @@ def _build_case(name: str, rho_e, u_e, theta_e, eos: EosSpec, ts: TransportSpec,
     exprs = {"p_fn": lam2(p_e), "e_fn": lam2(e_e), "stress_fn": lam2(stress_e),
              "q_fn": lam2(q_e)}
 
-    ub_l = float(u_e.subs(_X, x_left).subs(_T, 0.0))
-    ub_r = float(u_e.subs(_X, x_right).subs(_T, 0.0))
+    ub_l = float(u_e.subs(X, x_left).subs(T, 0.0))
+    ub_r = float(u_e.subs(X, x_right).subs(T, 0.0))
     kw = {}
     for ub, side, xb in ((ub_l, "left", x_left), (ub_r, "right", x_right)):
         normal = -1.0 if side == "left" else 1.0
         if ub * normal < 0.0:  # inflow: extract rho_b, F_ib from the traces
-            rho_b = float(rho_e.subs(_X, xb).subs(_T, 0.0))
-            e_b = float(e_e.subs(_X, xb).subs(_T, 0.0))
-            q_b = float(q_e.subs(_X, xb).subs(_T, 0.0))
+            rho_b = float(rho_e.subs(X, xb).subs(T, 0.0))
+            e_b = float(e_e.subs(X, xb).subs(T, 0.0))
+            q_b = float(q_e.subs(X, xb).subs(T, 0.0))
             f_ib = rho_b * e_b * ub * normal + q_b * normal
             kw[f"rho_b_{side}"] = rho_b
             kw[f"F_ib_{side}"] = f_ib
@@ -182,7 +189,7 @@ def manufactured_case(kind: str, eos: EosSpec = None,
     if eos.shape != "iconic":
         raise ValueError("manufactured sources are derived for the iconic closure only")
 
-    t, x = _T, _X
+    sp, t, x = _symbols()
     if kind == "thermal_relaxation":
         # mass flux B e^{-sigma t} sin(pi x) keeps continuity exact with
         # walls; the induced velocity makes the upwind transport error the

@@ -24,11 +24,14 @@ or a failed temperature recovery) halves dt and retries.
 
 Each stage pads the state with one ghost cell per side and evaluates p,
 e_delta and s_delta once on the padded arrays; fluxes, sources and the
-budget record all read that one evaluation.  Every budget-relevant face
-flux and volume integrand is accumulated during the run with the same
-stage weights as the update itself, so the discrete mass identity
-telescopes to rounding and the audits in :mod:`nsfsim.budgets` separate
-scheme error from quadrature error.
+budget record all read that one evaluation.  The stage's volume integrands
+are stacked into one (K, n) array and reduced once per stage record.  Each
+Newton iterate of the temperature recovery makes one fused EOS call for
+(e_delta, de_delta/dtheta).  Every budget-relevant face flux and volume
+integrand is accumulated during the run with the same stage weights as the
+update itself, so the discrete mass identity telescopes to rounding and
+the audits in :mod:`nsfsim.budgets` separate scheme error from quadrature
+error.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ import numpy as np
 from .boundary import BoundarySpec, FaceKind
 from .mesh import Mesh1D
 from .thermo import (EosSpec, TransportSpec, OutOfDomainError,
-                     energy_theta_slope, pressure, sound_speed_sq,
-                     specific_entropy, specific_internal_energy,
+                     energy_theta_slope, internal_energy_and_slope, pressure,
+                     sound_speed_sq, specific_entropy, specific_internal_energy,
                      temperature_from_energy_density)
 
 
@@ -315,14 +318,10 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     grad_rho_sq = grad_rho_c ** 2
     grad_rho_coeff = cfg.Gamma * rho ** (cfg.Gamma - 2.0) + 2.0
     source = diss_cell - p_div_u
+    mms = None
     if cfg.energy_source is not None:
         mms = np.asarray(cfg.energy_source(t, x), dtype=float) * np.ones_like(x)
         source = source + mms
-        mms_total = mesh.integrate(mms)
-        mms_over_theta = mesh.integrate(mms / theta)
-    else:
-        mms_total = 0.0
-        mms_over_theta = 0.0
     if cfg.delta > 0.0:
         source = source + cfg.delta / theta ** 2
         if cfg.epsilon > 0.0:
@@ -339,42 +338,42 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     sc["mass_bdry"] = -mass_flux[0] + mass_flux[-1]
     sc["energy_bdry_total"] = -e_flux[0] + e_flux[-1]
 
+    # volume integrands in record order; None marks a term that vanishes
     inv_theta = 1.0 / theta
-    sc["S_grad_u"] = mesh.integrate(diss_cell)
-    sc["p_div_u"] = mesh.integrate(p_div_u)
     # (1/theta)(S:grad u - q.grad theta/theta): the heat part carries 1/theta^2
     diss_weighted = inv_theta * diss_cell + inv_theta ** 2 * heat_diss_cell
-    sc["dissipation_no_delta"] = mesh.integrate(diss_weighted)
+    vol = {"S_grad_u": diss_cell, "p_div_u": p_div_u,
+           "dissipation_no_delta": diss_weighted}
     if cfg.delta > 0.0:
         diss_weighted = diss_weighted + cfg.delta * inv_theta ** 3
-    sc["dissipation"] = mesh.integrate(diss_weighted)
-    sc["theta4"] = mesh.integrate(theta ** 4)
-    sc["theta5"] = mesh.integrate(theta ** 5)
-    sc["inv_theta2"] = mesh.integrate(inv_theta ** 2)
-    sc["inv_theta3"] = mesh.integrate(inv_theta ** 3)
-    sc["grad_rho_sq_gamma"] = mesh.integrate(grad_rho_coeff * grad_rho_sq)
-    sc["grad_rho_sq_gamma_over_theta"] = mesh.integrate(
-        inv_theta * grad_rho_coeff * grad_rho_sq)
+    vol["dissipation"] = diss_weighted
+    vol["theta4"] = theta ** 4
+    vol["theta5"] = theta ** 5
+    vol["inv_theta2"] = inv_theta ** 2
+    vol["inv_theta3"] = inv_theta ** 3
+    vol["grad_rho_sq_gamma"] = grad_rho_coeff * grad_rho_sq
+    vol["grad_rho_sq_gamma_over_theta"] = inv_theta * grad_rho_coeff * grad_rho_sq
     # epsilon-level entropy correction: grad rho . grad(e_d/theta - s_d + p/(rho theta))
     grad_g = (g_pad[2:] - g_pad[:-2]) / (2.0 * h)
-    sc["grad_rho_grad_g"] = mesh.integrate(grad_rho_c * grad_g)
+    vol["grad_rho_grad_g"] = grad_rho_c * grad_g
 
     # total-energy budget terms built on the boundary-velocity extension
     ub_ext, grad_ub = boundary_velocity_extension(mesh, bspec)
+    vol["S_grad_ub"] = vol["conv_p_grad_ub"] = vol["rho_u_grad_ub2"] = None
     if grad_ub != 0.0:
         stress_cell = 0.5 * (stress_face[:-1] + stress_face[1:])
-        sc["S_grad_ub"] = mesh.integrate(stress_cell * grad_ub)
-        sc["conv_p_grad_ub"] = mesh.integrate((rho * u * u + p_delta_p[1:-1]) * grad_ub)
-        sc["rho_u_grad_ub2"] = mesh.integrate(rho * u * 2.0 * ub_ext * grad_ub)
-    else:
-        sc["S_grad_ub"] = sc["conv_p_grad_ub"] = sc["rho_u_grad_ub2"] = 0.0
-    sc["rho_g_rel_u"] = mesh.integrate(rho * g * (u - ub_ext))
-    if cfg.epsilon > 0.0:
-        sc["eps_mom_ub"] = mesh.integrate(grad_rho_c * (grad_u_c - grad_ub) * ub_ext)
-    else:
-        sc["eps_mom_ub"] = 0.0
-    sc["mms_energy_source"] = mms_total
-    sc["mms_energy_source_over_theta"] = mms_over_theta
+        vol["S_grad_ub"] = stress_cell * grad_ub
+        vol["conv_p_grad_ub"] = (rho * u * u + p_delta_p[1:-1]) * grad_ub
+        vol["rho_u_grad_ub2"] = rho * u * 2.0 * ub_ext * grad_ub
+    vol["rho_g_rel_u"] = rho * g * (u - ub_ext)
+    vol["eps_mom_ub"] = (grad_rho_c * (grad_u_c - grad_ub) * ub_ext
+                         if cfg.epsilon > 0.0 else None)
+    vol["mms_energy_source"] = mms
+    vol["mms_energy_source_over_theta"] = None if mms is None else mms / theta
+
+    # one reduction: row sums times h are the Mesh1D.integrate quadrature
+    sums = iter((np.stack([v for v in vol.values() if v is not None]).sum(axis=1) * h).tolist())
+    sc.update((k, 0.0 if v is None else next(sums)) for k, v in vol.items())
 
     cells = {"w": pad.w[1:-1], "div_u": div_u, "dissipation": diss_cell,
              "p_div_u": p_div_u, "source": source, "drho": drho, "dm": dm, "dW": dW}
@@ -438,9 +437,8 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
     theta = np.asarray(theta_guess, dtype=float).copy()
     delta = cfg.delta
     for _ in range(40):
-        f = rho * cfg.internal_energy(eos, rho, theta) - w
-        df = rho * (energy_theta_slope(eos, rho, theta) + delta)
-        step = f / df
+        e, de = internal_energy_and_slope(eos, rho, theta, delta)
+        step = (rho * e - w) / (rho * de)
         theta_new = theta - step
         theta = np.where(theta_new > 0.1 * theta, theta_new, 0.1 * theta)
         if np.max(np.abs(step) / (theta + 1e-300)) < 1e-14:

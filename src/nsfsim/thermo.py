@@ -25,7 +25,11 @@ Admissibility of a shape means: P(0) = 0, P' > 0, the stability gap
 ((5/3) P - P' Z)/Z positive and bounded, and P/Z^{5/3} nonincreasing with a
 positive limit ``p_inf``.
 
-All state functions broadcast over numpy arrays in (rho, theta).
+All state functions broadcast over numpy arrays in (rho, theta).  Shapes
+give ``p_dp`` = (P, P'), the table from one mask pass; each closure evaluates
+Z and the shape once and applies formulas written once in (rho, theta, P,
+P').  The fused ``internal_energy_and_slope`` serves each Newton iterate of
+the temperature inversions; ``gibbs_residual`` keeps independent routes.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 
 class EosDomainError(ValueError):
@@ -75,6 +78,9 @@ class IconicShape:
     def dp(self, z):
         z = np.asarray(z, dtype=float)
         return 1.0 + _FIVE_THIRDS * self.p_inf * z ** (2.0 / 3.0)
+
+    def p_dp(self, z):
+        return self.p(z), self.dp(z)
 
     def entropy_shape(self, z):
         # S'(Z) = -1/Z for this shape; normalized so S(1) = 0.
@@ -169,7 +175,7 @@ class TabulatedShape:
         if d_hi <= 0.0:
             raise EosValidationError("tail closure is not increasing at the junction")
 
-        from scipy.interpolate import CubicHermiteSpline
+        from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
         zin, pin = z[1:-1], p[1:-1]
         slopes = PchipInterpolator(z, p).derivative()(zin)
@@ -237,46 +243,46 @@ class TabulatedShape:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _branch(self, z, head, mid, tail):
+    def _branch(self, z, *pieces):
+        """Evaluate each (head, mid, tail) triple on z under one mask pass."""
         z = np.asarray(z, dtype=float)
-        out = np.empty_like(z)
+        outs = [np.empty_like(z) for _ in pieces]
         lo = z < self.z_lo
         hi = z > self.z_hi
-        mid_m = ~(lo | hi)
-        if np.any(lo):
-            out[lo] = head(z[lo])
-        if np.any(mid_m):
-            out[mid_m] = mid(z[mid_m])
-        if np.any(hi):
-            out[hi] = tail(z[hi])
-        return out
+        for k, m in enumerate((lo, ~(lo | hi), hi)):
+            if m.any():
+                zm = z[m]
+                for out, piece in zip(outs, pieces):
+                    out[m] = piece[k](zm)
+        return outs
 
-    def p(self, z):
+    def _p_pieces(self):
         if self.third_law_compatible:
             tail = lambda v: (self.p_inf * v ** _FIVE_THIRDS + self.tail_const
                               + self.tail_gamma / v)
         else:
             tail = lambda v: (self.p_inf * v ** _FIVE_THIRDS + self.tail_lin * v
                               + self.tail_gamma)
-        return self._branch(
-            z,
-            lambda v: self.head_lin * v + self.head_pow * v ** _FIVE_THIRDS,
-            self._spline,
-            tail,
-        )
+        return (lambda v: self.head_lin * v + self.head_pow * v ** _FIVE_THIRDS,
+                self._spline, tail)
 
-    def dp(self, z):
+    def _dp_pieces(self):
         if self.third_law_compatible:
             tail = lambda v: (_FIVE_THIRDS * self.p_inf * v ** (2.0 / 3.0)
                               - self.tail_gamma / (v * v))
         else:
             tail = lambda v: _FIVE_THIRDS * self.p_inf * v ** (2.0 / 3.0) + self.tail_lin
-        return self._branch(
-            z,
-            lambda v: self.head_lin + _FIVE_THIRDS * self.head_pow * v ** (2.0 / 3.0),
-            self._dspline,
-            tail,
-        )
+        return (lambda v: self.head_lin + _FIVE_THIRDS * self.head_pow * v ** (2.0 / 3.0),
+                self._dspline, tail)
+
+    def p(self, z):
+        return self._branch(z, self._p_pieces())[0]
+
+    def dp(self, z):
+        return self._branch(z, self._dp_pieces())[0]
+
+    def p_dp(self, z):
+        return tuple(self._branch(z, self._p_pieces(), self._dp_pieces()))
 
     def _entropy_mid(self, z):
         idx = np.clip(np.searchsorted(self._knots, z, side="right") - 1, 0,
@@ -293,16 +299,13 @@ class TabulatedShape:
         else:
             tail = lambda v: (-self.tail_lin * np.log(v) + 2.5 * self.tail_gamma / v
                               + self._tail_shift)
-        return self._branch(
-            z,
-            lambda v: -self.head_lin * np.log(v) + self._head_off,
-            self._entropy_mid,
-            tail,
-        )
+        head = lambda v: -self.head_lin * np.log(v) + self._head_off
+        return self._branch(z, (head, self._entropy_mid, tail))[0]
 
     def entropy_shape_slope(self, z):
         zz = np.asarray(z, dtype=float)
-        return -1.5 * (_FIVE_THIRDS * self.p(zz) - self.dp(zz) * zz) / (zz * zz)
+        p, dp = self.p_dp(zz)
+        return -1.5 * (_FIVE_THIRDS * p - dp * zz) / (zz * zz)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +487,44 @@ def _zvar(rho, theta):
     return np.asarray(rho, dtype=float) * np.asarray(theta, dtype=float) ** -1.5
 
 
+# Closure formulas in (rho, theta) and the shape values (P, P') at Z.
+
+
+def _energy(eos: EosSpec, rho, theta, p):
+    return 1.5 * theta ** 2.5 / rho * p + eos.a * theta ** 4 / rho
+
+
+def _energy_theta(eos: EosSpec, rho, theta, p, dp):
+    return 3.75 * theta ** 1.5 / rho * p - 2.25 * dp + 4.0 * eos.a * theta ** 3 / rho
+
+
+def _pressure_rho(theta, dp):
+    return theta * dp
+
+
+def _pressure_theta(eos: EosSpec, rho, theta, p, dp):
+    return 2.5 * theta ** 1.5 * p - 1.5 * rho * dp + (4.0 * eos.a / 3.0) * theta ** 3
+
+
+def _energy_args(rho, theta):
+    """(rho, theta, Z) as arrays, after the domain checks of e."""
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if (theta <= 0.0).any():
+        raise EosDomainError("temperature must be positive")
+    if (rho <= 0.0).any():
+        raise EosDomainError(
+            "density must be positive; use extended_internal_energy for the rho = 0 closure")
+    return rho, theta, _zvar(rho, theta)
+
+
 def pressure(eos: EosSpec, rho, theta):
     """p(rho, theta); strictly increasing in rho at fixed theta."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0):
+    if (theta <= 0.0).any():
         raise EosDomainError("temperature must be positive")
-    if np.any(rho < 0.0):
+    if (rho < 0.0).any():
         raise EosDomainError("density must be nonnegative")
     z = _zvar(rho, theta)
     return theta ** 2.5 * eos.shape_fn.p(z) + (eos.a / 3.0) * theta ** 4
@@ -498,24 +532,26 @@ def pressure(eos: EosSpec, rho, theta):
 
 def specific_internal_energy(eos: EosSpec, rho, theta):
     """e(rho, theta); strictly increasing in theta at fixed rho."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0):
-        raise EosDomainError("temperature must be positive")
-    if np.any(rho <= 0.0):
-        raise EosDomainError(
-            "density must be positive; use extended_internal_energy for the rho = 0 closure")
-    z = _zvar(rho, theta)
-    return 1.5 * theta ** 2.5 / rho * eos.shape_fn.p(z) + eos.a * theta ** 4 / rho
+    rho, theta, z = _energy_args(rho, theta)
+    return _energy(eos, rho, theta, eos.shape_fn.p(z))
+
+
+def internal_energy_and_slope(eos: EosSpec, rho, theta, delta: float = 0.0):
+    """(e + delta theta, de/dtheta + delta) from one Z, one (P, P') pass and
+    one pair of domain checks: the closure of a Newton iterate."""
+    rho, theta, z = _energy_args(rho, theta)
+    p, dp = eos.shape_fn.p_dp(z)
+    return (_energy(eos, rho, theta, p) + delta * theta,
+            _energy_theta(eos, rho, theta, p, dp) + delta)
 
 
 def specific_entropy(eos: EosSpec, rho, theta):
     """s(rho, theta) = S(rho/theta^{3/2}) + (4a/3) theta^3 / rho."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0):
+    if (theta <= 0.0).any():
         raise EosDomainError("temperature must be positive")
-    if np.any(rho <= 0.0):
+    if (rho <= 0.0).any():
         raise EosDomainError("density must be positive")
     z = _zvar(rho, theta)
     return (eos.shape_fn.entropy_shape(z) + eos.entropy_const
@@ -525,27 +561,23 @@ def specific_entropy(eos: EosSpec, rho, theta):
 def pressure_rho_slope(eos: EosSpec, rho, theta):
     """dp/drho at fixed theta ( = theta P'(Z) )."""
     theta = np.asarray(theta, dtype=float)
-    return theta * eos.shape_fn.dp(_zvar(rho, theta))
+    return _pressure_rho(theta, eos.shape_fn.dp(_zvar(rho, theta)))
 
 
 def pressure_theta_slope(eos: EosSpec, rho, theta):
     """dp/dtheta at fixed rho."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    z = _zvar(rho, theta)
-    return (2.5 * theta ** 1.5 * eos.shape_fn.p(z)
-            - 1.5 * rho * eos.shape_fn.dp(z)
-            + (4.0 * eos.a / 3.0) * theta ** 3)
+    p, dp = eos.shape_fn.p_dp(_zvar(rho, theta))
+    return _pressure_theta(eos, rho, theta, p, dp)
 
 
 def energy_theta_slope(eos: EosSpec, rho, theta):
     """de/dtheta at fixed rho (specific-heat-like, positive by stability)."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    z = _zvar(rho, theta)
-    return (3.75 * theta ** 1.5 / rho * eos.shape_fn.p(z)
-            - 2.25 * eos.shape_fn.dp(z)
-            + 4.0 * eos.a * theta ** 3 / rho)
+    p, dp = eos.shape_fn.p_dp(_zvar(rho, theta))
+    return _energy_theta(eos, rho, theta, p, dp)
 
 
 def entropy_theta_slope(eos: EosSpec, rho, theta):
@@ -598,9 +630,10 @@ def sound_speed_sq(eos: EosSpec, rho, theta):
     """Adiabatic sound speed squared, dp/drho|_theta + (dp/dtheta)^2 theta / (rho^2 de/dtheta)."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    p_t = pressure_theta_slope(eos, rho, theta)
-    return (pressure_rho_slope(eos, rho, theta)
-            + p_t * p_t * theta / (rho * rho * energy_theta_slope(eos, rho, theta)))
+    p, dp = eos.shape_fn.p_dp(_zvar(rho, theta))
+    p_t = _pressure_theta(eos, rho, theta, p, dp)
+    return (_pressure_rho(theta, dp)
+            + p_t * p_t * theta / (rho * rho * _energy_theta(eos, rho, theta, p, dp)))
 
 
 def transport_coefficients(ts: TransportSpec, theta):
@@ -686,9 +719,8 @@ def temperature_from_energy_density(eos: EosSpec, rho, w, delta: float = 0.0,
     w = np.asarray(w, dtype=float)
 
     def f_and_slope(theta):
-        f = rho * (specific_internal_energy(eos, rho, theta) + delta * theta) - w
-        df = rho * (energy_theta_slope(eos, rho, theta) + delta)
-        return f, df
+        e, de = internal_energy_and_slope(eos, rho, theta, delta)
+        return rho * e - w, rho * de
 
     return _solve_monotone_theta(f_and_slope, lo, hi, x0=x0)
 

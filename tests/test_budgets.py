@@ -208,8 +208,9 @@ def test_audit_report_shape(throughflow_traj):
 
 
 def test_window_audit_cost_independent_of_output_count(eos, throughflow_setup, monkeypatch):
-    # storage is evaluated on the stacked states: one e and one s call for
-    # the whole a-priori sup, however many outputs were recorded
+    # a window audit evaluates its two window-end storages only (one e and
+    # one s call); the a-priori sup over all outputs is one more e and s
+    # call on the stacked states, made when the report's apriori is read
     mesh, ts, _, bspec, initial = throughflow_setup
     cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.01)
     trajs = [sv.run(mesh, eos, ts, cfg, bspec, initial,
@@ -224,10 +225,13 @@ def test_window_audit_cost_independent_of_output_count(eos, throughflow_setup, m
     counts = []
     for traj in trajs:
         calls.clear()
-        bg.audit(traj, window=(traj.times[1], traj.times[2]))
+        report = bg.audit(traj, window=(traj.times[1], traj.times[2]))
+        counts.append(dict(calls))
+        assert report.apriori == bg.apriori_monitor(traj)
         counts.append(dict(calls))
     assert [len(traj.times) for traj in trajs] == [5, 41]
-    assert counts[0] == counts[1] == {"specific_internal_energy": 2, "specific_entropy": 2}
+    assert counts[0] == counts[2] == {"specific_internal_energy": 1, "specific_entropy": 1}
+    assert counts[1] == counts[3] == {"specific_internal_energy": 3, "specific_entropy": 3}
     calls.clear()
     bg.mass_budget(trajs[1], window=(trajs[1].times[1], trajs[1].times[2]))
     assert calls == {}

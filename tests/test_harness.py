@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -296,6 +299,29 @@ def test_cli_run_and_audit(tmp_path, capsys):
     assert (tmp_path / "budget.csv").exists()
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_cli_converge_writes_csv(tmp_path, capsys):
+    # convergence_study needs three doubling resolutions; small n and a short
+    # t_end keep this quick, so only the file layout is checked
+    path = tmp_path / "study" / "conv.csv"
+    cli.main(["converge", "--resolutions", "8,16,32", "--t-end", "0.002",
+              "--csv", str(path)])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "n,err_rho,err_u,err_theta,energy_residual"
+    assert [row.split(",")[0] for row in lines[1:]] == ["8", "16", "32"]
+    assert all(np.isfinite(float(v)) for row in lines[1:] for v in row.split(","))
+    assert "order" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_interpolate_and_sympy_unloaded():
+    code = ("import sys, nsfsim; "
+            "print(sorted(m for m in ('scipy.interpolate', 'sympy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             [str(Path(nsfsim.__file__).parents[1]),
+                              os.environ.get("PYTHONPATH", "")])})
+    assert out.stdout.strip() == "[]"
 
 
 def test_package_exports_are_explicit():

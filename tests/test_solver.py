@@ -217,15 +217,86 @@ def test_stage_evaluates_each_closure_once(eos, transport, monkeypatch, channel)
         u = 0.05 * np.sin(np.pi * x)
     state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=u,
                           theta=1 + 0.1 * np.cos(np.pi * x))
+    calls = _count_thermo_calls(monkeypatch)
+    sv._stage_rhs(mesh, eos, transport, cfg, bspec, 0.0, state)
+    assert calls == {"pressure": 1, "specific_internal_energy": 1, "specific_entropy": 1}
+
+
+def _count_thermo_calls(monkeypatch, log=None):
+    """Count the thermo functions the solver calls, by name; ``log`` gets
+    the (name, args) of each call."""
     calls = {}
     for name, fn in list(vars(sv).items()):
         if inspect.isfunction(fn) and fn.__module__ == th.__name__:
             def counted(*args, _fn=fn, _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
+                if log is not None:
+                    log.append((_name, args))
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(sv, name, counted)
-    sv._stage_rhs(mesh, eos, transport, cfg, bspec, 0.0, state)
-    assert calls == {"pressure": 1, "specific_internal_energy": 1, "specific_entropy": 1}
+    return calls
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+@pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
+def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkeypatch,
+                                                         request):
+    eos = request.getfixturevalue(eos_name)
+    cfg = sv.SolverConfig(delta=delta, t_end=1.0)
+    x = np.linspace(0.0, 1.0, 16)
+    rho = 1.0 + 0.1 * np.cos(np.pi * x)
+    theta_true = 1.0 + 0.1 * np.sin(np.pi * x)
+    w = rho * cfg.internal_energy(eos, rho, theta_true)
+    log = []
+    calls = _count_thermo_calls(monkeypatch, log)
+    theta = sv._recover_theta(eos, cfg, rho, w, 1.05 * theta_true)
+    np.testing.assert_allclose(theta, theta_true, rtol=1e-12)
+    iterates = [args[2] for name, args in log if name == "internal_energy_and_slope"]
+    assert len(iterates) >= 2
+    assert calls == {"internal_energy_and_slope": len(iterates), "specific_internal_energy": 1}
+    assert all(args[3] == delta for name, args in log if name == "internal_energy_and_slope")
+    # each call is a new Newton iterate, and the residual check sees the last one
+    assert all(not np.array_equal(a, b) for a, b in zip(iterates, iterates[1:]))
+    assert log[-1][0] == "specific_internal_energy"
+
+
+@pytest.mark.parametrize("channel", [False, True])
+def test_stage_scalars_are_one_stacked_quadrature(eos, transport, monkeypatch, channel):
+    # every volume scalar comes from one (K, n) reduction, bitwise equal to
+    # the midpoint quadrature of the cell integrand
+    n = 16
+    mesh = Mesh1D(0.0, 1.0, n)
+    x = mesh.centers
+    if channel:
+        bspec = bd.make_boundary(u_b_left=0.5, u_b_right=0.7, rho_b_left=1.1,
+                                 F_ib_left=-2.5)
+        cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=1.0,
+                              energy_source=lambda t, x: 0.1 * np.sin(np.pi * x))
+        u = 0.5 + 0.2 * x + 0.05 * np.sin(np.pi * x)
+    else:
+        bspec = bd.make_boundary()
+        cfg = sv.SolverConfig(t_end=1.0)
+        u = 0.05 * np.sin(np.pi * x)
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=u,
+                          theta=1 + 0.1 * np.cos(np.pi * x))
+    reductions = []
+    integrate = Mesh1D.integrate
+    monkeypatch.setattr(Mesh1D, "integrate",
+                        lambda self, v: reductions.append(v) or integrate(self, v))
+    _, _, _, rec = sv._stage_rhs(mesh, eos, transport, cfg, bspec, 0.0, state)
+    assert reductions == []
+    sc = rec.scalars
+    assert sc["S_grad_u"] == integrate(mesh, rec.cells["dissipation"])
+    assert sc["p_div_u"] == integrate(mesh, rec.cells["p_div_u"])
+    assert all(type(sc[k]) is float for k in ("S_grad_u", "p_div_u", "dissipation",
+                                               "theta5", "rho_g_rel_u"))
+    active = {"S_grad_ub", "conv_p_grad_ub", "rho_u_grad_ub2", "eps_mom_ub",
+              "mms_energy_source", "mms_energy_source_over_theta"}
+    assert all((sc[k] != 0.0) == channel for k in active)
+    if channel:
+        mms = 0.1 * np.sin(np.pi * x)
+        assert sc["mms_energy_source"] == integrate(mesh, mms)
+        assert sc["mms_energy_source_over_theta"] == integrate(mesh, mms / state.theta)
 
 
 def test_uniform_compression_source(eos, transport):

@@ -363,3 +363,61 @@ def test_sound_speed_theta_slope_cross_check(eos_a0):
     dp, de = th.stability_margins(eos_a0, rho0, th0)
     cs2 = float(dp) + float(fd) ** 2 * th0 / (rho0 ** 2 * float(de))
     assert float(th.sound_speed_sq(eos_a0, rho0, th0)) == pytest.approx(cs2, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# fused closures: bitwise parity with the separate closures
+# ---------------------------------------------------------------------------
+
+PARITY_EOS = ("eos", "eos_table", "eos_table_nolaw")
+
+
+def _parity_z(eos_table):
+    """Z in the table head, on every spline knot (z_lo and z_hi exactly),
+    between knots, and in the tail."""
+    knots = np.asarray(eos_table.table_z[1:-1])
+    shape = eos_table.shape_fn
+    assert knots[0] == shape.z_lo and knots[-1] == shape.z_hi
+    return np.concatenate([knots[0] * np.geomspace(1e-3, 0.9, 4), knots,
+                           np.sqrt(knots[:-1] * knots[1:]),
+                           knots[-1] * np.geomspace(1.1, 1e3, 4)])
+
+
+@pytest.mark.parametrize("name", PARITY_EOS)
+def test_shape_p_dp_matches_separate_calls(name, eos_table, request):
+    shape = request.getfixturevalue(name).shape_fn
+    z = _parity_z(eos_table)
+    p, dp = shape.p_dp(z)
+    assert np.array_equal(p, shape.p(z))
+    assert np.array_equal(dp, shape.dp(z))
+    for zk in (z[0], eos_table.shape_fn.z_lo, eos_table.shape_fn.z_hi, z[-1]):
+        p0, dp0 = shape.p_dp(zk)
+        assert np.array_equal(p0, shape.p(zk)) and np.array_equal(dp0, shape.dp(zk))
+
+
+@pytest.mark.parametrize("theta0", (1.0, 4.0))
+@pytest.mark.parametrize("name", PARITY_EOS)
+def test_fused_closures_match_separate_calls(name, theta0, eos_table, request):
+    eos = request.getfixturevalue(name)
+    z = _parity_z(eos_table)
+    theta = np.full_like(z, theta0)
+    rho = z * theta0 ** 1.5
+    assert np.array_equal(th._zvar(rho, theta), z)  # the probe hits the intended Z
+    e, de = th.internal_energy_and_slope(eos, rho, theta)
+    assert np.array_equal(e, th.specific_internal_energy(eos, rho, theta))
+    assert np.array_equal(de, th.energy_theta_slope(eos, rho, theta))
+    e_d, de_d = th.internal_energy_and_slope(eos, rho, theta, 1e-3)
+    assert np.array_equal(e_d, e + 1e-3 * theta)
+    assert np.array_equal(de_d, de + 1e-3)
+    # the composite the sound speed was built from before its slopes shared Z
+    p_t = th.pressure_theta_slope(eos, rho, theta)
+    reference = (th.pressure_rho_slope(eos, rho, theta)
+                 + p_t * p_t * theta / (rho * rho * th.energy_theta_slope(eos, rho, theta)))
+    assert np.array_equal(th.sound_speed_sq(eos, rho, theta), reference)
+
+
+def test_fused_energy_closure_keeps_domain_checks(eos):
+    with pytest.raises(th.EosDomainError, match="temperature must be positive"):
+        th.internal_energy_and_slope(eos, np.ones(3), np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(th.EosDomainError, match="extended_internal_energy"):
+        th.internal_energy_and_slope(eos, np.array([1.0, 0.0, 1.0]), np.ones(3))
