@@ -45,9 +45,9 @@ import numpy as np
 from .boundary import BoundarySpec, FaceKind
 from .mesh import Mesh1D
 from .thermo import (EosSpec, TransportSpec, OutOfDomainError,
-                     energy_theta_slope, internal_energy_and_slope, pressure,
-                     sound_speed_sq, specific_entropy, specific_internal_energy,
-                     temperature_from_energy_density)
+                     internal_energy_and_slope, pressure,
+                     sound_speed_sq_and_energy_slope, specific_entropy,
+                     specific_internal_energy, temperature_from_energy_density)
 
 
 class StepRejected(Exception):
@@ -480,14 +480,15 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
 
 def stable_dt(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
               cfg: SolverConfig) -> float:
-    """CFL-limited step from acoustic, viscous, thermal and mass diffusion."""
+    """CFL-limited step from acoustic, viscous, thermal and mass diffusion.
+
+    The sound speed and de/dtheta come from one EOS pass."""
     rho, u, theta = state.rho, state.u, state.theta
     h = mesh.h
-    cs = np.sqrt(sound_speed_sq(eos, rho, theta))
-    dt_a = h / np.max(np.abs(u) + cs)
+    cs2, e_theta = sound_speed_sq_and_energy_slope(eos, rho, theta)
+    dt_a = h / np.max(np.abs(u) + np.sqrt(cs2))
     nu = cfg.viscosity(ts, theta) / rho
-    chi = cfg.conductivity(ts, theta) / (rho * (energy_theta_slope(eos, rho, theta)
-                                                + cfg.delta))
+    chi = cfg.conductivity(ts, theta) / (rho * (e_theta + cfg.delta))
     dt_nu = h * h / (2.0 * max(np.max(nu), 1e-300))
     dt_chi = h * h / (2.0 * max(np.max(chi), 1e-300))
     dt = min(dt_a, dt_nu, dt_chi)

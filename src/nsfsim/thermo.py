@@ -26,10 +26,11 @@ Admissibility of a shape means: P(0) = 0, P' > 0, the stability gap
 positive limit ``p_inf``.
 
 All state functions broadcast over numpy arrays in (rho, theta).  Shapes
-give ``p_dp`` = (P, P'), the table from one mask pass; each closure evaluates
-Z and the shape once and applies formulas written once in (rho, theta, P,
-P').  The fused ``internal_energy_and_slope`` serves each Newton iterate of
-the temperature inversions; ``gibbs_residual`` keeps independent routes.
+give ``p_dp`` = (P, P'), the table from one piece lookup; each closure
+evaluates Z and the shape once and applies formulas written once in (rho,
+theta, P, P').  The fused ``internal_energy_and_slope`` serves each Newton
+iterate of the temperature inversions and ``sound_speed_sq_and_energy_slope``
+the step limits; ``gibbs_residual`` keeps independent routes.
 """
 
 from __future__ import annotations
@@ -110,6 +111,13 @@ class TabulatedShape:
 
     The entropy shape is integrated exactly piece by piece (cubic pieces
     have elementary antiderivatives under the defining ODE).
+
+    scipy builds the spline; evaluation gathers each z's piece coefficients
+    from (4, pieces) arrays after one ``searchsorted`` over the interior
+    knots, summing in scipy's order, so P and P' equal the spline's own
+    values bitwise.  When every z lies on the spline the pieces run on the
+    whole array; otherwise head, spline and tail run under one mask pass,
+    and the cubic never sees a head or tail z (far out it overflows).
     """
 
     def __init__(self, z: Sequence[float], p: Sequence[float], p_inf: float,
@@ -184,6 +192,7 @@ class TabulatedShape:
         self._spline = CubicHermiteSpline(zin, pin, slopes)
         self._dspline = self._spline.derivative()
         self._knots = zin
+        self._inner_knots = zin[1:-1]
         self._build_entropy_pieces()
         self._validate_gap()
 
@@ -206,7 +215,7 @@ class TabulatedShape:
 
     def _build_entropy_pieces(self) -> None:
         n_pieces = len(self._spline.x) - 1
-        self._coeffs = [self._global_coeffs(k) for k in range(n_pieces)]
+        self._coeffs = np.stack([self._global_coeffs(k) for k in range(n_pieces)], axis=1)
         offs = np.zeros(n_pieces)
         # Anchor at the tail and chain constants backwards for continuity.
         if self.third_law_compatible:
@@ -215,7 +224,7 @@ class TabulatedShape:
             s_hi = -self.tail_lin * math.log(self.z_hi) + 2.5 * self.tail_gamma / self.z_hi
         s_right = s_hi
         for k in range(n_pieces - 1, -1, -1):
-            c = self._coeffs[k]
+            c = self._coeffs[:, k]
             zl, zr = self._spline.x[k], self._spline.x[k + 1]
             offs[k] = s_right - self._cubic_entropy_antideriv(c, zr)
             s_right = self._cubic_entropy_antideriv(c, zl) + offs[k]
@@ -244,17 +253,35 @@ class TabulatedShape:
     # -- evaluation ------------------------------------------------------------
 
     def _branch(self, z, *pieces):
-        """Evaluate each (head, mid, tail) triple on z under one mask pass."""
+        """Evaluate each (head, spline, tail) triple on z; spline pieces take
+        (z, k, s) with k the piece of each z and s = z - knot[k]."""
         z = np.asarray(z, dtype=float)
-        outs = [np.empty_like(z) for _ in pieces]
         lo = z < self.z_lo
         hi = z > self.z_hi
+        if not (lo.any() or hi.any()):
+            loc = self._locate(z)
+            return [piece[1](*loc) for piece in pieces]
+        outs = [np.empty_like(z) for _ in pieces]
         for k, m in enumerate((lo, ~(lo | hi), hi)):
             if m.any():
                 zm = z[m]
+                args = self._locate(zm) if k == 1 else (zm,)
                 for out, piece in zip(outs, pieces):
-                    out[m] = piece[k](zm)
+                    out[m] = piece[k](*args)
         return outs
+
+    def _locate(self, z):
+        k = np.searchsorted(self._inner_knots, z, side="right")
+        return z, k, z - self._knots[k]
+
+    def _spline_p(self, z, k, s):
+        c = self._spline.c.take(k, axis=1)
+        s2 = s * s
+        return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
+
+    def _spline_dp(self, z, k, s):
+        c = self._dspline.c.take(k, axis=1)
+        return c[2] + c[1] * s + c[0] * (s * s)
 
     def _p_pieces(self):
         if self.third_law_compatible:
@@ -264,7 +291,7 @@ class TabulatedShape:
             tail = lambda v: (self.p_inf * v ** _FIVE_THIRDS + self.tail_lin * v
                               + self.tail_gamma)
         return (lambda v: self.head_lin * v + self.head_pow * v ** _FIVE_THIRDS,
-                self._spline, tail)
+                self._spline_p, tail)
 
     def _dp_pieces(self):
         if self.third_law_compatible:
@@ -273,7 +300,7 @@ class TabulatedShape:
         else:
             tail = lambda v: _FIVE_THIRDS * self.p_inf * v ** (2.0 / 3.0) + self.tail_lin
         return (lambda v: self.head_lin + _FIVE_THIRDS * self.head_pow * v ** (2.0 / 3.0),
-                self._dspline, tail)
+                self._spline_dp, tail)
 
     def p(self, z):
         return self._branch(z, self._p_pieces())[0]
@@ -284,14 +311,8 @@ class TabulatedShape:
     def p_dp(self, z):
         return tuple(self._branch(z, self._p_pieces(), self._dp_pieces()))
 
-    def _entropy_mid(self, z):
-        idx = np.clip(np.searchsorted(self._knots, z, side="right") - 1, 0,
-                      len(self._coeffs) - 1)
-        out = np.empty_like(z)
-        for k in np.unique(idx):
-            m = idx == k
-            out[m] = self._cubic_entropy_antideriv(self._coeffs[k], z[m]) + self._offsets[k]
-        return out
+    def _entropy_mid(self, z, k, s):
+        return self._cubic_entropy_antideriv(self._coeffs.take(k, axis=1), z) + self._offsets[k]
 
     def entropy_shape(self, z):
         if self.third_law_compatible:
@@ -628,12 +649,18 @@ def stability_margins(eos: EosSpec, rho, theta):
 
 def sound_speed_sq(eos: EosSpec, rho, theta):
     """Adiabatic sound speed squared, dp/drho|_theta + (dp/dtheta)^2 theta / (rho^2 de/dtheta)."""
+    return sound_speed_sq_and_energy_slope(eos, rho, theta)[0]
+
+
+def sound_speed_sq_and_energy_slope(eos: EosSpec, rho, theta):
+    """(sound speed squared, de/dtheta) from one Z and one (P, P') pass: the
+    closures of the acoustic and thermal step limits."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     p, dp = eos.shape_fn.p_dp(_zvar(rho, theta))
     p_t = _pressure_theta(eos, rho, theta, p, dp)
-    return (_pressure_rho(theta, dp)
-            + p_t * p_t * theta / (rho * rho * _energy_theta(eos, rho, theta, p, dp)))
+    e_t = _energy_theta(eos, rho, theta, p, dp)
+    return _pressure_rho(theta, dp) + p_t * p_t * theta / (rho * rho * e_t), e_t
 
 
 def transport_coefficients(ts: TransportSpec, theta):

@@ -1,4 +1,7 @@
+import ast
+import collections
 import copy
+import inspect
 import json
 import os
 import subprocess
@@ -177,6 +180,48 @@ def test_unknown_case_rejected():
         mms.manufactured_case("vortex_street")
 
 
+MMS_CASES = ("thermal_relaxation", "acoustic_smooth", "throughflow")
+
+
+def _generated_calls(fn):
+    """Counts of the cos/sin/exp/sqrt calls, by argument, in the source of
+    the sympy-generated function behind an MMS closure."""
+    (gen,) = [v for v in inspect.getclosurevars(fn).nonlocals.values()
+              if inspect.isfunction(v)]
+    calls = collections.Counter()
+    for node in ast.walk(ast.parse(inspect.getsource(gen))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("cos", "sin", "exp", "sqrt"):
+                calls[ast.dump(node)] += 1
+    return calls
+
+
+@pytest.mark.parametrize("kind", MMS_CASES)
+def test_manufactured_sources_compute_each_transcendental_once(kind):
+    case = mms.manufactured_case(kind)
+    for fn in (case.g_fn, case.energy_source_fn):
+        repeated = {call: k for call, k in _generated_calls(fn).items() if k > 1}
+        assert not repeated, repeated
+
+
+@pytest.mark.parametrize("kind", MMS_CASES)
+def test_manufactured_closures_match_expanded_form(kind, monkeypatch):
+    import sympy
+
+    case = mms.manufactured_case(kind)
+    lambdify = sympy.lambdify
+    monkeypatch.setattr(sympy, "lambdify",
+                        lambda *args, **kw: lambdify(*args, **{**kw, "cse": False}))
+    expanded = mms.manufactured_case(kind)
+    x = Mesh1D(0.0, 1.0, 128).centers
+    pairs = [(case.g_fn, expanded.g_fn), (case.energy_source_fn, expanded.energy_source_fn)]
+    pairs += [(case._exprs[k], expanded._exprs[k]) for k in case._exprs]
+    for t in (0.0, 0.01, 0.35):
+        for fn, ref in pairs:
+            np.testing.assert_allclose(fn(t, x), ref(t, x), rtol=1e-11, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # convergence study plumbing
 # ---------------------------------------------------------------------------
@@ -312,6 +357,20 @@ def test_cli_converge_writes_csv(tmp_path, capsys):
     assert [row.split(",")[0] for row in lines[1:]] == ["8", "16", "32"]
     assert all(np.isfinite(float(v)) for row in lines[1:] for v in row.split(","))
     assert "order" in capsys.readouterr().out
+
+
+def test_cli_converge_csv_is_byte_identical_across_hash_seeds(tmp_path):
+    src = str(Path(nsfsim.__file__).parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        path = tmp_path / f"conv{seed}.csv"
+        code = ("from nsfsim import cli; cli.main(['converge', '--resolutions', '8,16,32', "
+                f"'--t-end', '0.002', '--csv', {str(path)!r}])")
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, env=env)
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_import_leaves_scipy_interpolate_and_sympy_unloaded():

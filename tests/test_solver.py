@@ -338,6 +338,28 @@ def test_stable_dt_acoustic_limit(eos):
     assert dt == pytest.approx(cfg.cfl * mesh.h / cs, rel=1e-6)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+@pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
+def test_stable_dt_makes_one_thermo_call(eos_name, delta, transport, monkeypatch, request):
+    eos = request.getfixturevalue(eos_name)
+    cfg = sv.SolverConfig(delta=delta, t_end=1.0)
+    mesh = Mesh1D(0.0, 1.0, 32)
+    x = mesh.centers
+    rho, u, theta = 1 + 0.1 * np.cos(np.pi * x), 0.3 * np.sin(np.pi * x), 1 + 0.2 * x
+    calls = _count_thermo_calls(monkeypatch)
+    dt = sv.stable_dt(sv.FieldState(rho=rho, u=u, theta=theta), mesh, eos, transport, cfg)
+    assert calls == {"sound_speed_sq_and_energy_slope": 1}
+    # bitwise the limit written out with the separate closures
+    h = mesh.h
+    cs = np.sqrt(th.sound_speed_sq(eos, rho, theta))
+    nu = cfg.viscosity(transport, theta) / rho
+    chi = cfg.conductivity(transport, theta) / (rho * (th.energy_theta_slope(eos, rho, theta)
+                                                       + delta))
+    assert dt == cfg.cfl * float(min(h / np.max(np.abs(u) + cs),
+                                     h * h / (2.0 * max(np.max(nu), 1e-300)),
+                                     h * h / (2.0 * max(np.max(chi), 1e-300))))
+
+
 def test_sound_speed_margin_oracle(eos_a0):
     # c^2 = dp/drho + p_theta^2 theta / (rho^2 e_theta), via the margins and
     # a finite-difference p_theta at the iconic a = 0 state (1, 1)

@@ -414,6 +414,34 @@ def test_fused_closures_match_separate_calls(name, theta0, eos_table, request):
     reference = (th.pressure_rho_slope(eos, rho, theta)
                  + p_t * p_t * theta / (rho * rho * th.energy_theta_slope(eos, rho, theta)))
     assert np.array_equal(th.sound_speed_sq(eos, rho, theta), reference)
+    c2, de_c = th.sound_speed_sq_and_energy_slope(eos, rho, theta)
+    assert np.array_equal(c2, reference) and np.array_equal(de_c, de)
+
+
+@pytest.mark.parametrize("name", ("eos_table", "eos_table_nolaw"))
+def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, request):
+    # the gathered kernel against scipy's own spline and a per-piece entropy
+    # loop, on the whole-spline path and on the masked path of a mixed array
+    shape = request.getfixturevalue(name).shape_fn
+    z = _parity_z(eos_table)
+    on = (z >= shape.z_lo) & (z <= shape.z_hi)
+    knots = shape._spline.x
+    piece = np.clip(np.searchsorted(knots, z[on], side="right") - 1, 0, len(knots) - 2)
+    s_ref = np.empty(on.sum())
+    for k in np.unique(piece):
+        m = piece == k
+        s_ref[m] = (shape._cubic_entropy_antideriv(shape._global_coeffs(k), z[on][m])
+                    + shape._offsets[k])
+    for zz, sel in ((z[on], slice(None)), (z, on)):
+        p, dp = shape.p_dp(zz)
+        assert np.array_equal(p[sel], shape._spline(z[on]))
+        assert np.array_equal(dp[sel], shape._dspline(z[on]))
+        assert np.array_equal(shape.p(zz)[sel], p[sel])
+        assert np.array_equal(shape.dp(zz)[sel], dp[sel])
+        assert np.array_equal(shape.entropy_shape(zz)[sel], s_ref)
+    # one z at a time (0-d arrays) reaches the same values
+    for zk, pk in zip(z[on], shape._spline(z[on])):
+        assert shape.p(np.asarray(zk)) == pk
 
 
 def test_fused_energy_closure_keeps_domain_checks(eos):
