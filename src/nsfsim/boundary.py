@@ -150,9 +150,8 @@ def cold_heat_flux_split(eos: EosSpec, rho_b: float, u_b_dot_n: float,
     """
     if u_b_dot_n >= 0.0:
         raise BoundaryDataError("the flux split is defined only where u_b . n < 0")
-    cold_flux = 1.5 * eos.p_inf * rho_b ** (5.0 / 3.0) * u_b_dot_n
-    f_tau = F_ib / u_b_dot_n - 1.5 * eos.p_inf * rho_b ** (5.0 / 3.0)
-    return cold_flux, f_tau
+    cold = 1.5 * eos.p_inf * rho_b ** (5.0 / 3.0)
+    return cold * u_b_dot_n, F_ib / u_b_dot_n - cold
 
 
 def admissibility_margin(eos: EosSpec, rho_b: float, u_b_dot_n: float,
@@ -167,10 +166,6 @@ class AdmissibilityReport:
     margins: dict          # face pos -> margin (inflow faces only)
     influx_negative: dict  # face pos -> bool, the F_ib < 0 check
     messages: tuple
-
-    @property
-    def worst_margin(self):
-        return max(self.margins.values()) if self.margins else None
 
 
 def admissibility_check(eos: EosSpec, spec: BoundarySpec) -> AdmissibilityReport:

@@ -28,10 +28,6 @@ class Mesh1D:
         return self.x_left + (np.arange(self.n_cells) + 0.5) * self.h
 
     @property
-    def faces(self) -> np.ndarray:
-        return self.x_left + np.arange(self.n_cells + 1) * self.h
-
-    @property
     def measure(self) -> float:
         return self.x_right - self.x_left
 

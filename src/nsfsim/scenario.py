@@ -21,7 +21,8 @@ A scenario is a single JSON document:
 Initial fields are arithmetic expressions of ``x`` (operators + - * / ^,
 functions sin cos exp log, constants pi and e) or explicit per-cell arrays.
 Validation is total: every violation is collected and reported together,
-each tagged with the offending field path and a stable issue code.
+each tagged with the offending field path and a stable issue code; a key
+that no section knows is an ``unknown-key`` issue, not silently ignored.
 """
 
 from __future__ import annotations
@@ -142,9 +143,33 @@ class Scenario:
                           label=label or self.name)
 
 
+# The keys each section may hold, shared by its reader and the unknown-key
+# check; config maps each key to its type.
+_TOP_KEYS = ("mesh", "eos", "transport", "boundary", "config", "initial", "output_times")
+_MESH_KEYS = ("x0", "x1", "n")
+_EOS_FLOATS = ("a", "p_inf", "entropy_const")
+_EOS_KEYS = ("shape", *_EOS_FLOATS, "third_law", "table")
+_TRANSPORT_KEYS = ("lambda_exp", "mu_scale", "eta_scale", "kappa_scale", "mu_under",
+                   "mu_over", "eta_over", "kappa_under", "kappa_over")
+_BOUNDARY_KEYS = ("faces",)
+_FACE_KEYS = ("pos", "u_b", "rho_b", "F_ib", "wall")
+_CONFIG_KEYS = {"epsilon": float, "delta": float, "Gamma": float, "d": int, "cfl": float,
+                "t_end": float, "g": float, "theta_bar": float, "rho_floor": float,
+                "theta_floor": float}
+_INITIAL_KEYS = ("rho", "u", "theta")
+
+
+def _check_keys(doc: dict, known, path: str, issues: list) -> None:
+    """Report every key of ``doc`` that is not in ``known``, one issue each."""
+    for key in doc:
+        if key not in known:
+            issues.append(Issue(f"{path}{key}", "unknown-key",
+                                f"unknown key; expected one of {', '.join(known)}"))
+
+
 def _build_eos(doc: dict, issues: list) -> Optional[EosSpec]:
     kw = {}
-    for key in ("a", "p_inf", "entropy_const"):
+    for key in _EOS_FLOATS:
         if key in doc:
             kw[key] = float(doc[key])
     kw["third_law"] = bool(doc.get("third_law", False))
@@ -164,9 +189,7 @@ def _build_eos(doc: dict, issues: list) -> Optional[EosSpec]:
 
 
 def _build_transport(doc: dict, issues: list) -> Optional[TransportSpec]:
-    keys = ("lambda_exp", "mu_scale", "eta_scale", "kappa_scale", "mu_under",
-            "mu_over", "eta_over", "kappa_under", "kappa_over")
-    kw = {k: float(doc[k]) for k in keys if k in doc}
+    kw = {k: float(doc[k]) for k in _TRANSPORT_KEYS if k in doc}
     try:
         ts = TransportSpec(**kw)
     except EosValidationError as err:
@@ -217,6 +240,14 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     """Validate a scenario document; raises with every issue on failure."""
     issues: list[Issue] = []
     warnings: list[str] = []
+    _check_keys(doc, _TOP_KEYS, "", issues)
+    sections = {"mesh": _MESH_KEYS, "eos": _EOS_KEYS, "transport": _TRANSPORT_KEYS,
+                "boundary": _BOUNDARY_KEYS, "config": _CONFIG_KEYS,
+                "initial": _INITIAL_KEYS}
+    for section, known in sections.items():
+        _check_keys(doc.get(section, {}), known, f"{section}.", issues)
+    for k, face in enumerate(doc.get("boundary", {}).get("faces", [])):
+        _check_keys(face, _FACE_KEYS, f"boundary.faces[{k}].", issues)
 
     mesh = None
     mdoc = doc.get("mesh", {})
@@ -230,19 +261,10 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     ts = _build_transport(doc.get("transport", {}), issues)
 
     cfg = None
-    cdoc = dict(doc.get("config", {}))
+    cdoc = doc.get("config", {})
     try:
-        cfg = SolverConfig(
-            epsilon=float(cdoc.get("epsilon", 0.0)),
-            delta=float(cdoc.get("delta", 0.0)),
-            Gamma=float(cdoc.get("Gamma", 4.0)),
-            d=int(cdoc.get("d", 3)),
-            cfl=float(cdoc.get("cfl", 0.4)),
-            t_end=float(cdoc.get("t_end", 1.0)),
-            g=float(cdoc.get("g", 0.0)),
-            theta_bar=float(cdoc.get("theta_bar", 1.0)),
-            rho_floor=float(cdoc.get("rho_floor", 1e-10)),
-            theta_floor=float(cdoc.get("theta_floor", 1e-10)))
+        cfg = SolverConfig(**{k: kind(cdoc[k]) for k, kind in _CONFIG_KEYS.items()
+                              if k in cdoc})
     except (ValueError, TypeError) as err:
         issues.append(Issue("config", "config-schema", str(err)))
 
@@ -254,7 +276,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if mesh is not None and cfg is not None:
         idoc = doc.get("initial", {})
         fields = {}
-        for key in ("rho", "u", "theta"):
+        for key in _INITIAL_KEYS:
             spec_val = idoc.get(key)
             if spec_val is None:
                 issues.append(Issue(f"initial.{key}", "initial-schema",
@@ -328,11 +350,7 @@ def load_eos_document(path):
     ts_doc = doc.get("transport", doc)
     issues: list[Issue] = []
     eos = _build_eos(eos_doc, issues)
-    ts = _build_transport({k: v for k, v in ts_doc.items()
-                           if k in ("lambda_exp", "mu_scale", "eta_scale",
-                                    "kappa_scale", "mu_under", "mu_over",
-                                    "eta_over", "kappa_under", "kappa_over")},
-                          issues)
+    ts = _build_transport(ts_doc, issues)
     return eos, ts, issues
 
 

@@ -24,8 +24,10 @@ or a failed temperature recovery) halves dt and retries.
 
 Each stage pads the state with one ghost cell per side and evaluates p,
 e_delta and s_delta once on the padded arrays; fluxes, sources and the
-budget record all read that one evaluation.  The stage's volume integrands
-are stacked into one (K, n) array and reduced once per stage record.  Each
+budget record all read that one evaluation.  One pass over the two faces
+then books the other boundary rules: the F_ib and wall energy fluxes, the Robin
+inflow mass flux and the boundary budget integrands.  The stage's volume
+integrands are stacked into one (K, n) array and reduced once.  Each
 Newton iterate of the temperature recovery makes one fused EOS call for
 (e_delta, de_delta/dtheta).  Every budget-relevant face flux and volume
 integrand is accumulated during the run with the same stage weights as the
@@ -215,14 +217,14 @@ class StageRecord:
 
 def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
                       eos: EosSpec, cfg: SolverConfig):
-    """Per-face upwind fluxes (mass, momentum, energy, entropy), x-direction.
+    """Per-face upwind fluxes (mass, momentum, energy), x-direction.
 
-    Energy and entropy transport rho e_delta and rho s_delta.  Inflow faces
-    donate (rho_b, u_b, interior theta); outflow faces donate interior
-    traces; the returned energy flux is purely convective (the prescribed
-    total inflow flux replaces it in the update).  The last entry is the
-    :class:`StageFields` the fluxes were built from: every closure of a
-    stage is evaluated here, once, on the ghost-padded arrays.
+    Energy transports rho e_delta.  Inflow faces donate (rho_b, u_b,
+    interior theta); outflow faces donate interior traces; the returned
+    energy flux is purely convective (the stage's face pass replaces it on
+    inflow faces and walls).  Returns (f_mass, f_mom, f_energy, u_face, pad),
+    ``pad`` being the :class:`StageFields` the fluxes were built from: every
+    closure of a stage is evaluated here, once, on the ghost-padded arrays.
     """
     rho_p, u_p, theta_p = _ghosts(state, bspec)
     n = mesh.n_cells
@@ -234,20 +236,17 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     s_p = cfg.entropy(eos, rho_p, theta_p)
     pad = StageFields(rho=rho_p, u=u_p, theta=theta_p, p=pressure(eos, rho_p, theta_p),
                       e=e_p, s=s_p, w=rho_p * e_p)
-    rho_s = rho_p * s_p
 
     take_left = u_face >= 0.0
     rho_up = np.where(take_left, rho_p[:-1], rho_p[1:])
     u_up = np.where(take_left, u_p[:-1], u_p[1:])
     w_up = np.where(take_left, pad.w[:-1], pad.w[1:])
-    s_up = np.where(take_left, rho_s[:-1], rho_s[1:])
 
     f_mass = rho_up * u_face
     f_mom = f_mass * u_up
     f_energy = w_up * u_face
-    f_entropy = s_up * u_face
     assert f_mass.shape == (n + 1,)
-    return f_mass, f_mom, f_energy, f_entropy, u_face, pad
+    return f_mass, f_mom, f_energy, u_face, pad
 
 
 def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
@@ -256,8 +255,7 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     n = mesh.n_cells
     h = mesh.h
     rho, u, theta = state.rho, state.u, state.theta
-    f_mass, f_mom, f_energy, _, u_face, pad = convective_fluxes(
-        state, mesh, bspec, eos, cfg)
+    f_mass, f_mom, f_energy, u_face, pad = convective_fluxes(state, mesh, bspec, eos, cfg)
     u_p, theta_p = pad.u, pad.theta
 
     # face-centered diffusive pieces
@@ -275,25 +273,61 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
         p_delta_p = pad.p + cfg.delta * (pad.rho ** cfg.Gamma + pad.rho ** 2)
     p_face = 0.5 * (p_delta_p[:-1] + p_delta_p[1:])
 
-    # mass diffusion and the Robin inflow flux (x-direction fluxes)
+    # interior mass diffusion (x-direction fluxes); the face pass sets the ends
     diff_mass = np.zeros(n + 1)
     if cfg.epsilon > 0.0:
         diff_mass[1:-1] = -cfg.epsilon * (rho[1:] - rho[:-1]) / h
-        for f, idx, pos in ((bspec.left, 0, 0), (bspec.right, -1, n)):
-            if f.kind is FaceKind.IN:
-                robin_out = (f.rho_b - rho[idx]) * f.u_dot_n
-                diff_mass[pos] = f.normal * robin_out
-
-    # energy flux with boundary overrides
     e_flux = f_energy + q_face
-    for f, pos in ((bspec.left, 0), (bspec.right, n)):
+
+    # g = e_delta/theta - s_delta + p/(rho theta) per cell
+    p_cell = pad.p[1:-1]
+    g_cell = pad.e[1:-1] / theta - pad.s[1:-1] + p_cell / (rho * theta)
+
+    # the face pass: i (0 left, -1 right) indexes the face arrays, the cells
+    # and the ghosts of ``pad``; boundary integrands are outward-normal values;
+    # outflow keeps the convective trace and the zero heat flux in place
+    sc = dict.fromkeys(
+        ("mass_in_conv", "mass_out_conv", "mass_robin", "energy_bdry_in",
+         "energy_out_conv", "energy_out_delta", "energy_in_gamma_breg",
+         "energy_in_rho_sq", "energy_in_rho_b_gamma", "entropy_out_conv", "entropy_in",
+         "entropy_in_robin", "apriori_in_coercive", "apriori_out_ballistic"), 0.0)
+    gm = cfg.Gamma
+    for f, i in ((bspec.left, 0), (bspec.right, -1)):
+        udn = f.u_dot_n
+        th = pad.theta[i]
         if f.kind is FaceKind.IN:
-            e_flux[pos] = f.normal * f.F_ib
-        elif f.kind is FaceKind.WALL:
-            e_flux[pos] = 0.0
-        # OUT: convective interior trace, zero heat flux (already in place)
+            rb, rc = f.rho_b, rho[i]
+            robin = (rb - rc) * udn
+            e_flux[i] = f.normal * f.F_ib
+            sc["mass_in_conv"] += rb * udn
+            sc["mass_robin"] += robin
+            sc["energy_bdry_in"] += f.F_ib
+            sc["energy_in_gamma_breg"] += (rb ** gm / (gm - 1.0)
+                                           - gm / (gm - 1.0) * rc ** (gm - 1.0) * (rb - rc)
+                                           - rc ** gm / (gm - 1.0)) * udn
+            sc["energy_in_rho_sq"] += (rc - rb) ** 2 * udn
+            sc["energy_in_rho_b_gamma"] += rb ** gm / (gm - 1.0) * udn
+            sc["entropy_in"] += -f.F_ib / th + (pad.e[i] / th - pad.s[i]) * rb * udn
+            if cfg.epsilon > 0.0:
+                # the Robin mass flux enters the mass balance and carries
+                # g with it; without this term the production would depend
+                # on the additive entropy gauge
+                diff_mass[i] = f.normal * robin
+                sc["entropy_in_robin"] += g_cell[i] * robin
+            sc["apriori_in_coercive"] += 1.0 / th + th ** 3 * abs(udn)
+        elif f.kind is FaceKind.OUT:
+            rc, e_del, s_del = pad.rho[i], pad.e[i], pad.s[i]
+            sc["mass_out_conv"] += rc * udn
+            sc["energy_out_conv"] += rc * e_del * udn
+            sc["energy_out_delta"] += (rc ** gm / (gm - 1.0) + rc ** 2) * udn
+            sc["entropy_out_conv"] += rc * s_del * udn
+            sc["apriori_out_ballistic"] += rc * (e_del - cfg.theta_bar * s_del) * udn
+        else:
+            e_flux[i] = 0.0  # insulated wall
 
     mass_flux = f_mass + diff_mass
+    sc["mass_bdry"] = -mass_flux[0] + mass_flux[-1]
+    sc["energy_bdry_total"] = -e_flux[0] + e_flux[-1]
 
     drho = -(mass_flux[1:] - mass_flux[:-1]) / h
     dm = (-(f_mom[1:] - f_mom[:-1]) / h
@@ -311,7 +345,6 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
 
     # internal energy sources
     div_u = (u_face[1:] - u_face[:-1]) / h
-    p_cell = pad.p[1:-1]
     p_div_u = p_cell * div_u
     diss_cell = 0.5 * (stress_face[:-1] * du_face[:-1] + stress_face[1:] * du_face[1:])
     heat_diss_cell = -0.5 * (q_face[:-1] * dth_face[:-1] + q_face[1:] * dth_face[1:])
@@ -331,13 +364,6 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
 
     dW = -(e_flux[1:] - e_flux[:-1]) / h + source
 
-    # budget integrands; g is extended into the ghosts by its end values
-    g_cell = pad.e[1:-1] / theta - pad.s[1:-1] + p_cell / (rho * theta)
-    g_pad = np.concatenate([g_cell[:1], g_cell, g_cell[-1:]])
-    sc = _boundary_terms(cfg, bspec, pad, g_pad)
-    sc["mass_bdry"] = -mass_flux[0] + mass_flux[-1]
-    sc["energy_bdry_total"] = -e_flux[0] + e_flux[-1]
-
     # volume integrands in record order; None marks a term that vanishes
     inv_theta = 1.0 / theta
     # (1/theta)(S:grad u - q.grad theta/theta): the heat part carries 1/theta^2
@@ -351,9 +377,9 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     vol["theta5"] = theta ** 5
     vol["inv_theta2"] = inv_theta ** 2
     vol["inv_theta3"] = inv_theta ** 3
-    vol["grad_rho_sq_gamma"] = grad_rho_coeff * grad_rho_sq
     vol["grad_rho_sq_gamma_over_theta"] = inv_theta * grad_rho_coeff * grad_rho_sq
-    # epsilon-level entropy correction: grad rho . grad(e_d/theta - s_d + p/(rho theta))
+    # epsilon-level entropy correction grad rho . grad g; g_pad repeats the ends
+    g_pad = np.concatenate([g_cell[:1], g_cell, g_cell[-1:]])
     grad_g = (g_pad[2:] - g_pad[:-2]) / (2.0 * h)
     vol["grad_rho_grad_g"] = grad_rho_c * grad_g
 
@@ -375,54 +401,8 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     sums = iter((np.stack([v for v in vol.values() if v is not None]).sum(axis=1) * h).tolist())
     sc.update((k, 0.0 if v is None else next(sums)) for k, v in vol.items())
 
-    cells = {"w": pad.w[1:-1], "div_u": div_u, "dissipation": diss_cell,
-             "p_div_u": p_div_u, "source": source, "drho": drho, "dm": dm, "dW": dW}
+    cells = {"w": pad.w[1:-1], "dissipation": diss_cell, "p_div_u": p_div_u}
     return drho, dm, dW, StageRecord(scalars=sc, cells=cells)
-
-
-def _boundary_terms(cfg: SolverConfig, bspec: BoundarySpec, pad: StageFields, g_pad):
-    """Instantaneous boundary integrands (outward-normal values).
-
-    Face values are the ghost entries of the stage fields: the inflow data
-    with the interior temperature trace, or the interior trace on outflow
-    faces.  ``g_pad`` holds e_delta/theta - s_delta + p/(rho theta) per
-    padded cell.
-    """
-    sc = dict.fromkeys(
-        ("mass_in_conv", "mass_out_conv", "mass_robin", "energy_bdry_in",
-         "energy_out_conv", "energy_out_delta", "energy_in_gamma_breg",
-         "energy_in_rho_sq", "energy_in_rho_b_gamma", "entropy_out_conv", "entropy_in",
-         "entropy_in_robin", "apriori_in_coercive", "apriori_out_ballistic"), 0.0)
-    gm = cfg.Gamma
-    for f, ghost, cell in ((bspec.left, 0, 1), (bspec.right, -1, -2)):
-        udn = f.u_dot_n
-        th = pad.theta[ghost]
-        if f.kind is FaceKind.IN:
-            rb, rc = f.rho_b, pad.rho[cell]
-            robin = (rb - rc) * udn
-            sc["mass_in_conv"] += rb * udn
-            sc["mass_robin"] += robin
-            sc["energy_bdry_in"] += f.F_ib
-            sc["energy_in_gamma_breg"] += (rb ** gm / (gm - 1.0)
-                                           - gm / (gm - 1.0) * rc ** (gm - 1.0) * (rb - rc)
-                                           - rc ** gm / (gm - 1.0)) * udn
-            sc["energy_in_rho_sq"] += (rc - rb) ** 2 * udn
-            sc["energy_in_rho_b_gamma"] += rb ** gm / (gm - 1.0) * udn
-            sc["entropy_in"] += -f.F_ib / th + (pad.e[ghost] / th - pad.s[ghost]) * rb * udn
-            if cfg.epsilon > 0.0:
-                # the Robin mass flux enters the mass balance and carries
-                # g with it; without this term the production would depend
-                # on the additive entropy gauge
-                sc["entropy_in_robin"] += g_pad[cell] * robin
-            sc["apriori_in_coercive"] += 1.0 / th + th ** 3 * abs(udn)
-        elif f.kind is FaceKind.OUT:
-            rc, e_del, s_del = pad.rho[ghost], pad.e[ghost], pad.s[ghost]
-            sc["mass_out_conv"] += rc * udn
-            sc["energy_out_conv"] += rc * e_del * udn
-            sc["energy_out_delta"] += (rc ** gm / (gm - 1.0) + rc ** 2) * udn
-            sc["entropy_out_conv"] += rc * s_del * udn
-            sc["apriori_out_ballistic"] += rc * (e_del - cfg.theta_bar * s_del) * udn
-    return sc
 
 
 # ---------------------------------------------------------------------------

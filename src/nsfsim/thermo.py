@@ -848,10 +848,8 @@ def extended_internal_energy(eos: EosSpec, rho: float, S: float) -> float:
     try:
         return float(_interior_energy_density(eos, rho, S))
     except OutOfDomainError:
-        if eos.third_law and S <= 0.0:
-            # S = 0 edge of the closure (S < 0 was excluded above)
-            return float(_ray_limit(eos, rho, S))
-        # attainable in the continuum but beyond the solve bracket
+        # the S = 0 edge of the Third-law closure (S < 0 was excluded above),
+        # or attainable in the continuum but beyond the solve bracket
         return float(_ray_limit(eos, rho, S))
 
 

@@ -81,6 +81,30 @@ def test_all_failures_reported_together():
     assert {"mesh-schema", "config-schema"} <= codes
 
 
+def test_unknown_keys_reported_by_path():
+    doc = minimal_doc(epsilom=0.1)
+    doc["eos"]["pinf"] = 2.0
+    doc["mesh"]["cells"] = 64
+    doc["transport"]["mu"] = 1.0
+    doc["initial"]["T"] = "1"
+    doc["boundary"]["faces"][1]["rhob"] = 1.0
+    doc["boundary"]["walls"] = True
+    doc["outputs"] = [0.0]
+    with pytest.raises(sc.ScenarioValidationError) as err:
+        sc.parse_scenario(doc)
+    assert sorted(i.path for i in err.value.issues) == sorted([
+        "config.epsilom", "eos.pinf", "mesh.cells", "transport.mu", "initial.T",
+        "boundary.faces[1].rhob", "boundary.walls", "outputs"])
+    assert {i.code for i in err.value.issues} == {"unknown-key"}
+    # every key a reader takes is known: a document spelling out all of them parses
+    full = minimal_doc(epsilon=0.0, delta=0.0, Gamma=4.0, d=3, cfl=0.4, g=0.0,
+                       theta_bar=1.0, rho_floor=1e-10, theta_floor=1e-10)
+    full["eos"].update(a=1.0, p_inf=1.0, entropy_const=0.0, third_law=False)
+    full["transport"].update(lambda_exp=0.5, mu_scale=1.0, eta_scale=0.0, kappa_scale=1.0)
+    full["output_times"] = [0.0, 0.01]
+    assert sc.parse_scenario(full).config == sc.parse_scenario(minimal_doc()).config
+
+
 def test_initial_theta_clamp_reported():
     doc = minimal_doc(theta_floor=5e-2)
     doc["initial"]["theta"] = "0.001 + x"

@@ -61,7 +61,7 @@ def test_upwind_takes_upstream_cell(eos, transport):
     state = sv.FieldState(rho=np.array([1.0, 2.0, 3.0, 4.0]),
                           u=np.full(4, 0.5), theta=np.ones(4))
     cfg = sv.SolverConfig(t_end=1.0)
-    f_mass, _, _, _, u_face, _ = sv.convective_fluxes(state, mesh, bspec, eos, cfg)
+    f_mass, _, _, u_face, _ = sv.convective_fluxes(state, mesh, bspec, eos, cfg)
     # interior face 1 sits between cells 0 and 1; u > 0 picks the left donor
     assert f_mass[1] == pytest.approx(1.0 * u_face[1])
     assert f_mass[2] == pytest.approx(2.0 * u_face[2])
@@ -73,7 +73,7 @@ def test_inflow_face_donates_prescribed_density(eos):
                              F_ib_left=-9.0)
     state = _uniform_state(4, rho=1.0, u=1.0)
     cfg = sv.SolverConfig(t_end=1.0)
-    f_mass, _, _, _, _, _ = sv.convective_fluxes(state, mesh, bspec, eos, cfg)
+    f_mass, _, _, _, _ = sv.convective_fluxes(state, mesh, bspec, eos, cfg)
     # outward-normal flux at the left face: rho_b u_b . n = -2
     assert -f_mass[0] == pytest.approx(2.0 * (1.0 * -1.0))
 
@@ -82,9 +82,9 @@ def test_uniform_closed_state_has_flat_fluxes(eos):
     mesh = Mesh1D(0.0, 1.0, 8)
     state = _uniform_state(8, rho=1.3, u=0.0, theta=0.9)
     cfg = sv.SolverConfig(t_end=1.0)
-    f_mass, f_mom, f_energy, f_entropy, _, _ = sv.convective_fluxes(
+    f_mass, f_mom, f_energy, _, _ = sv.convective_fluxes(
         state, mesh, bd.make_boundary(), eos, cfg)
-    for f in (f_mass, f_mom, f_energy, f_entropy):
+    for f in (f_mass, f_mom, f_energy):
         assert np.all(f == f[0])
 
 
@@ -417,10 +417,38 @@ def test_reversing_boundary_velocity_swaps_roles(eos):
     mirror = sv.FieldState(rho=state.rho[::-1].copy(), u=-state.u[::-1].copy(),
                            theta=state.theta[::-1].copy())
     cfg = sv.SolverConfig(t_end=1.0)
-    f1, _, e1, _, _, _ = sv.convective_fluxes(state, mesh, fwd, eos, cfg)
-    f2, _, e2, _, _, _ = sv.convective_fluxes(mirror, mesh, rev, eos, cfg)
+    f1, _, e1, _, _ = sv.convective_fluxes(state, mesh, fwd, eos, cfg)
+    f2, _, e2, _, _ = sv.convective_fluxes(mirror, mesh, rev, eos, cfg)
     np.testing.assert_allclose(f1, -f2[::-1], atol=1e-14)
     np.testing.assert_allclose(e1, -e2[::-1], atol=1e-14)
+
+
+def test_stage_rhs_mirror_symmetry(eos, transport):
+    # a regularized channel with inflow on the left, and its mirror image
+    # (x -> 1 - x, u -> -u) with inflow on the right: the whole stage, face
+    # pass included, must give mirrored rates and the same budget scalars
+    n = 24
+    mesh = Mesh1D(0.0, 1.0, n)
+    x = mesh.centers
+    cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=1.0)
+    fwd = bd.make_boundary(u_b_left=0.5, u_b_right=0.7, rho_b_left=1.1, F_ib_left=-2.5)
+    rev = bd.make_boundary(u_b_left=-0.7, u_b_right=-0.5, rho_b_right=1.1,
+                           F_ib_right=-2.5)
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x) + 0.05 * x,
+                          u=0.5 + 0.2 * x + 0.05 * np.sin(np.pi * x),
+                          theta=1 + 0.2 * x ** 2 * (3 - 2 * x))
+    mirror = sv.FieldState(rho=state.rho[::-1], u=-state.u[::-1], theta=state.theta[::-1])
+    drho1, dm1, dW1, rec1 = sv._stage_rhs(mesh, eos, transport, cfg, fwd, 0.0, state)
+    drho2, dm2, dW2, rec2 = sv._stage_rhs(mesh, eos, transport, cfg, rev, 0.0, mirror)
+    np.testing.assert_array_equal(drho2, drho1[::-1])
+    np.testing.assert_array_equal(dm2, -dm1[::-1])
+    np.testing.assert_array_equal(dW2, dW1[::-1])
+    assert list(rec2.scalars) == list(rec1.scalars)
+    for key, value in rec1.scalars.items():
+        assert rec2.scalars[key] == pytest.approx(value, rel=1e-14, abs=0.0), key
+    for key in ("mass_in_conv", "mass_robin", "mass_out_conv", "energy_bdry_in",
+                "entropy_in_robin", "apriori_out_ballistic"):
+        assert rec1.scalars[key] != 0.0, key
 
 
 def test_step_rejection_and_abort(eos, transport, box):
