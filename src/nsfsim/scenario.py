@@ -22,7 +22,9 @@ Initial fields are arithmetic expressions of ``x`` (operators + - * / ^,
 functions sin cos exp log, constants pi and e) or explicit per-cell arrays.
 Validation is total: every violation is collected and reported together,
 each tagged with the offending field path and a stable issue code; a key
-that no section knows is an ``unknown-key`` issue, not silently ignored.
+that no section knows is an ``unknown-key`` issue, not silently ignored, and
+a value of the wrong type (a section that is not an object, a number that
+does not parse, a missing table column) is a ``<section>-schema`` issue.
 """
 
 from __future__ import annotations
@@ -144,15 +146,16 @@ class Scenario:
 
 
 # The keys each section may hold, shared by its reader and the unknown-key
-# check; config maps each key to its type.
+# check; mesh, face and config map each key to its type.
 _TOP_KEYS = ("mesh", "eos", "transport", "boundary", "config", "initial", "output_times")
-_MESH_KEYS = ("x0", "x1", "n")
+_MESH_KINDS = {"x0": float, "x1": float, "n": int}
 _EOS_FLOATS = ("a", "p_inf", "entropy_const")
 _EOS_KEYS = ("shape", *_EOS_FLOATS, "third_law", "table")
 _TRANSPORT_KEYS = ("lambda_exp", "mu_scale", "eta_scale", "kappa_scale", "mu_under",
                    "mu_over", "eta_over", "kappa_under", "kappa_over")
 _BOUNDARY_KEYS = ("faces",)
-_FACE_KEYS = ("pos", "u_b", "rho_b", "F_ib", "wall")
+_FACE_KINDS = {"pos": float, "u_b": float, "rho_b": float, "F_ib": float, "wall": bool}
+_FACE_OPTIONAL = ("rho_b", "F_ib")
 _CONFIG_KEYS = {"epsilon": float, "delta": float, "Gamma": float, "d": int, "cfl": float,
                 "t_end": float, "g": float, "theta_bar": float, "rho_floor": float,
                 "theta_floor": float}
@@ -167,16 +170,36 @@ def _check_keys(doc: dict, known, path: str, issues: list) -> None:
                                 f"unknown key; expected one of {', '.join(known)}"))
 
 
-def _build_eos(doc: dict, issues: list) -> Optional[EosSpec]:
-    kw = {}
-    for key in _EOS_FLOATS:
+def _typed(doc: dict, kinds: dict, path: str, code: str, issues: list) -> Optional[dict]:
+    """{key: kind(doc[key])} over the keys of ``kinds`` that ``doc`` holds;
+    None if ``kind`` rejects any value, with one issue per rejected value."""
+    n_issues = len(issues)
+    out = {}
+    for key, kind in kinds.items():
         if key in doc:
-            kw[key] = float(doc[key])
+            try:
+                out[key] = kind(doc[key])
+            except (TypeError, ValueError):
+                issues.append(Issue(f"{path}{key}", code,
+                                    f"expected {kind.__name__}, got {doc[key]!r}"))
+    return out if len(issues) == n_issues else None
+
+
+def _build_eos(doc: dict, issues: list) -> Optional[EosSpec]:
+    kw = _typed(doc, dict.fromkeys(_EOS_FLOATS, float), "eos.", "eos-schema", issues)
+    if kw is None:
+        return None
     kw["third_law"] = bool(doc.get("third_law", False))
     kw["shape"] = doc.get("shape", "iconic")
     if "table" in doc:
-        kw["table_z"] = tuple(float(v) for v in doc["table"]["z"])
-        kw["table_p"] = tuple(float(v) for v in doc["table"]["p"])
+        for key in ("z", "p"):
+            try:
+                kw[f"table_{key}"] = tuple(float(v) for v in doc["table"][key])
+            except (KeyError, TypeError, ValueError):
+                issues.append(Issue(f"eos.table.{key}", "eos-schema",
+                                    "expected a list of numbers"))
+        if "table_z" not in kw or "table_p" not in kw:
+            return None
     try:
         eos = EosSpec(**kw)
     except EosValidationError as err:
@@ -189,7 +212,10 @@ def _build_eos(doc: dict, issues: list) -> Optional[EosSpec]:
 
 
 def _build_transport(doc: dict, issues: list) -> Optional[TransportSpec]:
-    kw = {k: float(doc[k]) for k in _TRANSPORT_KEYS if k in doc}
+    kw = _typed(doc, dict.fromkeys(_TRANSPORT_KEYS, float), "transport.",
+                "transport-schema", issues)
+    if kw is None:
+        return None
     try:
         ts = TransportSpec(**kw)
     except EosValidationError as err:
@@ -200,22 +226,26 @@ def _build_transport(doc: dict, issues: list) -> Optional[TransportSpec]:
     return ts
 
 
-def _build_boundary(doc: dict, mesh, eos, issues: list) -> Optional[bd.BoundarySpec]:
-    faces = doc.get("faces", [])
+def _build_boundary(faces: list, eos, issues: list) -> Optional[bd.BoundarySpec]:
     if len(faces) != 2:
         issues.append(Issue("boundary.faces", "boundary-schema",
                             f"need exactly 2 faces for a 1D domain, got {len(faces)}"))
         return None
-    by_pos = sorted(faces, key=lambda f: float(f.get("pos", 0.0)))
+    values = []
+    for k, f in enumerate(faces):
+        # rho_b and F_ib may be null, meaning absent
+        given = {key: v for key, v in f.items() if v is not None or key not in _FACE_OPTIONAL}
+        values.append(_typed(given, _FACE_KINDS, f"boundary.faces[{k}].", "boundary-schema",
+                             issues))
+    if None in values:
+        return None
+    by_pos = sorted(values, key=lambda v: v.get("pos", 0.0))
     built = []
-    for f, normal, side in ((by_pos[0], -1.0, "left"), (by_pos[1], 1.0, "right")):
+    for v, normal, side in ((by_pos[0], -1.0, "left"), (by_pos[1], 1.0, "right")):
         try:
             built.append(bd.BoundaryFace(
-                pos=float(f.get("pos", 0.0)), normal=normal,
-                u_b=float(f.get("u_b", 0.0)),
-                rho_b=(float(f["rho_b"]) if "rho_b" in f and f["rho_b"] is not None else None),
-                F_ib=(float(f["F_ib"]) if "F_ib" in f and f["F_ib"] is not None else None),
-                wall=bool(f.get("wall", False))))
+                pos=v.get("pos", 0.0), normal=normal, u_b=v.get("u_b", 0.0),
+                rho_b=v.get("rho_b"), F_ib=v.get("F_ib"), wall=v.get("wall", False)))
         except bd.BoundaryDataError as err:
             code = ("positive-inflow-density" if "positive" in str(err)
                     else "boundary-schema")
@@ -241,40 +271,53 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     issues: list[Issue] = []
     warnings: list[str] = []
     _check_keys(doc, _TOP_KEYS, "", issues)
-    sections = {"mesh": _MESH_KEYS, "eos": _EOS_KEYS, "transport": _TRANSPORT_KEYS,
+    sections = {"mesh": _MESH_KINDS, "eos": _EOS_KEYS, "transport": _TRANSPORT_KEYS,
                 "boundary": _BOUNDARY_KEYS, "config": _CONFIG_KEYS,
                 "initial": _INITIAL_KEYS}
+    docs = {}  # the sections that are objects
     for section, known in sections.items():
-        _check_keys(doc.get(section, {}), known, f"{section}.", issues)
-    for k, face in enumerate(doc.get("boundary", {}).get("faces", [])):
-        _check_keys(face, _FACE_KEYS, f"boundary.faces[{k}].", issues)
+        sdoc = doc.get(section, {})
+        if isinstance(sdoc, dict):
+            _check_keys(sdoc, known, f"{section}.", issues)
+            docs[section] = sdoc
+        else:
+            issues.append(Issue(section, f"{section}-schema",
+                                f"expected an object, got {sdoc!r}"))
+    faces = docs["boundary"].get("faces", []) if "boundary" in docs else None
+    if faces is not None and not (isinstance(faces, list)
+                                  and all(isinstance(f, dict) for f in faces)):
+        issues.append(Issue("boundary.faces", "boundary-schema",
+                            f"expected a list of objects, got {faces!r}"))
+        faces = None
+    for k, face in enumerate(faces or []):
+        _check_keys(face, _FACE_KINDS, f"boundary.faces[{k}].", issues)
 
     mesh = None
-    mdoc = doc.get("mesh", {})
-    try:
-        mesh = Mesh1D(float(mdoc.get("x0", 0.0)), float(mdoc.get("x1", 1.0)),
-                      int(mdoc.get("n", 0)))
-    except (ValueError, TypeError) as err:
-        issues.append(Issue("mesh", "mesh-schema", str(err)))
+    kw = _typed(docs.get("mesh", {}), _MESH_KINDS, "mesh.", "mesh-schema", issues)
+    if "mesh" in docs and kw is not None:
+        try:
+            mesh = Mesh1D(kw.get("x0", 0.0), kw.get("x1", 1.0), kw.get("n", 0))
+        except ValueError as err:
+            issues.append(Issue("mesh", "mesh-schema", str(err)))
 
-    eos = _build_eos(doc.get("eos", {}), issues)
-    ts = _build_transport(doc.get("transport", {}), issues)
+    eos = _build_eos(docs["eos"], issues) if "eos" in docs else None
+    ts = _build_transport(docs["transport"], issues) if "transport" in docs else None
 
     cfg = None
-    cdoc = doc.get("config", {})
-    try:
-        cfg = SolverConfig(**{k: kind(cdoc[k]) for k, kind in _CONFIG_KEYS.items()
-                              if k in cdoc})
-    except (ValueError, TypeError) as err:
-        issues.append(Issue("config", "config-schema", str(err)))
+    kw = _typed(docs.get("config", {}), _CONFIG_KEYS, "config.", "config-schema", issues)
+    if "config" in docs and kw is not None:
+        try:
+            cfg = SolverConfig(**kw)
+        except ValueError as err:
+            issues.append(Issue("config", "config-schema", str(err)))
 
     bspec = None
-    if mesh is not None:
-        bspec = _build_boundary(doc.get("boundary", {}), mesh, eos, issues)
+    if mesh is not None and faces is not None:
+        bspec = _build_boundary(faces, eos, issues)
 
     initial = None
-    if mesh is not None and cfg is not None:
-        idoc = doc.get("initial", {})
+    if mesh is not None and cfg is not None and "initial" in docs:
+        idoc = docs["initial"]
         fields = {}
         for key in _INITIAL_KEYS:
             spec_val = idoc.get(key)
@@ -286,7 +329,12 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
                 if isinstance(spec_val, str):
                     fields[key] = eval_field_expression(spec_val, mesh.centers)
                 else:
-                    arr = np.asarray(spec_val, dtype=float)
+                    try:
+                        arr = np.asarray(spec_val, dtype=float)
+                    except (TypeError, ValueError):
+                        raise ExpressionError(
+                            f"expected an expression or a list of numbers, got {spec_val!r}"
+                        ) from None
                     if arr.shape != (mesh.n_cells,):
                         raise ExpressionError(
                             f"array length {arr.shape} does not match n={mesh.n_cells}")
@@ -318,12 +366,15 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
                                      theta=fields["theta"])
 
     outs = doc.get("output_times")
+    output_times = []
     if outs is not None:
-        output_times = [float(t) for t in outs]
+        try:
+            output_times = [float(t) for t in outs]
+        except (TypeError, ValueError):
+            issues.append(Issue("output_times", "config-schema",
+                                f"expected a list of numbers, got {outs!r}"))
     elif cfg is not None:
         output_times = [0.0, cfg.t_end]
-    else:
-        output_times = []
     if cfg is not None and any(t < 0.0 or t > cfg.t_end + 1e-12 for t in output_times):
         issues.append(Issue("output_times", "config-schema",
                             "output times must lie in [0, t_end]"))

@@ -27,9 +27,10 @@ e_delta and s_delta once on the padded arrays; fluxes, sources and the
 budget record all read that one evaluation.  One pass over the two faces
 then books the other boundary rules: the F_ib and wall energy fluxes, the Robin
 inflow mass flux and the boundary budget integrands.  The stage's volume
-integrands are stacked into one (K, n) array and reduced once.  Each
-Newton iterate of the temperature recovery makes one fused EOS call for
-(e_delta, de_delta/dtheta).  Every budget-relevant face flux and volume
+integrands are stacked into one (K, n) array and reduced once.  The
+temperature recovery builds its energy-density residual once per solve;
+a Newton iterate makes no EOS call on the iconic shape and one ``p_dp``
+on a table.  Every budget-relevant face flux and volume
 integrand is accumulated during the run with the same stage weights as the
 update itself, so the discrete mass identity telescopes to rounding and
 the audits in :mod:`nsfsim.budgets` separate scheme error from quadrature
@@ -46,8 +47,8 @@ import numpy as np
 
 from .boundary import BoundarySpec, FaceKind
 from .mesh import Mesh1D
-from .thermo import (EosSpec, TransportSpec, OutOfDomainError,
-                     internal_energy_and_slope, pressure,
+from .thermo import (EosSpec, EosDomainError, TransportSpec, OutOfDomainError,
+                     energy_density_residual, pressure,
                      sound_speed_sq_and_energy_slope, specific_entropy,
                      specific_internal_energy, temperature_from_energy_density)
 
@@ -297,10 +298,8 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
         th = pad.theta[i]
         if f.kind is FaceKind.IN:
             rb, rc = f.rho_b, rho[i]
-            robin = (rb - rc) * udn
             e_flux[i] = f.normal * f.F_ib
             sc["mass_in_conv"] += rb * udn
-            sc["mass_robin"] += robin
             sc["energy_bdry_in"] += f.F_ib
             sc["energy_in_gamma_breg"] += (rb ** gm / (gm - 1.0)
                                            - gm / (gm - 1.0) * rc ** (gm - 1.0) * (rb - rc)
@@ -312,7 +311,9 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
                 # the Robin mass flux enters the mass balance and carries
                 # g with it; without this term the production would depend
                 # on the additive entropy gauge
+                robin = (rb - rc) * udn
                 diff_mass[i] = f.normal * robin
+                sc["mass_robin"] += robin
                 sc["entropy_in_robin"] += g_cell[i] * robin
             sc["apriori_in_coercive"] += 1.0 / th + th ** 3 * abs(udn)
         elif f.kind is FaceKind.OUT:
@@ -414,24 +415,32 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
     """Invert rho e_delta(rho, theta) = w per cell; Newton with robust fallback."""
     if np.any(rho < cfg.rho_floor):
         raise StepRejected("density fell below its floor")
-    theta = np.asarray(theta_guess, dtype=float).copy()
-    delta = cfg.delta
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise StepRejected(
+            f"energy density is not finite at cell {int(np.flatnonzero(~finite)[0])}")
+    theta = np.asarray(theta_guess, dtype=float)
+    # the 0.1 theta damping keeps a positive guess positive
+    if (theta <= 0.0).any():
+        raise EosDomainError("temperature must be positive")
+    residual = energy_density_residual(eos, rho, w, cfg.delta)
     for _ in range(40):
-        e, de = internal_energy_and_slope(eos, rho, theta, delta)
-        step = (rho * e - w) / (rho * de)
+        f, df = residual(theta)
+        step = f / df
         theta_new = theta - step
-        theta = np.where(theta_new > 0.1 * theta, theta_new, 0.1 * theta)
+        damped = 0.1 * theta
+        theta = np.where(theta_new > damped, theta_new, damped)
         if np.max(np.abs(step) / (theta + 1e-300)) < 1e-14:
             break
     f = rho * cfg.internal_energy(eos, rho, theta) - w
-    bad = np.abs(f) > 1e-9 * (np.abs(w) + 1.0)
+    # a NaN residual is bad too
+    bad = ~(np.abs(f) <= 1e-9 * (np.abs(w) + 1.0))
     if np.any(bad):
         try:
             theta_fb = temperature_from_energy_density(
-                eos, rho[bad], w[bad], delta=delta)
+                eos, rho[bad], w[bad], delta=cfg.delta)
         except OutOfDomainError as err:
             raise StepRejected(f"temperature recovery failed: {err}") from None
-        theta = theta.copy()
         theta[bad] = theta_fb
     if np.any(theta < cfg.theta_floor):
         raise StepRejected("temperature fell below its floor")

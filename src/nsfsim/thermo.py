@@ -28,9 +28,11 @@ positive limit ``p_inf``.
 All state functions broadcast over numpy arrays in (rho, theta).  Shapes
 give ``p_dp`` = (P, P'), the table from one piece lookup; each closure
 evaluates Z and the shape once and applies formulas written once in (rho,
-theta, P, P').  The fused ``internal_energy_and_slope`` serves each Newton
-iterate of the temperature inversions and ``sound_speed_sq_and_energy_slope``
-the step limits; ``gibbs_residual`` keeps independent routes.
+theta, P, P').  ``energy_density_residual`` builds the residual of both
+temperature inversions once per solve (a quartic in theta on the iconic
+shape, one (P, P') pass per iterate on a table),
+``sound_speed_sq_and_energy_slope`` serves the step limits, and
+``gibbs_residual`` keeps independent routes.
 """
 
 from __future__ import annotations
@@ -527,16 +529,13 @@ def _pressure_theta(eos: EosSpec, rho, theta, p, dp):
     return 2.5 * theta ** 1.5 * p - 1.5 * rho * dp + (4.0 * eos.a / 3.0) * theta ** 3
 
 
-def _energy_args(rho, theta):
-    """(rho, theta, Z) as arrays, after the domain checks of e."""
+def _positive_density(rho):
+    """rho as an array, after the density check of e."""
     rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if (theta <= 0.0).any():
-        raise EosDomainError("temperature must be positive")
     if (rho <= 0.0).any():
         raise EosDomainError(
             "density must be positive; use extended_internal_energy for the rho = 0 closure")
-    return rho, theta, _zvar(rho, theta)
+    return rho
 
 
 def pressure(eos: EosSpec, rho, theta):
@@ -553,17 +552,40 @@ def pressure(eos: EosSpec, rho, theta):
 
 def specific_internal_energy(eos: EosSpec, rho, theta):
     """e(rho, theta); strictly increasing in theta at fixed rho."""
-    rho, theta, z = _energy_args(rho, theta)
-    return _energy(eos, rho, theta, eos.shape_fn.p(z))
+    theta = np.asarray(theta, dtype=float)
+    if (theta <= 0.0).any():
+        raise EosDomainError("temperature must be positive")
+    rho = _positive_density(rho)
+    return _energy(eos, rho, theta, eos.shape_fn.p(_zvar(rho, theta)))
 
 
-def internal_energy_and_slope(eos: EosSpec, rho, theta, delta: float = 0.0):
-    """(e + delta theta, de/dtheta + delta) from one Z, one (P, P') pass and
-    one pair of domain checks: the closure of a Newton iterate."""
-    rho, theta, z = _energy_args(rho, theta)
-    p, dp = eos.shape_fn.p_dp(z)
-    return (_energy(eos, rho, theta, p) + delta * theta,
-            _energy_theta(eos, rho, theta, p, dp) + delta)
+def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
+    """theta -> (rho e_delta - w, d(rho e_delta)/dtheta) at fixed (rho, w),
+    with e_delta = e + delta theta: the residual of the temperature inversions.
+
+    rho > 0 is checked once, here; callers keep theta positive.  On the
+    iconic shape rho e_delta = a theta^4 + (3/2 + delta) rho theta
+    + (3/2) p_inf rho^{5/3}, a quartic whose coefficients are set up once,
+    so an iterate evaluates no Z, no shape and no domain check.  Other
+    shapes evaluate one Z and one (P, P') per iterate.
+    """
+    rho = _positive_density(rho)
+    w = np.asarray(w, dtype=float)
+    if eos.shape == "iconic":
+        a, b = eos.a, (1.5 + delta) * rho
+        c = _cold_energy_density(eos, rho) - w
+
+        def quartic(theta):
+            a_theta3 = a * (theta * theta * theta)
+            return (a_theta3 + b) * theta + c, 4.0 * a_theta3 + b
+        return quartic
+
+    def residual(theta):
+        theta = np.asarray(theta, dtype=float)
+        p, dp = eos.shape_fn.p_dp(_zvar(rho, theta))
+        return (rho * (_energy(eos, rho, theta, p) + delta * theta) - w,
+                rho * (_energy_theta(eos, rho, theta, p, dp) + delta))
+    return residual
 
 
 def specific_entropy(eos: EosSpec, rho, theta):
@@ -687,6 +709,8 @@ def _solve_monotone_theta(f_and_slope, lo: float, hi: float, x0=None,
     ``f_and_slope(theta) -> (f, f')``.  Raises OutOfDomainError when the
     bracket does not straddle a root; the message carries the bracket values.
     """
+    if not lo > 0.0:
+        raise EosDomainError("temperature must be positive")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_lo, _ = f_and_slope(lo)
         f_hi, _ = f_and_slope(hi)
@@ -742,14 +766,7 @@ def temperature_from_entropy(eos: EosSpec, rho, S, lo: float = 1e-8,
 def temperature_from_energy_density(eos: EosSpec, rho, w, delta: float = 0.0,
                                     lo: float = 1e-10, hi: float = 1e9, x0=None):
     """Solve rho (e(rho, theta) + delta theta) = w for theta."""
-    rho = np.asarray(rho, dtype=float)
-    w = np.asarray(w, dtype=float)
-
-    def f_and_slope(theta):
-        e, de = internal_energy_and_slope(eos, rho, theta, delta)
-        return rho * e - w, rho * de
-
-    return _solve_monotone_theta(f_and_slope, lo, hi, x0=x0)
+    return _solve_monotone_theta(energy_density_residual(eos, rho, w, delta), lo, hi, x0=x0)
 
 
 def to_conservative(eos: EosSpec, state: ThermoState) -> ConservativeState:

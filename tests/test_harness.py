@@ -105,6 +105,40 @@ def test_unknown_keys_reported_by_path():
     assert sc.parse_scenario(full).config == sc.parse_scenario(minimal_doc()).config
 
 
+def _set_eos_a(doc):
+    doc["eos"]["a"] = "x"
+
+
+def _set_face_speed(doc):
+    doc["boundary"]["faces"][0]["u_b"] = "fast"
+
+
+def _set_mesh_number(doc):
+    doc["mesh"] = 5
+
+
+def _drop_table_z(doc):
+    doc["eos"] = {"shape": "table", "table": {"p": [1.0, 2.0, 3.0]}}
+
+
+@pytest.mark.parametrize("corrupt, path", [
+    (_set_eos_a, "eos.a"), (_set_face_speed, "boundary.faces[0].u_b"),
+    (_set_mesh_number, "mesh"), (_drop_table_z, "eos.table.z")])
+def test_malformed_value_reported_by_path(corrupt, path, tmp_path, capsys):
+    doc = minimal_doc(epsilom=0.1)
+    corrupt(doc)
+    with pytest.raises(sc.ScenarioValidationError) as err:
+        sc.parse_scenario(doc)
+    assert sorted(i.path for i in err.value.issues) == sorted([path, "config.epsilom"])
+    (issue,) = [i for i in err.value.issues if i.path == path]
+    assert issue.code.endswith("-schema")
+    # the CLI prints the issue list, not a traceback
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert f"FAIL  {issue}" in capsys.readouterr().out
+
+
 def test_initial_theta_clamp_reported():
     doc = minimal_doc(theta_floor=5e-2)
     doc["initial"]["theta"] = "0.001 + x"

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,16 @@ def test_robin_flux_vanishes_at_matched_density(eos, transport):
     r0 = sv.euler_step(state, mesh, eos, transport, base, bspec, 1e-4)[0]
     r1 = sv.euler_step(state, mesh, eos, transport, reg, bspec, 1e-4)[0]
     np.testing.assert_allclose(r0, r1, atol=1e-15)
+
+
+def test_robin_flux_booked_only_with_mass_diffusion(throughflow_traj):
+    # at epsilon = 0 no Robin flux enters the update, so none is booked
+    acc = throughflow_traj.accums[-1]
+    conv_in, conv_out = acc["mass_in_conv"], acc["mass_out_conv"]
+    assert acc["mass_robin"] == 0.0
+    # the two convective terms nearly cancel; rounding scales with their size
+    assert acc["mass_bdry"] == pytest.approx(conv_in + conv_out, rel=0.0,
+                                             abs=1e-13 * (abs(conv_in) + abs(conv_out)))
 
 
 def test_mass_change_telescopes_to_boundary_fluxes(eos, transport, rng):
@@ -237,10 +248,39 @@ def _count_thermo_calls(monkeypatch, log=None):
     return calls
 
 
+def _log_newton_iterates(monkeypatch, log):
+    """Log ("iterate", (theta,)) for each evaluation of every residual the
+    solver builds."""
+    build = sv.energy_density_residual
+
+    def logged_build(*args, **kwargs):
+        residual = build(*args, **kwargs)
+
+        def logged(theta):
+            log.append(("iterate", (theta,)))
+            return residual(theta)
+        return logged
+    monkeypatch.setattr(sv, "energy_density_residual", logged_build)
+
+
+def _count_shape_calls(monkeypatch, eos):
+    """Count the pressure-shape evaluations of ``eos``, by method name."""
+    calls = {}
+    shape = eos.shape_fn
+    for name in ("p", "dp", "p_dp", "entropy_shape", "entropy_shape_slope"):
+        def counted(*args, _fn=getattr(shape, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(shape, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
 @pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
 def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkeypatch,
                                                          request):
+    # one residual build per recovery; a Newton iterate makes one p_dp on the
+    # table and no EOS call at all on the iconic quartic
     eos = request.getfixturevalue(eos_name)
     cfg = sv.SolverConfig(delta=delta, t_end=1.0)
     x = np.linspace(0.0, 1.0, 16)
@@ -249,15 +289,102 @@ def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkey
     w = rho * cfg.internal_energy(eos, rho, theta_true)
     log = []
     calls = _count_thermo_calls(monkeypatch, log)
+    _log_newton_iterates(monkeypatch, log)
+    shape_calls = _count_shape_calls(monkeypatch, eos)
     theta = sv._recover_theta(eos, cfg, rho, w, 1.05 * theta_true)
     np.testing.assert_allclose(theta, theta_true, rtol=1e-12)
-    iterates = [args[2] for name, args in log if name == "internal_energy_and_slope"]
+    iterates = [args[0] for name, args in log if name == "iterate"]
     assert len(iterates) >= 2
-    assert calls == {"internal_energy_and_slope": len(iterates), "specific_internal_energy": 1}
-    assert all(args[3] == delta for name, args in log if name == "internal_energy_and_slope")
+    assert calls == {"energy_density_residual": 1, "specific_internal_energy": 1}
+    assert all(args[3] == delta for name, args in log if name == "energy_density_residual")
+    per_iterate = {"p_dp": len(iterates)} if eos.shape == "table" else {}
+    assert shape_calls == {**per_iterate, "p": 1}  # p: the final residual check
     # each call is a new Newton iterate, and the residual check sees the last one
     assert all(not np.array_equal(a, b) for a, b in zip(iterates, iterates[1:]))
     assert log[-1][0] == "specific_internal_energy"
+
+
+def test_step_thermo_calls_do_not_grow_with_newton_iterates(eos, transport, box,
+                                                            monkeypatch):
+    mesh, walls = box
+    x = mesh.centers
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=0.05 * np.sin(np.pi * x),
+                          theta=1 + 0.1 * np.cos(np.pi * x))
+    cfg = sv.SolverConfig(t_end=1.0)
+    dt0 = sv.stable_dt(state, mesh, eos, transport, cfg)
+    # two stages of (p, e, s); two recoveries, each one residual build and
+    # one residual check through e
+    expected = {"pressure": 2, "specific_internal_energy": 2 + 2, "specific_entropy": 2,
+                "energy_density_residual": 2}
+    iterates = []
+    for dt in (1e-9 * dt0, dt0):
+        log = []
+        with monkeypatch.context() as mp:
+            calls = _count_thermo_calls(mp, log)
+            _log_newton_iterates(mp, log)
+            assert sv.step(state, mesh, eos, transport, cfg, walls, dt)[3] == 0
+        assert calls == expected
+        iterates.append(sum(name == "iterate" for name, _ in log))
+    assert iterates[0] < iterates[1]
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_iconic_recovery_matches_generic_residual(eos, delta, rng):
+    # reference: the bracketed solve through the table-style residual
+    # (Z, then P and P', then the closure formulas) written out
+    cfg = sv.SolverConfig(delta=delta, t_end=1.0)
+    rho = rng.uniform(0.1, 10.0, 64)
+    theta_true = rng.uniform(0.1, 10.0, 64)
+    w = rho * cfg.internal_energy(eos, rho, theta_true)
+
+    def generic(theta):
+        p, dp = eos.shape_fn.p_dp(th._zvar(rho, theta))
+        return (rho * (th._energy(eos, rho, theta, p) + delta * theta) - w,
+                rho * (th._energy_theta(eos, rho, theta, p, dp) + delta))
+
+    reference = th._solve_monotone_theta(generic, 1e-10, 1e9)
+    np.testing.assert_allclose(sv._recover_theta(eos, cfg, rho, w, 1.05 * theta_true),
+                               reference, rtol=1e-13)
+    np.testing.assert_allclose(th.temperature_from_energy_density(eos, rho, w, delta),
+                               reference, rtol=1e-13)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+@pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
+def test_recover_theta_falls_back_to_bisection(eos_name, delta, monkeypatch, request):
+    # from 1e8 theta the damped Newton contracts by about 3/4 per iterate and
+    # cannot arrive within its 40 iterates: the bracketed solve takes over
+    eos = request.getfixturevalue(eos_name)
+    cfg = sv.SolverConfig(delta=delta, t_end=1.0)
+    x = np.linspace(0.0, 1.0, 16)
+    rho = 1.0 + 0.1 * np.cos(np.pi * x)
+    theta_true = 1.0 + 0.1 * np.sin(np.pi * x)
+    w = rho * cfg.internal_energy(eos, rho, theta_true)
+    calls = _count_thermo_calls(monkeypatch)
+    theta = sv._recover_theta(eos, cfg, rho, w, 1e8 * theta_true)
+    assert calls["temperature_from_energy_density"] == 1
+    np.testing.assert_allclose(theta, theta_true, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
+def test_recover_theta_names_nonfinite_energy_density(eos_name, bad, request):
+    eos = request.getfixturevalue(eos_name)
+    cfg = sv.SolverConfig(t_end=1.0)
+    rho = np.ones(8)
+    theta = np.ones(8)
+    w = rho * cfg.internal_energy(eos, rho, theta)
+    w[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sv.StepRejected, match="energy density is not finite at cell 3"):
+            sv._recover_theta(eos, cfg, rho, w, theta)
+
+
+def test_recover_theta_checks_guess_once(eos):
+    cfg = sv.SolverConfig(t_end=1.0)
+    with pytest.raises(th.EosDomainError, match="temperature must be positive"):
+        sv._recover_theta(eos, cfg, np.ones(3), np.full(3, 4.0), np.array([1.0, 0.0, 1.0]))
 
 
 @pytest.mark.parametrize("channel", [False, True])

@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from nsfsim import thermo as th
+
+from conftest import SEED
 
 FT = 5.0 / 3.0
 
@@ -403,12 +406,20 @@ def test_fused_closures_match_separate_calls(name, theta0, eos_table, request):
     theta = np.full_like(z, theta0)
     rho = z * theta0 ** 1.5
     assert np.array_equal(th._zvar(rho, theta), z)  # the probe hits the intended Z
-    e, de = th.internal_energy_and_slope(eos, rho, theta)
-    assert np.array_equal(e, th.specific_internal_energy(eos, rho, theta))
-    assert np.array_equal(de, th.energy_theta_slope(eos, rho, theta))
-    e_d, de_d = th.internal_energy_and_slope(eos, rho, theta, 1e-3)
-    assert np.array_equal(e_d, e + 1e-3 * theta)
-    assert np.array_equal(de_d, de + 1e-3)
+    e = th.specific_internal_energy(eos, rho, theta)
+    de = th.energy_theta_slope(eos, rho, theta)
+    if eos.shape == "table":
+        # the table residual is the separate closures, operation for operation
+        w = 0.5 * rho
+        f, df = th.energy_density_residual(eos, rho, w)(theta)
+        assert np.array_equal(f, rho * (e + 0.0 * theta) - w)
+        assert np.array_equal(df, rho * (de + 0.0))
+        f_d, df_d = th.energy_density_residual(eos, rho, w, 1e-3)(theta)
+        assert np.array_equal(f_d, rho * (e + 1e-3 * theta) - w)
+        assert np.array_equal(df_d, rho * (de + 1e-3))
+    else:
+        _assert_quartic_matches_closures(eos, rho, theta, 0.0)
+        _assert_quartic_matches_closures(eos, rho, theta, 1e-3)
     # the composite the sound speed was built from before its slopes shared Z
     p_t = th.pressure_theta_slope(eos, rho, theta)
     reference = (th.pressure_rho_slope(eos, rho, theta)
@@ -444,8 +455,45 @@ def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, requ
         assert shape.p(np.asarray(zk)) == pk
 
 
-def test_fused_energy_closure_keeps_domain_checks(eos):
-    with pytest.raises(th.EosDomainError, match="temperature must be positive"):
-        th.internal_energy_and_slope(eos, np.ones(3), np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(th.EosDomainError, match="extended_internal_energy"):
-        th.internal_energy_and_slope(eos, np.array([1.0, 0.0, 1.0]), np.ones(3))
+def test_fused_energy_closure_keeps_domain_checks(eos, eos_table):
+    # rho is checked when the residual is built; theta > 0 once per solve,
+    # on the bracket here and on the Newton guess in the solver
+    for e in (eos, eos_table):
+        with pytest.raises(th.EosDomainError, match="temperature must be positive"):
+            th.temperature_from_energy_density(e, np.ones(3), np.ones(3), lo=0.0)
+        with pytest.raises(th.EosDomainError, match="extended_internal_energy"):
+            th.energy_density_residual(e, np.array([1.0, 0.0, 1.0]), np.ones(3))
+        with pytest.raises(th.EosDomainError, match="extended_internal_energy"):
+            th.temperature_from_energy_density(e, np.array([1.0, 0.0, 1.0]), np.ones(3))
+
+
+def _assert_quartic_matches_closures(eos, rho, theta, delta):
+    """The iconic quartic against rho (e + delta theta) and rho (de/dtheta + delta)
+    of the generic closures, at rtol 1e-14.
+
+    On the iconic shape ``_energy_theta`` sums 3.75 theta^1.5 P / rho and
+    -2.25 P', whose p_inf Z^{2/3} parts cancel, so its rounding scales with
+    the magnitude of its terms, not of its result (1e-11 relative at
+    Z = 4e5): the slope is pinned relative to that magnitude, and relative to
+    itself against exact rational arithmetic of 4 a theta^3 + (3/2 + delta) rho.
+    """
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    f, df = th.energy_density_residual(eos, rho, np.zeros_like(rho), delta)(theta)
+    p, dp = eos.shape_fn.p_dp(th._zvar(rho, theta))
+    np.testing.assert_allclose(f, rho * (th._energy(eos, rho, theta, p) + delta * theta),
+                               rtol=1e-14, atol=0.0)
+    slope = rho * (th._energy_theta(eos, rho, theta, p, dp) + delta)
+    terms = 3.75 * theta ** 1.5 * p + 2.25 * rho * dp + 4.0 * eos.a * theta ** 3 + rho * delta
+    assert np.all(np.abs(df - slope) <= 1e-14 * terms)
+    for r, t, d in zip(rho.ravel(), theta.ravel(), np.ravel(df)):
+        exact = 4 * Fraction(eos.a) * Fraction(t) ** 3 + (Fraction(3, 2) + Fraction(delta)) * Fraction(r)
+        assert abs(Fraction(d) - exact) <= Fraction(1e-14) * exact
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None)
+@given(rho=st.floats(1e-2, 1e2), theta=st.floats(1e-2, 1e2), a=st.floats(0.0, 10.0),
+       p_inf=st.floats(1e-2, 1e2), delta=st.floats(0.0, 0.1))
+def test_quartic_residual_matches_closures_property(rho, theta, a, p_inf, delta):
+    _assert_quartic_matches_closures(th.iconic_eos(p_inf=p_inf, a=a), rho, theta, delta)
