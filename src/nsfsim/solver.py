@@ -22,19 +22,21 @@ a two-stage strong-stability-preserving Runge-Kutta pair with step
 rejection: a stage that loses positivity (density or temperature floors,
 or a failed temperature recovery) halves dt and retries.
 
-Each stage pads the state with one ghost cell per side and evaluates p,
-e_delta and s_delta once on the padded arrays; fluxes, sources and the
-budget record all read that one evaluation.  One pass over the two faces
-then books the other boundary rules: the F_ib and wall energy fluxes, the Robin
-inflow mass flux and the boundary budget integrands.  The stage's volume
-integrands are stacked into one (K, n) array and reduced once.  The
-temperature recovery builds its energy-density residual once per solve;
-a Newton iterate makes no EOS call on the iconic shape and one ``p_dp``
-on a table.  Every budget-relevant face flux and volume
-integrand is accumulated during the run with the same stage weights as the
-update itself, so the discrete mass identity telescopes to rounding and
-the audits in :mod:`nsfsim.budgets` separate scheme error from quadrature
-error.
+Each stage pads the state with one ghost cell per side and makes one
+``stage_closures`` pass for (p, e, s) on the padded arrays; fluxes, sources
+and the budget record all read that one evaluation.  One pass over the two
+faces then books the other boundary rules: the F_ib and wall energy fluxes,
+the Robin inflow mass flux and the boundary budget integrands.  The stage's
+volume integrands are stacked into one (K, n) array and reduced once.  The
+first stage of a step is evaluated once and reused by rejected attempts.
+The temperature recovery builds its energy-density residual once per solve;
+a Newton iterate makes no EOS call on the iconic shape and one ``p_dp`` on a
+table, and Newton stops after its first step below 1e-8 theta, since
+quadratic convergence leaves only rounding for the next.  Every
+budget-relevant face flux and volume integrand is accumulated during the
+run with the same stage weights as the update itself, so the discrete mass
+identity telescopes to rounding and the audits in :mod:`nsfsim.budgets`
+separate scheme error from quadrature error.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ import numpy as np
 from .boundary import BoundarySpec, FaceKind
 from .mesh import Mesh1D
 from .thermo import (EosSpec, EosDomainError, TransportSpec, OutOfDomainError,
-                     energy_density_residual, pressure,
-                     sound_speed_sq_and_energy_slope, specific_entropy,
-                     specific_internal_energy, temperature_from_energy_density)
+                     energy_density_residual, sound_speed_sq_and_energy_slope,
+                     specific_entropy, specific_internal_energy, stage_closures,
+                     temperature_from_energy_density)
 
 
 class StepRejected(Exception):
@@ -119,11 +121,16 @@ class SolverConfig:
 
     def internal_energy(self, eos: EosSpec, rho, theta):
         """Regularized specific internal energy e_delta = e + delta theta."""
-        return specific_internal_energy(eos, rho, theta) + self.delta * theta
+        return self._energy_delta(specific_internal_energy(eos, rho, theta), theta)
 
     def entropy(self, eos: EosSpec, rho, theta):
         """Regularized specific entropy s_delta = s + delta log theta."""
-        s = specific_entropy(eos, rho, theta)
+        return self._entropy_delta(specific_entropy(eos, rho, theta), theta)
+
+    def _energy_delta(self, e, theta):
+        return e + self.delta * theta
+
+    def _entropy_delta(self, s, theta):
         if self.delta > 0.0:
             s = s + self.delta * np.log(theta)
         return s
@@ -233,10 +240,10 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     u_face[0] = bspec.left.u_b
     u_face[-1] = bspec.right.u_b
 
-    e_p = cfg.internal_energy(eos, rho_p, theta_p)
-    s_p = cfg.entropy(eos, rho_p, theta_p)
-    pad = StageFields(rho=rho_p, u=u_p, theta=theta_p, p=pressure(eos, rho_p, theta_p),
-                      e=e_p, s=s_p, w=rho_p * e_p)
+    p_p, e_p, s_p = stage_closures(eos, rho_p, theta_p)
+    e_p = cfg._energy_delta(e_p, theta_p)
+    pad = StageFields(rho=rho_p, u=u_p, theta=theta_p, p=p_p, e=e_p,
+                      s=cfg._entropy_delta(s_p, theta_p), w=rho_p * e_p)
 
     take_left = u_face >= 0.0
     rho_up = np.where(take_left, rho_p[:-1], rho_p[1:])
@@ -411,14 +418,26 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
 # ---------------------------------------------------------------------------
 
 
-def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
-    """Invert rho e_delta(rho, theta) = w per cell; Newton with robust fallback."""
-    if np.any(rho < cfg.rho_floor):
-        raise StepRejected("density fell below its floor")
-    finite = np.isfinite(w)
+# Newton converges quadratically here: the step after one of relative size r
+# is about r^2 (per cell at most 1.17 r^2 on the box128 and channel512
+# benchmark runs), so after a step below 1e-8 theta the next one would be
+# about 1e-16 theta, i.e. rounding, and is not taken.
+_NEWTON_LAST_STEP = 1e-8
+
+
+def _reject_nonfinite(name, values):
+    finite = np.isfinite(values)
     if not finite.all():
         raise StepRejected(
-            f"energy density is not finite at cell {int(np.flatnonzero(~finite)[0])}")
+            f"{name} is not finite at cell {int(np.flatnonzero(~finite)[0])}")
+
+
+def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
+    """Invert rho e_delta(rho, theta) = w per cell; Newton with robust fallback."""
+    _reject_nonfinite("density", rho)
+    if not (rho >= cfg.rho_floor).all():
+        raise StepRejected("density fell below its floor")
+    _reject_nonfinite("energy density", w)
     theta = np.asarray(theta_guess, dtype=float)
     # the 0.1 theta damping keeps a positive guess positive
     if (theta <= 0.0).any():
@@ -430,7 +449,7 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
         theta_new = theta - step
         damped = 0.1 * theta
         theta = np.where(theta_new > damped, theta_new, damped)
-        if np.max(np.abs(step) / (theta + 1e-300)) < 1e-14:
+        if np.max(np.abs(step) / (theta + 1e-300)) < _NEWTON_LAST_STEP:
             break
     f = rho * cfg.internal_energy(eos, rho, theta) - w
     # a NaN residual is bad too
@@ -442,7 +461,7 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
         except OutOfDomainError as err:
             raise StepRejected(f"temperature recovery failed: {err}") from None
         theta[bad] = theta_fb
-    if np.any(theta < cfg.theta_floor):
+    if not (theta >= cfg.theta_floor).all():
         raise StepRejected("temperature fell below its floor")
     return theta
 
@@ -461,7 +480,7 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     """
     drho, dm, dW, rec = _stage_rhs(mesh, eos, ts, cfg, bspec, t, state)
     rho = state.rho + dt * drho
-    if np.any(rho < cfg.rho_floor):
+    if not (rho >= cfg.rho_floor).all():
         raise StepRejected("density fell below its floor")
     theta = _recover_theta(eos, cfg, state.rho, rec.cells["w"] + dt * dW, state.theta)
     return rho, state.rho * state.u + dt * dm, theta
@@ -486,9 +505,10 @@ def stable_dt(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     return cfg.cfl * float(dt)
 
 
-def _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt):
-    """One SSP-RK2 step; returns (new_state, averaged accumulator increments)."""
-    d1rho, d1m, d1w, rec1 = _stage_rhs(mesh, eos, ts, cfg, bspec, t, state)
+def _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt, stage1):
+    """One SSP-RK2 step from ``stage1`` = _stage_rhs at (t, state), which does
+    not depend on dt; returns (new_state, averaged accumulator increments)."""
+    d1rho, d1m, d1w, rec1 = stage1
     rho0, m0, w0 = state.rho, state.rho * state.u, rec1.cells["w"]
     st1 = _primitive(eos, cfg, rho0 + dt * d1rho, m0 + dt * d1m, w0 + dt * d1w,
                      state.theta)
@@ -514,10 +534,11 @@ def step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
             cell = int(np.flatnonzero(~np.isfinite(values))[0])
             raise RunAborted(f"step at t={t:.6g}: {name} is not finite at cell {cell} "
                              f"({values[cell]}); diagnostic state attached", state=state)
+    stage1 = _stage_rhs(mesh, eos, ts, cfg, bspec, t, state)
     rejects = 0
     while True:
         try:
-            new_state, inc = _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt)
+            new_state, inc = _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt, stage1)
             return new_state, dt, inc, rejects
         except StepRejected as err:
             rejects += 1

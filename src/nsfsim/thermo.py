@@ -26,13 +26,14 @@ Admissibility of a shape means: P(0) = 0, P' > 0, the stability gap
 positive limit ``p_inf``.
 
 All state functions broadcast over numpy arrays in (rho, theta).  Shapes
-give ``p_dp`` = (P, P'), the table from one piece lookup; each closure
-evaluates Z and the shape once and applies formulas written once in (rho,
-theta, P, P').  ``energy_density_residual`` builds the residual of both
-temperature inversions once per solve (a quartic in theta on the iconic
-shape, one (P, P') pass per iterate on a table),
-``sound_speed_sq_and_energy_slope`` serves the step limits, and
-``gibbs_residual`` keeps independent routes.
+give ``p_dp`` = (P, P') and ``p_entropy`` = (P, S), the table from one piece
+lookup, and the closures apply formulas written once in (rho, theta, P, P',
+S).  ``stage_closures`` is a solver stage's one EOS pass: (p, e, s) from one
+Z and one (P, S) pass, bitwise equal to the separate closures.
+``energy_density_residual`` builds the residual of both temperature
+inversions once per solve (a quartic in theta on the iconic shape, one
+(P, P') pass per iterate on a table), ``sound_speed_sq_and_energy_slope``
+serves the step limits, and ``gibbs_residual`` keeps independent routes.
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ class IconicShape:
 
     def p_dp(self, z):
         return self.p(z), self.dp(z)
+
+    def p_entropy(self, z):
+        return self.p(z), self.entropy_shape(z)
 
     def entropy_shape(self, z):
         # S'(Z) = -1/Z for this shape; normalized so S(1) = 0.
@@ -313,17 +317,23 @@ class TabulatedShape:
     def p_dp(self, z):
         return tuple(self._branch(z, self._p_pieces(), self._dp_pieces()))
 
+    def p_entropy(self, z):
+        return tuple(self._branch(z, self._p_pieces(), self._entropy_pieces()))
+
     def _entropy_mid(self, z, k, s):
         return self._cubic_entropy_antideriv(self._coeffs.take(k, axis=1), z) + self._offsets[k]
 
-    def entropy_shape(self, z):
+    def _entropy_pieces(self):
         if self.third_law_compatible:
             tail = lambda v: 2.5 * self.tail_const / v + 2.0 * self.tail_gamma / (v * v)
         else:
             tail = lambda v: (-self.tail_lin * np.log(v) + 2.5 * self.tail_gamma / v
                               + self._tail_shift)
-        head = lambda v: -self.head_lin * np.log(v) + self._head_off
-        return self._branch(z, (head, self._entropy_mid, tail))[0]
+        return (lambda v: -self.head_lin * np.log(v) + self._head_off,
+                self._entropy_mid, tail)
+
+    def entropy_shape(self, z):
+        return self._branch(z, self._entropy_pieces())[0]
 
     def entropy_shape_slope(self, z):
         zz = np.asarray(z, dtype=float)
@@ -510,7 +520,15 @@ def _zvar(rho, theta):
     return np.asarray(rho, dtype=float) * np.asarray(theta, dtype=float) ** -1.5
 
 
-# Closure formulas in (rho, theta) and the shape values (P, P') at Z.
+# Closure formulas in (rho, theta) and the shape values (P, P', S) at Z.
+
+
+def _pressure(eos: EosSpec, theta, p):
+    return theta ** 2.5 * p + (eos.a / 3.0) * theta ** 4
+
+
+def _entropy(eos: EosSpec, rho, theta, s_shape):
+    return s_shape + eos.entropy_const + (4.0 * eos.a / 3.0) * theta ** 3 / rho
 
 
 def _energy(eos: EosSpec, rho, theta, p):
@@ -538,25 +556,41 @@ def _positive_density(rho):
     return rho
 
 
-def pressure(eos: EosSpec, rho, theta):
-    """p(rho, theta); strictly increasing in rho at fixed theta."""
-    rho = np.asarray(rho, dtype=float)
+def _positive_temperature(theta):
+    """theta as an array, after the temperature check of e."""
     theta = np.asarray(theta, dtype=float)
     if (theta <= 0.0).any():
         raise EosDomainError("temperature must be positive")
+    return theta
+
+
+def pressure(eos: EosSpec, rho, theta):
+    """p(rho, theta); strictly increasing in rho at fixed theta."""
+    theta = _positive_temperature(theta)
+    rho = np.asarray(rho, dtype=float)
     if (rho < 0.0).any():
         raise EosDomainError("density must be nonnegative")
-    z = _zvar(rho, theta)
-    return theta ** 2.5 * eos.shape_fn.p(z) + (eos.a / 3.0) * theta ** 4
+    return _pressure(eos, theta, eos.shape_fn.p(_zvar(rho, theta)))
 
 
 def specific_internal_energy(eos: EosSpec, rho, theta):
     """e(rho, theta); strictly increasing in theta at fixed rho."""
-    theta = np.asarray(theta, dtype=float)
-    if (theta <= 0.0).any():
-        raise EosDomainError("temperature must be positive")
+    theta = _positive_temperature(theta)
     rho = _positive_density(rho)
     return _energy(eos, rho, theta, eos.shape_fn.p(_zvar(rho, theta)))
+
+
+def stage_closures(eos: EosSpec, rho, theta):
+    """(p, e, s) at (rho, theta) from one Z and one (P, S) shape pass.
+
+    Checks theta > 0 and then rho > 0 once, with the messages of
+    ``specific_internal_energy``; each value equals its own closure's bitwise.
+    """
+    theta = _positive_temperature(theta)
+    rho = _positive_density(rho)
+    p, s_shape = eos.shape_fn.p_entropy(_zvar(rho, theta))
+    return (_pressure(eos, theta, p), _energy(eos, rho, theta, p),
+            _entropy(eos, rho, theta, s_shape))
 
 
 def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
@@ -590,15 +624,11 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
 
 def specific_entropy(eos: EosSpec, rho, theta):
     """s(rho, theta) = S(rho/theta^{3/2}) + (4a/3) theta^3 / rho."""
+    theta = _positive_temperature(theta)
     rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if (theta <= 0.0).any():
-        raise EosDomainError("temperature must be positive")
     if (rho <= 0.0).any():
         raise EosDomainError("density must be positive")
-    z = _zvar(rho, theta)
-    return (eos.shape_fn.entropy_shape(z) + eos.entropy_const
-            + (4.0 * eos.a / 3.0) * theta ** 3 / rho)
+    return _entropy(eos, rho, theta, eos.shape_fn.entropy_shape(_zvar(rho, theta)))
 
 
 def pressure_rho_slope(eos: EosSpec, rho, theta):
@@ -876,9 +906,7 @@ def energy_density_gradient(eos: EosSpec, rho, theta):
     Equals (e - theta s + p/rho, theta); the first component is the
     chemical-potential-like coefficient of the supporting plane.
     """
-    e = specific_internal_energy(eos, rho, theta)
-    s = specific_entropy(eos, rho, theta)
-    p = pressure(eos, rho, theta)
+    p, e, s = stage_closures(eos, rho, theta)
     return e - theta * s + p / np.asarray(rho, dtype=float), theta
 
 

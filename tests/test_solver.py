@@ -4,11 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from nsfsim import boundary as bd
 from nsfsim import solver as sv
 from nsfsim import thermo as th
 from nsfsim.mesh import Mesh1D
+
+from conftest import SEED
 
 
 def _uniform_state(n, rho=1.0, u=0.0, theta=1.0):
@@ -230,7 +234,7 @@ def test_stage_evaluates_each_closure_once(eos, transport, monkeypatch, channel)
                           theta=1 + 0.1 * np.cos(np.pi * x))
     calls = _count_thermo_calls(monkeypatch)
     sv._stage_rhs(mesh, eos, transport, cfg, bspec, 0.0, state)
-    assert calls == {"pressure": 1, "specific_internal_energy": 1, "specific_entropy": 1}
+    assert calls == {"stage_closures": 1}
 
 
 def _count_thermo_calls(monkeypatch, log=None):
@@ -312,9 +316,9 @@ def test_step_thermo_calls_do_not_grow_with_newton_iterates(eos, transport, box,
                           theta=1 + 0.1 * np.cos(np.pi * x))
     cfg = sv.SolverConfig(t_end=1.0)
     dt0 = sv.stable_dt(state, mesh, eos, transport, cfg)
-    # two stages of (p, e, s); two recoveries, each one residual build and
-    # one residual check through e
-    expected = {"pressure": 2, "specific_internal_energy": 2 + 2, "specific_entropy": 2,
+    # two stages of one (p, e, s) pass; two recoveries, each one residual
+    # build and one residual check through e
+    expected = {"stage_closures": 2, "specific_internal_energy": 2,
                 "energy_density_residual": 2}
     iterates = []
     for dt in (1e-9 * dt0, dt0):
@@ -379,6 +383,89 @@ def test_recover_theta_names_nonfinite_energy_density(eos_name, bad, request):
         warnings.simplefilter("error")
         with pytest.raises(sv.StepRejected, match="energy density is not finite at cell 3"):
             sv._recover_theta(eos, cfg, rho, w, theta)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
+def test_recover_theta_names_nonfinite_density(eos_name, bad, request):
+    # NaN passes a `rho < floor` test; it must reject the step, not recover
+    eos = request.getfixturevalue(eos_name)
+    cfg = sv.SolverConfig(t_end=1.0)
+    rho = np.ones(8)
+    theta = np.ones(8)
+    w = rho * cfg.internal_energy(eos, rho, theta)
+    rho[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sv.StepRejected, match="^density is not finite at cell 3$"):
+            sv._recover_theta(eos, cfg, rho, w, theta)
+
+
+def test_euler_step_floor_rejects_nan_density(eos, transport, box, monkeypatch):
+    mesh, walls = box
+    state = _uniform_state(32)
+    drho = np.zeros(32)
+    drho[3] = np.nan
+    stage = sv._stage_rhs(mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 0.0, state)
+    monkeypatch.setattr(sv, "_stage_rhs", lambda *a: (drho,) + stage[1:])
+    with pytest.raises(sv.StepRejected, match="density fell below its floor"):
+        sv.euler_step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)
+
+
+def _newton_to_old_rule(residual, theta):
+    """The recovery's Newton iteration, stopped by the former rule: after a
+    step below 1e-14 theta."""
+    for _ in range(40):
+        f, df = residual(theta)
+        step = f / df
+        theta_new = theta - step
+        theta = np.where(theta_new > 0.1 * theta, theta_new, 0.1 * theta)
+        if np.max(np.abs(step) / theta) < 1e-14:
+            break
+    return theta
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None)
+@given(rho=st.floats(1e-2, 1e2), theta=st.floats(1e-2, 1e2), delta=st.floats(0.0, 0.1),
+       offset=st.floats(-0.3, 0.3), table=st.booleans())
+def test_recover_theta_stop_rule_property(eos, eos_table, rho, theta, delta, offset, table):
+    # stopping after a step below 1e-8 theta omits only the next step, which
+    # quadratic convergence puts near 1e-16 theta.  A table residual also
+    # rounds about ten terms of size w, which no stop rule resolves below
+    # 16 eps |w| / (d w / d theta)
+    eos = eos_table if table else eos
+    cfg = sv.SolverConfig(delta=delta, t_end=1.0)
+    rho = np.array([rho])
+    w = rho * cfg.internal_energy(eos, rho, np.array([theta]))
+    guess = np.array([theta * (1.0 + offset)])
+    residual = th.energy_density_residual(eos, rho, w, delta)
+    reference = _newton_to_old_rule(residual, guess)
+    tol = 1e-15 * reference
+    if table:
+        tol = tol + 16.0 * np.finfo(float).eps * w / residual(reference)[1]
+    assert np.abs(sv._recover_theta(eos, cfg, rho, w, guess) - reference) <= tol
+
+
+def test_box_recovery_takes_at_most_two_residual_evaluations(eos, transport, monkeypatch):
+    # a box128-like step: the stage's change of theta is small, so the first
+    # Newton step is below 1e-8 theta or the second one is
+    mesh = Mesh1D(0.0, 1.0, 128)
+    x = mesh.centers
+    state = sv.FieldState(rho=1 + 0.03 * np.cos(np.pi * x) - 0.02 * np.cos(3 * np.pi * x),
+                          u=0.06 * np.sin(np.pi * x) + 0.04 * np.sin(2 * np.pi * x),
+                          theta=1 + 0.05 * np.cos(2 * np.pi * x))
+    cfg = sv.SolverConfig(t_end=1.0)
+    dt = sv.stable_dt(state, mesh, eos, transport, cfg)
+    log = []
+    _log_newton_iterates(monkeypatch, log)
+    build = sv.energy_density_residual
+    monkeypatch.setattr(sv, "energy_density_residual",
+                        lambda *a, **k: log.append(("build", ())) or build(*a, **k))
+    sv.step(state, mesh, eos, transport, cfg, bd.make_boundary(), dt)
+    names = "".join("b" if name == "build" else "i" for name, _ in log)
+    assert names.count("b") == 2
+    assert all(1 <= len(run) <= 2 for run in names.split("b")[1:]), names
 
 
 def test_recover_theta_checks_guess_once(eos):
@@ -592,6 +679,30 @@ def test_step_rejection_and_abort(eos, transport, box):
     new, dt_used, _, rejects = sv.step(state, mesh, eos, transport, cfg_ok, walls, huge)
     assert rejects > 0 and dt_used < huge
     assert np.all(new.theta >= cfg_ok.theta_floor)
+
+
+def test_step_evaluates_first_stage_once_per_step(eos, transport, box, monkeypatch):
+    # the stage at t does not depend on dt: rejected attempts reuse it, and
+    # the step equals one Heun step at the accepted dt from a fresh stage
+    mesh, walls = box
+    x = mesh.centers
+    state = sv.FieldState(rho=np.ones(32), u=2.0 * np.sin(np.pi * x),
+                          theta=np.full(32, 0.2))
+    cfg = sv.SolverConfig(t_end=1.0, max_rejects=20)
+    t0 = 0.25
+    reference_stage = sv._stage_rhs(mesh, eos, transport, cfg, walls, t0, state)
+    times = []
+    stage = sv._stage_rhs
+    monkeypatch.setattr(sv, "_stage_rhs", lambda *a: times.append(a[5]) or stage(*a))
+    new, dt_used, inc, rejects = sv.step(state, mesh, eos, transport, cfg, walls, 5.0, t=t0)
+    assert rejects > 0
+    assert times.count(t0) == 1 and times[0] == t0
+    assert 2 <= len(times) <= rejects + 2  # stage 2 runs only on attempts that reach it
+    ref_state, ref_inc = sv._heun_step(mesh, eos, transport, cfg, walls, t0, state,
+                                       dt_used, reference_stage)
+    for name in ("rho", "u", "theta"):
+        assert np.array_equal(getattr(new, name), getattr(ref_state, name))
+    assert inc == ref_inc
 
 
 @pytest.mark.parametrize("name, cell, bad", [("rho", 0, np.inf), ("u", 5, np.nan),

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -393,9 +394,15 @@ def test_shape_p_dp_matches_separate_calls(name, eos_table, request):
     p, dp = shape.p_dp(z)
     assert np.array_equal(p, shape.p(z))
     assert np.array_equal(dp, shape.dp(z))
+    p, s = shape.p_entropy(z)
+    assert np.array_equal(p, shape.p(z))
+    assert np.array_equal(s, shape.entropy_shape(z))
     for zk in (z[0], eos_table.shape_fn.z_lo, eos_table.shape_fn.z_hi, z[-1]):
         p0, dp0 = shape.p_dp(zk)
         assert np.array_equal(p0, shape.p(zk)) and np.array_equal(dp0, shape.dp(zk))
+        p0, s0 = shape.p_entropy(zk)
+        assert np.array_equal(p0, shape.p(zk))
+        assert np.array_equal(s0, shape.entropy_shape(zk))
 
 
 @pytest.mark.parametrize("theta0", (1.0, 4.0))
@@ -408,6 +415,16 @@ def test_fused_closures_match_separate_calls(name, theta0, eos_table, request):
     assert np.array_equal(th._zvar(rho, theta), z)  # the probe hits the intended Z
     e = th.specific_internal_energy(eos, rho, theta)
     de = th.energy_theta_slope(eos, rho, theta)
+    # the stage's one (p, e, s) pass, on the mixed array (the masked path on a
+    # table), on head, spline and tail alone, and one Z at a time
+    shape = eos_table.shape_fn
+    parts = (z < shape.z_lo, (z >= shape.z_lo) & (z <= shape.z_hi), z > shape.z_hi)
+    for sel in (slice(None),) + parts + tuple(range(z.size)):
+        r, t = rho[sel], theta[sel]
+        p_s, e_s, s_s = th.stage_closures(eos, r, t)
+        assert np.array_equal(p_s, th.pressure(eos, r, t))
+        assert np.array_equal(e_s, th.specific_internal_energy(eos, r, t))
+        assert np.array_equal(s_s, th.specific_entropy(eos, r, t))
     if eos.shape == "table":
         # the table residual is the separate closures, operation for operation
         w = 0.5 * rho
@@ -465,6 +482,20 @@ def test_fused_energy_closure_keeps_domain_checks(eos, eos_table):
             th.energy_density_residual(e, np.array([1.0, 0.0, 1.0]), np.ones(3))
         with pytest.raises(th.EosDomainError, match="extended_internal_energy"):
             th.temperature_from_energy_density(e, np.array([1.0, 0.0, 1.0]), np.ones(3))
+
+
+@pytest.mark.parametrize("name", PARITY_EOS)
+def test_stage_closures_keep_domain_checks(name, request):
+    # the messages the separate closures raise first in the stage: those of e
+    eos = request.getfixturevalue(name)
+    ones = np.ones(3)
+    for rho, theta in ((ones, np.array([1.0, 0.0, 1.0])), (ones, -ones),
+                       (np.array([1.0, 0.0, 1.0]), ones), (-ones, ones),
+                       (np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, 0.0]))):
+        with pytest.raises(th.EosDomainError) as expected:
+            th.specific_internal_energy(eos, rho, theta)
+        with pytest.raises(th.EosDomainError, match="^" + re.escape(str(expected.value)) + "$"):
+            th.stage_closures(eos, rho, theta)
 
 
 def _assert_quartic_matches_closures(eos, rho, theta, delta):
