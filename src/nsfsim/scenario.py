@@ -310,6 +310,10 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             cfg = SolverConfig(**kw)
         except ValueError as err:
             issues.append(Issue("config", "config-schema", str(err)))
+    if cfg is not None and cfg.theta_floor > 1.0:
+        issues.append(Issue("config.theta_floor", "config-schema",
+                            f"theta_floor must not exceed 1, got {cfg.theta_floor:g}: "
+                            "the clamp interval [theta_floor, 1/theta_floor] is empty"))
 
     bspec = None
     if mesh is not None and faces is not None:

@@ -96,13 +96,21 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0,1), got {self.cfl}")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
+        if not self.rho_floor > 0.0:
+            raise ValueError(f"rho_floor must be positive, got {self.rho_floor}")
+        if not self.theta_floor > 0.0:
+            raise ValueError(f"theta_floor must be positive, got {self.theta_floor}")
+        if self.max_rejects < 0:
+            raise ValueError(f"max_rejects must be nonnegative, got {self.max_rejects}")
 
-    def body_force(self, t: float, x: np.ndarray) -> np.ndarray:
+    def body_force(self, t: float, x: np.ndarray):
+        """g at the cell centers x: an array for a callable g, else the float
+        itself (0.0 when absent), which broadcasts to the same values."""
         if self.g is None:
-            return np.zeros_like(x)
+            return 0.0
         if callable(self.g):
             return np.asarray(self.g(t, x), dtype=float) * np.ones_like(x)
-        return float(self.g) * np.ones_like(x)
+        return float(self.g)
 
     @property
     def deviatoric_factor(self) -> float:
@@ -406,7 +414,7 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     vol["mms_energy_source_over_theta"] = None if mms is None else mms / theta
 
     # one reduction: row sums times h are the Mesh1D.integrate quadrature
-    sums = iter((np.stack([v for v in vol.values() if v is not None]).sum(axis=1) * h).tolist())
+    sums = iter((np.array([v for v in vol.values() if v is not None]).sum(axis=1) * h).tolist())
     sc.update((k, 0.0 if v is None else next(sums)) for k, v in vol.items())
 
     cells = {"w": pad.w[1:-1], "dissipation": diss_cell, "p_div_u": p_div_u}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import nsfsim
-from nsfsim import cli, mms, scenario as sc, studies
+from nsfsim import cli, mms, scenario as sc, solver, studies
 from nsfsim.mesh import Mesh1D
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -137,6 +137,26 @@ def test_malformed_value_reported_by_path(corrupt, path, tmp_path, capsys):
     scenario.write_text(json.dumps(doc))
     assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
     assert f"FAIL  {issue}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("floors, path, message", [
+    ({"theta_floor": 0.0}, "config", "theta_floor must be positive"),
+    ({"theta_floor": -1.0}, "config", "theta_floor must be positive"),
+    ({"theta_floor": 2.0}, "config.theta_floor", "theta_floor must not exceed 1"),
+    ({"rho_floor": 0.0}, "config", "rho_floor must be positive"),
+    ({"rho_floor": -1e-3}, "config", "rho_floor must be positive")])
+def test_bad_floor_reported_by_name(floors, path, message, tmp_path, capsys):
+    doc = minimal_doc(**floors)
+    with pytest.raises(sc.ScenarioValidationError) as err:
+        sc.parse_scenario(doc)
+    (issue,) = err.value.issues
+    assert (issue.path, issue.code) == (path, "config-schema")
+    assert issue.message.startswith(message)
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert f"FAIL  {issue}" in capsys.readouterr().out
+    assert sc.parse_scenario(minimal_doc(theta_floor=1.0)).config.theta_floor == 1.0
 
 
 def test_initial_theta_clamp_reported():
@@ -278,6 +298,60 @@ def test_manufactured_closures_match_expanded_form(kind, monkeypatch):
     for t in (0.0, 0.01, 0.35):
         for fn, ref in pairs:
             np.testing.assert_allclose(fn(t, x), ref(t, x), rtol=1e-11, atol=0.0)
+
+
+def test_manufactured_sources_evaluate_once_per_stage_time(monkeypatch):
+    # stage 2 of one step and stage 1 of the next share a time: the compiled
+    # g and energy source run once for both
+    import sympy
+
+    lambdify = sympy.lambdify
+    calls = collections.Counter()
+
+    def counting(*args, **kw):
+        gen = lambdify(*args, **kw)
+
+        def counted(t, x):
+            calls[counted] += 1
+            return gen(t, x)
+        return counted
+
+    monkeypatch.setattr(sympy, "lambdify", counting)
+    case = mms.manufactured_case("thermal_relaxation")
+    mesh = Mesh1D(case.x_left, case.x_right, 32)
+    stage_times = []
+    stage = solver._stage_rhs
+    monkeypatch.setattr(solver, "_stage_rhs",
+                        lambda *a: stage_times.append(a[5]) or stage(*a))
+    traj = solver.run(mesh, case.eos, case.transport, case.config(t_end=0.01),
+                      case.boundary, case.exact_state(0.0, mesh))
+    assert traj.n_rejects == 0 and len(stage_times) == 2 * traj.n_steps
+    assert len(set(stage_times)) <= traj.n_steps + 1
+    for fn in (case.g_fn, case.energy_source_fn):
+        (gen,) = [v for v in inspect.getclosurevars(fn).nonlocals.values()
+                  if inspect.isfunction(v)]
+        assert calls[gen] == len(set(stage_times))
+
+
+def test_manufactured_closure_reuses_only_an_equal_call():
+    case = mms.manufactured_case("thermal_relaxation")
+    fn = case.energy_source_fn
+    x = np.linspace(0.1, 0.9, 9)
+    first = fn(0.1, x)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    assert fn(0.1, x.copy()) is first  # x is compared by value
+    later = fn(0.2, x)
+    assert later is not first and not np.array_equal(later, first)
+    moved = fn(0.2, x + 0.01)
+    assert moved.shape == (9,) and not np.any(moved == later)
+    assert fn(0.2, x[:4]).tolist() == later[:4].tolist()
+    x[3] += 0.01  # mutated in place: the stored copy keeps the old values
+    mutated = fn(0.2, x)
+    assert not mutated.flags.writeable
+    assert mutated[3] == moved[3] and np.delete(mutated, 3).tolist() == np.delete(
+        later, 3).tolist()
 
 
 # ---------------------------------------------------------------------------

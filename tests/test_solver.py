@@ -705,6 +705,89 @@ def test_step_evaluates_first_stage_once_per_step(eos, transport, box, monkeypat
     assert inc == ref_inc
 
 
+def _logged(log, name, fn):
+    def logged(t, x):
+        log.append((name, t))
+        return fn(t, x)
+    return logged
+
+
+@pytest.mark.parametrize("rejecting", [False, True])
+def test_step_calls_each_source_once_per_stage(eos, transport, box, monkeypatch,
+                                               rejecting):
+    # benchmarks count steps from the energy-source calls: g and the source
+    # are called once per stage evaluation, stage 1 once per step and
+    # stage 2 once per attempt that reaches it
+    mesh, walls = box
+    x = mesh.centers
+    log, stages = [], []
+    cfg = sv.SolverConfig(
+        t_end=0.01, g=_logged(log, "g", lambda t, x: 1e-3 * np.cos(np.pi * x)),
+        energy_source=_logged(log, "source", lambda t, x: 1e-3 * np.sin(np.pi * x)))
+    stage = sv._stage_rhs
+    monkeypatch.setattr(sv, "_stage_rhs", lambda *a: stages.append(a[5]) or stage(*a))
+    if rejecting:  # the state of test_step_rejection_and_abort
+        state = sv.FieldState(rho=np.ones(32), u=2.0 * np.sin(np.pi * x),
+                              theta=np.full(32, 0.2))
+        _, _, _, rejects = sv.step(state, mesh, eos, transport, cfg, walls, 5.0, t=0.25)
+        assert rejects == 7
+        assert stages[0] == 0.25 and stages.count(0.25) == 1
+        assert 2 <= len(stages) <= rejects + 2
+    else:
+        state = sv.FieldState(rho=1 + 0.05 * np.cos(np.pi * x),
+                              u=0.05 * np.sin(np.pi * x),
+                              theta=1 + 0.05 * np.cos(np.pi * x))
+        traj = sv.run(mesh, eos, transport, cfg, walls, state)
+        assert traj.n_rejects == 0 and len(stages) == 2 * traj.n_steps
+    assert log == [(name, t) for t in stages for name in ("g", "source")]
+
+
+@pytest.mark.parametrize("g", [None, 0.0, -0.7])
+def test_constant_body_force_matches_callable(eos, transport, g):
+    # a constant (or absent) g is the float itself, which broadcasts to the
+    # values a callable returning that constant gives
+    mesh = Mesh1D(0.0, 1.0, 16)
+    x = mesh.centers
+    bspec = bd.make_boundary(u_b_left=0.5, u_b_right=0.7, rho_b_left=1.1, F_ib_left=-2.5)
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x),
+                          u=0.5 + 0.2 * x + 0.05 * np.sin(np.pi * x),
+                          theta=1 + 0.1 * np.cos(np.pi * x))
+    value = 0.0 if g is None else g
+    stages = []
+    for force in (g, lambda t, x: value):
+        cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=1.0, g=force)
+        stages.append(sv._stage_rhs(mesh, eos, transport, cfg, bspec, 0.3, state))
+    assert type(sv.SolverConfig(g=g).body_force(0.3, x)) is float
+    (*const, rec), (*call, ref) = stages
+    assert [a.tobytes() for a in const] == [a.tobytes() for a in call]
+    assert ([(k, v.hex()) for k, v in rec.scalars.items()]
+            == [(k, v.hex()) for k, v in ref.scalars.items()])
+    assert all(rec.cells[k].tobytes() == ref.cells[k].tobytes() for k in ref.cells)
+
+
+def test_mesh_centers_computed_once():
+    mesh = Mesh1D(-0.5, 2.0, 37)
+    centers = mesh.centers
+    assert mesh.centers is centers and not centers.flags.writeable
+    assert centers.tobytes() == (-0.5 + (np.arange(37) + 0.5) * mesh.h).tobytes()
+    twin = Mesh1D(-0.5, 2.0, 37)
+    assert twin == mesh and hash(twin) == hash(mesh) and twin.centers is not centers
+    assert Mesh1D(-0.5, 2.0, 38) != mesh
+    assert repr(mesh) == "Mesh1D(x_left=-0.5, x_right=2.0, n_cells=37)"
+    assert dataclasses.replace(mesh, n_cells=4).centers.tolist() == [-0.1875, 0.4375,
+                                                                      1.0625, 1.6875]
+
+
+@pytest.mark.parametrize("kw, name", [
+    ({"rho_floor": 0.0}, "rho_floor"), ({"rho_floor": -1e-3}, "rho_floor"),
+    ({"rho_floor": float("nan")}, "rho_floor"), ({"theta_floor": 0.0}, "theta_floor"),
+    ({"theta_floor": -1.0}, "theta_floor"), ({"max_rejects": -3}, "max_rejects")])
+def test_config_rejects_bad_floors_and_reject_budget(kw, name):
+    with pytest.raises(ValueError, match=name):
+        sv.SolverConfig(**kw)
+    sv.SolverConfig(rho_floor=1e-300, theta_floor=1.0, max_rejects=0)
+
+
 @pytest.mark.parametrize("name, cell, bad", [("rho", 0, np.inf), ("u", 5, np.nan),
                                              ("theta", 31, -np.inf)])
 def test_step_names_nonfinite_state(eos, transport, box, monkeypatch, name, cell, bad):
