@@ -10,8 +10,7 @@ upwind finite-volume solver (:mod:`~nsfsim.solver`), budget audits
 
 from .boundary import (AdmissibilityReport, BoundaryFace, BoundarySpec, FaceKind,
                        admissibility_check, admissibility_margin, classify,
-                       classify_faces, cold_heat_flux_split, entropy_inflow_flux,
-                       make_boundary)
+                       cold_heat_flux_split, entropy_inflow_flux, make_boundary)
 from .budgets import (BudgetReport, apriori_monitor, audit, energy_budget,
                       entropy_budget, gronwall_envelope, mass_budget,
                       weak_strong_trace)
@@ -45,7 +44,7 @@ __all__ = [
     "Scenario", "ScenarioValidationError", "SolverConfig", "StepRejected",
     "ThermoState", "Trajectory", "TransportSpec", "admissibility_check",
     "admissibility_margin", "apriori_monitor", "audit", "ballistic_free_energy",
-    "check_eos_invariants", "classify", "classify_faces", "cold_heat_flux_split",
+    "check_eos_invariants", "classify", "cold_heat_flux_split",
     "convective_fluxes", "convergence_study", "energy_budget", "entropy_budget",
     "entropy_inflow_flux", "euler_step", "eval_field_expression",
     "export_budget_csv", "export_timeseries", "extended_internal_energy",

@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
-from .thermo import EosSpec, specific_entropy, specific_internal_energy
+from .thermo import EosSpec, cold_energy_density, specific_entropy, specific_internal_energy
 
 WALL_TOL = 1e-14
 
@@ -39,21 +37,20 @@ class BoundaryDataError(ValueError):
     """Inconsistent or misused boundary data."""
 
 
-def classify(u_b_dot_n: float, wall_override: bool = False,
-             tol: float = WALL_TOL) -> FaceKind:
+def classify(u_b_dot_n: float, wall_override: bool = False) -> FaceKind:
     """Classify one face by the sign of u_b . n.
 
     ``wall_override`` forces Wall for configured walls whose velocity may
-    carry rounding noise below ``tol``.
+    carry rounding noise below ``WALL_TOL``.
     """
     if wall_override:
-        if abs(u_b_dot_n) > tol:
+        if abs(u_b_dot_n) > WALL_TOL:
             raise BoundaryDataError(
-                f"face marked wall but |u_b . n| = {abs(u_b_dot_n):.3g} exceeds {tol:g}")
+                f"face marked wall but |u_b . n| = {abs(u_b_dot_n):.3g} exceeds {WALL_TOL:g}")
         return FaceKind.WALL
-    if u_b_dot_n < -tol:
+    if u_b_dot_n < -WALL_TOL:
         return FaceKind.IN
-    if u_b_dot_n > tol:
+    if u_b_dot_n > WALL_TOL:
         return FaceKind.OUT
     return FaceKind.WALL
 
@@ -118,12 +115,6 @@ def make_boundary(u_b_left: float = 0.0, u_b_right: float = 0.0,
     )
 
 
-def classify_faces(mesh, u_b) -> tuple[FaceKind, FaceKind]:
-    """Classify the two boundary faces of a 1D mesh for velocities (left, right)."""
-    ul, ur = u_b
-    return classify(ul * -1.0), classify(ur * 1.0)
-
-
 def entropy_inflow_flux(eos: EosSpec, rho_b: float, theta: float,
                         u_b_dot_n: float, F_ib: float) -> float:
     """Entropy flux implied on an inflow face by the prescribed energy flux.
@@ -150,14 +141,14 @@ def cold_heat_flux_split(eos: EosSpec, rho_b: float, u_b_dot_n: float,
     """
     if u_b_dot_n >= 0.0:
         raise BoundaryDataError("the flux split is defined only where u_b . n < 0")
-    cold = 1.5 * eos.p_inf * rho_b ** (5.0 / 3.0)
+    cold = cold_energy_density(eos, rho_b)
     return cold * u_b_dot_n, F_ib / u_b_dot_n - cold
 
 
 def admissibility_margin(eos: EosSpec, rho_b: float, u_b_dot_n: float,
                          F_ib: float) -> float:
     """Per-face margin F_ib/|u_b.n| + (3/2) p_inf rho_b^{5/3}; strictly negative passes."""
-    return F_ib / abs(u_b_dot_n) + 1.5 * eos.p_inf * rho_b ** (5.0 / 3.0)
+    return F_ib / abs(u_b_dot_n) + cold_energy_density(eos, rho_b)
 
 
 @dataclass(frozen=True)

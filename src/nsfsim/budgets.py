@@ -28,7 +28,6 @@ Conventions (all with constant-in-time test function, outward normals):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,8 +36,8 @@ import numpy as np
 from .relent import (RelEnergyTrace, relative_energy_fields)
 from .solver import FieldState, Trajectory, boundary_velocity_extension
 
-DEFAULT_ENTROPY_TOL = 1e-8
-DEFAULT_MASS_TOL_PER_STEP = 1e-11
+ENTROPY_TOL = 1e-8
+MASS_TOL_PER_STEP = 1e-11
 ENERGY_SLACK_COEFF = 5.0
 
 
@@ -89,7 +88,7 @@ def _storages(traj: Trajectory, states, energy=True, entropy=True):
         ub, _ = boundary_velocity_extension(traj.mesh, traj.boundary)
         dens = 0.5 * rho * (u - ub) ** 2 + rho * cfg.internal_energy(traj.eos, rho, theta)
         if cfg.delta > 0.0:
-            dens = dens + cfg.delta * (rho ** cfg.Gamma / (cfg.Gamma - 1.0) + rho ** 2)
+            dens = dens + cfg.delta * cfg.delta_pressure_potential(rho)
         out[1] = dens.sum(axis=1) * h
     if entropy:
         out[2] = (rho * cfg.entropy(traj.eos, rho, theta)).sum(axis=1) * h
@@ -196,13 +195,11 @@ def apriori_monitor(traj: Trajectory, epsilon=None, delta=None) -> dict:
     return out
 
 
-def audit(traj: Trajectory, window=None, entropy_tol: float = DEFAULT_ENTROPY_TOL,
-          mass_tol_per_step: float = DEFAULT_MASS_TOL_PER_STEP,
-          energy_slack: float = ENERGY_SLACK_COEFF) -> BudgetReport:
+def audit(traj: Trajectory, window=None) -> BudgetReport:
     """Run all budgets over the window and attach PASS/FAIL verdicts.
 
-    Tolerances: mass |residual| <= mass_tol_per_step * steps; entropy
-    production >= -entropy_tol * measure * window length; energy residual
+    Tolerances: mass |residual| <= MASS_TOL_PER_STEP * steps; entropy
+    production >= -ENTROPY_TOL * measure * window length; energy residual
     below a first-order slack proportional to the cell width (the balance
     is an inequality; upwind dissipation normally makes the residual
     negative).
@@ -212,10 +209,10 @@ def audit(traj: Trajectory, window=None, entropy_tol: float = DEFAULT_ENTROPY_TO
     energy_res, energy_terms = energy_budget(traj, window)
     entropy_prod, entropy_terms = entropy_budget(traj, window)
 
-    mass_tol = mass_tol_per_step * max(1, traj.n_steps)
-    ent_tol = entropy_tol * traj.mesh.measure * max(window[1] - window[0], 1e-30)
+    mass_tol = MASS_TOL_PER_STEP * max(1, traj.n_steps)
+    ent_tol = ENTROPY_TOL * traj.mesh.measure * max(window[1] - window[0], 1e-30)
     scale = 1.0 + max(abs(v) for v in energy_terms.values())
-    en_tol = energy_slack * traj.mesh.h * scale
+    en_tol = ENERGY_SLACK_COEFF * traj.mesh.h * scale
 
     verdicts = {
         "mass": {"passed": bool(abs(mass_res) <= mass_tol), "tol": mass_tol,
@@ -268,7 +265,7 @@ def gronwall_envelope(times: np.ndarray, values: np.ndarray):
     return eta, rate
 
 
-def weak_strong_trace(coarse: Trajectory, fine: Trajectory, eos=None):
+def weak_strong_trace(coarse: Trajectory, fine: Trajectory):
     """Relative energy of a coarse run against a finer reference run.
 
     The fine run must live on the same interval with a cell count that is an
@@ -276,7 +273,6 @@ def weak_strong_trace(coarse: Trajectory, fine: Trajectory, eos=None):
     the recorded output times.  Returns (RelEnergyTrace, (eta, rate)) where
     the pair is the fitted exponential envelope.
     """
-    eos = coarse.eos if eos is None else eos
     cm, fm = coarse.mesh, fine.mesh
     if (cm.x_left, cm.x_right) != (fm.x_left, fm.x_right):
         raise ValueError("runs live on different intervals")
@@ -293,7 +289,7 @@ def weak_strong_trace(coarse: Trajectory, fine: Trajectory, eos=None):
     totals, kins, bregs = [], [], []
     for t, st in zip(coarse.times, coarse.states):
         ref = coarsen_state(fine.state_at(t), ratio)
-        kin, breg = relative_energy_fields(eos, st.rho, st.u, st.theta,
+        kin, breg = relative_energy_fields(coarse.eos, st.rho, st.u, st.theta,
                                            ref.rho, ref.u, ref.theta)
         kins.append(cm.integrate(kin))
         bregs.append(cm.integrate(breg))

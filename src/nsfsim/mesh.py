@@ -11,8 +11,8 @@ import numpy as np
 class Mesh1D:
     """Uniform cells on [x_left, x_right].
 
-    ``centers`` is computed once, at construction, and is read-only; it is
-    not part of equality, hashing or the repr.
+    ``centers`` is computed once, at construction (copies and pickles are
+    rebuilt by it), and is read-only; not part of equality, hashing or repr.
     """
 
     x_left: float
@@ -28,6 +28,9 @@ class Mesh1D:
         centers = self.x_left + (np.arange(self.n_cells) + 0.5) * self.h
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
+
+    def __reduce__(self):
+        return type(self), (self.x_left, self.x_right, self.n_cells)
 
     @property
     def h(self) -> float:

@@ -39,7 +39,7 @@ import numpy as np
 from . import boundary as bd
 from .mesh import Mesh1D
 from .solver import FieldState, SolverConfig
-from .thermo import EosSpec, TransportSpec, iconic_eos, specific_internal_energy
+from .thermo import EosSpec, TransportSpec, iconic_eos
 
 
 def _symbols():
@@ -87,22 +87,22 @@ class MmsCase:
         return SolverConfig(t_end=t_end, cfl=cfl, g=self.g_fn,
                             energy_source=self.energy_source_fn, **kw)
 
-    def residual_probe(self, n: int = 1024, times=(0.05, 0.35), hx: float = 5e-5,
-                       ht: float = 5e-5) -> dict:
+    def residual_probe(self) -> dict:
         """Finite-difference residuals of the balances on a fine grid.
 
         The outer space/time derivatives come from central differences of
         the closed forms, so the probe is independent of the symbolic
         derivation used to build g and the energy source.
         """
-        x = np.linspace(self.x_left + 1e-3, self.x_right - 1e-3, n)
+        hx = ht = 5e-5
+        x = np.linspace(self.x_left + 1e-3, self.x_right - 1e-3, 1024)
         out = {"mass": 0.0, "momentum": 0.0, "energy": 0.0}
         fr, fu, fth = self.rho_fn, self.u_fn, self.theta_fn
         p_fn = self._exprs["p_fn"]
         e_fn = self._exprs["e_fn"]
         stress_fn = self._exprs["stress_fn"]
         q_fn = self._exprs["q_fn"]
-        for t in times:
+        for t in (0.05, 0.35):
             def dt(f):
                 return (f(t + ht, x) - f(t - ht, x)) / (2.0 * ht)
 
@@ -132,9 +132,10 @@ class MmsCase:
         return out
 
 
-def _build_case(name: str, rho_e, u_e, theta_e, eos: EosSpec, ts: TransportSpec,
-                x_left: float = 0.0, x_right: float = 1.0) -> MmsCase:
+def _build_case(name: str, rho_e, u_e, theta_e, eos: EosSpec,
+                ts: TransportSpec) -> MmsCase:
     sp, T, X = _symbols()
+    x_left, x_right = 0.0, 1.0
     p_e, e_e = _iconic_closures(eos, rho_e, theta_e)
     lam = sp.Rational(1, 2) if ts.lambda_exp == 0.5 else sp.Float(ts.lambda_exp)
     mu_e = sp.Float(ts.mu_scale) * (1 + theta_e ** lam)

@@ -28,9 +28,9 @@ import numpy as np
 
 from .mesh import Mesh1D
 from .thermo import (ConservativeState, EosSpec, EosDomainError, OutOfDomainError,
-                     ThermoState, extended_internal_energy,
-                     energy_density_gradient, pressure, specific_entropy,
-                     specific_internal_energy, temperature_from_entropy)
+                     ThermoState, energy_density_gradient, extended_internal_energy,
+                     specific_entropy, specific_internal_energy, stage_closures,
+                     temperature_from_entropy)
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,11 @@ def relative_energy_fields(eos: EosSpec, rho, u, theta, rho_ref, u_ref, theta_re
         raise EosDomainError("reference trio must be interior: rho~ > 0, theta~ > 0")
     kin = _kinetic(rho, u, u_ref)
 
-    e = specific_internal_energy(eos, rho, theta)
-    s = specific_entropy(eos, rho, theta)
+    _, e, s = stage_closures(eos, rho, theta)
     h = rho * (e - theta_ref * s)
-    e_r = specific_internal_energy(eos, rho_ref, theta_ref)
-    s_r = specific_entropy(eos, rho_ref, theta_ref)
-    p_r = pressure(eos, rho_ref, theta_ref)
+    _, e_r, s_r = stage_closures(eos, rho_ref, theta_ref)
     h_r = rho_ref * (e_r - theta_ref * s_r)
-    dh_r = e_r - theta_ref * s_r + p_r / rho_ref
+    dh_r, _ = energy_density_gradient(eos, rho_ref, theta_ref)
     breg = h - dh_r * (rho - rho_ref) - h_r
     return kin, breg
 
@@ -94,8 +91,6 @@ def relative_energy_fields(eos: EosSpec, rho, u, theta, rho_ref, u_ref, theta_re
 def relative_energy_standard(eos: EosSpec, state: ThermoState,
                              ref: ThermoState) -> RelEnergySample:
     """Pointwise relative energy in standard variables against an interior reference."""
-    if ref.rho <= 0.0 or ref.theta <= 0.0:
-        raise EosDomainError("reference trio must be interior: rho~ > 0, theta~ > 0")
     kin, breg = relative_energy_fields(
         eos, state.rho, state.u, state.theta, ref.rho, ref.u, ref.theta)
     kin = float(kin)

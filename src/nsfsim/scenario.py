@@ -226,7 +226,7 @@ def _build_transport(doc: dict, issues: list) -> Optional[TransportSpec]:
     return ts
 
 
-def _build_boundary(faces: list, eos, issues: list) -> Optional[bd.BoundarySpec]:
+def _build_boundary(faces: list, mesh: Mesh1D, eos, issues: list) -> Optional[bd.BoundarySpec]:
     if len(faces) != 2:
         issues.append(Issue("boundary.faces", "boundary-schema",
                             f"need exactly 2 faces for a 1D domain, got {len(faces)}"))
@@ -239,7 +239,13 @@ def _build_boundary(faces: list, eos, issues: list) -> Optional[bd.BoundarySpec]
                              issues))
     if None in values:
         return None
-    by_pos = sorted(values, key=lambda v: v.get("pos", 0.0))
+    pos = [v.get("pos", 0.0) for v in values]
+    order = sorted(range(2), key=pos.__getitem__)  # the left face first
+    for k, key, end in zip(order, ("x0", "x1"), (mesh.x_left, mesh.x_right)):
+        if pos[k] != end:
+            issues.append(Issue(f"boundary.faces[{k}].pos", "boundary-schema",
+                                f"face at x={pos[k]:g} must sit at the mesh end {key}={end:g}"))
+    by_pos = [values[k] for k in order]
     built = []
     for v, normal, side in ((by_pos[0], -1.0, "left"), (by_pos[1], 1.0, "right")):
         try:
@@ -317,7 +323,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
 
     bspec = None
     if mesh is not None and faces is not None:
-        bspec = _build_boundary(faces, eos, issues)
+        bspec = _build_boundary(faces, mesh, eos, issues)
 
     initial = None
     if mesh is not None and cfg is not None and "initial" in docs:

@@ -135,6 +135,10 @@ class SolverConfig:
         """Regularized specific entropy s_delta = s + delta log theta."""
         return self._entropy_delta(specific_entropy(eos, rho, theta), theta)
 
+    def delta_pressure_potential(self, rho):
+        """rho^Gamma/(Gamma - 1) + rho^2, whose delta multiple stores the delta-pressure."""
+        return rho ** self.Gamma / (self.Gamma - 1.0) + rho ** 2
+
     def _energy_delta(self, e, theta):
         return e + self.delta * theta
 
@@ -335,7 +339,7 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
             rc, e_del, s_del = pad.rho[i], pad.e[i], pad.s[i]
             sc["mass_out_conv"] += rc * udn
             sc["energy_out_conv"] += rc * e_del * udn
-            sc["energy_out_delta"] += (rc ** gm / (gm - 1.0) + rc ** 2) * udn
+            sc["energy_out_delta"] += cfg.delta_pressure_potential(rc) * udn
             sc["entropy_out_conv"] += rc * s_del * udn
             sc["apriori_out_ballistic"] += rc * (e_del - cfg.theta_bar * s_del) * udn
         else:

@@ -459,11 +459,9 @@ class TransportSpec:
             return self.kappa_fn(theta)
         return self.kappa_scale * (1.0 + np.asarray(theta, dtype=float) ** 3)
 
-    def envelope_violations(self, thetas=None) -> list[str]:
-        """Check the growth envelopes on a sample grid; returns messages."""
-        if thetas is None:
-            thetas = np.geomspace(1e-3, 1e3, 200)
-        thetas = np.asarray(thetas, dtype=float)
+    def envelope_violations(self) -> list[str]:
+        """Check the growth envelopes on a 200-point log grid; returns messages."""
+        thetas = np.geomspace(1e-3, 1e3, 200)
         msgs = []
         grow = 1.0 + thetas ** self.lambda_exp
         mu = np.asarray(self.mu(thetas), dtype=float)
@@ -607,7 +605,7 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     w = np.asarray(w, dtype=float)
     if eos.shape == "iconic":
         a, b = eos.a, (1.5 + delta) * rho
-        c = _cold_energy_density(eos, rho) - w
+        c = cold_energy_density(eos, rho) - w
 
         def quartic(theta):
             a_theta3 = a * (theta * theta * theta)
@@ -728,16 +726,12 @@ def transport_coefficients(ts: TransportSpec, theta):
 # ---------------------------------------------------------------------------
 
 
-def total_entropy_density(eos: EosSpec, rho, theta):
-    return np.asarray(rho, dtype=float) * specific_entropy(eos, rho, theta)
-
-
-def _solve_monotone_theta(f_and_slope, lo: float, hi: float, x0=None,
-                          n_bisect: int = 80, n_newton: int = 6):
+def _solve_monotone_theta(f_and_slope, lo: float, hi: float):
     """Vectorized root of an increasing f(theta) via log-bisection + Newton.
 
-    ``f_and_slope(theta) -> (f, f')``.  Raises OutOfDomainError when the
-    bracket does not straddle a root; the message carries the bracket values.
+    ``f_and_slope(theta) -> (f, f')``; up to 80 bisections, then 6 Newton
+    steps.  Raises OutOfDomainError when the bracket does not straddle a
+    root; the message carries the bracket values.
     """
     if not lo > 0.0:
         raise EosDomainError("temperature must be positive")
@@ -752,15 +746,11 @@ def _solve_monotone_theta(f_and_slope, lo: float, hi: float, x0=None,
                 f"f({lo:g}) in [{np.min(f_lo):.6g}, {np.max(f_lo):.6g}], "
                 f"f({hi:g}) in [{np.min(f_hi):.6g}, {np.max(f_hi):.6g}]")
 
-        shape = np.broadcast_shapes(np.shape(f_lo), () if x0 is None else np.shape(x0))
+        shape = np.shape(f_lo)
         a = np.full(shape, math.log(lo))
         b = np.full(shape, math.log(hi))
-        if x0 is not None:
-            # Warm start: shrink the bracket around x0 first via a few probes.
-            x = np.clip(np.asarray(x0, dtype=float), lo * 2.0, hi * 0.5)
-        else:
-            x = np.exp(0.5 * (a + b))
-        for _ in range(n_bisect):
+        x = np.exp(0.5 * (a + b))
+        for _ in range(80):
             fx, _ = f_and_slope(x)
             gt = fx > 0.0
             b = np.where(gt, np.log(x), b)
@@ -768,7 +758,7 @@ def _solve_monotone_theta(f_and_slope, lo: float, hi: float, x0=None,
             x = np.exp(0.5 * (a + b))
             if np.max(b - a) < 1e-12:
                 break
-        for _ in range(n_newton):
+        for _ in range(6):
             fx, dfx = f_and_slope(x)
             step = np.where(dfx > 0.0, fx / np.where(dfx > 0.0, dfx, 1.0), 0.0)
             x_new = x - step
@@ -778,7 +768,7 @@ def _solve_monotone_theta(f_and_slope, lo: float, hi: float, x0=None,
 
 
 def temperature_from_entropy(eos: EosSpec, rho, S, lo: float = 1e-8,
-                             hi: float = 1e8, x0=None):
+                             hi: float = 1e8):
     """Solve rho s(rho, theta) = S for theta (unique by stability)."""
     rho = np.asarray(rho, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -790,13 +780,13 @@ def temperature_from_entropy(eos: EosSpec, rho, S, lo: float = 1e-8,
         df = rho * entropy_theta_slope(eos, rho, theta)
         return f, df
 
-    return _solve_monotone_theta(f_and_slope, lo, hi, x0=x0)
+    return _solve_monotone_theta(f_and_slope, lo, hi)
 
 
 def temperature_from_energy_density(eos: EosSpec, rho, w, delta: float = 0.0,
-                                    lo: float = 1e-10, hi: float = 1e9, x0=None):
-    """Solve rho (e(rho, theta) + delta theta) = w for theta."""
-    return _solve_monotone_theta(energy_density_residual(eos, rho, w, delta), lo, hi, x0=x0)
+                                    lo: float = 1e-10):
+    """Solve rho (e(rho, theta) + delta theta) = w for theta in [lo, 1e9]."""
+    return _solve_monotone_theta(energy_density_residual(eos, rho, w, delta), lo, 1e9)
 
 
 def to_conservative(eos: EosSpec, state: ThermoState) -> ConservativeState:
@@ -820,9 +810,9 @@ def from_conservative(eos: EosSpec, c: ConservativeState) -> ThermoState:
 # ---------------------------------------------------------------------------
 
 
-def _cold_energy_density(eos: EosSpec, rho):
-    # theta -> 0 limit of rho e at fixed rho; shape-independent by the
-    # asymptote P(Z)/Z^{5/3} -> p_inf.
+def cold_energy_density(eos: EosSpec, rho):
+    """(3/2) p_inf rho^{5/3}: the theta -> 0 limit of rho e at fixed rho,
+    shape-independent by the asymptote P(Z)/Z^{5/3} -> p_inf."""
     return 1.5 * eos.p_inf * rho ** _FIVE_THIRDS
 
 
@@ -832,31 +822,31 @@ def _interior_energy_density(eos: EosSpec, rho, S):
         cold_saturated = float(rho * specific_entropy(eos, rho, lo)) >= S
     if cold_saturated:
         # the required temperature underflows; rho e has saturated cold
-        return _cold_energy_density(eos, rho)
+        return cold_energy_density(eos, rho)
     theta = temperature_from_entropy(eos, rho, S, lo=lo, hi=hi)
     with np.errstate(over="ignore", invalid="ignore"):
         w = rho * specific_internal_energy(eos, rho, theta)
     if not np.all(np.isfinite(w)):
         # theta sits at the cold end of the bracket, where the closure
         # overflows; rho e has saturated cold there
-        return _cold_energy_density(eos, rho)
+        return cold_energy_density(eos, rho)
     return w
 
 
-def _ray_limit(eos: EosSpec, rho, S, tol: float = 1e-6, max_halvings: int = 60):
+def _ray_limit(eos: EosSpec, rho, S):
     """Directional limit of rho e along a ray from a fixed interior anchor.
 
-    Steps halve toward (rho, S) until successive values settle to ``tol``;
-    the last two values are linearly extrapolated to the endpoint.
+    Up to 60 steps halve toward (rho, S) until successive values settle to
+    a relative 1e-6; the last two values are linearly extrapolated to the endpoint.
     """
     rho_a = 1.0
-    s_a = float(total_entropy_density(eos, 1.0, 1.0))
+    s_a = float(specific_entropy(eos, 1.0, 1.0))
     if abs(rho - rho_a) < 1e-14 and abs(S - s_a) < 1e-14:
         return float(_interior_energy_density(eos, rho_a, s_a))
     t = 0.5
     prev = None
     val = None
-    for _ in range(max_halvings):
+    for _ in range(60):
         rho_t = rho + t * (rho_a - rho)
         s_t = S + t * (s_a - S)
         try:
@@ -864,7 +854,7 @@ def _ray_limit(eos: EosSpec, rho, S, tol: float = 1e-6, max_halvings: int = 60):
         except OutOfDomainError:
             # fell off the bracketed band; keep the last resolved value
             break
-        if prev is not None and abs(val - prev) < tol * (1.0 + abs(val)):
+        if prev is not None and abs(val - prev) < 1e-6 * (1.0 + abs(val)):
             # linear extrapolation to the endpoint; rho e is nonnegative
             return max(2.0 * val - prev, 0.0)
         prev = val
@@ -915,10 +905,10 @@ def energy_density_gradient(eos: EosSpec, rho, theta):
 # ---------------------------------------------------------------------------
 
 
-def check_eos_invariants(eos: EosSpec, n_grid: int = 400) -> dict:
-    """Evaluate the structural hypotheses on a log grid; {name: (ok, detail)}."""
+def check_eos_invariants(eos: EosSpec) -> dict:
+    """Evaluate the structural hypotheses on a 400-point log grid; {name: (ok, detail)}."""
     shape = eos.shape_fn
-    z = np.geomspace(1e-3, 1e3, n_grid)
+    z = np.geomspace(1e-3, 1e3, 400)
     results = {}
 
     p0 = float(shape.p(np.array([0.0]))[0]) if eos.shape == "iconic" else float(shape.p(1e-12))

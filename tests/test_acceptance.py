@@ -288,7 +288,7 @@ def test_mms_convergence(thermal_study):
     """Observed L1 orders within [0.8, 1.5] for all three fields on the
     damped-relaxation case at n in {32, 64, 128}; total runtime < 2 min."""
     case, study, elapsed = thermal_study
-    probe = case.residual_probe(n=1024)
+    probe = case.residual_probe()
     ok = max(probe.values()) < 1e-6 and elapsed < 120.0 and not study.flagged
     for field in ("rho", "u", "theta"):
         ok &= 0.8 <= study.orders[field] <= 1.5

@@ -59,6 +59,33 @@ def test_inadmissible_flux_rejected_with_margin():
     assert any("0.5" in i.message for i in issues)  # the offending margin
 
 
+@pytest.mark.parametrize("mesh, faces, paths", [
+    ({"x0": 0.0, "x1": 3.0, "n": 16},
+     [{"pos": -4.0, "u_b": 0.0, "wall": True}, {"pos": 7.0, "u_b": 0.0, "wall": True}],
+     ["boundary.faces[0].pos", "boundary.faces[1].pos"]),
+    # two inflow faces without pos both default to x = 0
+    ({"x0": 0.0, "x1": 1.0, "n": 16},
+     [{"u_b": 0.5, "rho_b": 1.0, "F_ib": -2.0}, {"u_b": -0.5, "rho_b": 2.0, "F_ib": -5.0}],
+     ["boundary.faces[1].pos"])])
+def test_face_positions_must_be_mesh_ends(mesh, faces, paths, tmp_path, capsys):
+    doc = minimal_doc()
+    doc["mesh"], doc["boundary"]["faces"] = mesh, faces
+    with pytest.raises(sc.ScenarioValidationError) as err:
+        sc.parse_scenario(doc)
+    assert [(i.path, i.code) for i in err.value.issues] == [
+        (path, "boundary-schema") for path in paths]
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    assert cli.main(["audit-boundary", str(scenario)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [f"FAIL  {issue}" for issue in err.value.issues]
+    assert "margin" not in out
+    faces.reverse()  # document order does not matter when the ends are right
+    for face, pos in zip(faces, (mesh["x1"], mesh["x0"])):
+        face["pos"] = pos
+    assert sc.parse_scenario(doc).boundary.left.pos == mesh["x0"]
+
+
 def test_negative_inflow_density_rejected():
     doc = minimal_doc()
     doc["boundary"]["faces"] = [
@@ -231,7 +258,7 @@ def test_constant_expression_broadcasts():
                                   "throughflow"])
 def test_manufactured_residual_probe(kind):
     case = mms.manufactured_case(kind)
-    probe = case.residual_probe(n=1024)
+    probe = case.residual_probe()
     assert max(probe.values()) < 1e-6, probe
 
 

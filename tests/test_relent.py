@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -48,6 +49,32 @@ def test_second_order_growth_near_reference(eos):
         ratios.append(re.relative_energy_standard(eos, s, ref).value / h ** 2)
     assert ratios[-1] > 0.0
     assert ratios[0] == pytest.approx(ratios[-1], rel=1e-2)
+
+
+@pytest.mark.parametrize("eos_name", ["eos", "eos_table", "eos_table_nolaw"])
+def test_fields_take_one_closure_pass_per_trio(eos_name, request, rng, monkeypatch):
+    eos = request.getfixturevalue(eos_name)
+    # Z = rho / theta^{3/2} spans the table's head, spline and tail
+    rho, rho_r = rng.uniform(0.05, 40.0, (2, 300))
+    theta, theta_r = rng.uniform(0.05, 20.0, (2, 300))
+    u, u_r = rng.normal(size=(2, 300))
+    # the separate-closure formula
+    e, s = th.specific_internal_energy(eos, rho, theta), th.specific_entropy(eos, rho, theta)
+    e_r = th.specific_internal_energy(eos, rho_r, theta_r)
+    s_r = th.specific_entropy(eos, rho_r, theta_r)
+    p_r = th.pressure(eos, rho_r, theta_r)
+    h, h_r = rho * (e - theta_r * s), rho_r * (e_r - theta_r * s_r)
+    breg = h - (e_r - theta_r * s_r + p_r / rho_r) * (rho - rho_r) - h_r
+    kin = 0.5 * rho * ((u - u_r) * (u - u_r))
+
+    calls = collections.Counter()
+    for name in ("stage_closures", "energy_density_gradient",
+                 "specific_internal_energy", "specific_entropy"):
+        monkeypatch.setattr(re, name, lambda *a, _name=name, _fn=getattr(re, name):
+                            calls.update([_name]) or _fn(*a))
+    got = re.relative_energy_fields(eos, rho, u, theta, rho_r, u_r, theta_r)
+    assert calls == {"stage_closures": 2, "energy_density_gradient": 1}
+    assert [v.tobytes() for v in got] == [kin.tobytes(), breg.tobytes()]
 
 
 def test_degenerate_reference_rejected(eos):

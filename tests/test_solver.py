@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import inspect
+import pickle
 import warnings
 
 import numpy as np
@@ -776,6 +778,16 @@ def test_mesh_centers_computed_once():
     assert repr(mesh) == "Mesh1D(x_left=-0.5, x_right=2.0, n_cells=37)"
     assert dataclasses.replace(mesh, n_cells=4).centers.tolist() == [-0.1875, 0.4375,
                                                                       1.0625, 1.6875]
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_mesh_copies_keep_centers_read_only(clone):
+    mesh = Mesh1D(-0.5, 2.0, 37)
+    twin = clone(mesh)
+    assert twin == mesh and not twin.centers.flags.writeable
+    assert twin.centers.tobytes() == mesh.centers.tobytes()
 
 
 @pytest.mark.parametrize("kw, name", [
