@@ -296,7 +296,6 @@ def weak_strong_trace(coarse: Trajectory, fine: Trajectory):
         totals.append(kins[-1] + bregs[-1])
     trace = RelEnergyTrace(times=np.asarray(coarse.times),
                            integrals=np.asarray(totals),
-                           kinetic=np.asarray(kins), bregman=np.asarray(bregs),
-                           reference_label=f"{fm.n_cells}-cell reference")
+                           kinetic=np.asarray(kins), bregman=np.asarray(bregs))
     envelope = gronwall_envelope(trace.times, trace.integrals)
     return trace, envelope

@@ -28,9 +28,9 @@ import numpy as np
 
 from .mesh import Mesh1D
 from .thermo import (ConservativeState, EosSpec, EosDomainError, OutOfDomainError,
-                     ThermoState, energy_density_gradient, extended_internal_energy,
-                     specific_entropy, specific_internal_energy, stage_closures,
-                     temperature_from_entropy)
+                     ThermoState, _energy_density_rho_slope, energy_density_gradient,
+                     extended_internal_energy, specific_entropy, specific_internal_energy,
+                     stage_closures, temperature_from_entropy)
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,6 @@ class RelEnergyTrace:
     integrals: np.ndarray
     kinetic: np.ndarray
     bregman: np.ndarray
-    reference_label: str = ""
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -81,9 +80,9 @@ def relative_energy_fields(eos: EosSpec, rho, u, theta, rho_ref, u_ref, theta_re
 
     _, e, s = stage_closures(eos, rho, theta)
     h = rho * (e - theta_ref * s)
-    _, e_r, s_r = stage_closures(eos, rho_ref, theta_ref)
+    p_r, e_r, s_r = stage_closures(eos, rho_ref, theta_ref)
     h_r = rho_ref * (e_r - theta_ref * s_r)
-    dh_r, _ = energy_density_gradient(eos, rho_ref, theta_ref)
+    dh_r = _energy_density_rho_slope(rho_ref, theta_ref, p_r, e_r, s_r)
     breg = h - dh_r * (rho - rho_ref) - h_r
     return kin, breg
 

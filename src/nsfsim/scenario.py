@@ -138,11 +138,9 @@ class Scenario:
     output_times: list
     warnings: list = field(default_factory=list)
 
-    def run(self, label: Optional[str] = None) -> Trajectory:
+    def run(self) -> Trajectory:
         return run_solver(self.mesh, self.eos, self.transport, self.config,
-                          self.boundary, self.initial,
-                          output_times=self.output_times,
-                          label=label or self.name)
+                          self.boundary, self.initial, output_times=self.output_times)
 
 
 # The keys each section may hold, shared by its reader and the unknown-key
@@ -151,8 +149,7 @@ _TOP_KEYS = ("mesh", "eos", "transport", "boundary", "config", "initial", "outpu
 _MESH_KINDS = {"x0": float, "x1": float, "n": int}
 _EOS_FLOATS = ("a", "p_inf", "entropy_const")
 _EOS_KEYS = ("shape", *_EOS_FLOATS, "third_law", "table")
-_TRANSPORT_KEYS = ("lambda_exp", "mu_scale", "eta_scale", "kappa_scale", "mu_under",
-                   "mu_over", "eta_over", "kappa_under", "kappa_over")
+_TRANSPORT_KEYS = ("lambda_exp", "mu_scale", "eta_scale", "kappa_scale")
 _BOUNDARY_KEYS = ("faces",)
 _FACE_KINDS = {"pos": float, "u_b": float, "rho_b": float, "F_ib": float, "wall": bool}
 _FACE_OPTIONAL = ("rho_b", "F_ib")
@@ -185,10 +182,12 @@ def _typed(doc: dict, kinds: dict, path: str, code: str, issues: list) -> Option
     return out if len(issues) == n_issues else None
 
 
-def _build_eos(doc: dict, issues: list) -> Optional[EosSpec]:
+def _build_eos(doc: dict, issues: list) -> tuple:
+    """(EosSpec or None, its {invariant: (ok, detail)}); each failed invariant
+    is also an ``eos-invariant`` issue."""
     kw = _typed(doc, dict.fromkeys(_EOS_FLOATS, float), "eos.", "eos-schema", issues)
     if kw is None:
-        return None
+        return None, {}
     kw["third_law"] = bool(doc.get("third_law", False))
     kw["shape"] = doc.get("shape", "iconic")
     if "table" in doc:
@@ -199,16 +198,17 @@ def _build_eos(doc: dict, issues: list) -> Optional[EosSpec]:
                 issues.append(Issue(f"eos.table.{key}", "eos-schema",
                                     "expected a list of numbers"))
         if "table_z" not in kw or "table_p" not in kw:
-            return None
+            return None, {}
     try:
         eos = EosSpec(**kw)
     except EosValidationError as err:
         issues.append(Issue("eos", "eos-invariant", str(err)))
-        return None
-    for name, (ok, detail) in check_eos_invariants(eos).items():
+        return None, {}
+    checks = check_eos_invariants(eos)
+    for name, (ok, detail) in checks.items():
         if not ok:
             issues.append(Issue("eos", "eos-invariant", f"{name}: {detail}"))
-    return eos
+    return eos, checks
 
 
 def _build_transport(doc: dict, issues: list) -> Optional[TransportSpec]:
@@ -217,13 +217,10 @@ def _build_transport(doc: dict, issues: list) -> Optional[TransportSpec]:
     if kw is None:
         return None
     try:
-        ts = TransportSpec(**kw)
+        return TransportSpec(**kw)
     except EosValidationError as err:
         issues.append(Issue("transport", "transport-envelope", str(err)))
         return None
-    for msg in ts.envelope_violations():
-        issues.append(Issue("transport", "transport-envelope", msg))
-    return ts
 
 
 def _build_boundary(faces: list, mesh: Mesh1D, eos, issues: list) -> Optional[bd.BoundarySpec]:
@@ -306,7 +303,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         except ValueError as err:
             issues.append(Issue("mesh", "mesh-schema", str(err)))
 
-    eos = _build_eos(docs["eos"], issues) if "eos" in docs else None
+    eos, _ = _build_eos(docs["eos"], issues) if "eos" in docs else (None, {})
     ts = _build_transport(docs["transport"], issues) if "transport" in docs else None
 
     cfg = None
@@ -404,15 +401,14 @@ def load_scenario(path) -> Scenario:
 
 
 def load_eos_document(path):
-    """Read an eos.json document; returns (EosSpec, TransportSpec, issues)."""
+    """Read an eos.json document; returns ({invariant: (ok, detail)}, issues),
+    with every failed invariant among the issues."""
     with open(path) as fh:
         doc = json.load(fh)
-    eos_doc = doc.get("eos", doc)
-    ts_doc = doc.get("transport", doc)
     issues: list[Issue] = []
-    eos = _build_eos(eos_doc, issues)
-    ts = _build_transport(ts_doc, issues)
-    return eos, ts, issues
+    _, checks = _build_eos(doc.get("eos", doc), issues)
+    _build_transport(doc.get("transport", doc), issues)
+    return checks, issues
 
 
 # ---------------------------------------------------------------------------

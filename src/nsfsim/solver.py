@@ -42,6 +42,7 @@ separate scheme error from quadrature error.
 from __future__ import annotations
 
 import bisect
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Union
 
@@ -78,7 +79,7 @@ class SolverConfig:
     d: int = 3
     cfl: float = 0.4
     t_end: float = 1.0
-    g: Union[float, Callable, None] = 0.0
+    g: Union[float, Callable] = 0.0
     rho_floor: float = 1e-10
     theta_floor: float = 1e-10
     theta_bar: float = 1.0
@@ -102,12 +103,12 @@ class SolverConfig:
             raise ValueError(f"theta_floor must be positive, got {self.theta_floor}")
         if self.max_rejects < 0:
             raise ValueError(f"max_rejects must be nonnegative, got {self.max_rejects}")
+        if not (callable(self.g) or isinstance(self.g, numbers.Real)):
+            raise ValueError(f"g must be a number or a callable g(t, x), got {self.g!r}")
 
     def body_force(self, t: float, x: np.ndarray):
         """g at the cell centers x: an array for a callable g, else the float
-        itself (0.0 when absent), which broadcasts to the same values."""
-        if self.g is None:
-            return 0.0
+        itself, which broadcasts to the same values."""
         if callable(self.g):
             return np.asarray(self.g(t, x), dtype=float) * np.ones_like(x)
         return float(self.g)
@@ -575,7 +576,6 @@ class Trajectory:
     accums: list
     n_steps: int = 0
     n_rejects: int = 0
-    label: str = ""
 
     def state_at(self, t: float) -> FieldState:
         idx = self._index(t)
@@ -600,8 +600,7 @@ class Trajectory:
 
 
 def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
-        bspec: BoundarySpec, initial: FieldState, output_times=None,
-        label: str = "") -> Trajectory:
+        bspec: BoundarySpec, initial: FieldState, output_times=None) -> Trajectory:
     """Integrate to t_end, recording states and cumulative boundary integrals.
 
     ``output_times`` defaults to {0, t_end}; the stepper lands on each output
@@ -625,7 +624,7 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
 
     acc = None
     traj = Trajectory(mesh=mesh, eos=eos, transport=ts, config=cfg, boundary=bspec,
-                      times=[0.0], states=[state.copy()], accums=[{}], label=label)
+                      times=[0.0], states=[state.copy()], accums=[{}])
 
     t = 0.0
     out_idx = 1 if outs[0] == 0.0 else 0

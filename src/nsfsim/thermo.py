@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -118,12 +118,14 @@ class TabulatedShape:
     The entropy shape is integrated exactly piece by piece (cubic pieces
     have elementary antiderivatives under the defining ODE).
 
-    scipy builds the spline; evaluation gathers each z's piece coefficients
-    from (4, pieces) arrays after one ``searchsorted`` over the interior
-    knots, summing in scipy's order, so P and P' equal the spline's own
-    values bitwise.  When every z lies on the spline the pieces run on the
-    whole array; otherwise head, spline and tail run under one mask pass,
-    and the cubic never sees a head or tail z (far out it overflows).
+    The spline is built in numpy, in the order of operations of scipy's
+    ``PchipInterpolator`` slopes and ``CubicHermiteSpline`` coefficients, so
+    P and P' equal scipy's spline bitwise.  Evaluation gathers each z's
+    piece coefficients from (4, pieces) arrays after one ``searchsorted``
+    over the interior knots.  When every z lies on the spline the pieces
+    run on the whole array; otherwise head, spline and tail run under one
+    mask pass, and the cubic never sees a head or tail z (far out it
+    overflows).
     """
 
     def __init__(self, z: Sequence[float], p: Sequence[float], p_inf: float,
@@ -189,14 +191,21 @@ class TabulatedShape:
         if d_hi <= 0.0:
             raise EosValidationError("tail closure is not increasing at the junction")
 
-        from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
-
+        # PCHIP slopes (weighted harmonic means of the secants; every secant
+        # is positive) at the interior knots, the closure slopes at the
+        # junctions, then the Hermite cubic of each piece in powers of
+        # (Z - knot), highest first
+        h = np.diff(z)
+        m = np.diff(p) / h
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        slopes = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        slopes = np.concatenate([[d_lo], slopes[1:-1], [d_hi]])
         zin, pin = z[1:-1], p[1:-1]
-        slopes = PchipInterpolator(z, p).derivative()(zin)
-        slopes[0] = d_lo
-        slopes[-1] = d_hi
-        self._spline = CubicHermiteSpline(zin, pin, slopes)
-        self._dspline = self._spline.derivative()
+        dx = np.diff(zin)
+        secant = np.diff(pin) / dx
+        t = (slopes[:-1] + slopes[1:] - 2 * secant) / dx
+        self._c = np.stack((t / dx, (secant - slopes[:-1]) / dx - t, slopes[:-1], pin[:-1]))
+        self._dc = self._c[:-1] * np.array([3.0, 2.0, 1.0])[:, None]
         self._knots = zin
         self._inner_knots = zin[1:-1]
         self._build_entropy_pieces()
@@ -206,8 +215,8 @@ class TabulatedShape:
 
     def _global_coeffs(self, k: int) -> np.ndarray:
         """Expand piece k of the spline into global-basis cubic coefficients."""
-        zk = self._spline.x[k]
-        local = self._spline.c[:, k][::-1]  # ascending in (Z - zk)
+        zk = self._knots[k]
+        local = self._c[:, k][::-1]  # ascending in (Z - zk)
         poly = np.polynomial.Polynomial(local)
         shifted = poly(np.polynomial.Polynomial([-zk, 1.0]))
         out = np.zeros(4)
@@ -220,7 +229,7 @@ class TabulatedShape:
         return 2.5 * c[0] / z - c[1] * np.log(z) + 0.5 * c[2] * z + c[3] * z * z
 
     def _build_entropy_pieces(self) -> None:
-        n_pieces = len(self._spline.x) - 1
+        n_pieces = len(self._knots) - 1
         self._coeffs = np.stack([self._global_coeffs(k) for k in range(n_pieces)], axis=1)
         offs = np.zeros(n_pieces)
         # Anchor at the tail and chain constants backwards for continuity.
@@ -231,7 +240,7 @@ class TabulatedShape:
         s_right = s_hi
         for k in range(n_pieces - 1, -1, -1):
             c = self._coeffs[:, k]
-            zl, zr = self._spline.x[k], self._spline.x[k + 1]
+            zl, zr = self._knots[k], self._knots[k + 1]
             offs[k] = s_right - self._cubic_entropy_antideriv(c, zr)
             s_right = self._cubic_entropy_antideriv(c, zl) + offs[k]
         self._offsets = offs
@@ -281,12 +290,12 @@ class TabulatedShape:
         return z, k, z - self._knots[k]
 
     def _spline_p(self, z, k, s):
-        c = self._spline.c.take(k, axis=1)
+        c = self._c.take(k, axis=1)
         s2 = s * s
         return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
 
     def _spline_dp(self, z, k, s):
-        c = self._dspline.c.take(k, axis=1)
+        c = self._dc.take(k, axis=1)
         return c[2] + c[1] * s + c[0] * (s * s)
 
     def _p_pieces(self):
@@ -363,7 +372,7 @@ class EosSpec:
     shape: str = "iconic"
     table_z: Optional[tuple] = None
     table_p: Optional[tuple] = None
-    _shape_fn: object = field(default=None, repr=False, compare=False)
+    shape_fn: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p_inf <= 0.0:
@@ -384,11 +393,7 @@ class EosSpec:
             fn = TabulatedShape(self.table_z, self.table_p, self.p_inf, self.third_law)
         else:
             raise EosValidationError(f"unknown pressure shape {self.shape!r}")
-        object.__setattr__(self, "_shape_fn", fn)
-
-    @property
-    def shape_fn(self):
-        return self._shape_fn
+        object.__setattr__(self, "shape_fn", fn)
 
 
 def iconic_eos(p_inf: float = 1.0, a: float = 1.0, entropy_const: float = 0.0) -> EosSpec:
@@ -405,76 +410,38 @@ def tabulated_eos(z, p, p_inf: float = 1.0, a: float = 1.0,
 
 @dataclass(frozen=True)
 class TransportSpec:
-    """Temperature-dependent transport coefficients with growth envelopes.
+    """Temperature-dependent transport coefficients: the power-law family
+    of the theory, set by four scales.
 
-    Defaults give mu = mu_scale (1 + theta^lambda_exp), eta = eta_scale
-    (same growth), kappa = kappa_scale (1 + theta^3).  Callables override
-    the built-in power laws; envelope bounds are used by validation only.
+    mu = mu_scale (1 + theta^lambda_exp), eta = eta_scale (same growth) and
+    kappa = kappa_scale (1 + theta^3), with lambda_exp in (2/5, 1],
+    mu_scale > 0, eta_scale >= 0 and kappa_scale > 0.
     """
 
     lambda_exp: float = 0.5
     mu_scale: float = 1.0
     eta_scale: float = 0.0
     kappa_scale: float = 1.0
-    mu_under: float = None
-    mu_over: float = None
-    eta_over: float = None
-    kappa_under: float = None
-    kappa_over: float = None
-    mu_fn: Optional[Callable] = None
-    eta_fn: Optional[Callable] = None
-    kappa_fn: Optional[Callable] = None
 
     def __post_init__(self):
         if not (0.4 < self.lambda_exp <= 1.0):
             raise EosValidationError(
                 f"lambda_exp must lie in (2/5, 1], got {self.lambda_exp}")
-        defaults = {
-            "mu_under": self.mu_scale, "mu_over": self.mu_scale,
-            "eta_over": max(self.eta_scale, 0.0),
-            "kappa_under": self.kappa_scale, "kappa_over": self.kappa_scale,
-        }
-        for name, val in defaults.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, float(val))
-        if self.mu_scale <= 0.0 and self.mu_fn is None:
+        if self.mu_scale <= 0.0:
             raise EosValidationError("shear viscosity scale must be positive")
-        if self.kappa_scale <= 0.0 and self.kappa_fn is None:
+        if self.kappa_scale <= 0.0:
             raise EosValidationError("conductivity scale must be positive")
         if self.eta_scale < 0.0:
             raise EosValidationError("bulk viscosity scale must be nonnegative")
 
     def mu(self, theta):
-        if self.mu_fn is not None:
-            return self.mu_fn(theta)
         return self.mu_scale * (1.0 + np.asarray(theta, dtype=float) ** self.lambda_exp)
 
     def eta(self, theta):
-        if self.eta_fn is not None:
-            return self.eta_fn(theta)
         return self.eta_scale * (1.0 + np.asarray(theta, dtype=float) ** self.lambda_exp)
 
     def kappa(self, theta):
-        if self.kappa_fn is not None:
-            return self.kappa_fn(theta)
         return self.kappa_scale * (1.0 + np.asarray(theta, dtype=float) ** 3)
-
-    def envelope_violations(self) -> list[str]:
-        """Check the growth envelopes on a 200-point log grid; returns messages."""
-        thetas = np.geomspace(1e-3, 1e3, 200)
-        msgs = []
-        grow = 1.0 + thetas ** self.lambda_exp
-        mu = np.asarray(self.mu(thetas), dtype=float)
-        if np.any(mu < self.mu_under * grow - 1e-12) or np.any(mu > self.mu_over * grow + 1e-12):
-            msgs.append("shear viscosity leaves its (1 + theta^lambda) envelope")
-        eta = np.asarray(self.eta(thetas), dtype=float)
-        if np.any(eta < -1e-12) or np.any(eta > self.eta_over * grow + 1e-12):
-            msgs.append("bulk viscosity leaves [0, eta_over (1 + theta^lambda)]")
-        cub = 1.0 + thetas ** 3
-        kap = np.asarray(self.kappa(thetas), dtype=float)
-        if np.any(kap < self.kappa_under * cub - 1e-12) or np.any(kap > self.kappa_over * cub + 1e-12):
-            msgs.append("conductivity leaves its (1 + theta^3) envelope")
-        return msgs
 
 
 @dataclass(frozen=True)
@@ -890,14 +857,18 @@ def extended_internal_energy(eos: EosSpec, rho: float, S: float) -> float:
         return float(_ray_limit(eos, rho, S))
 
 
+def _energy_density_rho_slope(rho, theta, p, e, s):
+    """d(rho e)/drho|_S = e - theta s + p/rho from (p, e, s) at (rho, theta)."""
+    return e - theta * s + p / np.asarray(rho, dtype=float)
+
+
 def energy_density_gradient(eos: EosSpec, rho, theta):
     """(d(rho e)/drho|_S, d(rho e)/dS|_rho) at an interior state.
 
     Equals (e - theta s + p/rho, theta); the first component is the
     chemical-potential-like coefficient of the supporting plane.
     """
-    p, e, s = stage_closures(eos, rho, theta)
-    return e - theta * s + p / np.asarray(rho, dtype=float), theta
+    return _energy_density_rho_slope(rho, theta, *stage_closures(eos, rho, theta)), theta
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +882,7 @@ def check_eos_invariants(eos: EosSpec) -> dict:
     z = np.geomspace(1e-3, 1e3, 400)
     results = {}
 
-    p0 = float(shape.p(np.array([0.0]))[0]) if eos.shape == "iconic" else float(shape.p(1e-12))
+    p0 = float(shape.p(np.array([0.0]))[0])
     results["P(0) = 0"] = (abs(p0) < 1e-9, f"P(0) = {p0:.3g}")
 
     dp = shape.dp(z)

@@ -1,6 +1,5 @@
 import ast
 import collections
-import copy
 import inspect
 import json
 import os
@@ -113,6 +112,7 @@ def test_unknown_keys_reported_by_path():
     doc["eos"]["pinf"] = 2.0
     doc["mesh"]["cells"] = 64
     doc["transport"]["mu"] = 1.0
+    doc["transport"]["mu_over"] = 1.0
     doc["initial"]["T"] = "1"
     doc["boundary"]["faces"][1]["rhob"] = 1.0
     doc["boundary"]["walls"] = True
@@ -120,8 +120,8 @@ def test_unknown_keys_reported_by_path():
     with pytest.raises(sc.ScenarioValidationError) as err:
         sc.parse_scenario(doc)
     assert sorted(i.path for i in err.value.issues) == sorted([
-        "config.epsilom", "eos.pinf", "mesh.cells", "transport.mu", "initial.T",
-        "boundary.faces[1].rhob", "boundary.walls", "outputs"])
+        "config.epsilom", "eos.pinf", "mesh.cells", "transport.mu", "transport.mu_over",
+        "initial.T", "boundary.faces[1].rhob", "boundary.walls", "outputs"])
     assert {i.code for i in err.value.issues} == {"unknown-key"}
     # every key a reader takes is known: a document spelling out all of them parses
     full = minimal_doc(epsilon=0.0, delta=0.0, Gamma=4.0, d=3, cfl=0.4, g=0.0,
@@ -467,6 +467,27 @@ def test_cli_check_eos_fail(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_check_eos_prints_each_invariant_once(tmp_path, capsys):
+    # steep tables, P(Z) ~ k Z near 0: admissible at k = 2e3; at k = 2e6 the
+    # stability gap (2/3) k exceeds its bound and the Gibbs residual, which
+    # grows with P, its absolute tolerance
+    z = np.geomspace(0.02, 400, 25)
+    names = list(nsfsim.check_eos_invariants(nsfsim.iconic_eos()))
+    for k, failed in ((2e3, []), (2e6, ["stability gap bounded", "Gibbs relation"])):
+        p = k * z + z ** (5 / 3) + z ** (5 / 3) / (1 + z)
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps({"eos": {"shape": "table", "third_law": True,
+                                            "table": {"z": list(z), "p": list(p)}}}))
+        rc = cli.main(["check-eos", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == (1 if failed else 0)
+        assert [n for n in names if any(f"FAIL  [eos-invariant] eos: {n}:" in l
+                                        for l in lines)] == failed
+        for n in names:
+            assert sum(f"  {n}  (" in l or f" eos: {n}:" in l for l in lines) == 1, n
+        assert len(lines) == len(names)
+
+
 def test_cli_audit_boundary(tmp_path, capsys):
     doc = json.loads((SCENARIO_DIR / "throughflow.json").read_text())
     path = tmp_path / "through.json"
@@ -533,8 +554,10 @@ def test_cli_converge_csv_is_byte_identical_across_hash_seeds(tmp_path):
 
 
 def test_import_leaves_scipy_interpolate_and_sympy_unloaded():
-    code = ("import sys, nsfsim; "
-            "print(sorted(m for m in ('scipy.interpolate', 'sympy') if m in sys.modules))")
+    # building the test suite's 25-knot table loads no scipy module either
+    code = ("import sys, numpy as np, nsfsim; z = np.geomspace(0.02, 400, 25); "
+            "nsfsim.tabulated_eos(z, z + z ** (5 / 3) + z ** (5 / 3) / (1 + z)); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
                              [str(Path(nsfsim.__file__).parents[1]),

@@ -33,20 +33,21 @@ def box():
 
 def test_viscous_stress_examples():
     cfg = sv.SolverConfig(t_end=1.0)
-    one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    ts = th.TransportSpec(mu_fn=one)
+    # mu(1) = eta(1) = 1 at scale 0.5
+    ts = th.TransportSpec(mu_scale=0.5)
     assert float(sv.viscous_stress(ts, cfg, 1.0, 1.0)) == pytest.approx(4.0 / 3.0)
     assert float(sv.viscous_stress(ts, cfg, 1.0, 0.0)) == 0.0
-    ts2 = th.TransportSpec(mu_fn=one, eta_fn=one)
+    ts2 = th.TransportSpec(mu_scale=0.5, eta_scale=0.5)
     cfg2 = sv.SolverConfig(d=2, t_end=1.0)
     assert float(sv.viscous_stress(ts2, cfg2, 1.0, 1.0)) == pytest.approx(2.0)
 
 
 def test_viscous_stress_delta_term():
     cfg = sv.SolverConfig(delta=0.5, t_end=1.0)
-    ts = th.TransportSpec(mu_fn=lambda t: np.ones_like(np.asarray(t, dtype=float)))
-    # (1 + 0.5 * 2) * 4/3
-    assert float(sv.viscous_stress(ts, cfg, 2.0, 1.0)) == pytest.approx(2.0 * 4.0 / 3.0)
+    ts = th.TransportSpec(mu_scale=0.5)
+    # (mu(2) + 0.5 * 2) * 4/3
+    assert float(sv.viscous_stress(ts, cfg, 2.0, 1.0)) == pytest.approx(
+        (float(ts.mu(2.0)) + 1.0) * 4.0 / 3.0)
 
 
 def test_heat_flux_examples(transport):
@@ -159,8 +160,7 @@ def test_momentum_update_matches_hand_assembled_operator(eos):
     mesh = Mesh1D(0.0, 1.0, n)
     h = mesh.h
     x = mesh.centers
-    one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    ts = th.TransportSpec(mu_fn=one, eta_fn=lambda t: 0.0 * np.asarray(t, dtype=float))
+    ts = th.TransportSpec(mu_scale=0.5)  # mu(1) = 1, eta = 0
     cfg = sv.SolverConfig(t_end=1.0)
     u = 0.3 * x + 0.1
     state = sv.FieldState(rho=np.ones(n), u=u.copy(), theta=np.ones(n))
@@ -545,8 +545,7 @@ def test_stable_dt_parabolic_scaling(eos, transport):
 
 def test_stable_dt_acoustic_limit(eos):
     # vanishing transport coefficients leave the acoustic constraint
-    tiny = lambda t: 1e-12 * np.ones_like(np.asarray(t, dtype=float))
-    ts = th.TransportSpec(mu_fn=tiny, kappa_fn=tiny)
+    ts = th.TransportSpec(mu_scale=5e-13, kappa_scale=5e-13)  # mu(1) = kappa(1) = 1e-12
     cfg = sv.SolverConfig(t_end=1.0)
     mesh = Mesh1D(0.0, 1.0, 32)
     dt = sv.stable_dt(_uniform_state(32), mesh, eos, ts, cfg)
@@ -744,19 +743,18 @@ def test_step_calls_each_source_once_per_stage(eos, transport, box, monkeypatch,
     assert log == [(name, t) for t in stages for name in ("g", "source")]
 
 
-@pytest.mark.parametrize("g", [None, 0.0, -0.7])
+@pytest.mark.parametrize("g", [0.0, -0.7])
 def test_constant_body_force_matches_callable(eos, transport, g):
-    # a constant (or absent) g is the float itself, which broadcasts to the
-    # values a callable returning that constant gives
+    # a constant g is the float itself, which broadcasts to the values a
+    # callable returning that constant gives
     mesh = Mesh1D(0.0, 1.0, 16)
     x = mesh.centers
     bspec = bd.make_boundary(u_b_left=0.5, u_b_right=0.7, rho_b_left=1.1, F_ib_left=-2.5)
     state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x),
                           u=0.5 + 0.2 * x + 0.05 * np.sin(np.pi * x),
                           theta=1 + 0.1 * np.cos(np.pi * x))
-    value = 0.0 if g is None else g
     stages = []
-    for force in (g, lambda t, x: value):
+    for force in (g, lambda t, x: g):
         cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=1.0, g=force)
         stages.append(sv._stage_rhs(mesh, eos, transport, cfg, bspec, 0.3, state))
     assert type(sv.SolverConfig(g=g).body_force(0.3, x)) is float
@@ -765,6 +763,12 @@ def test_constant_body_force_matches_callable(eos, transport, g):
     assert ([(k, v.hex()) for k, v in rec.scalars.items()]
             == [(k, v.hex()) for k, v in ref.scalars.items()])
     assert all(rec.cells[k].tobytes() == ref.cells[k].tobytes() for k in ref.cells)
+
+
+@pytest.mark.parametrize("g", [None, "0.5", [0.0]])
+def test_body_force_must_be_number_or_callable(g):
+    with pytest.raises(ValueError, match="g must be a number or a callable"):
+        sv.SolverConfig(g=g)
 
 
 def test_mesh_centers_computed_once():

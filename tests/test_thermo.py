@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from nsfsim import scenario as sc
 from nsfsim import thermo as th
 
 from conftest import SEED
@@ -298,12 +299,19 @@ def test_transport_default_values(transport):
 
 def test_zero_bulk_viscosity_is_admissible():
     ts = th.TransportSpec(eta_scale=0.0)
-    assert not ts.envelope_violations()
+    assert float(ts.eta(2.0)) == 0.0
 
 
-def test_transport_envelopes_flag_violations():
-    ts = th.TransportSpec(mu_fn=lambda t: 0.1 * np.ones_like(np.asarray(t, dtype=float)))
-    assert any("viscosity" in m for m in ts.envelope_violations())
+def test_transport_bounds_and_callables_are_refused():
+    # the four scales set the whole power-law family; a bound could only
+    # restate a scale, and a callable law would not reach the MMS sources
+    removed = ("mu_under", "mu_over", "eta_over", "kappa_under", "kappa_over")
+    with pytest.raises(sc.ScenarioValidationError) as err:
+        sc.parse_scenario({"transport": dict.fromkeys(removed, 1.0)})
+    assert ([(i.path, i.code) for i in err.value.issues if i.path.startswith("transport")]
+            == [(f"transport.{key}", "unknown-key") for key in removed])
+    with pytest.raises(TypeError):
+        th.TransportSpec(mu_fn=lambda t: 0.1 * np.ones_like(np.asarray(t, dtype=float)))
 
 
 def test_lambda_exponent_range_enforced():
@@ -346,7 +354,10 @@ def test_table_must_dominate_asymptote():
 
 
 def test_check_eos_invariants_pass(eos, eos_table, eos_table_nolaw):
-    for e in (eos, eos_table, eos_table_nolaw):
+    # a steep admissible table: P(Z) ~ 2000 Z near 0, so P(0) is probed at 0
+    z = np.geomspace(0.02, 400, 25)
+    steep = th.tabulated_eos(z, 2000 * z + z ** FT + z ** FT / (1 + z))
+    for e in (eos, eos_table, eos_table_nolaw, steep):
         results = th.check_eos_invariants(e)
         assert all(ok for ok, _ in results.values()), results
 
@@ -448,12 +459,21 @@ def test_fused_closures_match_separate_calls(name, theta0, eos_table, request):
 
 @pytest.mark.parametrize("name", ("eos_table", "eos_table_nolaw"))
 def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, request):
-    # the gathered kernel against scipy's own spline and a per-piece entropy
-    # loop, on the whole-spline path and on the masked path of a mixed array
-    shape = request.getfixturevalue(name).shape_fn
+    # the gathered kernel against scipy's own spline (PCHIP slopes inside,
+    # the closure slopes at the junctions) and a per-piece entropy loop, on
+    # the whole-spline path and on the masked path of a mixed array
+    from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+
+    eos = request.getfixturevalue(name)
+    shape = eos.shape_fn
+    table_z, table_p = np.asarray(eos.table_z), np.asarray(eos.table_p)
+    knots = table_z[1:-1]
+    slopes = PchipInterpolator(table_z, table_p).derivative()(knots)
+    head, _, tail = shape._dp_pieces()
+    slopes[0], slopes[-1] = head(knots[0]), tail(knots[-1])
+    spline = CubicHermiteSpline(knots, table_p[1:-1], slopes)
     z = _parity_z(eos_table)
     on = (z >= shape.z_lo) & (z <= shape.z_hi)
-    knots = shape._spline.x
     piece = np.clip(np.searchsorted(knots, z[on], side="right") - 1, 0, len(knots) - 2)
     s_ref = np.empty(on.sum())
     for k in np.unique(piece):
@@ -462,13 +482,13 @@ def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, requ
                     + shape._offsets[k])
     for zz, sel in ((z[on], slice(None)), (z, on)):
         p, dp = shape.p_dp(zz)
-        assert np.array_equal(p[sel], shape._spline(z[on]))
-        assert np.array_equal(dp[sel], shape._dspline(z[on]))
+        assert np.array_equal(p[sel], spline(z[on]))
+        assert np.array_equal(dp[sel], spline.derivative()(z[on]))
         assert np.array_equal(shape.p(zz)[sel], p[sel])
         assert np.array_equal(shape.dp(zz)[sel], dp[sel])
         assert np.array_equal(shape.entropy_shape(zz)[sel], s_ref)
     # one z at a time (0-d arrays) reaches the same values
-    for zk, pk in zip(z[on], shape._spline(z[on])):
+    for zk, pk in zip(z[on], spline(z[on])):
         assert shape.p(np.asarray(zk)) == pk
 
 

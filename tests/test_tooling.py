@@ -1,9 +1,9 @@
-"""Source hygiene of the package, checked with the standard library's ast."""
+"""Source hygiene of the package and its tests, checked with the standard library's ast."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nsfsim"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(path: Path) -> list:
@@ -21,8 +21,10 @@ def _unused_imports(path: Path) -> list:
 
 
 def test_no_unused_imports():
-    # __init__.py imports to re-export, so its names are read by importers
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    unused = [entry for path in modules for entry in _unused_imports(path)]
+    # the package's __init__.py imports to re-export, so its names are read
+    # by importers
+    package = sorted(p for p in (ROOT / "src" / "nsfsim").glob("*.py") if p.name != "__init__.py")
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert package and tests
+    unused = [entry for path in package + tests for entry in _unused_imports(path)]
     assert unused == []
