@@ -25,7 +25,7 @@ from .scenario import (Scenario, ScenarioValidationError, eval_field_expression,
                        parse_scenario)
 from .solver import (FieldState, RunAborted, SolverConfig, StepRejected,
                      Trajectory, convective_fluxes, euler_step, heat_flux, run,
-                     stable_dt, step, viscous_stress)
+                     stable_dt, step)
 from .studies import ConvergenceStudy, convergence_study, weak_strong_study
 from .thermo import (ConservativeState, EosDomainError, EosSpec,
                      EosValidationError, OutOfDomainError, ThermoState,
@@ -54,7 +54,7 @@ __all__ = [
     "relative_energy_integral", "relative_energy_standard", "run", "sound_speed_sq",
     "specific_entropy", "specific_internal_energy", "stability_margins",
     "stable_dt", "step", "tabulated_eos", "to_conservative", "total_energy",
-    "total_energy_gradient", "transport_coefficients", "viscous_stress",
-    "weak_strong_study", "weak_strong_trace",
+    "total_energy_gradient", "transport_coefficients", "weak_strong_study",
+    "weak_strong_trace",
 ]
 __version__ = "0.1.0"

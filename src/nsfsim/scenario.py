@@ -167,6 +167,23 @@ def _check_keys(doc: dict, known, path: str, issues: list) -> None:
                                 f"unknown key; expected one of {', '.join(known)}"))
 
 
+def _object_sections(doc: dict, sections: dict, issues: list) -> dict:
+    """{section: its object} for each of ``sections`` that ``doc`` holds as an
+    object (an absent one reads as {}), its keys checked against
+    ``sections[section]``; one ``<section>-schema`` issue per section that
+    is not an object."""
+    docs = {}
+    for section, known in sections.items():
+        sdoc = doc.get(section, {})
+        if isinstance(sdoc, dict):
+            _check_keys(sdoc, known, f"{section}.", issues)
+            docs[section] = sdoc
+        else:
+            issues.append(Issue(section, f"{section}-schema",
+                                f"expected an object, got {sdoc!r}"))
+    return docs
+
+
 def _typed(doc: dict, kinds: dict, path: str, code: str, issues: list) -> Optional[dict]:
     """{key: kind(doc[key])} over the keys of ``kinds`` that ``doc`` holds;
     None if ``kind`` rejects any value, with one issue per rejected value."""
@@ -274,18 +291,9 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     issues: list[Issue] = []
     warnings: list[str] = []
     _check_keys(doc, _TOP_KEYS, "", issues)
-    sections = {"mesh": _MESH_KINDS, "eos": _EOS_KEYS, "transport": _TRANSPORT_KEYS,
-                "boundary": _BOUNDARY_KEYS, "config": _CONFIG_KEYS,
-                "initial": _INITIAL_KEYS}
-    docs = {}  # the sections that are objects
-    for section, known in sections.items():
-        sdoc = doc.get(section, {})
-        if isinstance(sdoc, dict):
-            _check_keys(sdoc, known, f"{section}.", issues)
-            docs[section] = sdoc
-        else:
-            issues.append(Issue(section, f"{section}-schema",
-                                f"expected an object, got {sdoc!r}"))
+    docs = _object_sections(doc, {"mesh": _MESH_KINDS, "eos": _EOS_KEYS,
+                                  "transport": _TRANSPORT_KEYS, "boundary": _BOUNDARY_KEYS,
+                                  "config": _CONFIG_KEYS, "initial": _INITIAL_KEYS}, issues)
     faces = docs["boundary"].get("faces", []) if "boundary" in docs else None
     if faces is not None and not (isinstance(faces, list)
                                   and all(isinstance(f, dict) for f in faces)):
@@ -402,12 +410,30 @@ def load_scenario(path) -> Scenario:
 
 def load_eos_document(path):
     """Read an eos.json document; returns ({invariant: (ok, detail)}, issues),
-    with every failed invariant among the issues."""
+    with every failed invariant among the issues.
+
+    The document holds an ``eos`` and a ``transport`` object, or is itself
+    one object of eos and transport keys.  Unknown keys and sections that
+    are not objects are issues, as in :func:`parse_scenario`.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     issues: list[Issue] = []
-    _, checks = _build_eos(doc.get("eos", doc), issues)
-    _build_transport(doc.get("transport", doc), issues)
+    if not isinstance(doc, dict):
+        issues.append(Issue("eos", "eos-schema", f"expected an object, got {doc!r}"))
+        return {}, issues
+    sections = {"eos": _EOS_KEYS, "transport": _TRANSPORT_KEYS}
+    if sections.keys() & doc.keys():
+        _check_keys(doc, tuple(sections), "", issues)
+        docs = _object_sections(doc, sections, issues)
+    else:
+        _check_keys(doc, _EOS_KEYS + _TRANSPORT_KEYS, "", issues)
+        docs = dict.fromkeys(sections, doc)
+    checks = {}
+    if "eos" in docs:
+        _, checks = _build_eos(docs["eos"], issues)
+    if "transport" in docs:
+        _build_transport(docs["transport"], issues)
     return checks, issues
 
 

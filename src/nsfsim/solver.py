@@ -17,10 +17,26 @@ The scheme advances (rho, rho u, rho e_delta) with
   + eps delta (Gamma rho^{Gamma-2} + 2) |grad rho|^2 + delta / theta^2
   - eps theta^5, plus the momentum correction -eps grad rho . grad u.
 
-Setting epsilon = delta = 0 recovers the target system.  Time stepping is
-a two-stage strong-stability-preserving Runge-Kutta pair with step
-rejection: a stage that loses positivity (density or temperature floors,
-or a failed temperature recovery) halves dt and retries.
+Setting epsilon = delta = 0 recovers the target system.
+
+Time stepping is a two-stage strong-stability-preserving Runge-Kutta pair
+whose predictor treats the stress implicitly.  A stage H evaluates every
+term but the stress.  The predictor forms U1* = U0 + dt H(U0) and solves
+rho1 u1 - dt d/dx(nu du1/dx) = m1* for u1 by backward Euler, with the
+viscosity nu frozen on the faces at the step's start temperature and the
+velocity ghost rule of the stage (wall 2 u_b - u, inflow u_b, outflow the
+trace).  The predictor's energy gains dt S:grad u1, the face-averaged
+dissipation at u1.  The corrector averages H at the step's start and at
+U1 and adds the predictor's viscous increments with full weight, so pure
+diffusion reduces to exact backward Euler.  The stress thus sets no step
+limit: ``stable_dt`` takes the acoustic, thermal and mass-diffusion limits.
+A stage that loses positivity (density or temperature floors, or a failed
+temperature recovery) halves dt and retries.
+
+The viscous system is symmetric positive definite and tridiagonal.  LAPACK
+``dptsv`` solves it, from the library that ``numpy.linalg`` has already
+loaded, bound once through ``ctypes``; where no such symbol is found, a
+pure-Python LDL^T sweep in the same order of operations does.
 
 Each stage pads the state with one ghost cell per side and makes one
 ``stage_closures`` pass for (p, e, s) on the padded arrays; fluxes, sources
@@ -34,14 +50,17 @@ a Newton iterate makes no EOS call on the iconic shape and one ``p_dp`` on a
 table, and Newton stops after its first step below 1e-8 theta, since
 quadratic convergence leaves only rounding for the next.  Every
 budget-relevant face flux and volume integrand is accumulated during the
-run with the same stage weights as the update itself, so the discrete mass
-identity telescopes to rounding and the audits in :mod:`nsfsim.budgets`
-separate scheme error from quadrature error.
+run with the same weights as the update itself: the stage terms with the
+stage weights, the viscous terms with weight dt (the entropy terms at the
+step's end temperature).  The discrete mass identity thus telescopes to
+rounding, and the audits in :mod:`nsfsim.budgets` separate scheme error
+from quadrature error.
 """
 
 from __future__ import annotations
 
 import bisect
+import ctypes
 import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Union
@@ -165,12 +184,6 @@ class FieldState:
         return FieldState(self.rho.copy(), self.u.copy(), self.theta.copy())
 
 
-def viscous_stress(ts: TransportSpec, cfg: SolverConfig, theta, du_dx):
-    """1D normal viscous stress (mu + delta theta) 2(1 - 1/d) du/dx + eta du/dx."""
-    coeff = cfg.viscosity(ts, np.asarray(theta, dtype=float))
-    return coeff * np.asarray(du_dx, dtype=float)
-
-
 def heat_flux(ts: TransportSpec, cfg: SolverConfig, theta, dtheta_dx):
     """Regularized heat flux -(kappa + delta (theta^Gamma + 1/theta)) dtheta/dx."""
     cond = cfg.conductivity(ts, np.asarray(theta, dtype=float))
@@ -185,22 +198,30 @@ def boundary_velocity_extension(mesh: Mesh1D, bspec: BoundarySpec):
     return ul + grad * (x - mesh.x_left), grad
 
 
+def _ghost_velocity(f) -> tuple:
+    """(a, b) with ghost velocity a + b u for the trace u: the prescribed u_b
+    on inflow, the trace on outflow, the reflection 2 u_b - u on walls."""
+    if f.kind is FaceKind.IN:
+        return f.u_b, 0.0
+    if f.kind is FaceKind.OUT:
+        return 0.0, 1.0
+    return 2.0 * f.u_b, -1.0
+
+
+def _padded_velocity(bspec: BoundarySpec, u):
+    """``u`` with the ghost velocity of each face on its side."""
+    (al, bl), (ar, br) = _ghost_velocity(bspec.left), _ghost_velocity(bspec.right)
+    return np.concatenate([[al + bl * u[0]], u, [ar + br * u[-1]]])
+
+
 def _ghosts(state: FieldState, bspec: BoundarySpec):
     """One ghost layer per side following the face class."""
-    rho, u, theta = state.rho, state.u, state.theta
-    vals = []
-    for f, idx in ((bspec.left, 0), (bspec.right, -1)):
-        if f.kind is FaceKind.IN:
-            vals.append((f.rho_b, f.u_b, theta[idx]))
-        elif f.kind is FaceKind.OUT:
-            vals.append((rho[idx], u[idx], theta[idx]))
-        else:
-            vals.append((rho[idx], 2.0 * f.u_b - u[idx], theta[idx]))
-    (rl, ul_, tl), (rr, ur_, tr) = vals
+    rho, theta = state.rho, state.theta
+    rl, rr = (f.rho_b if f.kind is FaceKind.IN else rho[i]
+              for f, i in ((bspec.left, 0), (bspec.right, -1)))
     rho_p = np.concatenate([[rl], rho, [rr]])
-    u_p = np.concatenate([[ul_], u, [ur_]])
-    theta_p = np.concatenate([[tl], theta, [tr]])
-    return rho_p, u_p, theta_p
+    theta_p = np.concatenate([[theta[0]], theta, [theta[-1]]])
+    return rho_p, _padded_velocity(bspec, state.u), theta_p
 
 
 @dataclass(frozen=True)
@@ -228,8 +249,9 @@ class StageRecord:
 
     ``scalars`` hold instantaneous rates (volume and boundary integrals);
     time-weighted sums of them reproduce the scheme's own updates exactly.
-    ``cells`` holds per-cell arrays: the energy density ``w`` the stage
-    started from, and diagnostics for tests.
+    ``cells`` holds arrays: the energy density ``w`` the stage started from,
+    the face temperatures ``theta_face`` (the step freezes the viscosity
+    there), and diagnostics for tests.
     """
 
     scalars: dict = dc_field(default_factory=dict)
@@ -279,11 +301,9 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     f_mass, f_mom, f_energy, u_face, pad = convective_fluxes(state, mesh, bspec, eos, cfg)
     u_p, theta_p = pad.u, pad.theta
 
-    # face-centered diffusive pieces
+    # face-centered heat flux; the step treats the stress
     theta_face = 0.5 * (theta_p[:-1] + theta_p[1:])
-    du_face = (u_p[1:] - u_p[:-1]) / h
     dth_face = (theta_p[1:] - theta_p[:-1]) / h
-    stress_face = viscous_stress(ts, cfg, theta_face, du_face)
     q_face = heat_flux(ts, cfg, theta_face, dth_face)
     q_face[0] = 0.0
     q_face[-1] = 0.0  # insulation on walls/outflow; inflow handled via F_ib
@@ -352,8 +372,7 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
 
     drho = -(mass_flux[1:] - mass_flux[:-1]) / h
     dm = (-(f_mom[1:] - f_mom[:-1]) / h
-          - (p_face[1:] - p_face[:-1]) / h
-          + (stress_face[1:] - stress_face[:-1]) / h)
+          - (p_face[1:] - p_face[:-1]) / h)
 
     x = mesh.centers
     g = cfg.body_force(t, x)
@@ -367,11 +386,10 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     # internal energy sources
     div_u = (u_face[1:] - u_face[:-1]) / h
     p_div_u = p_cell * div_u
-    diss_cell = 0.5 * (stress_face[:-1] * du_face[:-1] + stress_face[1:] * du_face[1:])
     heat_diss_cell = -0.5 * (q_face[:-1] * dth_face[:-1] + q_face[1:] * dth_face[1:])
     grad_rho_sq = grad_rho_c ** 2
     grad_rho_coeff = cfg.Gamma * rho ** (cfg.Gamma - 2.0) + 2.0
-    source = diss_cell - p_div_u
+    source = -p_div_u
     mms = None
     if cfg.energy_source is not None:
         mms = np.asarray(cfg.energy_source(t, x), dtype=float) * np.ones_like(x)
@@ -385,12 +403,13 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
 
     dW = -(e_flux[1:] - e_flux[:-1]) / h + source
 
-    # volume integrands in record order; None marks a term that vanishes
+    # volume integrands in record order; None marks a term that vanishes here
+    # (S_grad_u and S_grad_ub are booked by the step, as are the S:grad u /
+    # theta parts of both dissipation integrands)
     inv_theta = 1.0 / theta
-    # (1/theta)(S:grad u - q.grad theta/theta): the heat part carries 1/theta^2
-    diss_weighted = inv_theta * diss_cell + inv_theta ** 2 * heat_diss_cell
-    vol = {"S_grad_u": diss_cell, "p_div_u": p_div_u,
-           "dissipation_no_delta": diss_weighted}
+    # -q.grad theta / theta^2
+    diss_weighted = inv_theta ** 2 * heat_diss_cell
+    vol = {"S_grad_u": None, "p_div_u": p_div_u, "dissipation_no_delta": diss_weighted}
     if cfg.delta > 0.0:
         diss_weighted = diss_weighted + cfg.delta * inv_theta ** 3
     vol["dissipation"] = diss_weighted
@@ -408,8 +427,6 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     ub_ext, grad_ub = boundary_velocity_extension(mesh, bspec)
     vol["S_grad_ub"] = vol["conv_p_grad_ub"] = vol["rho_u_grad_ub2"] = None
     if grad_ub != 0.0:
-        stress_cell = 0.5 * (stress_face[:-1] + stress_face[1:])
-        vol["S_grad_ub"] = stress_cell * grad_ub
         vol["conv_p_grad_ub"] = (rho * u * u + p_delta_p[1:-1]) * grad_ub
         vol["rho_u_grad_ub2"] = rho * u * 2.0 * ub_ext * grad_ub
     vol["rho_g_rel_u"] = rho * g * (u - ub_ext)
@@ -422,8 +439,112 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     sums = iter((np.array([v for v in vol.values() if v is not None]).sum(axis=1) * h).tolist())
     sc.update((k, 0.0 if v is None else next(sums)) for k, v in vol.items())
 
-    cells = {"w": pad.w[1:-1], "dissipation": diss_cell, "p_div_u": p_div_u}
+    cells = {"w": pad.w[1:-1], "p_div_u": p_div_u, "theta_face": theta_face}
     return drho, dm, dW, StageRecord(scalars=sc, cells=cells)
+
+
+# ---------------------------------------------------------------------------
+# the implicit viscous solve
+# ---------------------------------------------------------------------------
+
+
+def _ldlt_solve(d, e, b):
+    """Solve the symmetric positive-definite tridiagonal system with diagonal
+    ``d``, off-diagonal ``e`` and right-hand side ``b`` by an LDL^T sweep.
+
+    Pure Python, in the order of operations of LAPACK dpttrf/dptts2: the
+    reference for ``dptsv`` and the solver where no LAPACK symbol is found.
+    """
+    d, e, b = d.tolist(), e.tolist(), b.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        ei = e[i]
+        e[i] = ei / d[i]
+        d[i + 1] -= e[i] * ei
+    for i in range(1, n):
+        b[i] -= b[i - 1] * e[i - 1]
+    b[n - 1] /= d[n - 1]
+    for i in range(n - 2, -1, -1):
+        b[i] = b[i] / d[i] - b[i + 1] * e[i]
+    return np.array(b)
+
+
+def _bind_dptsv():
+    """LAPACK ``dptsv`` of the library ``numpy.linalg`` loaded, as a function
+    (d, e, b) -> x that overwrites its float64 arguments; None if absent."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    # numpy's wheels bundle an ILP64 OpenBLAS with prefixed and suffixed
+    # symbols; a build against an LP64 system LAPACK has the plain name
+    ilp64 = bool(getattr(_umath_linalg, "_ilp64", False))
+    int_t = ctypes.c_int64 if ilp64 else ctypes.c_int32
+    fn = getattr(lib, "scipy_dptsv_64_" if ilp64 else "dptsv_", None)
+    if fn is None:
+        return None
+    int_p = ctypes.POINTER(int_t)
+    fn.argtypes = [int_p, int_p] + [ctypes.c_void_p] * 3 + [int_p, int_p]
+    fn.restype = None
+    one = int_t(1)
+
+    def dptsv(d, e, b):
+        n, info = int_t(d.size), int_t(0)
+        fn(n, one, d.ctypes.data, e.ctypes.data, b.ctypes.data, n, info)
+        if info.value != 0:
+            raise StepRejected(f"viscous solve failed (dptsv info {info.value})")
+        return b
+    return dptsv
+
+
+_dptsv = _bind_dptsv()
+
+
+def _viscous_solve(mesh: Mesh1D, bspec: BoundarySpec, nu_face, rho, m, dt):
+    """u solving rho u - dt d/dx(nu du/dx) = m, the face gradients at the
+    ends taking the ghost velocities of ``_ghost_velocity``.
+
+    The matrix is tridiagonal, symmetric and, for rho > 0, positive definite.
+    """
+    c = dt * nu_face / (mesh.h * mesh.h)
+    d = rho + c[:-1] + c[1:]
+    b = np.array(m, dtype=float)
+    for f, i in ((bspec.left, 0), (bspec.right, -1)):
+        # c (u - a - s u) is the end face's term of cell i
+        a, s = _ghost_velocity(f)
+        d[i] -= s * c[i]
+        b[i] += a * c[i]
+    e = -c[1:-1]
+    return _ldlt_solve(d, e, b) if _dptsv is None else _dptsv(d, e, b)
+
+
+def _viscous_stress(mesh: Mesh1D, bspec: BoundarySpec, nu_face, u):
+    """Face stress nu du/dx at ``u`` with its ghost velocities, and the cell
+    dissipation S:grad u averaged from the two faces of each cell."""
+    u_p = _padded_velocity(bspec, u)
+    du_face = (u_p[1:] - u_p[:-1]) / mesh.h
+    stress = nu_face * du_face
+    return stress, 0.5 * (stress[:-1] * du_face[:-1] + stress[1:] * du_face[1:])
+
+
+def _predictor(mesh, ts, cfg, bspec, state, stage, dt):
+    """Forward Euler by the stage, then the backward-Euler viscous solve.
+
+    Returns (rho1, m1, u1, w1, stress, diss): m1 is the momentum before the
+    solve, u1 the velocity after it, and w1 the energy density with the
+    dissipation ``dt diss`` of the face ``stress`` at u1 added.  The
+    viscosity is frozen on the faces at the stage's temperature.
+    """
+    drho, dm, dW, rec = stage
+    rho1 = state.rho + dt * drho
+    if not (rho1 >= cfg.rho_floor).all():
+        raise StepRejected("density fell below its floor")
+    m1 = state.rho * state.u + dt * dm
+    nu_face = cfg.viscosity(ts, rec.cells["theta_face"])
+    u1 = _viscous_solve(mesh, bspec, nu_face, rho1, m1, dt)
+    stress, diss = _viscous_stress(mesh, bspec, nu_face, u1)
+    return rho1, m1, u1, rec.cells["w"] + dt * dW + dt * diss, stress, diss
 
 
 # ---------------------------------------------------------------------------
@@ -486,51 +607,60 @@ def _primitive(eos: EosSpec, cfg: SolverConfig, rho, m, w, theta_guess):
 
 def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
                cfg: SolverConfig, bspec: BoundarySpec, dt: float, t: float = 0.0):
-    """One forward-Euler stage; returns the new (rho, m, theta).
+    """One forward-Euler stage with the implicit stress, the predictor of
+    :func:`step`; returns the new (rho, m, theta).
 
     theta is recovered at the frozen density ``state.rho``: it is the
     temperature update of the energy balance with (rho, u) held fixed.
     """
-    drho, dm, dW, rec = _stage_rhs(mesh, eos, ts, cfg, bspec, t, state)
-    rho = state.rho + dt * drho
-    if not (rho >= cfg.rho_floor).all():
-        raise StepRejected("density fell below its floor")
-    theta = _recover_theta(eos, cfg, state.rho, rec.cells["w"] + dt * dW, state.theta)
-    return rho, state.rho * state.u + dt * dm, theta
+    stage = _stage_rhs(mesh, eos, ts, cfg, bspec, t, state)
+    rho, _, u, w, _, _ = _predictor(mesh, ts, cfg, bspec, state, stage, dt)
+    return rho, rho * u, _recover_theta(eos, cfg, state.rho, w, state.theta)
 
 
 def stable_dt(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
               cfg: SolverConfig) -> float:
-    """CFL-limited step from acoustic, viscous, thermal and mass diffusion.
+    """CFL-limited step from the acoustic, thermal and mass-diffusion limits;
+    the stress is implicit and sets none.
 
     The sound speed and de/dtheta come from one EOS pass."""
     rho, u, theta = state.rho, state.u, state.theta
     h = mesh.h
     cs2, e_theta = sound_speed_sq_and_energy_slope(eos, rho, theta)
     dt_a = h / np.max(np.abs(u) + np.sqrt(cs2))
-    nu = cfg.viscosity(ts, theta) / rho
     chi = cfg.conductivity(ts, theta) / (rho * (e_theta + cfg.delta))
-    dt_nu = h * h / (2.0 * max(np.max(nu), 1e-300))
     dt_chi = h * h / (2.0 * max(np.max(chi), 1e-300))
-    dt = min(dt_a, dt_nu, dt_chi)
+    dt = min(dt_a, dt_chi)
     if cfg.epsilon > 0.0:
         dt = min(dt, h * h / (2.0 * cfg.epsilon))
     return cfg.cfl * float(dt)
 
 
 def _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt, stage1):
-    """One SSP-RK2 step from ``stage1`` = _stage_rhs at (t, state), which does
-    not depend on dt; returns (new_state, averaged accumulator increments)."""
+    """One SSP-RK2 step with the implicit stress in its predictor, from
+    ``stage1`` = _stage_rhs at (t, state), which does not depend on dt;
+    returns (new_state, accumulator increments)."""
     d1rho, d1m, d1w, rec1 = stage1
     rho0, m0, w0 = state.rho, state.rho * state.u, rec1.cells["w"]
-    st1 = _primitive(eos, cfg, rho0 + dt * d1rho, m0 + dt * d1m, w0 + dt * d1w,
-                     state.theta)
+    rho1, m1, u1, w1, stress, diss = _predictor(mesh, ts, cfg, bspec, state, stage1, dt)
+    st1 = FieldState(rho=rho1, u=u1, theta=_recover_theta(eos, cfg, rho1, w1, state.theta))
     d2rho, d2m, d2w, rec2 = _stage_rhs(mesh, eos, ts, cfg, bspec, t + dt, st1)
     rho_n = rho0 + 0.5 * dt * (d1rho + d2rho)
-    m_n = m0 + 0.5 * dt * (d1m + d2m)
-    w_n = w0 + 0.5 * dt * (d1w + d2w)
+    # the predictor's viscous increments enter with full weight
+    m_n = m0 + 0.5 * dt * (d1m + d2m) + (rho1 * u1 - m1)
+    w_n = w0 + 0.5 * dt * (d1w + d2w) + dt * diss
     new_state = _primitive(eos, cfg, rho_n, m_n, w_n, st1.theta)
     inc = {k: 0.5 * dt * (rec1.scalars[k] + rec2.scalars[k]) for k in rec1.scalars}
+    # the viscous terms with weight dt, the entropy ones at the new theta
+    h = mesh.h
+    diss_over_theta = float((diss / new_state.theta).sum()) * h
+    inc["S_grad_u"] += dt * (float(diss.sum()) * h)
+    inc["dissipation_no_delta"] += dt * diss_over_theta
+    inc["dissipation"] += dt * diss_over_theta
+    _, grad_ub = boundary_velocity_extension(mesh, bspec)
+    if grad_ub != 0.0:
+        stress_cell = 0.5 * (stress[:-1] + stress[1:])
+        inc["S_grad_ub"] += dt * (float((stress_cell * grad_ub).sum()) * h)
     return new_state, inc
 
 

@@ -459,12 +459,17 @@ def test_cli_check_eos_pass(capsys):
 
 
 def test_cli_check_eos_fail(tmp_path, capsys):
-    bad = {"eos": {"shape": "iconic", "p_inf": -1.0}}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
-    rc = cli.main(["check-eos", str(path)])
-    assert rc == 1
-    assert "FAIL" in capsys.readouterr().out
+    # a bad value, a key the transport section does not take (which used to
+    # be ignored) and a section that is not an object (which used to raise)
+    for bad, failure in (({"eos": {"shape": "iconic", "p_inf": -1.0}}, "FAIL"),
+                         ({"transport": {"mu_over": 2.0, "mu_scale": 1.0}},
+                          "FAIL  [unknown-key] transport.mu_over: "),
+                         ({"eos": 5}, "FAIL  [eos-schema] eos: expected an object, got 5")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        rc = cli.main(["check-eos", str(path)])
+        assert rc == 1
+        assert failure in capsys.readouterr().out
 
 
 def test_cli_check_eos_prints_each_invariant_once(tmp_path, capsys):
@@ -554,9 +559,15 @@ def test_cli_converge_csv_is_byte_identical_across_hash_seeds(tmp_path):
 
 
 def test_import_leaves_scipy_interpolate_and_sympy_unloaded():
-    # building the test suite's 25-knot table loads no scipy module either
+    # building the test suite's 25-knot table loads no scipy module either,
+    # nor do five steps of a wall box, whose viscous solve is LAPACK's
     code = ("import sys, numpy as np, nsfsim; z = np.geomspace(0.02, 400, 25); "
             "nsfsim.tabulated_eos(z, z + z ** (5 / 3) + z ** (5 / 3) / (1 + z)); "
+            "mesh = nsfsim.Mesh1D(0.0, 1.0, 32); x = mesh.centers; "
+            "state = nsfsim.FieldState(rho=np.ones(32), u=0.1 * np.sin(np.pi * x), "
+            "theta=np.ones(32)); args = (mesh, nsfsim.iconic_eos(), nsfsim.TransportSpec(), "
+            "nsfsim.SolverConfig(), nsfsim.make_boundary()); "
+            "[state := nsfsim.step(state, *args, 1e-3)[0] for _ in range(5)]; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
