@@ -24,8 +24,8 @@ from .scenario import (Scenario, ScenarioValidationError, eval_field_expression,
                        export_budget_csv, export_timeseries, load_scenario,
                        parse_scenario)
 from .solver import (FieldState, RunAborted, SolverConfig, StepRejected,
-                     Trajectory, convective_fluxes, euler_step, heat_flux, run,
-                     stable_dt, step)
+                     Trajectory, convective_fluxes, euler_step, run, stable_dt,
+                     step)
 from .studies import ConvergenceStudy, convergence_study, weak_strong_study
 from .thermo import (ConservativeState, EosDomainError, EosSpec,
                      EosValidationError, OutOfDomainError, ThermoState,
@@ -48,7 +48,7 @@ __all__ = [
     "convective_fluxes", "convergence_study", "energy_budget", "entropy_budget",
     "entropy_inflow_flux", "euler_step", "eval_field_expression",
     "export_budget_csv", "export_timeseries", "extended_internal_energy",
-    "from_conservative", "gibbs_residual", "gronwall_envelope", "heat_flux",
+    "from_conservative", "gibbs_residual", "gronwall_envelope",
     "iconic_eos", "load_scenario", "make_boundary", "manufactured_case",
     "mass_budget", "parse_scenario", "pressure", "relative_energy_conservative",
     "relative_energy_integral", "relative_energy_standard", "run", "sound_speed_sq",

@@ -20,23 +20,33 @@ The scheme advances (rho, rho u, rho e_delta) with
 Setting epsilon = delta = 0 recovers the target system.
 
 Time stepping is a two-stage strong-stability-preserving Runge-Kutta pair
-whose predictor treats the stress implicitly.  A stage H evaluates every
-term but the stress.  The predictor forms U1* = U0 + dt H(U0) and solves
-rho1 u1 - dt d/dx(nu du1/dx) = m1* for u1 by backward Euler, with the
-viscosity nu frozen on the faces at the step's start temperature and the
+for every term but the stress and the heat flux, which are implicit.  A
+stage H evaluates the convective fluxes, the face pressure, the boundary
+rules, mass diffusion and the sources.  The predictor forms
+U1 = U0 + dt H(U0), recovers theta1 from its energy density, and evaluates
+H at U1.  From the predictor's (rho1, m1, theta1) two backward-Euler solves
+follow, with the coefficients frozen on the faces at the step's start
+temperature: rho1 u - dt d/dx(nu du/dx) = m1 for the velocity, with the
 velocity ghost rule of the stage (wall 2 u_b - u, inflow u_b, outflow the
-trace).  The predictor's energy gains dt S:grad u1, the face-averaged
-dissipation at u1.  The corrector averages H at the step's start and at
-U1 and adds the predictor's viscous increments with full weight, so pure
-diffusion reduces to exact backward Euler.  The stress thus sets no step
-limit: ``stable_dt`` takes the acoustic, thermal and mass-diffusion limits.
-A stage that loses positivity (density or temperature floors, or a failed
-temperature recovery) halves dt and retries.
+trace), and C (theta_l - theta1) - dt d/dx(kappa dtheta_l/dx) = dt S:grad u
+for the temperature, with both end faces insulated and the heat capacity
+C = d(rho e_delta)/dtheta the last Newton slope of the predictor's
+recovery.  The corrector averages H at U0 and U1 and adds the solves'
+increments with full weight: the momentum rho1 u - m1 and the energy
+dt S:grad u + dt d/dx(kappa dtheta_l/dx), in flux form, so the energy
+telescopes.  The corrector's state minus those increments is thus the
+SSP-RK2 step of H alone; the entropy the implicit increments add is at
+least their energy over the new temperature (s is concave), which is what
+the step books.  Neither implicit term sets a step limit: ``stable_dt``
+takes the acoustic and mass-diffusion limits.  A stage that loses
+positivity (density or temperature floors, or a failed temperature
+recovery) halves dt and retries.
 
-The viscous system is symmetric positive definite and tridiagonal.  LAPACK
-``dptsv`` solves it, from the library that ``numpy.linalg`` has already
-loaded, bound once through ``ctypes``; where no such symbol is found, a
-pure-Python LDL^T sweep in the same order of operations does.
+Both implicit systems are symmetric positive definite and tridiagonal and
+share one assembly.  LAPACK ``dptsv`` solves them, from the library that
+``numpy.linalg`` has already loaded, bound once through ``ctypes``; where
+no such symbol is found, a pure-Python LDL^T sweep in the same order of
+operations does.
 
 Each stage pads the state with one ghost cell per side and makes one
 ``stage_closures`` pass for (p, e, s) on the padded arrays; fluxes, sources
@@ -51,16 +61,19 @@ table, and Newton stops after its first step below 1e-8 theta, since
 quadratic convergence leaves only rounding for the next.  Every
 budget-relevant face flux and volume integrand is accumulated during the
 run with the same weights as the update itself: the stage terms with the
-stage weights, the viscous terms with weight dt (the entropy terms at the
-step's end temperature).  The discrete mass identity thus telescopes to
-rounding, and the audits in :mod:`nsfsim.budgets` separate scheme error
-from quadrature error.
+stage weights, the implicit terms with weight dt (the entropy terms at the
+step's end temperature, the heat term summed by parts).  The discrete mass
+identity thus telescopes to rounding, and the audits in
+:mod:`nsfsim.budgets` separate scheme error from quadrature error.  The
+boundary-velocity extension the budget terms use is a run constant, built
+once per (mesh, boundary) pair.
 """
 
 from __future__ import annotations
 
 import bisect
 import ctypes
+import functools
 import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Union
@@ -70,8 +83,7 @@ import numpy as np
 from .boundary import BoundarySpec, FaceKind
 from .mesh import Mesh1D
 from .thermo import (EosSpec, EosDomainError, TransportSpec, OutOfDomainError,
-                     energy_density_residual, sound_speed_sq_and_energy_slope,
-                     specific_entropy, specific_internal_energy, stage_closures,
+                     energy_density_residual, sound_speed_sq, specific_entropy, specific_internal_energy, stage_closures,
                      temperature_from_energy_density)
 
 
@@ -184,34 +196,43 @@ class FieldState:
         return FieldState(self.rho.copy(), self.u.copy(), self.theta.copy())
 
 
-def heat_flux(ts: TransportSpec, cfg: SolverConfig, theta, dtheta_dx):
-    """Regularized heat flux -(kappa + delta (theta^Gamma + 1/theta)) dtheta/dx."""
-    cond = cfg.conductivity(ts, np.asarray(theta, dtype=float))
-    return -cond * np.asarray(dtheta_dx, dtype=float)
-
-
+@functools.lru_cache(maxsize=16)
 def boundary_velocity_extension(mesh: Mesh1D, bspec: BoundarySpec):
-    """Linear interior extension of the boundary velocity and its gradient."""
+    """Linear interior extension of the boundary velocity and its gradient.
+
+    A run constant: it is built once per (mesh, boundary) pair and returned
+    read-only.
+    """
     ul, ur = bspec.left.u_b, bspec.right.u_b
     x = mesh.centers
     grad = (ur - ul) / mesh.measure
-    return ul + grad * (x - mesh.x_left), grad
+    ext = ul + grad * (x - mesh.x_left)
+    ext.flags.writeable = False
+    return ext, grad
+
+
+# (a, b) ghost rules: the ghost value is a + b x for the trace x
+_TRACE = (0.0, 1.0)
 
 
 def _ghost_velocity(f) -> tuple:
-    """(a, b) with ghost velocity a + b u for the trace u: the prescribed u_b
-    on inflow, the trace on outflow, the reflection 2 u_b - u on walls."""
+    """The ghost rule of the velocity: the prescribed u_b on inflow, the
+    trace on outflow, the reflection 2 u_b - u on walls."""
     if f.kind is FaceKind.IN:
         return f.u_b, 0.0
     if f.kind is FaceKind.OUT:
-        return 0.0, 1.0
+        return _TRACE
     return 2.0 * f.u_b, -1.0
 
 
-def _padded_velocity(bspec: BoundarySpec, u):
-    """``u`` with the ghost velocity of each face on its side."""
-    (al, bl), (ar, br) = _ghost_velocity(bspec.left), _ghost_velocity(bspec.right)
-    return np.concatenate([[al + bl * u[0]], u, [ar + br * u[-1]]])
+def _velocity_ghosts(bspec: BoundarySpec) -> tuple:
+    return _ghost_velocity(bspec.left), _ghost_velocity(bspec.right)
+
+
+def _padded(ghosts, x):
+    """``x`` with the ghost value of each end face's rule on its side."""
+    (al, bl), (ar, br) = ghosts
+    return np.concatenate([[al + bl * x[0]], x, [ar + br * x[-1]]])
 
 
 def _ghosts(state: FieldState, bspec: BoundarySpec):
@@ -221,7 +242,7 @@ def _ghosts(state: FieldState, bspec: BoundarySpec):
               for f, i in ((bspec.left, 0), (bspec.right, -1)))
     rho_p = np.concatenate([[rl], rho, [rr]])
     theta_p = np.concatenate([[theta[0]], theta, [theta[-1]]])
-    return rho_p, _padded_velocity(bspec, state.u), theta_p
+    return rho_p, _padded(_velocity_ghosts(bspec), state.u), theta_p
 
 
 @dataclass(frozen=True)
@@ -251,7 +272,7 @@ class StageRecord:
     time-weighted sums of them reproduce the scheme's own updates exactly.
     ``cells`` holds arrays: the energy density ``w`` the stage started from,
     the face temperatures ``theta_face`` (the step freezes the viscosity
-    there), and diagnostics for tests.
+    and the conductivity there), and diagnostics for tests.
     """
 
     scalars: dict = dc_field(default_factory=dict)
@@ -292,21 +313,16 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     return f_mass, f_mom, f_energy, u_face, pad
 
 
-def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
-               bspec: BoundarySpec, t: float, state: FieldState):
+def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpec,
+               t: float, state: FieldState):
     """One right-hand-side evaluation; returns (drho, dm, dW, StageRecord)."""
     n = mesh.n_cells
     h = mesh.h
     rho, u, theta = state.rho, state.u, state.theta
     f_mass, f_mom, f_energy, u_face, pad = convective_fluxes(state, mesh, bspec, eos, cfg)
     u_p, theta_p = pad.u, pad.theta
-
-    # face-centered heat flux; the step treats the stress
+    # the step treats the stress and the heat flux, with coefficients frozen here
     theta_face = 0.5 * (theta_p[:-1] + theta_p[1:])
-    dth_face = (theta_p[1:] - theta_p[:-1]) / h
-    q_face = heat_flux(ts, cfg, theta_face, dth_face)
-    q_face[0] = 0.0
-    q_face[-1] = 0.0  # insulation on walls/outflow; inflow handled via F_ib
 
     # cell pressures and face averages (ghost-padded)
     p_delta_p = pad.p
@@ -318,7 +334,7 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     diff_mass = np.zeros(n + 1)
     if cfg.epsilon > 0.0:
         diff_mass[1:-1] = -cfg.epsilon * (rho[1:] - rho[:-1]) / h
-    e_flux = f_energy + q_face
+    e_flux = f_energy
 
     # g = e_delta/theta - s_delta + p/(rho theta) per cell
     p_cell = pad.p[1:-1]
@@ -326,7 +342,7 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
 
     # the face pass: i (0 left, -1 right) indexes the face arrays, the cells
     # and the ghosts of ``pad``; boundary integrands are outward-normal values;
-    # outflow keeps the convective trace and the zero heat flux in place
+    # outflow keeps the convective trace in place
     sc = dict.fromkeys(
         ("mass_in_conv", "mass_out_conv", "mass_robin", "energy_bdry_in",
          "energy_out_conv", "energy_out_delta", "energy_in_gamma_breg",
@@ -386,7 +402,6 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     # internal energy sources
     div_u = (u_face[1:] - u_face[:-1]) / h
     p_div_u = p_cell * div_u
-    heat_diss_cell = -0.5 * (q_face[:-1] * dth_face[:-1] + q_face[1:] * dth_face[1:])
     grad_rho_sq = grad_rho_c ** 2
     grad_rho_coeff = cfg.Gamma * rho ** (cfg.Gamma - 2.0) + 2.0
     source = -p_div_u
@@ -404,19 +419,16 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     dW = -(e_flux[1:] - e_flux[:-1]) / h + source
 
     # volume integrands in record order; None marks a term that vanishes here
-    # (S_grad_u and S_grad_ub are booked by the step, as are the S:grad u /
-    # theta parts of both dissipation integrands)
+    # (S_grad_u and S_grad_ub are booked by the step, as are the viscous and
+    # heat parts of both dissipation integrands)
     inv_theta = 1.0 / theta
-    # -q.grad theta / theta^2
-    diss_weighted = inv_theta ** 2 * heat_diss_cell
-    vol = {"S_grad_u": None, "p_div_u": p_div_u, "dissipation_no_delta": diss_weighted}
-    if cfg.delta > 0.0:
-        diss_weighted = diss_weighted + cfg.delta * inv_theta ** 3
-    vol["dissipation"] = diss_weighted
+    inv_theta3 = inv_theta ** 3
+    vol = {"S_grad_u": None, "p_div_u": p_div_u, "dissipation_no_delta": None,
+           "dissipation": cfg.delta * inv_theta3 if cfg.delta > 0.0 else None}
     vol["theta4"] = theta ** 4
     vol["theta5"] = theta ** 5
     vol["inv_theta2"] = inv_theta ** 2
-    vol["inv_theta3"] = inv_theta ** 3
+    vol["inv_theta3"] = inv_theta3
     vol["grad_rho_sq_gamma_over_theta"] = inv_theta * grad_rho_coeff * grad_rho_sq
     # epsilon-level entropy correction grad rho . grad g; g_pad repeats the ends
     g_pad = np.concatenate([g_cell[:1], g_cell, g_cell[-1:]])
@@ -444,7 +456,7 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
-# the implicit viscous solve
+# the implicit viscous and conduction solves
 # ---------------------------------------------------------------------------
 
 
@@ -493,7 +505,7 @@ def _bind_dptsv():
         n, info = int_t(d.size), int_t(0)
         fn(n, one, d.ctypes.data, e.ctypes.data, b.ctypes.data, n, info)
         if info.value != 0:
-            raise StepRejected(f"viscous solve failed (dptsv info {info.value})")
+            raise StepRejected(f"implicit solve failed (dptsv info {info.value})")
         return b
     return dptsv
 
@@ -501,50 +513,68 @@ def _bind_dptsv():
 _dptsv = _bind_dptsv()
 
 
-def _viscous_solve(mesh: Mesh1D, bspec: BoundarySpec, nu_face, rho, m, dt):
-    """u solving rho u - dt d/dx(nu du/dx) = m, the face gradients at the
-    ends taking the ghost velocities of ``_ghost_velocity``.
+def _diffusion_solve(mesh: Mesh1D, coeff_face, capacity, rhs, dt, ghosts):
+    """x solving capacity x - dt d/dx(coeff dx/dx) = rhs, the gradients on
+    the two end faces taking the ghost values of the rules ``ghosts``.
 
-    The matrix is tridiagonal, symmetric and, for rho > 0, positive definite.
+    The matrix is tridiagonal, symmetric and, for capacity > 0, positive
+    definite.
     """
-    c = dt * nu_face / (mesh.h * mesh.h)
-    d = rho + c[:-1] + c[1:]
-    b = np.array(m, dtype=float)
-    for f, i in ((bspec.left, 0), (bspec.right, -1)):
-        # c (u - a - s u) is the end face's term of cell i
-        a, s = _ghost_velocity(f)
+    c = dt * coeff_face / (mesh.h * mesh.h)
+    d = capacity + c[:-1] + c[1:]
+    b = np.array(rhs, dtype=float)
+    for (a, s), i in zip(ghosts, (0, -1)):
+        # c (x - a - s x) is the end face's term of cell i
         d[i] -= s * c[i]
         b[i] += a * c[i]
     e = -c[1:-1]
     return _ldlt_solve(d, e, b) if _dptsv is None else _dptsv(d, e, b)
 
 
-def _viscous_stress(mesh: Mesh1D, bspec: BoundarySpec, nu_face, u):
-    """Face stress nu du/dx at ``u`` with its ghost velocities, and the cell
-    dissipation S:grad u averaged from the two faces of each cell."""
-    u_p = _padded_velocity(bspec, u)
-    du_face = (u_p[1:] - u_p[:-1]) / mesh.h
-    stress = nu_face * du_face
-    return stress, 0.5 * (stress[:-1] * du_face[:-1] + stress[1:] * du_face[1:])
+def _diffusive_flux(mesh: Mesh1D, coeff_face, x, ghosts):
+    """Face flux coeff dx/dx at ``x`` with the ghost rules ``ghosts``, and
+    the face gradient dx/dx."""
+    x_p = _padded(ghosts, x)
+    grad = (x_p[1:] - x_p[:-1]) / mesh.h
+    return coeff_face * grad, grad
 
 
-def _predictor(mesh, ts, cfg, bspec, state, stage, dt):
-    """Forward Euler by the stage, then the backward-Euler viscous solve.
+def _implicit_solves(mesh, ts, cfg, bspec, theta_face, rho, m, theta, capacity, dt):
+    """The backward-Euler viscous and conduction solves from the predictor's
+    (rho, m, theta); returns (u, stress, diss, theta_l, heat, dw).
 
-    Returns (rho1, m1, u1, w1, stress, diss): m1 is the momentum before the
-    solve, u1 the velocity after it, and w1 the energy density with the
-    dissipation ``dt diss`` of the face ``stress`` at u1 added.  The
-    viscosity is frozen on the faces at the stage's temperature.
+    u solves rho u - dt d/dx(nu du/dx) = m, the end faces taking the ghost
+    velocities of ``_ghost_velocity``; ``stress`` is the face stress
+    nu du/dx at u and ``diss`` the cell dissipation S:grad u averaged from
+    the two faces of each cell.  theta_l then solves
+    C (theta_l - theta) - dt d/dx(kappa dtheta_l/dx) = dt diss with the heat
+    capacity ``capacity`` = d(rho e_delta)/dtheta, both end faces insulated;
+    ``heat`` is the face flux kappa dtheta_l/dx (zero on the end faces).
+    nu and kappa are frozen on the faces at ``theta_face``.  ``dw`` is the
+    energy the two solves add, dt diss + dt d/dx(heat) in flux form.
     """
+    nu_face = cfg.viscosity(ts, theta_face)
+    ghosts = _velocity_ghosts(bspec)
+    u = _diffusion_solve(mesh, nu_face, rho, m, dt, ghosts)
+    stress, du_face = _diffusive_flux(mesh, nu_face, u, ghosts)
+    diss = 0.5 * (stress[:-1] * du_face[:-1] + stress[1:] * du_face[1:])
+    kappa_face = cfg.conductivity(ts, theta_face)
+    insulated = (_TRACE, _TRACE)
+    theta_l = _diffusion_solve(mesh, kappa_face, capacity, capacity * theta + dt * diss, dt,
+                               insulated)
+    if not (theta_l >= cfg.theta_floor).all():
+        raise StepRejected("temperature fell below its floor")
+    heat = _diffusive_flux(mesh, kappa_face, theta_l, insulated)[0]
+    return u, stress, diss, theta_l, heat, dt * diss + dt * ((heat[1:] - heat[:-1]) / mesh.h)
+
+
+def _predictor(cfg, state, stage, dt):
+    """Forward Euler by the stage: (rho1, m1, w1)."""
     drho, dm, dW, rec = stage
     rho1 = state.rho + dt * drho
     if not (rho1 >= cfg.rho_floor).all():
         raise StepRejected("density fell below its floor")
-    m1 = state.rho * state.u + dt * dm
-    nu_face = cfg.viscosity(ts, rec.cells["theta_face"])
-    u1 = _viscous_solve(mesh, bspec, nu_face, rho1, m1, dt)
-    stress, diss = _viscous_stress(mesh, bspec, nu_face, u1)
-    return rho1, m1, u1, rec.cells["w"] + dt * dW + dt * diss, stress, diss
+    return rho1, state.rho * state.u + dt * dm, rec.cells["w"] + dt * dW
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +597,11 @@ def _reject_nonfinite(name, values):
 
 
 def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
-    """Invert rho e_delta(rho, theta) = w per cell; Newton with robust fallback."""
+    """Invert rho e_delta(rho, theta) = w per cell; Newton with robust fallback.
+
+    Returns (theta, slope): slope is d(rho e_delta)/dtheta at the last
+    Newton iterate, or at theta where the fallback solved.
+    """
     _reject_nonfinite("density", rho)
     if not (rho >= cfg.rho_floor).all():
         raise StepRejected("density fell below its floor")
@@ -595,68 +629,75 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
         except OutOfDomainError as err:
             raise StepRejected(f"temperature recovery failed: {err}") from None
         theta[bad] = theta_fb
+        df = residual(theta)[1]
     if not (theta >= cfg.theta_floor).all():
         raise StepRejected("temperature fell below its floor")
-    return theta
+    return theta, df
 
 
 def _primitive(eos: EosSpec, cfg: SolverConfig, rho, m, w, theta_guess):
-    theta = _recover_theta(eos, cfg, rho, w, theta_guess)
+    theta = _recover_theta(eos, cfg, rho, w, theta_guess)[0]
     return FieldState(rho=rho, u=m / rho, theta=theta)
 
 
 def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
                cfg: SolverConfig, bspec: BoundarySpec, dt: float, t: float = 0.0):
-    """One forward-Euler stage with the implicit stress, the predictor of
-    :func:`step`; returns the new (rho, m, theta).
+    """One forward-Euler stage followed by the backward-Euler viscous and
+    conduction solves of :func:`step`; returns the new (rho, m, theta).
 
-    theta is recovered at the frozen density ``state.rho``: it is the
-    temperature update of the energy balance with (rho, u) held fixed.
+    The energy takes the solves' increments in flux form, as in ``step``,
+    and theta is recovered from it at the frozen density ``state.rho``
+    (before the solves too): it is the temperature update of the energy
+    balance with (rho, u) held fixed.
     """
-    stage = _stage_rhs(mesh, eos, ts, cfg, bspec, t, state)
-    rho, _, u, w, _, _ = _predictor(mesh, ts, cfg, bspec, state, stage, dt)
-    return rho, rho * u, _recover_theta(eos, cfg, state.rho, w, state.theta)
+    stage = _stage_rhs(mesh, eos, cfg, bspec, t, state)
+    rho, m, w = _predictor(cfg, state, stage, dt)
+    theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, state.theta)
+    u, _, _, theta_l, _, dw = _implicit_solves(
+        mesh, ts, cfg, bspec, stage[3].cells["theta_face"], rho, m, theta_hat, capacity, dt)
+    return rho, rho * u, _recover_theta(eos, cfg, state.rho, w + dw, theta_l)[0]
 
 
 def stable_dt(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
               cfg: SolverConfig) -> float:
-    """CFL-limited step from the acoustic, thermal and mass-diffusion limits;
-    the stress is implicit and sets none.
+    """CFL-limited step from the acoustic and mass-diffusion limits; the
+    stress and the heat flux are implicit and set none.
 
-    The sound speed and de/dtheta come from one EOS pass."""
-    rho, u, theta = state.rho, state.u, state.theta
+    The sound speed comes from one EOS pass."""
     h = mesh.h
-    cs2, e_theta = sound_speed_sq_and_energy_slope(eos, rho, theta)
-    dt_a = h / np.max(np.abs(u) + np.sqrt(cs2))
-    chi = cfg.conductivity(ts, theta) / (rho * (e_theta + cfg.delta))
-    dt_chi = h * h / (2.0 * max(np.max(chi), 1e-300))
-    dt = min(dt_a, dt_chi)
+    dt = h / np.max(np.abs(state.u) + np.sqrt(sound_speed_sq(eos, state.rho, state.theta)))
     if cfg.epsilon > 0.0:
         dt = min(dt, h * h / (2.0 * cfg.epsilon))
     return cfg.cfl * float(dt)
 
 
 def _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt, stage1):
-    """One SSP-RK2 step with the implicit stress in its predictor, from
-    ``stage1`` = _stage_rhs at (t, state), which does not depend on dt;
-    returns (new_state, accumulator increments)."""
+    """One SSP-RK2 step of the stage H with the implicit stress and heat
+    flux, from ``stage1`` = _stage_rhs at (t, state), which does not depend
+    on dt; returns (new_state, accumulator increments)."""
     d1rho, d1m, d1w, rec1 = stage1
     rho0, m0, w0 = state.rho, state.rho * state.u, rec1.cells["w"]
-    rho1, m1, u1, w1, stress, diss = _predictor(mesh, ts, cfg, bspec, state, stage1, dt)
-    st1 = FieldState(rho=rho1, u=u1, theta=_recover_theta(eos, cfg, rho1, w1, state.theta))
-    d2rho, d2m, d2w, rec2 = _stage_rhs(mesh, eos, ts, cfg, bspec, t + dt, st1)
-    rho_n = rho0 + 0.5 * dt * (d1rho + d2rho)
-    # the predictor's viscous increments enter with full weight
-    m_n = m0 + 0.5 * dt * (d1m + d2m) + (rho1 * u1 - m1)
-    w_n = w0 + 0.5 * dt * (d1w + d2w) + dt * diss
-    new_state = _primitive(eos, cfg, rho_n, m_n, w_n, st1.theta)
-    inc = {k: 0.5 * dt * (rec1.scalars[k] + rec2.scalars[k]) for k in rec1.scalars}
-    # the viscous terms with weight dt, the entropy ones at the new theta
+    rho1, m1, w1 = _predictor(cfg, state, stage1, dt)
+    theta1, capacity = _recover_theta(eos, cfg, rho1, w1, state.theta)
+    d2rho, d2m, d2w, rec2 = _stage_rhs(mesh, eos, cfg, bspec, t + dt,
+                                       FieldState(rho=rho1, u=m1 / rho1, theta=theta1))
+    u1, stress, diss, theta_l, heat, dw = _implicit_solves(
+        mesh, ts, cfg, bspec, rec1.cells["theta_face"], rho1, m1, theta1, capacity, dt)
     h = mesh.h
-    diss_over_theta = float((diss / new_state.theta).sum()) * h
+    rho_n = rho0 + 0.5 * dt * (d1rho + d2rho)
+    # the implicit increments enter with full weight
+    m_n = m0 + 0.5 * dt * (d1m + d2m) + (rho1 * u1 - m1)
+    w_n = w0 + 0.5 * dt * (d1w + d2w) + dw
+    new_state = _primitive(eos, cfg, rho_n, m_n, w_n, theta_l)
+    inc = {k: 0.5 * dt * (rec1.scalars[k] + rec2.scalars[k]) for k in rec1.scalars}
+    # the implicit terms with weight dt, the entropy ones at the new theta:
+    # the energy increment over theta, the heat part summed by parts
+    inv_theta = 1.0 / new_state.theta
+    entropy_gain = dt * (float((diss * inv_theta).sum()) * h
+                         + float((heat[1:-1] * (inv_theta[:-1] - inv_theta[1:])).sum()))
     inc["S_grad_u"] += dt * (float(diss.sum()) * h)
-    inc["dissipation_no_delta"] += dt * diss_over_theta
-    inc["dissipation"] += dt * diss_over_theta
+    inc["dissipation_no_delta"] += entropy_gain
+    inc["dissipation"] += entropy_gain
     _, grad_ub = boundary_velocity_extension(mesh, bspec)
     if grad_ub != 0.0:
         stress_cell = 0.5 * (stress[:-1] + stress[1:])
@@ -677,7 +718,7 @@ def step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
             cell = int(np.flatnonzero(~np.isfinite(values))[0])
             raise RunAborted(f"step at t={t:.6g}: {name} is not finite at cell {cell} "
                              f"({values[cell]}); diagnostic state attached", state=state)
-    stage1 = _stage_rhs(mesh, eos, ts, cfg, bspec, t, state)
+    stage1 = _stage_rhs(mesh, eos, cfg, bspec, t, state)
     rejects = 0
     while True:
         try:

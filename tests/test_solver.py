@@ -49,12 +49,12 @@ def test_viscosity_delta_term():
     assert float(cfg.viscosity(ts, 2.0)) == pytest.approx((float(ts.mu(2.0)) + 1.0) * 4.0 / 3.0)
 
 
-def test_heat_flux_examples(transport):
+def test_conductivity_examples(transport):
     cfg = sv.SolverConfig(t_end=1.0)
-    assert float(sv.heat_flux(transport, cfg, 1.0, 1.0)) == pytest.approx(-2.0)
-    assert float(sv.heat_flux(transport, cfg, 1.0, 0.0)) == 0.0
+    assert float(cfg.conductivity(transport, 1.0)) == pytest.approx(2.0)
+    # kappa(1) + delta (1^Gamma + 1/1)
     cfg3 = sv.SolverConfig(delta=1.0, Gamma=3.0, t_end=1.0)
-    assert float(sv.heat_flux(transport, cfg3, 1.0, 1.0)) == pytest.approx(-4.0)
+    assert float(cfg3.conductivity(transport, 1.0)) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_stage_evaluates_each_closure_once(eos, transport, monkeypatch, channel)
     state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=u,
                           theta=1 + 0.1 * np.cos(np.pi * x))
     calls = _count_thermo_calls(monkeypatch)
-    sv._stage_rhs(mesh, eos, transport, cfg, bspec, 0.0, state)
+    sv._stage_rhs(mesh, eos, cfg, bspec, 0.0, state)
     assert calls == {"stage_closures": 1}
 
 
@@ -302,7 +302,7 @@ def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkey
     calls = _count_thermo_calls(monkeypatch, log)
     _log_newton_iterates(monkeypatch, log)
     shape_calls = _count_shape_calls(monkeypatch, eos)
-    theta = sv._recover_theta(eos, cfg, rho, w, 1.05 * theta_true)
+    theta = sv._recover_theta(eos, cfg, rho, w, 1.05 * theta_true)[0]
     np.testing.assert_allclose(theta, theta_true, rtol=1e-12)
     iterates = [args[0] for name, args in log if name == "iterate"]
     assert len(iterates) >= 2
@@ -339,6 +339,33 @@ def test_step_thermo_calls_do_not_grow_with_newton_iterates(eos, transport, box,
     assert iterates[0] < iterates[1]
 
 
+@pytest.mark.parametrize("channel", [False, True])
+def test_run_makes_seven_thermo_calls_and_two_rhs_evaluations_per_step(
+        eos, eos_table, transport, monkeypatch, channel):
+    # the EOS budget of a step: the sound speed of stable_dt, one (p, e, s)
+    # pass per stage, and per recovery one residual build and one residual
+    # check; the implicit solves add no EOS pass
+    mesh = Mesh1D(0.0, 1.0, 32)
+    x = mesh.centers
+    if channel:  # a channel512-like run: table EOS, eps = delta = 1e-3
+        bspec = bd.make_boundary(u_b_left=0.5, u_b_right=0.5, rho_b_left=1.0, F_ib_left=-4.0)
+        cfg, eos, u = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.02), eos_table, 0.5
+    else:
+        bspec, cfg, u = bd.make_boundary(), sv.SolverConfig(t_end=0.02), 0.0
+    state = sv.FieldState(rho=1 + 0.05 * np.cos(np.pi * x), u=u + 0.05 * np.sin(np.pi * x),
+                          theta=1 + 0.05 * np.cos(np.pi * x))
+    calls = _count_thermo_calls(monkeypatch)
+    rhs = []
+    fluxes = sv.convective_fluxes
+    monkeypatch.setattr(sv, "convective_fluxes", lambda *a: rhs.append(1) or fluxes(*a))
+    traj = sv.run(mesh, eos, transport, cfg, bspec, state)
+    k = traj.n_steps
+    assert traj.n_rejects == 0 and k > 1
+    assert calls == {"sound_speed_sq": k, "stage_closures": 2 * k,
+                     "energy_density_residual": 2 * k, "specific_internal_energy": 2 * k}
+    assert sum(calls.values()) == 7 * k and len(rhs) == 2 * k
+
+
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
 def test_iconic_recovery_matches_generic_residual(eos, delta, rng):
     # reference: the bracketed solve through the table-style residual
@@ -354,7 +381,7 @@ def test_iconic_recovery_matches_generic_residual(eos, delta, rng):
                 rho * (th._energy_theta(eos, rho, theta, p, dp) + delta))
 
     reference = th._solve_monotone_theta(generic, 1e-10, 1e9)
-    np.testing.assert_allclose(sv._recover_theta(eos, cfg, rho, w, 1.05 * theta_true),
+    np.testing.assert_allclose(sv._recover_theta(eos, cfg, rho, w, 1.05 * theta_true)[0],
                                reference, rtol=1e-13)
     np.testing.assert_allclose(th.temperature_from_energy_density(eos, rho, w, delta),
                                reference, rtol=1e-13)
@@ -372,7 +399,7 @@ def test_recover_theta_falls_back_to_bisection(eos_name, delta, monkeypatch, req
     theta_true = 1.0 + 0.1 * np.sin(np.pi * x)
     w = rho * cfg.internal_energy(eos, rho, theta_true)
     calls = _count_thermo_calls(monkeypatch)
-    theta = sv._recover_theta(eos, cfg, rho, w, 1e8 * theta_true)
+    theta = sv._recover_theta(eos, cfg, rho, w, 1e8 * theta_true)[0]
     assert calls["temperature_from_energy_density"] == 1
     np.testing.assert_allclose(theta, theta_true, rtol=1e-12)
 
@@ -413,7 +440,7 @@ def test_euler_step_floor_rejects_nan_density(eos, transport, box, monkeypatch):
     state = _uniform_state(32)
     drho = np.zeros(32)
     drho[3] = np.nan
-    stage = sv._stage_rhs(mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 0.0, state)
+    stage = sv._stage_rhs(mesh, eos, sv.SolverConfig(t_end=1.0), walls, 0.0, state)
     monkeypatch.setattr(sv, "_stage_rhs", lambda *a: (drho,) + stage[1:])
     with pytest.raises(sv.StepRejected, match="density fell below its floor"):
         sv.euler_step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)
@@ -451,12 +478,14 @@ def test_recover_theta_stop_rule_property(eos, eos_table, rho, theta, delta, off
     tol = 1e-15 * reference
     if table:
         tol = tol + 16.0 * np.finfo(float).eps * w / residual(reference)[1]
-    assert np.abs(sv._recover_theta(eos, cfg, rho, w, guess) - reference) <= tol
+    assert np.abs(sv._recover_theta(eos, cfg, rho, w, guess)[0] - reference) <= tol
 
 
-def test_box_recovery_takes_at_most_two_residual_evaluations(eos, transport, monkeypatch):
-    # a box128-like step: the stage's change of theta is small, so the first
-    # Newton step is below 1e-8 theta or the second one is
+def test_box_recovery_takes_at_most_three_residual_evaluations(eos, transport, monkeypatch):
+    # a box128-like step at the acoustic dt: the predictor's recovery starts
+    # from theta^n, about 1e-3 away, so its third Newton step is below
+    # 1e-8 theta; the corrector's starts from the conduction solve's
+    # temperature, and its first or second step is
     mesh = Mesh1D(0.0, 1.0, 128)
     x = mesh.centers
     state = sv.FieldState(rho=1 + 0.03 * np.cos(np.pi * x) - 0.02 * np.cos(3 * np.pi * x),
@@ -472,7 +501,8 @@ def test_box_recovery_takes_at_most_two_residual_evaluations(eos, transport, mon
     sv.step(state, mesh, eos, transport, cfg, bd.make_boundary(), dt)
     names = "".join("b" if name == "build" else "i" for name, _ in log)
     assert names.count("b") == 2
-    assert all(1 <= len(run) <= 2 for run in names.split("b")[1:]), names
+    predictor, corrector = (len(run) for run in names.split("b")[1:])
+    assert 1 <= predictor <= 3 and 1 <= corrector <= 2, names
 
 
 def test_recover_theta_checks_guess_once(eos):
@@ -504,7 +534,7 @@ def test_stage_scalars_are_one_stacked_quadrature(eos, transport, monkeypatch, c
     integrate = Mesh1D.integrate
     monkeypatch.setattr(Mesh1D, "integrate",
                         lambda self, v: reductions.append(v) or integrate(self, v))
-    _, _, _, rec = sv._stage_rhs(mesh, eos, transport, cfg, bspec, 0.0, state)
+    _, _, _, rec = sv._stage_rhs(mesh, eos, cfg, bspec, 0.0, state)
     assert reductions == []
     sc = rec.scalars
     assert sc["p_div_u"] == integrate(mesh, rec.cells["p_div_u"])
@@ -530,7 +560,7 @@ def test_uniform_compression_source(eos, transport):
     bspec = bd.make_boundary(u_b_left=0.0, u_b_right=-1.0, rho_b_left=None,
                              F_ib_left=None, rho_b_right=1.0, F_ib_right=-5.0)
     cfg = sv.SolverConfig(t_end=1.0)
-    _, _, _, rec = sv._stage_rhs(mesh, eos, transport, cfg, bspec, 0.0, state)
+    _, _, _, rec = sv._stage_rhs(mesh, eos, cfg, bspec, 0.0, state)
     p = float(th.pressure(eos, 1.0, 1.0))
     np.testing.assert_allclose(rec.cells["p_div_u"][1:-1], -p, rtol=1e-12)
 
@@ -540,13 +570,15 @@ def test_uniform_compression_source(eos, transport):
 # ---------------------------------------------------------------------------
 
 
-def test_stable_dt_parabolic_scaling(eos, transport):
+def test_stable_dt_scales_with_h(eos, transport):
+    # the stress and the heat flux are implicit: only the acoustic limit,
+    # proportional to h, is left at epsilon = 0
     cfg = sv.SolverConfig(t_end=1.0)
     dts = []
     for n in (32, 64):
         mesh = Mesh1D(0.0, 1.0, n)
         dts.append(sv.stable_dt(_uniform_state(n), mesh, eos, transport, cfg))
-    assert dts[0] / dts[1] == pytest.approx(4.0, rel=1e-12)
+    assert dts[0] / dts[1] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_stable_dt_acoustic_limit(eos):
@@ -569,15 +601,10 @@ def test_stable_dt_makes_one_thermo_call(eos_name, delta, transport, monkeypatch
     rho, u, theta = 1 + 0.1 * np.cos(np.pi * x), 0.3 * np.sin(np.pi * x), 1 + 0.2 * x
     calls = _count_thermo_calls(monkeypatch)
     dt = sv.stable_dt(sv.FieldState(rho=rho, u=u, theta=theta), mesh, eos, transport, cfg)
-    assert calls == {"sound_speed_sq_and_energy_slope": 1}
-    # bitwise the limit written out with the separate closures
-    h = mesh.h
+    assert calls == {"sound_speed_sq": 1}
+    # bitwise the acoustic limit: the stress and the heat flux are implicit
     cs = np.sqrt(th.sound_speed_sq(eos, rho, theta))
-    chi = cfg.conductivity(transport, theta) / (rho * (th.energy_theta_slope(eos, rho, theta)
-                                                       + delta))
-    # the stress is implicit: no viscous limit
-    assert dt == cfg.cfl * float(min(h / np.max(np.abs(u) + cs),
-                                     h * h / (2.0 * max(np.max(chi), 1e-300))))
+    assert dt == cfg.cfl * float(mesh.h / np.max(np.abs(u) + cs))
 
 
 def test_sound_speed_margin_oracle(eos_a0):
@@ -626,9 +653,10 @@ def _one_vs_two_half_steps(eos, ts, box):
 
 
 def test_two_half_steps_richardson(eos, box):
-    # at mu(1) = 1e-12 the viscous solve is the identity to rounding, so this
-    # sees the second-order stages: the gap shrinks ~ dt^3
-    diffs = _one_vs_two_half_steps(eos, th.TransportSpec(mu_scale=5e-13), box)
+    # at mu(1) = kappa(1) = 1e-12 the implicit solves are the identity to
+    # rounding, so this sees the second-order stages: the gap shrinks ~ dt^3
+    diffs = _one_vs_two_half_steps(eos, th.TransportSpec(mu_scale=5e-13, kappa_scale=5e-13),
+                                   box)
     assert diffs[1] < diffs[0] / 6.0
 
 
@@ -659,15 +687,11 @@ def test_dptsv_matches_reference_sweep(rng, n):
         np.testing.assert_allclose(matrix @ reference, b, rtol=0.0, atol=1e-13)
 
 
-def test_viscous_solve_fallback_run_matches_lapack(eos, transport, box, monkeypatch):
-    mesh, walls = box
-    x = mesh.centers
-    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=0.1 * np.sin(np.pi * x),
-                          theta=1 + 0.1 * np.cos(np.pi * x))
-    cfg = sv.SolverConfig(t_end=0.02)
-    lapack = sv.run(mesh, eos, transport, cfg, walls, state)
+def _assert_fallback_run_matches_lapack(monkeypatch, mesh, eos, ts, cfg, walls, state):
+    """A run with the pure-Python sweep forced matches the LAPACK run."""
+    lapack = sv.run(mesh, eos, ts, cfg, walls, state)
     monkeypatch.setattr(sv, "_dptsv", None)
-    fallback = sv.run(mesh, eos, transport, cfg, walls, state)
+    fallback = sv.run(mesh, eos, ts, cfg, walls, state)
     assert fallback.n_steps == lapack.n_steps
     for name in ("rho", "u", "theta"):
         ref = getattr(lapack.final_state, name)
@@ -677,6 +701,15 @@ def test_viscous_solve_fallback_run_matches_lapack(eos, transport, box, monkeypa
     for key, value in lapack.accums[-1].items():
         assert fallback.accums[-1][key] == pytest.approx(value, rel=1e-12, abs=1e-300), key
     assert audit(fallback).passed
+
+
+def test_viscous_solve_fallback_run_matches_lapack(eos, transport, box, monkeypatch):
+    mesh, walls = box
+    x = mesh.centers
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=0.1 * np.sin(np.pi * x),
+                          theta=1 + 0.1 * np.cos(np.pi * x))
+    _assert_fallback_run_matches_lapack(monkeypatch, mesh, eos, transport,
+                                        sv.SolverConfig(t_end=0.02), walls, state)
 
 
 def test_stiff_viscosity_runs_at_the_parabolic_free_limit(eos, box):
@@ -697,9 +730,42 @@ def test_stiff_viscosity_runs_at_the_parabolic_free_limit(eos, box):
     assert report.passed, report.verdicts
 
 
+def _stiff_conduction():
+    """A box at n = 64 with kappa_scale = 100 and a temperature gradient."""
+    mesh = Mesh1D(0.0, 1.0, 64)
+    x = mesh.centers
+    state = sv.FieldState(rho=np.ones(64), u=0.1 * np.sin(np.pi * x),
+                          theta=1 + 0.1 * np.cos(np.pi * x))
+    return mesh, th.TransportSpec(kappa_scale=100.0), sv.SolverConfig(t_end=0.01), state
+
+
+def test_stiff_conduction_runs_at_the_acoustic_limit(eos):
+    # kappa_scale = 100: the acoustic dt is about 2 450 times the explicit
+    # thermal dt h^2 / (2 max kappa/(rho e_theta)), which would take about
+    # 8 000 steps
+    mesh, ts, cfg, state = _stiff_conduction()
+    chi = cfg.conductivity(ts, state.theta) / (
+        state.rho * th.energy_theta_slope(eos, state.rho, state.theta))
+    explicit_dt = mesh.h ** 2 / (2.0 * np.max(chi))
+    acoustic_dt = mesh.h / np.max(np.abs(state.u) + np.sqrt(th.sound_speed_sq(
+        eos, state.rho, state.theta)))
+    assert acoustic_dt > 2000.0 * explicit_dt
+    traj = sv.run(mesh, eos, ts, cfg, bd.make_boundary(), state)
+    assert traj.n_rejects == 0 and traj.n_steps < 10
+    report = audit(traj)
+    assert report.passed, report.verdicts
+
+
+def test_conduction_solve_fallback_run_matches_lapack(eos, monkeypatch):
+    mesh, ts, cfg, state = _stiff_conduction()
+    _assert_fallback_run_matches_lapack(monkeypatch, mesh, eos, ts, cfg, bd.make_boundary(),
+                                        state)
+
+
 def test_step_books_viscous_terms_with_weight_dt(eos, transport):
     # a channel with u_b varying: S_grad_u and S_grad_ub come from the solve
-    # with weight dt, the dissipation integrands at the step's end theta
+    # with weight dt, the dissipation integrands at the step's end theta;
+    # the heat part is the summation by parts of h sum d/dx(heat) / theta
     n = 16
     mesh = Mesh1D(0.0, 1.0, n)
     x = mesh.centers
@@ -708,14 +774,16 @@ def test_step_books_viscous_terms_with_weight_dt(eos, transport):
     state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x),
                           u=0.5 + 0.2 * x + 0.05 * np.sin(np.pi * x),
                           theta=1 + 0.1 * np.cos(np.pi * x))
-    stage1 = sv._stage_rhs(mesh, eos, transport, cfg, bspec, 0.0, state)
+    stage1 = sv._stage_rhs(mesh, eos, cfg, bspec, 0.0, state)
     dt = sv.stable_dt(state, mesh, eos, transport, cfg)
     new, inc = sv._heun_step(mesh, eos, transport, cfg, bspec, 0.0, state, dt, stage1)
-    rho1, _, u1, w1, stress, diss = sv._predictor(mesh, transport, cfg, bspec, state,
-                                                  stage1, dt)
-    st1 = sv.FieldState(rho=rho1, u=u1,
-                        theta=sv._recover_theta(eos, cfg, rho1, w1, state.theta))
-    rec1, rec2 = stage1[3], sv._stage_rhs(mesh, eos, transport, cfg, bspec, dt, st1)[3]
+    rho1, m1, w1 = sv._predictor(cfg, state, stage1, dt)
+    theta1, capacity = sv._recover_theta(eos, cfg, rho1, w1, state.theta)
+    rec1 = stage1[3]
+    rec2 = sv._stage_rhs(mesh, eos, cfg, bspec, dt,
+                         sv.FieldState(rho=rho1, u=m1 / rho1, theta=theta1))[3]
+    _, stress, diss, _, heat, _ = sv._implicit_solves(
+        mesh, transport, cfg, bspec, rec1.cells["theta_face"], rho1, m1, theta1, capacity, dt)
     stages = {k: 0.5 * dt * (rec1.scalars[k] + rec2.scalars[k]) for k in rec1.scalars}
     assert list(inc) == list(stages)
     assert stages["S_grad_u"] == stages["S_grad_ub"] == 0.0 and diss.min() > 0.0
@@ -723,9 +791,13 @@ def test_step_books_viscous_terms_with_weight_dt(eos, transport):
     assert inc["S_grad_u"] == pytest.approx(dt * integrate(diss), rel=1e-14)
     assert inc["S_grad_ub"] == pytest.approx(  # grad u_b = 0.2
         dt * integrate(0.5 * (stress[:-1] + stress[1:])) * 0.2, rel=1e-14)
+    inv_theta = 1.0 / new.theta
+    by_parts = float((heat[1:-1] * (inv_theta[:-1] - inv_theta[1:])).sum())
+    assert heat[0] == heat[-1] == 0.0 and by_parts > 0.0
+    assert by_parts == pytest.approx(integrate(np.diff(heat) / mesh.h * inv_theta), rel=1e-12)
     for key in ("dissipation", "dissipation_no_delta"):
-        assert inc[key] == pytest.approx(stages[key] + dt * integrate(diss / new.theta),
-                                         rel=1e-14)
+        assert inc[key] == pytest.approx(
+            stages[key] + dt * (integrate(diss / new.theta) + by_parts), rel=1e-14)
     viscous = ("S_grad_u", "S_grad_ub", "dissipation", "dissipation_no_delta")
     assert all(inc[k] == stages[k] for k in stages if k not in viscous)
 
@@ -763,8 +835,8 @@ def test_stage_rhs_mirror_symmetry(eos, transport):
                           u=0.5 + 0.2 * x + 0.05 * np.sin(np.pi * x),
                           theta=1 + 0.2 * x ** 2 * (3 - 2 * x))
     mirror = sv.FieldState(rho=state.rho[::-1], u=-state.u[::-1], theta=state.theta[::-1])
-    drho1, dm1, dW1, rec1 = sv._stage_rhs(mesh, eos, transport, cfg, fwd, 0.0, state)
-    drho2, dm2, dW2, rec2 = sv._stage_rhs(mesh, eos, transport, cfg, rev, 0.0, mirror)
+    drho1, dm1, dW1, rec1 = sv._stage_rhs(mesh, eos, cfg, fwd, 0.0, state)
+    drho2, dm2, dW2, rec2 = sv._stage_rhs(mesh, eos, cfg, rev, 0.0, mirror)
     np.testing.assert_array_equal(drho2, drho1[::-1])
     np.testing.assert_array_equal(dm2, -dm1[::-1])
     np.testing.assert_array_equal(dW2, dW1[::-1])
@@ -801,10 +873,10 @@ def test_step_evaluates_first_stage_once_per_step(eos, transport, box, monkeypat
                           theta=np.full(32, 0.2))
     cfg = sv.SolverConfig(t_end=1.0, max_rejects=20)
     t0 = 0.25
-    reference_stage = sv._stage_rhs(mesh, eos, transport, cfg, walls, t0, state)
+    reference_stage = sv._stage_rhs(mesh, eos, cfg, walls, t0, state)
     times = []
     stage = sv._stage_rhs
-    monkeypatch.setattr(sv, "_stage_rhs", lambda *a: times.append(a[5]) or stage(*a))
+    monkeypatch.setattr(sv, "_stage_rhs", lambda *a: times.append(a[4]) or stage(*a))
     new, dt_used, inc, rejects = sv.step(state, mesh, eos, transport, cfg, walls, 5.0, t=t0)
     assert rejects > 0
     assert times.count(t0) == 1 and times[0] == t0
@@ -836,12 +908,12 @@ def test_step_calls_each_source_once_per_stage(eos, transport, box, monkeypatch,
         t_end=0.01, g=_logged(log, "g", lambda t, x: 1e-3 * np.cos(np.pi * x)),
         energy_source=_logged(log, "source", lambda t, x: 1e-3 * np.sin(np.pi * x)))
     stage = sv._stage_rhs
-    monkeypatch.setattr(sv, "_stage_rhs", lambda *a: stages.append(a[5]) or stage(*a))
+    monkeypatch.setattr(sv, "_stage_rhs", lambda *a: stages.append(a[4]) or stage(*a))
     if rejecting:  # the state of test_step_rejection_and_abort
         state = sv.FieldState(rho=np.ones(32), u=2.0 * np.sin(np.pi * x),
                               theta=np.full(32, 0.2))
         _, _, _, rejects = sv.step(state, mesh, eos, transport, cfg, walls, 5.0, t=0.25)
-        assert rejects == 6
+        assert rejects == 7
         assert stages[0] == 0.25 and stages.count(0.25) == 1
         assert 2 <= len(stages) <= rejects + 2
     else:
@@ -866,7 +938,7 @@ def test_constant_body_force_matches_callable(eos, transport, g):
     stages = []
     for force in (g, lambda t, x: g):
         cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=1.0, g=force)
-        stages.append(sv._stage_rhs(mesh, eos, transport, cfg, bspec, 0.3, state))
+        stages.append(sv._stage_rhs(mesh, eos, cfg, bspec, 0.3, state))
     assert type(sv.SolverConfig(g=g).body_force(0.3, x)) is float
     (*const, rec), (*call, ref) = stages
     assert [a.tobytes() for a in const] == [a.tobytes() for a in call]

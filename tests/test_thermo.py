@@ -453,8 +453,6 @@ def test_fused_closures_match_separate_calls(name, theta0, eos_table, request):
     reference = (th.pressure_rho_slope(eos, rho, theta)
                  + p_t * p_t * theta / (rho * rho * th.energy_theta_slope(eos, rho, theta)))
     assert np.array_equal(th.sound_speed_sq(eos, rho, theta), reference)
-    c2, de_c = th.sound_speed_sq_and_energy_slope(eos, rho, theta)
-    assert np.array_equal(c2, reference) and np.array_equal(de_c, de)
 
 
 @pytest.mark.parametrize("name", ("eos_table", "eos_table_nolaw"))
