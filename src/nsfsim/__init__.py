@@ -31,8 +31,8 @@ from .thermo import (ConservativeState, EosDomainError, EosSpec,
                      EosValidationError, OutOfDomainError, ThermoState,
                      TransportSpec, check_eos_invariants,
                      extended_internal_energy, from_conservative,
-                     gibbs_residual, iconic_eos, pressure, sound_speed_sq,
-                     specific_entropy, specific_internal_energy,
+                     gibbs_residual, iconic_eos, pressure, pressure_theta_slope,
+                     sound_speed_sq, specific_entropy, specific_internal_energy,
                      stability_margins, tabulated_eos, to_conservative,
                      transport_coefficients)
 
@@ -50,7 +50,8 @@ __all__ = [
     "export_budget_csv", "export_timeseries", "extended_internal_energy",
     "from_conservative", "gibbs_residual", "gronwall_envelope",
     "iconic_eos", "load_scenario", "make_boundary", "manufactured_case",
-    "mass_budget", "parse_scenario", "pressure", "relative_energy_conservative",
+    "mass_budget", "parse_scenario", "pressure", "pressure_theta_slope",
+    "relative_energy_conservative",
     "relative_energy_integral", "relative_energy_standard", "run", "sound_speed_sq",
     "specific_entropy", "specific_internal_energy", "stability_margins",
     "stable_dt", "step", "tabulated_eos", "to_conservative", "total_energy",

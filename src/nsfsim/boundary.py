@@ -105,13 +105,15 @@ class BoundarySpec:
 def make_boundary(u_b_left: float = 0.0, u_b_right: float = 0.0,
                   x_left: float = 0.0, x_right: float = 1.0,
                   rho_b_left: Optional[float] = None, F_ib_left: Optional[float] = None,
-                  rho_b_right: Optional[float] = None, F_ib_right: Optional[float] = None,
-                  wall_left: bool = False, wall_right: bool = False) -> BoundarySpec:
+                  rho_b_right: Optional[float] = None,
+                  F_ib_right: Optional[float] = None) -> BoundarySpec:
+    """The faces of [x_left, x_right], each classified by the sign of u_b . n; a face
+    that is a wall whatever rounding u_b carries is a ``BoundaryFace(wall=True)``."""
     return BoundarySpec(
         left=BoundaryFace(pos=x_left, normal=-1.0, u_b=u_b_left,
-                          rho_b=rho_b_left, F_ib=F_ib_left, wall=wall_left),
+                          rho_b=rho_b_left, F_ib=F_ib_left),
         right=BoundaryFace(pos=x_right, normal=1.0, u_b=u_b_right,
-                           rho_b=rho_b_right, F_ib=F_ib_right, wall=wall_right),
+                           rho_b=rho_b_right, F_ib=F_ib_right),
     )
 
 

@@ -174,12 +174,11 @@ def entropy_budget(traj: Trajectory, window=None):
     return production, terms
 
 
-def apriori_monitor(traj: Trajectory, epsilon=None, delta=None) -> dict:
-    """Coercivity-bound quantities; (epsilon, delta) may be overridden to
-    reweight the regularization-scaled integrals of a frozen trajectory."""
+def apriori_monitor(traj: Trajectory) -> dict:
+    """Coercivity-bound quantities of the whole trajectory, the
+    regularization-scaled integrals weighted by its (epsilon, delta)."""
     cfg = traj.config
-    eps = cfg.epsilon if epsilon is None else float(epsilon)
-    dlt = cfg.delta if delta is None else float(delta)
+    eps, dlt = cfg.epsilon, cfg.delta
     window = (traj.times[0], traj.times[-1])
     out = {}
     _, energy, entropy = _storages(traj, traj.states)

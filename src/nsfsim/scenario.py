@@ -393,6 +393,11 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if cfg is not None and any(t < 0.0 or t > cfg.t_end + 1e-12 for t in output_times):
         issues.append(Issue("output_times", "config-schema",
                             "output times must lie in [0, t_end]"))
+    elif cfg is not None and (shared := _shared_state_file_names(
+            [*output_times, 0.0, cfg.t_end])):
+        # the run records these times, 0 and t_end included, one state file each
+        issues.append(Issue("output_times", "config-schema",
+                            f"distinct output times share the state files {shared}"))
 
     if issues:
         raise ScenarioValidationError(issues)
@@ -412,9 +417,9 @@ def load_eos_document(path):
     """Read an eos.json document; returns ({invariant: (ok, detail)}, issues),
     with every failed invariant among the issues.
 
-    The document holds an ``eos`` and a ``transport`` object, or is itself
-    one object of eos and transport keys.  Unknown keys and sections that
-    are not objects are issues, as in :func:`parse_scenario`.
+    The document holds an ``eos`` and a ``transport`` object.  Unknown keys,
+    eos or transport keys at the top level included, and sections that are
+    not objects are issues, as in :func:`parse_scenario`.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -423,12 +428,8 @@ def load_eos_document(path):
         issues.append(Issue("eos", "eos-schema", f"expected an object, got {doc!r}"))
         return {}, issues
     sections = {"eos": _EOS_KEYS, "transport": _TRANSPORT_KEYS}
-    if sections.keys() & doc.keys():
-        _check_keys(doc, tuple(sections), "", issues)
-        docs = _object_sections(doc, sections, issues)
-    else:
-        _check_keys(doc, _EOS_KEYS + _TRANSPORT_KEYS, "", issues)
-        docs = dict.fromkeys(sections, doc)
+    _check_keys(doc, tuple(sections), "", issues)
+    docs = _object_sections(doc, sections, issues)
     checks = {}
     if "eos" in docs:
         _, checks = _build_eos(docs["eos"], issues)
@@ -446,14 +447,27 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _state_file_name(t: float) -> str:
+    return f"state_{t:.6f}.csv"
+
+
+def _shared_state_file_names(times) -> str:
+    """The state file names two or more of the distinct ``times`` share, joined by ", "."""
+    names = sorted(map(_state_file_name, set(times)))
+    return ", ".join(sorted({a for a, b in zip(names, names[1:]) if a == b}))
+
+
 def export_timeseries(traj: Trajectory, outdir) -> list:
-    """Write state_<t>.csv per output time and fluxes.csv; returns the paths."""
+    """Write state_<t>.csv per output time and fluxes.csv; returns the paths.
+    Raises ValueError, writing nothing, if two recorded times share a name."""
+    if shared := _shared_state_file_names(traj.times):
+        raise ValueError(f"recorded times share the state files {shared}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
     x = traj.mesh.centers
     for t, st in zip(traj.times, traj.states):
-        p = outdir / f"state_{t:.6f}.csv"
+        p = outdir / _state_file_name(t)
         with open(p, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["x", "rho", "u", "theta"])

@@ -39,8 +39,8 @@ SSP-RK2 step of H alone; the entropy the implicit increments add is at
 least their energy over the new temperature (s is concave), which is what
 the step books.  Neither implicit term sets a step limit: ``stable_dt``
 takes the acoustic and mass-diffusion limits.  A stage that loses
-positivity (density or temperature floors, or a failed temperature
-recovery) halves dt and retries.
+positivity (density or temperature floors, or a temperature recovery whose
+Newton iteration did not converge) halves dt and retries.
 
 Both implicit systems are symmetric positive definite and tridiagonal and
 share one assembly.  LAPACK ``dptsv`` solves them, from the library that
@@ -82,9 +82,8 @@ import numpy as np
 
 from .boundary import BoundarySpec, FaceKind
 from .mesh import Mesh1D
-from .thermo import (EosSpec, EosDomainError, TransportSpec, OutOfDomainError,
-                     energy_density_residual, sound_speed_sq, specific_entropy, specific_internal_energy, stage_closures,
-                     temperature_from_energy_density)
+from .thermo import (EosSpec, EosDomainError, TransportSpec, energy_density_residual,
+                     sound_speed_sq, specific_entropy, specific_internal_energy, stage_closures)
 
 
 class StepRejected(Exception):
@@ -270,9 +269,9 @@ class StageRecord:
 
     ``scalars`` hold instantaneous rates (volume and boundary integrals);
     time-weighted sums of them reproduce the scheme's own updates exactly.
-    ``cells`` holds arrays: the energy density ``w`` the stage started from,
-    the face temperatures ``theta_face`` (the step freezes the viscosity
-    and the conductivity there), and diagnostics for tests.
+    ``cells`` holds two arrays: the energy density ``w`` the stage started
+    from and the face temperatures ``theta_face`` (the step freezes the
+    viscosity and the conductivity there).
     """
 
     scalars: dict = dc_field(default_factory=dict)
@@ -401,10 +400,9 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpe
 
     # internal energy sources
     div_u = (u_face[1:] - u_face[:-1]) / h
-    p_div_u = p_cell * div_u
     grad_rho_sq = grad_rho_c ** 2
     grad_rho_coeff = cfg.Gamma * rho ** (cfg.Gamma - 2.0) + 2.0
-    source = -p_div_u
+    source = -(p_cell * div_u)
     mms = None
     if cfg.energy_source is not None:
         mms = np.asarray(cfg.energy_source(t, x), dtype=float) * np.ones_like(x)
@@ -419,11 +417,11 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpe
     dW = -(e_flux[1:] - e_flux[:-1]) / h + source
 
     # volume integrands in record order; None marks a term that vanishes here
-    # (S_grad_u and S_grad_ub are booked by the step, as are the viscous and
-    # heat parts of both dissipation integrands)
+    # (S_grad_ub is booked by the step, as are the viscous and heat parts of
+    # both dissipation integrands)
     inv_theta = 1.0 / theta
     inv_theta3 = inv_theta ** 3
-    vol = {"S_grad_u": None, "p_div_u": p_div_u, "dissipation_no_delta": None,
+    vol = {"dissipation_no_delta": None,
            "dissipation": cfg.delta * inv_theta3 if cfg.delta > 0.0 else None}
     vol["theta4"] = theta ** 4
     vol["theta5"] = theta ** 5
@@ -451,7 +449,7 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpe
     sums = iter((np.array([v for v in vol.values() if v is not None]).sum(axis=1) * h).tolist())
     sc.update((k, 0.0 if v is None else next(sums)) for k, v in vol.items())
 
-    cells = {"w": pad.w[1:-1], "p_div_u": p_div_u, "theta_face": theta_face}
+    cells = {"w": pad.w[1:-1], "theta_face": theta_face}
     return drho, dm, dW, StageRecord(scalars=sc, cells=cells)
 
 
@@ -597,10 +595,10 @@ def _reject_nonfinite(name, values):
 
 
 def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
-    """Invert rho e_delta(rho, theta) = w per cell; Newton with robust fallback.
+    """Invert rho e_delta(rho, theta) = w per cell by damped Newton.
 
-    Returns (theta, slope): slope is d(rho e_delta)/dtheta at the last
-    Newton iterate, or at theta where the fallback solved.
+    Returns (theta, slope), slope being d(rho e_delta)/dtheta at the last Newton
+    iterate; a residual above 1e-9 (|w| + 1) in any cell rejects the step.
     """
     _reject_nonfinite("density", rho)
     if not (rho >= cfg.rho_floor).all():
@@ -620,16 +618,9 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
         if np.max(np.abs(step) / (theta + 1e-300)) < _NEWTON_LAST_STEP:
             break
     f = rho * cfg.internal_energy(eos, rho, theta) - w
-    # a NaN residual is bad too
-    bad = ~(np.abs(f) <= 1e-9 * (np.abs(w) + 1.0))
-    if np.any(bad):
-        try:
-            theta_fb = temperature_from_energy_density(
-                eos, rho[bad], w[bad], delta=cfg.delta)
-        except OutOfDomainError as err:
-            raise StepRejected(f"temperature recovery failed: {err}") from None
-        theta[bad] = theta_fb
-        df = residual(theta)[1]
+    # a NaN residual fails too
+    if not (np.abs(f) <= 1e-9 * (np.abs(w) + 1.0)).all():
+        raise StepRejected("temperature recovery failed: Newton did not converge")
     if not (theta >= cfg.theta_floor).all():
         raise StepRejected("temperature fell below its floor")
     return theta, df
@@ -695,7 +686,6 @@ def _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt, stage1):
     inv_theta = 1.0 / new_state.theta
     entropy_gain = dt * (float((diss * inv_theta).sum()) * h
                          + float((heat[1:-1] * (inv_theta[:-1] - inv_theta[1:])).sum()))
-    inc["S_grad_u"] += dt * (float(diss.sum()) * h)
     inc["dissipation_no_delta"] += entropy_gain
     inc["dissipation"] += entropy_gain
     _, grad_ub = boundary_velocity_extension(mesh, bspec)

@@ -12,6 +12,9 @@ from .mms import MmsCase
 from .scenario import Scenario, parse_scenario
 from .solver import run as run_solver
 
+# The window the observed MMS orders of a first-order scheme must fall in.
+ORDER_LO, ORDER_HI = 0.8, 1.5
+
 
 @dataclass
 class ConvergenceStudy:
@@ -75,10 +78,10 @@ def scenario_with_resolution(doc: dict, n: int, name: str = "scenario") -> Scena
     return parse_scenario(patched, name=f"{name}-n{n}")
 
 
-def weak_strong_study(doc: dict, n_values, ratio: int = 4, name: str = "scenario"):
+def weak_strong_study(doc: dict, n_values, name: str = "scenario"):
     """Coarse-vs-fine relative energy traces for a scenario document.
 
-    For each n the scenario runs on n and on ratio*n cells with identical
+    For each n the scenario runs on n and on 4n cells with identical
     data; returns a list of (n, trace, envelope).  Scenario validation (in
     particular inflow-flux admissibility) happens on every parse, so an
     inadmissible experiment is refused before any run.
@@ -86,7 +89,7 @@ def weak_strong_study(doc: dict, n_values, ratio: int = 4, name: str = "scenario
     results = []
     for n in n_values:
         coarse = scenario_with_resolution(doc, n, name=name).run()
-        fine = scenario_with_resolution(doc, ratio * n, name=name).run()
+        fine = scenario_with_resolution(doc, 4 * n, name=name).run()
         trace, envelope = weak_strong_trace(coarse, fine)
         results.append((int(n), trace, envelope))
     return results

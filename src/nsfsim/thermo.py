@@ -30,8 +30,8 @@ give ``p_dp`` = (P, P') and ``p_entropy`` = (P, S), the table from one piece
 lookup, and the closures apply formulas written once in (rho, theta, P, P',
 S).  ``stage_closures`` is a solver stage's one EOS pass: (p, e, s) from one
 Z and one (P, S) pass, bitwise equal to the separate closures.
-``energy_density_residual`` builds the residual of both temperature
-inversions once per solve (a quartic in theta on the iconic shape, one
+``energy_density_residual`` builds the residual of the solver's temperature
+recovery once per solve (a quartic in theta on the iconic shape, one
 (P, P') pass per iterate on a table), ``sound_speed_sq`` serves the step
 limit, and ``gibbs_residual`` keeps independent routes.
 """
@@ -560,7 +560,7 @@ def stage_closures(eos: EosSpec, rho, theta):
 
 def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     """theta -> (rho e_delta - w, d(rho e_delta)/dtheta) at fixed (rho, w),
-    with e_delta = e + delta theta: the residual of the temperature inversions.
+    with e_delta = e + delta theta: the residual of the temperature recovery.
 
     rho > 0 is checked once, here; callers keep theta positive.  On the
     iconic shape rho e_delta = a theta^4 + (3/2 + delta) rho theta
@@ -748,12 +748,6 @@ def temperature_from_entropy(eos: EosSpec, rho, S, lo: float = 1e-8,
         return f, df
 
     return _solve_monotone_theta(f_and_slope, lo, hi)
-
-
-def temperature_from_energy_density(eos: EosSpec, rho, w, delta: float = 0.0,
-                                    lo: float = 1e-10):
-    """Solve rho (e(rho, theta) + delta theta) = w for theta in [lo, 1e9]."""
-    return _solve_monotone_theta(energy_density_residual(eos, rho, w, delta), lo, 1e9)
 
 
 def to_conservative(eos: EosSpec, state: ThermoState) -> ConservativeState:

@@ -273,7 +273,7 @@ def test_weak_strong_surrogate():
     monotonically over n in {32, 64, 128}; envelope rate is nonnegative."""
     doc = json.loads((SCENARIO_DIR / "throughflow.json").read_text())
     doc["output_times"] = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25]
-    results = studies.weak_strong_study(doc, [32, 64, 128], ratio=4)
+    results = studies.weak_strong_study(doc, [32, 64, 128])
     finals = [trace.integrals[-1] for _, trace, _ in results]
     etas = [eta for _, _, (eta, _) in results]
     rates = [rate for _, _, (_, rate) in results]

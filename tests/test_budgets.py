@@ -187,18 +187,6 @@ def test_monitors_finite_and_nondecreasing(eos, transport, throughflow_setup):
         assert acc_full[key] >= acc_half[key] - 1e-14
 
 
-def test_monitor_reweighting_is_linear(eos, transport, throughflow_setup):
-    mesh, ts, _, bspec, initial = throughflow_setup
-    cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.02)
-    traj = sv.run(mesh, eos, ts, cfg, bspec, initial)
-    base = bg.apriori_monitor(traj)
-    halved = bg.apriori_monitor(traj, epsilon=cfg.epsilon / 2, delta=cfg.delta / 2)
-    for key in ("delta_inv_theta3", "eps_theta5", "delta_boundary"):
-        assert halved[key] == pytest.approx(0.5 * base[key], rel=1e-12)
-    assert halved["eps_delta_grad_rho"] == pytest.approx(
-        0.25 * base["eps_delta_grad_rho"], rel=1e-12)
-
-
 def test_audit_report_shape(throughflow_traj):
     report = bg.audit(throughflow_traj)
     assert set(report.verdicts) == {"mass", "energy", "entropy"}

@@ -443,6 +443,31 @@ def test_export_determinism(tmp_path):
     assert doc_hashes[0] == doc_hashes[1]
 
 
+def test_output_times_sharing_a_state_file_are_refused():
+    doc = minimal_doc()
+    doc["output_times"] = [0.0, 0.005, 0.0050001, 0.01]
+    with pytest.raises(sc.ScenarioValidationError) as err:
+        sc.parse_scenario(doc)
+    [issue] = err.value.issues
+    assert (issue.path, issue.code) == ("output_times", "config-schema")
+    assert "state_0.005000.csv" in issue.message
+
+
+def test_export_refuses_times_sharing_a_state_file(tmp_path):
+    # two distinct times, one file name: nothing is written, so no state
+    # file overwrites another
+    scn = sc.parse_scenario(minimal_doc())
+    traj = solver.run(scn.mesh, scn.eos, scn.transport, scn.config, scn.boundary,
+                      scn.initial, output_times=[0.0, 0.005, 0.0050001, 0.01])
+    with pytest.raises(ValueError, match="state_0.005000.csv"):
+        sc.export_timeseries(traj, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    traj = solver.run(scn.mesh, scn.eos, scn.transport, scn.config, scn.boundary,
+                      scn.initial, output_times=[0.0, 0.005, 0.01])
+    assert [p.name for p in sc.export_timeseries(traj, tmp_path / "out")] == [
+        "state_0.000000.csv", "state_0.005000.csv", "state_0.010000.csv", "fluxes.csv"]
+
+
 def test_budget_csv_columns(tmp_path, closed_box_traj):
     from nsfsim.budgets import audit
 
@@ -479,6 +504,18 @@ def test_cli_check_eos_fail(tmp_path, capsys):
         rc = cli.main(["check-eos", str(path)])
         assert rc == 1
         assert failure in capsys.readouterr().out
+
+
+def test_cli_check_eos_reports_bare_document_keys(tmp_path, capsys):
+    # the document holds an eos and a transport object; their keys at the
+    # top level are unknown
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"shape": "iconic", "mu_scale": 1.0}))
+    rc = cli.main(["check-eos", str(path)])
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert rc == 1
+    assert [line.split(":")[0] for line in fails] == ["FAIL  [unknown-key] shape",
+                                                      "FAIL  [unknown-key] mu_scale"]
 
 
 def test_cli_check_eos_prints_each_invariant_once(tmp_path, capsys):

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import nsfsim
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -28,3 +30,28 @@ def test_no_unused_imports():
     assert package and tests
     unused = [entry for path in package + tests for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _public_functions(path: Path) -> list:
+    """The public functions defined at the top level of a module."""
+    tree = ast.parse(path.read_text())
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def _referenced_names(path: Path) -> set:
+    """Every name a module reads, bare or as the attribute of an object."""
+    tree = ast.parse(path.read_text())
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_public_function_has_a_caller():
+    # a public function is read somewhere in the package, by name or as
+    # module.attr, or exported through nsfsim.__all__; the re-export imports
+    # of __init__.py bind names without reading them, so they do not count
+    modules = sorted((ROOT / "src" / "nsfsim").glob("*.py"))
+    read = set().union(*map(_referenced_names, modules))
+    uncalled = [f"{path.stem}.{name}" for path in modules for name in _public_functions(path)
+                if name not in read and name not in nsfsim.__all__]
+    assert uncalled == []
