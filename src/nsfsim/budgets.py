@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .relent import (RelEnergyTrace, relative_energy_fields)
-from .solver import FieldState, Trajectory, boundary_velocity_extension
+from .solver import THETA_BAR, FieldState, Trajectory, boundary_velocity_extension
 
 ENTROPY_TOL = 1e-8
 MASS_TOL_PER_STEP = 1e-11
@@ -182,8 +182,8 @@ def apriori_monitor(traj: Trajectory) -> dict:
     window = (traj.times[0], traj.times[-1])
     out = {}
     _, energy, entropy = _storages(traj, traj.states)
-    out["energy_sup"] = float(np.max(energy - cfg.theta_bar * entropy))
-    out["dissipation_integral"] = cfg.theta_bar * _delta_acc(traj, "dissipation_no_delta", window)
+    out["energy_sup"] = float(np.max(energy - THETA_BAR * entropy))
+    out["dissipation_integral"] = THETA_BAR * _delta_acc(traj, "dissipation_no_delta", window)
     out["inflow_coercive"] = _delta_acc(traj, "apriori_in_coercive", window)
     out["outflow_ballistic"] = _delta_acc(traj, "apriori_out_ballistic", window)
     out["delta_inv_theta3"] = dlt * _delta_acc(traj, "inv_theta3", window)

@@ -17,7 +17,8 @@ from . import boundary as bd
 from .budgets import audit as run_audit
 from .mms import manufactured_case
 from .scenario import (ScenarioValidationError, export_budget_csv,
-                       export_timeseries, load_eos_document, load_scenario)
+                       export_timeseries, load_document, load_eos_document,
+                       load_scenario)
 from .studies import ORDER_HI, ORDER_LO, convergence_study, weak_strong_study
 
 
@@ -60,8 +61,6 @@ def _cmd_run(args) -> int:
     scn = _load(args.scenario)
     if scn is None:
         return 1
-    for w in scn.warnings:
-        print("note:", w)
     traj = scn.run()
     paths = export_timeseries(traj, args.out)
     print(f"wrote {len(paths)} files to {args.out} "
@@ -134,9 +133,8 @@ def _cmd_converge(args) -> int:
 
 def _cmd_weak_strong(args) -> int:
     try:
-        with open(args.scenario) as fh:
-            doc = json.load(fh)
-        results = weak_strong_study(doc, [int(n) for n in args.resolutions.split(",")],
+        results = weak_strong_study(load_document(args.scenario),
+                                    [int(n) for n in args.resolutions.split(",")],
                                     name=Path(args.scenario).stem)
     except ScenarioValidationError as err:
         for issue in err.issues:

@@ -13,7 +13,7 @@ A scenario is a single JSON document:
                               "F_ib": -2.0},
                              {"pos": 1.0, "u_b": 1.0}]},
       "config":   {"epsilon": 0.0, "delta": 0.0, "Gamma": 4.0, "d": 3,
-                   "cfl": 0.4, "t_end": 0.5, "theta_bar": 1.0},
+                   "cfl": 0.4, "t_end": 0.5},
       "initial":  {"rho": "1", "u": "0", "theta": "1 + 0.1*cos(pi*x)"},
       "output_times": [0.0, 0.25, 0.5]
     }
@@ -25,6 +25,8 @@ each tagged with the offending field path and a stable issue code; a key
 that no section knows is an ``unknown-key`` issue, not silently ignored, and
 a value of the wrong type (a section that is not an object, a number that
 does not parse, a missing table column) is a ``<section>-schema`` issue.
+Initial data that :func:`nsfsim.solver.initial_data_problems` refuses is an
+``initial-finite`` or ``initial-positivity`` issue; no value is changed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import csv
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -42,7 +44,8 @@ import numpy as np
 
 from . import boundary as bd
 from .mesh import Mesh1D
-from .solver import FieldState, SolverConfig, Trajectory, run as run_solver
+from .solver import (FieldState, SolverConfig, Trajectory, initial_data_problems,
+                     run as run_solver)
 from .thermo import (EosSpec, EosValidationError, TransportSpec,
                      check_eos_invariants)
 
@@ -136,7 +139,6 @@ class Scenario:
     config: SolverConfig
     initial: FieldState
     output_times: list
-    warnings: list = field(default_factory=list)
 
     def run(self) -> Trajectory:
         return run_solver(self.mesh, self.eos, self.transport, self.config,
@@ -154,8 +156,7 @@ _BOUNDARY_KEYS = ("faces",)
 _FACE_KINDS = {"pos": float, "u_b": float, "rho_b": float, "F_ib": float, "wall": bool}
 _FACE_OPTIONAL = ("rho_b", "F_ib")
 _CONFIG_KEYS = {"epsilon": float, "delta": float, "Gamma": float, "d": int, "cfl": float,
-                "t_end": float, "g": float, "theta_bar": float, "rho_floor": float,
-                "theta_floor": float}
+                "t_end": float, "g": float}
 _INITIAL_KEYS = ("rho", "u", "theta")
 
 
@@ -288,8 +289,10 @@ def _build_boundary(faces: list, mesh: Mesh1D, eos, issues: list) -> Optional[bd
 
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     """Validate a scenario document; raises with every issue on failure."""
+    if not isinstance(doc, dict):
+        raise ScenarioValidationError([Issue("scenario", "scenario-schema",
+                                             f"expected an object, got {doc!r}")])
     issues: list[Issue] = []
-    warnings: list[str] = []
     _check_keys(doc, _TOP_KEYS, "", issues)
     docs = _object_sections(doc, {"mesh": _MESH_KINDS, "eos": _EOS_KEYS,
                                   "transport": _TRANSPORT_KEYS, "boundary": _BOUNDARY_KEYS,
@@ -321,17 +324,13 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             cfg = SolverConfig(**kw)
         except ValueError as err:
             issues.append(Issue("config", "config-schema", str(err)))
-    if cfg is not None and cfg.theta_floor > 1.0:
-        issues.append(Issue("config.theta_floor", "config-schema",
-                            f"theta_floor must not exceed 1, got {cfg.theta_floor:g}: "
-                            "the clamp interval [theta_floor, 1/theta_floor] is empty"))
 
     bspec = None
     if mesh is not None and faces is not None:
         bspec = _build_boundary(faces, mesh, eos, issues)
 
     initial = None
-    if mesh is not None and cfg is not None and "initial" in docs:
+    if mesh is not None and "initial" in docs:
         idoc = docs["initial"]
         fields = {}
         for key in _INITIAL_KEYS:
@@ -356,29 +355,10 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
                     fields[key] = arr
             except ExpressionError as err:
                 issues.append(Issue(f"initial.{key}", "initial-schema", str(err)))
-        nonfinite = {k: int(np.sum(~np.isfinite(v))) for k, v in fields.items()}
-        for key, count in nonfinite.items():
-            if count:
-                issues.append(Issue(f"initial.{key}", "initial-finite",
-                                    f"initial {key} is not finite in {count} of "
-                                    f"{mesh.n_cells} cells"))
-        if len(fields) == 3 and not any(nonfinite.values()):
-            if np.any(fields["rho"] <= 0.0):
-                issues.append(Issue("initial.rho", "initial-positivity",
-                                    "initial density must be positive everywhere"))
-            lo, hi = cfg.theta_floor, 1.0 / cfg.theta_floor
-            clamped = np.clip(fields["theta"], lo, hi)
-            n_clamped = int(np.sum(clamped != fields["theta"]))
-            if np.any(fields["theta"] <= 0.0):
-                issues.append(Issue("initial.theta", "initial-positivity",
-                                    "initial temperature must be positive everywhere"))
-            elif n_clamped:
-                warnings.append(
-                    f"initial.theta: clamped {n_clamped} cells into [{lo:g}, {hi:g}]")
-            fields["theta"] = clamped
-            if not issues:
-                initial = FieldState(rho=fields["rho"], u=fields["u"],
-                                     theta=fields["theta"])
+        for key, check, message in initial_data_problems(fields):
+            issues.append(Issue(f"initial.{key}", f"initial-{check}", message))
+        if not issues:
+            initial = FieldState(**fields)
 
     outs = doc.get("output_times")
     output_times = []
@@ -402,36 +382,47 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if issues:
         raise ScenarioValidationError(issues)
     return Scenario(name=name, mesh=mesh, eos=eos, transport=ts, boundary=bspec,
-                    config=cfg, initial=initial, output_times=output_times,
-                    warnings=warnings)
+                    config=cfg, initial=initial, output_times=output_times)
+
+
+def load_document(path):
+    """The JSON document in the file ``path``; an unreadable or non-JSON file
+    raises ScenarioValidationError with one ``file`` issue naming it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as err:  # ValueError: JSONDecodeError, UnicodeDecodeError
+        raise ScenarioValidationError(
+            [Issue(str(path), "file", f"cannot read a JSON document: {err}")]) from None
 
 
 def load_scenario(path) -> Scenario:
-    path = Path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    return parse_scenario(doc, name=path.stem)
+    return parse_scenario(load_document(path), name=Path(path).stem)
 
 
 def load_eos_document(path):
     """Read an eos.json document; returns ({invariant: (ok, detail)}, issues),
     with every failed invariant among the issues.
 
-    The document holds an ``eos`` and a ``transport`` object.  Unknown keys,
-    eos or transport keys at the top level included, and sections that are
-    not objects are issues, as in :func:`parse_scenario`.
+    The document holds an ``eos`` object and may hold a ``transport`` one.
+    A missing ``eos``, unknown keys (eos or transport keys at the top level
+    included), sections that are not objects and a file that cannot be read
+    as JSON are issues, as in :func:`parse_scenario`.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    issues: list[Issue] = []
+    try:
+        doc = load_document(path)
+    except ScenarioValidationError as err:
+        return {}, err.issues
     if not isinstance(doc, dict):
-        issues.append(Issue("eos", "eos-schema", f"expected an object, got {doc!r}"))
-        return {}, issues
+        return {}, [Issue("eos", "eos-schema", f"expected an object, got {doc!r}")]
+    issues: list[Issue] = []
     sections = {"eos": _EOS_KEYS, "transport": _TRANSPORT_KEYS}
     _check_keys(doc, tuple(sections), "", issues)
     docs = _object_sections(doc, sections, issues)
     checks = {}
-    if "eos" in docs:
+    if "eos" not in doc:
+        issues.append(Issue("eos", "eos-schema", "missing: the document holds no eos object"))
+    elif "eos" in docs:
         _, checks = _build_eos(docs["eos"], issues)
     if "transport" in docs:
         _build_transport(docs["transport"], issues)

@@ -99,6 +99,14 @@ class RunAborted(RuntimeError):
         self.state = state
 
 
+# Positivity floors of density and temperature, consecutive rejections a
+# step may take before the run aborts, and the reference temperature of the
+# a priori energy bound.
+RHO_FLOOR = THETA_FLOOR = 1e-10
+MAX_REJECTS = 20
+THETA_BAR = 1.0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Regularization levels, stress dimension factor, and stepping control."""
@@ -110,10 +118,6 @@ class SolverConfig:
     cfl: float = 0.4
     t_end: float = 1.0
     g: Union[float, Callable] = 0.0
-    rho_floor: float = 1e-10
-    theta_floor: float = 1e-10
-    theta_bar: float = 1.0
-    max_rejects: int = 20
     energy_source: Optional[Callable] = None
 
     def __post_init__(self):
@@ -127,12 +131,6 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0,1), got {self.cfl}")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
-        if not self.rho_floor > 0.0:
-            raise ValueError(f"rho_floor must be positive, got {self.rho_floor}")
-        if not self.theta_floor > 0.0:
-            raise ValueError(f"theta_floor must be positive, got {self.theta_floor}")
-        if self.max_rejects < 0:
-            raise ValueError(f"max_rejects must be nonnegative, got {self.max_rejects}")
         if not (callable(self.g) or isinstance(self.g, numbers.Real)):
             raise ValueError(f"g must be a number or a callable g(t, x), got {self.g!r}")
 
@@ -377,7 +375,7 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpe
             sc["energy_out_conv"] += rc * e_del * udn
             sc["energy_out_delta"] += cfg.delta_pressure_potential(rc) * udn
             sc["entropy_out_conv"] += rc * s_del * udn
-            sc["apriori_out_ballistic"] += rc * (e_del - cfg.theta_bar * s_del) * udn
+            sc["apriori_out_ballistic"] += rc * (e_del - THETA_BAR * s_del) * udn
         else:
             e_flux[i] = 0.0  # insulated wall
 
@@ -560,7 +558,7 @@ def _implicit_solves(mesh, ts, cfg, bspec, theta_face, rho, m, theta, capacity, 
     insulated = (_TRACE, _TRACE)
     theta_l = _diffusion_solve(mesh, kappa_face, capacity, capacity * theta + dt * diss, dt,
                                insulated)
-    if not (theta_l >= cfg.theta_floor).all():
+    if not (theta_l >= THETA_FLOOR).all():
         raise StepRejected("temperature fell below its floor")
     heat = _diffusive_flux(mesh, kappa_face, theta_l, insulated)[0]
     return u, stress, diss, theta_l, heat, dt * diss + dt * ((heat[1:] - heat[:-1]) / mesh.h)
@@ -570,7 +568,7 @@ def _predictor(cfg, state, stage, dt):
     """Forward Euler by the stage: (rho1, m1, w1)."""
     drho, dm, dW, rec = stage
     rho1 = state.rho + dt * drho
-    if not (rho1 >= cfg.rho_floor).all():
+    if not (rho1 >= RHO_FLOOR).all():
         raise StepRejected("density fell below its floor")
     return rho1, state.rho * state.u + dt * dm, rec.cells["w"] + dt * dW
 
@@ -601,7 +599,7 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
     iterate; a residual above 1e-9 (|w| + 1) in any cell rejects the step.
     """
     _reject_nonfinite("density", rho)
-    if not (rho >= cfg.rho_floor).all():
+    if not (rho >= RHO_FLOOR).all():
         raise StepRejected("density fell below its floor")
     _reject_nonfinite("energy density", w)
     theta = np.asarray(theta_guess, dtype=float)
@@ -621,7 +619,7 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
     # a NaN residual fails too
     if not (np.abs(f) <= 1e-9 * (np.abs(w) + 1.0)).all():
         raise StepRejected("temperature recovery failed: Newton did not converge")
-    if not (theta >= cfg.theta_floor).all():
+    if not (theta >= THETA_FLOOR).all():
         raise StepRejected("temperature fell below its floor")
     return theta, df
 
@@ -697,7 +695,7 @@ def _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt, stage1):
 
 def step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
          cfg: SolverConfig, bspec: BoundarySpec, dt: float, t: float = 0.0):
-    """One adaptive SSP-RK2 step; halves dt on rejection (up to max_rejects).
+    """One adaptive SSP-RK2 step; halves dt on rejection (up to MAX_REJECTS).
 
     Returns (new_state, dt_used, accumulator_increments, n_rejects).  A
     non-finite start state aborts at once, naming the field and first bad cell.
@@ -716,7 +714,7 @@ def step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
             return new_state, dt, inc, rejects
         except StepRejected as err:
             rejects += 1
-            if rejects > cfg.max_rejects:
+            if rejects > MAX_REJECTS:
                 raise RunAborted(
                     f"step at t={t:.6g} rejected {rejects} times (last: {err}); "
                     "diagnostic state attached", state=state) from None
@@ -760,13 +758,26 @@ class Trajectory:
         return self.states[-1]
 
 
+def initial_data_problems(fields: dict) -> list:
+    """[(field, check, message)] for the initial fields (any of rho, u, theta)
+    a run refuses: "finite" for each field with non-finite cells, then
+    "positivity" for a finite rho or theta with cells below its floor."""
+    checks = [(name, "finite", ~np.isfinite(v), "is not finite") for name, v in fields.items()]
+    finite = {name for name, _, bad, _ in checks if not bad.any()}
+    checks += [(name, "positivity", fields[name] < floor, f"is below its floor {floor:g}")
+               for name, floor in (("rho", RHO_FLOOR), ("theta", THETA_FLOOR)) if name in finite]
+    return [(name, check, f"initial {name} {what} in {int(bad.sum())} of {bad.size} cells")
+            for name, check, bad, what in checks if bad.any()]
+
+
 def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
         bspec: BoundarySpec, initial: FieldState, output_times=None) -> Trajectory:
     """Integrate to t_end, recording states and cumulative boundary integrals.
 
     ``output_times`` defaults to {0, t_end}; the stepper lands on each output
-    instant exactly.  On abort the partial trajectory is attached to the
-    raised :class:`RunAborted`.
+    instant exactly.  Initial data with :func:`initial_data_problems` raise
+    ValueError; on abort the partial trajectory is attached to the raised
+    :class:`RunAborted`.
     """
     if output_times is None:
         output_times = [0.0, cfg.t_end]
@@ -775,13 +786,8 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
         raise ValueError("output times beyond t_end")
 
     state = initial.copy()
-    for name in ("rho", "u", "theta"):
-        n_bad = int(np.sum(~np.isfinite(getattr(state, name))))
-        if n_bad:
-            raise ValueError(f"initial {name} is not finite in {n_bad} of "
-                             f"{mesh.n_cells} cells")
-    if np.any(state.rho < cfg.rho_floor) or np.any(state.theta < cfg.theta_floor):
-        raise ValueError("initial data violates the positivity floors")
+    if problems := initial_data_problems(vars(state)):
+        raise ValueError("; ".join(message for _, _, message in problems))
 
     acc = None
     traj = Trajectory(mesh=mesh, eos=eos, transport=ts, config=cfg, boundary=bspec,

@@ -71,11 +71,11 @@ def convergence_study(case: MmsCase, resolutions, t_end: float = 0.15,
 
 
 def scenario_with_resolution(doc: dict, n: int, name: str = "scenario") -> Scenario:
-    """Re-parse a scenario document with a different cell count."""
-    patched = dict(doc)
-    patched["mesh"] = dict(doc.get("mesh", {}))
-    patched["mesh"]["n"] = int(n)
-    return parse_scenario(patched, name=f"{name}-n{n}")
+    """Re-parse a scenario document with a different cell count; a document
+    or mesh section that is not an object goes to the parser unpatched."""
+    if isinstance(doc, dict) and isinstance(doc.get("mesh", {}), dict):
+        doc = {**doc, "mesh": {**doc.get("mesh", {}), "n": int(n)}}
+    return parse_scenario(doc, name=f"{name}-n{n}")
 
 
 def weak_strong_study(doc: dict, n_values, name: str = "scenario"):

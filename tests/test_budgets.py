@@ -165,7 +165,7 @@ def test_regularized_entropy_production_is_gauge_free(transport):
 
 def test_rest_state_at_reference_temperature_has_zero_dissipation(eos, transport):
     mesh = Mesh1D(0.0, 1.0, 16)
-    cfg = sv.SolverConfig(t_end=0.01, theta_bar=1.0)
+    cfg = sv.SolverConfig(t_end=0.01)
     state = sv.FieldState(rho=np.ones(16), u=np.zeros(16), theta=np.ones(16))
     traj = sv.run(mesh, eos, transport, cfg, bd.make_boundary(), state)
     monitors = bg.apriori_monitor(traj)

@@ -41,8 +41,10 @@ def test_minimal_scenario_loads_with_defaults():
     scn = sc.parse_scenario(minimal_doc())
     assert scn.config.Gamma == 4.0
     assert scn.config.d == 3
-    assert scn.config.theta_bar == 1.0
     assert scn.output_times == [0.0, 0.01]
+    # the floors, the reject budget and the reference temperature are fixed
+    assert (solver.RHO_FLOOR, solver.THETA_FLOOR, solver.MAX_REJECTS,
+            solver.THETA_BAR) == (1e-10, 1e-10, 20, 1.0)
 
 
 def test_inadmissible_flux_rejected_with_margin():
@@ -108,7 +110,7 @@ def test_all_failures_reported_together():
 
 
 def test_unknown_keys_reported_by_path():
-    doc = minimal_doc(epsilom=0.1)
+    doc = minimal_doc(epsilom=0.1, theta_bar=1.0, rho_floor=1e-10, theta_floor=1e-10)
     doc["eos"]["pinf"] = 2.0
     doc["mesh"]["cells"] = 64
     doc["transport"]["mu"] = 1.0
@@ -120,12 +122,12 @@ def test_unknown_keys_reported_by_path():
     with pytest.raises(sc.ScenarioValidationError) as err:
         sc.parse_scenario(doc)
     assert sorted(i.path for i in err.value.issues) == sorted([
-        "config.epsilom", "eos.pinf", "mesh.cells", "transport.mu", "transport.mu_over",
+        "config.epsilom", "config.theta_bar", "config.rho_floor", "config.theta_floor",
+        "eos.pinf", "mesh.cells", "transport.mu", "transport.mu_over",
         "initial.T", "boundary.faces[1].rhob", "boundary.walls", "outputs"])
     assert {i.code for i in err.value.issues} == {"unknown-key"}
     # every key a reader takes is known: a document spelling out all of them parses
-    full = minimal_doc(epsilon=0.0, delta=0.0, Gamma=4.0, d=3, cfl=0.4, g=0.0,
-                       theta_bar=1.0, rho_floor=1e-10, theta_floor=1e-10)
+    full = minimal_doc(epsilon=0.0, delta=0.0, Gamma=4.0, d=3, cfl=0.4, g=0.0)
     full["eos"].update(a=1.0, p_inf=1.0, entropy_const=0.0, third_law=False)
     full["transport"].update(lambda_exp=0.5, mu_scale=1.0, eta_scale=0.0, kappa_scale=1.0)
     full["output_times"] = [0.0, 0.01]
@@ -166,32 +168,26 @@ def test_malformed_value_reported_by_path(corrupt, path, tmp_path, capsys):
     assert f"FAIL  {issue}" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("floors, path, message", [
-    ({"theta_floor": 0.0}, "config", "theta_floor must be positive"),
-    ({"theta_floor": -1.0}, "config", "theta_floor must be positive"),
-    ({"theta_floor": 2.0}, "config.theta_floor", "theta_floor must not exceed 1"),
-    ({"rho_floor": 0.0}, "config", "rho_floor must be positive"),
-    ({"rho_floor": -1e-3}, "config", "rho_floor must be positive")])
-def test_bad_floor_reported_by_name(floors, path, message, tmp_path, capsys):
-    doc = minimal_doc(**floors)
+def test_initial_data_below_floor_reported(tmp_path, capsys):
+    # one rule for initial data: below the fixed floor is an issue, and no
+    # value is clamped, however large
+    doc = minimal_doc()
+    doc["initial"]["theta"] = "1e-12"
     with pytest.raises(sc.ScenarioValidationError) as err:
         sc.parse_scenario(doc)
-    (issue,) = err.value.issues
-    assert (issue.path, issue.code) == (path, "config-schema")
-    assert issue.message.startswith(message)
-    scenario = tmp_path / "bad.json"
+    assert [(i.path, i.code) for i in err.value.issues] == [("initial.theta",
+                                                             "initial-positivity")]
+    doc["initial"]["theta"] = "1e12"
+    assert np.all(sc.parse_scenario(doc).initial.theta == 1e12)
+    # a run refuses it with the issue, not a traceback
+    doc["initial"].update(rho="1e-12", theta="1")
+    scenario = tmp_path / "thin.json"
     scenario.write_text(json.dumps(doc))
     assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
-    assert f"FAIL  {issue}" in capsys.readouterr().out
-    assert sc.parse_scenario(minimal_doc(theta_floor=1.0)).config.theta_floor == 1.0
-
-
-def test_initial_theta_clamp_reported():
-    doc = minimal_doc(theta_floor=5e-2)
-    doc["initial"]["theta"] = "0.001 + x"
-    scn = sc.parse_scenario(doc)
-    assert any("clamped" in w for w in scn.warnings)
-    assert np.all(scn.initial.theta >= 5e-2)
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL  [initial-positivity] initial.rho: initial rho is below its "
+                     "floor 1e-10 in 16 of 16 cells"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_positive_initial_density_required():
@@ -498,7 +494,10 @@ def test_cli_check_eos_fail(tmp_path, capsys):
     for bad, failure in (({"eos": {"shape": "iconic", "p_inf": -1.0}}, "FAIL"),
                          ({"transport": {"mu_over": 2.0, "mu_scale": 1.0}},
                           "FAIL  [unknown-key] transport.mu_over: "),
-                         ({"eos": 5}, "FAIL  [eos-schema] eos: expected an object, got 5")):
+                         ({"eos": 5}, "FAIL  [eos-schema] eos: expected an object, got 5"),
+                         # a document holding no eos checks nothing
+                         ({}, "FAIL  [eos-schema] eos: missing"),
+                         ({"transport": {"mu_scale": 1.0}}, "FAIL  [eos-schema] eos: missing")):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         rc = cli.main(["check-eos", str(path)])
@@ -508,14 +507,15 @@ def test_cli_check_eos_fail(tmp_path, capsys):
 
 def test_cli_check_eos_reports_bare_document_keys(tmp_path, capsys):
     # the document holds an eos and a transport object; their keys at the
-    # top level are unknown
+    # top level are unknown, and the eos object is missing
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"shape": "iconic", "mu_scale": 1.0}))
     rc = cli.main(["check-eos", str(path)])
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert rc == 1
     assert [line.split(":")[0] for line in fails] == ["FAIL  [unknown-key] shape",
-                                                      "FAIL  [unknown-key] mu_scale"]
+                                                      "FAIL  [unknown-key] mu_scale",
+                                                      "FAIL  [eos-schema] eos"]
 
 
 def test_cli_check_eos_prints_each_invariant_once(tmp_path, capsys):
@@ -578,6 +578,22 @@ def test_cli_audit_boundary_rejects_bad_scenario(tmp_path, capsys):
     rc = cli.main(["audit-boundary", str(path)])
     assert rc == 1
     assert "inflow-flux-admissibility" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content, failure", [
+    ("[1, 2]", "FAIL  [scenario-schema] scenario: expected an object, got [1, 2]"),
+    ('{"mesh": ', "FAIL  [file] {path}: cannot read a JSON document: Expecting value"),
+    (None, "FAIL  [file] {path}: cannot read a JSON document: [Errno 2] No such file")],
+    ids=["list", "not-json", "missing"])
+def test_cli_reports_malformed_scenario_file(content, failure, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_text(content)
+    for command in (["run", str(path), "--out", str(tmp_path / "out")], ["audit", str(path)],
+                    ["audit-boundary", str(path)], ["weak-strong", str(path)]):
+        assert cli.main(command) == 1, command
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(failure.format(path=path)), command
 
 
 def test_cli_run_and_audit(tmp_path, capsys):

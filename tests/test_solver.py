@@ -847,20 +847,28 @@ def test_stage_rhs_mirror_symmetry(eos, transport):
         assert rec1.scalars[key] != 0.0, key
 
 
-def test_step_rejection_and_abort(eos, transport, box):
+def test_step_rejection_and_abort(eos, transport, box, monkeypatch):
     mesh, walls = box
     x = mesh.centers
     state = sv.FieldState(rho=np.ones(32), u=2.0 * np.sin(np.pi * x),
                           theta=np.full(32, 0.2))
-    cfg = sv.SolverConfig(t_end=1.0, max_rejects=0)
+    cfg = sv.SolverConfig(t_end=1.0)
     huge = 5.0  # far beyond any stability limit
-    with pytest.raises(sv.RunAborted) as err:
+    new, dt_used, _, rejects = sv.step(state, mesh, eos, transport, cfg, walls, huge)
+    assert 0 < rejects <= sv.MAX_REJECTS and dt_used < huge
+    assert np.all(new.theta >= sv.THETA_FLOOR)
+    # a step whose every attempt is rejected aborts after MAX_REJECTS halvings
+    attempts = []
+
+    def reject(*args):
+        attempts.append(args[7])
+        raise sv.StepRejected("forced")
+
+    monkeypatch.setattr(sv, "_heun_step", reject)
+    with pytest.raises(sv.RunAborted, match="rejected 21 times") as err:
         sv.step(state, mesh, eos, transport, cfg, walls, huge)
     assert err.value.state is state
-    cfg_ok = sv.SolverConfig(t_end=1.0, max_rejects=20)
-    new, dt_used, _, rejects = sv.step(state, mesh, eos, transport, cfg_ok, walls, huge)
-    assert rejects > 0 and dt_used < huge
-    assert np.all(new.theta >= cfg_ok.theta_floor)
+    assert attempts == [huge * 0.5 ** k for k in range(sv.MAX_REJECTS + 1)]
 
 
 def test_step_evaluates_first_stage_once_per_step(eos, transport, box, monkeypatch):
@@ -870,7 +878,7 @@ def test_step_evaluates_first_stage_once_per_step(eos, transport, box, monkeypat
     x = mesh.centers
     state = sv.FieldState(rho=np.ones(32), u=2.0 * np.sin(np.pi * x),
                           theta=np.full(32, 0.2))
-    cfg = sv.SolverConfig(t_end=1.0, max_rejects=20)
+    cfg = sv.SolverConfig(t_end=1.0)
     t0 = 0.25
     reference_stage = sv._stage_rhs(mesh, eos, cfg, walls, t0, state)
     times = []
@@ -980,9 +988,11 @@ def test_mesh_copies_keep_centers_read_only(clone):
     ({"rho_floor": float("nan")}, "rho_floor"), ({"theta_floor": 0.0}, "theta_floor"),
     ({"theta_floor": -1.0}, "theta_floor"), ({"max_rejects": -3}, "max_rejects")])
 def test_config_rejects_bad_floors_and_reject_budget(kw, name):
-    with pytest.raises(ValueError, match=name):
+    # the floors and the reject budget are the module constants RHO_FLOOR,
+    # THETA_FLOOR and MAX_REJECTS: a config refuses any value for them, the
+    # bad ones included
+    with pytest.raises(TypeError, match=name):
         sv.SolverConfig(**kw)
-    sv.SolverConfig(rho_floor=1e-300, theta_floor=1.0, max_rejects=0)
 
 
 @pytest.mark.parametrize("name, cell, bad", [("rho", 0, np.inf), ("u", 5, np.nan),
@@ -1114,10 +1124,9 @@ def test_rest_equilibrium_run(eos, transport, box):
 
 
 def test_positivity_after_accepted_steps(closed_box_traj):
-    cfg = closed_box_traj.config
     for st in closed_box_traj.states:
-        assert np.all(st.rho >= cfg.rho_floor)
-        assert np.all(st.theta >= cfg.theta_floor)
+        assert np.all(st.rho >= sv.RHO_FLOOR)
+        assert np.all(st.theta >= sv.THETA_FLOOR)
 
 
 def test_rest_state_conservation_with_regularization(eos, transport, box):

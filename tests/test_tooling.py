@@ -1,9 +1,11 @@
 """Source hygiene of the package and its tests, checked with the standard library's ast."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import nsfsim
+from nsfsim import scenario, solver
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,3 +57,11 @@ def test_every_public_function_has_a_caller():
     uncalled = [f"{path.stem}.{name}" for path in modules for name in _public_functions(path)
                 if name not in read and name not in nsfsim.__all__]
     assert uncalled == []
+
+
+def test_config_keys_are_solver_settings():
+    # the scenario's config section sets every SolverConfig field but the
+    # energy source, a callable only the manufactured cases set, and nothing
+    # else: a value settable on one side only fails here
+    fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
+    assert set(scenario._CONFIG_KEYS) == fields - {"energy_source"}
