@@ -9,8 +9,10 @@ residuals measure scheme error, not quadrature error.
 Storage is evaluated on the recorded states stacked into (k, n) arrays, one
 closure call per quantity.  The a-priori sup over all T outputs is thus one
 e and one s call on O(n T) array work, not T calls.  A window audit
-evaluates only its two window-end storages, whatever the output count: the
-window-independent a-priori monitor of its report is evaluated when read.
+resolves its two ends once and makes one e and one s call per audit, not
+per budget, whatever the output count: the window-independent a-priori
+monitor of its report is evaluated when read.  The weak-strong trace makes
+one relative-energy call on the stacked coarse and block-averaged fine states.
 
 Conventions (all with constant-in-time test function, outward normals):
 
@@ -33,8 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .relent import (RelEnergyTrace, relative_energy_fields)
-from .solver import THETA_BAR, FieldState, Trajectory, boundary_velocity_extension
+from .relent import RelEnergyTrace, relative_energy_fields
+from .solver import THETA_BAR, Trajectory, boundary_velocity_extension
 
 ENTROPY_TOL = 1e-8
 MASS_TOL_PER_STEP = 1e-11
@@ -68,11 +70,20 @@ class BudgetReport:
         return apriori_monitor(self.trajectory)
 
 
-def _delta_acc(traj: Trajectory, key: str, window) -> float:
-    t0, t1 = window
-    a0 = traj.accum_at(t0).get(key, 0.0)
-    a1 = traj.accum_at(t1).get(key, 0.0)
-    return a1 - a0
+def _window_ends(traj: Trajectory, window):
+    """The recorded (states, accumulators) at the two window ends, each resolved once."""
+    i0, i1 = map(traj._index, window)
+    return (traj.states[i0], traj.states[i1]), (traj.accums[i0], traj.accums[i1])
+
+
+def _delta_acc(accs, key: str) -> float:
+    a0, a1 = accs
+    return a1.get(key, 0.0) - a0.get(key, 0.0)
+
+
+def _stacked(states) -> np.ndarray:
+    """rho, u and theta of the states, stacked into a (3, k, n) array."""
+    return np.stack([(st.rho, st.u, st.theta) for st in states], axis=1)
 
 
 def _storages(traj: Trajectory, states, energy=True, entropy=True):
@@ -82,7 +93,7 @@ def _storages(traj: Trajectory, states, energy=True, entropy=True):
     the stack; row sums times h are the :meth:`Mesh1D.integrate` quadrature.
     """
     cfg, h = traj.config, traj.mesh.h
-    rho, u, theta = np.stack([(st.rho, st.u, st.theta) for st in states], axis=1)
+    rho, u, theta = _stacked(states)
     out = [rho.sum(axis=1) * h, None, None]
     if energy:
         ub, _ = boundary_velocity_extension(traj.mesh, traj.boundary)
@@ -108,94 +119,99 @@ def mass_budget(traj: Trajectory, window=None) -> float:
     prescribed inflow flux rho_b u_b.n, the interior outflow trace, and the
     Robin diffusive flux when the mass regularization is active).
     """
-    window = _default_window(traj, window)
-    mass = _storages(traj, map(traj.state_at, window), energy=False, entropy=False)[0]
-    return float(mass[1] - mass[0]) + _delta_acc(traj, "mass_bdry", window)
+    return _balances(traj, window, energy=False, entropy=False)[0]
 
 
 def energy_budget(traj: Trajectory, window=None):
     """Signed residual (LHS - RHS) of the total energy balance plus terms."""
-    window = _default_window(traj, window)
-    cfg = traj.config
-    eps, dlt = cfg.epsilon, cfg.delta
-    terms = {}
-    energy = _storages(traj, map(traj.state_at, window), entropy=False)[1]
-    terms["storage"] = float(energy[1] - energy[0])
-    terms["outflow_internal_energy"] = _delta_acc(traj, "energy_out_conv", window)
-    terms["outflow_delta_pressure"] = dlt * _delta_acc(traj, "energy_out_delta", window)
-    terms["inflow_energy_flux"] = _delta_acc(traj, "energy_bdry_in", window)
-    terms["inflow_delta_bregman"] = -dlt * _delta_acc(traj, "energy_in_gamma_breg", window)
-    terms["inflow_delta_mismatch"] = -dlt * _delta_acc(traj, "energy_in_rho_sq", window)
-    lhs = sum(terms[k] for k in ("storage", "outflow_internal_energy",
-                                 "outflow_delta_pressure", "inflow_energy_flux",
-                                 "inflow_delta_bregman", "inflow_delta_mismatch"))
-
-    rhs_terms = {}
-    rhs_terms["convective_pressure_work"] = -_delta_acc(traj, "conv_p_grad_ub", window)
-    rhs_terms["boundary_kinetic_work"] = 0.5 * _delta_acc(traj, "rho_u_grad_ub2", window)
-    rhs_terms["stress_boundary_work"] = _delta_acc(traj, "S_grad_ub", window)
-    rhs_terms["body_force_work"] = _delta_acc(traj, "rho_g_rel_u", window)
-    rhs_terms["regularization_sources"] = (dlt * _delta_acc(traj, "inv_theta2", window)
-                                           - eps * _delta_acc(traj, "theta5", window))
-    rhs_terms["inflow_delta_reference"] = -dlt * _delta_acc(traj, "energy_in_rho_b_gamma", window)
-    rhs_terms["mass_diffusion_work"] = eps * _delta_acc(traj, "eps_mom_ub", window)
-    rhs_terms["manufactured_source"] = _delta_acc(traj, "mms_energy_source", window)
-    rhs = sum(rhs_terms.values())
-
-    terms.update({f"rhs:{k}": v for k, v in rhs_terms.items()})
-    residual = lhs - rhs
-    return residual, terms
+    return _balances(traj, window, entropy=False)[1]
 
 
 def entropy_budget(traj: Trajectory, window=None):
     """Entropy production (must be >= 0 up to tolerance) plus term breakdown."""
-    window = _default_window(traj, window)
-    cfg = traj.config
-    eps, dlt = cfg.epsilon, cfg.delta
-    terms = {}
-    entropy = _storages(traj, map(traj.state_at, window), energy=False)[2]
-    terms["storage"] = float(entropy[1] - entropy[0])
-    terms["outflow_efflux"] = _delta_acc(traj, "entropy_out_conv", window)
-    terms["dissipation"] = _delta_acc(traj, "dissipation", window)
-    terms["grad_rho_entropy"] = eps * dlt * _delta_acc(traj, "grad_rho_sq_gamma_over_theta", window)
-    terms["radiation_sink"] = eps * _delta_acc(traj, "theta4", window)
-    terms["mass_diffusion_entropy"] = eps * _delta_acc(traj, "grad_rho_grad_g", window)
-    terms["inflow_terms"] = _delta_acc(traj, "entropy_in", window)
-    terms["inflow_robin"] = _delta_acc(traj, "entropy_in_robin", window)
-    terms["manufactured_source"] = _delta_acc(traj, "mms_energy_source_over_theta", window)
-    production = (terms["storage"] + terms["outflow_efflux"]
-                  - terms["dissipation"]
-                  - terms["grad_rho_entropy"]
-                  + terms["radiation_sink"]
-                  - terms["mass_diffusion_entropy"]
-                  - terms["inflow_terms"]
-                  - terms["inflow_robin"]
-                  - terms["manufactured_source"])
-    return production, terms
+    return _balances(traj, window, energy=False)[2]
+
+
+def _balances(traj: Trajectory, window, energy=True, entropy=True):
+    """[mass residual, (energy residual, terms), (entropy production, terms)]
+    over the window, None where not asked, from one storage evaluation."""
+    states, accs = _window_ends(traj, _default_window(traj, window))
+    mass, energy_storage, entropy_storage = _storages(traj, states, energy, entropy)
+    eps, dlt = traj.config.epsilon, traj.config.delta
+    out = [float(mass[1] - mass[0]) + _delta_acc(accs, "mass_bdry"), None, None]
+    if energy:
+        terms = {}
+        terms["storage"] = float(energy_storage[1] - energy_storage[0])
+        terms["outflow_internal_energy"] = _delta_acc(accs, "energy_out_conv")
+        terms["outflow_delta_pressure"] = dlt * _delta_acc(accs, "energy_out_delta")
+        terms["inflow_energy_flux"] = _delta_acc(accs, "energy_bdry_in")
+        terms["inflow_delta_bregman"] = -dlt * _delta_acc(accs, "energy_in_gamma_breg")
+        terms["inflow_delta_mismatch"] = -dlt * _delta_acc(accs, "energy_in_rho_sq")
+        lhs = sum(terms[k] for k in ("storage", "outflow_internal_energy",
+                                     "outflow_delta_pressure", "inflow_energy_flux",
+                                     "inflow_delta_bregman", "inflow_delta_mismatch"))
+
+        rhs_terms = {}
+        rhs_terms["convective_pressure_work"] = -_delta_acc(accs, "conv_p_grad_ub")
+        rhs_terms["boundary_kinetic_work"] = 0.5 * _delta_acc(accs, "rho_u_grad_ub2")
+        rhs_terms["stress_boundary_work"] = _delta_acc(accs, "S_grad_ub")
+        rhs_terms["body_force_work"] = _delta_acc(accs, "rho_g_rel_u")
+        rhs_terms["regularization_sources"] = (dlt * _delta_acc(accs, "inv_theta2")
+                                               - eps * _delta_acc(accs, "theta5"))
+        rhs_terms["inflow_delta_reference"] = -dlt * _delta_acc(accs, "energy_in_rho_b_gamma")
+        rhs_terms["mass_diffusion_work"] = eps * _delta_acc(accs, "eps_mom_ub")
+        rhs_terms["manufactured_source"] = _delta_acc(accs, "mms_energy_source")
+        rhs = sum(rhs_terms.values())
+
+        terms.update({f"rhs:{k}": v for k, v in rhs_terms.items()})
+        out[1] = lhs - rhs, terms
+    if entropy:
+        terms = {}
+        terms["storage"] = float(entropy_storage[1] - entropy_storage[0])
+        terms["outflow_efflux"] = _delta_acc(accs, "entropy_out_conv")
+        terms["dissipation"] = _delta_acc(accs, "dissipation")
+        terms["grad_rho_entropy"] = eps * dlt * _delta_acc(accs, "grad_rho_sq_gamma_over_theta")
+        terms["radiation_sink"] = eps * _delta_acc(accs, "theta4")
+        terms["mass_diffusion_entropy"] = eps * _delta_acc(accs, "grad_rho_grad_g")
+        terms["inflow_terms"] = _delta_acc(accs, "entropy_in")
+        terms["inflow_robin"] = _delta_acc(accs, "entropy_in_robin")
+        terms["manufactured_source"] = _delta_acc(accs, "mms_energy_source_over_theta")
+        production = (terms["storage"] + terms["outflow_efflux"]
+                      - terms["dissipation"]
+                      - terms["grad_rho_entropy"]
+                      + terms["radiation_sink"]
+                      - terms["mass_diffusion_entropy"]
+                      - terms["inflow_terms"]
+                      - terms["inflow_robin"]
+                      - terms["manufactured_source"])
+        out[2] = production, terms
+    return out
 
 
 def apriori_monitor(traj: Trajectory) -> dict:
     """Coercivity-bound quantities of the whole trajectory, the
     regularization-scaled integrals weighted by its (epsilon, delta)."""
-    cfg = traj.config
-    eps, dlt = cfg.epsilon, cfg.delta
-    window = (traj.times[0], traj.times[-1])
+    eps, dlt = traj.config.epsilon, traj.config.delta
+    _, accs = _window_ends(traj, _default_window(traj, None))
     out = {}
     _, energy, entropy = _storages(traj, traj.states)
     out["energy_sup"] = float(np.max(energy - THETA_BAR * entropy))
-    out["dissipation_integral"] = THETA_BAR * _delta_acc(traj, "dissipation_no_delta", window)
-    out["inflow_coercive"] = _delta_acc(traj, "apriori_in_coercive", window)
-    out["outflow_ballistic"] = _delta_acc(traj, "apriori_out_ballistic", window)
-    out["delta_inv_theta3"] = dlt * _delta_acc(traj, "inv_theta3", window)
-    out["eps_theta5"] = eps * _delta_acc(traj, "theta5", window)
-    out["delta_boundary"] = dlt * (_delta_acc(traj, "energy_out_delta", window)
-                                   - _delta_acc(traj, "energy_in_rho_sq", window))
-    out["eps_delta_grad_rho"] = eps * dlt * _delta_acc(traj, "grad_rho_sq_gamma_over_theta", window)
+    out["dissipation_integral"] = THETA_BAR * _delta_acc(accs, "dissipation_no_delta")
+    out["inflow_coercive"] = _delta_acc(accs, "apriori_in_coercive")
+    out["outflow_ballistic"] = _delta_acc(accs, "apriori_out_ballistic")
+    out["delta_inv_theta3"] = dlt * _delta_acc(accs, "inv_theta3")
+    out["eps_theta5"] = eps * _delta_acc(accs, "theta5")
+    out["delta_boundary"] = dlt * (_delta_acc(accs, "energy_out_delta")
+                                   - _delta_acc(accs, "energy_in_rho_sq"))
+    out["eps_delta_grad_rho"] = eps * dlt * _delta_acc(accs, "grad_rho_sq_gamma_over_theta")
     return out
 
 
 def audit(traj: Trajectory, window=None) -> BudgetReport:
     """Run all budgets over the window and attach PASS/FAIL verdicts.
+
+    The window ends are resolved once, and one storage evaluation of the
+    two end states serves all three balances.
 
     Tolerances: mass |residual| <= MASS_TOL_PER_STEP * steps; entropy
     production >= -ENTROPY_TOL * measure * window length; energy residual
@@ -204,9 +220,7 @@ def audit(traj: Trajectory, window=None) -> BudgetReport:
     negative).
     """
     window = _default_window(traj, window)
-    mass_res = mass_budget(traj, window)
-    energy_res, energy_terms = energy_budget(traj, window)
-    entropy_prod, entropy_terms = entropy_budget(traj, window)
+    mass_res, (energy_res, energy_terms), (entropy_prod, entropy_terms) = _balances(traj, window)
 
     mass_tol = MASS_TOL_PER_STEP * max(1, traj.n_steps)
     ent_tol = ENTROPY_TOL * traj.mesh.measure * max(window[1] - window[0], 1e-30)
@@ -233,16 +247,6 @@ def audit(traj: Trajectory, window=None) -> BudgetReport:
 # ---------------------------------------------------------------------------
 # coarse-vs-fine relative energy (stability surrogate)
 # ---------------------------------------------------------------------------
-
-
-def _block_average(arr: np.ndarray, ratio: int) -> np.ndarray:
-    return arr.reshape(-1, ratio).mean(axis=1)
-
-
-def coarsen_state(fine: FieldState, ratio: int) -> FieldState:
-    return FieldState(rho=_block_average(fine.rho, ratio),
-                      u=_block_average(fine.u, ratio),
-                      theta=_block_average(fine.theta, ratio))
 
 
 def gronwall_envelope(times: np.ndarray, values: np.ndarray):
@@ -285,16 +289,12 @@ def weak_strong_trace(coarse: Trajectory, fine: Trajectory):
     if t_c != t_f:
         raise ValueError("runs must share identical output schedules")
 
-    totals, kins, bregs = [], [], []
-    for t, st in zip(coarse.times, coarse.states):
-        ref = coarsen_state(fine.state_at(t), ratio)
-        kin, breg = relative_energy_fields(coarse.eos, st.rho, st.u, st.theta,
-                                           ref.rho, ref.u, ref.theta)
-        kins.append(cm.integrate(kin))
-        bregs.append(cm.integrate(breg))
-        totals.append(kins[-1] + bregs[-1])
-    trace = RelEnergyTrace(times=np.asarray(coarse.times),
-                           integrals=np.asarray(totals),
-                           kinetic=np.asarray(kins), bregman=np.asarray(bregs))
+    # the fine states at the coarse times, block-averaged onto the coarse cells
+    ref = _stacked(map(fine.state_at, coarse.times))
+    ref = ref.reshape(3, len(coarse.times), cm.n_cells, ratio).mean(axis=3)
+    kin, breg = relative_energy_fields(coarse.eos, *_stacked(coarse.states), *ref)
+    kins, bregs = kin.sum(axis=1) * cm.h, breg.sum(axis=1) * cm.h
+    trace = RelEnergyTrace(times=np.asarray(coarse.times), integrals=kins + bregs,
+                           kinetic=kins, bregman=bregs)
     envelope = gronwall_envelope(trace.times, trace.integrals)
     return trace, envelope

@@ -16,10 +16,11 @@ from pathlib import Path
 from . import boundary as bd
 from .budgets import audit as run_audit
 from .mms import manufactured_case
-from .scenario import (ScenarioValidationError, export_budget_csv,
+from .scenario import (Issue, ScenarioValidationError, export_budget_csv,
                        export_timeseries, load_document, load_eos_document,
                        load_scenario)
-from .studies import ORDER_HI, ORDER_LO, convergence_study, weak_strong_study
+from .studies import (ORDER_HI, ORDER_LO, check_resolutions, convergence_study,
+                      weak_strong_study)
 
 
 def _cmd_check_eos(args) -> int:
@@ -32,19 +33,8 @@ def _cmd_check_eos(args) -> int:
     return 1 if issues else 0
 
 
-def _load(path):
-    try:
-        return load_scenario(path)
-    except ScenarioValidationError as err:
-        for issue in err.issues:
-            print(f"FAIL  {issue}")
-        return None
-
-
 def _cmd_audit_boundary(args) -> int:
-    scn = _load(args.scenario)
-    if scn is None:
-        return 1
+    scn = load_scenario(args.scenario)
     # parse_scenario has already refused inadmissible inflow data
     report = bd.admissibility_check(scn.eos, scn.boundary)
     for f in scn.boundary.faces:
@@ -58,9 +48,7 @@ def _cmd_audit_boundary(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    scn = _load(args.scenario)
-    if scn is None:
-        return 1
+    scn = load_scenario(args.scenario)
     traj = scn.run()
     paths = export_timeseries(traj, args.out)
     print(f"wrote {len(paths)} files to {args.out} "
@@ -69,9 +57,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    scn = _load(args.scenario)
-    if scn is None:
-        return 1
+    scn = load_scenario(args.scenario)
     traj = scn.run()
     report = run_audit(traj)
     doc = {
@@ -102,12 +88,28 @@ def _cmd_audit(args) -> int:
     return 0 if report.passed else 1
 
 
+def _resolutions(text: str, check) -> list:
+    """The cell counts of a --resolutions value; one ``resolutions`` issue if
+    a count is not an integer or ``check`` raises ValueError on them."""
+    try:
+        resolutions = [int(n) for n in text.split(",")]
+        check(resolutions)
+    except ValueError as err:
+        raise ScenarioValidationError([Issue("--resolutions", "resolutions", str(err))]) from None
+    return resolutions
+
+
+def _pairs_to_compare(resolutions) -> None:
+    if len(resolutions) < 2:
+        raise ValueError("need at least 2 resolutions to compare")
+
+
 def _cmd_converge(args) -> int:
+    ns = _resolutions(args.resolutions, check_resolutions)
     case = manufactured_case(args.case)
     probe = case.residual_probe()
     print("manufactured residual probe:",
           {k: f"{v:.3g}" for k, v in probe.items()})
-    ns = [int(n) for n in args.resolutions.split(",")]
     study = convergence_study(case, ns, t_end=args.t_end,
                               with_energy_budget=args.csv is not None)
     if args.csv:
@@ -132,14 +134,9 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_weak_strong(args) -> int:
-    try:
-        results = weak_strong_study(load_document(args.scenario),
-                                    [int(n) for n in args.resolutions.split(",")],
-                                    name=Path(args.scenario).stem)
-    except ScenarioValidationError as err:
-        for issue in err.issues:
-            print(f"FAIL  {issue}")
-        return 1
+    ns = _resolutions(args.resolutions, _pairs_to_compare)
+    results = weak_strong_study(load_document(args.scenario), ns,
+                                name=Path(args.scenario).stem)
     finals = []
     for n, trace, (eta, rate) in results:
         finals.append(trace.integrals[-1])
@@ -195,8 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; refused input is one FAIL line per issue and exit 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioValidationError as err:
+        for issue in err.issues:
+            print(f"FAIL  {issue}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -178,15 +178,16 @@ def _build_case(name: str, rho_e, u_e, theta_e) -> MmsCase:
     exprs = {"p_fn": lam2(p_e), "e_fn": lam2(e_e), "stress_fn": lam2(stress_e),
              "q_fn": lam2(q_e)}
 
-    ub_l = float(u_e.subs(X, x_left).subs(T, 0.0))
-    ub_r = float(u_e.subs(X, x_right).subs(T, 0.0))
+    # traces at t = 0: exact substitution, then one rounding (substituting
+    # the float x = 1.0 into u of thermal_relaxation takes about 20x as long)
+    def trace(expr, xb):
+        return float(expr.subs({X: sp.Rational(xb), T: 0}))
+    ub_l, ub_r = trace(u_e, x_left), trace(u_e, x_right)
     kw = {}
     for ub, side, xb in ((ub_l, "left", x_left), (ub_r, "right", x_right)):
         normal = -1.0 if side == "left" else 1.0
         if ub * normal < 0.0:  # inflow: extract rho_b, F_ib from the traces
-            rho_b = float(rho_e.subs(X, xb).subs(T, 0.0))
-            e_b = float(e_e.subs(X, xb).subs(T, 0.0))
-            q_b = float(q_e.subs(X, xb).subs(T, 0.0))
+            rho_b, e_b, q_b = (trace(expr, xb) for expr in (rho_e, e_e, q_e))
             f_ib = rho_b * e_b * ub * normal + q_b * normal
             kw[f"rho_b_{side}"] = rho_b
             kw[f"F_ib_{side}"] = f_ib

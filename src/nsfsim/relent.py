@@ -21,7 +21,6 @@ energy; each part is nonnegative.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +51,17 @@ class RelEnergyTrace:
     bregman: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "rel_energy", "kinetic", "bregman"])
-            for t, v, k, b in zip(self.times, self.integrals, self.kinetic, self.bregman):
-                w.writerow([f"{t:.17g}", f"{v:.17g}", f"{k:.17g}", f"{b:.17g}"])
+        _write_csv(path, ["t", "rel_energy", "kinetic", "bregman"],
+                   [self.times, self.integrals, self.kinetic, self.bregman])
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length ``columns`` under ``header`` as the bytes ``csv.writer``
+    gives for ``f"{v:.17g}"`` cells, formatted by one ``%`` and written at once."""
+    rows = np.column_stack(columns).astype(float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _kinetic(rho, u, u_ref):

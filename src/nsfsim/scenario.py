@@ -32,7 +32,6 @@ Initial data that :func:`nsfsim.solver.initial_data_problems` refuses is an
 from __future__ import annotations
 
 import ast
-import csv
 import json
 import math
 import operator
@@ -44,6 +43,7 @@ import numpy as np
 
 from . import boundary as bd
 from .mesh import Mesh1D
+from .relent import _write_csv
 from .solver import (FieldState, SolverConfig, Trajectory, initial_data_problems,
                      run as run_solver)
 from .thermo import (EosSpec, EosValidationError, TransportSpec,
@@ -434,10 +434,6 @@ def load_eos_document(path):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _state_file_name(t: float) -> str:
     return f"state_{t:.6f}.csv"
 
@@ -449,42 +445,32 @@ def _shared_state_file_names(times) -> str:
 
 
 def export_timeseries(traj: Trajectory, outdir) -> list:
-    """Write state_<t>.csv per output time and fluxes.csv; returns the paths.
-    Raises ValueError, writing nothing, if two recorded times share a name."""
+    """Write state_<t>.csv per output time and fluxes.csv, each formatted in
+    one pass and written at once; returns the paths.  Raises ValueError,
+    writing nothing, if two recorded times share a name."""
     if shared := _shared_state_file_names(traj.times):
         raise ValueError(f"recorded times share the state files {shared}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
-    x = traj.mesh.centers
     for t, st in zip(traj.times, traj.states):
         p = outdir / _state_file_name(t)
-        with open(p, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "rho", "u", "theta"])
-            for i in range(traj.mesh.n_cells):
-                w.writerow([_fmt(x[i]), _fmt(st.rho[i]), _fmt(st.u[i]),
-                            _fmt(st.theta[i])])
+        _write_csv(p, ["x", "rho", "u", "theta"], [traj.mesh.centers, st.rho, st.u, st.theta])
         paths.append(p)
 
     flux_keys = ["mass_in_conv", "mass_out_conv", "mass_robin", "mass_bdry",
                  "energy_bdry_in", "energy_out_conv", "energy_bdry_total",
                  "entropy_in", "entropy_out_conv"]
     p = outdir / "fluxes.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + flux_keys)
-        for t, acc in zip(traj.times, traj.accums):
-            w.writerow([_fmt(t)] + [_fmt(acc.get(k, 0.0)) for k in flux_keys])
+    _write_csv(p, ["t"] + flux_keys,
+               [traj.times] + [[acc.get(k, 0.0) for acc in traj.accums] for k in flux_keys])
     paths.append(p)
     return paths
 
 
 def export_budget_csv(rows, path) -> None:
     """Flat time series of windowed budgets: t0,t1,mass_res,energy_res,entropy_prod."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t0", "t1", "mass_res", "energy_res", "entropy_prod"])
-        for r in rows:
-            w.writerow([_fmt(r.window[0]), _fmt(r.window[1]), _fmt(r.mass_residual),
-                        _fmt(r.energy_residual), _fmt(r.entropy_production)])
+    values = [(*r.window, r.mass_residual, r.energy_residual, r.entropy_production)
+              for r in rows]
+    _write_csv(path, ["t0", "t1", "mass_res", "energy_res", "entropy_prod"],
+               np.reshape(values, (-1, 5)).T)

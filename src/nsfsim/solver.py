@@ -740,9 +740,6 @@ class Trajectory:
         idx = self._index(t)
         return self.states[idx]
 
-    def accum_at(self, t: float) -> dict:
-        return self.accums[self._index(t)]
-
     def _index(self, t: float) -> int:
         """Index of the recorded time nearest t (the lower one on a tie)."""
         times = self.times

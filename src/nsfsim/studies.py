@@ -29,6 +29,17 @@ class ConvergenceStudy:
         return not all(self.monotone.values())
 
 
+def check_resolutions(resolutions) -> None:
+    """Raise ValueError unless the cell counts suit a convergence study:
+    at least 3, positive, each double the one before."""
+    if len(resolutions) < 3:
+        raise ValueError("need at least 3 resolutions")
+    if resolutions[0] < 1:
+        raise ValueError("resolutions must be positive")
+    if any(b != 2 * a for a, b in zip(resolutions, resolutions[1:])):
+        raise ValueError("resolutions must double")
+
+
 def convergence_study(case: MmsCase, resolutions, t_end: float = 0.15,
                       cfl: float = 0.4, with_energy_budget: bool = False) -> ConvergenceStudy:
     """L1 errors against the manufactured fields and observed orders.
@@ -39,11 +50,7 @@ def convergence_study(case: MmsCase, resolutions, t_end: float = 0.15,
     in the result instead of silently fitted.
     """
     resolutions = list(resolutions)
-    if len(resolutions) < 3:
-        raise ValueError("need at least 3 resolutions")
-    for a, b in zip(resolutions, resolutions[1:]):
-        if b != 2 * a:
-            raise ValueError("resolutions must double")
+    check_resolutions(resolutions)
     errors = {k: [] for k in ("rho", "u", "theta")}
     residuals = []
     for n in resolutions:

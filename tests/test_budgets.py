@@ -7,6 +7,7 @@ from nsfsim import budgets as bg
 from nsfsim import solver as sv
 from nsfsim import thermo as th
 from nsfsim import boundary as bd
+from nsfsim import relent
 from nsfsim.mesh import Mesh1D
 
 
@@ -180,8 +181,7 @@ def test_monitors_finite_and_nondecreasing(eos, transport, throughflow_setup):
     full = bg.apriori_monitor(traj)
     assert all(np.isfinite(v) for v in full.values())
     # cumulative quantities grow with the horizon
-    acc_half = traj.accum_at(0.02)
-    acc_full = traj.accum_at(0.04)
+    acc_half, acc_full = traj.accums[1], traj.accums[2]
     for key in ("dissipation_no_delta", "theta5", "inv_theta3",
                 "apriori_in_coercive"):
         assert acc_full[key] >= acc_half[key] - 1e-14
@@ -268,6 +268,41 @@ def test_weak_strong_refinement_decreases_distance(eos, transport):
         assert rate >= 0.0
         finals.append(trace.integrals[-1])
     assert finals[1] < finals[0]
+
+
+def _trace_per_output(coarse, fine):
+    """Kinetic and Bregman integrals of the weak-strong trace, one
+    relative_energy_fields call per output on the block-averaged fine state."""
+    ratio = fine.mesh.n_cells // coarse.mesh.n_cells
+    kins, bregs = [], []
+    for t, st in zip(coarse.times, coarse.states):
+        ref = fine.state_at(t)
+        ref = [a.reshape(-1, ratio).mean(axis=1) for a in (ref.rho, ref.u, ref.theta)]
+        kin, breg = relent.relative_energy_fields(coarse.eos, st.rho, st.u, st.theta, *ref)
+        kins.append(coarse.mesh.integrate(kin))
+        bregs.append(coarse.mesh.integrate(breg))
+    return kins, bregs
+
+
+@pytest.mark.parametrize("ratio", [1, 4])
+@pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
+def test_weak_strong_trace_matches_per_output_loop(eos_name, ratio, transport, request):
+    # the stacked trace keeps the bits of the per-output loop; the reference
+    # run starts from larger perturbations, so no integral is zero
+    eos = request.getfixturevalue(eos_name)
+    runs = []
+    for n, amp in ((12, 0.1), (12 * ratio, 0.12)):
+        mesh = Mesh1D(0.0, 1.0, n)
+        x = mesh.centers
+        initial = sv.FieldState(rho=1 + amp * np.cos(np.pi * x), u=amp * np.sin(np.pi * x),
+                                theta=1 + amp * np.cos(2 * np.pi * x))
+        runs.append(sv.run(mesh, eos, transport, sv.SolverConfig(t_end=0.01),
+                           bd.make_boundary(), initial, output_times=[0.0, 0.005, 0.01]))
+    trace, _ = bg.weak_strong_trace(*runs)
+    kins, bregs = _trace_per_output(*runs)
+    assert trace.kinetic.tolist() == kins and trace.bregman.tolist() == bregs
+    assert trace.integrals.tolist() == [k + b for k, b in zip(kins, bregs)]
+    assert min(kins) > 0.0 and min(bregs) > 0.0
 
 
 def test_gronwall_envelope_fits_trace():

@@ -1,5 +1,6 @@
 import ast
 import collections
+import csv
 import inspect
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import nsfsim
-from nsfsim import cli, mms, scenario as sc, solver, studies
+from nsfsim import cli, mms, relent, scenario as sc, solver, studies
 from nsfsim.mesh import Mesh1D
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -276,6 +277,22 @@ def test_throughflow_extracts_inflow_data():
     assert left.F_ib < 0.0
 
 
+@pytest.mark.parametrize("kind, traces", [
+    ("thermal_relaxation", {"u_b_left": 0.0, "u_b_right": 0.0}),
+    ("acoustic_smooth", {"u_b_left": 0.0, "u_b_right": 0.0}),
+    ("throughflow", {"u_b_left": 0.5, "u_b_right": 0.5, "rho_b_left": 1.0,
+                     "F_ib_left": -2.0})])
+def test_manufactured_boundary_traces_keep_their_bits(kind, traces, monkeypatch):
+    # the t = 0 traces are substituted exactly and rounded once; they equal,
+    # sign of zero included, what substituting floats x and t gave
+    got = {}
+    make = mms.bd.make_boundary
+    monkeypatch.setattr(mms.bd, "make_boundary", lambda **kw: got.update(kw) or make(**kw))
+    mms.manufactured_case(kind)
+    del got["x_left"], got["x_right"]
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in traces.items()}
+
+
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         mms.manufactured_case("vortex_street")
@@ -464,6 +481,22 @@ def test_export_refuses_times_sharing_a_state_file(tmp_path):
         "state_0.000000.csv", "state_0.005000.csv", "state_0.010000.csv", "fluxes.csv"]
 
 
+@pytest.mark.parametrize("n_rows", [4, 0])
+def test_csv_writer_matches_csv_module(n_rows, tmp_path):
+    # exponents both ways, both zeros, 17 significant digits, non-finite values
+    columns = [[0.0, -0.0, 1e-300, 0.1], [1 / 3, 2.0 ** 70, -1e-7, 123456789.12345678],
+               np.array([np.pi, np.nan, np.inf, -np.inf])]
+    columns = [c[:n_rows] for c in columns]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["a", "b", "c"])
+        for row in zip(*columns):
+            w.writerow([f"{v:.17g}" for v in row])
+    relent._write_csv(tmp_path / "got.csv", ["a", "b", "c"], columns)
+    assert (tmp_path / "got.csv").read_bytes() == ref.read_bytes()
+
+
 def test_budget_csv_columns(tmp_path, closed_box_traj):
     from nsfsim.budgets import audit
 
@@ -594,6 +627,21 @@ def test_cli_reports_malformed_scenario_file(content, failure, tmp_path, capsys)
         assert cli.main(command) == 1, command
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith(failure.format(path=path)), command
+
+
+@pytest.mark.parametrize("command, failure", [
+    (["converge", "--resolutions", "32,64"],
+     "FAIL  [resolutions] --resolutions: need at least 3 resolutions"),
+    (["weak-strong", str(SCENARIO_DIR / "closed_box.json"), "--resolutions", "8"],
+     "FAIL  [resolutions] --resolutions: need at least 2 resolutions to compare"),
+    (["weak-strong", str(SCENARIO_DIR / "closed_box.json"), "--resolutions", "8,x"],
+     "FAIL  [resolutions] --resolutions: invalid literal for int()")],
+    ids=["converge-two", "weak-strong-one", "weak-strong-not-int"])
+def test_cli_refuses_malformed_resolutions(command, failure, capsys):
+    # refused before any build or run: one FAIL line, exit 1
+    assert cli.main(command) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(failure), lines
 
 
 def test_cli_run_and_audit(tmp_path, capsys):
