@@ -19,6 +19,7 @@ from .mms import manufactured_case
 from .scenario import (Issue, ScenarioValidationError, export_budget_csv,
                        export_timeseries, load_document, load_eos_document,
                        load_scenario)
+from .solver import SolverConfig
 from .studies import (ORDER_HI, ORDER_LO, check_resolutions, convergence_study,
                       weak_strong_study)
 
@@ -106,6 +107,10 @@ def _pairs_to_compare(resolutions) -> None:
 
 def _cmd_converge(args) -> int:
     ns = _resolutions(args.resolutions, check_resolutions)
+    try:
+        SolverConfig(t_end=args.t_end)
+    except ValueError as err:
+        raise ScenarioValidationError([Issue("--t-end", "t-end", str(err))]) from None
     case = manufactured_case(args.case)
     probe = case.residual_probe()
     print("manufactured residual probe:",

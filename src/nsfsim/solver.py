@@ -74,6 +74,7 @@ from __future__ import annotations
 import bisect
 import ctypes
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Union
@@ -93,9 +94,9 @@ class StepRejected(Exception):
 class RunAborted(RuntimeError):
     """Too many consecutive step rejections; carries the partial trajectory."""
 
-    def __init__(self, message, trajectory=None, state=None):
+    def __init__(self, message, state=None):
         super().__init__(message)
-        self.trajectory = trajectory
+        self.trajectory = None  # ``run`` attaches it
         self.state = state
 
 
@@ -121,6 +122,9 @@ class SolverConfig:
     energy_source: Optional[Callable] = None
 
     def __post_init__(self):
+        for name in ("epsilon", "delta", "Gamma", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epsilon < 0.0 or self.delta < 0.0:
             raise ValueError("epsilon and delta must be nonnegative")
         if not self.Gamma > 2.0:
@@ -630,8 +634,8 @@ def _primitive(eos: EosSpec, cfg: SolverConfig, rho, m, w, theta_guess):
 
 
 def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
-               cfg: SolverConfig, bspec: BoundarySpec, dt: float, t: float = 0.0):
-    """One forward-Euler stage followed by the backward-Euler viscous and
+               cfg: SolverConfig, bspec: BoundarySpec, dt: float):
+    """One forward-Euler stage at t = 0, then the backward-Euler viscous and
     conduction solves of :func:`step`; returns the new (rho, m, theta).
 
     The energy takes the solves' increments in flux form, as in ``step``,
@@ -639,7 +643,7 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     (before the solves too): it is the temperature update of the energy
     balance with (rho, u) held fixed.
     """
-    stage = _stage_rhs(mesh, eos, cfg, bspec, t, state)
+    stage = _stage_rhs(mesh, eos, cfg, bspec, 0.0, state)
     rho, m, w = _predictor(cfg, state, stage, dt)
     theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, state.theta)
     u, _, _, theta_l, _, dw = _implicit_solves(

@@ -34,6 +34,9 @@ Z and one (P, S) pass, bitwise equal to the separate closures.
 recovery once per solve (a quartic in theta on the iconic shape, one
 (P, P') pass per iterate on a table), ``sound_speed_sq`` serves the step
 limit, and ``gibbs_residual`` keeps independent routes.
+``temperature_from_entropy`` inverts rho s by bracketed Newton in log theta
+on ``entropy_density_residual``; ``extended_internal_energy`` E(rho, S) has
+closed-form boundary values (radiation at rho = 0, cold on the S = 0 edge).
 """
 
 from __future__ import annotations
@@ -345,9 +348,15 @@ class TabulatedShape:
         return self._branch(z, self._entropy_pieces())[0]
 
     def entropy_shape_slope(self, z):
-        zz = np.asarray(z, dtype=float)
-        p, dp = self.p_dp(zz)
-        return -1.5 * (_FIVE_THIRDS * p - dp * zz) / (zz * zz)
+        # head and tail differentiate their closed-form S: the gap formula
+        # cancels the Z^{5/3} terms of P there and loses every digit far out
+        if self.third_law_compatible:
+            tail = lambda v: -(2.5 * self.tail_const + 4.0 * self.tail_gamma / v) / (v * v)
+        else:
+            tail = lambda v: -(self.tail_lin + 2.5 * self.tail_gamma / v) / v
+        gap = lambda v, k, s: -1.5 * (_FIVE_THIRDS * self._spline_p(v, k, s)
+                                      - self._spline_dp(v, k, s) * v) / (v * v)
+        return self._branch(z, (lambda v: -self.head_lin / v, gap, tail))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +596,34 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     return residual
 
 
+def entropy_density_residual(eos: EosSpec, rho, S):
+    """x -> (rho s - S, d(rho s)/dx) at theta = e^x and fixed (rho, S): the
+    residual of the entropy inversion, in x = log theta; checks rho > 0.
+
+    On the iconic shape rho s = rho (1.5 x - log rho + entropy_const)
+    + (4a/3) e^{3x}: no Z and no overflow.  Other shapes evaluate
+    ``specific_entropy`` and ``entropy_theta_slope`` at theta = e^x.
+    """
+    rho = np.asarray(rho, dtype=float)
+    if (rho <= 0.0).any():
+        raise OutOfDomainError("entropy inversion needs rho > 0")
+    if eos.shape == "iconic":
+        b = 1.5 * rho
+        c = rho * (eos.entropy_const - np.log(rho)) - S
+        r = 4.0 * eos.a / 3.0
+
+        def closed_form(x):
+            radiation = r * np.exp(3.0 * x)
+            return b * x + c + radiation, b + 3.0 * radiation
+        return closed_form
+
+    def residual(x):
+        theta = np.exp(x)
+        return (rho * specific_entropy(eos, rho, theta) - S,
+                rho * theta * entropy_theta_slope(eos, rho, theta))
+    return residual
+
+
 def specific_entropy(eos: EosSpec, rho, theta):
     """s(rho, theta) = S(rho/theta^{3/2}) + (4a/3) theta^3 / rho."""
     theta = _positive_temperature(theta)
@@ -693,61 +730,51 @@ def transport_coefficients(ts: TransportSpec, theta):
 # ---------------------------------------------------------------------------
 
 
-def _solve_monotone_theta(f_and_slope, lo: float, hi: float):
-    """Vectorized root of an increasing f(theta) via log-bisection + Newton.
+# The entropy inversion's bracket in theta, the same for every caller; at
+# the hot end the radiation entropy (4a/3) theta^3 is still finite.
+_THETA_COLD, _THETA_HOT = 1e-180, 1e100
 
-    ``f_and_slope(theta) -> (f, f')``; up to 80 bisections, then 6 Newton
-    steps.  Raises OutOfDomainError when the bracket does not straddle a
-    root; the message carries the bracket values.
+
+def temperature_from_entropy(eos: EosSpec, rho, S):
+    """Solve rho s(rho, theta) = S for theta (unique by stability).
+
+    Newton in x = log theta on ``entropy_density_residual``, safeguarded by
+    a sign bracket as in rtsafe (Press et al., Numerical Recipes, sec. 9.4):
+    the bracket starts at theta in [1e-180, 1e100], each iterate tightens it,
+    and a Newton step that would leave it, or would not halve the step
+    before the last, becomes a bisection.  Iterates start at theta = 1; a
+    cell is done after its first Newton step below 1e-9 in x, whose error
+    is of the order of its square.  Raises OutOfDomainError when the
+    bracket does not straddle a root, e.g. for S <= 0 in Third-law mode.
     """
-    if not lo > 0.0:
-        raise EosDomainError("temperature must be positive")
+    f = entropy_density_residual(eos, rho, S)
+    lo, hi = math.log(_THETA_COLD), math.log(_THETA_HOT)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f_lo, _ = f_and_slope(lo)
-        f_hi, _ = f_and_slope(hi)
-        below = f_lo > 0.0
-        above = f_hi < 0.0
-        if np.any(below) or np.any(above):
+        f_lo, _ = f(lo)
+        f_hi, _ = f(hi)
+        if not (np.all(f_lo <= 0.0) and np.all(f_hi >= 0.0)):
             raise OutOfDomainError(
                 "monotone solve not bracketed: "
-                f"f({lo:g}) in [{np.min(f_lo):.6g}, {np.max(f_lo):.6g}], "
-                f"f({hi:g}) in [{np.min(f_hi):.6g}, {np.max(f_hi):.6g}]")
-
+                f"f({_THETA_COLD:g}) in [{np.min(f_lo):.6g}, {np.max(f_lo):.6g}], "
+                f"f({_THETA_HOT:g}) in [{np.min(f_hi):.6g}, {np.max(f_hi):.6g}]")
         shape = np.shape(f_lo)
-        a = np.full(shape, math.log(lo))
-        b = np.full(shape, math.log(hi))
-        x = np.exp(0.5 * (a + b))
-        for _ in range(80):
-            fx, _ = f_and_slope(x)
-            gt = fx > 0.0
-            b = np.where(gt, np.log(x), b)
-            a = np.where(gt, a, np.log(x))
-            x = np.exp(0.5 * (a + b))
-            if np.max(b - a) < 1e-12:
+        a, b, x = np.full(shape, lo), np.full(shape, hi), np.zeros(shape)
+        done = np.zeros(shape, dtype=bool)
+        step = step_old = b - a
+        # bisection alone takes the bracket to rounding in 60 iterates
+        for _ in range(100):
+            fx, dfx = f(x)
+            below = fx < 0.0
+            a = np.where(below, x, a)
+            b = np.where(below, b, x)
+            newton = fx / dfx
+            ok = (a <= x - newton) & (x - newton <= b) & (np.abs(newton) <= 0.5 * np.abs(step_old))
+            step_old, step = step, np.where(ok, newton, x - 0.5 * (a + b))
+            x = np.where(done, x, x - step)
+            done |= ok & (np.abs(newton) <= 1e-9)
+            if done.all():
                 break
-        for _ in range(6):
-            fx, dfx = f_and_slope(x)
-            step = np.where(dfx > 0.0, fx / np.where(dfx > 0.0, dfx, 1.0), 0.0)
-            x_new = x - step
-            # keep Newton inside the bisection bracket
-            x = np.clip(x_new, np.exp(a), np.exp(b))
-    return x
-
-
-def temperature_from_entropy(eos: EosSpec, rho, S, lo: float = 1e-8,
-                             hi: float = 1e8):
-    """Solve rho s(rho, theta) = S for theta (unique by stability)."""
-    rho = np.asarray(rho, dtype=float)
-    S = np.asarray(S, dtype=float)
-    if np.any(rho <= 0.0):
-        raise OutOfDomainError("entropy inversion needs rho > 0")
-
-    def f_and_slope(theta):
-        f = rho * specific_entropy(eos, rho, theta) - S
-        df = rho * entropy_theta_slope(eos, rho, theta)
-        return f, df
-
-    return _solve_monotone_theta(f_and_slope, lo, hi)
+    return np.exp(x)
 
 
 def to_conservative(eos: EosSpec, state: ThermoState) -> ConservativeState:
@@ -777,78 +804,37 @@ def cold_energy_density(eos: EosSpec, rho):
     return 1.5 * eos.p_inf * rho ** _FIVE_THIRDS
 
 
-def _interior_energy_density(eos: EosSpec, rho, S):
-    lo, hi = 1e-180, 1e9
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cold_saturated = float(rho * specific_entropy(eos, rho, lo)) >= S
-    if cold_saturated:
-        # the required temperature underflows; rho e has saturated cold
-        return cold_energy_density(eos, rho)
-    theta = temperature_from_entropy(eos, rho, S, lo=lo, hi=hi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = rho * specific_internal_energy(eos, rho, theta)
-    if not np.all(np.isfinite(w)):
-        # theta sits at the cold end of the bracket, where the closure
-        # overflows; rho e has saturated cold there
-        return cold_energy_density(eos, rho)
-    return w
-
-
-def _ray_limit(eos: EosSpec, rho, S):
-    """Directional limit of rho e along a ray from a fixed interior anchor.
-
-    Up to 60 steps halve toward (rho, S) until successive values settle to
-    a relative 1e-6; the last two values are linearly extrapolated to the endpoint.
-    """
-    rho_a = 1.0
-    s_a = float(specific_entropy(eos, 1.0, 1.0))
-    if abs(rho - rho_a) < 1e-14 and abs(S - s_a) < 1e-14:
-        return float(_interior_energy_density(eos, rho_a, s_a))
-    t = 0.5
-    prev = None
-    val = None
-    for _ in range(60):
-        rho_t = rho + t * (rho_a - rho)
-        s_t = S + t * (s_a - S)
-        try:
-            val = float(_interior_energy_density(eos, rho_t, s_t))
-        except OutOfDomainError:
-            # fell off the bracketed band; keep the last resolved value
-            break
-        if prev is not None and abs(val - prev) < 1e-6 * (1.0 + abs(val)):
-            # linear extrapolation to the endpoint; rho e is nonnegative
-            return max(2.0 * val - prev, 0.0)
-        prev = val
-        t *= 0.5
-    out = prev if val is None else val
-    return max(out, 0.0) if out is not None else 0.0
-
-
 def extended_internal_energy(eos: EosSpec, rho: float, S: float) -> float:
     """rho e as a total convex l.s.c. function of (rho, S).
 
-    Interior points evaluate through the temperature inversion; +inf is
-    returned off the closure of the admissible set; boundary values are the
-    directional limits along rays from an interior anchor.  In Third-law
-    mode the admissible set is {rho > 0, S > 0} with E(0, 0) = 0; otherwise
-    it is {rho > 0} with limits taken for rho -> 0+ at every S.
+    Interior points, {rho > 0, S > 0} in Third-law mode and {rho > 0}
+    otherwise, go through the temperature inversion; off the closure of
+    that set E = +inf.  Boundary values are limits from the interior
+    (Rockafellar, Convex Analysis, Thm 7.5), in closed form: at rho = 0
+    a (3 S^+ / 4a)^{4/3}, or for a = 0 zero at S <= 0 and +inf at S > 0; on
+    the Third-law edge S = 0 the cold energy ``cold_energy_density``.
+    S beyond the inversion's hot end (theta = 1e100) raises OutOfDomainError.
     """
     rho = float(rho)
     S = float(S)
-    if rho < 0.0:
-        return math.inf
-    if eos.third_law and S < 0.0:
+    if rho < 0.0 or (eos.third_law and S < 0.0):
         return math.inf
     if rho == 0.0:
-        if eos.third_law and S == 0.0:
-            return 0.0
-        return float(_ray_limit(eos, rho, S))
-    try:
-        return float(_interior_energy_density(eos, rho, S))
-    except OutOfDomainError:
-        # the S = 0 edge of the Third-law closure (S < 0 was excluded above),
-        # or attainable in the continuum but beyond the solve bracket
-        return float(_ray_limit(eos, rho, S))
+        if eos.a > 0.0:
+            return eos.a * (0.75 * max(S, 0.0) / eos.a) ** (4.0 / 3.0)
+        return 0.0 if S <= 0.0 else math.inf
+    cold = float(cold_energy_density(eos, rho))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if S <= rho * float(specific_entropy(eos, rho, _THETA_COLD)):
+            # the Third-law edge S = 0, or a temperature below the bracket
+            return cold
+        theta = float(temperature_from_entropy(eos, rho, S))
+        w = rho * float(specific_internal_energy(eos, rho, theta))
+    if not math.isfinite(w):
+        # the closure overflows: hot, rho e exceeds the floats; cold, near
+        # the bracket's end, it has saturated at the cold energy
+        return math.inf if theta > 1.0 else cold
+    return w
 
 
 def _energy_density_rho_slope(rho, theta, p, e, s):

@@ -3,6 +3,7 @@ import collections
 import csv
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -108,6 +109,19 @@ def test_all_failures_reported_together():
         sc.parse_scenario(doc)
     codes = {i.code for i in err.value.issues}
     assert {"mesh-schema", "config-schema"} <= codes
+
+
+@pytest.mark.parametrize("key, value", [("t_end", math.inf), ("t_end", math.nan),
+                                        ("epsilon", math.nan), ("delta", math.inf),
+                                        ("Gamma", math.inf)])
+def test_non_finite_settings_are_refused(key, value):
+    # through JSON ("t_end": Infinity); an infinite t_end never ends a run,
+    # and a NaN epsilon reads as 0 wherever the solver tests epsilon > 0
+    doc = json.loads(json.dumps(minimal_doc(**{key: value})))
+    with pytest.raises(sc.ScenarioValidationError) as err:
+        sc.parse_scenario(doc)
+    assert [(i.path, i.code) for i in err.value.issues] == [("config", "config-schema")]
+    assert f"{key} must be finite" in err.value.issues[0].message
 
 
 def test_unknown_keys_reported_by_path():
@@ -642,6 +656,15 @@ def test_cli_refuses_malformed_resolutions(command, failure, capsys):
     assert cli.main(command) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith(failure), lines
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-1", "t_end must be nonnegative"), ("nan", "t_end must be finite, got nan"),
+    ("inf", "t_end must be finite, got inf")], ids=["negative", "nan", "inf"])
+def test_cli_converge_refuses_bad_t_end(value, message, capsys):
+    # refused before the residual probe and any run: one FAIL line, exit 1
+    assert cli.main(["converge", "--t-end", value]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"FAIL  [t-end] --t-end: {message}"]
 
 
 def test_cli_run_and_audit(tmp_path, capsys):

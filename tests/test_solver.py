@@ -15,7 +15,7 @@ from nsfsim import solver as sv
 from nsfsim import thermo as th
 from nsfsim.mesh import Mesh1D
 
-from conftest import SEED
+from conftest import SEED, _solve_monotone_theta
 
 
 def _uniform_state(n, rho=1.0, u=0.0, theta=1.0):
@@ -380,7 +380,7 @@ def test_iconic_recovery_matches_generic_residual(eos, delta, rng):
         return (rho * (th._energy(eos, rho, theta, p) + delta * theta) - w,
                 rho * (th._energy_theta(eos, rho, theta, p, dp) + delta))
 
-    reference = th._solve_monotone_theta(generic, 1e-10, 1e9)
+    reference = _solve_monotone_theta(generic, 1e-10, 1e9)
     np.testing.assert_allclose(sv._recover_theta(eos, cfg, rho, w, 1.05 * theta_true)[0],
                                reference, rtol=1e-13)
 

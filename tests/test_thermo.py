@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nsfsim import scenario as sc
 from nsfsim import thermo as th
 
-from conftest import SEED
+from conftest import SEED, _solve_monotone_theta
 
 FT = 5.0 / 3.0
 
@@ -202,6 +202,36 @@ def test_from_conservative_rejects_states_outside_domain(eos_table):
     assert "bracket" in str(err.value)
 
 
+@seed(SEED)
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["eos", "eos_a0", "eos_table", "eos_table_nolaw"]),
+       log_rho=st.floats(-4.0, 4.0), log_theta=st.floats(-8.0, 8.0))
+def test_entropy_inversion_matches_bisection_property(eos, eos_a0, eos_table, eos_table_nolaw,
+                                                      name, log_rho, log_theta):
+    # reference: the log-bisection with Newton polish through the closures
+    e = {"eos": eos, "eos_a0": eos_a0, "eos_table": eos_table,
+         "eos_table_nolaw": eos_table_nolaw}[name]
+    rho, theta = 10.0 ** log_rho, 10.0 ** log_theta
+    S = rho * float(th.specific_entropy(e, rho, theta))
+
+    def f_and_slope(t):
+        return (rho * th.specific_entropy(e, rho, t) - S,
+                rho * th.entropy_theta_slope(e, rho, t))
+    reference = float(_solve_monotone_theta(f_and_slope, 1e-10, 1e10))
+    assert float(th.temperature_from_entropy(e, rho, S)) == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["eos", "eos_a0"])
+def test_entropy_inversion_round_trip_iconic(name, request):
+    # the iconic residual is closed-form in log theta, so nothing overflows
+    # or underflows across the whole range
+    e = request.getfixturevalue(name)
+    theta = np.geomspace(1e-150, 1e30, 181)
+    for rho in (1e-4, 1.0, 1e4):
+        S = rho * th.specific_entropy(e, rho, theta)
+        np.testing.assert_allclose(th.temperature_from_entropy(e, rho, S), theta, rtol=1e-12)
+
+
 def test_temperature_identity(eos, eos_table):
     # d(rho e)/dS at fixed rho equals the recovered temperature
     h = 1e-5
@@ -265,6 +295,36 @@ def test_extension_cold_boundary_value(eos_table):
     # S -> 0 at rho > 0 leaves the zero-temperature compression energy
     got = th.extended_internal_energy(eos_table, 2.0, 0.0)
     assert got == pytest.approx(1.5 * eos_table.p_inf * 2.0 ** FT, rel=1e-6)
+
+
+def test_extension_vacuum_radiation_closed_form(eos, eos_table, eos_table_nolaw):
+    for e in (eos, eos_table, eos_table_nolaw):
+        for s0 in (0.5, 2.0):
+            expect = e.a * (3.0 * s0 / (4.0 * e.a)) ** (4.0 / 3.0)
+            assert th.extended_internal_energy(e, 0.0, s0) == pytest.approx(expect, rel=1e-14)
+
+
+def test_extension_vacuum_without_radiation(eos_a0):
+    # without radiation the vacuum holds no entropy: E(0, S) is +inf for
+    # S > 0 and the cold limit 0 otherwise
+    for s0 in (1.0, 1.7):
+        assert th.extended_internal_energy(eos_a0, 0.0, s0) == math.inf
+    for s0 in (-3.0, 0.0):
+        assert th.extended_internal_energy(eos_a0, 0.0, s0) == 0.0
+
+
+def test_extension_hot_interior_value(eos):
+    # theta = 2e9 (S = 1.07e28) is an interior point, however hot
+    theta = 2e9
+    S = float(th.specific_entropy(eos, 1.0, theta))
+    expect = float(th.specific_internal_energy(eos, 1.0, theta))
+    assert th.extended_internal_energy(eos, 1.0, S) == pytest.approx(expect, rel=1e-12)
+
+
+def test_extension_without_radiation_increases_with_entropy(eos_a0):
+    # dE/dS = theta > 0; at S = 40, theta is about 4e11
+    assert (th.extended_internal_energy(eos_a0, 1.0, 30.0)
+            < th.extended_internal_energy(eos_a0, 1.0, 40.0))
 
 
 def test_extension_midpoint_convexity(eos, rng):
@@ -492,11 +552,8 @@ def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, requ
 
 def test_fused_energy_closure_keeps_domain_checks(eos, eos_table):
     # rho is checked when the residual is built; theta > 0 once per solve,
-    # on the bracket of the monotone solve here and on the Newton guess in
-    # the solver
+    # on the Newton guess in the solver
     for e in (eos, eos_table):
-        with pytest.raises(th.EosDomainError, match="temperature must be positive"):
-            th.temperature_from_entropy(e, np.ones(3), np.ones(3), lo=0.0)
         with pytest.raises(th.EosDomainError, match="extended_internal_energy"):
             th.energy_density_residual(e, np.array([1.0, 0.0, 1.0]), np.ones(3))
 

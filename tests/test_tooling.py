@@ -1,6 +1,7 @@
 """Source hygiene of the package and its tests, checked with the standard library's ast."""
 
 import ast
+import collections
 import dataclasses
 from pathlib import Path
 
@@ -65,3 +66,60 @@ def test_config_keys_are_solver_settings():
     # else: a value settable on one side only fails here
     fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
     assert set(scenario._CONFIG_KEYS) == fields - {"energy_source"}
+
+
+def _defaulted_parameters(path: Path) -> list:
+    """(callee name, parameter, call position or None if keyword-only) for
+    each defaulted parameter of the functions a module defines; a method's
+    position skips self, and __init__ is called by its class name."""
+    out = []
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                name = cls if child.name == "__init__" and cls else child.name
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls and not static else 0
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for k, arg in enumerate(positional[first:], start=first):
+                    out.append((name, arg.arg, k - skip))
+                out.extend((name, arg.arg, None) for arg, default
+                           in zip(args.kwonlyargs, args.kw_defaults) if default is not None)
+                visit(child, None)
+    visit(ast.parse(path.read_text()))
+    return out
+
+
+def _calls(path: Path) -> list:
+    """(callee name, positional count, keyword names, passes * or **) per call."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(kw.arg is None for kw in node.keywords))
+            out.append((name, len(node.args), {kw.arg for kw in node.keywords}, starred))
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a default that no call overrides is a knob without a caller: a
+    # parameter counts as set when some call to a function of its name
+    # passes it by keyword, by position, or through * or **
+    package = sorted((ROOT / "src" / "nsfsim").glob("*.py"))
+    callers = package + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    calls = collections.defaultdict(list)
+    for path in callers:
+        for name, n_pos, keywords, starred in _calls(path):
+            calls[name].append((n_pos, keywords, starred))
+    unset = [f"{path.stem}.{name}({param})"
+             for path in package for name, param, pos in _defaulted_parameters(path)
+             if not any(starred or param in keywords or (pos is not None and n_pos > pos)
+                        for n_pos, keywords, starred in calls[name])]
+    assert unset == []
