@@ -2,9 +2,9 @@
 
 The audits consume a recorded :class:`~nsfsim.solver.Trajectory`: storage
 terms are evaluated from the states at the window ends, every flux and
-volume term reuses the solver's own stage-weighted accumulators, so the
-mass identity telescopes to rounding and the reported energy/entropy
-residuals measure scheme error, not quadrature error.
+volume term is a window difference of the solver's own accumulators, which
+carry the update's stage, epsilon and delta weights, so the mass identity
+telescopes to rounding and the residuals measure scheme, not quadrature, error.
 
 Storage is evaluated on the recorded states stacked into (k, n) arrays, one
 closure call per quantity.  The a-priori sup over all T outputs is thus one
@@ -81,6 +81,11 @@ def _delta_acc(accs, key: str) -> float:
     return a1.get(key, 0.0) - a0.get(key, 0.0)
 
 
+def _drop_acc(accs, key: str) -> float:
+    """-_delta_acc, but 0.0, not -0.0, for a key never booked."""
+    return _delta_acc(accs[::-1], key)
+
+
 def _stacked(states) -> np.ndarray:
     """rho, u and theta of the states, stacked into a (3, k, n) array."""
     return np.stack([(st.rho, st.u, st.theta) for st in states], axis=1)
@@ -137,29 +142,26 @@ def _balances(traj: Trajectory, window, energy=True, entropy=True):
     over the window, None where not asked, from one storage evaluation."""
     states, accs = _window_ends(traj, _default_window(traj, window))
     mass, energy_storage, entropy_storage = _storages(traj, states, energy, entropy)
-    eps, dlt = traj.config.epsilon, traj.config.delta
     out = [float(mass[1] - mass[0]) + _delta_acc(accs, "mass_bdry"), None, None]
     if energy:
         terms = {}
         terms["storage"] = float(energy_storage[1] - energy_storage[0])
         terms["outflow_internal_energy"] = _delta_acc(accs, "energy_out_conv")
-        terms["outflow_delta_pressure"] = dlt * _delta_acc(accs, "energy_out_delta")
+        terms["outflow_delta_pressure"] = _delta_acc(accs, "delta_energy_out")
         terms["inflow_energy_flux"] = _delta_acc(accs, "energy_bdry_in")
-        terms["inflow_delta_bregman"] = -dlt * _delta_acc(accs, "energy_in_gamma_breg")
-        terms["inflow_delta_mismatch"] = -dlt * _delta_acc(accs, "energy_in_rho_sq")
-        lhs = sum(terms[k] for k in ("storage", "outflow_internal_energy",
-                                     "outflow_delta_pressure", "inflow_energy_flux",
-                                     "inflow_delta_bregman", "inflow_delta_mismatch"))
+        terms["inflow_delta_bregman"] = _drop_acc(accs, "delta_energy_in_gamma_breg")
+        terms["inflow_delta_mismatch"] = _drop_acc(accs, "delta_energy_in_rho_sq")
+        lhs = sum(terms.values())
 
         rhs_terms = {}
         rhs_terms["convective_pressure_work"] = -_delta_acc(accs, "conv_p_grad_ub")
         rhs_terms["boundary_kinetic_work"] = 0.5 * _delta_acc(accs, "rho_u_grad_ub2")
         rhs_terms["stress_boundary_work"] = _delta_acc(accs, "S_grad_ub")
         rhs_terms["body_force_work"] = _delta_acc(accs, "rho_g_rel_u")
-        rhs_terms["regularization_sources"] = (dlt * _delta_acc(accs, "inv_theta2")
-                                               - eps * _delta_acc(accs, "theta5"))
-        rhs_terms["inflow_delta_reference"] = -dlt * _delta_acc(accs, "energy_in_rho_b_gamma")
-        rhs_terms["mass_diffusion_work"] = eps * _delta_acc(accs, "eps_mom_ub")
+        rhs_terms["regularization_sources"] = (_delta_acc(accs, "delta_heating")
+                                               + _delta_acc(accs, "eps_radiation"))
+        rhs_terms["inflow_delta_reference"] = _drop_acc(accs, "delta_energy_in_rho_b_gamma")
+        rhs_terms["mass_diffusion_work"] = _delta_acc(accs, "eps_mom_ub")
         rhs_terms["manufactured_source"] = _delta_acc(accs, "mms_energy_source")
         rhs = sum(rhs_terms.values())
 
@@ -169,10 +171,11 @@ def _balances(traj: Trajectory, window, energy=True, entropy=True):
         terms = {}
         terms["storage"] = float(entropy_storage[1] - entropy_storage[0])
         terms["outflow_efflux"] = _delta_acc(accs, "entropy_out_conv")
-        terms["dissipation"] = _delta_acc(accs, "dissipation")
-        terms["grad_rho_entropy"] = eps * dlt * _delta_acc(accs, "grad_rho_sq_gamma_over_theta")
-        terms["radiation_sink"] = eps * _delta_acc(accs, "theta4")
-        terms["mass_diffusion_entropy"] = eps * _delta_acc(accs, "grad_rho_grad_g")
+        terms["dissipation"] = (_delta_acc(accs, "dissipation_no_delta")
+                                + _delta_acc(accs, "delta_heating_over_theta"))
+        terms["grad_rho_entropy"] = _delta_acc(accs, "eps_delta_grad_rho_heating_over_theta")
+        terms["radiation_sink"] = _drop_acc(accs, "eps_radiation_over_theta")
+        terms["mass_diffusion_entropy"] = _delta_acc(accs, "eps_grad_rho_grad_g")
         terms["inflow_terms"] = _delta_acc(accs, "entropy_in")
         terms["inflow_robin"] = _delta_acc(accs, "entropy_in_robin")
         terms["manufactured_source"] = _delta_acc(accs, "mms_energy_source_over_theta")
@@ -190,8 +193,7 @@ def _balances(traj: Trajectory, window, energy=True, entropy=True):
 
 def apriori_monitor(traj: Trajectory) -> dict:
     """Coercivity-bound quantities of the whole trajectory, the
-    regularization-scaled integrals weighted by its (epsilon, delta)."""
-    eps, dlt = traj.config.epsilon, traj.config.delta
+    regularization-scaled integrals as the solver weighted them."""
     _, accs = _window_ends(traj, _default_window(traj, None))
     out = {}
     _, energy, entropy = _storages(traj, traj.states)
@@ -199,11 +201,11 @@ def apriori_monitor(traj: Trajectory) -> dict:
     out["dissipation_integral"] = THETA_BAR * _delta_acc(accs, "dissipation_no_delta")
     out["inflow_coercive"] = _delta_acc(accs, "apriori_in_coercive")
     out["outflow_ballistic"] = _delta_acc(accs, "apriori_out_ballistic")
-    out["delta_inv_theta3"] = dlt * _delta_acc(accs, "inv_theta3")
-    out["eps_theta5"] = eps * _delta_acc(accs, "theta5")
-    out["delta_boundary"] = dlt * (_delta_acc(accs, "energy_out_delta")
-                                   - _delta_acc(accs, "energy_in_rho_sq"))
-    out["eps_delta_grad_rho"] = eps * dlt * _delta_acc(accs, "grad_rho_sq_gamma_over_theta")
+    out["delta_inv_theta3"] = _delta_acc(accs, "delta_heating_over_theta")
+    out["eps_theta5"] = _drop_acc(accs, "eps_radiation")
+    out["delta_boundary"] = (_delta_acc(accs, "delta_energy_out")
+                             - _delta_acc(accs, "delta_energy_in_rho_sq"))
+    out["eps_delta_grad_rho"] = _delta_acc(accs, "eps_delta_grad_rho_heating_over_theta")
     return out
 
 

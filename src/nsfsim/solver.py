@@ -62,8 +62,9 @@ quadratic convergence leaves only rounding for the next.  Every
 budget-relevant face flux and volume integrand is accumulated during the
 run with the same weights as the update itself: the stage terms with the
 stage weights, the implicit terms with weight dt (the entropy terms at the
-step's end temperature, the heat term summed by parts).  The discrete mass
-identity thus telescopes to rounding, and the audits in
+step's end temperature, the heat term summed by parts), each written here
+once with its epsilon or delta weight and booked only where that is nonzero.
+The discrete mass identity thus telescopes to rounding, and the audits in
 :mod:`nsfsim.budgets` separate scheme error from quadrature error.  The
 boundary-velocity extension the budget terms use is a run constant, built
 once per (mesh, boundary) pair.
@@ -76,15 +77,16 @@ import ctypes
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .boundary import BoundarySpec, FaceKind
 from .mesh import Mesh1D
-from .thermo import (EosSpec, EosDomainError, TransportSpec, energy_density_residual,
-                     sound_speed_sq, specific_entropy, specific_internal_energy, stage_closures)
+from .thermo import (EosSpec, EosDomainError, TransportSpec, _energy_density_rho_slope,
+                     energy_density_residual, sound_speed_sq, specific_entropy,
+                     specific_internal_energy, stage_closures)
 
 
 class StepRejected(Exception):
@@ -137,6 +139,8 @@ class SolverConfig:
             raise ValueError("t_end must be nonnegative")
         if not (callable(self.g) or isinstance(self.g, numbers.Real)):
             raise ValueError(f"g must be a number or a callable g(t, x), got {self.g!r}")
+        if not (callable(self.g) or math.isfinite(self.g)):
+            raise ValueError(f"g must be finite, got {self.g}")
 
     def body_force(self, t: float, x: np.ndarray):
         """g at the cell centers x: an array for a callable g, else the float
@@ -265,19 +269,20 @@ class StageFields:
     w: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageRecord:
-    """Named budget integrands of one RHS evaluation.
+    """Named budget integrands of one RHS evaluation and two cell arrays.
 
-    ``scalars`` hold instantaneous rates (volume and boundary integrals);
-    time-weighted sums of them reproduce the scheme's own updates exactly.
-    ``cells`` holds two arrays: the energy density ``w`` the stage started
-    from and the face temperatures ``theta_face`` (the step freezes the
-    viscosity and the conductivity there).
+    ``scalars`` hold instantaneous rates (volume and boundary integrals),
+    each with its epsilon or delta weight; time-weighted sums of them
+    reproduce the scheme's own updates exactly.  ``w`` is the energy density
+    the stage started from, ``theta_face`` the face temperatures (the step
+    freezes the viscosity and the conductivity there).
     """
 
-    scalars: dict = dc_field(default_factory=dict)
-    cells: dict = dc_field(default_factory=dict)
+    scalars: dict
+    w: np.ndarray
+    theta_face: np.ndarray
 
 
 def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
@@ -337,19 +342,21 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpe
         diff_mass[1:-1] = -cfg.epsilon * (rho[1:] - rho[:-1]) / h
     e_flux = f_energy
 
-    # g = e_delta/theta - s_delta + p/(rho theta) per cell
-    p_cell = pad.p[1:-1]
-    g_cell = pad.e[1:-1] / theta - pad.s[1:-1] + p_cell / (rho * theta)
+    # the epsilon-level entropy variable g = (e_delta - theta s_delta + p/rho)/theta
+    if cfg.epsilon > 0.0:
+        g_cell = _energy_density_rho_slope(rho, theta, pad.p[1:-1], pad.e[1:-1],
+                                           pad.s[1:-1]) / theta
 
     # the face pass: i (0 left, -1 right) indexes the face arrays, the cells
-    # and the ghosts of ``pad``; boundary integrands are outward-normal values;
-    # outflow keeps the convective trace in place
-    sc = dict.fromkeys(
-        ("mass_in_conv", "mass_out_conv", "mass_robin", "energy_bdry_in",
-         "energy_out_conv", "energy_out_delta", "energy_in_gamma_breg",
-         "energy_in_rho_sq", "energy_in_rho_b_gamma", "entropy_out_conv", "entropy_in",
-         "entropy_in_robin", "apriori_in_coercive", "apriori_out_ballistic"), 0.0)
-    gm = cfg.Gamma
+    # and the ghosts of ``pad``; boundary integrands are outward-normal values,
+    # the delta ones weighted; outflow keeps the convective trace in place
+    sc = dict.fromkeys(("mass_in_conv", "mass_out_conv", "mass_robin", "energy_bdry_in",
+                        "energy_out_conv", "entropy_out_conv", "entropy_in", "entropy_in_robin",
+                        "apriori_in_coercive", "apriori_out_ballistic"), 0.0)
+    gm, dl = cfg.Gamma, cfg.delta
+    if dl > 0.0:
+        sc.update(dict.fromkeys(("delta_energy_out", "delta_energy_in_gamma_breg",
+                                 "delta_energy_in_rho_sq", "delta_energy_in_rho_b_gamma"), 0.0))
     for f, i in ((bspec.left, 0), (bspec.right, -1)):
         udn = f.u_dot_n
         th = pad.theta[i]
@@ -358,11 +365,12 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpe
             e_flux[i] = f.normal * f.F_ib
             sc["mass_in_conv"] += rb * udn
             sc["energy_bdry_in"] += f.F_ib
-            sc["energy_in_gamma_breg"] += (rb ** gm / (gm - 1.0)
-                                           - gm / (gm - 1.0) * rc ** (gm - 1.0) * (rb - rc)
-                                           - rc ** gm / (gm - 1.0)) * udn
-            sc["energy_in_rho_sq"] += (rc - rb) ** 2 * udn
-            sc["energy_in_rho_b_gamma"] += rb ** gm / (gm - 1.0) * udn
+            if dl > 0.0:
+                sc["delta_energy_in_gamma_breg"] += dl * (
+                    rb ** gm / (gm - 1.0) - gm / (gm - 1.0) * rc ** (gm - 1.0) * (rb - rc)
+                    - rc ** gm / (gm - 1.0)) * udn
+                sc["delta_energy_in_rho_sq"] += dl * (rc - rb) ** 2 * udn
+                sc["delta_energy_in_rho_b_gamma"] += dl * rb ** gm / (gm - 1.0) * udn
             sc["entropy_in"] += -f.F_ib / th + (pad.e[i] / th - pad.s[i]) * rb * udn
             if cfg.epsilon > 0.0:
                 # the Robin mass flux enters the mass balance and carries
@@ -377,7 +385,8 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpe
             rc, e_del, s_del = pad.rho[i], pad.e[i], pad.s[i]
             sc["mass_out_conv"] += rc * udn
             sc["energy_out_conv"] += rc * e_del * udn
-            sc["energy_out_delta"] += cfg.delta_pressure_potential(rc) * udn
+            if dl > 0.0:
+                sc["delta_energy_out"] += dl * cfg.delta_pressure_potential(rc) * udn
             sc["entropy_out_conv"] += rc * s_del * udn
             sc["apriori_out_ballistic"] += rc * (e_del - THETA_BAR * s_del) * udn
         else:
@@ -395,64 +404,53 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpe
     g = cfg.body_force(t, x)
     dm = dm + rho * g
 
-    grad_rho_c = (pad.rho[2:] - pad.rho[:-2]) / (2.0 * h)
-    if cfg.epsilon > 0.0:
-        grad_u_c = (u_p[2:] - u_p[:-2]) / (2.0 * h)
-        dm = dm - cfg.epsilon * grad_rho_c * grad_u_c
-
-    # internal energy sources
-    div_u = (u_face[1:] - u_face[:-1]) / h
-    grad_rho_sq = grad_rho_c ** 2
-    grad_rho_coeff = cfg.Gamma * rho ** (cfg.Gamma - 2.0) + 2.0
-    source = -(p_cell * div_u)
-    mms = None
-    if cfg.energy_source is not None:
-        mms = np.asarray(cfg.energy_source(t, x), dtype=float) * np.ones_like(x)
-        source = source + mms
-    if cfg.delta > 0.0:
-        source = source + cfg.delta / theta ** 2
-        if cfg.epsilon > 0.0:
-            source = source + cfg.epsilon * cfg.delta * grad_rho_coeff * grad_rho_sq
-    if cfg.epsilon > 0.0:
-        source = source - cfg.epsilon * theta ** 5
-
-    dW = -(e_flux[1:] - e_flux[:-1]) / h + source
-
-    # volume integrands in record order; None marks a term that vanishes here
-    # (S_grad_ub is booked by the step, as are the viscous and heat parts of
-    # both dissipation integrands)
-    inv_theta = 1.0 / theta
-    inv_theta3 = inv_theta ** 3
-    vol = {"dissipation_no_delta": None,
-           "dissipation": cfg.delta * inv_theta3 if cfg.delta > 0.0 else None}
-    vol["theta4"] = theta ** 4
-    vol["theta5"] = theta ** 5
-    vol["inv_theta2"] = inv_theta ** 2
-    vol["inv_theta3"] = inv_theta3
-    vol["grad_rho_sq_gamma_over_theta"] = inv_theta * grad_rho_coeff * grad_rho_sq
-    # epsilon-level entropy correction grad rho . grad g; g_pad repeats the ends
-    g_pad = np.concatenate([g_cell[:1], g_cell, g_cell[-1:]])
-    grad_g = (g_pad[2:] - g_pad[:-2]) / (2.0 * h)
-    vol["grad_rho_grad_g"] = grad_rho_c * grad_g
-
-    # total-energy budget terms built on the boundary-velocity extension
+    # volume integrands in record order, each with its weight; None marks a
+    # term the step books (S_grad_ub and the viscous and heat parts of the
+    # dissipation) or one that vanishes here
     ub_ext, grad_ub = boundary_velocity_extension(mesh, bspec)
-    vol["S_grad_ub"] = vol["conv_p_grad_ub"] = vol["rho_u_grad_ub2"] = None
+    vol = dict.fromkeys(("dissipation_no_delta", "S_grad_ub", "conv_p_grad_ub", "rho_u_grad_ub2"))
     if grad_ub != 0.0:
         vol["conv_p_grad_ub"] = (rho * u * u + p_delta_p[1:-1]) * grad_ub
         vol["rho_u_grad_ub2"] = rho * u * 2.0 * ub_ext * grad_ub
     vol["rho_g_rel_u"] = rho * g * (u - ub_ext)
-    vol["eps_mom_ub"] = (grad_rho_c * (grad_u_c - grad_ub) * ub_ext
-                         if cfg.epsilon > 0.0 else None)
-    vol["mms_energy_source"] = mms
-    vol["mms_energy_source_over_theta"] = None if mms is None else mms / theta
+
+    if cfg.epsilon > 0.0:
+        grad_rho_c = (pad.rho[2:] - pad.rho[:-2]) / (2.0 * h)
+        grad_u_c = (u_p[2:] - u_p[:-2]) / (2.0 * h)
+        dm = dm - cfg.epsilon * grad_rho_c * grad_u_c
+        vol["eps_mom_ub"] = cfg.epsilon * (grad_rho_c * (grad_u_c - grad_ub) * ub_ext)
+        # the entropy correction grad rho . grad g; g_pad repeats the ends
+        g_pad = np.concatenate([g_cell[:1], g_cell, g_cell[-1:]])
+        grad_g = (g_pad[2:] - g_pad[:-2]) / (2.0 * h)
+        vol["eps_grad_rho_grad_g"] = cfg.epsilon * (grad_rho_c * grad_g)
+
+    # internal energy sources q, each booking the integral of q, q / theta or both
+    div_u = (u_face[1:] - u_face[:-1]) / h
+    source = -(pad.p[1:-1] * div_u)
+    if cfg.energy_source is not None:
+        q = np.asarray(cfg.energy_source(t, x), dtype=float) * np.ones_like(x)
+        source = source + q
+        vol["mms_energy_source"], vol["mms_energy_source_over_theta"] = q, q / theta
+    if dl > 0.0:
+        q = dl / theta ** 2
+        source = source + q
+        vol["delta_heating"], vol["delta_heating_over_theta"] = q, q / theta
+        if cfg.epsilon > 0.0:
+            q = cfg.epsilon * dl * (gm * rho ** (gm - 2.0) + 2.0) * grad_rho_c ** 2
+            source = source + q
+            vol["eps_delta_grad_rho_heating_over_theta"] = q / theta
+    if cfg.epsilon > 0.0:
+        q = -(cfg.epsilon * theta ** 5)
+        source = source + q
+        vol["eps_radiation"], vol["eps_radiation_over_theta"] = q, q / theta
+
+    dW = -(e_flux[1:] - e_flux[:-1]) / h + source
 
     # one reduction: row sums times h are the Mesh1D.integrate quadrature
     sums = iter((np.array([v for v in vol.values() if v is not None]).sum(axis=1) * h).tolist())
     sc.update((k, 0.0 if v is None else next(sums)) for k, v in vol.items())
 
-    cells = {"w": pad.w[1:-1], "theta_face": theta_face}
-    return drho, dm, dW, StageRecord(scalars=sc, cells=cells)
+    return drho, dm, dW, StageRecord(scalars=sc, w=pad.w[1:-1], theta_face=theta_face)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +572,7 @@ def _predictor(cfg, state, stage, dt):
     rho1 = state.rho + dt * drho
     if not (rho1 >= RHO_FLOOR).all():
         raise StepRejected("density fell below its floor")
-    return rho1, state.rho * state.u + dt * dm, rec.cells["w"] + dt * dW
+    return rho1, state.rho * state.u + dt * dm, rec.w + dt * dW
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +645,7 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     rho, m, w = _predictor(cfg, state, stage, dt)
     theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, state.theta)
     u, _, _, theta_l, _, dw = _implicit_solves(
-        mesh, ts, cfg, bspec, stage[3].cells["theta_face"], rho, m, theta_hat, capacity, dt)
+        mesh, ts, cfg, bspec, stage[3].theta_face, rho, m, theta_hat, capacity, dt)
     return rho, rho * u, _recover_theta(eos, cfg, state.rho, w + dw, theta_l)[0]
 
 
@@ -669,13 +667,13 @@ def _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt, stage1):
     flux, from ``stage1`` = _stage_rhs at (t, state), which does not depend
     on dt; returns (new_state, accumulator increments)."""
     d1rho, d1m, d1w, rec1 = stage1
-    rho0, m0, w0 = state.rho, state.rho * state.u, rec1.cells["w"]
+    rho0, m0, w0 = state.rho, state.rho * state.u, rec1.w
     rho1, m1, w1 = _predictor(cfg, state, stage1, dt)
     theta1, capacity = _recover_theta(eos, cfg, rho1, w1, state.theta)
     d2rho, d2m, d2w, rec2 = _stage_rhs(mesh, eos, cfg, bspec, t + dt,
                                        FieldState(rho=rho1, u=m1 / rho1, theta=theta1))
     u1, stress, diss, theta_l, heat, dw = _implicit_solves(
-        mesh, ts, cfg, bspec, rec1.cells["theta_face"], rho1, m1, theta1, capacity, dt)
+        mesh, ts, cfg, bspec, rec1.theta_face, rho1, m1, theta1, capacity, dt)
     h = mesh.h
     rho_n = rho0 + 0.5 * dt * (d1rho + d2rho)
     # the implicit increments enter with full weight
@@ -689,7 +687,6 @@ def _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt, stage1):
     entropy_gain = dt * (float((diss * inv_theta).sum()) * h
                          + float((heat[1:-1] * (inv_theta[:-1] - inv_theta[1:])).sum()))
     inc["dissipation_no_delta"] += entropy_gain
-    inc["dissipation"] += entropy_gain
     _, grad_ub = boundary_velocity_extension(mesh, bspec)
     if grad_ub != 0.0:
         stress_cell = 0.5 * (stress[:-1] + stress[1:])

@@ -182,9 +182,10 @@ def test_monitors_finite_and_nondecreasing(eos, transport, throughflow_setup):
     assert all(np.isfinite(v) for v in full.values())
     # cumulative quantities grow with the horizon
     acc_half, acc_full = traj.accums[1], traj.accums[2]
-    for key in ("dissipation_no_delta", "theta5", "inv_theta3",
-                "apriori_in_coercive"):
-        assert acc_full[key] >= acc_half[key] - 1e-14
+    # the radiation row books the sink -eps theta^5, so it falls
+    for key, sign in (("dissipation_no_delta", 1.0), ("eps_radiation", -1.0),
+                      ("delta_heating_over_theta", 1.0), ("apriori_in_coercive", 1.0)):
+        assert sign * acc_full[key] >= sign * acc_half[key] - 1e-14
 
 
 def test_audit_report_shape(throughflow_traj):

@@ -113,10 +113,12 @@ def test_all_failures_reported_together():
 
 @pytest.mark.parametrize("key, value", [("t_end", math.inf), ("t_end", math.nan),
                                         ("epsilon", math.nan), ("delta", math.inf),
-                                        ("Gamma", math.inf)])
+                                        ("Gamma", math.inf), ("g", math.nan),
+                                        ("g", math.inf)])
 def test_non_finite_settings_are_refused(key, value):
     # through JSON ("t_end": Infinity); an infinite t_end never ends a run,
-    # and a NaN epsilon reads as 0 wherever the solver tests epsilon > 0
+    # a NaN epsilon reads as 0 wherever the solver tests epsilon > 0, and a
+    # NaN g rejects every step of a run until it aborts
     doc = json.loads(json.dumps(minimal_doc(**{key: value})))
     with pytest.raises(sc.ScenarioValidationError) as err:
         sc.parse_scenario(doc)

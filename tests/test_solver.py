@@ -241,7 +241,8 @@ def test_stage_evaluates_each_closure_once(eos, transport, monkeypatch, channel)
                           theta=1 + 0.1 * np.cos(np.pi * x))
     calls = _count_thermo_calls(monkeypatch)
     sv._stage_rhs(mesh, eos, cfg, bspec, 0.0, state)
-    assert calls == {"stage_closures": 1}
+    # at epsilon > 0 the stage also forms g from its closures, with no EOS pass
+    assert calls == {"stage_closures": 1, **({"_energy_density_rho_slope": 1} if channel else {})}
 
 
 def _count_thermo_calls(monkeypatch, log=None):
@@ -361,9 +362,12 @@ def test_run_makes_seven_thermo_calls_and_two_rhs_evaluations_per_step(
     traj = sv.run(mesh, eos, transport, cfg, bspec, state)
     k = traj.n_steps
     assert traj.n_rejects == 0 and k > 1
+    # at epsilon > 0 each stage also forms g from its closures, with no EOS pass
+    g_calls = {"_energy_density_rho_slope": 2 * k} if channel else {}
     assert calls == {"sound_speed_sq": k, "stage_closures": 2 * k,
-                     "energy_density_residual": 2 * k, "specific_internal_energy": 2 * k}
-    assert sum(calls.values()) == 7 * k and len(rhs) == 2 * k
+                     "energy_density_residual": 2 * k, "specific_internal_energy": 2 * k,
+                     **g_calls}
+    assert sum(calls.values()) - sum(g_calls.values()) == 7 * k and len(rhs) == 2 * k
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
@@ -534,18 +538,39 @@ def test_stage_scalars_are_one_stacked_quadrature(eos, transport, monkeypatch, c
     _, _, _, rec = sv._stage_rhs(mesh, eos, cfg, bspec, 0.0, state)
     assert reductions == []
     sc = rec.scalars
-    assert sc["theta4"] == integrate(mesh, state.theta ** 4)
-    assert all(type(sc[k]) is float for k in ("S_grad_ub", "theta4", "dissipation",
-                                               "theta5", "rho_g_rel_u"))
+    assert all(type(sc[k]) is float for k in ("S_grad_ub", "rho_g_rel_u"))
     # the step books the stress term
     assert sc["S_grad_ub"] == 0.0
-    active = {"conv_p_grad_ub", "rho_u_grad_ub2", "eps_mom_ub",
-              "mms_energy_source", "mms_energy_source_over_theta"}
-    assert all((sc[k] != 0.0) == channel for k in active)
-    if channel:
-        mms = 0.1 * np.sin(np.pi * x)
-        assert sc["mms_energy_source"] == integrate(mesh, mms)
-        assert sc["mms_energy_source_over_theta"] == integrate(mesh, mms / state.theta)
+    # the epsilon and delta rows carry their weight and are booked only
+    # where it is nonzero, so at epsilon = delta = 0 every one reads 0.0
+    weighted = {"delta_energy_out", "delta_energy_in_gamma_breg", "delta_energy_in_rho_sq",
+                "delta_energy_in_rho_b_gamma", "eps_mom_ub", "eps_grad_rho_grad_g",
+                "delta_heating", "delta_heating_over_theta",
+                "eps_delta_grad_rho_heating_over_theta", "eps_radiation",
+                "eps_radiation_over_theta"}
+    mms_rows = {"mms_energy_source", "mms_energy_source_over_theta"}
+    active = {"conv_p_grad_ub", "rho_u_grad_ub2"} | weighted | mms_rows
+    if not channel:
+        assert sc["conv_p_grad_ub"] == sc["rho_u_grad_ub2"] == 0.0
+        assert (weighted | mms_rows).isdisjoint(sc)
+        return
+    assert all(sc[k] != 0.0 for k in active)
+    # each source row is its rate q, or q / theta, weighted and integrated
+    rho, theta = state.rho, state.theta
+    eps, dlt, gm = cfg.epsilon, cfg.delta, cfg.Gamma
+    rho_p = np.concatenate([[1.1], rho, rho[-1:]])  # inflow rho_b, outflow trace
+    grad_rho = (rho_p[2:] - rho_p[:-2]) / (2.0 * mesh.h)
+    mms = 0.1 * np.sin(np.pi * x)
+    heating = dlt / theta ** 2
+    grad_rho_heating = eps * dlt * (gm * rho ** (gm - 2.0) + 2.0) * grad_rho ** 2
+    radiation = -(eps * theta ** 5)
+    assert sc["mms_energy_source"] == integrate(mesh, mms)
+    assert sc["mms_energy_source_over_theta"] == integrate(mesh, mms / theta)
+    assert sc["delta_heating"] == integrate(mesh, heating)
+    assert sc["delta_heating_over_theta"] == integrate(mesh, heating / theta)
+    assert sc["eps_delta_grad_rho_heating_over_theta"] == integrate(mesh, grad_rho_heating / theta)
+    assert sc["eps_radiation"] == integrate(mesh, radiation)
+    assert sc["eps_radiation_over_theta"] == integrate(mesh, radiation / theta)
 
 
 def test_uniform_compression_source(eos, transport):
@@ -783,7 +808,7 @@ def test_step_books_viscous_terms_with_weight_dt(eos, transport):
     rec2 = sv._stage_rhs(mesh, eos, cfg, bspec, dt,
                          sv.FieldState(rho=rho1, u=m1 / rho1, theta=theta1))[3]
     _, stress, diss, _, heat, _ = sv._implicit_solves(
-        mesh, transport, cfg, bspec, rec1.cells["theta_face"], rho1, m1, theta1, capacity, dt)
+        mesh, transport, cfg, bspec, rec1.theta_face, rho1, m1, theta1, capacity, dt)
     stages = {k: 0.5 * dt * (rec1.scalars[k] + rec2.scalars[k]) for k in rec1.scalars}
     assert list(inc) == list(stages)
     assert stages["S_grad_ub"] == 0.0 and diss.min() > 0.0
@@ -794,10 +819,9 @@ def test_step_books_viscous_terms_with_weight_dt(eos, transport):
     by_parts = float((heat[1:-1] * (inv_theta[:-1] - inv_theta[1:])).sum())
     assert heat[0] == heat[-1] == 0.0 and by_parts > 0.0
     assert by_parts == pytest.approx(integrate(np.diff(heat) / mesh.h * inv_theta), rel=1e-12)
-    for key in ("dissipation", "dissipation_no_delta"):
-        assert inc[key] == pytest.approx(
-            stages[key] + dt * (integrate(diss / new.theta) + by_parts), rel=1e-14)
-    viscous = ("S_grad_ub", "dissipation", "dissipation_no_delta")
+    assert inc["dissipation_no_delta"] == pytest.approx(
+        stages["dissipation_no_delta"] + dt * (integrate(diss / new.theta) + by_parts), rel=1e-14)
+    viscous = ("S_grad_ub", "dissipation_no_delta")
     assert all(inc[k] == stages[k] for k in stages if k not in viscous)
 
 
@@ -951,7 +975,7 @@ def test_constant_body_force_matches_callable(eos, transport, g):
     assert [a.tobytes() for a in const] == [a.tobytes() for a in call]
     assert ([(k, v.hex()) for k, v in rec.scalars.items()]
             == [(k, v.hex()) for k, v in ref.scalars.items()])
-    assert all(rec.cells[k].tobytes() == ref.cells[k].tobytes() for k in ref.cells)
+    assert all(getattr(rec, k).tobytes() == getattr(ref, k).tobytes() for k in ("w", "theta_face"))
 
 
 @pytest.mark.parametrize("g", [None, "0.5", [0.0]])
@@ -1143,7 +1167,7 @@ def test_rest_state_conservation_with_regularization(eos, transport, box):
                  + cfg.delta * s.theta)
         + 0.5 * s.rho * s.u ** 2)
     acc = traj.accums[-1]
-    sources = cfg.delta * acc["inv_theta2"] - cfg.epsilon * acc["theta5"]
+    sources = acc["delta_heating"] + acc["eps_radiation"]
     assert w(traj.final_state) - w(state) == pytest.approx(sources, abs=1e-10)
 
 
