@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .relent import RelEnergyTrace, relative_energy_fields
-from .solver import THETA_BAR, Trajectory, boundary_velocity_extension
+from .solver import THETA_BAR, Trajectory, _step_plan
 
 ENTROPY_TOL = 1e-8
 MASS_TOL_PER_STEP = 1e-11
@@ -101,7 +101,7 @@ def _storages(traj: Trajectory, states, energy=True, entropy=True):
     rho, u, theta = _stacked(states)
     out = [rho.sum(axis=1) * h, None, None]
     if energy:
-        ub, _ = boundary_velocity_extension(traj.mesh, traj.boundary)
+        ub = _step_plan(traj.mesh, traj.boundary).ub_ext
         dens = 0.5 * rho * (u - ub) ** 2 + rho * cfg.internal_energy(traj.eos, rho, theta)
         if cfg.delta > 0.0:
             dens = dens + cfg.delta * cfg.delta_pressure_potential(rho)

@@ -57,17 +57,18 @@ volume integrands are stacked into one (K, n) array and reduced once.  The
 first stage of a step is evaluated once and reused by rejected attempts.
 The temperature recovery builds its energy-density residual once per solve;
 a Newton iterate makes no EOS call on the iconic shape and one ``p_dp`` on a
-table, and Newton stops after its first step below 1e-8 theta, since
-quadratic convergence leaves only rounding for the next.  Every
+table, Newton stops after its first step below 1e-8 theta, since quadratic
+convergence leaves only rounding for the next, and the recovery is checked
+by the residual's value alone: a step makes five EOS passes.  Every
 budget-relevant face flux and volume integrand is accumulated during the
 run with the same weights as the update itself: the stage terms with the
 stage weights, the implicit terms with weight dt (the entropy terms at the
 step's end temperature, the heat term summed by parts), each written here
 once with its epsilon or delta weight and booked only where that is nonzero.
 The discrete mass identity thus telescopes to rounding, and the audits in
-:mod:`nsfsim.budgets` separate scheme error from quadrature error.  The
-boundary-velocity extension the budget terms use is a run constant, built
-once per (mesh, boundary) pair.
+:mod:`nsfsim.budgets` separate scheme error from quadrature error.  A step
+plan, cached per (mesh, boundary) pair, holds what steps and audits read of
+the two; ``step`` and ``euler_step`` look it up once.
 """
 
 from __future__ import annotations
@@ -201,19 +202,12 @@ class FieldState:
         return FieldState(self.rho.copy(), self.u.copy(), self.theta.copy())
 
 
-@functools.lru_cache(maxsize=16)
-def boundary_velocity_extension(mesh: Mesh1D, bspec: BoundarySpec):
-    """Linear interior extension of the boundary velocity and its gradient.
-
-    A run constant: it is built once per (mesh, boundary) pair and returned
-    read-only.
-    """
-    ul, ur = bspec.left.u_b, bspec.right.u_b
-    x = mesh.centers
-    grad = (ur - ul) / mesh.measure
-    ext = ul + grad * (x - mesh.x_left)
-    ext.flags.writeable = False
-    return ext, grad
+def _new_state(rho, u, theta) -> FieldState:
+    """A FieldState of float arrays the caller has just allocated, without
+    the copies of the constructor."""
+    state = object.__new__(FieldState)
+    vars(state).update(rho=rho, u=u, theta=theta)
+    return state
 
 
 # (a, b) ghost rules: the ghost value is a + b x for the trace x
@@ -230,8 +224,36 @@ def _ghost_velocity(f) -> tuple:
     return 2.0 * f.u_b, -1.0
 
 
-def _velocity_ghosts(bspec: BoundarySpec) -> tuple:
-    return _ghost_velocity(bspec.left), _ghost_velocity(bspec.right)
+@dataclass(frozen=True)
+class _StepPlan:
+    """What a step reads of (mesh, boundary): the cell width ``h`` and the
+    centers ``x``, the linear interior extension ``ub_ext`` of the boundary
+    velocity (read-only) and its gradient, the velocity and density ghost
+    rules (rho_b on inflow, else the trace) and the end faces as (face, cell
+    index, u_b . n)."""
+
+    h: float
+    x: np.ndarray
+    ub_ext: np.ndarray
+    grad_ub: float
+    u_ghosts: tuple
+    rho_ghosts: tuple
+    faces: tuple
+
+
+@functools.lru_cache(maxsize=16)
+def _step_plan(mesh: Mesh1D, bspec: BoundarySpec) -> _StepPlan:
+    """The step plan of (mesh, bspec), built once per pair."""
+    ends = ((bspec.left, 0), (bspec.right, -1))
+    x = mesh.centers
+    grad = (bspec.right.u_b - bspec.left.u_b) / mesh.measure
+    ext = bspec.left.u_b + grad * (x - mesh.x_left)
+    ext.flags.writeable = False
+    return _StepPlan(h=mesh.h, x=x, ub_ext=ext, grad_ub=grad,
+                     u_ghosts=tuple(_ghost_velocity(f) for f, _ in ends),
+                     rho_ghosts=tuple((f.rho_b, 0.0) if f.kind is FaceKind.IN else _TRACE
+                                      for f, _ in ends),
+                     faces=tuple((f, i, f.u_dot_n) for f, i in ends))
 
 
 def _padded(ghosts, x):
@@ -240,14 +262,10 @@ def _padded(ghosts, x):
     return np.concatenate([[al + bl * x[0]], x, [ar + br * x[-1]]])
 
 
-def _ghosts(state: FieldState, bspec: BoundarySpec):
-    """One ghost layer per side following the face class."""
-    rho, theta = state.rho, state.theta
-    rl, rr = (f.rho_b if f.kind is FaceKind.IN else rho[i]
-              for f, i in ((bspec.left, 0), (bspec.right, -1)))
-    rho_p = np.concatenate([[rl], rho, [rr]])
-    theta_p = np.concatenate([[theta[0]], theta, [theta[-1]]])
-    return rho_p, _padded(_velocity_ghosts(bspec), state.u), theta_p
+def _ghosts(state: FieldState, plan: _StepPlan):
+    """One ghost layer per side following the face class; theta takes the trace."""
+    return (_padded(plan.rho_ghosts, state.rho), _padded(plan.u_ghosts, state.u),
+            _padded((_TRACE, _TRACE), state.theta))
 
 
 @dataclass(frozen=True)
@@ -295,12 +313,14 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     inflow faces and walls).  Returns (f_mass, f_mom, f_energy, u_face, pad),
     ``pad`` being the :class:`StageFields` the fluxes were built from: every
     closure of a stage is evaluated here, once, on the ghost-padded arrays.
+    ``bspec`` may also be the step plan of (mesh, bspec), as a stage passes.
     """
-    rho_p, u_p, theta_p = _ghosts(state, bspec)
+    plan = bspec if isinstance(bspec, _StepPlan) else _step_plan(mesh, bspec)
+    rho_p, u_p, theta_p = _ghosts(state, plan)
     n = mesh.n_cells
     u_face = 0.5 * (u_p[:-1] + u_p[1:])
-    u_face[0] = bspec.left.u_b
-    u_face[-1] = bspec.right.u_b
+    for f, i, _ in plan.faces:
+        u_face[i] = f.u_b
 
     p_p, e_p, s_p = stage_closures(eos, rho_p, theta_p)
     e_p = cfg._energy_delta(e_p, theta_p)
@@ -319,13 +339,13 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     return f_mass, f_mom, f_energy, u_face, pad
 
 
-def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpec,
+def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
                t: float, state: FieldState):
     """One right-hand-side evaluation; returns (drho, dm, dW, StageRecord)."""
     n = mesh.n_cells
-    h = mesh.h
+    h = plan.h
     rho, u, theta = state.rho, state.u, state.theta
-    f_mass, f_mom, f_energy, u_face, pad = convective_fluxes(state, mesh, bspec, eos, cfg)
+    f_mass, f_mom, f_energy, u_face, pad = convective_fluxes(state, mesh, plan, eos, cfg)
     u_p, theta_p = pad.u, pad.theta
     # the step treats the stress and the heat flux, with coefficients frozen here
     theta_face = 0.5 * (theta_p[:-1] + theta_p[1:])
@@ -357,8 +377,7 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpe
     if dl > 0.0:
         sc.update(dict.fromkeys(("delta_energy_out", "delta_energy_in_gamma_breg",
                                  "delta_energy_in_rho_sq", "delta_energy_in_rho_b_gamma"), 0.0))
-    for f, i in ((bspec.left, 0), (bspec.right, -1)):
-        udn = f.u_dot_n
+    for f, i, udn in plan.faces:
         th = pad.theta[i]
         if f.kind is FaceKind.IN:
             rb, rc = f.rho_b, rho[i]
@@ -400,19 +419,20 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpe
     dm = (-(f_mom[1:] - f_mom[:-1]) / h
           - (p_face[1:] - p_face[:-1]) / h)
 
-    x = mesh.centers
-    g = cfg.body_force(t, x)
-    dm = dm + rho * g
-
     # volume integrands in record order, each with its weight; None marks a
     # term the step books (S_grad_ub and the viscous and heat parts of the
-    # dissipation) or one that vanishes here
-    ub_ext, grad_ub = boundary_velocity_extension(mesh, bspec)
-    vol = dict.fromkeys(("dissipation_no_delta", "S_grad_ub", "conv_p_grad_ub", "rho_u_grad_ub2"))
+    # dissipation) or one that vanishes here, such as the work of a
+    # constant g = 0
+    x, ub_ext, grad_ub = plan.x, plan.ub_ext, plan.grad_ub
+    vol = dict.fromkeys(("dissipation_no_delta", "S_grad_ub", "conv_p_grad_ub", "rho_u_grad_ub2",
+                         "rho_g_rel_u"))
     if grad_ub != 0.0:
         vol["conv_p_grad_ub"] = (rho * u * u + p_delta_p[1:-1]) * grad_ub
         vol["rho_u_grad_ub2"] = rho * u * 2.0 * ub_ext * grad_ub
-    vol["rho_g_rel_u"] = rho * g * (u - ub_ext)
+    if callable(cfg.g) or cfg.g != 0.0:
+        g = cfg.body_force(t, x)
+        dm = dm + rho * g
+        vol["rho_g_rel_u"] = rho * g * (u - ub_ext)
 
     if cfg.epsilon > 0.0:
         grad_rho_c = (pad.rho[2:] - pad.rho[:-2]) / (2.0 * h)
@@ -447,7 +467,8 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, bspec: BoundarySpe
     dW = -(e_flux[1:] - e_flux[:-1]) / h + source
 
     # one reduction: row sums times h are the Mesh1D.integrate quadrature
-    sums = iter((np.array([v for v in vol.values() if v is not None]).sum(axis=1) * h).tolist())
+    rows = [v for v in vol.values() if v is not None]
+    sums = iter((np.array(rows).sum(axis=1) * h).tolist() if rows else ())
     sc.update((k, 0.0 if v is None else next(sums)) for k, v in vol.items())
 
     return drho, dm, dW, StageRecord(scalars=sc, w=pad.w[1:-1], theta_face=theta_face)
@@ -537,12 +558,12 @@ def _diffusive_flux(mesh: Mesh1D, coeff_face, x, ghosts):
     return coeff_face * grad, grad
 
 
-def _implicit_solves(mesh, ts, cfg, bspec, theta_face, rho, m, theta, capacity, dt):
+def _implicit_solves(mesh, ts, cfg, plan, theta_face, rho, m, theta, capacity, dt):
     """The backward-Euler viscous and conduction solves from the predictor's
     (rho, m, theta); returns (u, stress, diss, theta_l, heat, dw).
 
     u solves rho u - dt d/dx(nu du/dx) = m, the end faces taking the ghost
-    velocities of ``_ghost_velocity``; ``stress`` is the face stress
+    velocities of the plan's rules; ``stress`` is the face stress
     nu du/dx at u and ``diss`` the cell dissipation S:grad u averaged from
     the two faces of each cell.  theta_l then solves
     C (theta_l - theta) - dt d/dx(kappa dtheta_l/dx) = dt diss with the heat
@@ -552,7 +573,7 @@ def _implicit_solves(mesh, ts, cfg, bspec, theta_face, rho, m, theta, capacity, 
     energy the two solves add, dt diss + dt d/dx(heat) in flux form.
     """
     nu_face = cfg.viscosity(ts, theta_face)
-    ghosts = _velocity_ghosts(bspec)
+    ghosts = plan.u_ghosts
     u = _diffusion_solve(mesh, nu_face, rho, m, dt, ghosts)
     stress, du_face = _diffusive_flux(mesh, nu_face, u, ghosts)
     diss = 0.5 * (stress[:-1] * du_face[:-1] + stress[1:] * du_face[1:])
@@ -560,7 +581,7 @@ def _implicit_solves(mesh, ts, cfg, bspec, theta_face, rho, m, theta, capacity, 
     insulated = (_TRACE, _TRACE)
     theta_l = _diffusion_solve(mesh, kappa_face, capacity, capacity * theta + dt * diss, dt,
                                insulated)
-    if not (theta_l >= THETA_FLOOR).all():
+    if not theta_l.min() >= THETA_FLOOR:
         raise StepRejected("temperature fell below its floor")
     heat = _diffusive_flux(mesh, kappa_face, theta_l, insulated)[0]
     return u, stress, diss, theta_l, heat, dt * diss + dt * ((heat[1:] - heat[:-1]) / mesh.h)
@@ -570,7 +591,7 @@ def _predictor(cfg, state, stage, dt):
     """Forward Euler by the stage: (rho1, m1, w1)."""
     drho, dm, dW, rec = stage
     rho1 = state.rho + dt * drho
-    if not (rho1 >= RHO_FLOOR).all():
+    if not rho1.min() >= RHO_FLOOR:
         raise StepRejected("density fell below its floor")
     return rho1, state.rho * state.u + dt * dm, rec.w + dt * dW
 
@@ -587,48 +608,50 @@ def _predictor(cfg, state, stage, dt):
 _NEWTON_LAST_STEP = 1e-8
 
 
+def _first_nonfinite(values):
+    """The first cell of ``values`` that is not finite, or None; the cells
+    are looked at only if their sum is not finite (or overflows)."""
+    if math.isfinite(values.sum()):
+        return None
+    bad = np.flatnonzero(~np.isfinite(values))
+    return int(bad[0]) if bad.size else None
+
+
 def _reject_nonfinite(name, values):
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise StepRejected(
-            f"{name} is not finite at cell {int(np.flatnonzero(~finite)[0])}")
+    if (cell := _first_nonfinite(values)) is not None:
+        raise StepRejected(f"{name} is not finite at cell {cell}")
 
 
 def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
     """Invert rho e_delta(rho, theta) = w per cell by damped Newton.
 
     Returns (theta, slope), slope being d(rho e_delta)/dtheta at the last Newton
-    iterate; a residual above 1e-9 (|w| + 1) in any cell rejects the step.
+    iterate; a residual above 1e-9 (|w| + 1) in any cell, evaluated at theta by
+    Newton's own residual with no EOS pass of its own, rejects the step.
     """
     _reject_nonfinite("density", rho)
-    if not (rho >= RHO_FLOOR).all():
+    if not rho.min() >= RHO_FLOOR:
         raise StepRejected("density fell below its floor")
     _reject_nonfinite("energy density", w)
     theta = np.asarray(theta_guess, dtype=float)
     # the 0.1 theta damping keeps a positive guess positive
-    if (theta <= 0.0).any():
+    if theta.min() <= 0.0:
         raise EosDomainError("temperature must be positive")
     residual = energy_density_residual(eos, rho, w, cfg.delta)
     for _ in range(40):
         f, df = residual(theta)
         step = f / df
-        theta_new = theta - step
-        damped = 0.1 * theta
-        theta = np.where(theta_new > damped, theta_new, damped)
+        # fmax takes the damped value where theta - step is NaN
+        theta = np.fmax(theta - step, 0.1 * theta)
         if np.max(np.abs(step) / (theta + 1e-300)) < _NEWTON_LAST_STEP:
             break
-    f = rho * cfg.internal_energy(eos, rho, theta) - w
+    f = residual(theta, slope=False)
     # a NaN residual fails too
     if not (np.abs(f) <= 1e-9 * (np.abs(w) + 1.0)).all():
         raise StepRejected("temperature recovery failed: Newton did not converge")
-    if not (theta >= THETA_FLOOR).all():
+    if not theta.min() >= THETA_FLOOR:
         raise StepRejected("temperature fell below its floor")
     return theta, df
-
-
-def _primitive(eos: EosSpec, cfg: SolverConfig, rho, m, w, theta_guess):
-    theta = _recover_theta(eos, cfg, rho, w, theta_guess)[0]
-    return FieldState(rho=rho, u=m / rho, theta=theta)
 
 
 def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
@@ -641,11 +664,12 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     (before the solves too): it is the temperature update of the energy
     balance with (rho, u) held fixed.
     """
-    stage = _stage_rhs(mesh, eos, cfg, bspec, 0.0, state)
+    plan = _step_plan(mesh, bspec)
+    stage = _stage_rhs(mesh, eos, cfg, plan, 0.0, state)
     rho, m, w = _predictor(cfg, state, stage, dt)
     theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, state.theta)
     u, _, _, theta_l, _, dw = _implicit_solves(
-        mesh, ts, cfg, bspec, stage[3].theta_face, rho, m, theta_hat, capacity, dt)
+        mesh, ts, cfg, plan, stage[3].theta_face, rho, m, theta_hat, capacity, dt)
     return rho, rho * u, _recover_theta(eos, cfg, state.rho, w + dw, theta_l)[0]
 
 
@@ -662,7 +686,7 @@ def stable_dt(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     return cfg.cfl * float(dt)
 
 
-def _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt, stage1):
+def _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1):
     """One SSP-RK2 step of the stage H with the implicit stress and heat
     flux, from ``stage1`` = _stage_rhs at (t, state), which does not depend
     on dt; returns (new_state, accumulator increments)."""
@@ -670,16 +694,16 @@ def _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt, stage1):
     rho0, m0, w0 = state.rho, state.rho * state.u, rec1.w
     rho1, m1, w1 = _predictor(cfg, state, stage1, dt)
     theta1, capacity = _recover_theta(eos, cfg, rho1, w1, state.theta)
-    d2rho, d2m, d2w, rec2 = _stage_rhs(mesh, eos, cfg, bspec, t + dt,
-                                       FieldState(rho=rho1, u=m1 / rho1, theta=theta1))
+    d2rho, d2m, d2w, rec2 = _stage_rhs(mesh, eos, cfg, plan, t + dt,
+                                       _new_state(rho1, m1 / rho1, theta1))
     u1, stress, diss, theta_l, heat, dw = _implicit_solves(
-        mesh, ts, cfg, bspec, rec1.theta_face, rho1, m1, theta1, capacity, dt)
-    h = mesh.h
+        mesh, ts, cfg, plan, rec1.theta_face, rho1, m1, theta1, capacity, dt)
+    h = plan.h
     rho_n = rho0 + 0.5 * dt * (d1rho + d2rho)
     # the implicit increments enter with full weight
     m_n = m0 + 0.5 * dt * (d1m + d2m) + (rho1 * u1 - m1)
     w_n = w0 + 0.5 * dt * (d1w + d2w) + dw
-    new_state = _primitive(eos, cfg, rho_n, m_n, w_n, theta_l)
+    new_state = _new_state(rho_n, m_n / rho_n, _recover_theta(eos, cfg, rho_n, w_n, theta_l)[0])
     inc = {k: 0.5 * dt * (rec1.scalars[k] + rec2.scalars[k]) for k in rec1.scalars}
     # the implicit terms with weight dt, the entropy ones at the new theta:
     # the energy increment over theta, the heat part summed by parts
@@ -687,7 +711,7 @@ def _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt, stage1):
     entropy_gain = dt * (float((diss * inv_theta).sum()) * h
                          + float((heat[1:-1] * (inv_theta[:-1] - inv_theta[1:])).sum()))
     inc["dissipation_no_delta"] += entropy_gain
-    _, grad_ub = boundary_velocity_extension(mesh, bspec)
+    grad_ub = plan.grad_ub
     if grad_ub != 0.0:
         stress_cell = 0.5 * (stress[:-1] + stress[1:])
         inc["S_grad_ub"] += dt * (float((stress_cell * grad_ub).sum()) * h)
@@ -703,15 +727,15 @@ def step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     """
     for name in ("rho", "u", "theta"):
         values = getattr(state, name)
-        if not np.isfinite(values).all():
-            cell = int(np.flatnonzero(~np.isfinite(values))[0])
+        if (cell := _first_nonfinite(values)) is not None:
             raise RunAborted(f"step at t={t:.6g}: {name} is not finite at cell {cell} "
                              f"({values[cell]}); diagnostic state attached", state=state)
-    stage1 = _stage_rhs(mesh, eos, cfg, bspec, t, state)
+    plan = _step_plan(mesh, bspec)
+    stage1 = _stage_rhs(mesh, eos, cfg, plan, t, state)
     rejects = 0
     while True:
         try:
-            new_state, inc = _heun_step(mesh, eos, ts, cfg, bspec, t, state, dt, stage1)
+            new_state, inc = _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1)
             return new_state, dt, inc, rejects
         except StepRejected as err:
             rejects += 1

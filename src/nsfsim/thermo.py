@@ -575,7 +575,9 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     iconic shape rho e_delta = a theta^4 + (3/2 + delta) rho theta
     + (3/2) p_inf rho^{5/3}, a quartic whose coefficients are set up once,
     so an iterate evaluates no Z, no shape and no domain check.  Other
-    shapes evaluate one Z and one (P, P') per iterate.
+    shapes evaluate one Z and one (P, P') per iterate.  Called with
+    ``slope=False`` the residual returns its value alone, which on a table
+    takes one P pass and no P'.
     """
     rho = _positive_density(rho)
     w = np.asarray(w, dtype=float)
@@ -583,16 +585,18 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
         a, b = eos.a, (1.5 + delta) * rho
         c = cold_energy_density(eos, rho) - w
 
-        def quartic(theta):
+        def quartic(theta, slope=True):
             a_theta3 = a * (theta * theta * theta)
-            return (a_theta3 + b) * theta + c, 4.0 * a_theta3 + b
+            f = (a_theta3 + b) * theta + c
+            return (f, 4.0 * a_theta3 + b) if slope else f
         return quartic
 
-    def residual(theta):
+    def residual(theta, slope=True):
         theta = np.asarray(theta, dtype=float)
-        p, dp = eos.shape_fn.p_dp(_zvar(rho, theta))
-        return (rho * (_energy(eos, rho, theta, p) + delta * theta) - w,
-                rho * (_energy_theta(eos, rho, theta, p, dp) + delta))
+        z = _zvar(rho, theta)
+        p, dp = eos.shape_fn.p_dp(z) if slope else (eos.shape_fn.p(z), None)
+        f = rho * (_energy(eos, rho, theta, p) + delta * theta) - w
+        return (f, rho * (_energy_theta(eos, rho, theta, p, dp) + delta)) if slope else f
     return residual
 
 
@@ -813,7 +817,9 @@ def extended_internal_energy(eos: EosSpec, rho: float, S: float) -> float:
     (Rockafellar, Convex Analysis, Thm 7.5), in closed form: at rho = 0
     a (3 S^+ / 4a)^{4/3}, or for a = 0 zero at S <= 0 and +inf at S > 0; on
     the Third-law edge S = 0 the cold energy ``cold_energy_density``.
-    S beyond the inversion's hot end (theta = 1e100) raises OutOfDomainError.
+    The iconic inversion without radiation is closed-form at any S.  Past
+    the hot end theta = 1e100, E is +inf where rho e overflows there (a > 0);
+    otherwise the inversion raises OutOfDomainError.
     """
     rho = float(rho)
     S = float(S)
@@ -825,10 +831,20 @@ def extended_internal_energy(eos: EosSpec, rho: float, S: float) -> float:
         return 0.0 if S <= 0.0 else math.inf
     cold = float(cold_energy_density(eos, rho))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if eos.shape == "iconic" and eos.a == 0.0:
+            # rho s = rho (1.5 log theta - log rho + entropy_const), rho e = 1.5 rho theta + cold
+            theta = float(np.exp((S / rho + math.log(rho) - eos.entropy_const) / 1.5))
+            return 1.5 * rho * theta + cold
         if S <= rho * float(specific_entropy(eos, rho, _THETA_COLD)):
             # the Third-law edge S = 0, or a temperature below the bracket
             return cold
-        theta = float(temperature_from_entropy(eos, rho, S))
+        try:
+            theta = float(temperature_from_entropy(eos, rho, S))
+        except OutOfDomainError:
+            # S past the hot end, where rho e exceeds its value at theta = 1e100
+            if math.isfinite(rho * float(specific_internal_energy(eos, rho, _THETA_HOT))):
+                raise
+            return math.inf
         w = rho * float(specific_internal_energy(eos, rho, theta))
     if not math.isfinite(w):
         # the closure overflows: hot, rho e exceeds the floats; cold, near

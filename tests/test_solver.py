@@ -240,7 +240,7 @@ def test_stage_evaluates_each_closure_once(eos, transport, monkeypatch, channel)
     state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=u,
                           theta=1 + 0.1 * np.cos(np.pi * x))
     calls = _count_thermo_calls(monkeypatch)
-    sv._stage_rhs(mesh, eos, cfg, bspec, 0.0, state)
+    sv._stage_rhs(mesh, eos, cfg, sv._step_plan(mesh, bspec), 0.0, state)
     # at epsilon > 0 the stage also forms g from its closures, with no EOS pass
     assert calls == {"stage_closures": 1, **({"_energy_density_rho_slope": 1} if channel else {})}
 
@@ -261,16 +261,17 @@ def _count_thermo_calls(monkeypatch, log=None):
 
 
 def _log_newton_iterates(monkeypatch, log):
-    """Log ("iterate", (theta,)) for each evaluation of every residual the
-    solver builds."""
+    """Log ("iterate", (theta,)) for each Newton evaluation of every residual
+    the solver builds, and ("check", (theta,)) for each evaluation of its
+    value alone."""
     build = sv.energy_density_residual
 
     def logged_build(*args, **kwargs):
         residual = build(*args, **kwargs)
 
-        def logged(theta):
-            log.append(("iterate", (theta,)))
-            return residual(theta)
+        def logged(theta, slope=True):
+            log.append(("iterate" if slope else "check", (theta,)))
+            return residual(theta, slope=slope)
         return logged
     monkeypatch.setattr(sv, "energy_density_residual", logged_build)
 
@@ -292,7 +293,8 @@ def _count_shape_calls(monkeypatch, eos):
 def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkeypatch,
                                                          request):
     # one residual build per recovery; a Newton iterate makes one p_dp on the
-    # table and no EOS call at all on the iconic quartic
+    # table and no EOS call at all on the iconic quartic, and the final check
+    # is one value of that residual at the returned theta: one P on the table
     eos = request.getfixturevalue(eos_name)
     cfg = sv.SolverConfig(delta=delta, t_end=1.0)
     x = np.linspace(0.0, 1.0, 16)
@@ -307,13 +309,14 @@ def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkey
     np.testing.assert_allclose(theta, theta_true, rtol=1e-12)
     iterates = [args[0] for name, args in log if name == "iterate"]
     assert len(iterates) >= 2
-    assert calls == {"energy_density_residual": 1, "specific_internal_energy": 1}
+    assert calls == {"energy_density_residual": 1}
     assert all(args[3] == delta for name, args in log if name == "energy_density_residual")
-    per_iterate = {"p_dp": len(iterates)} if eos.shape == "table" else {}
-    assert shape_calls == {**per_iterate, "p": 1}  # p: the final residual check
-    # each call is a new Newton iterate, and the residual check sees the last one
+    table = eos.shape == "table"
+    assert shape_calls == ({"p_dp": len(iterates), "p": 1} if table else {})
+    # each call is a new Newton iterate, and the check is the last call
     assert all(not np.array_equal(a, b) for a, b in zip(iterates, iterates[1:]))
-    assert log[-1][0] == "specific_internal_energy"
+    assert [name for name, _ in log].count("check") == 1
+    assert log[-1][0] == "check" and log[-1][1][0] is theta
 
 
 def test_step_thermo_calls_do_not_grow_with_newton_iterates(eos, transport, box,
@@ -325,27 +328,28 @@ def test_step_thermo_calls_do_not_grow_with_newton_iterates(eos, transport, box,
     cfg = sv.SolverConfig(t_end=1.0)
     dt0 = sv.stable_dt(state, mesh, eos, transport, cfg)
     # two stages of one (p, e, s) pass; two recoveries, each one residual
-    # build and one residual check through e
-    expected = {"stage_closures": 2, "specific_internal_energy": 2,
-                "energy_density_residual": 2}
+    # build whose value alone checks the returned theta
+    expected = {"stage_closures": 2, "energy_density_residual": 2}
     iterates = []
     for dt in (1e-9 * dt0, dt0):
         log = []
         with monkeypatch.context() as mp:
             calls = _count_thermo_calls(mp, log)
             _log_newton_iterates(mp, log)
-            assert sv.step(state, mesh, eos, transport, cfg, walls, dt)[3] == 0
-        assert calls == expected
+            new, _, _, rejects = sv.step(state, mesh, eos, transport, cfg, walls, dt)
+        assert rejects == 0 and calls == expected
+        checks = [args[0] for name, args in log if name == "check"]
+        assert len(checks) == 2 and checks[-1] is new.theta
         iterates.append(sum(name == "iterate" for name, _ in log))
     assert iterates[0] < iterates[1]
 
 
 @pytest.mark.parametrize("channel", [False, True])
-def test_run_makes_seven_thermo_calls_and_two_rhs_evaluations_per_step(
+def test_run_makes_five_thermo_calls_and_two_rhs_evaluations_per_step(
         eos, eos_table, transport, monkeypatch, channel):
     # the EOS budget of a step: the sound speed of stable_dt, one (p, e, s)
-    # pass per stage, and per recovery one residual build and one residual
-    # check; the implicit solves add no EOS pass
+    # pass per stage, and one residual build per recovery, whose value also
+    # checks it; the implicit solves add no EOS pass
     mesh = Mesh1D(0.0, 1.0, 32)
     x = mesh.centers
     if channel:  # a channel512-like run: table EOS, eps = delta = 1e-3
@@ -365,9 +369,8 @@ def test_run_makes_seven_thermo_calls_and_two_rhs_evaluations_per_step(
     # at epsilon > 0 each stage also forms g from its closures, with no EOS pass
     g_calls = {"_energy_density_rho_slope": 2 * k} if channel else {}
     assert calls == {"sound_speed_sq": k, "stage_closures": 2 * k,
-                     "energy_density_residual": 2 * k, "specific_internal_energy": 2 * k,
-                     **g_calls}
-    assert sum(calls.values()) - sum(g_calls.values()) == 7 * k and len(rhs) == 2 * k
+                     "energy_density_residual": 2 * k, **g_calls}
+    assert sum(calls.values()) - sum(g_calls.values()) == 5 * k and len(rhs) == 2 * k
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
@@ -405,7 +408,7 @@ def test_recover_theta_rejects_unconverged_newton(eos_name, delta, request):
         sv._recover_theta(eos, cfg, rho, w, 1e8 * theta_true)
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
 def test_recover_theta_names_nonfinite_energy_density(eos_name, bad, request):
     eos = request.getfixturevalue(eos_name)
@@ -420,7 +423,7 @@ def test_recover_theta_names_nonfinite_energy_density(eos_name, bad, request):
             sv._recover_theta(eos, cfg, rho, w, theta)
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
 def test_recover_theta_names_nonfinite_density(eos_name, bad, request):
     # NaN passes a `rho < floor` test; it must reject the step, not recover
@@ -436,12 +439,35 @@ def test_recover_theta_names_nonfinite_density(eos_name, bad, request):
             sv._recover_theta(eos, cfg, rho, w, theta)
 
 
+class _PastChecks(Exception):
+    """Raised by a stand-in for what follows a check: the data passed it."""
+
+
+def _past_checks(*args, **kwargs):
+    raise _PastChecks
+
+
+@pytest.mark.parametrize("fields", ["rho", "w", "rho and w"])
+def test_recover_theta_passes_finite_cells_whose_sum_overflows(eos, monkeypatch, fields):
+    # each finiteness check sums its array once; two cells of 1e308 overflow
+    # that sum, and the cells, all finite, must then pass the checks, the
+    # floor check included
+    rho, w, theta = np.ones(8), np.full(8, 4.0), np.ones(8)
+    for name, values in (("rho", rho), ("w", w)):
+        if name in fields:
+            values[[2, 5]] = 1e308
+    monkeypatch.setattr(sv, "energy_density_residual", _past_checks)
+    with np.errstate(over="ignore"), pytest.raises(_PastChecks):
+        sv._recover_theta(eos, sv.SolverConfig(t_end=1.0), rho, w, theta)
+
+
 def test_euler_step_floor_rejects_nan_density(eos, transport, box, monkeypatch):
     mesh, walls = box
     state = _uniform_state(32)
     drho = np.zeros(32)
     drho[3] = np.nan
-    stage = sv._stage_rhs(mesh, eos, sv.SolverConfig(t_end=1.0), walls, 0.0, state)
+    stage = sv._stage_rhs(mesh, eos, sv.SolverConfig(t_end=1.0), sv._step_plan(mesh, walls),
+                          0.0, state)
     monkeypatch.setattr(sv, "_stage_rhs", lambda *a: (drho,) + stage[1:])
     with pytest.raises(sv.StepRejected, match="density fell below its floor"):
         sv.euler_step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)
@@ -486,7 +512,8 @@ def test_box_recovery_takes_at_most_three_residual_evaluations(eos, transport, m
     # a box128-like step at the acoustic dt: the predictor's recovery starts
     # from theta^n, about 1e-3 away, so its third Newton step is below
     # 1e-8 theta; the corrector's starts from the conduction solve's
-    # temperature, and its first or second step is
+    # temperature, and its first or second step is; each recovery then checks
+    # its theta by one more value of the residual, counted apart
     mesh = Mesh1D(0.0, 1.0, 128)
     x = mesh.centers
     state = sv.FieldState(rho=1 + 0.03 * np.cos(np.pi * x) - 0.02 * np.cos(3 * np.pi * x),
@@ -500,9 +527,11 @@ def test_box_recovery_takes_at_most_three_residual_evaluations(eos, transport, m
     monkeypatch.setattr(sv, "energy_density_residual",
                         lambda *a, **k: log.append(("build", ())) or build(*a, **k))
     sv.step(state, mesh, eos, transport, cfg, bd.make_boundary(), dt)
-    names = "".join("b" if name == "build" else "i" for name, _ in log)
+    names = "".join(name[0] for name, _ in log)
     assert names.count("b") == 2
-    predictor, corrector = (len(run) for run in names.split("b")[1:])
+    runs = names.split("b")[1:]
+    assert all(run.endswith("c") and run.count("c") == 1 for run in runs), names
+    predictor, corrector = (run.count("i") for run in runs)
     assert 1 <= predictor <= 3 and 1 <= corrector <= 2, names
 
 
@@ -535,7 +564,7 @@ def test_stage_scalars_are_one_stacked_quadrature(eos, transport, monkeypatch, c
     integrate = Mesh1D.integrate
     monkeypatch.setattr(Mesh1D, "integrate",
                         lambda self, v: reductions.append(v) or integrate(self, v))
-    _, _, _, rec = sv._stage_rhs(mesh, eos, cfg, bspec, 0.0, state)
+    _, _, _, rec = sv._stage_rhs(mesh, eos, cfg, sv._step_plan(mesh, bspec), 0.0, state)
     assert reductions == []
     sc = rec.scalars
     assert all(type(sc[k]) is float for k in ("S_grad_ub", "rho_g_rel_u"))
@@ -583,7 +612,7 @@ def test_uniform_compression_source(eos, transport):
     bspec = bd.make_boundary(u_b_left=0.0, u_b_right=-1.0, rho_b_left=None,
                              F_ib_left=None, rho_b_right=1.0, F_ib_right=-5.0)
     cfg = sv.SolverConfig(t_end=1.0)
-    _, _, dW, _ = sv._stage_rhs(mesh, eos, cfg, bspec, 0.0, state)
+    _, _, dW, _ = sv._stage_rhs(mesh, eos, cfg, sv._step_plan(mesh, bspec), 0.0, state)
     p = float(th.pressure(eos, 1.0, 1.0))
     w = float(th.specific_internal_energy(eos, 1.0, 1.0))
     np.testing.assert_allclose(dW[1:-1], w + p, rtol=1e-12)
@@ -799,16 +828,17 @@ def test_step_books_viscous_terms_with_weight_dt(eos, transport):
     state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x),
                           u=0.5 + 0.2 * x + 0.05 * np.sin(np.pi * x),
                           theta=1 + 0.1 * np.cos(np.pi * x))
-    stage1 = sv._stage_rhs(mesh, eos, cfg, bspec, 0.0, state)
+    plan = sv._step_plan(mesh, bspec)
+    stage1 = sv._stage_rhs(mesh, eos, cfg, plan, 0.0, state)
     dt = sv.stable_dt(state, mesh, eos, transport, cfg)
-    new, inc = sv._heun_step(mesh, eos, transport, cfg, bspec, 0.0, state, dt, stage1)
+    new, inc = sv._heun_step(mesh, eos, transport, cfg, plan, 0.0, state, dt, stage1)
     rho1, m1, w1 = sv._predictor(cfg, state, stage1, dt)
     theta1, capacity = sv._recover_theta(eos, cfg, rho1, w1, state.theta)
     rec1 = stage1[3]
-    rec2 = sv._stage_rhs(mesh, eos, cfg, bspec, dt,
+    rec2 = sv._stage_rhs(mesh, eos, cfg, plan, dt,
                          sv.FieldState(rho=rho1, u=m1 / rho1, theta=theta1))[3]
     _, stress, diss, _, heat, _ = sv._implicit_solves(
-        mesh, transport, cfg, bspec, rec1.theta_face, rho1, m1, theta1, capacity, dt)
+        mesh, transport, cfg, plan, rec1.theta_face, rho1, m1, theta1, capacity, dt)
     stages = {k: 0.5 * dt * (rec1.scalars[k] + rec2.scalars[k]) for k in rec1.scalars}
     assert list(inc) == list(stages)
     assert stages["S_grad_ub"] == 0.0 and diss.min() > 0.0
@@ -858,8 +888,10 @@ def test_stage_rhs_mirror_symmetry(eos, transport):
                           u=0.5 + 0.2 * x + 0.05 * np.sin(np.pi * x),
                           theta=1 + 0.2 * x ** 2 * (3 - 2 * x))
     mirror = sv.FieldState(rho=state.rho[::-1], u=-state.u[::-1], theta=state.theta[::-1])
-    drho1, dm1, dW1, rec1 = sv._stage_rhs(mesh, eos, cfg, fwd, 0.0, state)
-    drho2, dm2, dW2, rec2 = sv._stage_rhs(mesh, eos, cfg, rev, 0.0, mirror)
+    drho1, dm1, dW1, rec1 = sv._stage_rhs(mesh, eos, cfg, sv._step_plan(mesh, fwd), 0.0,
+                                          state)
+    drho2, dm2, dW2, rec2 = sv._stage_rhs(mesh, eos, cfg, sv._step_plan(mesh, rev), 0.0,
+                                          mirror)
     np.testing.assert_array_equal(drho2, drho1[::-1])
     np.testing.assert_array_equal(dm2, -dm1[::-1])
     np.testing.assert_array_equal(dW2, dW1[::-1])
@@ -904,7 +936,8 @@ def test_step_evaluates_first_stage_once_per_step(eos, transport, box, monkeypat
                           theta=np.full(32, 0.2))
     cfg = sv.SolverConfig(t_end=1.0)
     t0 = 0.25
-    reference_stage = sv._stage_rhs(mesh, eos, cfg, walls, t0, state)
+    plan = sv._step_plan(mesh, walls)
+    reference_stage = sv._stage_rhs(mesh, eos, cfg, plan, t0, state)
     times = []
     stage = sv._stage_rhs
     monkeypatch.setattr(sv, "_stage_rhs", lambda *a: times.append(a[4]) or stage(*a))
@@ -912,7 +945,7 @@ def test_step_evaluates_first_stage_once_per_step(eos, transport, box, monkeypat
     assert rejects > 0
     assert times.count(t0) == 1 and times[0] == t0
     assert 2 <= len(times) <= rejects + 2  # stage 2 runs only on attempts that reach it
-    ref_state, ref_inc = sv._heun_step(mesh, eos, transport, cfg, walls, t0, state,
+    ref_state, ref_inc = sv._heun_step(mesh, eos, transport, cfg, plan, t0, state,
                                        dt_used, reference_stage)
     for name in ("rho", "u", "theta"):
         assert np.array_equal(getattr(new, name), getattr(ref_state, name))
@@ -969,13 +1002,49 @@ def test_constant_body_force_matches_callable(eos, transport, g):
     stages = []
     for force in (g, lambda t, x: g):
         cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=1.0, g=force)
-        stages.append(sv._stage_rhs(mesh, eos, cfg, bspec, 0.3, state))
+        stages.append(sv._stage_rhs(mesh, eos, cfg, sv._step_plan(mesh, bspec), 0.3, state))
     assert type(sv.SolverConfig(g=g).body_force(0.3, x)) is float
     (*const, rec), (*call, ref) = stages
     assert [a.tobytes() for a in const] == [a.tobytes() for a in call]
     assert ([(k, v.hex()) for k, v in rec.scalars.items()]
             == [(k, v.hex()) for k, v in ref.scalars.items()])
     assert all(getattr(rec, k).tobytes() == getattr(ref, k).tobytes() for k in ("w", "theta_face"))
+
+
+class _StackLog:
+    """numpy, with a log of the shapes of the arrays ``array`` builds."""
+
+    def __init__(self, shapes):
+        self.shapes = shapes
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, *args, **kwargs):
+        out = np.array(*args, **kwargs)
+        self.shapes.append(out.shape)
+        return out
+
+
+@pytest.mark.parametrize("g", [0.0, -0.7])
+def test_zero_constant_body_force_books_no_row(eos, monkeypatch, g):
+    # on a closed box at epsilon = delta = 0 the work of g is the stage's only
+    # volume row: a constant g = 0 books it as 0.0 and stacks nothing, a
+    # nonzero g stacks that one row
+    mesh, walls = Mesh1D(0.0, 1.0, 16), bd.make_boundary()
+    x = mesh.centers
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=0.05 * np.sin(np.pi * x),
+                          theta=1 + 0.1 * np.cos(np.pi * x))
+    shapes = []
+    monkeypatch.setattr(sv, "np", _StackLog(shapes))
+    rec = sv._stage_rhs(mesh, eos, sv.SolverConfig(t_end=1.0, g=g),
+                        sv._step_plan(mesh, walls), 0.3, state)[3]
+    work = rec.scalars["rho_g_rel_u"]
+    assert type(work) is float
+    if g == 0.0:
+        assert work == 0.0 and shapes == []
+    else:
+        assert shapes == [(1, 16)] and work == mesh.integrate(state.rho * g * state.u)
 
 
 @pytest.mark.parametrize("g", [None, "0.5", [0.0]])
@@ -1020,7 +1089,7 @@ def test_config_rejects_bad_floors_and_reject_budget(kw, name):
 
 
 @pytest.mark.parametrize("name, cell, bad", [("rho", 0, np.inf), ("u", 5, np.nan),
-                                             ("theta", 31, -np.inf)])
+                                             ("theta", 31, -np.inf), ("u", 12, -np.inf)])
 def test_step_names_nonfinite_state(eos, transport, box, monkeypatch, name, cell, bad):
     mesh, walls = box
     state = _uniform_state(32)
@@ -1032,6 +1101,17 @@ def test_step_names_nonfinite_state(eos, transport, box, monkeypatch, name, cell
         sv.step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)
     assert err.value.state is state
     assert attempts == []
+
+
+def test_step_passes_finite_cells_whose_sum_overflows(eos, transport, box, monkeypatch):
+    # two cells of 1e308 overflow the sum of u's finiteness check; every cell
+    # is finite, so the step goes on to its first stage
+    mesh, walls = box
+    state = _uniform_state(32)
+    state.u[[3, 4]] = 1e308
+    monkeypatch.setattr(sv, "_stage_rhs", _past_checks)
+    with np.errstate(over="ignore"), pytest.raises(_PastChecks):
+        sv.step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)
 
 
 def test_trajectory_index_lookup(closed_box_traj):

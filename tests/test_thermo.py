@@ -327,6 +327,34 @@ def test_extension_without_radiation_increases_with_entropy(eos_a0):
             < th.extended_internal_energy(eos_a0, 1.0, 40.0))
 
 
+@pytest.mark.parametrize("entropy_const", [0.0, 0.7])
+def test_extension_without_radiation_closed_form(entropy_const):
+    # at a = 0 the iconic inversion is log theta = (2/3)(S/rho + log rho -
+    # entropy_const), finite far past the bracket's hot end: at S = 400,
+    # theta = e^{800/3}, about 1e116.  The reference goes through Z and the
+    # shape: rho s = rho (S(Z) + entropy_const), rho e = (3/2) theta^{5/2} P(Z)
+    # (the closures' radiation terms would read 0 * inf there)
+    eos_a0 = th.iconic_eos(a=0.0, entropy_const=entropy_const)
+    for rho, S in ((1.0, 400.0), (1.0, 40.0), (0.3, 4.0), (2.5, -3.0), (1.0, 4.0 / 3.0)):
+        theta = math.exp((S / rho + math.log(rho) - entropy_const) / 1.5)
+        z = rho * theta ** -1.5
+        s_shape = float(eos_a0.shape_fn.entropy_shape(z))
+        assert rho * (s_shape + entropy_const) == pytest.approx(S, rel=1e-14, abs=1e-14)
+        expect = 1.5 * theta ** 2.5 * float(eos_a0.shape_fn.p(z))
+        assert th.extended_internal_energy(eos_a0, rho, S) == pytest.approx(expect, rel=1e-14)
+    assert (th.extended_internal_energy(eos_a0, 1.0, 40.0)
+            < th.extended_internal_energy(eos_a0, 1.0, 400.0) < math.inf)
+    # theta itself overflows beyond S/rho of about 1065
+    assert th.extended_internal_energy(eos_a0, 1.0, 4000.0) == math.inf
+
+
+def test_extension_past_hot_end_overflows_with_radiation(eos):
+    # past theta = 1e100 rho e exceeds a 1e400: +inf, not an inversion failure
+    hot = float(th.specific_entropy(eos, 1.0, 1e100))
+    assert th.extended_internal_energy(eos, 1.0, 1e301) == math.inf
+    assert 1e301 > hot
+
+
 def test_extension_midpoint_convexity(eos, rng):
     rho = rng.uniform(0.1, 5.0, 2000)
     theta = rng.uniform(0.1, 5.0, 2000)

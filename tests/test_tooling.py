@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import nsfsim
-from nsfsim import Mesh1D, make_boundary, scenario, solver
+from nsfsim import BoundarySpec, Mesh1D, make_boundary, scenario, solver
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -164,3 +164,24 @@ def test_every_booked_accumulator_is_read_and_every_read_one_booked(eos, transpo
     assert booked and reads
     assert sorted(booked - reads) == []
     assert sorted(reads - booked) == []
+
+
+def test_step_looks_up_its_plan_once(eos, transport, monkeypatch):
+    # a step hands its plan down: the mesh and the boundary are hashed for
+    # one cache lookup, not once per helper that reads them
+    mesh = Mesh1D(0.0, 1.0, 16)
+    x = mesh.centers
+    bspec = make_boundary(u_b_left=0.5, u_b_right=0.7, rho_b_left=1.1, F_ib_left=-2.5)
+    cfg = solver.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=1.0)
+    state = solver.FieldState(rho=1 + 0.1 * np.cos(np.pi * x),
+                              u=0.5 + 0.2 * x + 0.05 * np.sin(np.pi * x),
+                              theta=1 + 0.1 * np.cos(np.pi * x))
+    dt = solver.stable_dt(state, mesh, eos, transport, cfg)
+    hashes = collections.Counter()
+    for cls in (Mesh1D, BoundarySpec):
+        def counted(self, _hash=cls.__hash__, _name=cls.__name__):
+            hashes[_name] += 1
+            return _hash(self)
+        monkeypatch.setattr(cls, "__hash__", counted)
+    assert solver.step(state, mesh, eos, transport, cfg, bspec, dt)[3] == 0
+    assert hashes["Mesh1D"] <= 1 and hashes["BoundarySpec"] <= 1, hashes
