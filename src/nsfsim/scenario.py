@@ -45,7 +45,7 @@ from . import boundary as bd
 from .mesh import Mesh1D
 from .relent import _write_csv
 from .solver import (FieldState, SolverConfig, Trajectory, initial_data_problems,
-                     run as run_solver)
+                     output_times_problem, run as run_solver)
 from .thermo import (EosSpec, EosValidationError, TransportSpec,
                      check_eos_invariants)
 
@@ -370,9 +370,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
                                 f"expected a list of numbers, got {outs!r}"))
     elif cfg is not None:
         output_times = [0.0, cfg.t_end]
-    if cfg is not None and any(t < 0.0 or t > cfg.t_end + 1e-12 for t in output_times):
-        issues.append(Issue("output_times", "config-schema",
-                            "output times must lie in [0, t_end]"))
+    if cfg is not None and (problem := output_times_problem(output_times, cfg.t_end)):
+        issues.append(Issue("output_times", "config-schema", problem))
     elif cfg is not None and (shared := _shared_state_file_names(
             [*output_times, 0.0, cfg.t_end])):
         # the run records these times, 0 and t_end included, one state file each

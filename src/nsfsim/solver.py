@@ -609,12 +609,12 @@ _NEWTON_LAST_STEP = 1e-8
 
 
 def _first_nonfinite(values):
-    """The first cell of ``values`` that is not finite, or None; the cells
-    are looked at only if their sum is not finite (or overflows)."""
-    if math.isfinite(values.sum()):
+    """The first cell of ``values`` that is not finite, or None; one
+    ``isfinite`` pass and one reduction, which cannot overflow."""
+    finite = np.isfinite(values)
+    if finite.all():
         return None
-    bad = np.flatnonzero(~np.isfinite(values))
-    return int(bad[0]) if bad.size else None
+    return int(np.flatnonzero(~finite)[0])
 
 
 def _reject_nonfinite(name, values):
@@ -780,6 +780,13 @@ class Trajectory:
         return self.states[-1]
 
 
+def output_times_problem(output_times, t_end: float) -> Optional[str]:
+    """Why a run refuses ``output_times``, or None: each must lie in
+    [0, t_end] (NaN does not)."""
+    bad = [t for t in output_times if not 0.0 <= t <= t_end + 1e-12]
+    return f"output times must lie in [0, t_end], got {bad[0]:g}" if bad else None
+
+
 def initial_data_problems(fields: dict) -> list:
     """[(field, check, message)] for the initial fields (any of rho, u, theta)
     a run refuses: "finite" for each field with non-finite cells, then
@@ -797,15 +804,16 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     """Integrate to t_end, recording states and cumulative boundary integrals.
 
     ``output_times`` defaults to {0, t_end}; the stepper lands on each output
-    instant exactly.  Initial data with :func:`initial_data_problems` raise
-    ValueError; on abort the partial trajectory is attached to the raised
+    instant exactly.  Output times with an :func:`output_times_problem` and
+    initial data with :func:`initial_data_problems` raise ValueError; on
+    abort the partial trajectory is attached to the raised
     :class:`RunAborted`.
     """
     if output_times is None:
         output_times = [0.0, cfg.t_end]
+    if problem := output_times_problem(output_times, cfg.t_end):
+        raise ValueError(problem)
     outs = sorted(set(float(t) for t in output_times) | {0.0, float(cfg.t_end)})
-    if outs[-1] > cfg.t_end + 1e-12:
-        raise ValueError("output times beyond t_end")
 
     state = initial.copy()
     if problems := initial_data_problems(vars(state)):

@@ -25,11 +25,14 @@ Admissibility of a shape means: P(0) = 0, P' > 0, the stability gap
 ((5/3) P - P' Z)/Z positive and bounded, and P/Z^{5/3} nonincreasing with a
 positive limit ``p_inf``.
 
-All state functions broadcast over numpy arrays in (rho, theta).  Shapes
-give ``p_dp`` = (P, P') and ``p_entropy`` = (P, S), the table from one piece
-lookup, and the closures apply formulas written once in (rho, theta, P, P',
-S).  ``stage_closures`` is a solver stage's one EOS pass: (p, e, s) from one
-Z and one (P, S) pass, bitwise equal to the separate closures.
+All state functions broadcast over numpy arrays in (rho, theta).  Both
+shapes share one protocol: ``p``, ``dp``, ``entropy_shape`` (S),
+``entropy_shape_slope`` (S'), ``p_dp`` = (P, P') and ``p_entropy`` = (P, S)
+are each one ``_eval`` pass over closed forms written once (on a table one
+piece lookup, its pieces expanded by Horner with no ``np.polynomial``), and
+the closures apply formulas written once in (rho, theta, P, P', S).
+``stage_closures`` is a solver stage's one EOS pass: (p, e, s) from one Z
+and one (P, S) pass, bitwise equal to the separate closures.
 ``energy_density_residual`` builds the residual of the solver's temperature
 recovery once per solve (a quartic in theta on the iconic shape, one
 (P, P') pass per iterate on a table), ``sound_speed_sq`` serves the step
@@ -68,43 +71,65 @@ _FIVE_THIRDS = 5.0 / 3.0
 # ---------------------------------------------------------------------------
 
 
-class IconicShape:
-    """P(Z) = Z + p_inf Z^{5/3}; molecular + electron-degeneracy pressure."""
+class _Shape:
+    """The methods of a pressure shape, each one ``_eval`` pass.
 
-    third_law_compatible = False
-
-    def __init__(self, p_inf: float):
-        if p_inf <= 0.0:
-            raise EosValidationError(f"p_inf must be positive, got {p_inf}")
-        self.p_inf = float(p_inf)
+    ``_eval(z, *names)`` returns one array per name, among ``"p"`` (P),
+    ``"dp"`` (P'), ``"s"`` (the entropy shape S) and ``"ds"`` (S').  The
+    forms are class attributes, functions of (shape, z): a shape then holds
+    no reference cycle and is freed by reference counting, not by the
+    cyclic garbage collector, whose full passes a run would pay for.
+    """
 
     def p(self, z):
-        z = np.asarray(z, dtype=float)
-        return z + self.p_inf * z ** _FIVE_THIRDS
+        return self._eval(z, "p")[0]
 
     def dp(self, z):
-        z = np.asarray(z, dtype=float)
-        return 1.0 + _FIVE_THIRDS * self.p_inf * z ** (2.0 / 3.0)
+        return self._eval(z, "dp")[0]
 
     def p_dp(self, z):
-        return self.p(z), self.dp(z)
+        return self._eval(z, "p", "dp")
 
     def p_entropy(self, z):
-        return self.p(z), self.entropy_shape(z)
+        return self._eval(z, "p", "s")
 
     def entropy_shape(self, z):
-        # S'(Z) = -1/Z for this shape; normalized so S(1) = 0.
-        z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore"):
-            return -np.log(z)
+        return self._eval(z, "s")[0]
 
     def entropy_shape_slope(self, z):
+        return self._eval(z, "ds")[0]
+
+
+class IconicShape(_Shape):
+    """P(Z) = Z + p_inf Z^{5/3}; molecular + electron-degeneracy pressure.
+
+    S(Z) = -log Z, normalized so S(1) = 0, and S'(Z) = -1/Z.
+    """
+
+    def __init__(self, p_inf: float):
+        self.p_inf = float(p_inf)
+
+    def _eval(self, z, *names):
         z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore"):
+        return tuple([self._FORMS[n](self, z) for n in names])
+
+    def _entropy(self, z):
+        with np.errstate(divide="ignore"):  # +inf at Z = 0
+            return -np.log(z)
+
+    def _entropy_slope(self, z):
+        with np.errstate(divide="ignore"):  # -inf at Z = 0
             return -1.0 / z
 
+    _FORMS = {
+        "p": lambda sh, z: z + sh.p_inf * z ** _FIVE_THIRDS,
+        "dp": lambda sh, z: 1.0 + _FIVE_THIRDS * sh.p_inf * z ** (2.0 / 3.0),
+        "s": _entropy,
+        "ds": _entropy_slope,
+    }
 
-class TabulatedShape:
+
+class TabulatedShape(_Shape):
     """Monotone piecewise-cubic P(Z) from knots, with admissible head and tail.
 
     The interpolant keeps its shape-preserving end slopes; the head and
@@ -118,17 +143,22 @@ class TabulatedShape:
     * tail, general mode: ``p_inf Z^{5/3} + k Z + gamma``; the entropy shape
       diverges like -k log Z, matching the iconic low-temperature behaviour.
 
-    The entropy shape is integrated exactly piece by piece (cubic pieces
-    have elementary antiderivatives under the defining ODE).
+    Head, spline and tail hold their forms of P, P', S and S' once, keyed
+    like ``_eval``'s names; the tail mode picks the tail's forms once.
+    Head and tail S are closed forms and S' their derivatives (the gap
+    formula cancels the Z^{5/3} terms of P there and loses every digit far
+    out); on the spline S is integrated exactly piece by piece, anchored at
+    the tail's S, and S' is the gap formula.
 
     The spline is built in numpy, in the order of operations of scipy's
     ``PchipInterpolator`` slopes and ``CubicHermiteSpline`` coefficients, so
-    P and P' equal scipy's spline bitwise.  Evaluation gathers each z's
-    piece coefficients from (4, pieces) arrays after one ``searchsorted``
-    over the interior knots.  When every z lies on the spline the pieces
-    run on the whole array; otherwise head, spline and tail run under one
-    mask pass, and the cubic never sees a head or tail z (far out it
-    overflows).
+    P and P' equal scipy's spline bitwise.  Each piece's cubic in powers of
+    (Z - knot) is expanded to powers of Z by one vectorised Horner pass.
+    Evaluation gathers each z's piece coefficients from (4, pieces) arrays
+    after one ``searchsorted`` over the interior knots.  When every z lies on
+    the spline the pieces run on the whole array; otherwise head, spline and
+    tail run under one mask pass, and the cubic never sees a head or tail z
+    (far out it overflows).
     """
 
     def __init__(self, z: Sequence[float], p: Sequence[float], p_inf: float,
@@ -149,7 +179,6 @@ class TabulatedShape:
                 f"table end value p/z^{{5/3}}={g[-1]:.6g} must exceed the asymptote p_inf={p_inf:.6g}")
 
         self.p_inf = float(p_inf)
-        self.third_law_compatible = bool(third_law)
         # Head/tail interpolate the two outermost knots on each side; the
         # spline spans the interior knots and inherits the closure slopes at
         # the junctions, keeping P globally C^1.
@@ -163,34 +192,36 @@ class TabulatedShape:
         if self.head_lin <= 0.0:
             raise EosValidationError(
                 "table start is too steep: the stability gap would close below the first knots")
-        d_lo = self.head_lin + _FIVE_THIRDS * self.head_pow * z[1] ** (2.0 / 3.0)
+        d_lo = self._HEAD["dp"](self, z[1])
         if d_lo <= 0.0:
             raise EosValidationError("head closure is not increasing at the junction")
 
-        # tail through (z[-2], p[-2]), (z[-1], p[-1])
+        # tail through (z[-2], p[-2]), (z[-1], p[-1]); S vanishes at the
+        # gauge point, which the Third-law tail's S reaches at infinity
         r_a = p[-2] - p_inf * z[-2] ** _FIVE_THIRDS
         r_b = p[-1] - p_inf * z[-1] ** _FIVE_THIRDS
         if third_law:
             self.tail_gamma = float((r_a - r_b) / (1.0 / z[-2] - 1.0 / z[-1]))
             self.tail_const = float(r_b - self.tail_gamma / z[-1])
-            self.tail_lin = 0.0
             if self.tail_const <= 0.0:
                 raise EosValidationError(
                     "Third-law tail needs a positive constant offset from the asymptote; "
                     "extend the table to larger Z or lower p_inf")
             if _FIVE_THIRDS * self.tail_const + (8.0 / 3.0) * self.tail_gamma / z[-2] <= 0.0:
                 raise EosValidationError("tail closure closes the stability gap near the last knots")
-            d_hi = _FIVE_THIRDS * p_inf * z[-2] ** (2.0 / 3.0) - self.tail_gamma / z[-2] ** 2
+            self._tail = self._THIRD_LAW_TAIL
+            gauge_z = math.inf
         else:
             self.tail_lin = float((r_b - r_a) / (z[-1] - z[-2]))
             self.tail_gamma = float(r_b - self.tail_lin * z[-1])
-            self.tail_const = self.tail_gamma
             if self.tail_lin <= 0.0:
                 raise EosValidationError(
                     "table end is too shallow: the stability gap would close beyond the last knots")
             if 2.0 * self.tail_lin * z[-2] / 3.0 + _FIVE_THIRDS * self.tail_gamma <= 0.0:
                 raise EosValidationError("tail closure closes the stability gap near the last knots")
-            d_hi = _FIVE_THIRDS * p_inf * z[-2] ** (2.0 / 3.0) + self.tail_lin
+            self._tail = self._GENERAL_TAIL
+            gauge_z = 1.0
+        d_hi = self._tail["dp"](self, z[-2])
         if d_hi <= 0.0:
             raise EosValidationError("tail closure is not increasing at the junction")
 
@@ -211,36 +242,31 @@ class TabulatedShape:
         self._dc = self._c[:-1] * np.array([3.0, 2.0, 1.0])[:, None]
         self._knots = zin
         self._inner_knots = zin[1:-1]
-        self._build_entropy_pieces()
+        # the same cubics in powers of Z, ascending: Horner in the shift
+        # Z - knot = Z + q, one pass over every piece
+        a3, a2, a1, a0 = self._c
+        q = -zin[:-1]
+        t2 = a2 + a3 * q
+        t1 = a1 + t2 * q
+        u2 = t2 + a3 * q
+        self._coeffs = np.stack((a0 + t1 * q, t1 + u2 * q, u2 + a3 * q, a3))
+        self._build_entropy_pieces(gauge_z)
         self._validate_gap()
 
     # -- construction helpers ------------------------------------------------
-
-    def _global_coeffs(self, k: int) -> np.ndarray:
-        """Expand piece k of the spline into global-basis cubic coefficients."""
-        zk = self._knots[k]
-        local = self._c[:, k][::-1]  # ascending in (Z - zk)
-        poly = np.polynomial.Polynomial(local)
-        shifted = poly(np.polynomial.Polynomial([-zk, 1.0]))
-        out = np.zeros(4)
-        out[: len(shifted.coef)] = shifted.coef
-        return out  # c0 + c1 Z + c2 Z^2 + c3 Z^3
 
     @staticmethod
     def _cubic_entropy_antideriv(c: np.ndarray, z):
         # Antiderivative of -(3/2)((5/3)P - P'Z)/Z^2 for P cubic in Z.
         return 2.5 * c[0] / z - c[1] * np.log(z) + 0.5 * c[2] * z + c[3] * z * z
 
-    def _build_entropy_pieces(self) -> None:
+    def _build_entropy_pieces(self, gauge_z: float) -> None:
         n_pieces = len(self._knots) - 1
-        self._coeffs = np.stack([self._global_coeffs(k) for k in range(n_pieces)], axis=1)
         offs = np.zeros(n_pieces)
-        # Anchor at the tail and chain constants backwards for continuity.
-        if self.third_law_compatible:
-            s_hi = 2.5 * self.tail_const / self.z_hi + 2.0 * self.tail_gamma / self.z_hi ** 2
-        else:
-            s_hi = -self.tail_lin * math.log(self.z_hi) + 2.5 * self.tail_gamma / self.z_hi
-        s_right = s_hi
+        # Anchor at the tail and chain constants backwards for continuity,
+        # then shift every constant so that S vanishes at gauge_z.
+        self._tail_shift = 0.0
+        s_right = self._tail["s"](self, self.z_hi)
         for k in range(n_pieces - 1, -1, -1):
             c = self._coeffs[:, k]
             zl, zr = self._knots[k], self._knots[k + 1]
@@ -248,13 +274,10 @@ class TabulatedShape:
             s_right = self._cubic_entropy_antideriv(c, zl) + offs[k]
         self._offsets = offs
         self._head_off = s_right + self.head_lin * math.log(self.z_lo)
-        if not self.third_law_compatible:
-            shift = float(self.entropy_shape(np.array([1.0]))[0])
-            self._head_off -= shift
-            self._offsets -= shift
-            self._tail_shift = -shift
-        else:
-            self._tail_shift = 0.0
+        shift = float(self.entropy_shape(np.array([gauge_z]))[0])
+        self._head_off -= shift
+        self._offsets -= shift
+        self._tail_shift = -shift
 
     def _validate_gap(self) -> None:
         zg = np.concatenate([
@@ -262,30 +285,31 @@ class TabulatedShape:
             np.geomspace(self.z_lo, self.z_hi, 400)[1:],
             np.geomspace(self.z_hi, self.z_hi * 1e3, 40)[1:],
         ])
-        gap = (_FIVE_THIRDS * self.p(zg) - self.dp(zg) * zg) / zg
+        p, dp = self.p_dp(zg)
+        gap = (_FIVE_THIRDS * p - dp * zg) / zg
         if np.any(gap <= 0.0):
             raise EosValidationError("interpolated table violates the stability gap ((5/3)P - P'Z)/Z > 0")
-        if np.any(self.dp(zg) <= 0.0):
+        if np.any(dp <= 0.0):
             raise EosValidationError("interpolated table is not strictly increasing")
 
     # -- evaluation ------------------------------------------------------------
 
-    def _branch(self, z, *pieces):
-        """Evaluate each (head, spline, tail) triple on z; spline pieces take
-        (z, k, s) with k the piece of each z and s = z - knot[k]."""
+    def _eval(self, z, *names):
+        """The named forms on z: spline forms take (z, k, s) with k the
+        piece of each z and s = z - knot[k], head and tail forms take z."""
         z = np.asarray(z, dtype=float)
         lo = z < self.z_lo
         hi = z > self.z_hi
         if not (lo.any() or hi.any()):
             loc = self._locate(z)
-            return [piece[1](*loc) for piece in pieces]
-        outs = [np.empty_like(z) for _ in pieces]
-        for k, m in enumerate((lo, ~(lo | hi), hi)):
+            return tuple([self._SPLINE[n](self, *loc) for n in names])
+        outs = tuple([np.empty_like(z) for _ in names])
+        for forms, m in ((self._HEAD, lo), (self._SPLINE, ~(lo | hi)), (self._tail, hi)):
             if m.any():
                 zm = z[m]
-                args = self._locate(zm) if k == 1 else (zm,)
-                for out, piece in zip(outs, pieces):
-                    out[m] = piece[k](*args)
+                args = self._locate(zm) if forms is self._SPLINE else (zm,)
+                for out, n in zip(outs, names):
+                    out[m] = forms[n](self, *args)
         return outs
 
     def _locate(self, z):
@@ -301,62 +325,33 @@ class TabulatedShape:
         c = self._dc.take(k, axis=1)
         return c[2] + c[1] * s + c[0] * (s * s)
 
-    def _p_pieces(self):
-        if self.third_law_compatible:
-            tail = lambda v: (self.p_inf * v ** _FIVE_THIRDS + self.tail_const
-                              + self.tail_gamma / v)
-        else:
-            tail = lambda v: (self.p_inf * v ** _FIVE_THIRDS + self.tail_lin * v
-                              + self.tail_gamma)
-        return (lambda v: self.head_lin * v + self.head_pow * v ** _FIVE_THIRDS,
-                self._spline_p, tail)
-
-    def _dp_pieces(self):
-        if self.third_law_compatible:
-            tail = lambda v: (_FIVE_THIRDS * self.p_inf * v ** (2.0 / 3.0)
-                              - self.tail_gamma / (v * v))
-        else:
-            tail = lambda v: _FIVE_THIRDS * self.p_inf * v ** (2.0 / 3.0) + self.tail_lin
-        return (lambda v: self.head_lin + _FIVE_THIRDS * self.head_pow * v ** (2.0 / 3.0),
-                self._spline_dp, tail)
-
-    def p(self, z):
-        return self._branch(z, self._p_pieces())[0]
-
-    def dp(self, z):
-        return self._branch(z, self._dp_pieces())[0]
-
-    def p_dp(self, z):
-        return tuple(self._branch(z, self._p_pieces(), self._dp_pieces()))
-
-    def p_entropy(self, z):
-        return tuple(self._branch(z, self._p_pieces(), self._entropy_pieces()))
-
-    def _entropy_mid(self, z, k, s):
+    def _spline_s(self, z, k, s):
         return self._cubic_entropy_antideriv(self._coeffs.take(k, axis=1), z) + self._offsets[k]
 
-    def _entropy_pieces(self):
-        if self.third_law_compatible:
-            tail = lambda v: 2.5 * self.tail_const / v + 2.0 * self.tail_gamma / (v * v)
-        else:
-            tail = lambda v: (-self.tail_lin * np.log(v) + 2.5 * self.tail_gamma / v
-                              + self._tail_shift)
-        return (lambda v: -self.head_lin * np.log(v) + self._head_off,
-                self._entropy_mid, tail)
+    def _spline_ds(self, z, k, s):
+        return -1.5 * (_FIVE_THIRDS * self._spline_p(z, k, s)
+                       - self._spline_dp(z, k, s) * z) / (z * z)
 
-    def entropy_shape(self, z):
-        return self._branch(z, self._entropy_pieces())[0]
-
-    def entropy_shape_slope(self, z):
-        # head and tail differentiate their closed-form S: the gap formula
-        # cancels the Z^{5/3} terms of P there and loses every digit far out
-        if self.third_law_compatible:
-            tail = lambda v: -(2.5 * self.tail_const + 4.0 * self.tail_gamma / v) / (v * v)
-        else:
-            tail = lambda v: -(self.tail_lin + 2.5 * self.tail_gamma / v) / v
-        gap = lambda v, k, s: -1.5 * (_FIVE_THIRDS * self._spline_p(v, k, s)
-                                      - self._spline_dp(v, k, s) * v) / (v * v)
-        return self._branch(z, (lambda v: -self.head_lin / v, gap, tail))[0]
+    _SPLINE = {"p": _spline_p, "dp": _spline_dp, "s": _spline_s, "ds": _spline_ds}
+    _HEAD = {
+        "p": lambda sh, v: sh.head_lin * v + sh.head_pow * v ** _FIVE_THIRDS,
+        "dp": lambda sh, v: sh.head_lin + _FIVE_THIRDS * sh.head_pow * v ** (2.0 / 3.0),
+        "s": lambda sh, v: -sh.head_lin * np.log(v) + sh._head_off,
+        "ds": lambda sh, v: -sh.head_lin / v,
+    }
+    _THIRD_LAW_TAIL = {
+        "p": lambda sh, v: sh.p_inf * v ** _FIVE_THIRDS + sh.tail_const + sh.tail_gamma / v,
+        "dp": lambda sh, v: _FIVE_THIRDS * sh.p_inf * v ** (2.0 / 3.0) - sh.tail_gamma / (v * v),
+        "s": lambda sh, v: 2.5 * sh.tail_const / v + 2.0 * sh.tail_gamma / (v * v),
+        "ds": lambda sh, v: -(2.5 * sh.tail_const + 4.0 * sh.tail_gamma / v) / (v * v),
+    }
+    _GENERAL_TAIL = {
+        "p": lambda sh, v: sh.p_inf * v ** _FIVE_THIRDS + sh.tail_lin * v + sh.tail_gamma,
+        "dp": lambda sh, v: _FIVE_THIRDS * sh.p_inf * v ** (2.0 / 3.0) + sh.tail_lin,
+        "s": lambda sh, v: (-sh.tail_lin * np.log(v) + 2.5 * sh.tail_gamma / v
+                            + sh._tail_shift),
+        "ds": lambda sh, v: -(sh.tail_lin + 2.5 * sh.tail_gamma / v) / v,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -881,14 +876,14 @@ def check_eos_invariants(eos: EosSpec) -> dict:
     p0 = float(shape.p(np.array([0.0]))[0])
     results["P(0) = 0"] = (abs(p0) < 1e-9, f"P(0) = {p0:.3g}")
 
-    dp = shape.dp(z)
+    p, dp = shape.p_dp(z)
     results["P' > 0"] = (bool(np.all(dp > 0.0)), f"min P' = {np.min(dp):.3g}")
 
-    gap = (_FIVE_THIRDS * shape.p(z) - dp * z) / z
+    gap = (_FIVE_THIRDS * p - dp * z) / z
     results["stability gap positive"] = (bool(np.all(gap > 0.0)), f"min gap = {np.min(gap):.3g}")
     results["stability gap bounded"] = (bool(np.max(gap) < 1e6), f"max gap = {np.max(gap):.3g}")
 
-    g = shape.p(z) / z ** _FIVE_THIRDS
+    g = p / z ** _FIVE_THIRDS
     mono = bool(np.all(np.diff(g) <= 1e-12 * np.abs(g[:-1])))
     results["P/Z^{5/3} nonincreasing"] = (mono, f"max increase = {np.max(np.diff(g)):.3g}")
     results["asymptote approaches p_inf"] = (

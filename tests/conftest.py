@@ -25,8 +25,8 @@ def eos_a0():
     return iconic_eos(a=0.0)
 
 
-def make_table_eos(third_law: bool):
-    z = np.geomspace(0.02, 400, 25)
+def make_table_eos(third_law: bool, knots: int = 25):
+    z = np.geomspace(0.02, 400, knots)
     p = z + z ** (5.0 / 3.0) + z ** (5.0 / 3.0) / (1.0 + z)
     return tabulated_eos(z, p, p_inf=1.0, a=1.0, third_law=third_law)
 

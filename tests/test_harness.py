@@ -669,6 +669,18 @@ def test_cli_converge_refuses_bad_t_end(value, message, capsys):
     assert capsys.readouterr().out.splitlines() == [f"FAIL  [t-end] --t-end: {message}"]
 
 
+def test_cli_audit_refuses_nan_output_time(tmp_path, capsys):
+    # NaN lies in no window: refused as one issue before the run, exit 1
+    doc = minimal_doc()
+    doc["output_times"] = [0.0, math.nan, 0.01]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    assert cli.main(["audit", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  [config-schema] output_times: output times must lie in [0, t_end], got nan"]
+
+
 def test_cli_run_and_audit(tmp_path, capsys):
     doc = minimal_doc(t_end=0.005)
     doc["initial"]["theta"] = "1 + 0.05*cos(pi*x)"
@@ -716,7 +728,8 @@ def test_cli_converge_csv_is_byte_identical_across_hash_seeds(tmp_path):
 
 def test_import_leaves_scipy_interpolate_and_sympy_unloaded():
     # building the test suite's 25-knot table loads no scipy module either,
-    # nor do five steps of a wall box, whose viscous solve is LAPACK's
+    # nor numpy.polynomial (its pieces are expanded by Horner), nor do five
+    # steps of a wall box, whose viscous solve is LAPACK's
     code = ("import sys, numpy as np, nsfsim; z = np.geomspace(0.02, 400, 25); "
             "nsfsim.tabulated_eos(z, z + z ** (5 / 3) + z ** (5 / 3) / (1 + z)); "
             "mesh = nsfsim.Mesh1D(0.0, 1.0, 32); x = mesh.centers; "
@@ -724,7 +737,8 @@ def test_import_leaves_scipy_interpolate_and_sympy_unloaded():
             "theta=np.ones(32)); args = (mesh, nsfsim.iconic_eos(), nsfsim.TransportSpec(), "
             "nsfsim.SolverConfig(), nsfsim.make_boundary()); "
             "[state := nsfsim.step(state, *args, 1e-3)[0] for _ in range(5)]; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy') "
+            "or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
                              [str(Path(nsfsim.__file__).parents[1]),

@@ -449,15 +449,14 @@ def _past_checks(*args, **kwargs):
 
 @pytest.mark.parametrize("fields", ["rho", "w", "rho and w"])
 def test_recover_theta_passes_finite_cells_whose_sum_overflows(eos, monkeypatch, fields):
-    # each finiteness check sums its array once; two cells of 1e308 overflow
-    # that sum, and the cells, all finite, must then pass the checks, the
-    # floor check included
+    # two cells of 1e308, whose sum overflows, are finite: they pass the
+    # finiteness checks without a warning, and the floor check too
     rho, w, theta = np.ones(8), np.full(8, 4.0), np.ones(8)
     for name, values in (("rho", rho), ("w", w)):
         if name in fields:
             values[[2, 5]] = 1e308
     monkeypatch.setattr(sv, "energy_density_residual", _past_checks)
-    with np.errstate(over="ignore"), pytest.raises(_PastChecks):
+    with pytest.raises(_PastChecks):
         sv._recover_theta(eos, sv.SolverConfig(t_end=1.0), rho, w, theta)
 
 
@@ -1104,13 +1103,13 @@ def test_step_names_nonfinite_state(eos, transport, box, monkeypatch, name, cell
 
 
 def test_step_passes_finite_cells_whose_sum_overflows(eos, transport, box, monkeypatch):
-    # two cells of 1e308 overflow the sum of u's finiteness check; every cell
-    # is finite, so the step goes on to its first stage
+    # two cells of 1e308 in u, whose sum overflows, are finite: the step
+    # goes on to its first stage without a warning
     mesh, walls = box
     state = _uniform_state(32)
     state.u[[3, 4]] = 1e308
     monkeypatch.setattr(sv, "_stage_rhs", _past_checks)
-    with np.errstate(over="ignore"), pytest.raises(_PastChecks):
+    with pytest.raises(_PastChecks):
         sv.step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)
 
 
@@ -1207,6 +1206,15 @@ def test_run_rejects_nonfinite_initial_data(eos, transport, box):
     state.u[3] = np.nan
     with pytest.raises(ValueError, match="initial u is not finite in 1 of 32 cells"):
         sv.run(mesh, eos, transport, sv.SolverConfig(t_end=0.01), walls, state)
+
+
+@pytest.mark.parametrize("t", [np.nan, -0.1])
+def test_run_rejects_output_times_outside_the_horizon(eos, transport, box, t):
+    # refused before any step: no time is recorded with a stale state
+    mesh, walls = box
+    with pytest.raises(ValueError, match=r"output times must lie in \[0, t_end\], got "):
+        sv.run(mesh, eos, transport, sv.SolverConfig(t_end=0.01), walls, _uniform_state(32),
+               output_times=[t])
 
 
 def test_zero_horizon_returns_initial(eos, transport, box):

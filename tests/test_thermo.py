@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from nsfsim import scenario as sc
 from nsfsim import thermo as th
 
-from conftest import SEED, _solve_monotone_theta
+from conftest import SEED, _solve_monotone_theta, make_table_eos
 
 FT = 5.0 / 3.0
 
@@ -426,6 +428,17 @@ def test_third_law_pins_entropy_gauge():
         th.tabulated_eos(z, p, third_law=True, entropy_const=1.0)
 
 
+def test_general_table_gauge_may_lie_in_the_tail():
+    # the general mode pins S(1) = 0; here Z = 1 lies past the last knot,
+    # where the tail's S is shifted like every spline piece
+    z = np.geomspace(0.002, 0.8, 25)
+    shape = th.tabulated_eos(z, z + z ** FT + z ** FT / (1.0 + z), third_law=False).shape_fn
+    assert shape.z_hi < 1.0
+    assert shape.entropy_shape(np.array([1.0]))[0] == 0.0
+    below, above = shape.entropy_shape(shape.z_hi * np.array([1.0 - 1e-12, 1.0 + 1e-12]))
+    assert above == pytest.approx(below, abs=1e-10)
+
+
 def test_nonmonotone_table_rejected():
     z = np.geomspace(0.1, 10, 8)
     p = z.copy()
@@ -555,8 +568,8 @@ def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, requ
     table_z, table_p = np.asarray(eos.table_z), np.asarray(eos.table_p)
     knots = table_z[1:-1]
     slopes = PchipInterpolator(table_z, table_p).derivative()(knots)
-    head, _, tail = shape._dp_pieces()
-    slopes[0], slopes[-1] = head(knots[0]), tail(knots[-1])
+    slopes[0] = shape._HEAD["dp"](shape, knots[0])
+    slopes[-1] = shape._tail["dp"](shape, knots[-1])
     spline = CubicHermiteSpline(knots, table_p[1:-1], slopes)
     z = _parity_z(eos_table)
     on = (z >= shape.z_lo) & (z <= shape.z_hi)
@@ -564,7 +577,7 @@ def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, requ
     s_ref = np.empty(on.sum())
     for k in np.unique(piece):
         m = piece == k
-        s_ref[m] = (shape._cubic_entropy_antideriv(shape._global_coeffs(k), z[on][m])
+        s_ref[m] = (shape._cubic_entropy_antideriv(shape._coeffs[:, k], z[on][m])
                     + shape._offsets[k])
     for zz, sel in ((z[on], slice(None)), (z, on)):
         p, dp = shape.p_dp(zz)
@@ -576,6 +589,36 @@ def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, requ
     # one z at a time (0-d arrays) reaches the same values
     for zk, pk in zip(z[on], spline(z[on])):
         assert shape.p(np.asarray(zk)) == pk
+
+
+@pytest.mark.parametrize("third_law,knots", ((True, 25), (False, 25), (True, 60), (False, 60)))
+def test_horner_pieces_match_polynomial_composition(third_law, knots):
+    # each piece's global-basis cubic, bit for bit, against numpy's own
+    # composition of its local cubic with (Z - knot)
+    from numpy.polynomial import Polynomial
+
+    shape = make_table_eos(third_law, knots).shape_fn
+    reference = np.zeros_like(shape._coeffs)
+    for k in range(reference.shape[1]):
+        local = Polynomial(shape._c[::-1, k])
+        shifted = local(Polynomial([-shape._knots[k], 1.0])).coef
+        reference[: len(shifted), k] = shifted
+    assert shape._coeffs.shape == (4, knots - 3)
+    assert shape._coeffs.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("build", (th.iconic_eos, lambda: make_table_eos(True),
+                                   lambda: make_table_eos(False)),
+                         ids=("iconic", "table", "table_nolaw"))
+def test_shape_is_freed_without_the_cycle_collector(build):
+    # a shape holds no reference cycle, so the shapes a run builds never
+    # accumulate for the cyclic collector's full passes
+    gc.disable()
+    try:
+        shape = weakref.ref(build().shape_fn)
+        assert shape() is None
+    finally:
+        gc.enable()
 
 
 def test_fused_energy_closure_keeps_domain_checks(eos, eos_table):
