@@ -50,16 +50,25 @@ operations does.
 
 Each stage pads the state with one ghost cell per side and makes one
 ``stage_closures`` pass for (p, e, s) on the padded arrays; fluxes, sources
-and the budget record all read that one evaluation.  One pass over the two
-faces then books the other boundary rules: the F_ib and wall energy fluxes,
-the Robin inflow mass flux and the boundary budget integrands.  The stage's
-volume integrands are stacked into one (K, n) array and reduced once.  The
-first stage of a step is evaluated once and reused by rejected attempts.
-The temperature recovery builds its energy-density residual once per solve;
-a Newton iterate makes no EOS call on the iconic shape and one ``p_dp`` on a
-table, Newton stops after its first step below 1e-8 theta, since quadratic
+and the budget record all read that one evaluation.  The first stage's pass
+also has slopes: the sound speed, from which ``run`` takes the dt of
+``stable_dt`` with no pass of its own, and w_rho = d(rho e_delta)/drho and
+w_theta = d(rho e_delta)/dtheta.  One pass over the two faces then books the
+other boundary rules: the F_ib and wall energy fluxes, the Robin inflow mass
+flux and the boundary budget integrands.  The stage's volume integrands are
+stacked into one (K, n) array and reduced once.  The first stage of a step
+is evaluated once and reused by rejected attempts.  The temperature
+recovery builds its energy-density residual once per solve; a Newton
+iterate makes no EOS call on the iconic shape and one ``p_dp`` on a table,
+Newton stops after its first step below 1e-8 theta, since quadratic
 convergence leaves only rounding for the next, and the recovery is checked
-by the residual's value alone: a step makes five EOS passes.  Every
+by the residual's value alone.  Both recoveries start from a linearised
+guess that makes no EOS call: the predictor's theta^n
++ (w1 - w^n - w_rho (rho1 - rho^n)) / w_theta, the corrector's theta_l
++ (w_n - (w1 + dw) - w_rho (rho_n - rho1)) / C with the first stage's
+w_rho, since rho_n - rho1 is O(dt^2); each takes two Newton evaluations on
+smooth data where theta^n and theta_l took two or three.  A step thus makes
+four EOS passes: two ``stage_closures`` and two residual builds.  Every
 budget-relevant face flux and volume integrand is accumulated during the
 run with the same weights as the update itself: the stage terms with the
 stage weights, the implicit terms with weight dt (the entropy terms at the
@@ -155,8 +164,15 @@ class SolverConfig:
         return 2.0 * (1.0 - 1.0 / self.d)
 
     def viscosity(self, ts: TransportSpec, theta):
-        """1D normal viscosity (mu + delta theta) 2(1 - 1/d) + eta."""
-        return (ts.mu(theta) + self.delta * theta) * self.deviatoric_factor + ts.eta(theta)
+        """1D normal viscosity (mu + delta theta) 2(1 - 1/d) + eta; a zero
+        delta or eta scale forms no term."""
+        nu = ts.mu(theta)
+        if self.delta > 0.0:
+            nu = nu + self.delta * theta
+        nu = nu * self.deviatoric_factor
+        if ts.eta_scale > 0.0:
+            nu = nu + ts.eta(theta)
+        return nu
 
     def conductivity(self, ts: TransportSpec, theta):
         """Regularized conductivity kappa + delta (theta^Gamma + 1/theta)."""
@@ -178,7 +194,9 @@ class SolverConfig:
         return rho ** self.Gamma / (self.Gamma - 1.0) + rho ** 2
 
     def _energy_delta(self, e, theta):
-        return e + self.delta * theta
+        if self.delta > 0.0:
+            e = e + self.delta * theta
+        return e
 
     def _entropy_delta(self, s, theta):
         if self.delta > 0.0:
@@ -275,7 +293,9 @@ class StageFields:
     Entries [0] and [-1] are the ghosts of the left and right faces (the
     inflow data, or the interior trace), entries [1:-1] are the cells.
     ``e`` and ``s`` are the regularized e_delta and s_delta, ``w`` is the
-    energy density rho e_delta.
+    energy density rho e_delta.  A pass with slopes also holds the sound
+    speed squared ``c2`` and the slopes ``w_rho`` = d(rho e_delta)/drho and
+    ``w_theta`` = d(rho e_delta)/dtheta; without, they are None.
     """
 
     rho: np.ndarray
@@ -285,6 +305,9 @@ class StageFields:
     e: np.ndarray
     s: np.ndarray
     w: np.ndarray
+    c2: Optional[np.ndarray] = None
+    w_rho: Optional[np.ndarray] = None
+    w_theta: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -295,16 +318,20 @@ class StageRecord:
     each with its epsilon or delta weight; time-weighted sums of them
     reproduce the scheme's own updates exactly.  ``w`` is the energy density
     the stage started from, ``theta_face`` the face temperatures (the step
-    freezes the viscosity and the conductivity there).
+    freezes the viscosity and the conductivity there).  A stage with slopes
+    also keeps the cells of its ``c2``, ``w_rho`` and ``w_theta``.
     """
 
     scalars: dict
     w: np.ndarray
     theta_face: np.ndarray
+    c2: Optional[np.ndarray] = None
+    w_rho: Optional[np.ndarray] = None
+    w_theta: Optional[np.ndarray] = None
 
 
 def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
-                      eos: EosSpec, cfg: SolverConfig):
+                      eos: EosSpec, cfg: SolverConfig, slopes: bool = False):
     """Per-face upwind fluxes (mass, momentum, energy), x-direction.
 
     Energy transports rho e_delta.  Inflow faces donate (rho_b, u_b,
@@ -312,8 +339,10 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     energy flux is purely convective (the stage's face pass replaces it on
     inflow faces and walls).  Returns (f_mass, f_mom, f_energy, u_face, pad),
     ``pad`` being the :class:`StageFields` the fluxes were built from: every
-    closure of a stage is evaluated here, once, on the ghost-padded arrays.
-    ``bspec`` may also be the step plan of (mesh, bspec), as a stage passes.
+    closure of a stage is evaluated here, once, on the ghost-padded arrays,
+    with ``slopes`` in a (P, P', S) pass that also gives the sound speed and
+    the slopes of rho e_delta.  ``bspec`` may also be the step plan of
+    (mesh, bspec), as a stage passes.
     """
     plan = bspec if isinstance(bspec, _StepPlan) else _step_plan(mesh, bspec)
     rho_p, u_p, theta_p = _ghosts(state, plan)
@@ -322,10 +351,17 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     for f, i, _ in plan.faces:
         u_face[i] = f.u_b
 
-    p_p, e_p, s_p = stage_closures(eos, rho_p, theta_p)
+    p_p, e_p, s_p, *slope_values = stage_closures(eos, rho_p, theta_p, slopes)
     e_p = cfg._energy_delta(e_p, theta_p)
-    pad = StageFields(rho=rho_p, u=u_p, theta=theta_p, p=p_p, e=e_p,
-                      s=cfg._entropy_delta(s_p, theta_p), w=rho_p * e_p)
+    fields = dict(rho=rho_p, u=u_p, theta=theta_p, p=p_p, e=e_p,
+                  s=cfg._entropy_delta(s_p, theta_p), w=rho_p * e_p)
+    if slopes:
+        # the slopes of rho e_delta = rho e + delta rho theta
+        c2, w_rho, w_theta = slope_values
+        if cfg.delta > 0.0:
+            w_rho, w_theta = w_rho + cfg.delta * theta_p, w_theta + cfg.delta * rho_p
+        fields.update(c2=c2, w_rho=w_rho, w_theta=w_theta)
+    pad = StageFields(**fields)
 
     take_left = u_face >= 0.0
     rho_up = np.where(take_left, rho_p[:-1], rho_p[1:])
@@ -340,12 +376,13 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
 
 
 def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
-               t: float, state: FieldState):
-    """One right-hand-side evaluation; returns (drho, dm, dW, StageRecord)."""
+               t: float, state: FieldState, slopes: bool = True):
+    """One right-hand-side evaluation; returns (drho, dm, dW, StageRecord).
+    Its EOS pass has slopes unless ``slopes`` is false."""
     n = mesh.n_cells
     h = plan.h
     rho, u, theta = state.rho, state.u, state.theta
-    f_mass, f_mom, f_energy, u_face, pad = convective_fluxes(state, mesh, plan, eos, cfg)
+    f_mass, f_mom, f_energy, u_face, pad = convective_fluxes(state, mesh, plan, eos, cfg, slopes)
     u_p, theta_p = pad.u, pad.theta
     # the step treats the stress and the heat flux, with coefficients frozen here
     theta_face = 0.5 * (theta_p[:-1] + theta_p[1:])
@@ -357,8 +394,8 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
     p_face = 0.5 * (p_delta_p[:-1] + p_delta_p[1:])
 
     # interior mass diffusion (x-direction fluxes); the face pass sets the ends
-    diff_mass = np.zeros(n + 1)
     if cfg.epsilon > 0.0:
+        diff_mass = np.zeros(n + 1)
         diff_mass[1:-1] = -cfg.epsilon * (rho[1:] - rho[:-1]) / h
     e_flux = f_energy
 
@@ -411,7 +448,7 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
         else:
             e_flux[i] = 0.0  # insulated wall
 
-    mass_flux = f_mass + diff_mass
+    mass_flux = f_mass + diff_mass if cfg.epsilon > 0.0 else f_mass
     sc["mass_bdry"] = -mass_flux[0] + mass_flux[-1]
     sc["energy_bdry_total"] = -e_flux[0] + e_flux[-1]
 
@@ -471,7 +508,9 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
     sums = iter((np.array(rows).sum(axis=1) * h).tolist() if rows else ())
     sc.update((k, 0.0 if v is None else next(sums)) for k, v in vol.items())
 
-    return drho, dm, dW, StageRecord(scalars=sc, w=pad.w[1:-1], theta_face=theta_face)
+    slope_cells = {k: getattr(pad, k)[1:-1] for k in ("c2", "w_rho", "w_theta")} if slopes else {}
+    return drho, dm, dW, StageRecord(scalars=sc, w=pad.w[1:-1], theta_face=theta_face,
+                                     **slope_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +661,18 @@ def _reject_nonfinite(name, values):
         raise StepRejected(f"{name} is not finite at cell {cell}")
 
 
+def _linear_start(theta0, dw, drho, w_rho, w_theta):
+    """Newton's start theta0 + (dw - w_rho drho) / w_theta: the temperature
+    at which rho e_delta has moved by dw and rho by drho from a state at
+    theta0 with slopes (w_rho, w_theta), to first order.  Cells where that
+    is not finite and positive start from theta0."""
+    guess = theta0 + (dw - w_rho * drho) / w_theta
+    # NaN fails the first comparison
+    if guess.min() > 0.0 and guess.max() < math.inf:
+        return guess
+    return np.where((guess > 0.0) & (guess < math.inf), guess, theta0)
+
+
 def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
     """Invert rho e_delta(rho, theta) = w per cell by damped Newton.
 
@@ -643,7 +694,7 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
         step = f / df
         # fmax takes the damped value where theta - step is NaN
         theta = np.fmax(theta - step, 0.1 * theta)
-        if np.max(np.abs(step) / (theta + 1e-300)) < _NEWTON_LAST_STEP:
+        if (np.abs(step) / (theta + 1e-300)).max() < _NEWTON_LAST_STEP:
             break
     f = residual(theta, slope=False)
     # a NaN residual fails too
@@ -662,12 +713,15 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     The energy takes the solves' increments in flux form, as in ``step``,
     and theta is recovered from it at the frozen density ``state.rho``
     (before the solves too): it is the temperature update of the energy
-    balance with (rho, u) held fixed.
+    balance with (rho, u) held fixed.  The first recovery starts from the
+    linearised guess of :func:`step`'s predictor with the density change
+    zero, the second from the conduction solve's temperature.
     """
     plan = _step_plan(mesh, bspec)
     stage = _stage_rhs(mesh, eos, cfg, plan, 0.0, state)
     rho, m, w = _predictor(cfg, state, stage, dt)
-    theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, state.theta)
+    start = _linear_start(state.theta, dt * stage[2], 0.0, 0.0, stage[3].w_theta)
+    theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, start)
     u, _, _, theta_l, _, dw = _implicit_solves(
         mesh, ts, cfg, plan, stage[3].theta_face, rho, m, theta_hat, capacity, dt)
     return rho, rho * u, _recover_theta(eos, cfg, state.rho, w + dw, theta_l)[0]
@@ -678,9 +732,14 @@ def stable_dt(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     """CFL-limited step from the acoustic and mass-diffusion limits; the
     stress and the heat flux are implicit and set none.
 
-    The sound speed comes from one EOS pass."""
-    h = mesh.h
-    dt = h / np.max(np.abs(state.u) + np.sqrt(sound_speed_sq(eos, state.rho, state.theta)))
+    The sound speed comes from one EOS pass; ``run`` takes the same limit
+    from the sound speed of the step's first stage."""
+    return _cfl_dt(mesh.h, cfg, state.u, sound_speed_sq(eos, state.rho, state.theta))
+
+
+def _cfl_dt(h, cfg: SolverConfig, u, c2):
+    """The limit of ``stable_dt`` for velocities u and sound speeds squared c2."""
+    dt = h / np.max(np.abs(u) + np.sqrt(c2))
     if cfg.epsilon > 0.0:
         dt = min(dt, h * h / (2.0 * cfg.epsilon))
     return cfg.cfl * float(dt)
@@ -693,9 +752,11 @@ def _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1):
     d1rho, d1m, d1w, rec1 = stage1
     rho0, m0, w0 = state.rho, state.rho * state.u, rec1.w
     rho1, m1, w1 = _predictor(cfg, state, stage1, dt)
-    theta1, capacity = _recover_theta(eos, cfg, rho1, w1, state.theta)
+    # the predictor's start: theta^n moved along the first stage's slopes
+    start = _linear_start(state.theta, dt * d1w, dt * d1rho, rec1.w_rho, rec1.w_theta)
+    theta1, capacity = _recover_theta(eos, cfg, rho1, w1, start)
     d2rho, d2m, d2w, rec2 = _stage_rhs(mesh, eos, cfg, plan, t + dt,
-                                       _new_state(rho1, m1 / rho1, theta1))
+                                       _new_state(rho1, m1 / rho1, theta1), False)
     u1, stress, diss, theta_l, heat, dw = _implicit_solves(
         mesh, ts, cfg, plan, rec1.theta_face, rho1, m1, theta1, capacity, dt)
     h = plan.h
@@ -703,7 +764,13 @@ def _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1):
     # the implicit increments enter with full weight
     m_n = m0 + 0.5 * dt * (d1m + d2m) + (rho1 * u1 - m1)
     w_n = w0 + 0.5 * dt * (d1w + d2w) + dw
-    new_state = _new_state(rho_n, m_n / rho_n, _recover_theta(eos, cfg, rho_n, w_n, theta_l)[0])
+    # the corrector's start: w_n - (w1 + dw) and rho_n - rho1 from
+    # (rho1, theta_l), where w1 + dw is rho e_delta to first order since
+    # dw = C (theta_l - theta1); rho_n - rho1 is O(dt^2), so the first
+    # stage's w_rho serves to the order of the guess
+    start = _linear_start(theta_l, 0.5 * dt * (d2w - d1w), 0.5 * dt * (d2rho - d1rho),
+                          rec1.w_rho, capacity)
+    new_state = _new_state(rho_n, m_n / rho_n, _recover_theta(eos, cfg, rho_n, w_n, start)[0])
     inc = {k: 0.5 * dt * (rec1.scalars[k] + rec2.scalars[k]) for k in rec1.scalars}
     # the implicit terms with weight dt, the entropy ones at the new theta:
     # the energy increment over theta, the heat part summed by parts
@@ -718,20 +785,29 @@ def _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1):
     return new_state, inc
 
 
-def step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
-         cfg: SolverConfig, bspec: BoundarySpec, dt: float, t: float = 0.0):
-    """One adaptive SSP-RK2 step; halves dt on rejection (up to MAX_REJECTS).
-
-    Returns (new_state, dt_used, accumulator_increments, n_rejects).  A
-    non-finite start state aborts at once, naming the field and first bad cell.
-    """
+def _first_stage(mesh, eos, cfg, plan, t, state):
+    """The first stage of a step at (t, state), after the state's check: a
+    non-finite state aborts at once, naming the field and first bad cell."""
     for name in ("rho", "u", "theta"):
         values = getattr(state, name)
         if (cell := _first_nonfinite(values)) is not None:
             raise RunAborted(f"step at t={t:.6g}: {name} is not finite at cell {cell} "
                              f"({values[cell]}); diagnostic state attached", state=state)
+    return _stage_rhs(mesh, eos, cfg, plan, t, state)
+
+
+def step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
+         cfg: SolverConfig, bspec: BoundarySpec, dt: float, t: float = 0.0, stage1=None):
+    """One adaptive SSP-RK2 step; halves dt on rejection (up to MAX_REJECTS).
+
+    Returns (new_state, dt_used, accumulator_increments, n_rejects).  A
+    non-finite start state aborts at once, naming the field and first bad cell.
+    ``stage1`` is the step's first stage at (t, state) where the caller has
+    evaluated it, as ``run`` does for its dt.
+    """
     plan = _step_plan(mesh, bspec)
-    stage1 = _stage_rhs(mesh, eos, cfg, plan, t, state)
+    if stage1 is None:
+        stage1 = _first_stage(mesh, eos, cfg, plan, t, state)
     rejects = 0
     while True:
         try:
@@ -823,14 +899,18 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     traj = Trajectory(mesh=mesh, eos=eos, transport=ts, config=cfg, boundary=bspec,
                       times=[0.0], states=[state.copy()], accums=[{}])
 
+    plan = _step_plan(mesh, bspec)
     t = 0.0
     out_idx = 1 if outs[0] == 0.0 else 0
     while out_idx < len(outs):
         target = outs[out_idx]
         while t < target - 1e-14 * (1.0 + target):
-            dt = min(stable_dt(state, mesh, eos, ts, cfg), target - t)
             try:
-                state, dt_used, inc, rej = step(state, mesh, eos, ts, cfg, bspec, dt, t=t)
+                # the dt of stable_dt, from the first stage's sound speed
+                stage1 = _first_stage(mesh, eos, cfg, plan, t, state)
+                dt = min(_cfl_dt(plan.h, cfg, state.u, stage1[3].c2), target - t)
+                state, dt_used, inc, rej = step(state, mesh, eos, ts, cfg, bspec, dt, t=t,
+                                                stage1=stage1)
             except RunAborted as err:
                 err.trajectory = traj
                 raise

@@ -27,16 +27,21 @@ positive limit ``p_inf``.
 
 All state functions broadcast over numpy arrays in (rho, theta).  Both
 shapes share one protocol: ``p``, ``dp``, ``entropy_shape`` (S),
-``entropy_shape_slope`` (S'), ``p_dp`` = (P, P') and ``p_entropy`` = (P, S)
-are each one ``_eval`` pass over closed forms written once (on a table one
-piece lookup, its pieces expanded by Horner with no ``np.polynomial``), and
-the closures apply formulas written once in (rho, theta, P, P', S).
-``stage_closures`` is a solver stage's one EOS pass: (p, e, s) from one Z
-and one (P, S) pass, bitwise equal to the separate closures.
+``entropy_shape_slope`` (S'), ``p_dp`` = (P, P'), ``p_entropy`` = (P, S) and
+``p_dp_entropy`` = (P, P', S) are each one ``_eval`` pass over closed forms
+written once (on a table one piece lookup, its pieces expanded by Horner
+with no ``np.polynomial``), and the closures apply formulas written once in
+(rho, the powers of theta, P, P', S).  ``_theta_powers`` builds Z and
+theta^{3/2}, theta^{5/2}, theta^3, theta^4 from one sqrt, once per closure
+pass and once per Newton iterate; no other function raises theta to a
+fractional or large power.  ``stage_closures`` is a solver stage's one EOS
+pass: (p, e, s) from one Z and one (P, S) pass, or with slopes from one
+(P, P', S) pass that adds the sound speed squared and the slopes of rho e in
+rho and theta, each bitwise equal to its separate closure.
 ``energy_density_residual`` builds the residual of the solver's temperature
 recovery once per solve (a quartic in theta on the iconic shape, one
-(P, P') pass per iterate on a table), ``sound_speed_sq`` serves the step
-limit, and ``gibbs_residual`` keeps independent routes.
+(P, P') pass per iterate on a table), ``sound_speed_sq`` is the step
+limit's sound speed, and ``gibbs_residual`` keeps independent routes.
 ``temperature_from_entropy`` inverts rho s by bracketed Newton in log theta
 on ``entropy_density_residual``; ``extended_internal_energy`` E(rho, S) has
 closed-form boundary values (radiation at rho = 0, cold on the S = 0 edge).
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -92,6 +97,9 @@ class _Shape:
 
     def p_entropy(self, z):
         return self._eval(z, "p", "s")
+
+    def p_dp_entropy(self, z):
+        return self._eval(z, "p", "dp", "s")
 
     def entropy_shape(self, z):
         return self._eval(z, "s")[0]
@@ -333,11 +341,20 @@ class TabulatedShape(_Shape):
                        - self._spline_dp(z, k, s) * z) / (z * z)
 
     _SPLINE = {"p": _spline_p, "dp": _spline_dp, "s": _spline_s, "ds": _spline_ds}
+
+    def _head_entropy(self, v):
+        with np.errstate(divide="ignore"):  # +inf at Z = 0, as on the iconic shape
+            return -self.head_lin * np.log(v) + self._head_off
+
+    def _head_entropy_slope(self, v):
+        with np.errstate(divide="ignore"):  # -inf at Z = 0
+            return -self.head_lin / v
+
     _HEAD = {
         "p": lambda sh, v: sh.head_lin * v + sh.head_pow * v ** _FIVE_THIRDS,
         "dp": lambda sh, v: sh.head_lin + _FIVE_THIRDS * sh.head_pow * v ** (2.0 / 3.0),
-        "s": lambda sh, v: -sh.head_lin * np.log(v) + sh._head_off,
-        "ds": lambda sh, v: -sh.head_lin / v,
+        "s": _head_entropy,
+        "ds": _head_entropy_slope,
     }
     _THIRD_LAW_TAIL = {
         "p": lambda sh, v: sh.p_inf * v ** _FIVE_THIRDS + sh.tail_const + sh.tail_gamma / v,
@@ -445,7 +462,8 @@ class TransportSpec:
         return self.eta_scale * (1.0 + np.asarray(theta, dtype=float) ** self.lambda_exp)
 
     def kappa(self, theta):
-        return self.kappa_scale * (1.0 + np.asarray(theta, dtype=float) ** 3)
+        theta = np.asarray(theta, dtype=float)
+        return self.kappa_scale * (1.0 + theta * theta * theta)
 
 
 @dataclass(frozen=True)
@@ -485,35 +503,67 @@ class ConservativeState:
 # ---------------------------------------------------------------------------
 
 
-def _zvar(rho, theta):
-    return np.asarray(rho, dtype=float) * np.asarray(theta, dtype=float) ** -1.5
+class _ThetaPowers(NamedTuple):
+    """Z = rho / theta^{3/2} and the powers of theta the closures take."""
+
+    z: np.ndarray
+    t15: np.ndarray
+    t25: np.ndarray
+    t3: np.ndarray
+    t4: np.ndarray
 
 
-# Closure formulas in (rho, theta) and the shape values (P, P', S) at Z.
+def _theta_powers(rho, theta, energy: bool = True) -> _ThetaPowers:
+    """Z and theta^{3/2}, theta^{5/2}, theta^3, theta^4 from one sqrt and five
+    products: the only place the closures raise theta to a fractional or
+    large power.  Without ``energy`` theta^{5/2} and theta^4, which only p
+    and e read, are None: the entropy then overflows no sooner than theta^3."""
+    theta = np.asarray(theta, dtype=float)
+    root = np.sqrt(theta)
+    t2 = theta * theta
+    t15 = theta * root
+    z = np.asarray(rho, dtype=float) / t15
+    if not energy:
+        return _ThetaPowers(z, t15, None, t2 * theta, None)
+    return _ThetaPowers(z, t15, t2 * root, t2 * theta, t2 * t2)
 
 
-def _pressure(eos: EosSpec, theta, p):
-    return theta ** 2.5 * p + (eos.a / 3.0) * theta ** 4
+# Closure formulas in (rho, theta), the powers of theta and the shape values
+# (P, P', S) at Z.
 
 
-def _entropy(eos: EosSpec, rho, theta, s_shape):
-    return s_shape + eos.entropy_const + (4.0 * eos.a / 3.0) * theta ** 3 / rho
+def _pressure(eos: EosSpec, pw, p):
+    return pw.t25 * p + (eos.a / 3.0) * pw.t4
 
 
-def _energy(eos: EosSpec, rho, theta, p):
-    return 1.5 * theta ** 2.5 / rho * p + eos.a * theta ** 4 / rho
+def _entropy(eos: EosSpec, rho, pw, s_shape):
+    return s_shape + eos.entropy_const + (4.0 * eos.a / 3.0) * pw.t3 / rho
 
 
-def _energy_theta(eos: EosSpec, rho, theta, p, dp):
-    return 3.75 * theta ** 1.5 / rho * p - 2.25 * dp + 4.0 * eos.a * theta ** 3 / rho
+def _energy(eos: EosSpec, rho, pw, p):
+    return 1.5 * pw.t25 / rho * p + eos.a * pw.t4 / rho
+
+
+def _energy_theta(eos: EosSpec, rho, pw, p, dp):
+    return 3.75 * pw.t15 / rho * p - 2.25 * dp + 4.0 * eos.a * pw.t3 / rho
 
 
 def _pressure_rho(theta, dp):
     return theta * dp
 
 
-def _pressure_theta(eos: EosSpec, rho, theta, p, dp):
-    return 2.5 * theta ** 1.5 * p - 1.5 * rho * dp + (4.0 * eos.a / 3.0) * theta ** 3
+def _pressure_theta(eos: EosSpec, rho, pw, p, dp):
+    return 2.5 * pw.t15 * p - 1.5 * rho * dp + (4.0 * eos.a / 3.0) * pw.t3
+
+
+def _slopes(eos: EosSpec, rho, theta, pw, p, dp):
+    """(c^2, d(rho e)/drho|theta, d(rho e)/dtheta|rho): the adiabatic sound
+    speed squared dp/drho|theta + (dp/dtheta)^2 theta / (rho^2 de/dtheta),
+    and the slopes of rho e, the first (3/2) theta P'(Z) = (3/2) dp/drho."""
+    p_rho = _pressure_rho(theta, dp)
+    p_theta = _pressure_theta(eos, rho, pw, p, dp)
+    e_theta = _energy_theta(eos, rho, pw, p, dp)
+    return p_rho + p_theta * p_theta * theta / (rho * rho * e_theta), 1.5 * p_rho, rho * e_theta
 
 
 def _positive_density(rho):
@@ -539,27 +589,37 @@ def pressure(eos: EosSpec, rho, theta):
     rho = np.asarray(rho, dtype=float)
     if (rho < 0.0).any():
         raise EosDomainError("density must be nonnegative")
-    return _pressure(eos, theta, eos.shape_fn.p(_zvar(rho, theta)))
+    pw = _theta_powers(rho, theta)
+    return _pressure(eos, pw, eos.shape_fn.p(pw.z))
 
 
 def specific_internal_energy(eos: EosSpec, rho, theta):
     """e(rho, theta); strictly increasing in theta at fixed rho."""
     theta = _positive_temperature(theta)
     rho = _positive_density(rho)
-    return _energy(eos, rho, theta, eos.shape_fn.p(_zvar(rho, theta)))
+    pw = _theta_powers(rho, theta)
+    return _energy(eos, rho, pw, eos.shape_fn.p(pw.z))
 
 
-def stage_closures(eos: EosSpec, rho, theta):
+def stage_closures(eos: EosSpec, rho, theta, slopes: bool = False):
     """(p, e, s) at (rho, theta) from one Z and one (P, S) shape pass.
 
-    Checks theta > 0 and then rho > 0 once, with the messages of
+    With ``slopes``, one (P, P', S) pass returns (p, e, s, c^2, w_rho,
+    w_theta): the sound speed squared of ``sound_speed_sq`` and the slopes
+    w_rho = d(rho e)/drho|theta and w_theta = d(rho e)/dtheta|rho.  Checks
+    theta > 0 and then rho > 0 once, with the messages of
     ``specific_internal_energy``; each value equals its own closure's bitwise.
     """
     theta = _positive_temperature(theta)
     rho = _positive_density(rho)
-    p, s_shape = eos.shape_fn.p_entropy(_zvar(rho, theta))
-    return (_pressure(eos, theta, p), _energy(eos, rho, theta, p),
-            _entropy(eos, rho, theta, s_shape))
+    pw = _theta_powers(rho, theta)
+    if not slopes:
+        p, s_shape = eos.shape_fn.p_entropy(pw.z)
+        return (_pressure(eos, pw, p), _energy(eos, rho, pw, p),
+                _entropy(eos, rho, pw, s_shape))
+    p, dp, s_shape = eos.shape_fn.p_dp_entropy(pw.z)
+    return (_pressure(eos, pw, p), _energy(eos, rho, pw, p), _entropy(eos, rho, pw, s_shape),
+            *_slopes(eos, rho, theta, pw, p, dp))
 
 
 def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
@@ -570,9 +630,10 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     iconic shape rho e_delta = a theta^4 + (3/2 + delta) rho theta
     + (3/2) p_inf rho^{5/3}, a quartic whose coefficients are set up once,
     so an iterate evaluates no Z, no shape and no domain check.  Other
-    shapes evaluate one Z and one (P, P') per iterate.  Called with
-    ``slope=False`` the residual returns its value alone, which on a table
-    takes one P pass and no P'.
+    shapes evaluate the powers of theta, Z and one (P, P') per iterate.
+    Called with ``slope=False`` the residual returns its value alone, which
+    on a table takes one P pass and no P'.  At delta = 0 no delta term is
+    formed.
     """
     rho = _positive_density(rho)
     w = np.asarray(w, dtype=float)
@@ -588,10 +649,16 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
 
     def residual(theta, slope=True):
         theta = np.asarray(theta, dtype=float)
-        z = _zvar(rho, theta)
-        p, dp = eos.shape_fn.p_dp(z) if slope else (eos.shape_fn.p(z), None)
-        f = rho * (_energy(eos, rho, theta, p) + delta * theta) - w
-        return (f, rho * (_energy_theta(eos, rho, theta, p, dp) + delta)) if slope else f
+        pw = _theta_powers(rho, theta)
+        p, dp = eos.shape_fn.p_dp(pw.z) if slope else (eos.shape_fn.p(pw.z), None)
+        e = _energy(eos, rho, pw, p)
+        if delta:
+            e = e + delta * theta
+        f = rho * e - w
+        if not slope:
+            return f
+        e_theta = _energy_theta(eos, rho, pw, p, dp)
+        return f, rho * (e_theta + delta if delta else e_theta)
     return residual
 
 
@@ -629,36 +696,37 @@ def specific_entropy(eos: EosSpec, rho, theta):
     rho = np.asarray(rho, dtype=float)
     if (rho <= 0.0).any():
         raise EosDomainError("density must be positive")
-    return _entropy(eos, rho, theta, eos.shape_fn.entropy_shape(_zvar(rho, theta)))
+    pw = _theta_powers(rho, theta, energy=False)
+    return _entropy(eos, rho, pw, eos.shape_fn.entropy_shape(pw.z))
 
 
 def pressure_rho_slope(eos: EosSpec, rho, theta):
     """dp/drho at fixed theta ( = theta P'(Z) )."""
     theta = np.asarray(theta, dtype=float)
-    return _pressure_rho(theta, eos.shape_fn.dp(_zvar(rho, theta)))
+    return _pressure_rho(theta, eos.shape_fn.dp(_theta_powers(rho, theta, energy=False).z))
 
 
 def pressure_theta_slope(eos: EosSpec, rho, theta):
     """dp/dtheta at fixed rho."""
     rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    p, dp = eos.shape_fn.p_dp(_zvar(rho, theta))
-    return _pressure_theta(eos, rho, theta, p, dp)
+    pw = _theta_powers(rho, theta)
+    p, dp = eos.shape_fn.p_dp(pw.z)
+    return _pressure_theta(eos, rho, pw, p, dp)
 
 
 def energy_theta_slope(eos: EosSpec, rho, theta):
     """de/dtheta at fixed rho (specific-heat-like, positive by stability)."""
     rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    p, dp = eos.shape_fn.p_dp(_zvar(rho, theta))
-    return _energy_theta(eos, rho, theta, p, dp)
+    pw = _theta_powers(rho, theta)
+    p, dp = eos.shape_fn.p_dp(pw.z)
+    return _energy_theta(eos, rho, pw, p, dp)
 
 
 def entropy_theta_slope(eos: EosSpec, rho, theta):
     """ds/dtheta at fixed rho ( = de/dtheta / theta, by Gibbs)."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    z = _zvar(rho, theta)
+    z = _theta_powers(rho, theta, energy=False).z
     return (-1.5 * z / theta * eos.shape_fn.entropy_shape_slope(z)
             + 4.0 * eos.a * theta ** 2 / rho)
 
@@ -684,19 +752,20 @@ def _gibbs_terms(eos: EosSpec, rho, theta):
     theta = np.asarray(theta, dtype=float)
     if np.any(theta <= 0.0) or np.any(rho <= 0.0):
         raise EosDomainError("gibbs_residual needs rho > 0 and theta > 0")
-    z = _zvar(rho, theta)
+    pw = _theta_powers(rho, theta)
+    z = pw.z
     pz = eos.shape_fn.p(z)
     dpz = eos.shape_fn.dp(z)
     sz = eos.shape_fn.entropy_shape_slope(z)
 
     # theta * d(S(Z))/dtheta  vs  d/dtheta of the P-part of e
     s_route_1 = -1.5 * z * sz
-    e_route_1 = 3.75 * theta ** 1.5 / rho * pz - 2.25 * dpz
+    e_route_1 = 3.75 * pw.t15 / rho * pz - 2.25 * dpz
 
     # theta * d(S(Z))/drho  vs  d/drho of the P-part of (e - p/rho)
-    s_route_2 = sz * theta ** -0.5
-    e_route_2 = 1.5 * (theta * dpz / rho - theta ** 2.5 * pz / rho ** 2)
-    p_route_2 = theta ** 2.5 * pz / rho ** 2
+    s_route_2 = sz * theta / pw.t15
+    e_route_2 = 1.5 * (theta * dpz / rho - pw.t25 * pz / rho ** 2)
+    p_route_2 = pw.t25 * pz / rho ** 2
     return (s_route_1, -e_route_1), (s_route_2, -e_route_2, p_route_2)
 
 
@@ -710,10 +779,8 @@ def sound_speed_sq(eos: EosSpec, rho, theta):
     from one Z and one (P, P') pass."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    p, dp = eos.shape_fn.p_dp(_zvar(rho, theta))
-    p_t = _pressure_theta(eos, rho, theta, p, dp)
-    e_t = _energy_theta(eos, rho, theta, p, dp)
-    return _pressure_rho(theta, dp) + p_t * p_t * theta / (rho * rho * e_t)
+    pw = _theta_powers(rho, theta)
+    return _slopes(eos, rho, theta, pw, *eos.shape_fn.p_dp(pw.z))[0]
 
 
 def transport_coefficients(ts: TransportSpec, theta):

@@ -517,6 +517,38 @@ def test_shape_p_dp_matches_separate_calls(name, eos_table, request):
         assert np.array_equal(s0, shape.entropy_shape(zk))
 
 
+@pytest.mark.parametrize("name", PARITY_EOS)
+def test_stage_slopes_match_finite_differences(name, request):
+    # w_rho = d(rho e)/drho at fixed theta and w_theta = d(rho e)/dtheta at
+    # fixed rho against central differences of rho e, on head, spline and
+    # tail Z
+    eos = request.getfixturevalue(name)
+    rho = np.array([0.003, 0.5, 2.0, 40.0, 2000.0])
+    theta = np.full_like(rho, 1.3)
+    _, _, _, _, w_rho, w_theta = th.stage_closures(eos, rho, theta, True)
+
+    def rho_e(r, t):
+        return r * th.specific_internal_energy(eos, r, t)
+    h = 1e-6
+    fd_rho = (rho_e(rho * (1 + h), theta) - rho_e(rho * (1 - h), theta)) / (2 * h * rho)
+    fd_theta = (rho_e(rho, theta * (1 + h)) - rho_e(rho, theta * (1 - h))) / (2 * h * theta)
+    np.testing.assert_allclose(w_rho, fd_rho, rtol=1e-7)
+    np.testing.assert_allclose(w_theta, fd_theta, rtol=1e-7)
+
+
+@pytest.mark.parametrize("name", PARITY_EOS)
+def test_shape_entropy_at_zero_is_silent(name, request):
+    # S = +inf and S' = -inf at Z = 0 on both shapes, with no warning (the
+    # suite makes warnings errors); P(0) = 0
+    shape = request.getfixturevalue(name).shape_fn
+    z = np.array([0.0, 1.0])
+    p, s = shape.p_entropy(z)
+    assert p[0] == 0.0 and s[0] == np.inf and np.isfinite(s[1])
+    assert shape.entropy_shape(z)[0] == np.inf and np.isfinite(shape.entropy_shape(z)[1])
+    slope = shape.entropy_shape_slope(z)
+    assert slope[0] == -np.inf and np.isfinite(slope[1])
+
+
 @pytest.mark.parametrize("theta0", (1.0, 4.0))
 @pytest.mark.parametrize("name", PARITY_EOS)
 def test_fused_closures_match_separate_calls(name, theta0, eos_table, request):
@@ -524,11 +556,12 @@ def test_fused_closures_match_separate_calls(name, theta0, eos_table, request):
     z = _parity_z(eos_table)
     theta = np.full_like(z, theta0)
     rho = z * theta0 ** 1.5
-    assert np.array_equal(th._zvar(rho, theta), z)  # the probe hits the intended Z
+    assert np.array_equal(th._theta_powers(rho, theta).z, z)  # the probe hits the intended Z
     e = th.specific_internal_energy(eos, rho, theta)
     de = th.energy_theta_slope(eos, rho, theta)
-    # the stage's one (p, e, s) pass, on the mixed array (the masked path on a
-    # table), on head, spline and tail alone, and one Z at a time
+    # the stage's one (p, e, s) pass and its pass with slopes, on the mixed
+    # array (the masked path on a table), on head, spline and tail alone,
+    # and one Z at a time
     shape = eos_table.shape_fn
     parts = (z < shape.z_lo, (z >= shape.z_lo) & (z <= shape.z_hi), z > shape.z_hi)
     for sel in (slice(None),) + parts + tuple(range(z.size)):
@@ -537,6 +570,11 @@ def test_fused_closures_match_separate_calls(name, theta0, eos_table, request):
         assert np.array_equal(p_s, th.pressure(eos, r, t))
         assert np.array_equal(e_s, th.specific_internal_energy(eos, r, t))
         assert np.array_equal(s_s, th.specific_entropy(eos, r, t))
+        *closures, c2, w_rho, w_theta = th.stage_closures(eos, r, t, True)
+        assert all(map(np.array_equal, closures, (p_s, e_s, s_s)))
+        assert np.array_equal(c2, th.sound_speed_sq(eos, r, t))
+        assert np.array_equal(w_rho, 1.5 * th.pressure_rho_slope(eos, r, t))
+        assert np.array_equal(w_theta, r * th.energy_theta_slope(eos, r, t))
     if eos.shape == "table":
         # the table residual is the separate closures, operation for operation
         w = 0.5 * rho
@@ -656,10 +694,11 @@ def _assert_quartic_matches_closures(eos, rho, theta, delta):
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     f, df = th.energy_density_residual(eos, rho, np.zeros_like(rho), delta)(theta)
-    p, dp = eos.shape_fn.p_dp(th._zvar(rho, theta))
-    np.testing.assert_allclose(f, rho * (th._energy(eos, rho, theta, p) + delta * theta),
+    pw = th._theta_powers(rho, theta)
+    p, dp = eos.shape_fn.p_dp(pw.z)
+    np.testing.assert_allclose(f, rho * (th._energy(eos, rho, pw, p) + delta * theta),
                                rtol=1e-14, atol=0.0)
-    slope = rho * (th._energy_theta(eos, rho, theta, p, dp) + delta)
+    slope = rho * (th._energy_theta(eos, rho, pw, p, dp) + delta)
     terms = 3.75 * theta ** 1.5 * p + 2.25 * rho * dp + 4.0 * eos.a * theta ** 3 + rho * delta
     assert np.all(np.abs(df - slope) <= 1e-14 * terms)
     for r, t, d in zip(rho.ravel(), theta.ravel(), np.ravel(df)):

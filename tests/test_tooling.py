@@ -185,3 +185,44 @@ def test_step_looks_up_its_plan_once(eos, transport, monkeypatch):
         monkeypatch.setattr(cls, "__hash__", counted)
     assert solver.step(state, mesh, eos, transport, cfg, bspec, dt)[3] == 0
     assert hashes["Mesh1D"] <= 1 and hashes["BoundarySpec"] <= 1, hashes
+
+
+def _theta_power_sites(path: Path) -> list:
+    """(function, line) of each power of theta a module takes: ``**`` of an
+    expression that reads ``theta`` to a literal exponent other than 1 or 2,
+    or a sqrt, cbrt, power or pow call on one.  Exponents that are not
+    literals, such as the transport law's lambda_exp, are parameters of a
+    law, not powers the closures share."""
+    def reads_theta(node):
+        return any(isinstance(n, ast.Name) and n.id == "theta" for n in ast.walk(node))
+
+    def literal(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            value = literal(node.operand)
+            return None if value is None else -value
+        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+            return node.value
+        return None
+
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow):
+                exponent = literal(child.right)
+                if reads_theta(child.left) and exponent is not None and exponent not in (1, 2):
+                    sites.append((func, child.lineno))
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name in ("sqrt", "cbrt", "power", "pow") and any(map(reads_theta, child.args)):
+                    sites.append((func, child.lineno))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_thermo_takes_powers_of_theta_in_one_helper():
+    # the closures read theta^{3/2}, theta^{5/2}, theta^3, theta^4 and Z from
+    # one helper, built from one sqrt, instead of a ** pass per term
+    sites = _theta_power_sites(ROOT / "src" / "nsfsim" / "thermo.py")
+    assert sites and {func for func, _ in sites} == {"_theta_powers"}, sites
