@@ -6,13 +6,15 @@ volume term is a window difference of the solver's own accumulators, which
 carry the update's stage, epsilon and delta weights, so the mass identity
 telescopes to rounding and the residuals measure scheme, not quadrature, error.
 
-Storage is evaluated on the recorded states stacked into (k, n) arrays, one
-closure call per quantity.  The a-priori sup over all T outputs is thus one
-e and one s call on O(n T) array work, not T calls.  A window audit
-resolves its two ends once and makes one e and one s call per audit, not
-per budget, whatever the output count: the window-independent a-priori
-monitor of its report is evaluated when read.  The weak-strong trace makes
-one relative-energy call on the stacked coarse and block-averaged fine states.
+Storage is evaluated on the recorded states stacked into (k, n) arrays by
+one :func:`~nsfsim.thermo.stage_closures` call, which gives e_delta and
+s_delta together.  The a-priori sup over all T outputs is thus one closure
+call on O(n T) array work, not T calls.  A window audit resolves its two
+ends once and makes one closure call, whatever the output count; each
+single budget indexes the same full balances.  The window-independent
+a-priori monitor of a report is evaluated when read.  The weak-strong trace
+makes one relative-energy call on the stacked coarse and block-averaged fine
+states.
 
 Conventions (all with constant-in-time test function, outward normals):
 
@@ -37,6 +39,7 @@ import numpy as np
 
 from .relent import RelEnergyTrace, relative_energy_fields
 from .solver import THETA_BAR, Trajectory, _step_plan
+from .thermo import stage_closures
 
 ENTROPY_TOL = 1e-8
 MASS_TOL_PER_STEP = 1e-11
@@ -91,24 +94,21 @@ def _stacked(states) -> np.ndarray:
     return np.stack([(st.rho, st.u, st.theta) for st in states], axis=1)
 
 
-def _storages(traj: Trajectory, states, energy=True, entropy=True):
-    """Mass, energy and entropy integrals of each state; None where not asked.
+def _storages(traj: Trajectory, states):
+    """Mass, energy and entropy integrals of each state.
 
-    The states are stacked into (k, n) arrays, so each closure runs once on
-    the stack; row sums times h are the :meth:`Mesh1D.integrate` quadrature.
+    The states are stacked into (k, n) arrays, so one ``stage_closures``
+    call gives e_delta and s_delta on the stack; row sums times h are the
+    :meth:`Mesh1D.integrate` quadrature.
     """
     cfg, h = traj.config, traj.mesh.h
     rho, u, theta = _stacked(states)
-    out = [rho.sum(axis=1) * h, None, None]
-    if energy:
-        ub = _step_plan(traj.mesh, traj.boundary).ub_ext
-        dens = 0.5 * rho * (u - ub) ** 2 + rho * cfg.internal_energy(traj.eos, rho, theta)
-        if cfg.delta > 0.0:
-            dens = dens + cfg.delta * cfg.delta_pressure_potential(rho)
-        out[1] = dens.sum(axis=1) * h
-    if entropy:
-        out[2] = (rho * cfg.entropy(traj.eos, rho, theta)).sum(axis=1) * h
-    return out
+    _, e, s = stage_closures(traj.eos, rho, theta, delta=cfg.delta)
+    ub = _step_plan(traj.mesh, traj.boundary).ub_ext
+    dens = 0.5 * rho * (u - ub) ** 2 + rho * e
+    if cfg.delta > 0.0:
+        dens = dens + cfg.delta * cfg.delta_pressure_potential(rho)
+    return rho.sum(axis=1) * h, dens.sum(axis=1) * h, (rho * s).sum(axis=1) * h
 
 
 def _default_window(traj: Trajectory, window):
@@ -124,71 +124,69 @@ def mass_budget(traj: Trajectory, window=None) -> float:
     prescribed inflow flux rho_b u_b.n, the interior outflow trace, and the
     Robin diffusive flux when the mass regularization is active).
     """
-    return _balances(traj, window, energy=False, entropy=False)[0]
+    return _balances(traj, window)[0]
 
 
 def energy_budget(traj: Trajectory, window=None):
     """Signed residual (LHS - RHS) of the total energy balance plus terms."""
-    return _balances(traj, window, entropy=False)[1]
+    return _balances(traj, window)[1]
 
 
 def entropy_budget(traj: Trajectory, window=None):
     """Entropy production (must be >= 0 up to tolerance) plus term breakdown."""
-    return _balances(traj, window, energy=False)[2]
+    return _balances(traj, window)[2]
 
 
-def _balances(traj: Trajectory, window, energy=True, entropy=True):
-    """[mass residual, (energy residual, terms), (entropy production, terms)]
-    over the window, None where not asked, from one storage evaluation."""
+def _balances(traj: Trajectory, window):
+    """(mass residual, (energy residual, terms), (entropy production, terms))
+    over the window, from one storage evaluation."""
     states, accs = _window_ends(traj, _default_window(traj, window))
-    mass, energy_storage, entropy_storage = _storages(traj, states, energy, entropy)
-    out = [float(mass[1] - mass[0]) + _delta_acc(accs, "mass_bdry"), None, None]
-    if energy:
-        terms = {}
-        terms["storage"] = float(energy_storage[1] - energy_storage[0])
-        terms["outflow_internal_energy"] = _delta_acc(accs, "energy_out_conv")
-        terms["outflow_delta_pressure"] = _delta_acc(accs, "delta_energy_out")
-        terms["inflow_energy_flux"] = _delta_acc(accs, "energy_bdry_in")
-        terms["inflow_delta_bregman"] = _drop_acc(accs, "delta_energy_in_gamma_breg")
-        terms["inflow_delta_mismatch"] = _drop_acc(accs, "delta_energy_in_rho_sq")
-        lhs = sum(terms.values())
+    mass, energy_storage, entropy_storage = _storages(traj, states)
+    mass_res = float(mass[1] - mass[0]) + _delta_acc(accs, "mass_bdry")
 
-        rhs_terms = {}
-        rhs_terms["convective_pressure_work"] = -_delta_acc(accs, "conv_p_grad_ub")
-        rhs_terms["boundary_kinetic_work"] = 0.5 * _delta_acc(accs, "rho_u_grad_ub2")
-        rhs_terms["stress_boundary_work"] = _delta_acc(accs, "S_grad_ub")
-        rhs_terms["body_force_work"] = _delta_acc(accs, "rho_g_rel_u")
-        rhs_terms["regularization_sources"] = (_delta_acc(accs, "delta_heating")
-                                               + _delta_acc(accs, "eps_radiation"))
-        rhs_terms["inflow_delta_reference"] = _drop_acc(accs, "delta_energy_in_rho_b_gamma")
-        rhs_terms["mass_diffusion_work"] = _delta_acc(accs, "eps_mom_ub")
-        rhs_terms["manufactured_source"] = _delta_acc(accs, "mms_energy_source")
-        rhs = sum(rhs_terms.values())
+    terms = {}
+    terms["storage"] = float(energy_storage[1] - energy_storage[0])
+    terms["outflow_internal_energy"] = _delta_acc(accs, "energy_out_conv")
+    terms["outflow_delta_pressure"] = _delta_acc(accs, "delta_energy_out")
+    terms["inflow_energy_flux"] = _delta_acc(accs, "energy_bdry_in")
+    terms["inflow_delta_bregman"] = _drop_acc(accs, "delta_energy_in_gamma_breg")
+    terms["inflow_delta_mismatch"] = _drop_acc(accs, "delta_energy_in_rho_sq")
+    lhs = sum(terms.values())
 
-        terms.update({f"rhs:{k}": v for k, v in rhs_terms.items()})
-        out[1] = lhs - rhs, terms
-    if entropy:
-        terms = {}
-        terms["storage"] = float(entropy_storage[1] - entropy_storage[0])
-        terms["outflow_efflux"] = _delta_acc(accs, "entropy_out_conv")
-        terms["dissipation"] = (_delta_acc(accs, "dissipation_no_delta")
-                                + _delta_acc(accs, "delta_heating_over_theta"))
-        terms["grad_rho_entropy"] = _delta_acc(accs, "eps_delta_grad_rho_heating_over_theta")
-        terms["radiation_sink"] = _drop_acc(accs, "eps_radiation_over_theta")
-        terms["mass_diffusion_entropy"] = _delta_acc(accs, "eps_grad_rho_grad_g")
-        terms["inflow_terms"] = _delta_acc(accs, "entropy_in")
-        terms["inflow_robin"] = _delta_acc(accs, "entropy_in_robin")
-        terms["manufactured_source"] = _delta_acc(accs, "mms_energy_source_over_theta")
-        production = (terms["storage"] + terms["outflow_efflux"]
-                      - terms["dissipation"]
-                      - terms["grad_rho_entropy"]
-                      + terms["radiation_sink"]
-                      - terms["mass_diffusion_entropy"]
-                      - terms["inflow_terms"]
-                      - terms["inflow_robin"]
-                      - terms["manufactured_source"])
-        out[2] = production, terms
-    return out
+    rhs_terms = {}
+    rhs_terms["convective_pressure_work"] = -_delta_acc(accs, "conv_p_grad_ub")
+    rhs_terms["boundary_kinetic_work"] = 0.5 * _delta_acc(accs, "rho_u_grad_ub2")
+    rhs_terms["stress_boundary_work"] = _delta_acc(accs, "S_grad_ub")
+    rhs_terms["body_force_work"] = _delta_acc(accs, "rho_g_rel_u")
+    rhs_terms["regularization_sources"] = (_delta_acc(accs, "delta_heating")
+                                           + _delta_acc(accs, "eps_radiation"))
+    rhs_terms["inflow_delta_reference"] = _drop_acc(accs, "delta_energy_in_rho_b_gamma")
+    rhs_terms["mass_diffusion_work"] = _delta_acc(accs, "eps_mom_ub")
+    rhs_terms["manufactured_source"] = _delta_acc(accs, "mms_energy_source")
+    rhs = sum(rhs_terms.values())
+    terms.update({f"rhs:{k}": v for k, v in rhs_terms.items()})
+    energy = lhs - rhs, terms
+
+    terms = {}
+    terms["storage"] = float(entropy_storage[1] - entropy_storage[0])
+    terms["outflow_efflux"] = _delta_acc(accs, "entropy_out_conv")
+    terms["dissipation"] = (_delta_acc(accs, "dissipation_no_delta")
+                            + _delta_acc(accs, "delta_heating_over_theta"))
+    terms["grad_rho_entropy"] = _delta_acc(accs, "eps_delta_grad_rho_heating_over_theta")
+    terms["radiation_sink"] = _drop_acc(accs, "eps_radiation_over_theta")
+    terms["mass_diffusion_entropy"] = _delta_acc(accs, "eps_grad_rho_grad_g")
+    terms["inflow_terms"] = _delta_acc(accs, "entropy_in")
+    terms["inflow_robin"] = _delta_acc(accs, "entropy_in_robin")
+    terms["manufactured_source"] = _delta_acc(accs, "mms_energy_source_over_theta")
+    production = (terms["storage"] + terms["outflow_efflux"]
+                  - terms["dissipation"]
+                  - terms["grad_rho_entropy"]
+                  + terms["radiation_sink"]
+                  - terms["mass_diffusion_entropy"]
+                  - terms["inflow_terms"]
+                  - terms["inflow_robin"]
+                  - terms["manufactured_source"])
+    return mass_res, energy, (production, terms)
 
 
 def apriori_monitor(traj: Trajectory) -> dict:

@@ -45,7 +45,7 @@ from . import boundary as bd
 from .mesh import Mesh1D
 from .relent import _write_csv
 from .solver import (FieldState, SolverConfig, Trajectory, initial_data_problems,
-                     output_times_problem, run as run_solver)
+                     output_times_problem, recorded_times, run as run_solver)
 from .thermo import (EosSpec, EosValidationError, TransportSpec,
                      check_eos_invariants)
 
@@ -149,8 +149,8 @@ class Scenario:
 # check; mesh, face and config map each key to its type.
 _TOP_KEYS = ("mesh", "eos", "transport", "boundary", "config", "initial", "output_times")
 _MESH_KINDS = {"x0": float, "x1": float, "n": int}
-_EOS_FLOATS = ("a", "p_inf", "entropy_const")
-_EOS_KEYS = ("shape", *_EOS_FLOATS, "third_law", "table")
+_EOS_KINDS = {"a": float, "p_inf": float, "entropy_const": float, "third_law": bool}
+_EOS_KEYS = ("shape", *_EOS_KINDS, "table")
 _TRANSPORT_KEYS = ("lambda_exp", "mu_scale", "eta_scale", "kappa_scale")
 _BOUNDARY_KEYS = ("faces",)
 _FACE_KINDS = {"pos": float, "u_b": float, "rho_b": float, "F_ib": float, "wall": bool}
@@ -185,15 +185,25 @@ def _object_sections(doc: dict, sections: dict, issues: list) -> dict:
     return docs
 
 
+def _as_kind(kind, value):
+    """``value`` as ``kind`` where its JSON type reads as one: an int takes an
+    integral number or a numeric string, a float a number that is not a
+    boolean or a numeric string, a bool only true or false."""
+    if isinstance(value, bool) != (kind is bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise TypeError
+    return kind(value)
+
+
 def _typed(doc: dict, kinds: dict, path: str, code: str, issues: list) -> Optional[dict]:
-    """{key: kind(doc[key])} over the keys of ``kinds`` that ``doc`` holds;
-    None if ``kind`` rejects any value, with one issue per rejected value."""
+    """{key: doc[key] as kind} over the keys of ``kinds`` that ``doc`` holds;
+    None if ``_as_kind`` rejects any value, with one issue per rejected value."""
     n_issues = len(issues)
     out = {}
     for key, kind in kinds.items():
         if key in doc:
             try:
-                out[key] = kind(doc[key])
+                out[key] = _as_kind(kind, doc[key])
             except (TypeError, ValueError):
                 issues.append(Issue(f"{path}{key}", code,
                                     f"expected {kind.__name__}, got {doc[key]!r}"))
@@ -203,10 +213,9 @@ def _typed(doc: dict, kinds: dict, path: str, code: str, issues: list) -> Option
 def _build_eos(doc: dict, issues: list) -> tuple:
     """(EosSpec or None, its {invariant: (ok, detail)}); each failed invariant
     is also an ``eos-invariant`` issue."""
-    kw = _typed(doc, dict.fromkeys(_EOS_FLOATS, float), "eos.", "eos-schema", issues)
+    kw = _typed(doc, _EOS_KINDS, "eos.", "eos-schema", issues)
     if kw is None:
         return None, {}
-    kw["third_law"] = bool(doc.get("third_law", False))
     kw["shape"] = doc.get("shape", "iconic")
     if "table" in doc:
         for key in ("z", "p"):
@@ -373,8 +382,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if cfg is not None and (problem := output_times_problem(output_times, cfg.t_end)):
         issues.append(Issue("output_times", "config-schema", problem))
     elif cfg is not None and (shared := _shared_state_file_names(
-            [*output_times, 0.0, cfg.t_end])):
-        # the run records these times, 0 and t_end included, one state file each
+            recorded_times(output_times, cfg.t_end))):
+        # one state file per recorded time
         issues.append(Issue("output_times", "config-schema",
                             f"distinct output times share the state files {shared}"))
 

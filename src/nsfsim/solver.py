@@ -49,7 +49,9 @@ no such symbol is found, a pure-Python LDL^T sweep in the same order of
 operations does.
 
 Each stage pads the state with one ghost cell per side and makes one
-``stage_closures`` pass for (p, e, s) on the padded arrays; fluxes, sources
+``stage_closures`` pass for (p, e_delta, s_delta) on the padded arrays, with
+the weight delta of the configuration: the delta terms of e and s are
+formed there, in :mod:`nsfsim.thermo`, and nowhere here.  Fluxes, sources
 and the budget record all read that one evaluation.  The first stage's pass
 also has slopes: the sound speed, from which ``run`` takes the dt of
 ``stable_dt`` with no pass of its own, and w_rho = d(rho e_delta)/drho and
@@ -68,7 +70,9 @@ guess that makes no EOS call: the predictor's theta^n
 + (w_n - (w1 + dw) - w_rho (rho_n - rho1)) / C with the first stage's
 w_rho, since rho_n - rho1 is O(dt^2); each takes two Newton evaluations on
 smooth data where theta^n and theta_l took two or three.  A step thus makes
-four EOS passes: two ``stage_closures`` and two residual builds.  Every
+four EOS passes: two ``stage_closures`` and two residual builds.
+``euler_step`` has no density change to follow: its stage pass has no
+slopes, and its first recovery starts from theta^n.  Every
 budget-relevant face flux and volume integrand is accumulated during the
 run with the same weights as the update itself: the stage terms with the
 stage weights, the implicit terms with weight dt (the entropy terms at the
@@ -95,8 +99,7 @@ import numpy as np
 from .boundary import BoundarySpec, FaceKind
 from .mesh import Mesh1D
 from .thermo import (EosSpec, EosDomainError, TransportSpec, _energy_density_rho_slope,
-                     energy_density_residual, sound_speed_sq, specific_entropy,
-                     specific_internal_energy, stage_closures)
+                     energy_density_residual, sound_speed_sq, stage_closures)
 
 
 class StepRejected(Exception):
@@ -181,27 +184,9 @@ class SolverConfig:
             cond = cond + self.delta * (theta ** self.Gamma + 1.0 / theta)
         return cond
 
-    def internal_energy(self, eos: EosSpec, rho, theta):
-        """Regularized specific internal energy e_delta = e + delta theta."""
-        return self._energy_delta(specific_internal_energy(eos, rho, theta), theta)
-
-    def entropy(self, eos: EosSpec, rho, theta):
-        """Regularized specific entropy s_delta = s + delta log theta."""
-        return self._entropy_delta(specific_entropy(eos, rho, theta), theta)
-
     def delta_pressure_potential(self, rho):
         """rho^Gamma/(Gamma - 1) + rho^2, whose delta multiple stores the delta-pressure."""
         return rho ** self.Gamma / (self.Gamma - 1.0) + rho ** 2
-
-    def _energy_delta(self, e, theta):
-        if self.delta > 0.0:
-            e = e + self.delta * theta
-        return e
-
-    def _entropy_delta(self, s, theta):
-        if self.delta > 0.0:
-            s = s + self.delta * np.log(theta)
-        return s
 
 
 @dataclass(frozen=True)
@@ -351,17 +336,8 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     for f, i, _ in plan.faces:
         u_face[i] = f.u_b
 
-    p_p, e_p, s_p, *slope_values = stage_closures(eos, rho_p, theta_p, slopes)
-    e_p = cfg._energy_delta(e_p, theta_p)
-    fields = dict(rho=rho_p, u=u_p, theta=theta_p, p=p_p, e=e_p,
-                  s=cfg._entropy_delta(s_p, theta_p), w=rho_p * e_p)
-    if slopes:
-        # the slopes of rho e_delta = rho e + delta rho theta
-        c2, w_rho, w_theta = slope_values
-        if cfg.delta > 0.0:
-            w_rho, w_theta = w_rho + cfg.delta * theta_p, w_theta + cfg.delta * rho_p
-        fields.update(c2=c2, w_rho=w_rho, w_theta=w_theta)
-    pad = StageFields(**fields)
+    p_p, e_p, s_p, *slope_values = stage_closures(eos, rho_p, theta_p, slopes, cfg.delta)
+    pad = StageFields(rho_p, u_p, theta_p, p_p, e_p, s_p, rho_p * e_p, *slope_values)
 
     take_left = u_face >= 0.0
     rho_up = np.where(take_left, rho_p[:-1], rho_p[1:])
@@ -713,15 +689,15 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     The energy takes the solves' increments in flux form, as in ``step``,
     and theta is recovered from it at the frozen density ``state.rho``
     (before the solves too): it is the temperature update of the energy
-    balance with (rho, u) held fixed.  The first recovery starts from the
-    linearised guess of :func:`step`'s predictor with the density change
-    zero, the second from the conduction solve's temperature.
+    balance with (rho, u) held fixed.  The stage's EOS pass has no slopes:
+    the first recovery starts from theta^n, one Newton step from the
+    linearised guess of :func:`step`'s predictor with no density change, and
+    the second from the conduction solve's temperature.
     """
     plan = _step_plan(mesh, bspec)
-    stage = _stage_rhs(mesh, eos, cfg, plan, 0.0, state)
+    stage = _stage_rhs(mesh, eos, cfg, plan, 0.0, state, False)
     rho, m, w = _predictor(cfg, state, stage, dt)
-    start = _linear_start(state.theta, dt * stage[2], 0.0, 0.0, stage[3].w_theta)
-    theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, start)
+    theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, state.theta)
     u, _, _, theta_l, _, dw = _implicit_solves(
         mesh, ts, cfg, plan, stage[3].theta_face, rho, m, theta_hat, capacity, dt)
     return rho, rho * u, _recover_theta(eos, cfg, state.rho, w + dw, theta_l)[0]
@@ -863,6 +839,14 @@ def output_times_problem(output_times, t_end: float) -> Optional[str]:
     return f"output times must lie in [0, t_end], got {bad[0]:g}" if bad else None
 
 
+def recorded_times(output_times, t_end: float) -> list:
+    """The instants a run records for admitted ``output_times``: sorted and
+    distinct, 0 and t_end added, a time in the slack past t_end taken as
+    t_end."""
+    t_end = float(t_end)
+    return sorted({min(float(t), t_end) for t in output_times} | {0.0, t_end})
+
+
 def initial_data_problems(fields: dict) -> list:
     """[(field, check, message)] for the initial fields (any of rho, u, theta)
     a run refuses: "finite" for each field with non-finite cells, then
@@ -889,7 +873,7 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
         output_times = [0.0, cfg.t_end]
     if problem := output_times_problem(output_times, cfg.t_end):
         raise ValueError(problem)
-    outs = sorted(set(float(t) for t in output_times) | {0.0, float(cfg.t_end)})
+    outs = recorded_times(output_times, cfg.t_end)
 
     state = initial.copy()
     if problems := initial_data_problems(vars(state)):

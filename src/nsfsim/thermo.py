@@ -34,14 +34,19 @@ with no ``np.polynomial``), and the closures apply formulas written once in
 (rho, the powers of theta, P, P', S).  ``_theta_powers`` builds Z and
 theta^{3/2}, theta^{5/2}, theta^3, theta^4 from one sqrt, once per closure
 pass and once per Newton iterate; no other function raises theta to a
-fractional or large power.  ``stage_closures`` is a solver stage's one EOS
-pass: (p, e, s) from one Z and one (P, S) pass, or with slopes from one
-(P, P', S) pass that adds the sound speed squared and the slopes of rho e in
-rho and theta, each bitwise equal to its separate closure.
-``energy_density_residual`` builds the residual of the solver's temperature
-recovery once per solve (a quartic in theta on the iconic shape, one
-(P, P') pass per iterate on a table), ``sound_speed_sq`` is the step
-limit's sound speed, and ``gibbs_residual`` keeps independent routes.
+fractional or large power.  ``stage_closures`` is a solver stage's and a
+budget audit's one EOS pass: (p, e_delta, s_delta) from one Z and one
+(P, S) pass, or with slopes from one (P, P', S) pass that adds the sound
+speed squared and the slopes of rho e_delta in rho and theta.  Its weight
+delta gives the energy and entropy of the regularized system,
+e_delta = e + delta theta and s_delta = s + delta log theta; this module is
+the one place those terms are formed, and at delta = 0 none is, each value
+then bitwise equal to its separate closure.  ``energy_density_residual``
+builds the residual of the solver's temperature recovery, rho e_delta - w,
+once per solve (a quartic in theta on the iconic shape, one (P, P') pass
+per iterate on a table), ``sound_speed_sq`` is the step limit's sound
+speed, and ``gibbs_residual`` keeps independent routes.  The slope closures
+check the domain of the closure they differentiate, as p or e does.
 ``temperature_from_entropy`` inverts rho s by bracketed Newton in log theta
 on ``entropy_density_residual``; ``extended_internal_energy`` E(rho, S) has
 closed-form boundary values (radiation at rho = 0, cold on the S = 0 edge).
@@ -576,50 +581,70 @@ def _positive_density(rho):
 
 
 def _positive_temperature(theta):
-    """theta as an array, after the temperature check of e."""
+    """theta as an array, after the temperature check of p and e."""
     theta = np.asarray(theta, dtype=float)
     if (theta <= 0.0).any():
         raise EosDomainError("temperature must be positive")
     return theta
 
 
-def pressure(eos: EosSpec, rho, theta):
-    """p(rho, theta); strictly increasing in rho at fixed theta."""
+def _p_domain(rho, theta):
+    """(rho, theta) as arrays, after the checks of p: theta > 0, then rho >= 0."""
     theta = _positive_temperature(theta)
     rho = np.asarray(rho, dtype=float)
     if (rho < 0.0).any():
         raise EosDomainError("density must be nonnegative")
+    return rho, theta
+
+
+def _e_domain(rho, theta):
+    """(rho, theta) as arrays, after the checks of e: theta > 0, then rho > 0."""
+    theta = _positive_temperature(theta)
+    return _positive_density(rho), theta
+
+
+def pressure(eos: EosSpec, rho, theta):
+    """p(rho, theta); strictly increasing in rho at fixed theta."""
+    rho, theta = _p_domain(rho, theta)
     pw = _theta_powers(rho, theta)
     return _pressure(eos, pw, eos.shape_fn.p(pw.z))
 
 
 def specific_internal_energy(eos: EosSpec, rho, theta):
     """e(rho, theta); strictly increasing in theta at fixed rho."""
-    theta = _positive_temperature(theta)
-    rho = _positive_density(rho)
+    rho, theta = _e_domain(rho, theta)
     pw = _theta_powers(rho, theta)
     return _energy(eos, rho, pw, eos.shape_fn.p(pw.z))
 
 
-def stage_closures(eos: EosSpec, rho, theta, slopes: bool = False):
-    """(p, e, s) at (rho, theta) from one Z and one (P, S) shape pass.
+def stage_closures(eos: EosSpec, rho, theta, slopes: bool = False, delta: float = 0.0):
+    """(p, e_delta, s_delta) at (rho, theta) from one Z and one (P, S) shape
+    pass, with e_delta = e + delta theta and s_delta = s + delta log theta
+    the energy and entropy of the regularized system.
 
-    With ``slopes``, one (P, P', S) pass returns (p, e, s, c^2, w_rho,
-    w_theta): the sound speed squared of ``sound_speed_sq`` and the slopes
-    w_rho = d(rho e)/drho|theta and w_theta = d(rho e)/dtheta|rho.  Checks
-    theta > 0 and then rho > 0 once, with the messages of
-    ``specific_internal_energy``; each value equals its own closure's bitwise.
+    With ``slopes``, one (P, P', S) pass returns (p, e_delta, s_delta, c^2,
+    w_rho, w_theta): the sound speed squared of ``sound_speed_sq`` and the
+    slopes w_rho = d(rho e_delta)/drho|theta and w_theta =
+    d(rho e_delta)/dtheta|rho.  Checks theta > 0 and then rho > 0 once, with
+    the messages of ``specific_internal_energy``; at delta = 0 no delta term
+    is formed and each value equals its own closure's bitwise.
     """
-    theta = _positive_temperature(theta)
-    rho = _positive_density(rho)
+    rho, theta = _e_domain(rho, theta)
     pw = _theta_powers(rho, theta)
-    if not slopes:
+    if slopes:
+        p, dp, s_shape = eos.shape_fn.p_dp_entropy(pw.z)
+    else:
         p, s_shape = eos.shape_fn.p_entropy(pw.z)
-        return (_pressure(eos, pw, p), _energy(eos, rho, pw, p),
-                _entropy(eos, rho, pw, s_shape))
-    p, dp, s_shape = eos.shape_fn.p_dp_entropy(pw.z)
-    return (_pressure(eos, pw, p), _energy(eos, rho, pw, p), _entropy(eos, rho, pw, s_shape),
-            *_slopes(eos, rho, theta, pw, p, dp))
+    e, s = _energy(eos, rho, pw, p), _entropy(eos, rho, pw, s_shape)
+    if delta:
+        e, s = e + delta * theta, s + delta * np.log(theta)
+    closures = (_pressure(eos, pw, p), e, s)
+    if not slopes:
+        return closures
+    c2, w_rho, w_theta = _slopes(eos, rho, theta, pw, p, dp)
+    if delta:
+        w_rho, w_theta = w_rho + delta * theta, w_theta + delta * rho
+    return (*closures, c2, w_rho, w_theta)
 
 
 def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
@@ -702,13 +727,13 @@ def specific_entropy(eos: EosSpec, rho, theta):
 
 def pressure_rho_slope(eos: EosSpec, rho, theta):
     """dp/drho at fixed theta ( = theta P'(Z) )."""
-    theta = np.asarray(theta, dtype=float)
+    rho, theta = _p_domain(rho, theta)
     return _pressure_rho(theta, eos.shape_fn.dp(_theta_powers(rho, theta, energy=False).z))
 
 
 def pressure_theta_slope(eos: EosSpec, rho, theta):
     """dp/dtheta at fixed rho."""
-    rho = np.asarray(rho, dtype=float)
+    rho, theta = _p_domain(rho, theta)
     pw = _theta_powers(rho, theta)
     p, dp = eos.shape_fn.p_dp(pw.z)
     return _pressure_theta(eos, rho, pw, p, dp)
@@ -716,7 +741,7 @@ def pressure_theta_slope(eos: EosSpec, rho, theta):
 
 def energy_theta_slope(eos: EosSpec, rho, theta):
     """de/dtheta at fixed rho (specific-heat-like, positive by stability)."""
-    rho = np.asarray(rho, dtype=float)
+    rho, theta = _e_domain(rho, theta)
     pw = _theta_powers(rho, theta)
     p, dp = eos.shape_fn.p_dp(pw.z)
     return _energy_theta(eos, rho, pw, p, dp)
@@ -724,8 +749,7 @@ def energy_theta_slope(eos: EosSpec, rho, theta):
 
 def entropy_theta_slope(eos: EosSpec, rho, theta):
     """ds/dtheta at fixed rho ( = de/dtheta / theta, by Gibbs)."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    rho, theta = _e_domain(rho, theta)
     z = _theta_powers(rho, theta, energy=False).z
     return (-1.5 * z / theta * eos.shape_fn.entropy_shape_slope(z)
             + 4.0 * eos.a * theta ** 2 / rho)
@@ -771,14 +795,14 @@ def _gibbs_terms(eos: EosSpec, rho, theta):
 
 def stability_margins(eos: EosSpec, rho, theta):
     """(dp/drho|_theta, de/dtheta|_rho); both positive for admissible closures."""
+    rho, theta = _e_domain(rho, theta)
     return pressure_rho_slope(eos, rho, theta), energy_theta_slope(eos, rho, theta)
 
 
 def sound_speed_sq(eos: EosSpec, rho, theta):
     """Adiabatic sound speed squared, dp/drho|_theta + (dp/dtheta)^2 theta / (rho^2 de/dtheta),
     from one Z and one (P, P') pass."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    rho, theta = _e_domain(rho, theta)
     pw = _theta_powers(rho, theta)
     return _slopes(eos, rho, theta, pw, *eos.shape_fn.p_dp(pw.z))[0]
 

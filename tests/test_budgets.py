@@ -197,20 +197,22 @@ def test_audit_report_shape(throughflow_traj):
 
 
 def test_window_audit_cost_independent_of_output_count(eos, throughflow_setup, monkeypatch):
-    # a window audit evaluates its two window-end storages only (one e and
-    # one s call); the a-priori sup over all outputs is one more e and s
-    # call on the stacked states, made when the report's apriori is read
+    # a window audit evaluates its two window-end storages only (one
+    # closure call for e_delta and s_delta); the a-priori sup over all
+    # outputs is one more call on the stacked states, made when the
+    # report's apriori is read
     mesh, ts, _, bspec, initial = throughflow_setup
     cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.01)
     trajs = [sv.run(mesh, eos, ts, cfg, bspec, initial,
                     output_times=np.linspace(0.0, cfg.t_end, k)) for k in (5, 41)]
     calls = {}
-    for name, fn in list(vars(sv).items()):
-        if inspect.isfunction(fn) and fn.__module__ == th.__name__:
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(sv, name, counted)
+    for module in (sv, bg):
+        for name, fn in list(vars(module).items()):
+            if inspect.isfunction(fn) and fn.__module__ == th.__name__:
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
     counts = []
     for traj in trajs:
         calls.clear()
@@ -219,11 +221,12 @@ def test_window_audit_cost_independent_of_output_count(eos, throughflow_setup, m
         assert report.apriori == bg.apriori_monitor(traj)
         counts.append(dict(calls))
     assert [len(traj.times) for traj in trajs] == [5, 41]
-    assert counts[0] == counts[2] == {"specific_internal_energy": 1, "specific_entropy": 1}
-    assert counts[1] == counts[3] == {"specific_internal_energy": 3, "specific_entropy": 3}
+    assert counts[0] == counts[2] == {"stage_closures": 1}
+    assert counts[1] == counts[3] == {"stage_closures": 3}
+    # each single budget indexes the full balances: one closure call too
     calls.clear()
     bg.mass_budget(trajs[1], window=(trajs[1].times[1], trajs[1].times[2]))
-    assert calls == {}
+    assert calls == {"stage_closures": 1}
 
 
 # ---------------------------------------------------------------------------

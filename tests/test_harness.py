@@ -17,6 +17,8 @@ import nsfsim
 from nsfsim import cli, mms, relent, scenario as sc, solver, studies
 from nsfsim.mesh import Mesh1D
 
+from conftest import make_table_eos
+
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
@@ -167,9 +169,41 @@ def _drop_table_z(doc):
     doc["eos"] = {"shape": "table", "table": {"p": [1.0, 2.0, 3.0]}}
 
 
+def _set_cells_fraction(doc):
+    doc["mesh"]["n"] = 64.7
+
+
+def _set_cells_flag(doc):
+    doc["mesh"]["n"] = True
+
+
+def _set_dimension_fraction(doc):
+    doc["config"]["d"] = 2.9
+
+
+def _set_face_speed_flag(doc):
+    doc["boundary"]["faces"][0]["u_b"] = True
+
+
+def _set_third_law_string(doc):
+    eos = make_table_eos(third_law=True)
+    doc["eos"] = {"shape": "table", "third_law": "false",
+                  "table": {"z": list(eos.table_z), "p": list(eos.table_p)}}
+
+
+def _set_outflow_wall_string(doc):
+    doc["boundary"]["faces"] = [{"pos": 0.0, "u_b": 0.5, "rho_b": 1.0, "F_ib": -2.0},
+                                {"pos": 1.0, "u_b": 0.5, "wall": "no"}]
+
+
 @pytest.mark.parametrize("corrupt, path", [
     (_set_eos_a, "eos.a"), (_set_face_speed, "boundary.faces[0].u_b"),
-    (_set_mesh_number, "mesh"), (_drop_table_z, "eos.table.z")])
+    (_set_mesh_number, "mesh"), (_drop_table_z, "eos.table.z"),
+    # a value keeps its JSON type: no fraction or flag as an int, no flag as
+    # a float, nothing but true or false as a bool
+    (_set_cells_fraction, "mesh.n"), (_set_cells_flag, "mesh.n"),
+    (_set_dimension_fraction, "config.d"), (_set_face_speed_flag, "boundary.faces[0].u_b"),
+    (_set_third_law_string, "eos.third_law"), (_set_outflow_wall_string, "boundary.faces[1].wall")])
 def test_malformed_value_reported_by_path(corrupt, path, tmp_path, capsys):
     doc = minimal_doc(epsilom=0.1)
     corrupt(doc)
@@ -183,6 +217,25 @@ def test_malformed_value_reported_by_path(corrupt, path, tmp_path, capsys):
     scenario.write_text(json.dumps(doc))
     assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 1
     assert f"FAIL  {issue}" in capsys.readouterr().out
+
+
+def test_numeric_strings_and_integral_numbers_parse():
+    doc = minimal_doc(d="2")
+    doc["mesh"]["n"] = 16.0
+    doc["boundary"]["faces"][0]["u_b"] = "0"
+    scn = sc.parse_scenario(doc)
+    assert (scn.mesh.n_cells, scn.config.d) == (16, 2)
+    assert scn.boundary.left.u_b == 0.0
+
+
+def test_output_time_in_the_slack_past_t_end_is_t_end():
+    # output times up to 1e-12 past t_end are admitted and recorded as
+    # t_end, by the parser's state-file check and by the run alike
+    doc = minimal_doc()
+    doc["output_times"] = [0.0, 0.01 + 5e-13]
+    scn = sc.parse_scenario(doc)
+    assert scn.run().times == [0.0, 0.01]
+    assert solver.recorded_times([0.005, 0.01 + 5e-13], 0.01) == [0.0, 0.005, 0.01]
 
 
 def test_initial_data_below_floor_reported(tmp_path, capsys):

@@ -43,15 +43,12 @@ def test_viscosity_examples():
 
 
 def test_zero_weights_form_no_terms(eos, transport, monkeypatch):
-    # at delta = 0, eta_scale = 0 and epsilon = 0 the regularized closures
-    # and the stage's mass flux skip their terms, with the bits of the full
-    # formulas
+    # at delta = 0, eta_scale = 0 and epsilon = 0 the viscosity and the
+    # stage's mass flux skip their terms, with the bits of the full formulas
+    # (the closures' delta terms: test_stage_closures_carry_the_delta_terms)
     x = np.linspace(0.0, 1.0, 16)
     rho, theta = 1 + 0.1 * np.cos(np.pi * x), 1 + 0.2 * x
     cfg = sv.SolverConfig(t_end=1.0)
-    e = th.specific_internal_energy(eos, rho, theta)
-    assert cfg._energy_delta(e, theta) is e
-    assert np.array_equal(cfg.internal_energy(eos, rho, theta), e + 0.0 * theta)
     full = (transport.mu(theta) + 0.0 * theta) * cfg.deviatoric_factor + transport.eta(theta)
     with monkeypatch.context() as mp:
         mp.setattr(th.TransportSpec, "eta", _past_checks)
@@ -327,7 +324,7 @@ def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkey
     x = np.linspace(0.0, 1.0, 16)
     rho = 1.0 + 0.1 * np.cos(np.pi * x)
     theta_true = 1.0 + 0.1 * np.sin(np.pi * x)
-    w = rho * cfg.internal_energy(eos, rho, theta_true)
+    w = rho * th.stage_closures(eos, rho, theta_true, delta=cfg.delta)[1]
     log = []
     calls = _count_thermo_calls(monkeypatch, log)
     _log_newton_iterates(monkeypatch, log)
@@ -407,7 +404,7 @@ def test_iconic_recovery_matches_generic_residual(eos, delta, rng):
     cfg = sv.SolverConfig(delta=delta, t_end=1.0)
     rho = rng.uniform(0.1, 10.0, 64)
     theta_true = rng.uniform(0.1, 10.0, 64)
-    w = rho * cfg.internal_energy(eos, rho, theta_true)
+    w = rho * th.stage_closures(eos, rho, theta_true, delta=cfg.delta)[1]
 
     def generic(theta):
         pw = th._theta_powers(rho, theta)
@@ -431,7 +428,7 @@ def test_recover_theta_rejects_unconverged_newton(eos_name, delta, request):
     x = np.linspace(0.0, 1.0, 16)
     rho = 1.0 + 0.1 * np.cos(np.pi * x)
     theta_true = 1.0 + 0.1 * np.sin(np.pi * x)
-    w = rho * cfg.internal_energy(eos, rho, theta_true)
+    w = rho * th.stage_closures(eos, rho, theta_true, delta=cfg.delta)[1]
     with pytest.raises(sv.StepRejected, match="^temperature recovery failed"):
         sv._recover_theta(eos, cfg, rho, w, 1e8 * theta_true)
 
@@ -443,7 +440,7 @@ def test_recover_theta_names_nonfinite_energy_density(eos_name, bad, request):
     cfg = sv.SolverConfig(t_end=1.0)
     rho = np.ones(8)
     theta = np.ones(8)
-    w = rho * cfg.internal_energy(eos, rho, theta)
+    w = rho * th.stage_closures(eos, rho, theta, delta=cfg.delta)[1]
     w[3] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -459,7 +456,7 @@ def test_recover_theta_names_nonfinite_density(eos_name, bad, request):
     cfg = sv.SolverConfig(t_end=1.0)
     rho = np.ones(8)
     theta = np.ones(8)
-    w = rho * cfg.internal_energy(eos, rho, theta)
+    w = rho * th.stage_closures(eos, rho, theta, delta=cfg.delta)[1]
     rho[3] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -525,7 +522,7 @@ def test_recover_theta_stop_rule_property(eos, eos_table, rho, theta, delta, off
     eos = eos_table if table else eos
     cfg = sv.SolverConfig(delta=delta, t_end=1.0)
     rho = np.array([rho])
-    w = rho * cfg.internal_energy(eos, rho, np.array([theta]))
+    w = rho * th.stage_closures(eos, rho, np.array([theta]), delta=cfg.delta)[1]
     guess = np.array([theta * (1.0 + offset)])
     residual = th.energy_density_residual(eos, rho, w, delta)
     reference = _newton_to_old_rule(residual, guess)

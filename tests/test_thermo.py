@@ -667,18 +667,71 @@ def test_fused_energy_closure_keeps_domain_checks(eos, eos_table):
             th.energy_density_residual(e, np.array([1.0, 0.0, 1.0]), np.ones(3))
 
 
+_ONES = np.ones(3)
+_OFF_DOMAIN = ((_ONES, np.array([1.0, 0.0, 1.0])), (_ONES, -_ONES),
+               (np.array([1.0, 0.0, 1.0]), _ONES), (-_ONES, _ONES),
+               (np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, 0.0])), (1.0, -1.0), (-1.0, 1.0))
+
+
 @pytest.mark.parametrize("name", PARITY_EOS)
 def test_stage_closures_keep_domain_checks(name, request):
     # the messages the separate closures raise first in the stage: those of e
     eos = request.getfixturevalue(name)
-    ones = np.ones(3)
-    for rho, theta in ((ones, np.array([1.0, 0.0, 1.0])), (ones, -ones),
-                       (np.array([1.0, 0.0, 1.0]), ones), (-ones, ones),
-                       (np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, 0.0]))):
+    for rho, theta in _OFF_DOMAIN:
         with pytest.raises(th.EosDomainError) as expected:
             th.specific_internal_energy(eos, rho, theta)
         with pytest.raises(th.EosDomainError, match="^" + re.escape(str(expected.value)) + "$"):
             th.stage_closures(eos, rho, theta)
+
+
+@pytest.mark.parametrize("slope, closure", [
+    (th.pressure_rho_slope, th.pressure), (th.pressure_theta_slope, th.pressure),
+    (th.energy_theta_slope, th.specific_internal_energy),
+    (th.entropy_theta_slope, th.specific_internal_energy),
+    (th.sound_speed_sq, th.specific_internal_energy),
+    (th.stability_margins, th.specific_internal_energy)])
+@pytest.mark.parametrize("name", PARITY_EOS)
+def test_slope_closures_keep_domain_checks(name, slope, closure, request):
+    # a slope refuses what the closure it differentiates refuses, with its
+    # message, and takes what it takes: rho = 0 for the slopes of p
+    eos = request.getfixturevalue(name)
+    for rho, theta in _OFF_DOMAIN:
+        try:
+            closure(eos, rho, theta)
+        except th.EosDomainError as expected:
+            with pytest.raises(th.EosDomainError,
+                               match="^" + re.escape(str(expected)) + "$"):
+                slope(eos, rho, theta)
+        else:
+            assert np.all(np.isfinite(slope(eos, rho, theta)))
+
+
+class _UnusedWeight(float):
+    """A zero weight that fails when a term is formed with it."""
+
+    def __mul__(self, other):
+        raise AssertionError("a delta term was formed")
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("name", PARITY_EOS)
+def test_stage_closures_carry_the_delta_terms(name, request):
+    # e_delta = e + delta theta, s_delta = s + delta log theta, and the
+    # slopes of rho e_delta, bitwise; at delta = 0 no term is formed
+    eos = request.getfixturevalue(name)
+    rho = np.array([0.003, 0.5, 2.0, 40.0, 2000.0])
+    theta = np.linspace(0.5, 2.5, 5)
+    p, e, s, c2, w_rho, w_theta = th.stage_closures(eos, rho, theta, True)
+    for delta in (0.0, 1e-3):
+        expected = (p, e + delta * theta, s + delta * np.log(theta), c2,
+                    w_rho + delta * theta, w_theta + delta * rho)
+        assert all(map(np.array_equal, th.stage_closures(eos, rho, theta, True, delta), expected))
+        assert all(map(np.array_equal, th.stage_closures(eos, rho, theta, delta=delta),
+                       expected[:3]))
+    for slopes in (False, True):
+        assert all(map(np.array_equal, th.stage_closures(eos, rho, theta, slopes, _UnusedWeight()),
+                       th.stage_closures(eos, rho, theta, slopes)))
 
 
 def _assert_quartic_matches_closures(eos, rho, theta, delta):

@@ -3,6 +3,7 @@
 import ast
 import collections
 import dataclasses
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -226,3 +227,30 @@ def test_thermo_takes_powers_of_theta_in_one_helper():
     # one helper, built from one sqrt, instead of a ** pass per term
     sites = _theta_power_sites(ROOT / "src" / "nsfsim" / "thermo.py")
     assert sites and {func for func, _ in sites} == {"_theta_powers"}, sites
+
+
+def _tracing_hooks() -> dict:
+    """The HOME_ENTRIES and METHODS literals of perfbench/tracing.py, read
+    from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    return {target.id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if getattr(target, "id", None) in ("HOME_ENTRIES", "METHODS")}
+
+
+def test_benchmark_tracing_hooks_exist():
+    # the benchmark's tracer patches these names through vars(owner)[attr]:
+    # one deleted or renamed passes every other test and crashes a traced run
+    hooks = _tracing_hooks()
+    assert hooks["HOME_ENTRIES"] and hooks["METHODS"]
+
+    def member(owner, attr):
+        return None if owner is None else vars(owner).get(attr)
+
+    def module(layer):
+        return importlib.import_module(f"nsfsim.{layer}")
+    missing = [f"{layer}.{attr}" for layer, attrs in hooks["HOME_ENTRIES"].items()
+               for attr in attrs if not callable(member(module(layer), attr))]
+    missing += [f"{layer}.{cls}.{attr}" for layer, cls, attr in hooks["METHODS"]
+                if not callable(member(member(module(layer), cls), attr))]
+    assert missing == []
