@@ -8,7 +8,6 @@ sampling used by demonstration scripts and tests.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 from . import boundary as bd
 from .budgets import audit as run_audit
 from .mms import manufactured_case
+from .relent import _write_csv
 from .scenario import (Issue, ScenarioValidationError, export_budget_csv,
                        export_timeseries, load_document, load_eos_document,
                        load_scenario)
@@ -119,12 +119,9 @@ def _cmd_converge(args) -> int:
                               with_energy_budget=args.csv is not None)
     if args.csv:
         Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.csv, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["n", "err_rho", "err_u", "err_theta", "energy_residual"])
-            for i, n in enumerate(study.resolutions):
-                out.writerow([n, study.errors["rho"][i], study.errors["u"][i],
-                              study.errors["theta"][i], study.energy_residuals[i]])
+        _write_csv(args.csv, ["n", "err_rho", "err_u", "err_theta", "energy_residual"],
+                   [study.resolutions, *(study.errors[f] for f in ("rho", "u", "theta")),
+                    study.energy_residuals])
     ok = max(probe.values()) < 1e-6
     for f in ("rho", "u", "theta"):
         errs = "  ".join(f"{e:.4e}" for e in study.errors[f])

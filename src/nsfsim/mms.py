@@ -112,7 +112,6 @@ class MmsCase:
                 return (f(t, x + hx) - f(t, x - hx)) / (2.0 * hx)
 
             rho = fr(t, x) * np.ones_like(x)
-            u = fu(t, x) * np.ones_like(x)
             ux = dx(fu)
             m_res = dt(lambda tt, xx: fr(tt, xx) * np.ones_like(xx)) \
                 + dx(lambda tt, xx: fr(tt, xx) * fu(tt, xx) * np.ones_like(xx))

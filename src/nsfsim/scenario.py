@@ -45,7 +45,7 @@ from . import boundary as bd
 from .mesh import Mesh1D
 from .relent import _write_csv
 from .solver import (FieldState, SolverConfig, Trajectory, initial_data_problems,
-                     output_times_problem, recorded_times, run as run_solver)
+                     output_times_problem, run as run_solver)
 from .thermo import (EosSpec, EosValidationError, TransportSpec,
                      check_eos_invariants)
 
@@ -188,11 +188,23 @@ def _object_sections(doc: dict, sections: dict, issues: list) -> dict:
 def _as_kind(kind, value):
     """``value`` as ``kind`` where its JSON type reads as one: an int takes an
     integral number or a numeric string, a float a number that is not a
-    boolean or a numeric string, a bool only true or false."""
+    boolean or a numeric string, a bool only true or false; an integer
+    beyond the float range reads as none (ValueError)."""
     if isinstance(value, bool) != (kind is bool) or (
             kind is int and isinstance(value, float) and not value.is_integer()):
         raise TypeError
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError from None
+
+
+def _as_floats(value) -> list:
+    """``value`` as a list of floats: a JSON list whose every item
+    ``_as_kind`` reads as a float."""
+    if not isinstance(value, list):
+        raise TypeError
+    return [_as_kind(float, v) for v in value]
 
 
 def _typed(doc: dict, kinds: dict, path: str, code: str, issues: list) -> Optional[dict]:
@@ -218,9 +230,11 @@ def _build_eos(doc: dict, issues: list) -> tuple:
         return None, {}
     kw["shape"] = doc.get("shape", "iconic")
     if "table" in doc:
+        table = doc["table"] if isinstance(doc["table"], dict) else {}
+        _check_keys(table, ("z", "p"), "eos.table.", issues)
         for key in ("z", "p"):
             try:
-                kw[f"table_{key}"] = tuple(float(v) for v in doc["table"][key])
+                kw[f"table_{key}"] = tuple(_as_floats(table[key]))
             except (KeyError, TypeError, ValueError):
                 issues.append(Issue(f"eos.table.{key}", "eos-schema",
                                     "expected a list of numbers"))
@@ -353,15 +367,15 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
                     fields[key] = eval_field_expression(spec_val, mesh.centers)
                 else:
                     try:
-                        arr = np.asarray(spec_val, dtype=float)
+                        values = _as_floats(spec_val)
                     except (TypeError, ValueError):
                         raise ExpressionError(
                             f"expected an expression or a list of numbers, got {spec_val!r}"
                         ) from None
-                    if arr.shape != (mesh.n_cells,):
+                    if len(values) != mesh.n_cells:
                         raise ExpressionError(
-                            f"array length {arr.shape} does not match n={mesh.n_cells}")
-                    fields[key] = arr
+                            f"array length {len(values)} does not match n={mesh.n_cells}")
+                    fields[key] = np.array(values)
             except ExpressionError as err:
                 issues.append(Issue(f"initial.{key}", "initial-schema", str(err)))
         for key, check, message in initial_data_problems(fields):
@@ -373,7 +387,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     output_times = []
     if outs is not None:
         try:
-            output_times = [float(t) for t in outs]
+            output_times = _as_floats(outs)
         except (TypeError, ValueError):
             issues.append(Issue("output_times", "config-schema",
                                 f"expected a list of numbers, got {outs!r}"))
@@ -381,11 +395,6 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         output_times = [0.0, cfg.t_end]
     if cfg is not None and (problem := output_times_problem(output_times, cfg.t_end)):
         issues.append(Issue("output_times", "config-schema", problem))
-    elif cfg is not None and (shared := _shared_state_file_names(
-            recorded_times(output_times, cfg.t_end))):
-        # one state file per recorded time
-        issues.append(Issue("output_times", "config-schema",
-                            f"distinct output times share the state files {shared}"))
 
     if issues:
         raise ScenarioValidationError(issues)
@@ -442,27 +451,16 @@ def load_eos_document(path):
 # ---------------------------------------------------------------------------
 
 
-def _state_file_name(t: float) -> str:
-    return f"state_{t:.6f}.csv"
-
-
-def _shared_state_file_names(times) -> str:
-    """The state file names two or more of the distinct ``times`` share, joined by ", "."""
-    names = sorted(map(_state_file_name, set(times)))
-    return ", ".join(sorted({a for a, b in zip(names, names[1:]) if a == b}))
-
-
 def export_timeseries(traj: Trajectory, outdir) -> list:
-    """Write state_<t>.csv per output time and fluxes.csv, each formatted in
-    one pass and written at once; returns the paths.  Raises ValueError,
-    writing nothing, if two recorded times share a name."""
-    if shared := _shared_state_file_names(traj.times):
-        raise ValueError(f"recorded times share the state files {shared}")
+    """Write state_<t>.csv per recorded time and fluxes.csv, each formatted in
+    one pass and written at once; returns the paths.  ``t`` is the time's
+    shortest round-trip repr (``state_0.25.csv``), so distinct times never
+    share a file."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
     for t, st in zip(traj.times, traj.states):
-        p = outdir / _state_file_name(t)
+        p = outdir / f"state_{t!r}.csv"
         _write_csv(p, ["x", "rho", "u", "theta"], [traj.mesh.centers, st.rho, st.u, st.theta])
         paths.append(p)
 

@@ -602,7 +602,7 @@ def _implicit_solves(mesh, ts, cfg, plan, theta_face, rho, m, theta, capacity, d
     return u, stress, diss, theta_l, heat, dt * diss + dt * ((heat[1:] - heat[:-1]) / mesh.h)
 
 
-def _predictor(cfg, state, stage, dt):
+def _predictor(state, stage, dt):
     """Forward Euler by the stage: (rho1, m1, w1)."""
     drho, dm, dW, rec = stage
     rho1 = state.rho + dt * drho
@@ -696,7 +696,7 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     """
     plan = _step_plan(mesh, bspec)
     stage = _stage_rhs(mesh, eos, cfg, plan, 0.0, state, False)
-    rho, m, w = _predictor(cfg, state, stage, dt)
+    rho, m, w = _predictor(state, stage, dt)
     theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, state.theta)
     u, _, _, theta_l, _, dw = _implicit_solves(
         mesh, ts, cfg, plan, stage[3].theta_face, rho, m, theta_hat, capacity, dt)
@@ -727,7 +727,7 @@ def _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1):
     on dt; returns (new_state, accumulator increments)."""
     d1rho, d1m, d1w, rec1 = stage1
     rho0, m0, w0 = state.rho, state.rho * state.u, rec1.w
-    rho1, m1, w1 = _predictor(cfg, state, stage1, dt)
+    rho1, m1, w1 = _predictor(state, stage1, dt)
     # the predictor's start: theta^n moved along the first stage's slopes
     start = _linear_start(state.theta, dt * d1w, dt * d1rho, rec1.w_rho, rec1.w_theta)
     theta1, capacity = _recover_theta(eos, cfg, rho1, w1, start)
@@ -885,9 +885,8 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
 
     plan = _step_plan(mesh, bspec)
     t = 0.0
-    out_idx = 1 if outs[0] == 0.0 else 0
-    while out_idx < len(outs):
-        target = outs[out_idx]
+    # outs[0] is 0.0, recorded above
+    for target in outs[1:]:
         while t < target - 1e-14 * (1.0 + target):
             try:
                 # the dt of stable_dt, from the first stage's sound speed
@@ -912,5 +911,4 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
         traj.times.append(target)
         traj.states.append(state.copy())
         traj.accums.append(dict(acc) if acc else {})
-        out_idx += 1
     return traj

@@ -130,7 +130,9 @@ def test_non_finite_settings_are_refused(key, value):
 
 def test_unknown_keys_reported_by_path():
     doc = minimal_doc(epsilom=0.1, theta_bar=1.0, rho_floor=1e-10, theta_floor=1e-10)
-    doc["eos"]["pinf"] = 2.0
+    eos = make_table_eos(third_law=False)
+    doc["eos"].update(shape="table", pinf=2.0,
+                      table={"z": list(eos.table_z), "p": list(eos.table_p), "q": 1})
     doc["mesh"]["cells"] = 64
     doc["transport"]["mu"] = 1.0
     doc["transport"]["mu_over"] = 1.0
@@ -142,7 +144,7 @@ def test_unknown_keys_reported_by_path():
         sc.parse_scenario(doc)
     assert sorted(i.path for i in err.value.issues) == sorted([
         "config.epsilom", "config.theta_bar", "config.rho_floor", "config.theta_floor",
-        "eos.pinf", "mesh.cells", "transport.mu", "transport.mu_over",
+        "eos.pinf", "eos.table.q", "mesh.cells", "transport.mu", "transport.mu_over",
         "initial.T", "boundary.faces[1].rhob", "boundary.walls", "outputs"])
     assert {i.code for i in err.value.issues} == {"unknown-key"}
     # every key a reader takes is known: a document spelling out all of them parses
@@ -196,6 +198,29 @@ def _set_outflow_wall_string(doc):
                                 {"pos": 1.0, "u_b": 0.5, "wall": "no"}]
 
 
+def _set_output_time_flag(doc):
+    doc["config"]["t_end"] = 2.0
+    doc["output_times"] = [0.0, True]
+
+
+def _set_output_times_string(doc):
+    doc["output_times"] = "0"
+
+
+def _set_initial_flags(doc):
+    doc["initial"]["u"] = [False] * doc["mesh"]["n"]
+
+
+def _set_table_knot_flag(doc):
+    eos = make_table_eos(third_law=True)
+    doc["eos"] = {"shape": "table", "third_law": True,
+                  "table": {"z": [True, *eos.table_z[1:]], "p": list(eos.table_p)}}
+
+
+def _set_end_time_beyond_floats(doc):
+    doc["config"]["t_end"] = 10 ** 400
+
+
 @pytest.mark.parametrize("corrupt, path", [
     (_set_eos_a, "eos.a"), (_set_face_speed, "boundary.faces[0].u_b"),
     (_set_mesh_number, "mesh"), (_drop_table_z, "eos.table.z"),
@@ -203,7 +228,12 @@ def _set_outflow_wall_string(doc):
     # a float, nothing but true or false as a bool
     (_set_cells_fraction, "mesh.n"), (_set_cells_flag, "mesh.n"),
     (_set_dimension_fraction, "config.d"), (_set_face_speed_flag, "boundary.faces[0].u_b"),
-    (_set_third_law_string, "eos.third_law"), (_set_outflow_wall_string, "boundary.faces[1].wall")])
+    (_set_third_law_string, "eos.third_law"), (_set_outflow_wall_string, "boundary.faces[1].wall"),
+    # and so does each item of a list of numbers, which must be a list
+    (_set_output_time_flag, "output_times"), (_set_output_times_string, "output_times"),
+    (_set_initial_flags, "initial.u"), (_set_table_knot_flag, "eos.table.z"),
+    # an integer beyond the float range is no float
+    (_set_end_time_beyond_floats, "config.t_end")])
 def test_malformed_value_reported_by_path(corrupt, path, tmp_path, capsys):
     doc = minimal_doc(epsilom=0.1)
     corrupt(doc)
@@ -236,6 +266,21 @@ def test_output_time_in_the_slack_past_t_end_is_t_end():
     scn = sc.parse_scenario(doc)
     assert scn.run().times == [0.0, 0.01]
     assert solver.recorded_times([0.005, 0.01 + 5e-13], 0.01) == [0.0, 0.005, 0.01]
+
+
+def test_initial_arrays_are_per_cell_values():
+    # a list of n numbers is the field cell by cell, equal to the same field
+    # given as an expression; a list of another length is an issue
+    doc = minimal_doc()
+    doc["initial"]["theta"] = "1 + 0.1*cos(pi*x)"
+    theta = sc.parse_scenario(doc).initial.theta
+    doc["initial"]["theta"] = theta.tolist()
+    np.testing.assert_array_equal(sc.parse_scenario(doc).initial.theta, theta)
+    doc["initial"]["theta"] = theta.tolist()[1:]
+    with pytest.raises(sc.ScenarioValidationError) as err:
+        sc.parse_scenario(doc)
+    assert [(i.path, i.code, i.message) for i in err.value.issues] == [
+        ("initial.theta", "initial-schema", "array length 15 does not match n=16")]
 
 
 def test_initial_data_below_floor_reported(tmp_path, capsys):
@@ -525,29 +570,19 @@ def test_export_determinism(tmp_path):
     assert doc_hashes[0] == doc_hashes[1]
 
 
-def test_output_times_sharing_a_state_file_are_refused():
+def test_state_files_carry_their_exact_time(tmp_path, capsys):
+    # each state file is named by the shortest repr of its time, so times
+    # equal to 6 decimals still get a file each
     doc = minimal_doc()
     doc["output_times"] = [0.0, 0.005, 0.0050001, 0.01]
-    with pytest.raises(sc.ScenarioValidationError) as err:
-        sc.parse_scenario(doc)
-    [issue] = err.value.issues
-    assert (issue.path, issue.code) == ("output_times", "config-schema")
-    assert "state_0.005000.csv" in issue.message
-
-
-def test_export_refuses_times_sharing_a_state_file(tmp_path):
-    # two distinct times, one file name: nothing is written, so no state
-    # file overwrites another
-    scn = sc.parse_scenario(minimal_doc())
-    traj = solver.run(scn.mesh, scn.eos, scn.transport, scn.config, scn.boundary,
-                      scn.initial, output_times=[0.0, 0.005, 0.0050001, 0.01])
-    with pytest.raises(ValueError, match="state_0.005000.csv"):
-        sc.export_timeseries(traj, tmp_path / "out")
-    assert not (tmp_path / "out").exists()
-    traj = solver.run(scn.mesh, scn.eos, scn.transport, scn.config, scn.boundary,
-                      scn.initial, output_times=[0.0, 0.005, 0.01])
-    assert [p.name for p in sc.export_timeseries(traj, tmp_path / "out")] == [
-        "state_0.000000.csv", "state_0.005000.csv", "state_0.010000.csv", "fluxes.csv"]
+    assert sc.parse_scenario(doc).run().times == [0.0, 0.005, 0.0050001, 0.01]
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote 5 files to {tmp_path / 'out'}")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "fluxes.csv", "state_0.0.csv", "state_0.005.csv", "state_0.0050001.csv",
+        "state_0.01.csv"]
 
 
 @pytest.mark.parametrize("n_rows", [4, 0])
@@ -750,6 +785,17 @@ def test_cli_run_and_audit(tmp_path, capsys):
     assert (tmp_path / "budget.csv").exists()
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_cli_weak_strong_writes_traces(tmp_path, capsys):
+    out = tmp_path / "traces"
+    rc = cli.main(["weak-strong", str(SCENARIO_DIR / "throughflow.json"),
+                   "--resolutions", "8,16", "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[-1] == "PASS relative energy decreases under refinement"
+    assert sorted(p.name for p in out.iterdir()) == ["relenergy_n16.csv", "relenergy_n8.csv"]
+    assert (out / "relenergy_n8.csv").read_text().startswith("t,rel_energy,kinetic,bregman\n")
 
 
 def test_cli_converge_writes_csv(tmp_path, capsys):

@@ -464,6 +464,22 @@ def test_recover_theta_names_nonfinite_density(eos_name, bad, request):
             sv._recover_theta(eos, cfg, rho, w, theta)
 
 
+@pytest.mark.parametrize("eos_name", ["eos", "eos_table_nolaw"])
+def test_recover_theta_rejects_below_the_floors(eos_name, request):
+    # a density below its floor rejects before Newton, and an energy density
+    # whose temperature lies below its floor after it
+    eos = request.getfixturevalue(eos_name)
+    cfg = sv.SolverConfig(t_end=1.0)
+    rho = np.ones(4)
+    theta = np.array([1.0, 1.0, 0.01 * sv.THETA_FLOOR, 1.0])
+    w = rho * th.stage_closures(eos, rho, theta)[1]
+    with pytest.raises(sv.StepRejected, match="^temperature fell below its floor$"):
+        sv._recover_theta(eos, cfg, rho, w, np.ones(4))
+    rho[1] = 0.5 * sv.RHO_FLOOR
+    with pytest.raises(sv.StepRejected, match="^density fell below its floor$"):
+        sv._recover_theta(eos, cfg, rho, w, np.ones(4))
+
+
 class _PastChecks(Exception):
     """Raised by a stand-in for what follows a check: the data passed it."""
 
@@ -925,7 +941,7 @@ def test_step_books_viscous_terms_with_weight_dt(eos, transport):
     stage1 = sv._stage_rhs(mesh, eos, cfg, plan, 0.0, state)
     dt = sv.stable_dt(state, mesh, eos, transport, cfg)
     new, inc = sv._heun_step(mesh, eos, transport, cfg, plan, 0.0, state, dt, stage1)
-    rho1, m1, w1 = sv._predictor(cfg, state, stage1, dt)
+    rho1, m1, w1 = sv._predictor(state, stage1, dt)
     rec1 = stage1[3]
     start = sv._linear_start(state.theta, dt * stage1[2], dt * stage1[0], rec1.w_rho,
                              rec1.w_theta)
@@ -1311,6 +1327,27 @@ def test_run_rejects_output_times_outside_the_horizon(eos, transport, box, t):
     with pytest.raises(ValueError, match=r"output times must lie in \[0, t_end\], got "):
         sv.run(mesh, eos, transport, sv.SolverConfig(t_end=0.01), walls, _uniform_state(32),
                output_times=[t])
+
+
+def test_run_attaches_the_partial_trajectory_on_abort(eos, transport, box, monkeypatch):
+    # every attempt after k accepted steps is rejected: the run aborts with
+    # the trajectory of the steps it took
+    mesh, walls = box
+    k = 3
+    heun = sv._heun_step
+    accepted = []
+
+    def heun_then_reject(*args):
+        if len(accepted) == k:
+            raise sv.StepRejected("forced")
+        accepted.append(args[7])
+        return heun(*args)
+
+    monkeypatch.setattr(sv, "_heun_step", heun_then_reject)
+    with pytest.raises(sv.RunAborted, match="rejected 21 times") as err:
+        sv.run(mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, _uniform_state(32))
+    traj = err.value.trajectory
+    assert (traj.n_steps, traj.n_rejects, traj.times) == (k, 0, [0.0])
 
 
 def test_zero_horizon_returns_initial(eos, transport, box):

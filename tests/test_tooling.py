@@ -38,6 +38,23 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _imported_modules(path: Path) -> set:
+    """The top-level names of the modules a module imports."""
+    tree = ast.parse(path.read_text())
+    return ({alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+            | {node.module.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module and not node.level})
+
+
+def test_every_csv_goes_through_one_writer():
+    # relent._write_csv formats every CSV file the package writes (%.17g,
+    # \r\n line ends); a module importing csv would be a second writer
+    package = sorted((ROOT / "src" / "nsfsim").glob("*.py"))
+    assert package
+    assert [path.name for path in package if "csv" in _imported_modules(path)] == []
+
+
 def _public_functions(path: Path) -> list:
     """The public functions defined at the top level of a module."""
     tree = ast.parse(path.read_text())
