@@ -11,7 +11,8 @@ forms on a fine grid.
 
 Every closed form of a case is compiled once, by ``sympy.lambdify`` with
 common-subexpression elimination: a call computes cos(pi x), sin(pi x),
-exp(-sigma t) and their shared powers once.  The compiled sources agree
+exp(-sigma t) and their shared powers once, and renders no docstring of
+the form (``docstring_limit=0``).  The compiled sources agree
 with the expanded expressions to rounding (about 1e-12 relative), and the
 generated code does not depend on the interpreter's hash seed.  Each
 compiled closure keeps its last call: called again with an equal t and an
@@ -159,7 +160,9 @@ def _build_case(name: str, rho_e, u_e, theta_e) -> MmsCase:
            + sp.diff(q_e, X) - stress_e * ux_e + p_e * ux_e)
 
     def lam2(expr):
-        f = sp.lambdify((T, X), expr, "numpy", cse=True)
+        # by default lambdify renders every form under 1000 nodes into a
+        # docstring that the closure hides and nothing reads
+        f = sp.lambdify((T, X), expr, "numpy", cse=True, docstring_limit=0)
         last = [None, None, None]  # t, a private copy of x, the read-only result
 
         def closure(t, x):

@@ -43,27 +43,31 @@ positivity (density or temperature floors, or a temperature recovery whose
 Newton iteration did not converge) halves dt and retries.
 
 Both implicit systems are symmetric positive definite and tridiagonal and
-share one assembly.  LAPACK ``dptsv`` solves them, from the library that
-``numpy.linalg`` has already loaded, bound once through ``ctypes``; where
-no such symbol is found, a pure-Python LDL^T sweep in the same order of
-operations does.
+share one assembly, which lays the diagonal, the off-diagonal and the
+right-hand side out in one buffer.  LAPACK ``dptsv`` solves them in place
+there, from the library that ``numpy.linalg`` has already loaded, bound
+once through ``ctypes``; where no such symbol is found, a pure-Python LDL^T
+sweep in the same order of operations does.
 
-Each stage pads the state with one ghost cell per side and makes one
-``stage_closures`` pass for (p, e_delta, s_delta) on the padded arrays, with
-the weight delta of the configuration: the delta terms of e and s are
-formed there, in :mod:`nsfsim.thermo`, and nowhere here.  Fluxes, sources
-and the budget record all read that one evaluation.  The first stage's pass
-also has slopes: the sound speed, from which ``run`` takes the dt of
-``stable_dt`` with no pass of its own, and w_rho = d(rho e_delta)/drho and
-w_theta = d(rho e_delta)/dtheta.  One pass over the two faces then books the
-other boundary rules: the F_ib and wall energy fluxes, the Robin inflow mass
-flux and the boundary budget integrands.  The stage's volume integrands are
-stacked into one (K, n) array and reduced once.  The first stage of a step
-is evaluated once and reused by rejected attempts.  The temperature
-recovery builds its energy-density residual once per solve; a Newton
-iterate makes no EOS call on the iconic shape and one ``p_dp`` on a table,
-Newton stops after its first step below 1e-8 theta, since quadratic
-convergence leaves only rounding for the next, and the recovery is checked
+Each stage pads the state with one ghost cell per side, filling one new
+array per field, and makes one ``stage_closures`` pass for (p, e_delta,
+s_delta) on the padded arrays, with the weight delta of the configuration:
+the delta terms of e and s are formed there, in :mod:`nsfsim.thermo`, and
+nowhere here.  Fluxes, sources and the budget record all read that one
+evaluation.  The first stage's pass also has slopes: the sound speed, from
+which ``run`` takes the dt of ``stable_dt`` with no pass of its own, and
+w_rho = d(rho e_delta)/drho and w_theta = d(rho e_delta)/dtheta.  One pass
+over the two faces then books the other boundary rules: the F_ib and wall
+energy fluxes, the Robin inflow mass flux and the boundary budget
+integrands.  The stage's volume integrands are stacked into one (K, n)
+array and reduced once.  The first stage of a step is evaluated once and
+reused by rejected attempts.  The temperature recovery builds its
+energy-density residual once per solve; a Newton iterate makes no EOS call
+on the iconic shape, and on a table one (P, P') evaluation from the spline
+pieces the residual located at its first call, located again only when
+some Z leaves its piece (on smooth data, once per recovery).  Newton stops
+after its first step below 1e-8 theta, since quadratic convergence leaves
+only rounding for the next, and the recovery is checked
 by the residual's value alone.  Both recoveries start from a linearised
 guess that makes no EOS call: the predictor's theta^n
 + (w1 - w^n - w_rho (rho1 - rho^n)) / w_theta, the corrector's theta_l
@@ -262,7 +266,11 @@ def _step_plan(mesh: Mesh1D, bspec: BoundarySpec) -> _StepPlan:
 def _padded(ghosts, x):
     """``x`` with the ghost value of each end face's rule on its side."""
     (al, bl), (ar, br) = ghosts
-    return np.concatenate([[al + bl * x[0]], x, [ar + br * x[-1]]])
+    out = np.empty(x.size + 2)
+    out[0] = al + bl * x[0]
+    out[1:-1] = x
+    out[-1] = ar + br * x[-1]
+    return out
 
 
 def _ghosts(state: FieldState, plan: _StepPlan):
@@ -517,7 +525,9 @@ def _ldlt_solve(d, e, b):
 
 def _bind_dptsv():
     """LAPACK ``dptsv`` of the library ``numpy.linalg`` loaded, as a function
-    (d, e, b) -> x that overwrites its float64 arguments; None if absent."""
+    buf -> x of the system whose d, e and b are the consecutive n, n - 1 and
+    n floats of the contiguous float64 buffer ``buf``; it overwrites ``buf``
+    and x is b's view.  None if absent."""
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)
@@ -535,12 +545,14 @@ def _bind_dptsv():
     fn.restype = None
     one = int_t(1)
 
-    def dptsv(d, e, b):
-        n, info = int_t(d.size), int_t(0)
-        fn(n, one, d.ctypes.data, e.ctypes.data, b.ctypes.data, n, info)
+    def dptsv(buf):
+        n = (buf.size + 1) // 3
+        size, info = int_t(n), int_t(0)
+        d = buf.ctypes.data  # e and b follow, 8 bytes a float
+        fn(size, one, d, d + 8 * n, d + 8 * (2 * n - 1), size, info)
         if info.value != 0:
             raise StepRejected(f"implicit solve failed (dptsv info {info.value})")
-        return b
+        return buf[2 * n - 1:]
     return dptsv
 
 
@@ -554,15 +566,19 @@ def _diffusion_solve(mesh: Mesh1D, coeff_face, capacity, rhs, dt, ghosts):
     The matrix is tridiagonal, symmetric and, for capacity > 0, positive
     definite.
     """
+    n = mesh.n_cells
     c = dt * coeff_face / (mesh.h * mesh.h)
-    d = capacity + c[:-1] + c[1:]
-    b = np.array(rhs, dtype=float)
+    # d, e and b are views of one buffer, the layout dptsv reads
+    buf = np.empty(3 * n - 1)
+    d, e, b = buf[:n], buf[n:2 * n - 1], buf[2 * n - 1:]
+    np.add(capacity + c[:-1], c[1:], out=d)
+    np.negative(c[1:-1], out=e)
+    b[:] = rhs
     for (a, s), i in zip(ghosts, (0, -1)):
         # c (x - a - s x) is the end face's term of cell i
         d[i] -= s * c[i]
         b[i] += a * c[i]
-    e = -c[1:-1]
-    return _ldlt_solve(d, e, b) if _dptsv is None else _dptsv(d, e, b)
+    return _ldlt_solve(d, e, b) if _dptsv is None else _dptsv(buf)
 
 
 def _diffusive_flux(mesh: Mesh1D, coeff_face, x, ghosts):
@@ -602,13 +618,14 @@ def _implicit_solves(mesh, ts, cfg, plan, theta_face, rho, m, theta, capacity, d
     return u, stress, diss, theta_l, heat, dt * diss + dt * ((heat[1:] - heat[:-1]) / mesh.h)
 
 
-def _predictor(state, stage, dt):
-    """Forward Euler by the stage: (rho1, m1, w1)."""
+def _predictor(rho, m, stage, dt):
+    """Forward Euler by the stage from density ``rho`` and momentum ``m``:
+    (rho1, m1, w1)."""
     drho, dm, dW, rec = stage
-    rho1 = state.rho + dt * drho
+    rho1 = rho + dt * drho
     if not rho1.min() >= RHO_FLOOR:
         raise StepRejected("density fell below its floor")
-    return rho1, state.rho * state.u + dt * dm, rec.w + dt * dW
+    return rho1, m + dt * dm, rec.w + dt * dW
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +713,7 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     """
     plan = _step_plan(mesh, bspec)
     stage = _stage_rhs(mesh, eos, cfg, plan, 0.0, state, False)
-    rho, m, w = _predictor(state, stage, dt)
+    rho, m, w = _predictor(state.rho, state.rho * state.u, stage, dt)
     theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, state.theta)
     u, _, _, theta_l, _, dw = _implicit_solves(
         mesh, ts, cfg, plan, stage[3].theta_face, rho, m, theta_hat, capacity, dt)
@@ -727,7 +744,7 @@ def _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1):
     on dt; returns (new_state, accumulator increments)."""
     d1rho, d1m, d1w, rec1 = stage1
     rho0, m0, w0 = state.rho, state.rho * state.u, rec1.w
-    rho1, m1, w1 = _predictor(state, stage1, dt)
+    rho1, m1, w1 = _predictor(rho0, m0, stage1, dt)
     # the predictor's start: theta^n moved along the first stage's slopes
     start = _linear_start(state.theta, dt * d1w, dt * d1rho, rec1.w_rho, rec1.w_theta)
     theta1, capacity = _recover_theta(eos, cfg, rho1, w1, start)
@@ -735,19 +752,20 @@ def _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1):
                                        _new_state(rho1, m1 / rho1, theta1), False)
     u1, stress, diss, theta_l, heat, dw = _implicit_solves(
         mesh, ts, cfg, plan, rec1.theta_face, rho1, m1, theta1, capacity, dt)
-    h = plan.h
-    rho_n = rho0 + 0.5 * dt * (d1rho + d2rho)
+    h, hdt = plan.h, 0.5 * dt
+    rho_n = rho0 + hdt * (d1rho + d2rho)
     # the implicit increments enter with full weight
-    m_n = m0 + 0.5 * dt * (d1m + d2m) + (rho1 * u1 - m1)
-    w_n = w0 + 0.5 * dt * (d1w + d2w) + dw
+    m_n = m0 + hdt * (d1m + d2m) + (rho1 * u1 - m1)
+    w_n = w0 + hdt * (d1w + d2w) + dw
     # the corrector's start: w_n - (w1 + dw) and rho_n - rho1 from
     # (rho1, theta_l), where w1 + dw is rho e_delta to first order since
     # dw = C (theta_l - theta1); rho_n - rho1 is O(dt^2), so the first
     # stage's w_rho serves to the order of the guess
-    start = _linear_start(theta_l, 0.5 * dt * (d2w - d1w), 0.5 * dt * (d2rho - d1rho),
+    start = _linear_start(theta_l, hdt * (d2w - d1w), hdt * (d2rho - d1rho),
                           rec1.w_rho, capacity)
     new_state = _new_state(rho_n, m_n / rho_n, _recover_theta(eos, cfg, rho_n, w_n, start)[0])
-    inc = {k: 0.5 * dt * (rec1.scalars[k] + rec2.scalars[k]) for k in rec1.scalars}
+    s2 = rec2.scalars
+    inc = {k: hdt * (v + s2[k]) for k, v in rec1.scalars.items()}
     # the implicit terms with weight dt, the entropy ones at the new theta:
     # the energy increment over theta, the heat part summed by parts
     inv_theta = 1.0 / new_state.theta

@@ -29,8 +29,9 @@ All state functions broadcast over numpy arrays in (rho, theta).  Both
 shapes share one protocol: ``p``, ``dp``, ``entropy_shape`` (S),
 ``entropy_shape_slope`` (S'), ``p_dp`` = (P, P'), ``p_entropy`` = (P, S) and
 ``p_dp_entropy`` = (P, P', S) are each one ``_eval`` pass over closed forms
-written once (on a table one piece lookup, its pieces expanded by Horner
-with no ``np.polynomial``), and the closures apply formulas written once in
+written once (on a table one piece lookup and one gather, its pieces
+expanded by Horner with no ``np.polynomial``), and the closures apply
+formulas written once in
 (rho, the powers of theta, P, P', S).  ``_theta_powers`` builds Z and
 theta^{3/2}, theta^{5/2}, theta^3, theta^4 from one sqrt, once per closure
 pass and once per Newton iterate; no other function raises theta to a
@@ -43,8 +44,10 @@ e_delta = e + delta theta and s_delta = s + delta log theta; this module is
 the one place those terms are formed, and at delta = 0 none is, each value
 then bitwise equal to its separate closure.  ``energy_density_residual``
 builds the residual of the solver's temperature recovery, rho e_delta - w,
-once per solve (a quartic in theta on the iconic shape, one (P, P') pass
-per iterate on a table), ``sound_speed_sq`` is the step limit's sound
+once per solve (a quartic in theta on the iconic shape; on a table one
+(P, P') evaluation per iterate from spline pieces bound at the first call
+and looked up again only when some Z leaves its piece), ``sound_speed_sq``
+is the step limit's sound
 speed, and ``gibbs_residual`` keeps independent routes.  The slope closures
 check the domain of the closure they differentiate, as p or e does.
 ``temperature_from_entropy`` inverts rho s by bracketed Newton in log theta
@@ -167,11 +170,15 @@ class TabulatedShape(_Shape):
     ``PchipInterpolator`` slopes and ``CubicHermiteSpline`` coefficients, so
     P and P' equal scipy's spline bitwise.  Each piece's cubic in powers of
     (Z - knot) is expanded to powers of Z by one vectorised Horner pass.
-    Evaluation gathers each z's piece coefficients from (4, pieces) arrays
-    after one ``searchsorted`` over the interior knots.  When every z lies on
-    the spline the pieces run on the whole array; otherwise head, spline and
+    Every row a piece is evaluated from (P, P', S, the entropy offset and
+    the piece's bounds) is one column of a stacked array: evaluation finds
+    each z's piece by one ``searchsorted`` over the interior knots and
+    gathers its rows by one ``take``.  Piece k covers [knot_k, knot_{k+1}),
+    the last one [knot, z_hi].  When one min and one max put every z on the
+    spline the pieces run on the whole array; otherwise head, spline and
     tail run under one mask pass, and the cubic never sees a head or tail z
-    (far out it overflows).
+    (far out it overflows).  ``bind_pieces`` keeps the gathered rows across
+    the calls of a Newton iteration.
     """
 
     def __init__(self, z: Sequence[float], p: Sequence[float], p_inf: float,
@@ -252,7 +259,6 @@ class TabulatedShape(_Shape):
         secant = np.diff(pin) / dx
         t = (slopes[:-1] + slopes[1:] - 2 * secant) / dx
         self._c = np.stack((t / dx, (secant - slopes[:-1]) / dx - t, slopes[:-1], pin[:-1]))
-        self._dc = self._c[:-1] * np.array([3.0, 2.0, 1.0])[:, None]
         self._knots = zin
         self._inner_knots = zin[1:-1]
         # the same cubics in powers of Z, ascending: Horner in the shift
@@ -263,6 +269,14 @@ class TabulatedShape(_Shape):
         t1 = a1 + t2 * q
         u2 = t2 + a3 * q
         self._coeffs = np.stack((a0 + t1 * q, t1 + u2 * q, u2 + a3 * q, a3))
+        # every row a piece is evaluated from, stacked for one gather: P's
+        # cubic in Z - knot, P''s quadratic, S's cubic in Z, the entropy
+        # offset (the row ``_offsets`` views, set by the entropy build), and
+        # the piece's bounds [knot, next knot), the last one closed at z_hi
+        upper = np.append(zin[1:-1], np.nextafter(self.z_hi, math.inf))
+        self._rows = np.vstack((self._c, self._c[:-1] * np.array([3.0, 2.0, 1.0])[:, None],
+                                self._coeffs, np.zeros(len(zin) - 1), zin[:-1], upper))
+        self._offsets = self._rows[self._OFFSET]
         self._build_entropy_pieces(gauge_z)
         self._validate_gap()
 
@@ -285,7 +299,7 @@ class TabulatedShape(_Shape):
             zl, zr = self._knots[k], self._knots[k + 1]
             offs[k] = s_right - self._cubic_entropy_antideriv(c, zr)
             s_right = self._cubic_entropy_antideriv(c, zl) + offs[k]
-        self._offsets = offs
+        self._offsets[:] = offs
         self._head_off = s_right + self.head_lin * math.log(self.z_lo)
         shift = float(self.entropy_shape(np.array([gauge_z]))[0])
         self._head_off -= shift
@@ -307,43 +321,83 @@ class TabulatedShape(_Shape):
 
     # -- evaluation ------------------------------------------------------------
 
+    # the rows of ``_rows``: P, P', S, the entropy offset, the piece's bounds
+    _P, _DP, _S, _OFFSET, _LO, _HI = slice(0, 4), slice(4, 7), slice(7, 11), 11, 12, 13
+
     def _eval(self, z, *names):
-        """The named forms on z: spline forms take (z, k, s) with k the
-        piece of each z and s = z - knot[k], head and tail forms take z."""
+        """The named forms on z: spline forms take (z, c, s, s2) with c the
+        rows of each z's piece, s = z - knot and s2 = s * s, head and tail
+        forms take z."""
         z = np.asarray(z, dtype=float)
+        if self._on_spline(z):
+            c = self._locate(z)
+            return self._spline(z, c, z - c[self._LO], names)
         lo = z < self.z_lo
         hi = z > self.z_hi
-        if not (lo.any() or hi.any()):
-            loc = self._locate(z)
-            return tuple([self._SPLINE[n](self, *loc) for n in names])
         outs = tuple([np.empty_like(z) for _ in names])
         for forms, m in ((self._HEAD, lo), (self._SPLINE, ~(lo | hi)), (self._tail, hi)):
             if m.any():
                 zm = z[m]
-                args = self._locate(zm) if forms is self._SPLINE else (zm,)
-                for out, n in zip(outs, names):
-                    out[m] = forms[n](self, *args)
+                if forms is self._SPLINE:
+                    c = self._locate(zm)
+                    values = self._spline(zm, c, zm - c[self._LO], names)
+                else:
+                    values = [forms[n](self, zm) for n in names]
+                for out, v in zip(outs, values):
+                    out[m] = v
         return outs
 
+    def bind_pieces(self):
+        """A function (z, *names) -> ``_eval(z, *names)`` that keeps each z's
+        spline piece from its last call: while every z lies in its piece,
+        the bound rows give the forms with no lookup (the correlated table
+        search, ``hunt`` in Press et al., Numerical Recipes, 3rd ed., sec.
+        3.1).  A z outside its piece locates every z again, and while a z
+        lies off the spline every call takes ``_eval``: the values are
+        ``_eval``'s bit for bit, from the same piece and operands."""
+        bound = None
+
+        def evaluate(z, *names):
+            nonlocal bound
+            if bound is not None and bound.shape[1:] == z.shape:
+                s = z - bound[self._LO]
+                # z - knot >= 0 exactly when z >= knot; NaN fails
+                if s.min() >= 0.0 and (z < bound[self._HI]).all():
+                    return self._spline(z, bound, s, names)
+            if self._on_spline(z):
+                bound = self._locate(z)
+                return self._spline(z, bound, z - bound[self._LO], names)
+            bound = None
+            return self._eval(z, *names)
+        return evaluate
+
+    def _on_spline(self, z):
+        """Whether every z lies in [z_lo, z_hi], by one min and one max; NaN
+        fails."""
+        return z.size > 0 and z.min() >= self.z_lo and z.max() <= self.z_hi
+
     def _locate(self, z):
-        k = np.searchsorted(self._inner_knots, z, side="right")
-        return z, k, z - self._knots[k]
+        """The rows of each z's piece, by one ``searchsorted`` and one gather."""
+        return self._rows.take(np.searchsorted(self._inner_knots, z, side="right"), axis=1)
 
-    def _spline_p(self, z, k, s):
-        c = self._c.take(k, axis=1)
+    def _spline(self, z, c, s, names):
         s2 = s * s
-        return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
+        return tuple([self._SPLINE[n](self, z, c, s, s2) for n in names])
 
-    def _spline_dp(self, z, k, s):
-        c = self._dc.take(k, axis=1)
-        return c[2] + c[1] * s + c[0] * (s * s)
+    def _spline_p(self, z, c, s, s2):
+        a3, a2, a1, a0 = c[self._P]
+        return a0 + a1 * s + a2 * s2 + a3 * (s2 * s)
 
-    def _spline_s(self, z, k, s):
-        return self._cubic_entropy_antideriv(self._coeffs.take(k, axis=1), z) + self._offsets[k]
+    def _spline_dp(self, z, c, s, s2):
+        b2, b1, b0 = c[self._DP]
+        return b0 + b1 * s + b2 * s2
 
-    def _spline_ds(self, z, k, s):
-        return -1.5 * (_FIVE_THIRDS * self._spline_p(z, k, s)
-                       - self._spline_dp(z, k, s) * z) / (z * z)
+    def _spline_s(self, z, c, s, s2):
+        return self._cubic_entropy_antideriv(c[self._S], z) + c[self._OFFSET]
+
+    def _spline_ds(self, z, c, s, s2):
+        return -1.5 * (_FIVE_THIRDS * self._spline_p(z, c, s, s2)
+                       - self._spline_dp(z, c, s, s2) * z) / (z * z)
 
     _SPLINE = {"p": _spline_p, "dp": _spline_dp, "s": _spline_s, "ds": _spline_ds}
 
@@ -654,11 +708,13 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     rho > 0 is checked once, here; callers keep theta positive.  On the
     iconic shape rho e_delta = a theta^4 + (3/2 + delta) rho theta
     + (3/2) p_inf rho^{5/3}, a quartic whose coefficients are set up once,
-    so an iterate evaluates no Z, no shape and no domain check.  Other
-    shapes evaluate the powers of theta, Z and one (P, P') per iterate.
-    Called with ``slope=False`` the residual returns its value alone, which
-    on a table takes one P pass and no P'.  At delta = 0 no delta term is
-    formed.
+    so an iterate evaluates no Z, no shape and no domain check.  On a table
+    an iterate evaluates the powers of theta, Z and one (P, P') through the
+    shape's ``bind_pieces``: the first call locates each Z's spline piece,
+    and later calls evaluate from those rows while every Z stays in its
+    piece, with the bits of ``p_dp``.  Called with ``slope=False`` the
+    residual returns its value alone, one P and no P' from the same
+    binding.  At delta = 0 no delta term is formed.
     """
     rho = _positive_density(rho)
     w = np.asarray(w, dtype=float)
@@ -672,10 +728,12 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
             return (f, 4.0 * a_theta3 + b) if slope else f
         return quartic
 
+    evaluate = eos.shape_fn.bind_pieces()
+
     def residual(theta, slope=True):
         theta = np.asarray(theta, dtype=float)
         pw = _theta_powers(rho, theta)
-        p, dp = eos.shape_fn.p_dp(pw.z) if slope else (eos.shape_fn.p(pw.z), None)
+        p, dp = evaluate(pw.z, "p", "dp") if slope else (evaluate(pw.z, "p")[0], None)
         e = _energy(eos, rho, pw, p)
         if delta:
             e = e + delta * theta

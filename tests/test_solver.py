@@ -301,10 +301,12 @@ def _log_newton_iterates(monkeypatch, log):
 
 
 def _count_shape_calls(monkeypatch, eos):
-    """Count the pressure-shape evaluations of ``eos``, by method name."""
+    """Count the pressure-shape evaluations of ``eos``, by method name, and
+    a table's piece lookups as ``_locate``."""
     calls = {}
     shape = eos.shape_fn
-    for name in ("p", "dp", "p_dp", "entropy_shape", "entropy_shape_slope"):
+    names = ("p", "dp", "p_dp", "entropy_shape", "entropy_shape_slope", "_eval")
+    for name in names + (("_locate",) if eos.shape == "table" else ()):
         def counted(*args, _fn=getattr(shape, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
@@ -316,9 +318,12 @@ def _count_shape_calls(monkeypatch, eos):
 @pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
 def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkeypatch,
                                                          request):
-    # one residual build per recovery; a Newton iterate makes one p_dp on the
-    # table and no EOS call at all on the iconic quartic, and the final check
-    # is one value of that residual at the returned theta: one P on the table
+    # one residual build per recovery; a Newton iterate makes no EOS call at
+    # all on the iconic quartic, and on the table no shape method call: the
+    # residual binds every Z's spline piece at its first call and evaluates
+    # P and P' from the bound rows, locating again only at a call where some
+    # Z has left its piece; the final check is one value of that residual at
+    # the returned theta, from the same binding
     eos = request.getfixturevalue(eos_name)
     cfg = sv.SolverConfig(delta=delta, t_end=1.0)
     x = np.linspace(0.0, 1.0, 16)
@@ -335,12 +340,90 @@ def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkey
     assert len(iterates) >= 2
     assert calls == {"energy_density_residual": 1}
     assert all(args[3] == delta for name, args in log if name == "energy_density_residual")
-    table = eos.shape == "table"
-    assert shape_calls == ({"p_dp": len(iterates), "p": 1} if table else {})
+    if eos.shape == "table":
+        # the pieces of each call's Z: this data crosses the knot at
+        # Z = 0.82 once, so the recovery locates twice
+        knots = eos.shape_fn._inner_knots
+        pieces = [np.searchsorted(knots, th._theta_powers(rho, args[0]).z, side="right")
+                  for name, args in log if name in ("iterate", "check")]
+        moves = sum(not np.array_equal(a, b) for a, b in zip(pieces, pieces[1:]))
+        assert moves == 1
+        assert shape_calls == {"_locate": 1 + moves}
+    else:
+        assert shape_calls == {}
     # each call is a new Newton iterate, and the check is the last call
     assert all(not np.array_equal(a, b) for a, b in zip(iterates, iterates[1:]))
     assert [name for name, _ in log].count("check") == 1
     assert log[-1][0] == "check" and log[-1][1][0] is theta
+
+
+def _lookups_per_recovery(monkeypatch, eos, log):
+    """Log ("locate", ()) for each piece lookup of ``eos``'s table; returns
+    a function giving, from ``log``, the lookups of each recovery, counted
+    from its residual build to the next thermo call."""
+    shape = eos.shape_fn
+    locate = shape._locate
+    monkeypatch.setattr(shape, "_locate", lambda z: log.append(("locate", ())) or locate(z))
+
+    def per_recovery():
+        counts, inside = [], False
+        for name, _ in log:
+            if name == "locate":
+                if inside:
+                    counts[-1] += 1
+            elif name not in ("iterate", "check"):
+                inside = name == "energy_density_residual"
+                if inside:
+                    counts.append(0)
+        return counts
+    return per_recovery
+
+
+def test_channel_recoveries_locate_the_pieces_once(eos_table, monkeypatch):
+    # a table channel at n = 512 with the benchmark's channel512 flow: Newton
+    # moves Z by about 1e-4 relative, inside pieces about 50% wide, so each
+    # recovery of a step looks its pieces up once, Newton iterates and
+    # check included
+    n = 512
+    mesh = Mesh1D(0.0, 1.0, n)
+    x = mesh.centers
+    u_in = 0.5
+    bspec = bd.make_boundary(u_b_left=u_in, u_b_right=u_in, rho_b_left=1.0,
+                             F_ib_left=-u_in * (1.5 + 2.5))
+    cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=1.0)
+    ts = th.TransportSpec(mu_scale=0.05, kappa_scale=0.1)
+    state = sv.FieldState(rho=np.ones(n) + 5e-4 * np.sin(np.pi * x), u=u_in * np.ones(n),
+                          theta=1 + 0.2 * x ** 2 * (3 - 2 * x))
+    log = []
+    _count_thermo_calls(monkeypatch, log)
+    _log_newton_iterates(monkeypatch, log)
+    per_recovery = _lookups_per_recovery(monkeypatch, eos_table, log)
+    for _ in range(3):
+        dt = sv.stable_dt(state, mesh, eos_table, ts, cfg)
+        state = sv.step(state, mesh, eos_table, ts, cfg, bspec, dt)[0]
+    assert per_recovery() == [1] * 6
+    assert [name for name, _ in log].count("iterate") >= 12
+
+
+def test_recover_theta_rejects_a_nan_temperature_on_the_table(eos_table, monkeypatch):
+    # a NaN guess passes the positivity check; its Z fails the binding's
+    # range test every call, goes through the masked pass, and the NaN
+    # residual rejects the step
+    x = np.linspace(0.0, 1.0, 16)
+    rho = 1.0 + 0.1 * np.cos(np.pi * x)
+    theta_true = 1.0 + 0.1 * np.sin(np.pi * x)
+    w = rho * th.stage_closures(eos_table, rho, theta_true)[1]
+    guess = theta_true.copy()
+    guess[7] = np.nan
+    log = []
+    _count_thermo_calls(monkeypatch, log)
+    _log_newton_iterates(monkeypatch, log)
+    per_recovery = _lookups_per_recovery(monkeypatch, eos_table, log)
+    with pytest.raises(sv.StepRejected, match="did not converge"):
+        sv._recover_theta(eos_table, sv.SolverConfig(t_end=1.0), rho, w, guess)
+    # one masked pass, with its one spline lookup, per call
+    calls = sum(name in ("iterate", "check") for name, _ in log)
+    assert per_recovery() == [calls]
 
 
 def test_step_thermo_calls_do_not_grow_with_newton_iterates(eos, transport, box,
@@ -842,8 +925,12 @@ def test_dptsv_matches_reference_sweep(rng, n):
     for _ in range(10):
         d, e, b = _spd_tridiagonal(rng, n)
         reference = sv._ldlt_solve(d, e, b)
-        # dptsv overwrites its arguments; the sweep leaves them alone
-        x = sv._dptsv(d.copy(), e.copy(), b.copy())
+        # dptsv solves in one buffer holding d, e and b, as _diffusion_solve
+        # lays them out, and returns b's view; the sweep leaves its
+        # arguments alone
+        buf = np.concatenate([d, e, b])
+        x = sv._dptsv(buf)
+        assert x.shape == (n,) and np.shares_memory(x, buf[2 * n - 1:])
         np.testing.assert_allclose(x, reference, rtol=1e-14, atol=0.0)
         matrix = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         np.testing.assert_allclose(matrix @ reference, b, rtol=0.0, atol=1e-13)
@@ -941,7 +1028,7 @@ def test_step_books_viscous_terms_with_weight_dt(eos, transport):
     stage1 = sv._stage_rhs(mesh, eos, cfg, plan, 0.0, state)
     dt = sv.stable_dt(state, mesh, eos, transport, cfg)
     new, inc = sv._heun_step(mesh, eos, transport, cfg, plan, 0.0, state, dt, stage1)
-    rho1, m1, w1 = sv._predictor(state, stage1, dt)
+    rho1, m1, w1 = sv._predictor(state.rho, state.rho * state.u, stage1, dt)
     rec1 = stage1[3]
     start = sv._linear_start(state.theta, dt * stage1[2], dt * stage1[0], rec1.w_rho,
                              rec1.w_theta)

@@ -629,6 +629,46 @@ def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, requ
         assert shape.p(np.asarray(zk)) == pk
 
 
+@pytest.mark.parametrize("name", ("eos_table", "eos_table_nolaw"))
+def test_bound_pieces_match_the_unbound_pass(name, request, monkeypatch):
+    # Newton-like calls of one binding, as a recovery's residual makes them:
+    # Z moves inside its pieces, crosses an interior knot, lands on z_hi,
+    # steps just past it into the tail, comes back, drops below z_lo into
+    # the head, turns NaN; every call's P and P' (and P alone, as the
+    # recovery's check) equal the unbound pass bit for bit, and a lookup is
+    # made only where some Z left its piece or lies off the spline
+    shape = request.getfixturevalue(name).shape_fn
+    k = shape._knots
+    lo, hi, up = shape.z_lo, shape.z_hi, math.inf
+    z0 = np.array([0.5 * (k[0] + k[1]), k[6] * (1 - 1e-3), k[10], 0.5 * (k[-2] + k[-1])])
+    calls = [  # (z, whether the call looks its pieces up)
+        (z0, True),
+        (z0 * (1 + 1e-4), False),                                 # inside every piece
+        (np.array([z0[0], k[6] * (1 + 1e-3), k[10], z0[3]]), True),  # across knot 6
+        (np.array([z0[0], k[6], k[10], hi]), False),               # onto knot 6 and z_hi
+        (np.array([z0[0], k[6], k[10], np.nextafter(hi, up)]), True),  # the tail, masked
+        (np.array([z0[0], k[6], k[10], hi]), True),                # back on the spline
+        (np.array([np.nextafter(lo, 0.0), k[6], k[10], hi]), True),  # the head, masked
+        (np.array([lo, k[6], k[10], hi]), True),
+        (np.array([lo, k[6], np.nan, hi]), True),                  # NaN, masked
+        (np.array([lo, k[6], k[10], hi]), True),
+    ]
+    reference = [shape.p_dp(z) for z, _ in calls]
+    lookups = []
+    locate = shape._locate
+    monkeypatch.setattr(shape, "_locate", lambda z: lookups.append(1) or locate(z))
+    evaluate = shape.bind_pieces()
+    for (z, located), (p, dp) in zip(calls, reference):
+        lookups.clear()
+        bound_p, bound_dp = evaluate(z, "p", "dp")
+        assert bound_p.tobytes() == p.tobytes() and bound_dp.tobytes() == dp.tobytes()
+        assert len(lookups) == located
+        # the check's value alone reads the same binding: it looks up only
+        # where a z lies off the spline (NaN fails both comparisons)
+        assert evaluate(z, "p")[0].tobytes() == p.tobytes()
+        assert len(lookups) == located + (not (lo <= z.min() and z.max() <= hi))
+
+
 @pytest.mark.parametrize("third_law,knots", ((True, 25), (False, 25), (True, 60), (False, 60)))
 def test_horner_pieces_match_polynomial_composition(third_law, knots):
     # each piece's global-basis cubic, bit for bit, against numpy's own

@@ -55,6 +55,19 @@ def test_every_csv_goes_through_one_writer():
     assert [path.name for path in package if "csv" in _imported_modules(path)] == []
 
 
+def test_lambdify_renders_no_docstring():
+    # lambdify's default docstring_limit prints every closed form under 1000
+    # nodes into a docstring the closure hides and nothing reads
+    calls = [(path.name, node) for path in sorted((ROOT / "src" / "nsfsim").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lambdify"]
+    assert calls
+    rendering = [f"{name}:{node.lineno}" for name, node in calls
+                 if not any(kw.arg == "docstring_limit" and isinstance(kw.value, ast.Constant)
+                            and kw.value.value == 0 for kw in node.keywords)]
+    assert rendering == []
+
+
 def _public_functions(path: Path) -> list:
     """The public functions defined at the top level of a module."""
     tree = ast.parse(path.read_text())
