@@ -678,8 +678,9 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
         raise StepRejected("density fell below its floor")
     _reject_nonfinite("energy density", w)
     theta = np.asarray(theta_guess, dtype=float)
-    # the 0.1 theta damping keeps a positive guess positive
-    if theta.min() <= 0.0:
+    # the 0.1 theta damping keeps a positive guess positive; NaN fails the
+    # comparison, so a NaN guess is refused before any residual call
+    if not theta.min() > 0.0:
         raise EosDomainError("temperature must be positive")
     residual = energy_density_residual(eos, rho, w, cfg.delta)
     for _ in range(40):

@@ -17,7 +17,7 @@ import nsfsim
 from nsfsim import cli, mms, relent, scenario as sc, solver, studies
 from nsfsim.mesh import Mesh1D
 
-from conftest import make_table_eos
+from conftest import make_table_eos, manufactured_fields
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -415,13 +415,18 @@ def test_unknown_case_rejected():
 MMS_CASES = ("thermal_relaxation", "acoustic_smooth", "throughflow")
 
 
+def _generated(fn):
+    """The sympy-generated function behind an MMS closure."""
+    (gen,) = [v for v in inspect.getclosurevars(fn).nonlocals.values()
+              if inspect.isfunction(v)]
+    return gen
+
+
 def _generated_calls(fn):
     """Counts of the cos/sin/exp/sqrt calls, by argument, in the source of
     the sympy-generated function behind an MMS closure."""
-    (gen,) = [v for v in inspect.getclosurevars(fn).nonlocals.values()
-              if inspect.isfunction(v)]
     calls = collections.Counter()
-    for node in ast.walk(ast.parse(inspect.getsource(gen))):
+    for node in ast.walk(ast.parse(inspect.getsource(_generated(fn)))):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name in ("cos", "sin", "exp", "sqrt"):
@@ -439,19 +444,71 @@ def test_manufactured_sources_compute_each_transcendental_once(kind):
 
 @pytest.mark.parametrize("kind", MMS_CASES)
 def test_manufactured_closures_match_expanded_form(kind, monkeypatch):
+    # each closure is compiled from its expression in jet symbols behind the
+    # jets' shared CSE and its own; the same expression with the jet (and
+    # CSE) definitions substituted, compiled without CSE, agrees to rounding
     import sympy
 
-    case = mms.manufactured_case(kind)
     lambdify = sympy.lambdify
-    monkeypatch.setattr(sympy, "lambdify",
-                        lambda *args, **kw: lambdify(*args, **{**kw, "cse": False}))
-    expanded = mms.manufactured_case(kind)
+    expanded = {}
+
+    def recording(args, expr, *rest, **kw):
+        gen = lambdify(args, expr, *rest, **kw)
+        defs, body = kw["cse"](expr)
+        resolved = {}
+        for sym, value in defs:
+            resolved[sym] = value.xreplace(resolved)
+        expanded[gen] = lambdify(args, body.xreplace(resolved), *rest, **{**kw, "cse": False})
+        return gen
+
+    monkeypatch.setattr(sympy, "lambdify", recording)
+    case = mms.manufactured_case(kind)
     x = Mesh1D(0.0, 1.0, 128).centers
-    pairs = [(case.g_fn, expanded.g_fn), (case.energy_source_fn, expanded.energy_source_fn)]
-    pairs += [(case._exprs[k], expanded._exprs[k]) for k in case._exprs]
+    fns = (case.rho_fn, case.u_fn, case.theta_fn, case.g_fn, case.energy_source_fn,
+           *case._exprs.values())
     for t in (0.0, 0.01, 0.35):
-        for fn, ref in pairs:
-            np.testing.assert_allclose(fn(t, x), ref(t, x), rtol=1e-11, atol=0.0)
+        for fn in fns:
+            np.testing.assert_allclose(fn(t, x), expanded[_generated(fn)](t, x),
+                                       rtol=1e-11, atol=0.0)
+
+
+def _direct_forms(case, rho_e, u_e, theta_e) -> dict:
+    """g, the energy source, p, e, the stress and q of a manufactured case,
+    by sp.diff of the balances written in the closed forms and compiled with
+    CSE: a derivation independent of the package's jets and chain rule."""
+    import sympy as sp
+
+    T, X = sp.symbols("t x", real=True)
+    ts = case.transport
+    p_e, e_e = mms._iconic_closures(case.eos, rho_e, theta_e)
+    lam = sp.Rational(ts.lambda_exp)
+    mu_e = sp.Float(ts.mu_scale) * (1 + theta_e ** lam)
+    eta_e = sp.Float(ts.eta_scale) * (1 + theta_e ** lam)
+    kappa_e = sp.Float(ts.kappa_scale) * (1 + theta_e ** 3)
+    ux_e = sp.diff(u_e, X)
+    stress_e = (mu_e * sp.Rational(4, 3) + eta_e) * ux_e
+    q_e = -kappa_e * sp.diff(theta_e, X)
+    g_e = (sp.diff(rho_e * u_e, T) + sp.diff(rho_e * u_e ** 2, X)
+           + sp.diff(p_e, X) - sp.diff(stress_e, X)) / rho_e
+    s_e = (sp.diff(rho_e * e_e, T) + sp.diff(rho_e * e_e * u_e, X)
+           + sp.diff(q_e, X) - stress_e * ux_e + p_e * ux_e)
+    forms = {"g": g_e, "energy_source": s_e, "p_fn": p_e, "e_fn": e_e,
+             "stress_fn": stress_e, "q_fn": q_e}
+    return {k: sp.lambdify((T, X), v, "numpy", cse=True, docstring_limit=0)
+            for k, v in forms.items()}
+
+
+@pytest.mark.parametrize("kind", MMS_CASES)
+def test_manufactured_forms_match_the_direct_derivation(kind, monkeypatch):
+    case, closed = manufactured_fields(monkeypatch, kind)
+    ref = _direct_forms(case, *closed)
+    new = {"g": case.g_fn, "energy_source": case.energy_source_fn, **case._exprs}
+    assert new.keys() == ref.keys()
+    x = Mesh1D(0.0, 1.0, 128).centers
+    for t in (0.0, 0.01, 0.35):
+        for k, fn in new.items():
+            want = ref[k](t, x) + 0.0 * x
+            assert np.abs(fn(t, x) - want).max() <= 1e-12 * np.abs(want).max(), (k, t)
 
 
 def test_manufactured_sources_evaluate_once_per_stage_time(monkeypatch):
@@ -482,9 +539,7 @@ def test_manufactured_sources_evaluate_once_per_stage_time(monkeypatch):
     assert traj.n_rejects == 0 and len(stage_times) == 2 * traj.n_steps
     assert len(set(stage_times)) <= traj.n_steps + 1
     for fn in (case.g_fn, case.energy_source_fn):
-        (gen,) = [v for v in inspect.getclosurevars(fn).nonlocals.values()
-                  if inspect.isfunction(v)]
-        assert calls[gen] == len(set(stage_times))
+        assert calls[_generated(fn)] == len(set(stage_times))
 
 
 def test_manufactured_closure_reuses_only_an_equal_call():

@@ -7,9 +7,12 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import nsfsim
 from nsfsim import BoundarySpec, Mesh1D, make_boundary, scenario, solver
+
+from conftest import manufactured_fields
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,6 +69,27 @@ def test_lambdify_renders_no_docstring():
                  if not any(kw.arg == "docstring_limit" and isinstance(kw.value, ast.Constant)
                             and kw.value.value == 0 for kw in node.keywords)]
     assert rendering == []
+
+
+@pytest.mark.parametrize("kind", ["thermal_relaxation", "acoustic_smooth", "throughflow"])
+def test_manufactured_sources_differentiate_only_the_fields(kind, monkeypatch):
+    # the balances are written in the jets of rho*, m* = rho* u* and theta*;
+    # sympy differentiates in t or x only those three closed forms, three
+    # times each (d/dt, d/dx, d2/dx2), never a whole balance
+    import sympy
+
+    diff, in_tx = sympy.diff, []
+
+    def recording(expr, *variables, **kw):
+        if {str(v) for v in variables} & {"t", "x"}:
+            in_tx.append(expr)
+        return diff(expr, *variables, **kw)
+
+    monkeypatch.setattr(sympy, "diff", recording)
+    _, (rho_e, u_e, theta_e) = manufactured_fields(monkeypatch, kind)
+    fields = (rho_e, rho_e * u_e, theta_e)
+    assert 0 < len(in_tx) <= 9
+    assert [expr for expr in in_tx if expr not in fields] == []
 
 
 def _public_functions(path: Path) -> list:
