@@ -19,7 +19,7 @@ from .relent import _write_csv
 from .scenario import (Issue, ScenarioValidationError, export_budget_csv,
                        export_timeseries, load_document, load_eos_document,
                        load_scenario)
-from .solver import SolverConfig
+from .solver import RunAborted, SolverConfig
 from .studies import (ORDER_HI, ORDER_LO, check_resolutions, convergence_study,
                       weak_strong_study)
 
@@ -194,13 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; refused input is one FAIL line per issue and exit 1."""
+    """Run one subcommand; refused input is one FAIL line per issue, and an
+    aborted run one FAIL line, each with exit 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioValidationError as err:
         for issue in err.issues:
             print(f"FAIL  {issue}")
+        return 1
+    except RunAborted as err:
+        print(f"FAIL  run aborted: {err}")
         return 1
 
 

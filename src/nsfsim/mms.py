@@ -1,51 +1,38 @@
 """Manufactured solutions for solver verification.
 
-Each case prescribes closed-form fields (rho*, u*, theta*) on [0, 1] chosen
-so the continuity equation holds exactly (no mass source is available), the
-boundary data extracted from the traces are constant in time, and the
-remaining balances are forced through a body force g(t, x) and an internal
-energy source, the exact residuals of the field equations with the iconic
-pressure closure.  The derived sources are verified independently: the
-probe re-evaluates the balances with finite differences of the closed
-forms on a fine grid.
+Each case prescribes closed-form fields (rho*, u*, theta*) on [0, 1] with
+continuity exact (no mass source is available) and boundary data constant
+in time, stated in closed form (u_b is 0.0 on a wall to the bit).  A body
+force g(t, x) and an internal energy source, the exact residuals of the
+other balances with the case's EOS, force the rest; the probe checks them
+by finite differences of the closed forms.  The shipped cases take the
+iconic EOS; the sources read ``MmsCase.eos``, so a copy made with
+``dataclasses.replace(case, eos=...)`` is forced on another EOS (a wall
+case's boundary data do not depend on it).
 
-The sources are derived by the chain rule on field jets.  sympy
-differentiates in t and x only the three closed forms rho*, m* = rho* u*
-and theta*, each to its four jets (value, d/dt, d/dx, d2/dx2): 12 jet
-symbols R, R_t, ..., Th_xx.  Each balance is written once in these
-symbols: u, u_x and u_xx follow from M/R by the quotient rule, and the
-x and t derivatives of p, rho e, the stress and q by the chain rule
-through the closures' slopes p_rho, p_theta, (rho e)_rho, (rho e)_theta,
-nu' and kappa', which sympy takes in the symbols R and Th alone.  No whole
-balance, with its quotients and fractional powers, is differentiated.
+The sources are numeric, in truncated Taylor arithmetic (Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  A case
+writes rho*, m* = rho* u* and theta* once, as jets (:class:`Jet`) of t
+and of its x factors, computed once per x array.  The balances read the
+12 jet arrays: u, u_x and u_xx by the quotient rule, and the slopes of
+p and rho e from one ``stage_closures`` pass, the closures the solver
+evaluates; the transport coefficients and their theta-slopes come from
+one complex-step evaluation of the solver's transport forms (Squire &
+Trapp, *SIAM Rev.* 40 (1998) 110-112).  Any route to the exact residual
+of the closed forms will do (Roache, *J. Fluids Eng.* 124 (2002) 4-10).
+g and the energy source are one evaluation behind one last-call cache, so
+stage 2 of one step and stage 1 of the next evaluate them once.
 
-Every closure of a case (the fields, the two sources, p, e, the stress
-and q) is compiled once, by ``sympy.lambdify`` with a ``cse`` callable
-that puts one common-subexpression elimination of the 12 jets' closed
-forms, shared by the case, and the jet definitions the closure reads in
-front of the closure's own CSE: a call computes cos(pi x), sin(pi x),
-exp(-sigma t) and their shared powers once, and renders no docstring of
-the form (``docstring_limit=0``).  The compiled sources agree with the
-balances written in the closed forms and differentiated whole to rounding
-(about 1e-14 relative), and the generated code does not depend on the
-interpreter's hash seed.  Each compiled closure keeps its last call:
-called again with an equal t and an x equal by value, it returns the
-stored read-only array, so the solver's stage 2 of one step and stage 1
-of the next, at the same time, evaluate a source once.
-
-Shipped cases:
-
-* ``thermal_relaxation``: density, velocity and temperature all relax to
-  rest in a closed insulated box; the induced velocity keeps continuity
-  exact and exercises the upwind transport in every equation.
-* ``acoustic_smooth``: a damped standing oscillation in a closed box.
-* ``throughflow``: a steady flow through the domain with both an inflow and
-  an outflow face active and a curved temperature profile.
+Shipped cases: ``thermal_relaxation`` (density, velocity and temperature
+relax to rest in a closed insulated box, the induced velocity exercising
+the upwind transport in every equation), ``acoustic_smooth`` (a damped
+standing oscillation in a closed box) and ``throughflow`` (a steady flow
+in at one face and out at the other, with a curved temperature profile).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -53,242 +40,249 @@ import numpy as np
 from . import boundary as bd
 from .mesh import Mesh1D
 from .solver import FieldState, SolverConfig
-from .thermo import EosSpec, TransportSpec, iconic_eos
+from .thermo import EosSpec, TransportSpec, iconic_eos, stage_closures
+
+# the solver settings the sources are derived for: d = 3, epsilon = delta = 0
+_SETTINGS = SolverConfig()
+# the complex step of the transport slopes: h^2 vanishes next to 1
+_STEP = 1e-200
 
 
-def _symbols():
-    """sympy and the (t, x) symbols; sympy is imported only to build a case."""
-    import sympy as sp
+def _add(a, b):
+    """a + b, where None is an identically zero part."""
+    if a is None:
+        return b
+    return a if b is None else a + b
 
-    return sp, *sp.symbols("t x", real=True)
+
+def _mul(a, b):
+    return None if a is None or b is None else a * b
 
 
-def _iconic_closures(eos: EosSpec, rho, theta):
-    import sympy as sp
+class Jet:
+    """A field at (t, x) with its derivatives d/dt, d/dx and d2/dx2.
 
-    a = sp.Float(eos.a)
-    p_inf = sp.Float(eos.p_inf)
-    p = rho * theta + p_inf * rho ** sp.Rational(5, 3) + a * theta ** 4 / 3
-    e = (sp.Rational(3, 2) * theta + sp.Rational(3, 2) * p_inf * rho ** sp.Rational(2, 3)
-         + a * theta ** 4 / rho)
-    return p, e
+    A part that is None is identically zero and costs no arithmetic: a jet
+    of t alone times a jet of x alone forms four products, and jets seeded
+    without derivative parts carry values only."""
+
+    __slots__ = ("v", "t", "x", "xx")
+
+    def __init__(self, v, t=None, x=None, xx=None):
+        self.v, self.t, self.x, self.xx = v, t, x, xx
+
+    def parts(self):
+        """(value, d/dt, d/dx, d2/dx2), with 0.0 for a zero part."""
+        t, x, xx = self.t, self.x, self.xx
+        return (self.v, 0.0 if t is None else t, 0.0 if x is None else x,
+                0.0 if xx is None else xx)
+
+    def __add__(self, o):
+        if isinstance(o, Jet):
+            return Jet(self.v + o.v, _add(self.t, o.t), _add(self.x, o.x), _add(self.xx, o.xx))
+        return Jet(self.v + o, self.t, self.x, self.xx)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return self + o * -1.0
+
+    def __rsub__(self, o):
+        return self * -1.0 + o
+
+    def __mul__(self, o):
+        if not isinstance(o, Jet):
+            t, x, xx = self.t, self.x, self.xx
+            return Jet(self.v * o, None if t is None else t * o, None if x is None else x * o,
+                       None if xx is None else xx * o)
+        v, w = self.v, o.v
+        return Jet(v * w, _add(_mul(self.t, w), _mul(v, o.t)),
+                   _add(_mul(self.x, w), _mul(v, o.x)),
+                   _add(_add(_mul(self.xx, w), _mul(v, o.xx)), _mul(_mul(self.x, 2.0), o.x)))
+
+    __rmul__ = __mul__
+
+    def exp(self):
+        v = np.exp(self.v)
+        return self._chain(v, v, v)
+
+    def _chain(self, v, d1, d2):
+        """f of this jet, where v, d1 and d2 are f, f' and f'' at its value."""
+        t, x, xx = self.t, self.x, self.xx
+        if x is not None:
+            xx = d2 * (x * x) if xx is None else d1 * xx + d2 * (x * x)
+            x = d1 * x
+        elif xx is not None:
+            xx = d1 * xx
+        return Jet(v, None if t is None else d1 * t, x, xx)
+
+
+def cos_sin(f: Jet):
+    """(cos f, sin f), from one cosine and one sine of f's value."""
+    c, s = np.cos(f.v), np.sin(f.v)
+    ns = -s
+    return f._chain(c, ns, -c), f._chain(s, c, ns)
+
+
+def _velocity(rho: Jet, m: Jet):
+    """u = m/rho with u_x and u_xx, by the quotient rule."""
+    (R, _, R_x, R_xx), (M, _, M_x, M_xx) = rho.parts(), m.parts()
+    inv = 1.0 / R
+    u = M * inv
+    u_x = (M_x - u * R_x) * inv
+    return u, u_x, (M_xx - 2.0 * u_x * R_x - u * R_xx) * inv
 
 
 @dataclass
 class MmsCase:
-    """Closed-form fields, derived sources, and trace boundary data."""
+    """Closed-form fields, their sources, and the boundary data: ``fields``
+    maps the jet of t and the x factors that ``space`` makes of the jet of
+    x to the jets of (rho*, m*, theta*), m* = rho* u*."""
 
     name: str
     eos: EosSpec
     transport: TransportSpec
     x_left: float
     x_right: float
-    rho_fn: Callable
-    u_fn: Callable
-    theta_fn: Callable
-    g_fn: Callable
-    energy_source_fn: Callable
+    space: Callable
+    fields: Callable
     boundary: bd.BoundarySpec
-    _exprs: dict
+    g_fn: Callable = field(init=False, repr=False)
+    energy_source_fn: Callable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        last = [None, None, None, None]  # t, a copy of x, its x factors, (g, source)
+
+        def sources(t, x):
+            x = np.asarray(x)
+            if last[1] is None or x.shape != last[1].shape or not (x == last[1]).all():
+                x = np.array(x, dtype=float)
+                last[:] = None, x, self.space(Jet(x, x=1.0)), None
+            if t != last[0]:
+                out = self._sources(t, last[2])
+                for val in out:
+                    val.flags.writeable = False
+                last[0], last[3] = t, out
+            return last[3]
+
+        self.g_fn = lambda t, x: sources(t, x)[0]
+        self.energy_source_fn = lambda t, x: sources(t, x)[1]
+
+    def _sources(self, t, space):
+        """(g, energy source) at t and the x factors ``space``."""
+        rho, m, theta = self.fields(Jet(t, 1.0), space)
+        (R, R_t, R_x, _), (M, M_t, M_x, _), (Th, Th_t, Th_x, Th_xx) = (
+            rho.parts(), m.parts(), theta.parts())
+        u, u_x, u_xx = _velocity(rho, m)
+        p, e, _, _, w_rho, w_theta, p_theta = stage_closures(self.eos, R, Th, slopes=True)
+        z = Th + _STEP * 1j  # f(z) = f(theta) + ih f'(theta), to rounding
+        nu, kappa = _SETTINGS.viscosity(self.transport, z), _SETTINGS.conductivity(self.transport, z)
+        th_x = Th_x / _STEP
+        stress = nu.real * u_x
+        g = (M_t + M_x * u + M * u_x + w_rho / 1.5 * R_x + p_theta * Th_x
+             - nu.imag * th_x * u_x - nu.real * u_xx) / R
+        source = (w_rho * (R_t + R_x * u) + w_theta * (Th_t + Th_x * u)
+                  + (R * e + p - stress) * u_x - kappa.imag * th_x * Th_x - kappa.real * Th_xx)
+        return g, source
+
+    def _forms(self, t, x) -> dict:
+        """rho*, m*, u*, p, e, the stress and q at (t, x)."""
+        rho, m, theta = self.fields(Jet(t), self.space(Jet(x, x=1.0)))
+        u, u_x, _ = _velocity(rho, m)
+        th, _, th_x, _ = theta.parts()
+        p, e, _ = stage_closures(self.eos, rho.v, th)
+        return {"rho": rho.v, "m": m.v, "u": u, "p": p, "e": e,
+                "stress": _SETTINGS.viscosity(self.transport, th) * u_x,
+                "q": -_SETTINGS.conductivity(self.transport, th) * th_x}
 
     def exact_state(self, t: float, mesh: Mesh1D) -> FieldState:
-        x = mesh.centers
-        one = np.ones_like(x)
-        return FieldState(rho=self.rho_fn(t, x) * one, u=self.u_fn(t, x) * one,
-                          theta=self.theta_fn(t, x) * one)
+        """The fields at the cell centers, from jets that carry values alone."""
+        one = np.ones_like(mesh.centers)
+        rho, m, theta = self.fields(Jet(t), self.space(Jet(mesh.centers)))
+        return FieldState(rho=rho.v * one, u=m.v / rho.v * one, theta=theta.v * one)
 
     def config(self, t_end: float, cfl: float = 0.4) -> SolverConfig:
-        """The solver settings the sources were derived for (d = 3,
-        epsilon = delta = 0), with both sources active."""
+        """The solver settings of the sources (d = 3, epsilon = delta = 0),
+        with both sources active."""
         return SolverConfig(t_end=t_end, cfl=cfl, g=self.g_fn,
                             energy_source=self.energy_source_fn)
 
     def residual_probe(self) -> dict:
-        """Finite-difference residuals of the balances on a fine grid.
-
-        The outer space/time derivatives come from central differences of
-        the closed forms, so the probe is independent of the symbolic
-        derivation used to build g and the energy source.
-        """
-        hx = ht = 5e-5
+        """Residuals d/dt(density) + d/dx(flux) - sources of the balances on
+        a fine grid, by central differences of the closed forms."""
+        h = 5e-5
         x = np.linspace(self.x_left + 1e-3, self.x_right - 1e-3, 1024)
         out = {"mass": 0.0, "momentum": 0.0, "energy": 0.0}
-        fr, fu, fth = self.rho_fn, self.u_fn, self.theta_fn
-        p_fn = self._exprs["p_fn"]
-        e_fn = self._exprs["e_fn"]
-        stress_fn = self._exprs["stress_fn"]
-        q_fn = self._exprs["q_fn"]
         for t in (0.05, 0.35):
-            def dt(f):
-                return (f(t + ht, x) - f(t - ht, x)) / (2.0 * ht)
+            at, ahead, behind = self._forms(t, x), self._forms(t + h, x), self._forms(t - h, x)
+            right, left = self._forms(t, x + h), self._forms(t, x - h)
 
-            def dx(f):
-                return (f(t, x + hx) - f(t, x - hx)) / (2.0 * hx)
+            def balance(density, flux):
+                return (density(ahead) - density(behind) + flux(right) - flux(left)) / (2.0 * h)
 
-            rho = fr(t, x) * np.ones_like(x)
-            ux = dx(fu)
-            m_res = dt(lambda tt, xx: fr(tt, xx) * np.ones_like(xx)) \
-                + dx(lambda tt, xx: fr(tt, xx) * fu(tt, xx) * np.ones_like(xx))
-            out["mass"] = max(out["mass"], float(np.max(np.abs(m_res))))
-
-            mom_res = (dt(lambda tt, xx: fr(tt, xx) * fu(tt, xx) * np.ones_like(xx))
-                       + dx(lambda tt, xx: (fr(tt, xx) * fu(tt, xx) ** 2
-                                            + p_fn(tt, xx)) * np.ones_like(xx))
-                       - dx(lambda tt, xx: stress_fn(tt, xx) * np.ones_like(xx))
-                       - rho * self.g_fn(t, x))
-            out["momentum"] = max(out["momentum"], float(np.max(np.abs(mom_res))))
-
-            en_res = (dt(lambda tt, xx: (fr(tt, xx) * e_fn(tt, xx)) * np.ones_like(xx))
-                      + dx(lambda tt, xx: (fr(tt, xx) * e_fn(tt, xx) * fu(tt, xx)
-                                           + q_fn(tt, xx)) * np.ones_like(xx))
-                      - stress_fn(t, x) * ux + p_fn(t, x) * ux
-                      - self.energy_source_fn(t, x))
-            out["energy"] = max(out["energy"], float(np.max(np.abs(en_res))))
+            ux = (right["u"] - left["u"]) / (2.0 * h)
+            residuals = (  # mass, momentum, energy
+                balance(lambda c: c["rho"], lambda c: c["m"]),
+                balance(lambda c: c["m"], lambda c: c["m"] * c["u"] + c["p"] - c["stress"])
+                - at["rho"] * self.g_fn(t, x),
+                balance(lambda c: c["rho"] * c["e"], lambda c: c["m"] * c["e"] + c["q"])
+                + (at["p"] - at["stress"]) * ux - self.energy_source_fn(t, x))
+            for k, res in zip(out, residuals):
+                out[k] = max(out[k], float(np.max(np.abs(res))))
         return out
 
 
-def _jet_cse(closed: dict):
-    """A ``cse`` callable for ``lambdify``: one CSE of the jets' closed forms
-    (``closed`` maps each jet symbol to its form), shared by every closure,
-    then the closure's own CSE over its jet symbols; the shared definitions
-    a closure does not read are left out."""
-    import sympy as sp
-
-    shared, reduced = sp.cse(list(closed.values()), symbols=sp.numbered_symbols("j"))
-    prelude = shared + list(zip(closed, reduced))
-
-    def cse(expr):
-        own, (body,) = sp.cse([expr], symbols=sp.numbered_symbols("c"))
-        needed = set(body.free_symbols).union(*(v.free_symbols for _, v in own))
-        kept = []
-        for sym, value in reversed(prelude):
-            if sym in needed:
-                kept.append((sym, value))
-                needed |= value.free_symbols
-        return kept[::-1] + own, body
-
-    return cse
+def _box_space(x: Jet):
+    return cos_sin(np.pi * x)
 
 
-def _build_case(name: str, rho_e, u_e, theta_e) -> MmsCase:
-    sp, T, X = _symbols()
-    eos = iconic_eos()
-    # mild transport keeps the second-order diffusion error subdominant to
-    # the first-order upwind error that the study measures
-    ts = TransportSpec(mu_scale=0.2, kappa_scale=0.2)
-    x_left, x_right = 0.0, 1.0
+def _thermal_relaxation(t: Jet, space):
+    # a mass flux B e^{-sigma t} sin(pi x) keeps continuity exact with walls,
+    # and its velocity makes the upwind error the leading one in every field
+    cos, sin = space
+    decay = (-2.0 * t).exp()
+    return (1.0 + (0.15 * np.pi) * decay * cos, 0.3 * decay * sin,
+            1.0 + 0.15 * decay * cos)
 
-    # the 12 jets: value, d/dt, d/dx and d2/dx2 of rho*, m* = rho* u* and
-    # theta*, the only derivatives in t and x; R and Th are positive, so
-    # sympy differentiates the closures' fractional powers in them without
-    # querying their sign
-    fields = (rho_e, rho_e * u_e, theta_e)
-    values = (sp.Symbol("R", positive=True), sp.Symbol("M", real=True),
-              sp.Symbol("Th", positive=True))
-    jets = [(v, *sp.symbols(f"{v}_t {v}_x {v}_xx", real=True)) for v in values]
-    closed = {}
-    for syms, f in zip(jets, fields):
-        closed.update(zip(syms, (f, sp.diff(f, T), sp.diff(f, X), sp.diff(f, X, 2))))
-    (R, R_t, R_x, R_xx), (M, M_t, M_x, M_xx), (Th, Th_t, Th_x, Th_xx) = jets
-    mass_res = sp.simplify(closed[R_t] + closed[M_x])
-    if mass_res != 0:
-        raise ValueError(f"case {name}: continuity is not exactly satisfied: {mass_res}")
 
-    # the balances in jet symbols: u = M/R by the quotient rule, the
-    # closures' slopes in R and Th by the chain rule (E is rho e)
-    u = M / R
-    u_x = M_x / R - M * R_x / R ** 2
-    u_xx = M_xx / R - (2 * M_x * R_x + M * R_xx) / R ** 2 + 2 * M * R_x ** 2 / R ** 3
-    p, e = _iconic_closures(eos, R, Th)
-    E = R * e
-    lam = sp.Rational(1, 2) if ts.lambda_exp == 0.5 else sp.Float(ts.lambda_exp)
-    nu = (sp.Float(ts.mu_scale) * sp.Rational(4, 3) + sp.Float(ts.eta_scale)) * (1 + Th ** lam)
-    kappa = sp.Float(ts.kappa_scale) * (1 + Th ** 3)
-    stress = nu * u_x  # d = 3
-    q = -kappa * Th_x
-    stress_x = sp.diff(nu, Th) * Th_x * u_x + nu * u_xx
-    q_x = -sp.diff(kappa, Th) * Th_x ** 2 - kappa * Th_xx
-    p_x = sp.diff(p, R) * R_x + sp.diff(p, Th) * Th_x
-    E_R, E_Th = sp.diff(E, R), sp.diff(E, Th)
-    g = (M_t + M_x * u + M * u_x + p_x - stress_x) / R
-    s = (E_R * R_t + E_Th * Th_t + (E_R * R_x + E_Th * Th_x) * u + E * u_x
-         + q_x - stress * u_x + p * u_x)
+def _acoustic_smooth(t: Jet, space):
+    cos, sin = space
+    amp, omega = 0.05, 2.0 * np.pi
+    decay = (-1.0 * t).exp()
+    cos_t, sin_t = cos_sin(omega * t)
+    env = decay * cos_t
+    denv = -1.0 * env - omega * decay * sin_t  # d env/dt, as a jet of t
+    return (1.0 + amp * env * cos, -(amp / np.pi) * denv * sin,
+            1.0 - 0.5 * amp * env * cos)
 
-    cse = _jet_cse(closed)
 
-    def lam2(expr):
-        # by default lambdify renders every form under 1000 nodes into a
-        # docstring that the closure hides and nothing reads
-        f = sp.lambdify((T, X), expr, "numpy", cse=cse, docstring_limit=0)
-        last = [None, None, None]  # t, a private copy of x, the read-only result
+def _throughflow_space(x: Jet):
+    return 1.0 + 0.2 * x * x * (3.0 - 2.0 * x)  # theta*
 
-        def closure(t, x):
-            if t == last[0] and np.array_equal(x, last[1]):
-                return last[2]
-            val = np.array(f(t, x), dtype=float)
-            val.flags.writeable = False
-            last[:] = t, np.array(x, dtype=float), val
-            return val
 
-        return closure
+def _throughflow(t: Jet, theta: Jet):
+    return Jet(1.0), Jet(0.5), theta
 
-    fr, fu, fth = lam2(R), lam2(u), lam2(Th)
-    fg, fs = lam2(g), lam2(s)
-    exprs = {"p_fn": lam2(p), "e_fn": lam2(e), "stress_fn": lam2(stress),
-             "q_fn": lam2(q)}
 
-    # traces at t = 0: exact substitution into the closed forms, then one
-    # rounding (substituting the float x = 1.0 into u of thermal_relaxation
-    # takes about 20x as long)
-    def trace(expr, xb):
-        return float(expr.xreplace(closed).subs({X: sp.Rational(xb), T: 0}))
-    ub_l, ub_r = trace(u_e, x_left), trace(u_e, x_right)
-    kw = {}
-    for ub, side, xb in ((ub_l, "left", x_left), (ub_r, "right", x_right)):
-        normal = -1.0 if side == "left" else 1.0
-        if ub * normal < 0.0:  # inflow: extract rho_b, F_ib from the traces
-            rho_b, e_b, q_b = (trace(expr, xb) for expr in (R, e, q))
-            f_ib = rho_b * e_b * ub * normal + q_b * normal
-            kw[f"rho_b_{side}"] = rho_b
-            kw[f"F_ib_{side}"] = f_ib
-    bspec = bd.make_boundary(u_b_left=ub_l, u_b_right=ub_r, x_left=x_left,
-                             x_right=x_right, **kw)
-
-    return MmsCase(name=name, eos=eos, transport=ts, x_left=x_left, x_right=x_right,
-                   rho_fn=fr, u_fn=fu, theta_fn=fth, g_fn=fg, energy_source_fn=fs,
-                   boundary=bspec, _exprs=exprs)
+_CASES = {"thermal_relaxation": (_box_space, _thermal_relaxation),
+          "acoustic_smooth": (_box_space, _acoustic_smooth),
+          "throughflow": (_throughflow_space, _throughflow)}
 
 
 def manufactured_case(kind: str) -> MmsCase:
-    """Build one of the shipped manufactured cases.
-
-    kind is one of ``thermal_relaxation``, ``acoustic_smooth``,
-    ``throughflow``.  The fields are this package's own verification
-    constructions (no canonical flows exist for this system).
-    """
-    sp, t, x = _symbols()
-    if kind == "thermal_relaxation":
-        # mass flux B e^{-sigma t} sin(pi x) keeps continuity exact with
-        # walls; the induced velocity makes the upwind transport error the
-        # leading one in every field.
-        sigma = sp.Integer(2)
-        flux_amp = sp.Rational(3, 10)
-        flux = flux_amp * sp.exp(-sigma * t) * sp.sin(sp.pi * x)  # rho u
-        rho_e = 1 + (flux_amp * sp.pi / sigma) * sp.exp(-sigma * t) * sp.cos(sp.pi * x)
-        u_e = flux / rho_e
-        theta_e = 1 + sp.Rational(3, 20) * sp.exp(-sigma * t) * sp.cos(sp.pi * x)
-    elif kind == "acoustic_smooth":
-        amp = sp.Rational(1, 20)
-        omega = 2 * sp.pi
-        env = sp.exp(-t) * sp.cos(omega * t)
-        denv = -sp.exp(-t) * sp.cos(omega * t) - omega * sp.exp(-t) * sp.sin(omega * t)
-        rho_e = 1 + amp * env * sp.cos(sp.pi * x)
-        u_e = -(amp / sp.pi) * denv * sp.sin(sp.pi * x) / rho_e
-        theta_e = 1 - sp.Rational(1, 2) * amp * env * sp.cos(sp.pi * x)
-    elif kind == "throughflow":
-        rho_e = sp.Integer(1)
-        u_e = sp.Rational(1, 2) + 0 * x
-        theta_e = 1 + sp.Rational(1, 5) * x ** 2 * (3 - 2 * x)
-    else:
+    """The shipped case ``kind`` on the iconic EOS: the fields are this
+    package's own constructions (no canonical flows exist for this system)."""
+    if kind not in _CASES:
         raise ValueError(f"unknown manufactured case {kind!r}")
-    return _build_case(kind, rho_e, u_e, theta_e)
+    traces = {"u_b_left": 0.0, "u_b_right": 0.0}  # walls
+    if kind == "throughflow":
+        # u* = 1/2; at the inflow face x = 0, rho* = theta* = 1 and theta*_x
+        # = 0, so F_ib = rho_b e(rho_b, 1) u_b.n = -2.0 on the iconic EOS
+        traces = {"u_b_left": 0.5, "u_b_right": 0.5, "rho_b_left": 1.0, "F_ib_left": -2.0}
+    # mild transport keeps the second-order diffusion error subdominant to
+    # the first-order upwind error that the study measures
+    ts = TransportSpec(mu_scale=0.2, kappa_scale=0.2)
+    space, fields = _CASES[kind]
+    return MmsCase(name=kind, eos=iconic_eos(), transport=ts, x_left=0.0, x_right=1.0,
+                   space=space, fields=fields,
+                   boundary=bd.make_boundary(x_left=0.0, x_right=1.0, **traces))

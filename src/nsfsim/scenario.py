@@ -46,8 +46,8 @@ from .mesh import Mesh1D
 from .relent import _write_csv
 from .solver import (FieldState, SolverConfig, Trajectory, initial_data_problems,
                      output_times_problem, run as run_solver)
-from .thermo import (EosSpec, EosValidationError, TransportSpec,
-                     check_eos_invariants)
+from .thermo import (EosSpec, EosValidationError, TransportSpec, check_eos_invariants,
+                     cold_energy_density)
 
 
 @dataclass(frozen=True)
@@ -222,11 +222,22 @@ def _typed(doc: dict, kinds: dict, path: str, code: str, issues: list) -> Option
     return out if len(issues) == n_issues else None
 
 
+def _infinite(values: dict, path: str, code: str, issues: list) -> bool:
+    """True, with one issue each, if any float among ``values`` is not finite."""
+    bad = [key for key, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
+    for key in bad:
+        issues.append(Issue(f"{path}{key}", code, f"expected a finite number, got {values[key]!r}"))
+    return bool(bad)
+
+
 def _build_eos(doc: dict, issues: list) -> tuple:
     """(EosSpec or None, its {invariant: (ok, detail)}); each failed invariant
-    is also an ``eos-invariant`` issue."""
+    is also an ``eos-invariant`` issue.  A parameter that is not finite is an
+    ``eos-schema`` issue and the checks do not run; a shape or closures that
+    overflow on the grids of the checks (their first two entries) are an
+    ``eos-schema`` issue, and the checks stop there."""
     kw = _typed(doc, _EOS_KINDS, "eos.", "eos-schema", issues)
-    if kw is None:
+    if kw is None or _infinite(kw, "eos.", "eos-schema", issues):
         return None, {}
     kw["shape"] = doc.get("shape", "iconic")
     if "table" in doc:
@@ -247,6 +258,12 @@ def _build_eos(doc: dict, issues: list) -> tuple:
         return None, {}
     checks = check_eos_invariants(eos)
     for name, (ok, detail) in checks.items():
+        if not ok and name in ("shape finite", "closures finite"):
+            # an overflow of the parameters, not a failed hypothesis
+            path = ("eos" if name == "closures finite" else
+                    "eos.table" if "table" in doc else "eos.p_inf")
+            issues.append(Issue(path, "eos-schema", f"{detail}, an overflow"))
+            return None, {}
         if not ok:
             issues.append(Issue("eos", "eos-invariant", f"{name}: {detail}"))
     return eos, checks
@@ -275,6 +292,9 @@ def _build_boundary(faces: list, mesh: Mesh1D, eos, issues: list) -> Optional[bd
         given = {key: v for key, v in f.items() if v is not None or key not in _FACE_OPTIONAL}
         values.append(_typed(given, _FACE_KINDS, f"boundary.faces[{k}].", "boundary-schema",
                              issues))
+        if values[-1] is not None and _infinite(values[-1], f"boundary.faces[{k}].",
+                                                "boundary-schema", issues):
+            values[-1] = None
     if None in values:
         return None
     pos = [v.get("pos", 0.0) for v in values]
@@ -301,12 +321,24 @@ def _build_boundary(faces: list, mesh: Mesh1D, eos, issues: list) -> Optional[bd
     except bd.BoundaryDataError as err:
         issues.append(Issue("boundary", "boundary-schema", str(err)))
         return None
-    if eos is not None:
-        report = bd.admissibility_check(eos, spec)
-        for msg in report.messages:
-            code = ("negative-inflow-energy-flux" if "must be negative" in msg
-                    else "inflow-flux-admissibility")
-            issues.append(Issue("boundary.faces", code, msg))
+    if eos is None:
+        return spec
+    for k, f in zip(order, spec.faces):
+        if f.kind is bd.FaceKind.IN:
+            try:  # the power raises OverflowError, the product rounds to inf
+                finite = math.isfinite(cold_energy_density(eos, f.rho_b))
+            except OverflowError:
+                finite = False
+            if not finite:
+                issues.append(Issue(f"boundary.faces[{k}].rho_b", "boundary-schema",
+                                    f"the inflow cold energy 1.5 p_inf rho_b^(5/3) overflows "
+                                    f"at rho_b = {f.rho_b:g}"))
+                return None
+    report = bd.admissibility_check(eos, spec)
+    for msg in report.messages:
+        code = ("negative-inflow-energy-flux" if "must be negative" in msg
+                else "inflow-flux-admissibility")
+        issues.append(Issue("boundary.faces", code, msg))
     return spec
 
 

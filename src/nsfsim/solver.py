@@ -345,7 +345,8 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
         u_face[i] = f.u_b
 
     p_p, e_p, s_p, *slope_values = stage_closures(eos, rho_p, theta_p, slopes, cfg.delta)
-    pad = StageFields(rho_p, u_p, theta_p, p_p, e_p, s_p, rho_p * e_p, *slope_values)
+    # the stage keeps c^2, w_rho and w_theta; it reads no p_theta of its own
+    pad = StageFields(rho_p, u_p, theta_p, p_p, e_p, s_p, rho_p * e_p, *slope_values[:3])
 
     take_left = u_face >= 0.0
     rho_up = np.where(take_left, rho_p[:-1], rho_p[1:])
@@ -911,6 +912,9 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
                 # the dt of stable_dt, from the first stage's sound speed
                 stage1 = _first_stage(mesh, eos, cfg, plan, t, state)
                 dt = min(_cfl_dt(plan.h, cfg, state.u, stage1[3].c2), target - t)
+                if not dt > 0.0:  # NaN or zero, from a sound speed that is not finite
+                    raise RunAborted(f"step at t={t:.6g}: the time step {dt!r} is not a "
+                                     "positive finite number; no attempt made", state=state)
                 state, dt_used, inc, rej = step(state, mesh, eos, ts, cfg, bspec, dt, t=t,
                                                 stage1=stage1)
             except RunAborted as err:

@@ -38,11 +38,12 @@ pass and once per Newton iterate; no other function raises theta to a
 fractional or large power.  ``stage_closures`` is a solver stage's and a
 budget audit's one EOS pass: (p, e_delta, s_delta) from one Z and one
 (P, S) pass, or with slopes from one (P, P', S) pass that adds the sound
-speed squared and the slopes of rho e_delta in rho and theta.  Its weight
-delta gives the energy and entropy of the regularized system,
-e_delta = e + delta theta and s_delta = s + delta log theta; this module is
-the one place those terms are formed, and at delta = 0 none is, each value
-then bitwise equal to its separate closure.  ``energy_density_residual``
+speed squared, the slopes of rho e_delta in rho and theta and the
+theta-slope of p.  Its weight delta gives the energy and entropy of the
+regularized system, e_delta = e + delta theta and s_delta = s + delta log
+theta; this module is the one place those terms are formed, and at
+delta = 0 none is, each value then bitwise equal to its separate closure.
+``energy_density_residual``
 builds the residual of the solver's temperature recovery, rho e_delta - w,
 once per solve (a quartic in theta on the iconic shape; on a table one
 (P, P') evaluation per iterate from spline pieces bound at the first call
@@ -514,14 +515,15 @@ class TransportSpec:
         if self.eta_scale < 0.0:
             raise EosValidationError("bulk viscosity scale must be nonnegative")
 
+    # the forms take theta as a float or an array, real or complex (the
+    # manufactured sources take their theta-slopes by a complex step)
     def mu(self, theta):
-        return self.mu_scale * (1.0 + np.asarray(theta, dtype=float) ** self.lambda_exp)
+        return self.mu_scale * (1.0 + theta ** self.lambda_exp)
 
     def eta(self, theta):
-        return self.eta_scale * (1.0 + np.asarray(theta, dtype=float) ** self.lambda_exp)
+        return self.eta_scale * (1.0 + theta ** self.lambda_exp)
 
     def kappa(self, theta):
-        theta = np.asarray(theta, dtype=float)
         return self.kappa_scale * (1.0 + theta * theta * theta)
 
 
@@ -616,13 +618,15 @@ def _pressure_theta(eos: EosSpec, rho, pw, p, dp):
 
 
 def _slopes(eos: EosSpec, rho, theta, pw, p, dp):
-    """(c^2, d(rho e)/drho|theta, d(rho e)/dtheta|rho): the adiabatic sound
-    speed squared dp/drho|theta + (dp/dtheta)^2 theta / (rho^2 de/dtheta),
-    and the slopes of rho e, the first (3/2) theta P'(Z) = (3/2) dp/drho."""
+    """(c^2, d(rho e)/drho|theta, d(rho e)/dtheta|rho, dp/dtheta|rho): the
+    adiabatic sound speed squared dp/drho|theta + (dp/dtheta)^2 theta /
+    (rho^2 de/dtheta), the slopes of rho e, the first (3/2) theta P'(Z) =
+    (3/2) dp/drho, and the theta-slope of p the sound speed reads."""
     p_rho = _pressure_rho(theta, dp)
     p_theta = _pressure_theta(eos, rho, pw, p, dp)
     e_theta = _energy_theta(eos, rho, pw, p, dp)
-    return p_rho + p_theta * p_theta * theta / (rho * rho * e_theta), 1.5 * p_rho, rho * e_theta
+    return (p_rho + p_theta * p_theta * theta / (rho * rho * e_theta), 1.5 * p_rho,
+            rho * e_theta, p_theta)
 
 
 def _positive_density(rho):
@@ -677,11 +681,12 @@ def stage_closures(eos: EosSpec, rho, theta, slopes: bool = False, delta: float 
     the energy and entropy of the regularized system.
 
     With ``slopes``, one (P, P', S) pass returns (p, e_delta, s_delta, c^2,
-    w_rho, w_theta): the sound speed squared of ``sound_speed_sq`` and the
-    slopes w_rho = d(rho e_delta)/drho|theta and w_theta =
-    d(rho e_delta)/dtheta|rho.  Checks theta > 0 and then rho > 0 once, with
-    the messages of ``specific_internal_energy``; at delta = 0 no delta term
-    is formed and each value equals its own closure's bitwise.
+    w_rho, w_theta, p_theta): the sound speed squared of ``sound_speed_sq``,
+    the slopes w_rho = d(rho e_delta)/drho|theta and w_theta =
+    d(rho e_delta)/dtheta|rho, and p_theta = dp/dtheta|rho.  Checks theta > 0
+    and then rho > 0 once, with the messages of ``specific_internal_energy``;
+    at delta = 0 no delta term is formed and each value equals its own
+    closure's bitwise.
     """
     rho, theta = _e_domain(rho, theta)
     pw = _theta_powers(rho, theta)
@@ -695,10 +700,10 @@ def stage_closures(eos: EosSpec, rho, theta, slopes: bool = False, delta: float 
     closures = (_pressure(eos, pw, p), e, s)
     if not slopes:
         return closures
-    c2, w_rho, w_theta = _slopes(eos, rho, theta, pw, p, dp)
+    c2, w_rho, w_theta, p_theta = _slopes(eos, rho, theta, pw, p, dp)
     if delta:
         w_rho, w_theta = w_rho + delta * theta, w_theta + delta * rho
-    return (*closures, c2, w_rho, w_theta)
+    return (*closures, c2, w_rho, w_theta, p_theta)
 
 
 def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
@@ -1016,16 +1021,45 @@ def energy_density_gradient(eos: EosSpec, rho, theta):
 # ---------------------------------------------------------------------------
 
 
+def _first_not_finite(names, values, where) -> Optional[str]:
+    """None if every array of ``values`` is finite, else which is first not
+    and where, ``where(k)`` naming grid point k."""
+    for name, vals in zip(names, values):
+        if not np.isfinite(vals).all():
+            return f"{name} is not finite at {where(np.argmin(np.isfinite(vals)))}"
+    return None
+
+
 def check_eos_invariants(eos: EosSpec) -> dict:
-    """Evaluate the structural hypotheses on a 400-point log grid; {name: (ok, detail)}."""
+    """Evaluate the structural hypotheses on a 400-point log grid; {name: (ok, detail)}.
+
+    The first two entries ask whether the shape's P, P' and S' on that grid
+    and a closure pass with slopes on the (rho, theta) grid of the Gibbs
+    check are finite; they are evaluated with numpy's warnings off, and if
+    either fails no other check runs, so nothing warns."""
     shape = eos.shape_fn
     z = np.geomspace(1e-3, 1e3, 400)
-    results = {}
+    rho, theta = np.full(64, 1.7), np.geomspace(0.2, 5.0, 64)
+    with np.errstate(all="ignore"):
+        p, dp = shape.p_dp(z)
+        sz = shape.entropy_shape_slope(z)
+        closures = stage_closures(eos, rho, theta, slopes=True)
+    bad = _first_not_finite(("the shape's P", "the shape's P'", "the shape's S'"),
+                            (p, dp, sz), lambda k: f"Z = {z[k]:.3g}")
+    results = {"shape finite": (bad is None, bad or "P, P' and S' finite on the grid")}
+    if bad:
+        return results
+    bad = _first_not_finite(
+        [f"the closure {name}" for name in ("p", "e", "s", "c^2", "d(rho e)/drho",
+                                            "d(rho e)/dtheta", "dp/dtheta")],
+        closures, lambda k: f"rho = {rho[k]:.3g}, theta = {theta[k]:.3g}")
+    results["closures finite"] = (bad is None, bad or "closures and slopes finite on the grid")
+    if bad:
+        return results
 
     p0 = float(shape.p(np.array([0.0]))[0])
     results["P(0) = 0"] = (abs(p0) < 1e-9, f"P(0) = {p0:.3g}")
 
-    p, dp = shape.p_dp(z)
     results["P' > 0"] = (bool(np.all(dp > 0.0)), f"min P' = {np.min(dp):.3g}")
 
     gap = (_FIVE_THIRDS * p - dp * z) / z
@@ -1038,12 +1072,11 @@ def check_eos_invariants(eos: EosSpec) -> dict:
     results["asymptote approaches p_inf"] = (
         bool(g[-1] >= eos.p_inf - 1e-9), f"P/Z^(5/3) at Z=1e3: {g[-1]:.6g} vs p_inf {eos.p_inf:.6g}")
 
-    sz = shape.entropy_shape_slope(z)
     results["entropy shape decreasing"] = (bool(np.all(sz < 0.0)), f"max S'(Z) = {np.max(sz):.3g}")
 
     # the rounding of a residual grows with its terms (P is large on a steep
     # table), so each is measured against 1 + the magnitudes of its terms
     gmax = max(float(np.max(np.abs(sum(terms)) / (1.0 + sum(np.abs(t) for t in terms))))
-               for terms in _gibbs_terms(eos, np.full(64, 1.7), np.geomspace(0.2, 5.0, 64)))
+               for terms in _gibbs_terms(eos, rho, theta))
     results["Gibbs relation"] = (gmax < 1e-10, f"max relative residual = {gmax:.3g}")
     return results

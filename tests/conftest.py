@@ -31,18 +31,6 @@ def make_table_eos(third_law: bool, knots: int = 25):
     return tabulated_eos(z, p, p_inf=1.0, a=1.0, third_law=third_law)
 
 
-def manufactured_fields(monkeypatch, kind: str):
-    """Build the manufactured case ``kind``; returns it with the closed forms
-    (rho*, u*, theta*) that ``manufactured_case`` hands its builder."""
-    from nsfsim import mms
-
-    fields = []
-    build = mms._build_case
-    monkeypatch.setattr(mms, "_build_case",
-                        lambda name, *closed: fields.extend(closed) or build(name, *closed))
-    return mms.manufactured_case(kind), fields
-
-
 def _solve_monotone_theta(f_and_slope, lo: float, hi: float):
     """Vectorized root of an increasing f(theta) via log-bisection + Newton.
 

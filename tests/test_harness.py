@@ -1,7 +1,6 @@
-import ast
 import collections
 import csv
-import inspect
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +16,7 @@ import nsfsim
 from nsfsim import cli, mms, relent, scenario as sc, solver, studies
 from nsfsim.mesh import Mesh1D
 
-from conftest import make_table_eos, manufactured_fields
+from conftest import make_table_eos
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -100,6 +99,38 @@ def test_negative_inflow_density_rejected():
     with pytest.raises(sc.ScenarioValidationError) as err:
         sc.parse_scenario(doc)
     assert any(i.code == "positive-inflow-density" for i in err.value.issues)
+
+
+def _throughflow16(mutate):
+    doc = json.loads((SCENARIO_DIR / "throughflow.json").read_text())
+    doc["mesh"]["n"] = 16
+    mutate(doc)
+    return doc
+
+
+@pytest.mark.parametrize("mutate, path, code", [
+    (lambda d: d["boundary"]["faces"][0].update(rho_b=1e308), "boundary.faces[0].rho_b",
+     "boundary-schema"),
+    # rho_b^(5/3) = 1.5e308 is finite; 1.5 p_inf times it rounds to inf
+    (lambda d: d["boundary"]["faces"][0].update(rho_b=1.5e308 ** 0.6),
+     "boundary.faces[0].rho_b", "boundary-schema"),
+    (lambda d: d["boundary"]["faces"][1].update(u_b=math.inf), "boundary.faces[1].u_b",
+     "boundary-schema"),
+    (lambda d: d["eos"].update(a=1e308), "eos", "eos-schema"),
+    (lambda d: d["eos"].update(a=math.inf), "eos.a", "eos-schema"),
+    (lambda d: d["eos"].update(p_inf=1e308), "eos.p_inf", "eos-schema"),
+    (lambda d: d["eos"].update(p_inf=math.nan), "eos.p_inf", "eos-schema")],
+    ids=["rho_b", "rho_b-product", "u_b-inf", "a", "a-inf", "p_inf", "p_inf-nan"])
+def test_overflowing_parameters_are_refused_by_path(mutate, path, code):
+    # an inflow rho_b whose cold energy overflows raised a raw OverflowError
+    # or, when only the product overflows, was refused with a margin of inf;
+    # an eos.a whose closures overflow parsed and its run aborted on a NaN
+    # dt; an overflowing p_inf was refused as "nan" invariants after numpy
+    # warnings (errors here); a parameter that is not finite parsed
+    doc = json.loads(json.dumps(_throughflow16(mutate)))
+    with pytest.raises(sc.ScenarioValidationError) as err:
+        sc.parse_scenario(doc)
+    assert [(i.path, i.code) for i in err.value.issues] == [(path, code)]
 
 
 def test_all_failures_reported_together():
@@ -414,73 +445,141 @@ def test_unknown_case_rejected():
 
 MMS_CASES = ("thermal_relaxation", "acoustic_smooth", "throughflow")
 
-
-def _generated(fn):
-    """The sympy-generated function behind an MMS closure."""
-    (gen,) = [v for v in inspect.getclosurevars(fn).nonlocals.values()
-              if inspect.isfunction(v)]
-    return gen
+# the jets of t and x at which the jet arithmetic is checked
+JET_T = 0.3
+JET_X = np.linspace(0.1, 0.9, 9)
 
 
-def _generated_calls(fn):
-    """Counts of the cos/sin/exp/sqrt calls, by argument, in the source of
-    the sympy-generated function behind an MMS closure."""
+def _assert_jet(jet, v, t, x, xx):
+    """Each part of ``jet`` against its hand-written value, to 1e-13 of the
+    part's largest magnitude; a None part must be expected zero."""
+    for got, want in zip((jet.v, jet.t, jet.x, jet.xx), (v, t, x, xx)):
+        want = want + 0.0 * JET_X
+        got = 0.0 * JET_X if got is None else got + 0.0 * JET_X
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300), (got, want)
+
+
+def _seeds():
+    return mms.Jet(JET_T, t=1.0), mms.Jet(JET_X, x=1.0)
+
+
+def test_jet_sum_and_difference():
+    t, x = _seeds()
+    _assert_jet(t + x + 2.0, JET_T + JET_X + 2.0, 1.0, 1.0, 0.0)
+    _assert_jet(x - t, JET_X - JET_T, -1.0, 1.0, 0.0)
+    _assert_jet(1.0 - x * x, 1.0 - JET_X ** 2, 0.0, -2.0 * JET_X, -2.0)
+    _assert_jet(2.0 - t * x, 2.0 - JET_T * JET_X, -JET_X, -JET_T, 0.0)
+
+
+def test_jet_product():
+    # (t + x)(x^2 + t): a product of two jets of both t and x
+    t, x = _seeds()
+    tt, xx = JET_T, JET_X
+    _assert_jet((t + x) * (x * x + t), (tt + xx) * (xx ** 2 + tt), xx ** 2 + 2 * tt + xx,
+                3 * xx ** 2 + 2 * tt * xx + tt, 6 * xx + 2 * tt)
+    _assert_jet(2.5 * (t * x), 2.5 * tt * xx, 2.5 * xx, 2.5 * tt, 0.0)
+
+
+def test_jet_separable_product():
+    # a jet of t alone times a jet of x alone: the general rule forms one
+    # product per part, the zero parts costing none
+    t, x = _seeds()
+    a = 2.0 * t * t
+    b, _ = mms.cos_sin(np.pi * x)
+    prod = a * b
+    assert a.x is a.xx is b.t is None
+    for got, want in zip((prod.v, prod.t, prod.x, prod.xx),
+                         (a.v * b.v, a.t * b.v, a.v * b.x, a.v * b.xx)):
+        assert np.array_equal(got, want)
+    assert np.array_equal((b * a).xx, prod.xx)
+    c = np.cos(np.pi * JET_X)
+    s = np.sin(np.pi * JET_X)
+    _assert_jet(prod, 2 * JET_T ** 2 * c, 4 * JET_T * c, -2 * JET_T ** 2 * np.pi * s,
+                -2 * JET_T ** 2 * np.pi ** 2 * c)
+
+
+def test_velocity_by_the_quotient_rule():
+    # u = t x / (2 + x^2), from the jets of m* and rho*
+    t, x = _seeds()
+    tt, xx = JET_T, JET_X
+    d = 2.0 + xx ** 2
+    u, u_x, u_xx = mms._velocity(2.0 + x * x, t * x)
+    for got, want in ((u, tt * xx / d), (u_x, tt * (2 - xx ** 2) / d ** 2),
+                      (u_xx, tt * (2 * xx ** 3 - 12 * xx) / d ** 3)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_jet_exp_cos_sin():
+    t, x = _seeds()
+    tt, xx = JET_T, JET_X
+    ex, c, s = np.exp(tt * xx), np.cos(tt * xx), np.sin(tt * xx)
+    _assert_jet((t * x).exp(), ex, xx * ex, tt * ex, tt ** 2 * ex)
+    cos, sin = mms.cos_sin(t * x)
+    _assert_jet(cos, c, -xx * s, -tt * s, -tt ** 2 * c)
+    _assert_jet(sin, s, xx * c, tt * c, -tt ** 2 * s)
+    # a jet with a second x part of its own: exp(x^2)'' = (2 + 4 x^2) exp(x^2)
+    _assert_jet((x * x).exp(), np.exp(xx ** 2), 0.0, 2 * xx * np.exp(xx ** 2),
+                (2 + 4 * xx ** 2) * np.exp(xx ** 2))
+
+
+def test_jets_seeded_without_slopes_carry_values_only():
+    t, x = mms.Jet(JET_T), mms.Jet(JET_X)
+    cos, sin = mms.cos_sin(np.pi * x)
+    jet = (1.0 + (-2.0 * t).exp() * cos * sin) * (2.0 - x * x)
+    assert jet.t is jet.x is jet.xx is None
+    assert np.allclose(jet.v, (1 + np.exp(-2 * JET_T) * np.cos(np.pi * JET_X)
+                               * np.sin(np.pi * JET_X)) * (2 - JET_X ** 2), rtol=1e-15)
+
+
+@pytest.mark.parametrize("kind", MMS_CASES)
+def test_manufactured_sources_compute_each_transcendental_once(kind, monkeypatch):
+    # evaluations of g and the energy source take each cos, sin and exp
+    # once per argument: cos(pi x) and sin(pi x) serve every field, and
+    # every t at the same x
     calls = collections.Counter()
-    for node in ast.walk(ast.parse(inspect.getsource(_generated(fn)))):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in ("cos", "sin", "exp", "sqrt"):
-                calls[ast.dump(node)] += 1
-    return calls
 
+    def counted(name):
+        fn = getattr(np, name)
+        return lambda v: calls.update([(name, np.asarray(v).tobytes())]) or fn(v)
 
-@pytest.mark.parametrize("kind", MMS_CASES)
-def test_manufactured_sources_compute_each_transcendental_once(kind):
+    monkeypatch.setattr(mms, "np", types.SimpleNamespace(
+        **{**vars(np), **{name: counted(name) for name in ("cos", "sin", "exp")}}))
     case = mms.manufactured_case(kind)
-    for fn in (case.g_fn, case.energy_source_fn):
-        repeated = {call: k for call, k in _generated_calls(fn).items() if k > 1}
-        assert not repeated, repeated
+    x = Mesh1D(0.0, 1.0, 32).centers
+    for t in (0.1, 0.2):
+        case.g_fn(t, x)
+        case.energy_source_fn(t, x)
+    assert max(calls.values(), default=1) == 1, calls
+    on_x = sorted(name for name, arg in calls if len(arg) == x.nbytes)
+    assert on_x == ([] if kind == "throughflow" else ["cos", "sin"])
 
 
-@pytest.mark.parametrize("kind", MMS_CASES)
-def test_manufactured_closures_match_expanded_form(kind, monkeypatch):
-    # each closure is compiled from its expression in jet symbols behind the
-    # jets' shared CSE and its own; the same expression with the jet (and
-    # CSE) definitions substituted, compiled without CSE, agrees to rounding
-    import sympy
-
-    lambdify = sympy.lambdify
-    expanded = {}
-
-    def recording(args, expr, *rest, **kw):
-        gen = lambdify(args, expr, *rest, **kw)
-        defs, body = kw["cse"](expr)
-        resolved = {}
-        for sym, value in defs:
-            resolved[sym] = value.xreplace(resolved)
-        expanded[gen] = lambdify(args, body.xreplace(resolved), *rest, **{**kw, "cse": False})
-        return gen
-
-    monkeypatch.setattr(sympy, "lambdify", recording)
-    case = mms.manufactured_case(kind)
-    x = Mesh1D(0.0, 1.0, 128).centers
-    fns = (case.rho_fn, case.u_fn, case.theta_fn, case.g_fn, case.energy_source_fn,
-           *case._exprs.values())
-    for t in (0.0, 0.01, 0.35):
-        for fn in fns:
-            np.testing.assert_allclose(fn(t, x), expanded[_generated(fn)](t, x),
-                                       rtol=1e-11, atol=0.0)
-
-
-def _direct_forms(case, rho_e, u_e, theta_e) -> dict:
-    """g, the energy source, p, e, the stress and q of a manufactured case,
-    by sp.diff of the balances written in the closed forms and compiled with
-    CSE: a derivation independent of the package's jets and chain rule."""
+def _direct_forms(case) -> dict:
+    """g, the energy source, p, e, the stress and q of a manufactured case
+    on the iconic EOS, by sp.diff of the balances written in the closed
+    forms and compiled with CSE: a derivation independent of the package's
+    jets, chain rule and closures."""
     import sympy as sp
 
     T, X = sp.symbols("t x", real=True)
+    if case.name == "thermal_relaxation":
+        decay = sp.exp(-2 * T)
+        rho_e = 1 + sp.Rational(3, 20) * sp.pi * decay * sp.cos(sp.pi * X)
+        u_e = sp.Rational(3, 10) * decay * sp.sin(sp.pi * X) / rho_e
+        theta_e = 1 + sp.Rational(3, 20) * decay * sp.cos(sp.pi * X)
+    elif case.name == "acoustic_smooth":
+        env = sp.exp(-T) * sp.cos(2 * sp.pi * T)
+        rho_e = 1 + env * sp.cos(sp.pi * X) / 20
+        u_e = -sp.diff(env, T) * sp.sin(sp.pi * X) / (20 * sp.pi * rho_e)
+        theta_e = 1 - env * sp.cos(sp.pi * X) / 40
+    else:
+        rho_e, u_e = sp.Integer(1), sp.Rational(1, 2) + 0 * X
+        theta_e = 1 + X ** 2 * (3 - 2 * X) / 5
+    a, p_inf = sp.Float(case.eos.a), sp.Float(case.eos.p_inf)
+    p_e = rho_e * theta_e + p_inf * rho_e ** sp.Rational(5, 3) + a * theta_e ** 4 / 3
+    e_e = (sp.Rational(3, 2) * theta_e + sp.Rational(3, 2) * p_inf * rho_e ** sp.Rational(2, 3)
+           + a * theta_e ** 4 / rho_e)
     ts = case.transport
-    p_e, e_e = mms._iconic_closures(case.eos, rho_e, theta_e)
     lam = sp.Rational(ts.lambda_exp)
     mu_e = sp.Float(ts.mu_scale) * (1 + theta_e ** lam)
     eta_e = sp.Float(ts.eta_scale) * (1 + theta_e ** lam)
@@ -492,43 +591,34 @@ def _direct_forms(case, rho_e, u_e, theta_e) -> dict:
            + sp.diff(p_e, X) - sp.diff(stress_e, X)) / rho_e
     s_e = (sp.diff(rho_e * e_e, T) + sp.diff(rho_e * e_e * u_e, X)
            + sp.diff(q_e, X) - stress_e * ux_e + p_e * ux_e)
-    forms = {"g": g_e, "energy_source": s_e, "p_fn": p_e, "e_fn": e_e,
-             "stress_fn": stress_e, "q_fn": q_e}
+    forms = {"g": g_e, "energy_source": s_e, "p": p_e, "e": e_e, "stress": stress_e, "q": q_e}
     return {k: sp.lambdify((T, X), v, "numpy", cse=True, docstring_limit=0)
             for k, v in forms.items()}
 
 
 @pytest.mark.parametrize("kind", MMS_CASES)
-def test_manufactured_forms_match_the_direct_derivation(kind, monkeypatch):
-    case, closed = manufactured_fields(monkeypatch, kind)
-    ref = _direct_forms(case, *closed)
-    new = {"g": case.g_fn, "energy_source": case.energy_source_fn, **case._exprs}
-    assert new.keys() == ref.keys()
+def test_manufactured_forms_match_the_direct_derivation(kind):
+    case = mms.manufactured_case(kind)
+    ref = _direct_forms(case)
     x = Mesh1D(0.0, 1.0, 128).centers
     for t in (0.0, 0.01, 0.35):
-        for k, fn in new.items():
+        forms = case._forms(t, x)
+        new = {"g": case.g_fn(t, x), "energy_source": case.energy_source_fn(t, x),
+               **{k: forms[k] for k in ("p", "e", "stress", "q")}}
+        assert new.keys() == ref.keys()
+        for k, value in new.items():
             want = ref[k](t, x) + 0.0 * x
-            assert np.abs(fn(t, x) - want).max() <= 1e-12 * np.abs(want).max(), (k, t)
+            assert np.abs(value - want).max() <= 1e-12 * np.abs(want).max(), (k, t)
 
 
 def test_manufactured_sources_evaluate_once_per_stage_time(monkeypatch):
-    # stage 2 of one step and stage 1 of the next share a time: the compiled
-    # g and energy source run once for both
-    import sympy
-
-    lambdify = sympy.lambdify
-    calls = collections.Counter()
-
-    def counting(*args, **kw):
-        gen = lambdify(*args, **kw)
-
-        def counted(t, x):
-            calls[counted] += 1
-            return gen(t, x)
-        return counted
-
-    monkeypatch.setattr(sympy, "lambdify", counting)
+    # stage 2 of one step and stage 1 of the next share a time: one fused
+    # evaluation serves g and the energy source at both
     case = mms.manufactured_case("thermal_relaxation")
+    evaluations = []
+    fused = case._sources
+    monkeypatch.setattr(case, "_sources",
+                        lambda t, space: evaluations.append(t) or fused(t, space))
     mesh = Mesh1D(case.x_left, case.x_right, 32)
     stage_times = []
     stage = solver._stage_rhs
@@ -538,8 +628,20 @@ def test_manufactured_sources_evaluate_once_per_stage_time(monkeypatch):
                       case.boundary, case.exact_state(0.0, mesh))
     assert traj.n_rejects == 0 and len(stage_times) == 2 * traj.n_steps
     assert len(set(stage_times)) <= traj.n_steps + 1
-    for fn in (case.g_fn, case.energy_source_fn):
-        assert calls[_generated(fn)] == len(set(stage_times))
+    assert sorted(evaluations) == sorted(set(stage_times))
+
+
+@pytest.mark.parametrize("third_law", [True, False])
+def test_mms_orders_on_the_tabulated_eos(third_law):
+    # the sources are residuals of the case's own EOS closures, so the
+    # study runs on a table, in both tail modes, in the same order window
+    case = dataclasses.replace(mms.manufactured_case("thermal_relaxation"),
+                               eos=make_table_eos(third_law=third_law))
+    assert case.eos.shape == "table"
+    study = studies.convergence_study(case, [32, 64, 128], t_end=0.15)
+    assert all(study.monotone.values()), study.errors
+    assert all(studies.ORDER_LO <= order <= studies.ORDER_HI
+               for order in study.orders.values()), study.orders
 
 
 def test_manufactured_closure_reuses_only_an_equal_call():
@@ -842,6 +944,21 @@ def test_cli_run_and_audit(tmp_path, capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_cli_reports_an_aborted_run_as_one_fail_line(command, tmp_path, capsys, monkeypatch):
+    def aborted(self):
+        raise solver.RunAborted("step at t=0.125 rejected 21 times (last: density fell "
+                                "below its floor); diagnostic state attached")
+
+    monkeypatch.setattr(sc.Scenario, "run", aborted)
+    rc = cli.main([command, str(SCENARIO_DIR / "closed_box.json"), "--out",
+                   str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  run aborted: step at t=0.125 rejected 21 times (last: density fell below its "
+        "floor); diagnostic state attached"]
+
+
 def test_cli_weak_strong_writes_traces(tmp_path, capsys):
     out = tmp_path / "traces"
     rc = cli.main(["weak-strong", str(SCENARIO_DIR / "throughflow.json"),
@@ -883,7 +1000,8 @@ def test_cli_converge_csv_is_byte_identical_across_hash_seeds(tmp_path):
 def test_import_leaves_scipy_interpolate_and_sympy_unloaded():
     # building the test suite's 25-knot table loads no scipy module either,
     # nor numpy.polynomial (its pieces are expanded by Horner), nor do five
-    # steps of a wall box, whose viscous solve is LAPACK's
+    # steps of a wall box, whose viscous solve is LAPACK's, nor building a
+    # manufactured case and evaluating its sources
     code = ("import sys, numpy as np, nsfsim; z = np.geomspace(0.02, 400, 25); "
             "nsfsim.tabulated_eos(z, z + z ** (5 / 3) + z ** (5 / 3) / (1 + z)); "
             "mesh = nsfsim.Mesh1D(0.0, 1.0, 32); x = mesh.centers; "
@@ -891,6 +1009,8 @@ def test_import_leaves_scipy_interpolate_and_sympy_unloaded():
             "theta=np.ones(32)); args = (mesh, nsfsim.iconic_eos(), nsfsim.TransportSpec(), "
             "nsfsim.SolverConfig(), nsfsim.make_boundary()); "
             "[state := nsfsim.step(state, *args, 1e-3)[0] for _ in range(5)]; "
+            "case = nsfsim.manufactured_case('thermal_relaxation'); "
+            "case.g_fn(0.0, x); case.energy_source_fn(0.0, x); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy') "
             "or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -1495,3 +1495,19 @@ def test_regularized_runs_converge_to_target(eos, transport):
         dists.append(mesh.integrate(np.abs(final.rho - base.rho))
                      + mesh.integrate(np.abs(final.theta - base.theta)))
     assert dists[1] < dists[0] and dists[2] < dists[1]
+
+
+def test_run_refuses_a_non_finite_time_step_before_any_attempt(monkeypatch):
+    # at a = 1e308 the closures hold at theta = 1 but c^2 is inf/inf: the
+    # NaN dt used to be halved 21 times into "density fell below its floor"
+    eos = th.EosSpec(a=1e308)
+    mesh = Mesh1D(0.0, 1.0, 16)
+    state = sv.FieldState(rho=np.ones(16), u=np.zeros(16), theta=np.ones(16))
+    attempts = []
+    heun = sv._heun_step
+    monkeypatch.setattr(sv, "_heun_step", lambda *a: attempts.append(a) or heun(*a))
+    with np.errstate(all="ignore"), pytest.raises(
+            sv.RunAborted, match=r"t=0: the time step nan is not a positive finite number") as err:
+        sv.run(mesh, eos, th.TransportSpec(), sv.SolverConfig(t_end=0.01), bd.make_boundary(),
+               state)
+    assert attempts == [] and err.value.trajectory.n_steps == 0

@@ -525,15 +525,19 @@ def test_stage_slopes_match_finite_differences(name, request):
     eos = request.getfixturevalue(name)
     rho = np.array([0.003, 0.5, 2.0, 40.0, 2000.0])
     theta = np.full_like(rho, 1.3)
-    _, _, _, _, w_rho, w_theta = th.stage_closures(eos, rho, theta, True)
+    # (and p_theta = dp/dtheta at fixed rho against those of p)
+    _, _, _, _, w_rho, w_theta, p_theta = th.stage_closures(eos, rho, theta, True)
 
     def rho_e(r, t):
         return r * th.specific_internal_energy(eos, r, t)
     h = 1e-6
     fd_rho = (rho_e(rho * (1 + h), theta) - rho_e(rho * (1 - h), theta)) / (2 * h * rho)
     fd_theta = (rho_e(rho, theta * (1 + h)) - rho_e(rho, theta * (1 - h))) / (2 * h * theta)
+    fd_p = (th.pressure(eos, rho, theta * (1 + h)) - th.pressure(eos, rho, theta * (1 - h))) / (
+        2 * h * theta)
     np.testing.assert_allclose(w_rho, fd_rho, rtol=1e-7)
     np.testing.assert_allclose(w_theta, fd_theta, rtol=1e-7)
+    np.testing.assert_allclose(p_theta, fd_p, rtol=1e-7)
 
 
 @pytest.mark.parametrize("name", PARITY_EOS)
@@ -570,11 +574,12 @@ def test_fused_closures_match_separate_calls(name, theta0, eos_table, request):
         assert np.array_equal(p_s, th.pressure(eos, r, t))
         assert np.array_equal(e_s, th.specific_internal_energy(eos, r, t))
         assert np.array_equal(s_s, th.specific_entropy(eos, r, t))
-        *closures, c2, w_rho, w_theta = th.stage_closures(eos, r, t, True)
+        *closures, c2, w_rho, w_theta, p_theta = th.stage_closures(eos, r, t, True)
         assert all(map(np.array_equal, closures, (p_s, e_s, s_s)))
         assert np.array_equal(c2, th.sound_speed_sq(eos, r, t))
         assert np.array_equal(w_rho, 1.5 * th.pressure_rho_slope(eos, r, t))
         assert np.array_equal(w_theta, r * th.energy_theta_slope(eos, r, t))
+        assert np.array_equal(p_theta, th.pressure_theta_slope(eos, r, t))
     if eos.shape == "table":
         # the table residual is the separate closures, operation for operation
         w = 0.5 * rho
@@ -762,10 +767,10 @@ def test_stage_closures_carry_the_delta_terms(name, request):
     eos = request.getfixturevalue(name)
     rho = np.array([0.003, 0.5, 2.0, 40.0, 2000.0])
     theta = np.linspace(0.5, 2.5, 5)
-    p, e, s, c2, w_rho, w_theta = th.stage_closures(eos, rho, theta, True)
+    p, e, s, c2, w_rho, w_theta, p_theta = th.stage_closures(eos, rho, theta, True)
     for delta in (0.0, 1e-3):
         expected = (p, e + delta * theta, s + delta * np.log(theta), c2,
-                    w_rho + delta * theta, w_theta + delta * rho)
+                    w_rho + delta * theta, w_theta + delta * rho, p_theta)
         assert all(map(np.array_equal, th.stage_closures(eos, rho, theta, True, delta), expected))
         assert all(map(np.array_equal, th.stage_closures(eos, rho, theta, delta=delta),
                        expected[:3]))

@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 import nsfsim
-from nsfsim import BoundarySpec, Mesh1D, make_boundary, scenario, solver
-
-from conftest import manufactured_fields
+from nsfsim import BoundarySpec, Mesh1D, make_boundary, mms, scenario, solver
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,38 +56,33 @@ def test_every_csv_goes_through_one_writer():
     assert [path.name for path in package if "csv" in _imported_modules(path)] == []
 
 
-def test_lambdify_renders_no_docstring():
-    # lambdify's default docstring_limit prints every closed form under 1000
-    # nodes into a docstring the closure hides and nothing reads
-    calls = [(path.name, node) for path in sorted((ROOT / "src" / "nsfsim").glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lambdify"]
-    assert calls
-    rendering = [f"{name}:{node.lineno}" for name, node in calls
-                 if not any(kw.arg == "docstring_limit" and isinstance(kw.value, ast.Constant)
-                            and kw.value.value == 0 for kw in node.keywords)]
-    assert rendering == []
+def test_package_does_not_import_sympy():
+    # the manufactured sources are numeric jets through thermo's closures;
+    # sympy is a test extra, for the independent derivation alone
+    package = sorted((ROOT / "src" / "nsfsim").glob("*.py"))
+    assert package
+    assert [path.name for path in package if "sympy" in _imported_modules(path)] == []
 
 
 @pytest.mark.parametrize("kind", ["thermal_relaxation", "acoustic_smooth", "throughflow"])
 def test_manufactured_sources_differentiate_only_the_fields(kind, monkeypatch):
-    # the balances are written in the jets of rho*, m* = rho* u* and theta*;
-    # sympy differentiates in t or x only those three closed forms, three
-    # times each (d/dt, d/dx, d2/dx2), never a whole balance
-    import sympy
-
-    diff, in_tx = sympy.diff, []
-
-    def recording(expr, *variables, **kw):
-        if {str(v) for v in variables} & {"t", "x"}:
-            in_tx.append(expr)
-        return diff(expr, *variables, **kw)
-
-    monkeypatch.setattr(sympy, "diff", recording)
-    _, (rho_e, u_e, theta_e) = manufactured_fields(monkeypatch, kind)
-    fields = (rho_e, rho_e * u_e, theta_e)
-    assert 0 < len(in_tx) <= 9
-    assert [expr for expr in in_tx if expr not in fields] == []
+    # the balances are written in the jets of rho*, m* = rho* u* and theta*:
+    # one evaluation of g and the energy source builds those jets by one
+    # call of the case's closed forms, and takes every other derivative by
+    # the chain rule through one stage_closures pass with slopes on arrays
+    case = mms.manufactured_case(kind)
+    seen = []
+    space, fields = case.space, case.fields
+    case.space = lambda x: seen.append(("space", type(x))) or space(x)
+    case.fields = lambda t, factors: seen.append(("fields", type(t))) or fields(t, factors)
+    closures = mms.stage_closures
+    monkeypatch.setattr(mms, "stage_closures", lambda eos, rho, theta, **kw: seen.append(
+        ("stage_closures", type(theta), kw)) or closures(eos, rho, theta, **kw))
+    x = Mesh1D(0.0, 1.0, 16).centers
+    case.g_fn(0.1, x)
+    case.energy_source_fn(0.1, x)
+    assert seen == [("space", mms.Jet), ("fields", mms.Jet),
+                    ("stage_closures", np.ndarray, {"slopes": True})]
 
 
 def _public_functions(path: Path) -> list:
