@@ -27,6 +27,11 @@ a value of the wrong type (a section that is not an object, a number that
 does not parse, a missing table column) is a ``<section>-schema`` issue.
 Initial data that :func:`nsfsim.solver.initial_data_problems` refuses is an
 ``initial-finite`` or ``initial-positivity`` issue; no value is changed.
+Closures that overflow at the document's own data, the initial cells or an
+inflow face's rho_b at its cell's theta, are one ``eos-schema`` issue, and
+an inflow ``F_ib`` whose margin or per-cell flux overflows a
+``boundary-schema`` one, so a document that parses runs with no overflow
+at its start.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ from .mesh import Mesh1D
 from .relent import _write_csv
 from .solver import (FieldState, SolverConfig, Trajectory, initial_data_problems,
                      output_times_problem, run as run_solver)
-from .thermo import (EosSpec, EosValidationError, TransportSpec, check_eos_invariants,
-                     cold_energy_density)
+from .thermo import (EosSpec, EosValidationError, TransportSpec, _closures_not_finite,
+                     check_eos_invariants, cold_energy_density)
 
 
 @dataclass(frozen=True)
@@ -321,19 +326,26 @@ def _build_boundary(faces: list, mesh: Mesh1D, eos, issues: list) -> Optional[bd
     except bd.BoundaryDataError as err:
         issues.append(Issue("boundary", "boundary-schema", str(err)))
         return None
+    for k, f in zip(order, spec.faces):
+        if f.kind is not bd.FaceKind.IN:
+            continue
+        # the margin reads F_ib / |u_b.n|, a stage's energy update F_ib / h
+        if not (math.isfinite(f.F_ib / abs(f.u_dot_n)) and math.isfinite(f.F_ib / mesh.h)):
+            issues.append(Issue(f"boundary.faces[{k}].F_ib", "boundary-schema",
+                                f"F_ib = {f.F_ib:g} overflows divided by |u_b.n| = "
+                                f"{abs(f.u_dot_n):g} or by the cell width {mesh.h:g}"))
+            return None
+        try:  # the power raises OverflowError, the product rounds to inf
+            finite = eos is None or math.isfinite(cold_energy_density(eos, f.rho_b))
+        except OverflowError:
+            finite = False
+        if not finite:
+            issues.append(Issue(f"boundary.faces[{k}].rho_b", "boundary-schema",
+                                f"the inflow cold energy 1.5 p_inf rho_b^(5/3) overflows "
+                                f"at rho_b = {f.rho_b:g}"))
+            return None
     if eos is None:
         return spec
-    for k, f in zip(order, spec.faces):
-        if f.kind is bd.FaceKind.IN:
-            try:  # the power raises OverflowError, the product rounds to inf
-                finite = math.isfinite(cold_energy_density(eos, f.rho_b))
-            except OverflowError:
-                finite = False
-            if not finite:
-                issues.append(Issue(f"boundary.faces[{k}].rho_b", "boundary-schema",
-                                    f"the inflow cold energy 1.5 p_inf rho_b^(5/3) overflows "
-                                    f"at rho_b = {f.rho_b:g}"))
-                return None
     report = bd.admissibility_check(eos, spec)
     for msg in report.messages:
         code = ("negative-inflow-energy-flux" if "must be negative" in msg
@@ -414,6 +426,17 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             issues.append(Issue(f"initial.{key}", f"initial-{check}", message))
         if not issues:
             initial = FieldState(**fields)
+            # the closures at the document's own data: the cells, then each
+            # inflow face's rho_b at its cell's theta
+            n, faces = mesh.n_cells, [f for f in bspec.faces if f.kind is bd.FaceKind.IN]
+            cells = [0 if f.normal < 0.0 else n - 1 for f in faces]
+            bad = _closures_not_finite(
+                eos, np.append(initial.rho, [f.rho_b for f in faces]),
+                np.append(initial.theta, initial.theta[cells]),
+                lambda k: (f"cell {k}: " if k < n
+                           else f"the inflow face at x = {faces[k - n].pos:g}: "))
+            if bad:
+                issues.append(Issue("eos", "eos-schema", f"{bad}, an overflow"))
 
     outs = doc.get("output_times")
     output_times = []

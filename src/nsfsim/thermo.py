@@ -26,16 +26,17 @@ Admissibility of a shape means: P(0) = 0, P' > 0, the stability gap
 positive limit ``p_inf``.
 
 All state functions broadcast over numpy arrays in (rho, theta).  Both
-shapes share one protocol: ``p``, ``dp``, ``entropy_shape`` (S),
-``entropy_shape_slope`` (S'), ``p_dp`` = (P, P'), ``p_entropy`` = (P, S) and
-``p_dp_entropy`` = (P, P', S) are each one ``_eval`` pass over closed forms
-written once (on a table one piece lookup and one gather, its pieces
-expanded by Horner with no ``np.polynomial``), and the closures apply
-formulas written once in
-(rho, the powers of theta, P, P', S).  ``_theta_powers`` builds Z and
-theta^{3/2}, theta^{5/2}, theta^3, theta^4 from one sqrt, once per closure
-pass and once per Newton iterate; no other function raises theta to a
-fractional or large power.  ``stage_closures`` is a solver stage's and a
+shapes share one protocol, ``evaluate(z, *names)``: one pass over closed
+forms written once returns one array per name, among ``"p"`` (P), ``"dp"``
+(P'), ``"s"`` (S) and ``"ds"`` (S'), on a table from one piece lookup and
+one gather, its pieces expanded by Horner with no ``np.polynomial``.  A
+caller that reads several values at one Z takes them from one call; a
+table's ``bind_pieces()`` returns a function of the same signature that
+keeps each Z's piece across the iterates of a Newton solve.  The closures
+apply formulas written once in (rho, the powers of theta, P, P', S).
+``_theta_powers`` builds Z and theta^{3/2}, theta^{5/2}, theta^3, theta^4
+from one sqrt, once per closure pass and once per Newton iterate; no other
+function raises theta to a fractional or large power.  ``stage_closures`` is a solver stage's and a
 budget audit's one EOS pass: (p, e_delta, s_delta) from one Z and one
 (P, S) pass, or with slopes from one (P, P', S) pass that adds the sound
 speed squared, the slopes of rho e_delta in rho and theta and the
@@ -85,39 +86,7 @@ _FIVE_THIRDS = 5.0 / 3.0
 # ---------------------------------------------------------------------------
 
 
-class _Shape:
-    """The methods of a pressure shape, each one ``_eval`` pass.
-
-    ``_eval(z, *names)`` returns one array per name, among ``"p"`` (P),
-    ``"dp"`` (P'), ``"s"`` (the entropy shape S) and ``"ds"`` (S').  The
-    forms are class attributes, functions of (shape, z): a shape then holds
-    no reference cycle and is freed by reference counting, not by the
-    cyclic garbage collector, whose full passes a run would pay for.
-    """
-
-    def p(self, z):
-        return self._eval(z, "p")[0]
-
-    def dp(self, z):
-        return self._eval(z, "dp")[0]
-
-    def p_dp(self, z):
-        return self._eval(z, "p", "dp")
-
-    def p_entropy(self, z):
-        return self._eval(z, "p", "s")
-
-    def p_dp_entropy(self, z):
-        return self._eval(z, "p", "dp", "s")
-
-    def entropy_shape(self, z):
-        return self._eval(z, "s")[0]
-
-    def entropy_shape_slope(self, z):
-        return self._eval(z, "ds")[0]
-
-
-class IconicShape(_Shape):
+class IconicShape:
     """P(Z) = Z + p_inf Z^{5/3}; molecular + electron-degeneracy pressure.
 
     S(Z) = -log Z, normalized so S(1) = 0, and S'(Z) = -1/Z.
@@ -126,7 +95,12 @@ class IconicShape(_Shape):
     def __init__(self, p_inf: float):
         self.p_inf = float(p_inf)
 
-    def _eval(self, z, *names):
+    def evaluate(self, z, *names):
+        """One array per name, among ``"p"`` (P), ``"dp"`` (P'), ``"s"`` (the
+        entropy shape S) and ``"ds"`` (S'), from one pass over z.  The forms
+        are class attributes, functions of (shape, z): a shape then holds no
+        reference cycle and is freed by reference counting, not by the
+        cyclic garbage collector, whose full passes a run would pay for."""
         z = np.asarray(z, dtype=float)
         return tuple([self._FORMS[n](self, z) for n in names])
 
@@ -146,7 +120,7 @@ class IconicShape(_Shape):
     }
 
 
-class TabulatedShape(_Shape):
+class TabulatedShape:
     """Monotone piecewise-cubic P(Z) from knots, with admissible head and tail.
 
     The interpolant keeps its shape-preserving end slopes; the head and
@@ -161,7 +135,7 @@ class TabulatedShape(_Shape):
       diverges like -k log Z, matching the iconic low-temperature behaviour.
 
     Head, spline and tail hold their forms of P, P', S and S' once, keyed
-    like ``_eval``'s names; the tail mode picks the tail's forms once.
+    like ``evaluate``'s names; the tail mode picks the tail's forms once.
     Head and tail S are closed forms and S' their derivatives (the gap
     formula cancels the Z^{5/3} terms of P there and loses every digit far
     out); on the spline S is integrated exactly piece by piece, anchored at
@@ -302,7 +276,7 @@ class TabulatedShape(_Shape):
             s_right = self._cubic_entropy_antideriv(c, zl) + offs[k]
         self._offsets[:] = offs
         self._head_off = s_right + self.head_lin * math.log(self.z_lo)
-        shift = float(self.entropy_shape(np.array([gauge_z]))[0])
+        shift = float(self.evaluate(np.array([gauge_z]), "s")[0][0])
         self._head_off -= shift
         self._offsets -= shift
         self._tail_shift = -shift
@@ -313,7 +287,7 @@ class TabulatedShape(_Shape):
             np.geomspace(self.z_lo, self.z_hi, 400)[1:],
             np.geomspace(self.z_hi, self.z_hi * 1e3, 40)[1:],
         ])
-        p, dp = self.p_dp(zg)
+        p, dp = self.evaluate(zg, "p", "dp")
         gap = (_FIVE_THIRDS * p - dp * zg) / zg
         if np.any(gap <= 0.0):
             raise EosValidationError("interpolated table violates the stability gap ((5/3)P - P'Z)/Z > 0")
@@ -325,37 +299,36 @@ class TabulatedShape(_Shape):
     # the rows of ``_rows``: P, P', S, the entropy offset, the piece's bounds
     _P, _DP, _S, _OFFSET, _LO, _HI = slice(0, 4), slice(4, 7), slice(7, 11), 11, 12, 13
 
-    def _eval(self, z, *names):
-        """The named forms on z: spline forms take (z, c, s, s2) with c the
-        rows of each z's piece, s = z - knot and s2 = s * s, head and tail
-        forms take z."""
+    def evaluate(self, z, *names):
+        """One array per name, among ``"p"`` (P), ``"dp"`` (P'), ``"s"`` (S)
+        and ``"ds"`` (S'), from one pass over z: spline forms take (z, c, s,
+        s2) with c the rows of each z's piece, s = z - knot and s2 = s * s,
+        head and tail forms take z."""
         z = np.asarray(z, dtype=float)
         if self._on_spline(z):
-            c = self._locate(z)
-            return self._spline(z, c, z - c[self._LO], names)
+            return self._locate(z, names)[1]
         lo = z < self.z_lo
         hi = z > self.z_hi
         outs = tuple([np.empty_like(z) for _ in names])
+        # a NaN z is neither head nor tail and falls to the spline branch,
+        # which locates directly: ``evaluate`` would find it off the spline
         for forms, m in ((self._HEAD, lo), (self._SPLINE, ~(lo | hi)), (self._tail, hi)):
             if m.any():
                 zm = z[m]
-                if forms is self._SPLINE:
-                    c = self._locate(zm)
-                    values = self._spline(zm, c, zm - c[self._LO], names)
-                else:
-                    values = [forms[n](self, zm) for n in names]
+                values = (self._locate(zm, names)[1] if forms is self._SPLINE
+                          else [forms[n](self, zm) for n in names])
                 for out, v in zip(outs, values):
                     out[m] = v
         return outs
 
     def bind_pieces(self):
-        """A function (z, *names) -> ``_eval(z, *names)`` that keeps each z's
-        spline piece from its last call: while every z lies in its piece,
-        the bound rows give the forms with no lookup (the correlated table
-        search, ``hunt`` in Press et al., Numerical Recipes, 3rd ed., sec.
-        3.1).  A z outside its piece locates every z again, and while a z
-        lies off the spline every call takes ``_eval``: the values are
-        ``_eval``'s bit for bit, from the same piece and operands."""
+        """A function (z, *names) -> ``evaluate(z, *names)`` that keeps each
+        z's spline piece from its last call: while every z lies in its
+        piece, the bound rows give the forms with no lookup (the correlated
+        table search, ``hunt`` in Press et al., Numerical Recipes, 3rd ed.,
+        sec. 3.1).  A z outside its piece locates every z again, and while a
+        z lies off the spline every call takes ``evaluate``: the values are
+        ``evaluate``'s bit for bit, from the same piece and operands."""
         bound = None
 
         def evaluate(z, *names):
@@ -366,10 +339,10 @@ class TabulatedShape(_Shape):
                 if s.min() >= 0.0 and (z < bound[self._HI]).all():
                     return self._spline(z, bound, s, names)
             if self._on_spline(z):
-                bound = self._locate(z)
-                return self._spline(z, bound, z - bound[self._LO], names)
+                bound, values = self._locate(z, names)
+                return values
             bound = None
-            return self._eval(z, *names)
+            return self.evaluate(z, *names)
         return evaluate
 
     def _on_spline(self, z):
@@ -377,9 +350,12 @@ class TabulatedShape(_Shape):
         fails."""
         return z.size > 0 and z.min() >= self.z_lo and z.max() <= self.z_hi
 
-    def _locate(self, z):
-        """The rows of each z's piece, by one ``searchsorted`` and one gather."""
-        return self._rows.take(np.searchsorted(self._inner_knots, z, side="right"), axis=1)
+    def _locate(self, z, names):
+        """(c, values): c the rows of each z's piece, found by one
+        ``searchsorted`` and gathered by one ``take``, and the named spline
+        forms evaluated from c."""
+        c = self._rows.take(np.searchsorted(self._inner_knots, z, side="right"), axis=1)
+        return c, self._spline(z, c, z - c[self._LO], names)
 
     def _spline(self, z, c, s, names):
         s2 = s * s
@@ -665,14 +641,14 @@ def pressure(eos: EosSpec, rho, theta):
     """p(rho, theta); strictly increasing in rho at fixed theta."""
     rho, theta = _p_domain(rho, theta)
     pw = _theta_powers(rho, theta)
-    return _pressure(eos, pw, eos.shape_fn.p(pw.z))
+    return _pressure(eos, pw, eos.shape_fn.evaluate(pw.z, "p")[0])
 
 
 def specific_internal_energy(eos: EosSpec, rho, theta):
     """e(rho, theta); strictly increasing in theta at fixed rho."""
     rho, theta = _e_domain(rho, theta)
     pw = _theta_powers(rho, theta)
-    return _energy(eos, rho, pw, eos.shape_fn.p(pw.z))
+    return _energy(eos, rho, pw, eos.shape_fn.evaluate(pw.z, "p")[0])
 
 
 def stage_closures(eos: EosSpec, rho, theta, slopes: bool = False, delta: float = 0.0):
@@ -691,9 +667,9 @@ def stage_closures(eos: EosSpec, rho, theta, slopes: bool = False, delta: float 
     rho, theta = _e_domain(rho, theta)
     pw = _theta_powers(rho, theta)
     if slopes:
-        p, dp, s_shape = eos.shape_fn.p_dp_entropy(pw.z)
+        p, dp, s_shape = eos.shape_fn.evaluate(pw.z, "p", "dp", "s")
     else:
-        p, s_shape = eos.shape_fn.p_entropy(pw.z)
+        p, s_shape = eos.shape_fn.evaluate(pw.z, "p", "s")
     e, s = _energy(eos, rho, pw, p), _entropy(eos, rho, pw, s_shape)
     if delta:
         e, s = e + delta * theta, s + delta * np.log(theta)
@@ -717,9 +693,9 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     an iterate evaluates the powers of theta, Z and one (P, P') through the
     shape's ``bind_pieces``: the first call locates each Z's spline piece,
     and later calls evaluate from those rows while every Z stays in its
-    piece, with the bits of ``p_dp``.  Called with ``slope=False`` the
-    residual returns its value alone, one P and no P' from the same
-    binding.  At delta = 0 no delta term is formed.
+    piece, with the bits of ``evaluate(z, "p", "dp")``.  Called with
+    ``slope=False`` the residual returns its value alone, one P and no P'
+    from the same binding.  At delta = 0 no delta term is formed.
     """
     rho = _positive_density(rho)
     w = np.asarray(w, dtype=float)
@@ -785,20 +761,21 @@ def specific_entropy(eos: EosSpec, rho, theta):
     if (rho <= 0.0).any():
         raise EosDomainError("density must be positive")
     pw = _theta_powers(rho, theta, energy=False)
-    return _entropy(eos, rho, pw, eos.shape_fn.entropy_shape(pw.z))
+    return _entropy(eos, rho, pw, eos.shape_fn.evaluate(pw.z, "s")[0])
 
 
 def pressure_rho_slope(eos: EosSpec, rho, theta):
     """dp/drho at fixed theta ( = theta P'(Z) )."""
     rho, theta = _p_domain(rho, theta)
-    return _pressure_rho(theta, eos.shape_fn.dp(_theta_powers(rho, theta, energy=False).z))
+    dp = eos.shape_fn.evaluate(_theta_powers(rho, theta, energy=False).z, "dp")[0]
+    return _pressure_rho(theta, dp)
 
 
 def pressure_theta_slope(eos: EosSpec, rho, theta):
     """dp/dtheta at fixed rho."""
     rho, theta = _p_domain(rho, theta)
     pw = _theta_powers(rho, theta)
-    p, dp = eos.shape_fn.p_dp(pw.z)
+    p, dp = eos.shape_fn.evaluate(pw.z, "p", "dp")
     return _pressure_theta(eos, rho, pw, p, dp)
 
 
@@ -806,7 +783,7 @@ def energy_theta_slope(eos: EosSpec, rho, theta):
     """de/dtheta at fixed rho (specific-heat-like, positive by stability)."""
     rho, theta = _e_domain(rho, theta)
     pw = _theta_powers(rho, theta)
-    p, dp = eos.shape_fn.p_dp(pw.z)
+    p, dp = eos.shape_fn.evaluate(pw.z, "p", "dp")
     return _energy_theta(eos, rho, pw, p, dp)
 
 
@@ -814,7 +791,7 @@ def entropy_theta_slope(eos: EosSpec, rho, theta):
     """ds/dtheta at fixed rho ( = de/dtheta / theta, by Gibbs)."""
     rho, theta = _e_domain(rho, theta)
     z = _theta_powers(rho, theta, energy=False).z
-    return (-1.5 * z / theta * eos.shape_fn.entropy_shape_slope(z)
+    return (-1.5 * z / theta * eos.shape_fn.evaluate(z, "ds")[0]
             + 4.0 * eos.a * theta ** 2 / rho)
 
 
@@ -841,9 +818,7 @@ def _gibbs_terms(eos: EosSpec, rho, theta):
         raise EosDomainError("gibbs_residual needs rho > 0 and theta > 0")
     pw = _theta_powers(rho, theta)
     z = pw.z
-    pz = eos.shape_fn.p(z)
-    dpz = eos.shape_fn.dp(z)
-    sz = eos.shape_fn.entropy_shape_slope(z)
+    pz, dpz, sz = eos.shape_fn.evaluate(z, "p", "dp", "ds")
 
     # theta * d(S(Z))/dtheta  vs  d/dtheta of the P-part of e
     s_route_1 = -1.5 * z * sz
@@ -867,7 +842,7 @@ def sound_speed_sq(eos: EosSpec, rho, theta):
     from one Z and one (P, P') pass."""
     rho, theta = _e_domain(rho, theta)
     pw = _theta_powers(rho, theta)
-    return _slopes(eos, rho, theta, pw, *eos.shape_fn.p_dp(pw.z))[0]
+    return _slopes(eos, rho, theta, pw, *eos.shape_fn.evaluate(pw.z, "p", "dp"))[0]
 
 
 def transport_coefficients(ts: TransportSpec, theta):
@@ -1030,6 +1005,18 @@ def _first_not_finite(names, values, where) -> Optional[str]:
     return None
 
 
+def _closures_not_finite(eos: EosSpec, rho, theta, label) -> Optional[str]:
+    """None if a closure pass with slopes at (rho, theta) > 0 is finite, else
+    which closure is first not and where, ``label(k)`` prefixing the state
+    of point k; the pass runs with numpy's warnings off."""
+    with np.errstate(all="ignore"):
+        closures = stage_closures(eos, rho, theta, slopes=True)
+    return _first_not_finite(
+        [f"the closure {name}" for name in ("p", "e", "s", "c^2", "d(rho e)/drho",
+                                            "d(rho e)/dtheta", "dp/dtheta")],
+        closures, lambda k: f"{label(k)}rho = {rho[k]:.3g}, theta = {theta[k]:.3g}")
+
+
 def check_eos_invariants(eos: EosSpec) -> dict:
     """Evaluate the structural hypotheses on a 400-point log grid; {name: (ok, detail)}.
 
@@ -1041,23 +1028,18 @@ def check_eos_invariants(eos: EosSpec) -> dict:
     z = np.geomspace(1e-3, 1e3, 400)
     rho, theta = np.full(64, 1.7), np.geomspace(0.2, 5.0, 64)
     with np.errstate(all="ignore"):
-        p, dp = shape.p_dp(z)
-        sz = shape.entropy_shape_slope(z)
-        closures = stage_closures(eos, rho, theta, slopes=True)
+        p, dp, sz = shape.evaluate(z, "p", "dp", "ds")
     bad = _first_not_finite(("the shape's P", "the shape's P'", "the shape's S'"),
                             (p, dp, sz), lambda k: f"Z = {z[k]:.3g}")
     results = {"shape finite": (bad is None, bad or "P, P' and S' finite on the grid")}
     if bad:
         return results
-    bad = _first_not_finite(
-        [f"the closure {name}" for name in ("p", "e", "s", "c^2", "d(rho e)/drho",
-                                            "d(rho e)/dtheta", "dp/dtheta")],
-        closures, lambda k: f"rho = {rho[k]:.3g}, theta = {theta[k]:.3g}")
+    bad = _closures_not_finite(eos, rho, theta, lambda k: "")
     results["closures finite"] = (bad is None, bad or "closures and slopes finite on the grid")
     if bad:
         return results
 
-    p0 = float(shape.p(np.array([0.0]))[0])
+    p0 = float(shape.evaluate(np.array([0.0]), "p")[0][0])
     results["P(0) = 0"] = (abs(p0) < 1e-9, f"P(0) = {p0:.3g}")
 
     results["P' > 0"] = (bool(np.all(dp > 0.0)), f"min P' = {np.min(dp):.3g}")

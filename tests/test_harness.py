@@ -108,29 +108,52 @@ def _throughflow16(mutate):
     return doc
 
 
-@pytest.mark.parametrize("mutate, path, code", [
+def _fast_inflow(d):
+    for face in d["boundary"]["faces"]:
+        face["u_b"] = 2.0
+    d["initial"]["u"] = "2.0"
+    d["boundary"]["faces"][0]["F_ib"] = -1e308
+
+
+@pytest.mark.parametrize("mutate, path, code, detail", [
     (lambda d: d["boundary"]["faces"][0].update(rho_b=1e308), "boundary.faces[0].rho_b",
-     "boundary-schema"),
+     "boundary-schema", ""),
     # rho_b^(5/3) = 1.5e308 is finite; 1.5 p_inf times it rounds to inf
     (lambda d: d["boundary"]["faces"][0].update(rho_b=1.5e308 ** 0.6),
-     "boundary.faces[0].rho_b", "boundary-schema"),
+     "boundary.faces[0].rho_b", "boundary-schema", ""),
     (lambda d: d["boundary"]["faces"][1].update(u_b=math.inf), "boundary.faces[1].u_b",
-     "boundary-schema"),
-    (lambda d: d["eos"].update(a=1e308), "eos", "eos-schema"),
-    (lambda d: d["eos"].update(a=math.inf), "eos.a", "eos-schema"),
-    (lambda d: d["eos"].update(p_inf=1e308), "eos.p_inf", "eos-schema"),
-    (lambda d: d["eos"].update(p_inf=math.nan), "eos.p_inf", "eos-schema")],
-    ids=["rho_b", "rho_b-product", "u_b-inf", "a", "a-inf", "p_inf", "p_inf-nan"])
-def test_overflowing_parameters_are_refused_by_path(mutate, path, code):
+     "boundary-schema", ""),
+    # F_ib / |u_b.n| = -inf passed as a strictly negative margin
+    (lambda d: d["boundary"]["faces"][0].update(F_ib=-1e308), "boundary.faces[0].F_ib",
+     "boundary-schema", ""),
+    # a finite margin, but the stage's F_ib / h overflows
+    (_fast_inflow, "boundary.faces[0].F_ib", "boundary-schema", ""),
+    (lambda d: d["eos"].update(a=1e308), "eos", "eos-schema", ""),
+    # closures finite on the invariant checks' grid, not at the document's
+    # data: (p_theta)^2 in c^2 overflows at theta = 1000 in every cell, and
+    # (rho e)_theta / rho at the inflow face's rho_b
+    (lambda d: (d["eos"].update(a=1e150), d["initial"].update(theta="1000")), "eos",
+     "eos-schema", "c^2 is not finite at cell 0: rho = 1, theta = 1e+03"),
+    (lambda d: d["boundary"]["faces"][0].update(rho_b=1e-310), "eos", "eos-schema",
+     "e is not finite at the inflow face at x = 0: rho = 1e-310, theta = 1,"),
+    (lambda d: d["eos"].update(a=math.inf), "eos.a", "eos-schema", ""),
+    (lambda d: d["eos"].update(p_inf=1e308), "eos.p_inf", "eos-schema", ""),
+    (lambda d: d["eos"].update(p_inf=math.nan), "eos.p_inf", "eos-schema", "")],
+    ids=["rho_b", "rho_b-product", "u_b-inf", "F_ib-margin", "F_ib-over-h", "a",
+         "a-at-the-cells", "rho_b-at-the-face", "a-inf", "p_inf", "p_inf-nan"])
+def test_overflowing_parameters_are_refused_by_path(mutate, path, code, detail):
     # an inflow rho_b whose cold energy overflows raised a raw OverflowError
     # or, when only the product overflows, was refused with a margin of inf;
     # an eos.a whose closures overflow parsed and its run aborted on a NaN
     # dt; an overflowing p_inf was refused as "nan" invariants after numpy
-    # warnings (errors here); a parameter that is not finite parsed
+    # warnings (errors here); a parameter that is not finite parsed; an
+    # overflowing F_ib and closures that overflow only at the document's
+    # own data parsed, and their runs warned of the overflow
     doc = json.loads(json.dumps(_throughflow16(mutate)))
     with pytest.raises(sc.ScenarioValidationError) as err:
         sc.parse_scenario(doc)
     assert [(i.path, i.code) for i in err.value.issues] == [(path, code)]
+    assert detail in err.value.issues[0].message
 
 
 def test_all_failures_reported_together():
@@ -844,9 +867,9 @@ def test_gibbs_check_is_relative_to_the_terms(monkeypatch):
     doc["eos"] = {"shape": "table", "third_law": True, "table": {"z": list(z), "p": list(p)}}
     steep = sc.parse_scenario(doc).eos
     skewed = nsfsim.iconic_eos()
-    slope = skewed.shape_fn.entropy_shape_slope
-    monkeypatch.setattr(skewed.shape_fn, "entropy_shape_slope",
-                        lambda zz: (1.0 + 1e-8) * slope(zz))
+    evaluate = skewed.shape_fn.evaluate
+    monkeypatch.setattr(skewed.shape_fn, "evaluate", lambda zz, *names: tuple(
+        (1.0 + 1e-8) * v if n == "ds" else v for n, v in zip(names, evaluate(zz, *names))))
     for eos, gibbs_ok in ((nsfsim.iconic_eos(), True), (steep, True), (skewed, False)):
         results = nsfsim.check_eos_invariants(eos)
         assert all(type(ok) is bool for ok, _ in results.values()), results

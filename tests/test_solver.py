@@ -301,12 +301,11 @@ def _log_newton_iterates(monkeypatch, log):
 
 
 def _count_shape_calls(monkeypatch, eos):
-    """Count the pressure-shape evaluations of ``eos``, by method name, and
+    """Count the pressure-shape evaluations of ``eos`` as ``evaluate`` and
     a table's piece lookups as ``_locate``."""
     calls = {}
     shape = eos.shape_fn
-    names = ("p", "dp", "p_dp", "entropy_shape", "entropy_shape_slope", "_eval")
-    for name in names + (("_locate",) if eos.shape == "table" else ()):
+    for name in ("evaluate",) + (("_locate",) if eos.shape == "table" else ()):
         def counted(*args, _fn=getattr(shape, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
@@ -363,7 +362,8 @@ def _lookups_per_recovery(monkeypatch, eos, log):
     from its residual build to the next thermo call."""
     shape = eos.shape_fn
     locate = shape._locate
-    monkeypatch.setattr(shape, "_locate", lambda z: log.append(("locate", ())) or locate(z))
+    monkeypatch.setattr(shape, "_locate",
+                        lambda z, names: log.append(("locate", ())) or locate(z, names))
 
     def per_recovery():
         counts, inside = [], False
@@ -489,7 +489,7 @@ def test_iconic_recovery_matches_generic_residual(eos, delta, rng):
 
     def generic(theta):
         pw = th._theta_powers(rho, theta)
-        p, dp = eos.shape_fn.p_dp(pw.z)
+        p, dp = eos.shape_fn.evaluate(pw.z, "p", "dp")
         return (rho * (th._energy(eos, rho, pw, p) + delta * theta) - w,
                 rho * (th._energy_theta(eos, rho, pw, p, dp) + delta))
 

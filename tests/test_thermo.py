@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import re
 import weakref
@@ -75,8 +76,8 @@ def test_entropy_iconic_pure_gas(eos_a0):
 
 def test_entropy_shape_is_decreasing(eos, eos_table):
     for e in (eos, eos_table):
-        s2 = e.shape_fn.entropy_shape(np.array([2.0]))[0]
-        s1 = e.shape_fn.entropy_shape(np.array([1.0]))[0]
+        s2 = e.shape_fn.evaluate(np.array([2.0]), "s")[0][0]
+        s1 = e.shape_fn.evaluate(np.array([1.0]), "s")[0][0]
         assert s2 < s1
 
 
@@ -147,15 +148,15 @@ def test_entropy_slope_matches_defining_ode(eos, eos_table):
             keep = np.min(np.abs(z[:, None] - knots[None, :]), axis=1) > 1e-3 * z
             z = z[keep]
         h = 1e-5 * z
-        fd = (sh.entropy_shape(z + h) - sh.entropy_shape(z - h)) / (2 * h)
-        ode = -1.5 * (FT * sh.p(z) - sh.dp(z) * z) / z ** 2
+        fd = (sh.evaluate(z + h, "s")[0] - sh.evaluate(z - h, "s")[0]) / (2 * h)
+        ode = -1.5 * (FT * sh.evaluate(z, "p")[0] - sh.evaluate(z, "dp")[0] * z) / z ** 2
         np.testing.assert_allclose(fd, ode, rtol=1e-6, atol=1e-9)
 
 
 def test_pressure_shape_ratio_nonincreasing(eos, eos_table):
     z = np.geomspace(1e-3, 1e3, 400)
     for e in (eos, eos_table):
-        g = e.shape_fn.p(z) / z ** FT
+        g = e.shape_fn.evaluate(z, "p")[0] / z ** FT
         assert np.all(np.diff(g) <= 1e-12 * np.abs(g[:-1]))
         assert g[-1] >= e.p_inf - 1e-9
 
@@ -340,9 +341,9 @@ def test_extension_without_radiation_closed_form(entropy_const):
     for rho, S in ((1.0, 400.0), (1.0, 40.0), (0.3, 4.0), (2.5, -3.0), (1.0, 4.0 / 3.0)):
         theta = math.exp((S / rho + math.log(rho) - entropy_const) / 1.5)
         z = rho * theta ** -1.5
-        s_shape = float(eos_a0.shape_fn.entropy_shape(z))
+        s_shape = float(eos_a0.shape_fn.evaluate(z, "s")[0])
         assert rho * (s_shape + entropy_const) == pytest.approx(S, rel=1e-14, abs=1e-14)
-        expect = 1.5 * theta ** 2.5 * float(eos_a0.shape_fn.p(z))
+        expect = 1.5 * theta ** 2.5 * float(eos_a0.shape_fn.evaluate(z, "p")[0])
         assert th.extended_internal_energy(eos_a0, rho, S) == pytest.approx(expect, rel=1e-14)
     assert (th.extended_internal_energy(eos_a0, 1.0, 40.0)
             < th.extended_internal_energy(eos_a0, 1.0, 400.0) < math.inf)
@@ -434,8 +435,8 @@ def test_general_table_gauge_may_lie_in_the_tail():
     z = np.geomspace(0.002, 0.8, 25)
     shape = th.tabulated_eos(z, z + z ** FT + z ** FT / (1.0 + z), third_law=False).shape_fn
     assert shape.z_hi < 1.0
-    assert shape.entropy_shape(np.array([1.0]))[0] == 0.0
-    below, above = shape.entropy_shape(shape.z_hi * np.array([1.0 - 1e-12, 1.0 + 1e-12]))
+    assert shape.evaluate(np.array([1.0]), "s")[0][0] == 0.0
+    below, above = shape.evaluate(shape.z_hi * np.array([1.0 - 1e-12, 1.0 + 1e-12]), "s")[0]
     assert above == pytest.approx(below, abs=1e-10)
 
 
@@ -501,20 +502,34 @@ def _parity_z(eos_table):
 
 @pytest.mark.parametrize("name", PARITY_EOS)
 def test_shape_p_dp_matches_separate_calls(name, eos_table, request):
+    # names evaluated together equal names evaluated apart, for every set
+    # of names, on the mixed array (the masked path on a table) and one Z
+    # at a time on head, z_lo, z_hi and tail
     shape = request.getfixturevalue(name).shape_fn
     z = _parity_z(eos_table)
-    p, dp = shape.p_dp(z)
-    assert np.array_equal(p, shape.p(z))
-    assert np.array_equal(dp, shape.dp(z))
-    p, s = shape.p_entropy(z)
-    assert np.array_equal(p, shape.p(z))
-    assert np.array_equal(s, shape.entropy_shape(z))
-    for zk in (z[0], eos_table.shape_fn.z_lo, eos_table.shape_fn.z_hi, z[-1]):
-        p0, dp0 = shape.p_dp(zk)
-        assert np.array_equal(p0, shape.p(zk)) and np.array_equal(dp0, shape.dp(zk))
-        p0, s0 = shape.p_entropy(zk)
-        assert np.array_equal(p0, shape.p(zk))
-        assert np.array_equal(s0, shape.entropy_shape(zk))
+    names = ("p", "dp", "s", "ds")
+    for zk in (z, z[0], eos_table.shape_fn.z_lo, eos_table.shape_fn.z_hi, z[-1]):
+        apart = {n: shape.evaluate(zk, n)[0] for n in names}
+        for k in range(2, len(names) + 1):
+            for chosen in itertools.combinations(names, k):
+                together = shape.evaluate(zk, *chosen)
+                assert all(map(np.array_equal, together, (apart[n] for n in chosen)))
+
+
+@pytest.mark.parametrize("name", PARITY_EOS)
+def test_gibbs_and_invariants_evaluate_the_shape_once(name, request, monkeypatch):
+    # the Gibbs terms take P, P' and S' at their Z from one evaluation, and
+    # the invariant checks take them on their Z grid from one
+    eos = request.getfixturevalue(name)
+    shape = eos.shape_fn
+    evaluate, calls = shape.evaluate, []
+    monkeypatch.setattr(shape, "evaluate", lambda z, *names: calls.append(
+        (np.size(z), names)) or evaluate(z, *names))
+    th.gibbs_residual(eos, np.array([0.003, 1.0, 2000.0]), np.full(3, 1.3))
+    assert calls == [(3, ("p", "dp", "ds"))]
+    calls.clear()
+    assert all(ok for ok, _ in th.check_eos_invariants(eos).values())
+    assert [names for size, names in calls if size == 400] == [("p", "dp", "ds")]
 
 
 @pytest.mark.parametrize("name", PARITY_EOS)
@@ -546,10 +561,11 @@ def test_shape_entropy_at_zero_is_silent(name, request):
     # suite makes warnings errors); P(0) = 0
     shape = request.getfixturevalue(name).shape_fn
     z = np.array([0.0, 1.0])
-    p, s = shape.p_entropy(z)
+    p, s = shape.evaluate(z, "p", "s")
     assert p[0] == 0.0 and s[0] == np.inf and np.isfinite(s[1])
-    assert shape.entropy_shape(z)[0] == np.inf and np.isfinite(shape.entropy_shape(z)[1])
-    slope = shape.entropy_shape_slope(z)
+    s = shape.evaluate(z, "s")[0]
+    assert s[0] == np.inf and np.isfinite(s[1])
+    slope = shape.evaluate(z, "ds")[0]
     assert slope[0] == -np.inf and np.isfinite(slope[1])
 
 
@@ -623,15 +639,15 @@ def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, requ
         s_ref[m] = (shape._cubic_entropy_antideriv(shape._coeffs[:, k], z[on][m])
                     + shape._offsets[k])
     for zz, sel in ((z[on], slice(None)), (z, on)):
-        p, dp = shape.p_dp(zz)
+        p, dp = shape.evaluate(zz, "p", "dp")
         assert np.array_equal(p[sel], spline(z[on]))
         assert np.array_equal(dp[sel], spline.derivative()(z[on]))
-        assert np.array_equal(shape.p(zz)[sel], p[sel])
-        assert np.array_equal(shape.dp(zz)[sel], dp[sel])
-        assert np.array_equal(shape.entropy_shape(zz)[sel], s_ref)
+        assert np.array_equal(shape.evaluate(zz, "p")[0][sel], p[sel])
+        assert np.array_equal(shape.evaluate(zz, "dp")[0][sel], dp[sel])
+        assert np.array_equal(shape.evaluate(zz, "s")[0][sel], s_ref)
     # one z at a time (0-d arrays) reaches the same values
     for zk, pk in zip(z[on], spline(z[on])):
-        assert shape.p(np.asarray(zk)) == pk
+        assert shape.evaluate(np.asarray(zk), "p")[0] == pk
 
 
 @pytest.mark.parametrize("name", ("eos_table", "eos_table_nolaw"))
@@ -658,10 +674,11 @@ def test_bound_pieces_match_the_unbound_pass(name, request, monkeypatch):
         (np.array([lo, k[6], np.nan, hi]), True),                  # NaN, masked
         (np.array([lo, k[6], k[10], hi]), True),
     ]
-    reference = [shape.p_dp(z) for z, _ in calls]
+    reference = [shape.evaluate(z, "p", "dp") for z, _ in calls]
     lookups = []
     locate = shape._locate
-    monkeypatch.setattr(shape, "_locate", lambda z: lookups.append(1) or locate(z))
+    monkeypatch.setattr(shape, "_locate",
+                        lambda z, names: lookups.append(1) or locate(z, names))
     evaluate = shape.bind_pieces()
     for (z, located), (p, dp) in zip(calls, reference):
         lookups.clear()
@@ -793,7 +810,7 @@ def _assert_quartic_matches_closures(eos, rho, theta, delta):
     theta = np.asarray(theta, dtype=float)
     f, df = th.energy_density_residual(eos, rho, np.zeros_like(rho), delta)(theta)
     pw = th._theta_powers(rho, theta)
-    p, dp = eos.shape_fn.p_dp(pw.z)
+    p, dp = eos.shape_fn.evaluate(pw.z, "p", "dp")
     np.testing.assert_allclose(f, rho * (th._energy(eos, rho, pw, p) + delta * theta),
                                rtol=1e-14, atol=0.0)
     slope = rho * (th._energy_theta(eos, rho, pw, p, dp) + delta)

@@ -4,6 +4,8 @@ import ast
 import collections
 import dataclasses
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -301,3 +303,31 @@ def test_benchmark_tracing_hooks_exist():
     missing += [f"{layer}.{cls}.{attr}" for layer, cls, attr in hooks["METHODS"]
                 if not callable(member(member(module(layer), cls), attr))]
     assert missing == []
+
+
+_FAILING_PROPERTY_AND_PASSING_TEST = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_leaves_the_session_running(tmp_path):
+    # hypothesis reports a failing example through libcst, whose import
+    # warns; under the suite's warnings-as-errors that warning must not end
+    # the session before the tests after it run
+    path = tmp_path / "test_pair.py"
+    path.write_text(_FAILING_PROPERTY_AND_PASSING_TEST)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "-q", str(path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout, run.stdout
