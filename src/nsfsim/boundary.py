@@ -18,6 +18,7 @@ equivalently positivity of the heat-flux component after removing the cold
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -41,8 +42,10 @@ def classify(u_b_dot_n: float, wall_override: bool = False) -> FaceKind:
     """Classify one face by the sign of u_b . n.
 
     ``wall_override`` forces Wall for configured walls whose velocity may
-    carry rounding noise below ``WALL_TOL``.
+    carry rounding noise below ``WALL_TOL``.  A NaN is no sign and is refused.
     """
+    if math.isnan(u_b_dot_n):
+        raise BoundaryDataError("u_b . n is NaN")
     if wall_override:
         if abs(u_b_dot_n) > WALL_TOL:
             raise BoundaryDataError(
@@ -73,7 +76,7 @@ class BoundaryFace:
             if self.rho_b is None or self.F_ib is None:
                 raise BoundaryDataError(
                     f"inflow face at x={self.pos:g} needs rho_b and F_ib")
-            if self.rho_b <= 0.0:
+            if not self.rho_b > 0.0:  # NaN fails too
                 raise BoundaryDataError(
                     f"inflow density must be positive, got rho_b={self.rho_b:g} at x={self.pos:g}")
         elif self.rho_b is not None or self.F_ib is not None:

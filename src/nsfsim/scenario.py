@@ -25,6 +25,10 @@ each tagged with the offending field path and a stable issue code; a key
 that no section knows is an ``unknown-key`` issue, not silently ignored, and
 a value of the wrong type (a section that is not an object, a number that
 does not parse, a missing table column) is a ``<section>-schema`` issue.
+So is a number in any section that is not finite (NaN or +-Infinity): a
+keyed value of mesh, eos, transport, a face or config, or an entry of an
+eos table column, each refused under its own path (``config.t_end``,
+``eos.table.p``) by the one reader of every keyed value, ``_typed``.
 Initial data that :func:`nsfsim.solver.initial_data_problems` refuses is an
 ``initial-finite`` or ``initial-positivity`` issue; no value is changed.
 Closures that overflow at the document's own data, the initial cells or an
@@ -151,17 +155,18 @@ class Scenario:
 
 
 # The keys each section may hold, shared by its reader and the unknown-key
-# check; mesh, face and config map each key to its type.
+# check; the kinds map each key to its type, a list meaning one of floats.
 _TOP_KEYS = ("mesh", "eos", "transport", "boundary", "config", "initial", "output_times")
 _MESH_KINDS = {"x0": float, "x1": float, "n": int}
 _EOS_KINDS = {"a": float, "p_inf": float, "entropy_const": float, "third_law": bool}
 _EOS_KEYS = ("shape", *_EOS_KINDS, "table")
-_TRANSPORT_KEYS = ("lambda_exp", "mu_scale", "eta_scale", "kappa_scale")
+_TABLE_KINDS = {"z": list, "p": list}
+_TRANSPORT_KINDS = dict.fromkeys(("lambda_exp", "mu_scale", "eta_scale", "kappa_scale"), float)
 _BOUNDARY_KEYS = ("faces",)
 _FACE_KINDS = {"pos": float, "u_b": float, "rho_b": float, "F_ib": float, "wall": bool}
 _FACE_OPTIONAL = ("rho_b", "F_ib")
-_CONFIG_KEYS = {"epsilon": float, "delta": float, "Gamma": float, "d": int, "cfl": float,
-                "t_end": float, "g": float}
+_CONFIG_KINDS = {"epsilon": float, "delta": float, "Gamma": float, "d": int, "cfl": float,
+                 "t_end": float, "g": float}
 _INITIAL_KEYS = ("rho", "u", "theta")
 
 
@@ -193,8 +198,13 @@ def _object_sections(doc: dict, sections: dict, issues: list) -> dict:
 def _as_kind(kind, value):
     """``value`` as ``kind`` where its JSON type reads as one: an int takes an
     integral number or a numeric string, a float a number that is not a
-    boolean or a numeric string, a bool only true or false; an integer
-    beyond the float range reads as none (ValueError)."""
+    boolean or a numeric string, a bool only true or false, a list a list
+    whose every item reads as a float; an integer beyond the float range
+    reads as none (ValueError)."""
+    if kind is list:
+        if not isinstance(value, list):
+            raise TypeError
+        return [_as_kind(float, v) for v in value]
     if isinstance(value, bool) != (kind is bool) or (
             kind is int and isinstance(value, float) and not value.is_integer()):
         raise TypeError
@@ -204,58 +214,65 @@ def _as_kind(kind, value):
         raise ValueError from None
 
 
-def _as_floats(value) -> list:
-    """``value`` as a list of floats: a JSON list whose every item
-    ``_as_kind`` reads as a float."""
-    if not isinstance(value, list):
-        raise TypeError
-    return [_as_kind(float, v) for v in value]
-
-
 def _typed(doc: dict, kinds: dict, path: str, code: str, issues: list) -> Optional[dict]:
     """{key: doc[key] as kind} over the keys of ``kinds`` that ``doc`` holds;
-    None if ``_as_kind`` rejects any value, with one issue per rejected value."""
+    None if any value is refused, with one issue per refused value: one that
+    ``_as_kind`` does not read as its kind, or a float that is not finite."""
     n_issues = len(issues)
     out = {}
     for key, kind in kinds.items():
-        if key in doc:
-            try:
-                out[key] = _as_kind(kind, doc[key])
-            except (TypeError, ValueError):
-                issues.append(Issue(f"{path}{key}", code,
-                                    f"expected {kind.__name__}, got {doc[key]!r}"))
+        if key not in doc:
+            continue
+        try:
+            out[key] = _as_kind(kind, doc[key])
+        except (TypeError, ValueError):
+            issues.append(Issue(f"{path}{key}", code,
+                                f"expected {kind.__name__}, got {doc[key]!r}"))
+            continue
+        for v in out[key] if kind is list else [out[key]]:
+            if isinstance(v, float) and not math.isfinite(v):
+                issues.append(Issue(f"{path}{key}", code, f"expected a finite number, got {v!r}"))
+                break
     return out if len(issues) == n_issues else None
 
 
-def _infinite(values: dict, path: str, code: str, issues: list) -> bool:
-    """True, with one issue each, if any float among ``values`` is not finite."""
-    bad = [key for key, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
-    for key in bad:
-        issues.append(Issue(f"{path}{key}", code, f"expected a finite number, got {values[key]!r}"))
-    return bool(bad)
+def _build(docs: dict, section: str, kinds: dict, make, issues: list):
+    """``make(**values)`` of the ``section`` object of ``docs``, its values read
+    by ``_typed``; None if the section is absent or a value is refused.  A
+    ValueError of ``make`` is one issue under the section: a
+    ``transport-envelope`` one for transport, else ``<section>-schema``."""
+    if section not in docs:
+        return None
+    kw = _typed(docs[section], kinds, f"{section}.", f"{section}-schema", issues)
+    if kw is None:
+        return None
+    try:
+        return make(**kw)
+    except ValueError as err:
+        code = "transport-envelope" if section == "transport" else f"{section}-schema"
+        issues.append(Issue(section, code, str(err)))
+        return None
 
 
 def _build_eos(doc: dict, issues: list) -> tuple:
     """(EosSpec or None, its {invariant: (ok, detail)}); each failed invariant
-    is also an ``eos-invariant`` issue.  A parameter that is not finite is an
-    ``eos-schema`` issue and the checks do not run; a shape or closures that
-    overflow on the grids of the checks (their first two entries) are an
-    ``eos-schema`` issue, and the checks stop there."""
+    is also an ``eos-invariant`` issue.  A value that ``_typed`` refuses, a
+    table entry included, is an ``eos-schema`` issue and the checks do not
+    run; a shape or closures that overflow on the grids of the checks (their
+    first two entries) are an ``eos-schema`` issue, and the checks stop there."""
     kw = _typed(doc, _EOS_KINDS, "eos.", "eos-schema", issues)
-    if kw is None or _infinite(kw, "eos.", "eos-schema", issues):
+    if kw is None:
         return None, {}
     kw["shape"] = doc.get("shape", "iconic")
     if "table" in doc:
         table = doc["table"] if isinstance(doc["table"], dict) else {}
-        _check_keys(table, ("z", "p"), "eos.table.", issues)
-        for key in ("z", "p"):
-            try:
-                kw[f"table_{key}"] = tuple(_as_floats(table[key]))
-            except (KeyError, TypeError, ValueError):
-                issues.append(Issue(f"eos.table.{key}", "eos-schema",
-                                    "expected a list of numbers"))
-        if "table_z" not in kw or "table_p" not in kw:
+        _check_keys(table, _TABLE_KINDS, "eos.table.", issues)
+        # a missing column reads as null, which is no list
+        columns = _typed({key: table.get(key) for key in _TABLE_KINDS}, _TABLE_KINDS,
+                         "eos.table.", "eos-schema", issues)
+        if columns is None:
             return None, {}
+        kw.update(table_z=tuple(columns["z"]), table_p=tuple(columns["p"]))
     try:
         eos = EosSpec(**kw)
     except EosValidationError as err:
@@ -274,18 +291,6 @@ def _build_eos(doc: dict, issues: list) -> tuple:
     return eos, checks
 
 
-def _build_transport(doc: dict, issues: list) -> Optional[TransportSpec]:
-    kw = _typed(doc, dict.fromkeys(_TRANSPORT_KEYS, float), "transport.",
-                "transport-schema", issues)
-    if kw is None:
-        return None
-    try:
-        return TransportSpec(**kw)
-    except EosValidationError as err:
-        issues.append(Issue("transport", "transport-envelope", str(err)))
-        return None
-
-
 def _build_boundary(faces: list, mesh: Mesh1D, eos, issues: list) -> Optional[bd.BoundarySpec]:
     if len(faces) != 2:
         issues.append(Issue("boundary.faces", "boundary-schema",
@@ -297,9 +302,6 @@ def _build_boundary(faces: list, mesh: Mesh1D, eos, issues: list) -> Optional[bd
         given = {key: v for key, v in f.items() if v is not None or key not in _FACE_OPTIONAL}
         values.append(_typed(given, _FACE_KINDS, f"boundary.faces[{k}].", "boundary-schema",
                              issues))
-        if values[-1] is not None and _infinite(values[-1], f"boundary.faces[{k}].",
-                                                "boundary-schema", issues):
-            values[-1] = None
     if None in values:
         return None
     pos = [v.get("pos", 0.0) for v in values]
@@ -362,35 +364,22 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     issues: list[Issue] = []
     _check_keys(doc, _TOP_KEYS, "", issues)
     docs = _object_sections(doc, {"mesh": _MESH_KINDS, "eos": _EOS_KEYS,
-                                  "transport": _TRANSPORT_KEYS, "boundary": _BOUNDARY_KEYS,
-                                  "config": _CONFIG_KEYS, "initial": _INITIAL_KEYS}, issues)
+                                  "transport": _TRANSPORT_KINDS, "boundary": _BOUNDARY_KEYS,
+                                  "config": _CONFIG_KINDS, "initial": _INITIAL_KEYS}, issues)
     faces = docs["boundary"].get("faces", []) if "boundary" in docs else None
-    if faces is not None and not (isinstance(faces, list)
-                                  and all(isinstance(f, dict) for f in faces)):
+    if "boundary" in docs and not (isinstance(faces, list)
+                                   and all(isinstance(f, dict) for f in faces)):
         issues.append(Issue("boundary.faces", "boundary-schema",
                             f"expected a list of objects, got {faces!r}"))
         faces = None
     for k, face in enumerate(faces or []):
         _check_keys(face, _FACE_KINDS, f"boundary.faces[{k}].", issues)
 
-    mesh = None
-    kw = _typed(docs.get("mesh", {}), _MESH_KINDS, "mesh.", "mesh-schema", issues)
-    if "mesh" in docs and kw is not None:
-        try:
-            mesh = Mesh1D(kw.get("x0", 0.0), kw.get("x1", 1.0), kw.get("n", 0))
-        except ValueError as err:
-            issues.append(Issue("mesh", "mesh-schema", str(err)))
-
+    mesh = _build(docs, "mesh", _MESH_KINDS,
+                  lambda x0=0.0, x1=1.0, n=0: Mesh1D(x0, x1, n), issues)
     eos, _ = _build_eos(docs["eos"], issues) if "eos" in docs else (None, {})
-    ts = _build_transport(docs["transport"], issues) if "transport" in docs else None
-
-    cfg = None
-    kw = _typed(docs.get("config", {}), _CONFIG_KEYS, "config.", "config-schema", issues)
-    if "config" in docs and kw is not None:
-        try:
-            cfg = SolverConfig(**kw)
-        except ValueError as err:
-            issues.append(Issue("config", "config-schema", str(err)))
+    ts = _build(docs, "transport", _TRANSPORT_KINDS, TransportSpec, issues)
+    cfg = _build(docs, "config", _CONFIG_KINDS, SolverConfig, issues)
 
     bspec = None
     if mesh is not None and faces is not None:
@@ -411,7 +400,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
                     fields[key] = eval_field_expression(spec_val, mesh.centers)
                 else:
                     try:
-                        values = _as_floats(spec_val)
+                        values = _as_kind(list, spec_val)
                     except (TypeError, ValueError):
                         raise ExpressionError(
                             f"expected an expression or a list of numbers, got {spec_val!r}"
@@ -442,7 +431,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     output_times = []
     if outs is not None:
         try:
-            output_times = _as_floats(outs)
+            output_times = _as_kind(list, outs)
         except (TypeError, ValueError):
             issues.append(Issue("output_times", "config-schema",
                                 f"expected a list of numbers, got {outs!r}"))
@@ -488,7 +477,7 @@ def load_eos_document(path):
     if not isinstance(doc, dict):
         return {}, [Issue("eos", "eos-schema", f"expected an object, got {doc!r}")]
     issues: list[Issue] = []
-    sections = {"eos": _EOS_KEYS, "transport": _TRANSPORT_KEYS}
+    sections = {"eos": _EOS_KEYS, "transport": _TRANSPORT_KINDS}
     _check_keys(doc, tuple(sections), "", issues)
     docs = _object_sections(doc, sections, issues)
     checks = {}
@@ -496,8 +485,7 @@ def load_eos_document(path):
         issues.append(Issue("eos", "eos-schema", "missing: the document holds no eos object"))
     elif "eos" in docs:
         _, checks = _build_eos(docs["eos"], issues)
-    if "transport" in docs:
-        _build_transport(docs["transport"], issues)
+    _build(docs, "transport", _TRANSPORT_KINDS, TransportSpec, issues)
     return checks, issues
 
 

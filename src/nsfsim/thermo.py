@@ -162,11 +162,17 @@ class TabulatedShape:
         p = np.asarray(p, dtype=float)
         if z.ndim != 1 or z.shape != p.shape or z.size < 6:
             raise EosValidationError("table needs matching 1-d z/p arrays with >= 6 knots")
-        if np.any(z <= 0.0) or np.any(np.diff(z) <= 0.0):
+        # written so that a NaN fails each check
+        if not (np.all(z > 0.0) and np.all(np.diff(z) > 0.0)):
             raise EosValidationError("table knots z must be positive and strictly increasing")
-        if np.any(p <= 0.0) or np.any(np.diff(p) <= 0.0):
+        if not (np.all(p > 0.0) and np.all(np.diff(p) > 0.0)):
             raise EosValidationError("table values p must be positive and strictly increasing")
-        g = p / z ** _FIVE_THIRDS
+        with np.errstate(over="ignore"):
+            z53 = z ** _FIVE_THIRDS
+        if not np.isfinite(z53).all():
+            k = int(np.argmin(np.isfinite(z53)))
+            raise EosValidationError(f"table knot z[{k}] = {z[k]:g} overflows z^(5/3)")
+        g = p / z53
         if np.any(np.diff(g) >= 0.0):
             raise EosValidationError("p/z^{5/3} must be strictly decreasing across the table")
         if g[-1] <= p_inf:
@@ -432,9 +438,10 @@ class EosSpec:
     shape_fn: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.p_inf <= 0.0:
+        # written so that a NaN fails each check
+        if not self.p_inf > 0.0:
             raise EosValidationError(f"p_inf must be positive, got {self.p_inf}")
-        if self.a < 0.0:
+        if not self.a >= 0.0:
             raise EosValidationError(f"radiation constant a must be nonnegative, got {self.a}")
         if self.shape == "iconic":
             if self.third_law:
@@ -484,11 +491,11 @@ class TransportSpec:
         if not (0.4 < self.lambda_exp <= 1.0):
             raise EosValidationError(
                 f"lambda_exp must lie in (2/5, 1], got {self.lambda_exp}")
-        if self.mu_scale <= 0.0:
+        if not self.mu_scale > 0.0:
             raise EosValidationError("shear viscosity scale must be positive")
-        if self.kappa_scale <= 0.0:
+        if not self.kappa_scale > 0.0:
             raise EosValidationError("conductivity scale must be positive")
-        if self.eta_scale < 0.0:
+        if not self.eta_scale >= 0.0:
             raise EosValidationError("bulk viscosity scale must be nonnegative")
 
     # the forms take theta as a float or an array, real or complex (the

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,63 @@ def test_overflowing_parameters_are_refused_by_path(mutate, path, code, detail):
     assert detail in err.value.issues[0].message
 
 
+_POOL = [None, True, False, 0, 1, -1, 1.5, 1e308, -1e308, 10 ** 400, -0.0,
+         math.inf, -math.inf, math.nan, "1", "abc", [], {}, [[1]]]
+
+
+def _leaves(node, path=()):
+    """The path of each leaf of a JSON document, as a tuple of keys; of an
+    eos table column only the first and the last entry."""
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    keys = (node if isinstance(node, dict) else
+            (0, len(node) - 1) if path[-2:-1] == ("table",) else range(len(node)))
+    for key in keys:
+        yield from _leaves(node[key], (*path, key))
+
+
+def _issue_path(path) -> str:
+    """The issue path of a keyed leaf: a table column's, not its entry's."""
+    path = path[:3] if path[1] == "table" else path
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+def test_every_mutated_leaf_parses_or_is_refused():
+    # the parse half of the property: a document with any leaf set to any
+    # value of the pool is a Scenario or the issue list, never a raw
+    # exception or a warning; a keyed float set to a value that is not
+    # finite is one <section>-schema issue under its own path
+    table = make_table_eos(third_law=True)
+    closed = json.loads((SCENARIO_DIR / "closed_box.json").read_text())
+    closed["mesh"]["n"] = 16
+    docs = [_throughflow16(lambda d: None), closed, _throughflow16(lambda d: d.update(eos={
+        "shape": "table", "third_law": True,
+        "table": {"z": list(table.table_z), "p": list(table.table_p)}}))]
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for doc, path, value in ((d, p, v) for d in docs for p in _leaves(d) for v in _POOL):
+            mutated = json.loads(json.dumps(doc))
+            node = mutated
+            for key in path[:-1]:
+                node = node[key]
+            keyed_float = isinstance(node[path[-1]], float) and path[0] != "output_times"
+            node[path[-1]] = value
+            try:
+                sc.parse_scenario(mutated)
+                issues = None
+            except sc.ScenarioValidationError as err:
+                issues = [(i.path, i.code) for i in err.issues]
+            except Exception as err:
+                failures.append((path, value, repr(err)))
+                continue
+            if keyed_float and isinstance(value, float) and not math.isfinite(value):
+                if issues != [(_issue_path(path), f"{path[0]}-schema")]:
+                    failures.append((path, value, issues))
+    assert failures == []
+
+
 def test_all_failures_reported_together():
     doc = minimal_doc()
     doc["mesh"]["n"] = 0
@@ -178,8 +236,8 @@ def test_non_finite_settings_are_refused(key, value):
     doc = json.loads(json.dumps(minimal_doc(**{key: value})))
     with pytest.raises(sc.ScenarioValidationError) as err:
         sc.parse_scenario(doc)
-    assert [(i.path, i.code) for i in err.value.issues] == [("config", "config-schema")]
-    assert f"{key} must be finite" in err.value.issues[0].message
+    assert [(i.path, i.code) for i in err.value.issues] == [(f"config.{key}", "config-schema")]
+    assert err.value.issues[0].message == f"expected a finite number, got {value!r}"
 
 
 def test_unknown_keys_reported_by_path():
@@ -275,6 +333,10 @@ def _set_end_time_beyond_floats(doc):
     doc["config"]["t_end"] = 10 ** 400
 
 
+def _set_faces_null(doc):
+    doc["boundary"]["faces"] = None
+
+
 @pytest.mark.parametrize("corrupt, path", [
     (_set_eos_a, "eos.a"), (_set_face_speed, "boundary.faces[0].u_b"),
     (_set_mesh_number, "mesh"), (_drop_table_z, "eos.table.z"),
@@ -287,7 +349,9 @@ def _set_end_time_beyond_floats(doc):
     (_set_output_time_flag, "output_times"), (_set_output_times_string, "output_times"),
     (_set_initial_flags, "initial.u"), (_set_table_knot_flag, "eos.table.z"),
     # an integer beyond the float range is no float
-    (_set_end_time_beyond_floats, "config.t_end")])
+    (_set_end_time_beyond_floats, "config.t_end"),
+    # null faces read as no faces, and the closure check then raised
+    (_set_faces_null, "boundary.faces")])
 def test_malformed_value_reported_by_path(corrupt, path, tmp_path, capsys):
     doc = minimal_doc(epsilom=0.1)
     corrupt(doc)

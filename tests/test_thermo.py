@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from nsfsim import boundary as bd
 from nsfsim import scenario as sc
 from nsfsim import thermo as th
 
@@ -453,6 +454,37 @@ def test_table_must_dominate_asymptote():
     p = 0.5 * z ** FT + 1e-3 * z  # ratio falls below p_inf = 1
     with pytest.raises(th.EosValidationError):
         th.tabulated_eos(z, p, p_inf=1.0)
+
+
+def _table_with(key, k, value):
+    """The 25-knot Third-law table with entry ``k`` of column ``key`` set."""
+    eos = make_table_eos(third_law=True)
+    columns = {"z": list(eos.table_z), "p": list(eos.table_p)}
+    columns[key][k] = value
+    return th.tabulated_eos(columns["z"], columns["p"])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: th.TransportSpec(mu_scale=math.nan), "shear viscosity scale must be positive"),
+    (lambda: th.TransportSpec(eta_scale=math.nan), "bulk viscosity scale must be nonnegative"),
+    (lambda: th.TransportSpec(kappa_scale=math.nan), "conductivity scale must be positive"),
+    (lambda: th.EosSpec(p_inf=math.nan), "p_inf must be positive, got nan"),
+    (lambda: th.EosSpec(a=math.nan), "radiation constant a must be nonnegative, got nan"),
+    (lambda: _table_with("z", 12, math.nan), "knots z must be positive and strictly"),
+    (lambda: _table_with("p", 12, math.nan), "values p must be positive and strictly"),
+    # z^(5/3) of the last knot overflows; it warned and was refused as a
+    # table end ratio of 0
+    (lambda: _table_with("z", 24, 1e308), r"knot z\[24\] = 1e\+308 overflows z\^\(5/3\)"),
+    # a NaN u_b.n compared false with both signs and classified a wall
+    (lambda: bd.BoundaryFace(pos=0.0, normal=-1.0, u_b=math.nan), "u_b . n is NaN"),
+    (lambda: bd.BoundaryFace(pos=0.0, normal=-1.0, u_b=1.0, rho_b=math.nan, F_ib=-2.0),
+     "inflow density must be positive, got rho_b=nan")],
+    ids=["mu_scale", "eta_scale", "kappa_scale", "p_inf", "a", "table-z", "table-p",
+         "table-z-overflow", "u_b", "rho_b"])
+def test_nan_and_overflowing_parameters_are_refused(make, message):
+    # each sign check read x <= 0, which a NaN passes
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_check_eos_invariants_pass(eos, eos_table, eos_table_nolaw):

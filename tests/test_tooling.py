@@ -117,7 +117,7 @@ def test_config_keys_are_solver_settings():
     # energy source, a callable only the manufactured cases set, and nothing
     # else: a value settable on one side only fails here
     fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
-    assert set(scenario._CONFIG_KEYS) == fields - {"energy_source"}
+    assert set(scenario._CONFIG_KINDS) == fields - {"energy_source"}
 
 
 def _defaulted_parameters(path: Path) -> list:
