@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .thermo import EosSpec, cold_energy_density, specific_entropy, specific_internal_energy
+from .thermo import (EosSpec, _in_domain, cold_energy_density, specific_entropy,
+                     specific_internal_energy)
 
 WALL_TOL = 1e-14
 
@@ -47,7 +48,7 @@ def classify(u_b_dot_n: float, wall_override: bool = False) -> FaceKind:
     if math.isnan(u_b_dot_n):
         raise BoundaryDataError("u_b . n is NaN")
     if wall_override:
-        if abs(u_b_dot_n) > WALL_TOL:
+        if not abs(u_b_dot_n) <= WALL_TOL:
             raise BoundaryDataError(
                 f"face marked wall but |u_b . n| = {abs(u_b_dot_n):.3g} exceeds {WALL_TOL:g}")
         return FaceKind.WALL
@@ -127,10 +128,9 @@ def entropy_inflow_flux(eos: EosSpec, rho_b: float, theta: float,
     Returns F_ib/theta + (s(rho_b, theta) - e(rho_b, theta)/theta) rho_b u_b.n
     for the interior temperature trace ``theta``.
     """
-    if u_b_dot_n >= 0.0:
+    if not u_b_dot_n < 0.0:  # NaN fails too
         raise BoundaryDataError("entropy inflow flux is defined only where u_b . n < 0")
-    if theta <= 0.0:
-        raise BoundaryDataError("temperature trace must be positive")
+    _in_domain(theta, "temperature trace", BoundaryDataError)
     s = float(specific_entropy(eos, rho_b, theta))
     e = float(specific_internal_energy(eos, rho_b, theta))
     return F_ib / theta + (s - e / theta) * rho_b * u_b_dot_n
@@ -144,7 +144,7 @@ def cold_heat_flux_split(eos: EosSpec, rho_b: float, u_b_dot_n: float,
     F_ib = cold_flux + F_tau u_b.n.  Admissibility is equivalent to the
     strict inequality F_tau > 0.
     """
-    if u_b_dot_n >= 0.0:
+    if not u_b_dot_n < 0.0:  # NaN fails too
         raise BoundaryDataError("the flux split is defined only where u_b . n < 0")
     cold = cold_energy_density(eos, rho_b)
     return cold * u_b_dot_n, F_ib / u_b_dot_n - cold

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh1D
-from .thermo import (ConservativeState, EosSpec, EosDomainError, OutOfDomainError,
-                     ThermoState, _energy_density_rho_slope, energy_density_gradient,
-                     extended_internal_energy, specific_entropy, specific_internal_energy,
-                     stage_closures, temperature_from_entropy)
+from .thermo import (ConservativeState, EosSpec, ThermoState, _energy_density_rho_slope,
+                     _in_domain, energy_density_gradient, extended_internal_energy,
+                     specific_entropy, specific_internal_energy, stage_closures,
+                     temperature_from_entropy)
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,8 @@ def _kinetic(rho, u, u_ref):
 def relative_energy_fields(eos: EosSpec, rho, u, theta, rho_ref, u_ref, theta_ref):
     """Vectorized standard-variable relative energy; returns (kinetic, bregman)."""
     rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    rho_ref = np.asarray(rho_ref, dtype=float)
-    theta_ref = np.asarray(theta_ref, dtype=float)
-    if np.any(rho_ref <= 0.0) or np.any(theta_ref <= 0.0):
-        raise EosDomainError("reference trio must be interior: rho~ > 0, theta~ > 0")
+    rho_ref = _in_domain(rho_ref, "reference density")
+    theta_ref = _in_domain(theta_ref, "reference temperature")
     kin = _kinetic(rho, u, u_ref)
 
     _, e, s = stage_closures(eos, rho, theta)
@@ -109,8 +106,7 @@ def relative_energy_conservative(eos: EosSpec, c: ConservativeState,
     States off the closure of the admissible set carry an infinite internal
     part, which propagates as +inf (a legitimate extended value).
     """
-    if cref.rho <= 0.0:
-        raise EosDomainError("reference state must be interior, rho~ > 0")
+    _in_domain(cref.rho, "reference density")
     theta_ref = float(temperature_from_entropy(eos, cref.rho, cref.S))
     u_ref = cref.m / cref.rho
 
@@ -128,9 +124,8 @@ def relative_energy_conservative(eos: EosSpec, c: ConservativeState,
 
 
 def total_energy_gradient(eos: EosSpec, c: ConservativeState):
-    """grad E(rho, m, S) = (dE/drho, dE/dm, dE/dS) at an interior state."""
-    if c.rho <= 0.0:
-        raise OutOfDomainError("gradient needs rho > 0")
+    """grad E(rho, m, S) = (dE/drho, dE/dm, dE/dS) at an interior state;
+    the inversion for theta checks rho > 0."""
     theta = float(temperature_from_entropy(eos, c.rho, c.S))
     u = c.m / c.rho
     d_rho_int, d_s = energy_density_gradient(eos, c.rho, theta)
@@ -166,10 +161,6 @@ def ballistic_free_energy(eos: EosSpec, rho_b, theta_tilde, theta):
     boundary terms in the stability argument; the minimum value itself
     depends on the entropy gauge.
     """
-    rho_b = np.asarray(rho_b, dtype=float)
-    theta_tilde = np.asarray(theta_tilde, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(rho_b <= 0.0) or np.any(theta_tilde <= 0.0) or np.any(theta <= 0.0):
-        raise EosDomainError("ballistic free energy needs positive arguments")
+    theta = _in_domain(theta, "temperature")
     return (specific_internal_energy(eos, rho_b, theta_tilde)
             - theta * specific_entropy(eos, rho_b, theta_tilde))

@@ -240,7 +240,8 @@ def _build(docs: dict, section: str, kinds: dict, make, issues: list):
     """``make(**values)`` of the ``section`` object of ``docs``, its values read
     by ``_typed``; None if the section is absent or a value is refused.  A
     ValueError of ``make`` is one issue under the section: a
-    ``transport-envelope`` one for transport, else ``<section>-schema``."""
+    ``transport-envelope`` one for transport, else ``<section>-schema``; so
+    is a MemoryError, e.g. a mesh too large to allocate."""
     if section not in docs:
         return None
     kw = _typed(docs[section], kinds, f"{section}.", f"{section}-schema", issues)
@@ -248,7 +249,7 @@ def _build(docs: dict, section: str, kinds: dict, make, issues: list):
         return None
     try:
         return make(**kw)
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
         code = "transport-envelope" if section == "transport" else f"{section}-schema"
         issues.append(Issue(section, code, str(err)))
         return None

@@ -602,11 +602,13 @@ def _implicit_solves(mesh, ts, cfg, plan, theta_face, rho, m, theta, capacity, d
     capacity ``capacity`` = d(rho e_delta)/dtheta, both end faces insulated;
     ``heat`` is the face flux kappa dtheta_l/dx (zero on the end faces).
     nu and kappa are frozen on the faces at ``theta_face``.  ``dw`` is the
-    energy the two solves add, dt diss + dt d/dx(heat) in flux form.
+    energy the two solves add, dt diss + dt d/dx(heat) in flux form.  A
+    solve that returns a value that is not finite rejects the step as such.
     """
     nu_face = cfg.viscosity(ts, theta_face)
     ghosts = plan.u_ghosts
     u = _diffusion_solve(mesh, nu_face, rho, m, dt, ghosts)
+    _reject_nonfinite("velocity", u)
     stress, du_face = _diffusive_flux(mesh, nu_face, u, ghosts)
     diss = 0.5 * (stress[:-1] * du_face[:-1] + stress[1:] * du_face[1:])
     kappa_face = cfg.conductivity(ts, theta_face)
@@ -614,6 +616,7 @@ def _implicit_solves(mesh, ts, cfg, plan, theta_face, rho, m, theta, capacity, d
     theta_l = _diffusion_solve(mesh, kappa_face, capacity, capacity * theta + dt * diss, dt,
                                insulated)
     if not theta_l.min() >= THETA_FLOOR:
+        _reject_nonfinite("temperature", theta_l)
         raise StepRejected("temperature fell below its floor")
     heat = _diffusive_flux(mesh, kappa_face, theta_l, insulated)[0]
     return u, stress, diss, theta_l, heat, dt * diss + dt * ((heat[1:] - heat[:-1]) / mesh.h)

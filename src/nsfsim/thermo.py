@@ -50,8 +50,10 @@ once per solve (a quartic in theta on the iconic shape; on a table one
 (P, P') evaluation per iterate from spline pieces bound at the first call
 and looked up again only when some Z leaves its piece), ``sound_speed_sq``
 is the step limit's sound
-speed, and ``gibbs_residual`` keeps independent routes.  The slope closures
-check the domain of the closure they differentiate, as p or e does.
+speed, and ``gibbs_residual`` keeps independent routes.  Every state
+function checks its domain, theta > 0 and rho > 0 (rho >= 0 for p), through
+one helper, ``_in_domain``, in which NaN fails; the slope closures check the
+domain of the closure they differentiate, as p or e does.
 ``temperature_from_entropy`` inverts rho s by bracketed Newton in log theta
 on ``entropy_density_residual``; ``extended_internal_energy`` E(rho, S) has
 closed-form boundary values (radiation at rho = 0, cold on the S = 0 edge).
@@ -520,10 +522,7 @@ class ThermoState:
 
     def __post_init__(self):
         object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, dtype=float)))
-        if self.rho < 0.0:
-            raise EosDomainError(f"density must be nonnegative, got {self.rho}")
-        if self.theta <= 0.0:
-            raise EosDomainError(f"temperature must be positive, got {self.theta}")
+        _p_domain(self.rho, self.theta)
 
 
 @dataclass(frozen=True)
@@ -536,8 +535,7 @@ class ConservativeState:
 
     def __post_init__(self):
         object.__setattr__(self, "m", np.atleast_1d(np.asarray(self.m, dtype=float)))
-        if self.rho < 0.0:
-            raise EosDomainError(f"density must be nonnegative, got {self.rho}")
+        _in_domain(self.rho, "density", closed=True)
         if self.rho == 0.0 and np.any(self.m != 0.0):
             raise EosDomainError("momentum must vanish where density vanishes")
 
@@ -612,36 +610,30 @@ def _slopes(eos: EosSpec, rho, theta, pw, p, dp):
             rho * e_theta, p_theta)
 
 
-def _positive_density(rho):
-    """rho as an array, after the density check of e."""
-    rho = np.asarray(rho, dtype=float)
-    if (rho <= 0.0).any():
-        raise EosDomainError(
-            "density must be positive; use extended_internal_energy for the rho = 0 closure")
-    return rho
+def _in_domain(x, name, error=EosDomainError, closed=False, hint=""):
+    """x as a float array, after the one domain check of a state: x > 0 in
+    every entry, or x >= 0 when ``closed``; NaN fails either.  A failure
+    raises ``error`` naming the field and its bound, then ``hint``."""
+    x = np.asarray(x, dtype=float)
+    if not (x >= 0.0 if closed else x > 0.0).all():
+        raise error(f"{name} must be {'nonnegative' if closed else 'positive'}{hint}")
+    return x
 
 
-def _positive_temperature(theta):
-    """theta as an array, after the temperature check of p and e."""
-    theta = np.asarray(theta, dtype=float)
-    if (theta <= 0.0).any():
-        raise EosDomainError("temperature must be positive")
-    return theta
+# the density check of e points to its closure at rho = 0
+_E_HINT = "; use extended_internal_energy for the rho = 0 closure"
 
 
 def _p_domain(rho, theta):
     """(rho, theta) as arrays, after the checks of p: theta > 0, then rho >= 0."""
-    theta = _positive_temperature(theta)
-    rho = np.asarray(rho, dtype=float)
-    if (rho < 0.0).any():
-        raise EosDomainError("density must be nonnegative")
-    return rho, theta
+    theta = _in_domain(theta, "temperature")
+    return _in_domain(rho, "density", closed=True), theta
 
 
 def _e_domain(rho, theta):
     """(rho, theta) as arrays, after the checks of e: theta > 0, then rho > 0."""
-    theta = _positive_temperature(theta)
-    return _positive_density(rho), theta
+    theta = _in_domain(theta, "temperature")
+    return _in_domain(rho, "density", hint=_E_HINT), theta
 
 
 def pressure(eos: EosSpec, rho, theta):
@@ -704,7 +696,7 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     ``slope=False`` the residual returns its value alone, one P and no P'
     from the same binding.  At delta = 0 no delta term is formed.
     """
-    rho = _positive_density(rho)
+    rho = _in_domain(rho, "density", hint=_E_HINT)
     w = np.asarray(w, dtype=float)
     if eos.shape == "iconic":
         a, b = eos.a, (1.5 + delta) * rho
@@ -741,9 +733,7 @@ def entropy_density_residual(eos: EosSpec, rho, S):
     + (4a/3) e^{3x}: no Z and no overflow.  Other shapes evaluate
     ``specific_entropy`` and ``entropy_theta_slope`` at theta = e^x.
     """
-    rho = np.asarray(rho, dtype=float)
-    if (rho <= 0.0).any():
-        raise OutOfDomainError("entropy inversion needs rho > 0")
+    rho = _in_domain(rho, "density", OutOfDomainError)
     if eos.shape == "iconic":
         b = 1.5 * rho
         c = rho * (eos.entropy_const - np.log(rho)) - S
@@ -763,10 +753,8 @@ def entropy_density_residual(eos: EosSpec, rho, S):
 
 def specific_entropy(eos: EosSpec, rho, theta):
     """s(rho, theta) = S(rho/theta^{3/2}) + (4a/3) theta^3 / rho."""
-    theta = _positive_temperature(theta)
-    rho = np.asarray(rho, dtype=float)
-    if (rho <= 0.0).any():
-        raise EosDomainError("density must be positive")
+    theta = _in_domain(theta, "temperature")
+    rho = _in_domain(rho, "density")
     pw = _theta_powers(rho, theta, energy=False)
     return _entropy(eos, rho, pw, eos.shape_fn.evaluate(pw.z, "s")[0])
 
@@ -819,10 +807,8 @@ def gibbs_residual(eos: EosSpec, rho, theta):
 def _gibbs_terms(eos: EosSpec, rho, theta):
     """The terms of the two Gibbs residuals, ((s_1, -e_1), (s_2, -e_2, p_2)):
     each residual is the sum of its terms."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0) or np.any(rho <= 0.0):
-        raise EosDomainError("gibbs_residual needs rho > 0 and theta > 0")
+    theta = _in_domain(theta, "temperature")
+    rho = _in_domain(rho, "density")
     pw = _theta_powers(rho, theta)
     z = pw.z
     pz, dpz, sz = eos.shape_fn.evaluate(z, "p", "dp", "ds")
@@ -854,9 +840,7 @@ def sound_speed_sq(eos: EosSpec, rho, theta):
 
 def transport_coefficients(ts: TransportSpec, theta):
     """(mu, eta, kappa) at temperature theta."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0):
-        raise EosDomainError("temperature must be positive")
+    theta = _in_domain(theta, "temperature")
     return ts.mu(theta), ts.eta(theta), ts.kappa(theta)
 
 
@@ -913,17 +897,15 @@ def temperature_from_entropy(eos: EosSpec, rho, S):
 
 
 def to_conservative(eos: EosSpec, state: ThermoState) -> ConservativeState:
-    """(rho, u, theta) -> (rho, rho u, rho s)."""
-    if state.rho <= 0.0:
-        raise EosDomainError("the transform needs rho > 0")
+    """(rho, u, theta) -> (rho, rho u, rho s); ``specific_entropy`` checks
+    rho > 0."""
     s = float(specific_entropy(eos, state.rho, state.theta))
     return ConservativeState(rho=state.rho, m=state.rho * state.u, S=state.rho * s)
 
 
 def from_conservative(eos: EosSpec, c: ConservativeState) -> ThermoState:
-    """(rho, m, S) -> (rho, m/rho, theta); theta by monotone inversion."""
-    if c.rho <= 0.0:
-        raise OutOfDomainError("the inverse transform needs rho > 0")
+    """(rho, m, S) -> (rho, m/rho, theta); theta by monotone inversion,
+    which checks rho > 0."""
     theta = float(temperature_from_entropy(eos, c.rho, c.S))
     return ThermoState(rho=c.rho, u=c.m / c.rho, theta=theta)
 
@@ -950,10 +932,14 @@ def extended_internal_energy(eos: EosSpec, rho: float, S: float) -> float:
     the Third-law edge S = 0 the cold energy ``cold_energy_density``.
     The iconic inversion without radiation is closed-form at any S.  Past
     the hot end theta = 1e100, E is +inf where rho e overflows there (a > 0);
-    otherwise the inversion raises OutOfDomainError.
+    otherwise the inversion raises OutOfDomainError.  A NaN rho or S raises
+    EosDomainError.
     """
     rho = float(rho)
     S = float(S)
+    if math.isnan(rho) or math.isnan(S):
+        raise EosDomainError(f"extended_internal_energy needs a number for rho and S, "
+                             f"got rho = {rho}, S = {S}")
     if rho < 0.0 or (eos.third_law and S < 0.0):
         return math.inf
     if rho == 0.0:

@@ -225,6 +225,20 @@ def test_all_failures_reported_together():
     assert {"mesh-schema", "config-schema"} <= codes
 
 
+def test_a_mesh_too_large_to_allocate_is_a_mesh_issue(monkeypatch):
+    # a stand-in for the mesh raises numpy's MemoryError, so nothing of the
+    # size asked for (n = 10**12) is ever allocated
+    def unallocatable(x0, x1, n):
+        raise MemoryError(f"Unable to allocate {8 * n / 2 ** 40:.2f} TiB")
+    monkeypatch.setattr(sc, "Mesh1D", unallocatable)
+    doc = minimal_doc()
+    doc["mesh"]["n"] = 10 ** 12
+    with pytest.raises(sc.ScenarioValidationError) as err:
+        sc.parse_scenario(doc)
+    assert [(i.path, i.code, i.message) for i in err.value.issues] == [
+        ("mesh", "mesh-schema", "Unable to allocate 7.28 TiB")]
+
+
 @pytest.mark.parametrize("key, value", [("t_end", math.inf), ("t_end", math.nan),
                                         ("epsilon", math.nan), ("delta", math.inf),
                                         ("Gamma", math.inf), ("g", math.nan),

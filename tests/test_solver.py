@@ -594,6 +594,28 @@ def test_euler_step_floor_rejects_nan_density(eos, transport, box, monkeypatch):
         sv.euler_step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)
 
 
+@pytest.mark.parametrize("solve, name", [(0, "velocity"), (1, "temperature")])
+def test_implicit_solves_name_a_nonfinite_solution(eos, transport, box, monkeypatch, solve,
+                                                   name):
+    # a NaN out of the viscous solve, or out of the conduction solve, is
+    # rejected as such, not as a temperature below its floor
+    mesh, walls = box
+    diffusion_solve = sv._diffusion_solve
+    calls = []
+
+    def nan_at_cell_3(*args):
+        x = diffusion_solve(*args)
+        if len(calls) == solve:
+            x[3] = np.nan
+        calls.append(1)
+        return x
+    monkeypatch.setattr(sv, "_diffusion_solve", nan_at_cell_3)
+    with pytest.raises(sv.StepRejected, match=f"^{name} is not finite at cell 3$"):
+        sv.euler_step(_uniform_state(32), mesh, eos, transport, sv.SolverConfig(t_end=1.0),
+                      walls, 1e-4)
+    assert len(calls) == solve + 1
+
+
 def _newton_to_old_rule(residual, theta):
     """The recovery's Newton iteration, stopped by the former rule: after a
     step below 1e-14 theta."""

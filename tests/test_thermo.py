@@ -11,6 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from nsfsim import boundary as bd
+from nsfsim import relent as rl
 from nsfsim import scenario as sc
 from nsfsim import thermo as th
 
@@ -762,9 +763,14 @@ def test_fused_energy_closure_keeps_domain_checks(eos, eos_table):
 
 
 _ONES = np.ones(3)
+_NAN_CELL = np.array([1.0, math.nan, 1.0])
+# a NaN density or temperature, scalar or in one cell, fails every check
+_NAN_STATES = {"rho": (math.nan, 1.0), "theta": (1.0, math.nan),
+               "rho-cell": (_NAN_CELL, _ONES), "theta-cell": (_ONES, _NAN_CELL)}
 _OFF_DOMAIN = ((_ONES, np.array([1.0, 0.0, 1.0])), (_ONES, -_ONES),
                (np.array([1.0, 0.0, 1.0]), _ONES), (-_ONES, _ONES),
-               (np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, 0.0])), (1.0, -1.0), (-1.0, 1.0))
+               (np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, 0.0])), (1.0, -1.0), (-1.0, 1.0),
+               *_NAN_STATES.values())
 
 
 @pytest.mark.parametrize("name", PARITY_EOS)
@@ -798,6 +804,70 @@ def test_slope_closures_keep_domain_checks(name, slope, closure, request):
                 slope(eos, rho, theta)
         else:
             assert np.all(np.isfinite(slope(eos, rho, theta)))
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` state holding ``fields`` without its own checks: what a
+    function that checks the state again may still be handed."""
+    state = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(state, name, value)
+    return state
+
+
+def _conservative(rho):
+    return _unchecked(th.ConservativeState, rho=rho, m=np.zeros(1), S=1.0)
+
+
+# (site, error class, call(eos, rho, theta), scalars only); a site of one
+# field reads rho * theta, which is NaN where either is
+_NAN_SITES = [
+    ("specific_entropy", th.EosDomainError, th.specific_entropy, False),
+    ("gibbs_residual", th.EosDomainError, th.gibbs_residual, False),
+    ("transport_coefficients", th.EosDomainError,
+     lambda e, r, t: th.transport_coefficients(th.TransportSpec(), r * t), False),
+    ("entropy_density_residual", th.OutOfDomainError,
+     lambda e, r, t: th.entropy_density_residual(e, r * t, 1.0), False),
+    ("ThermoState", th.EosDomainError, lambda e, r, t: th.ThermoState(r, 0.0, t), False),
+    ("ConservativeState", th.EosDomainError,
+     lambda e, r, t: th.ConservativeState(r * t, 0.0, 1.0), False),
+    ("to_conservative", th.EosDomainError, lambda e, r, t: th.to_conservative(
+        e, _unchecked(th.ThermoState, rho=r, u=np.zeros(1), theta=t)), False),
+    ("from_conservative", th.OutOfDomainError,
+     lambda e, r, t: th.from_conservative(e, _conservative(r * t)), False),
+    ("extended_internal_energy", th.EosDomainError, th.extended_internal_energy, True),
+    ("relative_energy_fields", th.EosDomainError,
+     lambda e, r, t: rl.relative_energy_fields(e, r, 0.0, t, 1.0, 0.0, 1.0), False),
+    ("relative_energy_fields-reference", th.EosDomainError,
+     lambda e, r, t: rl.relative_energy_fields(e, 1.0, 0.0, 1.0, r, 0.0, t), False),
+    ("relative_energy_conservative", th.EosDomainError,
+     lambda e, r, t: rl.relative_energy_conservative(
+         e, th.ConservativeState(1.0, 0.0, 1.0), _conservative(r * t)), False),
+    ("total_energy_gradient", th.OutOfDomainError,
+     lambda e, r, t: rl.total_energy_gradient(e, _conservative(r * t)), False),
+    ("ballistic_free_energy", th.EosDomainError,
+     lambda e, r, t: rl.ballistic_free_energy(e, r, t, 1.0), False),
+    ("ballistic_free_energy-theta", th.EosDomainError,
+     lambda e, r, t: rl.ballistic_free_energy(e, 1.0, 1.0, r * t), False),
+    ("entropy_inflow_flux", bd.BoundaryDataError,
+     lambda e, r, t: bd.entropy_inflow_flux(e, 1.0, r * t, -1.0, -5.0), False),
+    ("entropy_inflow_flux-u_b.n", bd.BoundaryDataError,
+     lambda e, r, t: bd.entropy_inflow_flux(e, 1.0, 1.0, -r * t, -5.0), True),
+    ("cold_heat_flux_split-u_b.n", bd.BoundaryDataError,
+     lambda e, r, t: bd.cold_heat_flux_split(e, 1.0, -r * t, -5.0), True),
+]
+
+
+@pytest.mark.parametrize("error, call, state", [
+    pytest.param(error, call, state, id=f"{site}-{state}")
+    for site, error, call, scalar in _NAN_SITES for state in _NAN_STATES
+    if not (scalar and state.endswith("cell"))])
+def test_every_domain_check_refuses_nan(eos, error, call, state):
+    # each site raises its own error class for a NaN density or temperature,
+    # instead of returning a NaN or an infinite value
+    with pytest.raises(error) as err:
+        call(eos, *_NAN_STATES[state])
+    assert err.type is error
 
 
 class _UnusedWeight(float):

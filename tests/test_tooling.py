@@ -278,6 +278,36 @@ def test_thermo_takes_powers_of_theta_in_one_helper():
     assert sites and {func for func, _ in sites} == {"_theta_powers"}, sites
 
 
+_DOMAIN_ERRORS = {"EosDomainError", "OutOfDomainError", "BoundaryDataError"}
+
+
+def _nan_passing_guards(path: Path) -> list:
+    """The line of each ``if`` of the module that raises a domain error on a
+    test NaN passes: an ordering comparison (bare, or under an any() or an
+    ``or``) outside a ``not``, which is False on NaN."""
+    def passes_nan(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            return False
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops):
+            return True
+        return any(map(passes_nan, ast.iter_child_nodes(node)))
+
+    def raises_domain_error(stmt):
+        exc = stmt.exc if isinstance(stmt, ast.Raise) else None
+        return getattr(getattr(exc, "func", exc), "id", None) in _DOMAIN_ERRORS
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.If) and any(map(raises_domain_error, node.body))
+            and passes_nan(node.test)]
+
+
+@pytest.mark.parametrize("module", ["thermo", "relent", "boundary"])
+def test_domain_guards_refuse_nan(module):
+    # a state's domain is checked by thermo's one helper, or by a comparison
+    # under a ``not``: `x <= 0` and `(x <= 0).any()` let a NaN through
+    assert _nan_passing_guards(ROOT / "src" / "nsfsim" / f"{module}.py") == []
+
+
 def _tracing_hooks() -> dict:
     """The HOME_ENTRIES and METHODS literals of perfbench/tracing.py, read
     from its source."""
