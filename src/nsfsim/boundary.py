@@ -146,6 +146,7 @@ def cold_heat_flux_split(eos: EosSpec, rho_b: float, u_b_dot_n: float,
     """
     if not u_b_dot_n < 0.0:  # NaN fails too
         raise BoundaryDataError("the flux split is defined only where u_b . n < 0")
+    _in_domain(rho_b, "inflow density", BoundaryDataError)
     cold = cold_energy_density(eos, rho_b)
     return cold * u_b_dot_n, F_ib / u_b_dot_n - cold
 
@@ -153,6 +154,7 @@ def cold_heat_flux_split(eos: EosSpec, rho_b: float, u_b_dot_n: float,
 def admissibility_margin(eos: EosSpec, rho_b: float, u_b_dot_n: float,
                          F_ib: float) -> float:
     """Per-face margin F_ib/|u_b.n| + (3/2) p_inf rho_b^{5/3}; strictly negative passes."""
+    _in_domain(rho_b, "inflow density", BoundaryDataError)
     return F_ib / abs(u_b_dot_n) + cold_energy_density(eos, rho_b)
 
 

@@ -64,10 +64,10 @@ array and reduced once.  The first stage of a step is evaluated once and
 reused by rejected attempts.  The temperature recovery builds its
 energy-density residual once per solve; a Newton iterate makes no EOS call
 on the iconic shape, and on a table one (P, P') evaluation from the spline
-pieces the residual located at its first call, located again only when
-some Z leaves its piece (on smooth data, once per recovery).  Newton stops
-after its first step below 1e-8 theta, since quadratic convergence leaves
-only rounding for the next, and the recovery is checked
+pieces the table kept from its last pass on n cells, located again only
+when some Z leaves its piece (on smooth data, a few times per run).
+Newton stops after its first step below 1e-8 theta, since quadratic
+convergence leaves only rounding for the next, and the recovery is checked
 by the residual's value alone.  Both recoveries start from a linearised
 guess that makes no EOS call: the predictor's theta^n
 + (w1 - w^n - w_rho (rho1 - rho^n)) / w_theta, the corrector's theta_l
@@ -206,7 +206,8 @@ class FieldState:
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
 
     def copy(self) -> "FieldState":
-        return FieldState(self.rho.copy(), self.u.copy(), self.theta.copy())
+        # the constructor copies each field
+        return FieldState(self.rho, self.u, self.theta)
 
 
 def _new_state(rho, u, theta) -> FieldState:

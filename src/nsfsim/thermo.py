@@ -30,9 +30,10 @@ shapes share one protocol, ``evaluate(z, *names)``: one pass over closed
 forms written once returns one array per name, among ``"p"`` (P), ``"dp"``
 (P'), ``"s"`` (S) and ``"ds"`` (S'), on a table from one piece lookup and
 one gather, its pieces expanded by Horner with no ``np.polynomial``.  A
-caller that reads several values at one Z takes them from one call; a
-table's ``bind_pieces()`` returns a function of the same signature that
-keeps each Z's piece across the iterates of a Newton solve.  The closures
+caller that reads several values at one Z takes them from one call.  A
+table keeps the rows it gathered for each length of Z and looks up again
+only when some Z leaves its piece, so the stage passes and the Newton
+iterates of a run look up about once per length.  The closures
 apply formulas written once in (rho, the powers of theta, P, P', S).
 ``_theta_powers`` builds Z and theta^{3/2}, theta^{5/2}, theta^3, theta^4
 from one sqrt, once per closure pass and once per Newton iterate; no other
@@ -44,13 +45,11 @@ theta-slope of p.  Its weight delta gives the energy and entropy of the
 regularized system, e_delta = e + delta theta and s_delta = s + delta log
 theta; this module is the one place those terms are formed, and at
 delta = 0 none is, each value then bitwise equal to its separate closure.
-``energy_density_residual``
-builds the residual of the solver's temperature recovery, rho e_delta - w,
-once per solve (a quartic in theta on the iconic shape; on a table one
-(P, P') evaluation per iterate from spline pieces bound at the first call
-and looked up again only when some Z leaves its piece), ``sound_speed_sq``
-is the step limit's sound
-speed, and ``gibbs_residual`` keeps independent routes.  Every state
+``energy_density_residual`` builds the residual of the solver's temperature
+recovery, rho e_delta - w, once per solve (a quartic in theta on the iconic
+shape; on a table one (P, P') ``evaluate`` per iterate), ``sound_speed_sq``
+is the step limit's sound speed, and ``gibbs_residual`` keeps independent
+routes.  Every state
 function checks its domain, theta > 0 and rho > 0 (rho >= 0 for p), through
 one helper, ``_in_domain``, in which NaN fails; the slope closures check the
 domain of the closure they differentiate, as p or e does.
@@ -154,8 +153,8 @@ class TabulatedShape:
     the last one [knot, z_hi].  When one min and one max put every z on the
     spline the pieces run on the whole array; otherwise head, spline and
     tail run under one mask pass, and the cubic never sees a head or tail z
-    (far out it overflows).  ``bind_pieces`` keeps the gathered rows across
-    the calls of a Newton iteration.
+    (far out it overflows).  ``evaluate`` keeps the rows it gathered for a
+    1-d z of each length and reuses them while every z stays in its piece.
     """
 
     def __init__(self, z: Sequence[float], p: Sequence[float], p_inf: float,
@@ -260,6 +259,7 @@ class TabulatedShape:
         self._rows = np.vstack((self._c, self._c[:-1] * np.array([3.0, 2.0, 1.0])[:, None],
                                 self._coeffs, np.zeros(len(zin) - 1), zin[:-1], upper))
         self._offsets = self._rows[self._OFFSET]
+        self._kept = {}
         self._build_entropy_pieces(gauge_z)
         self._validate_gap()
 
@@ -288,6 +288,8 @@ class TabulatedShape:
         self._head_off -= shift
         self._offsets -= shift
         self._tail_shift = -shift
+        # rows gathered before the shift hold the old offsets
+        self._kept.clear()
 
     def _validate_gap(self) -> None:
         zg = np.concatenate([
@@ -306,15 +308,38 @@ class TabulatedShape:
 
     # the rows of ``_rows``: P, P', S, the entropy offset, the piece's bounds
     _P, _DP, _S, _OFFSET, _LO, _HI = slice(0, 4), slice(4, 7), slice(7, 11), 11, 12, 13
+    # the lengths whose gathered rows ``evaluate`` keeps: a solver step
+    # evaluates on n cells and on n + 2
+    _KEPT = 4
 
     def evaluate(self, z, *names):
         """One array per name, among ``"p"`` (P), ``"dp"`` (P'), ``"s"`` (S)
         and ``"ds"`` (S'), from one pass over z: spline forms take (z, c, s,
         s2) with c the rows of each z's piece, s = z - knot and s2 = s * s,
-        head and tail forms take z."""
+        head and tail forms take z.
+
+        The rows gathered for a 1-d z on the spline are kept, one set per
+        length, for at most ``_KEPT`` lengths.  While every z of a later call
+        of that length lies in its kept piece, the forms take those rows with
+        no lookup (the correlated table search, ``hunt`` in Press et al.,
+        Numerical Recipes, 3rd ed., sec. 3.1): the piece whose [knot, next
+        knot) holds z is z's piece, so the values are a lookup's bit for bit.
+        A z that left its piece locates every z again."""
         z = np.asarray(z, dtype=float)
-        if self._on_spline(z):
-            return self._locate(z, names)[1]
+        kept = self._kept.get(z.shape)
+        if kept is not None:
+            s = z - kept[self._LO]
+            # z - knot >= 0 exactly when z >= knot; NaN fails
+            if s.min() >= 0.0 and (z < kept[self._HI]).all():
+                return self._spline(z, kept, s, names)
+        # one min and one max put every z on the spline; NaN fails
+        if z.size > 0 and z.min() >= self.z_lo and z.max() <= self.z_hi:
+            c, values = self._locate(z, names)
+            if z.ndim == 1:
+                self._kept[z.shape] = c
+                if len(self._kept) > self._KEPT:
+                    del self._kept[next(iter(self._kept))]
+            return values
         lo = z < self.z_lo
         hi = z > self.z_hi
         outs = tuple([np.empty_like(z) for _ in names])
@@ -328,35 +353,6 @@ class TabulatedShape:
                 for out, v in zip(outs, values):
                     out[m] = v
         return outs
-
-    def bind_pieces(self):
-        """A function (z, *names) -> ``evaluate(z, *names)`` that keeps each
-        z's spline piece from its last call: while every z lies in its
-        piece, the bound rows give the forms with no lookup (the correlated
-        table search, ``hunt`` in Press et al., Numerical Recipes, 3rd ed.,
-        sec. 3.1).  A z outside its piece locates every z again, and while a
-        z lies off the spline every call takes ``evaluate``: the values are
-        ``evaluate``'s bit for bit, from the same piece and operands."""
-        bound = None
-
-        def evaluate(z, *names):
-            nonlocal bound
-            if bound is not None and bound.shape[1:] == z.shape:
-                s = z - bound[self._LO]
-                # z - knot >= 0 exactly when z >= knot; NaN fails
-                if s.min() >= 0.0 and (z < bound[self._HI]).all():
-                    return self._spline(z, bound, s, names)
-            if self._on_spline(z):
-                bound, values = self._locate(z, names)
-                return values
-            bound = None
-            return self.evaluate(z, *names)
-        return evaluate
-
-    def _on_spline(self, z):
-        """Whether every z lies in [z_lo, z_hi], by one min and one max; NaN
-        fails."""
-        return z.size > 0 and z.min() >= self.z_lo and z.max() <= self.z_hi
 
     def _locate(self, z, names):
         """(c, values): c the rows of each z's piece, found by one
@@ -689,12 +685,11 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     iconic shape rho e_delta = a theta^4 + (3/2 + delta) rho theta
     + (3/2) p_inf rho^{5/3}, a quartic whose coefficients are set up once,
     so an iterate evaluates no Z, no shape and no domain check.  On a table
-    an iterate evaluates the powers of theta, Z and one (P, P') through the
-    shape's ``bind_pieces``: the first call locates each Z's spline piece,
-    and later calls evaluate from those rows while every Z stays in its
-    piece, with the bits of ``evaluate(z, "p", "dp")``.  Called with
-    ``slope=False`` the residual returns its value alone, one P and no P'
-    from the same binding.  At delta = 0 no delta term is formed.
+    an iterate evaluates the powers of theta, Z and one (P, P') by the
+    shape's ``evaluate``, which reuses the spline pieces of its last call
+    on Z's length while every Z stays in its piece.  Called with
+    ``slope=False`` the residual returns its value alone, one P and no P'.
+    At delta = 0 no delta term is formed.
     """
     rho = _in_domain(rho, "density", hint=_E_HINT)
     w = np.asarray(w, dtype=float)
@@ -708,7 +703,7 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
             return (f, 4.0 * a_theta3 + b) if slope else f
         return quartic
 
-    evaluate = eos.shape_fn.bind_pieces()
+    evaluate = eos.shape_fn.evaluate
 
     def residual(theta, slope=True):
         theta = np.asarray(theta, dtype=float)

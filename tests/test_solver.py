@@ -15,7 +15,7 @@ from nsfsim import solver as sv
 from nsfsim import thermo as th
 from nsfsim.mesh import Mesh1D
 
-from conftest import SEED, _solve_monotone_theta
+from conftest import SEED, _solve_monotone_theta, make_table_eos
 
 
 def _uniform_state(n, rho=1.0, u=0.0, theta=1.0):
@@ -313,17 +313,29 @@ def _count_shape_calls(monkeypatch, eos):
     return calls
 
 
+def _relocations(knots, zs):
+    """The piece lookups a table with kept rows makes for the passes on
+    ``zs``, every Z on the spline: one at the first pass of each length and
+    one at each pass where some Z left its piece."""
+    kept, count = {}, 0
+    for z in zs:
+        piece = np.searchsorted(knots, z, side="right")
+        count += not np.array_equal(kept.get(z.shape), piece)
+        kept[z.shape] = piece
+    return count
+
+
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
 @pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
 def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkeypatch,
                                                          request):
     # one residual build per recovery; a Newton iterate makes no EOS call at
-    # all on the iconic quartic, and on the table no shape method call: the
-    # residual binds every Z's spline piece at its first call and evaluates
-    # P and P' from the bound rows, locating again only at a call where some
-    # Z has left its piece; the final check is one value of that residual at
-    # the returned theta, from the same binding
-    eos = request.getfixturevalue(eos_name)
+    # all on the iconic quartic, and on the table one shape pass, which
+    # evaluates P and P' from the rows the table kept from its last pass on
+    # these cells, locating again only where some Z has left its piece; the
+    # final check is one value of that residual at the returned theta.  The
+    # table is fresh, so only this test's passes decide its lookups
+    eos = make_table_eos(True) if eos_name == "eos_table" else request.getfixturevalue(eos_name)
     cfg = sv.SolverConfig(delta=delta, t_end=1.0)
     x = np.linspace(0.0, 1.0, 16)
     rho = 1.0 + 0.1 * np.cos(np.pi * x)
@@ -340,14 +352,17 @@ def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkey
     assert calls == {"energy_density_residual": 1}
     assert all(args[3] == delta for name, args in log if name == "energy_density_residual")
     if eos.shape == "table":
-        # the pieces of each call's Z: this data crosses the knot at
-        # Z = 0.82 once, so the recovery locates twice
+        # the Z of each pass: the closure pass that made w at theta_true,
+        # then each Newton evaluation.  On its own the recovery would locate
+        # at its first call and where it crosses the knot at Z = 0.82; here
+        # its first call finds the rows kept from theta_true's Z, which it
+        # has left, so it locates twice all the same
         knots = eos.shape_fn._inner_knots
-        pieces = [np.searchsorted(knots, th._theta_powers(rho, args[0]).z, side="right")
-                  for name, args in log if name in ("iterate", "check")]
-        moves = sum(not np.array_equal(a, b) for a, b in zip(pieces, pieces[1:]))
-        assert moves == 1
-        assert shape_calls == {"_locate": 1 + moves}
+        zs = [th._theta_powers(rho, t).z for t in [theta_true] + [
+            args[0] for name, args in log if name in ("iterate", "check")]]
+        assert _relocations(knots, zs[1:]) == 2
+        assert shape_calls == {"evaluate": len(zs) - 1, "_locate": _relocations(knots, zs) - 1}
+        assert shape_calls["_locate"] == 2
     else:
         assert shape_calls == {}
     # each call is a new Newton iterate, and the check is the last call
@@ -356,34 +371,25 @@ def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkey
     assert log[-1][0] == "check" and log[-1][1][0] is theta
 
 
-def _lookups_per_recovery(monkeypatch, eos, log):
-    """Log ("locate", ()) for each piece lookup of ``eos``'s table; returns
-    a function giving, from ``log``, the lookups of each recovery, counted
-    from its residual build to the next thermo call."""
+def _log_table_passes(monkeypatch, eos, log):
+    """Log ("pass", (z,)) for each evaluation of ``eos``'s table and
+    ("locate", ()) for each of its piece lookups."""
     shape = eos.shape_fn
-    locate = shape._locate
+    evaluate, locate = shape.evaluate, shape._locate
+    monkeypatch.setattr(shape, "evaluate",
+                        lambda z, *names: log.append(("pass", (z,))) or evaluate(z, *names))
     monkeypatch.setattr(shape, "_locate",
                         lambda z, names: log.append(("locate", ())) or locate(z, names))
 
-    def per_recovery():
-        counts, inside = [], False
-        for name, _ in log:
-            if name == "locate":
-                if inside:
-                    counts[-1] += 1
-            elif name not in ("iterate", "check"):
-                inside = name == "energy_density_residual"
-                if inside:
-                    counts.append(0)
-        return counts
-    return per_recovery
 
-
-def test_channel_recoveries_locate_the_pieces_once(eos_table, monkeypatch):
+def test_channel_recoveries_locate_the_pieces_once(monkeypatch):
     # a table channel at n = 512 with the benchmark's channel512 flow: Newton
-    # moves Z by about 1e-4 relative, inside pieces about 50% wide, so each
-    # recovery of a step looks its pieces up once, Newton iterates and
-    # check included
+    # moves Z by about 1e-4 relative per step, inside pieces about 50% wide.
+    # The table keeps the rows of its last pass on each length, so a run
+    # looks its pieces up once per length (n cells for dt and the
+    # recoveries, n + 2 for the stages) plus once per knot crossing, and
+    # this 3-step run crosses none: 2 lookups in 27 passes, where one at
+    # each dt pass, stage pass and recovery would make 15
     n = 512
     mesh = Mesh1D(0.0, 1.0, n)
     x = mesh.centers
@@ -392,16 +398,22 @@ def test_channel_recoveries_locate_the_pieces_once(eos_table, monkeypatch):
                              F_ib_left=-u_in * (1.5 + 2.5))
     cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=1.0)
     ts = th.TransportSpec(mu_scale=0.05, kappa_scale=0.1)
+    eos = make_table_eos(True)
     state = sv.FieldState(rho=np.ones(n) + 5e-4 * np.sin(np.pi * x), u=u_in * np.ones(n),
                           theta=1 + 0.2 * x ** 2 * (3 - 2 * x))
     log = []
-    _count_thermo_calls(monkeypatch, log)
     _log_newton_iterates(monkeypatch, log)
-    per_recovery = _lookups_per_recovery(monkeypatch, eos_table, log)
+    _log_table_passes(monkeypatch, eos, log)
     for _ in range(3):
-        dt = sv.stable_dt(state, mesh, eos_table, ts, cfg)
-        state = sv.step(state, mesh, eos_table, ts, cfg, bspec, dt)[0]
-    assert per_recovery() == [1] * 6
+        dt = sv.stable_dt(state, mesh, eos, ts, cfg)
+        state = sv.step(state, mesh, eos, ts, cfg, bspec, dt)[0]
+    zs = [args[0] for name, args in log if name == "pass"]
+    shape = eos.shape_fn
+    assert all(shape.z_lo <= z.min() and z.max() <= shape.z_hi for z in zs)
+    assert sorted({z.shape for z in zs}) == [(n,), (n + 2,)]
+    lookups = [name for name, _ in log].count("locate")
+    assert lookups == _relocations(shape._inner_knots, zs) == 2
+    assert len(zs) == 27
     assert [name for name, _ in log].count("iterate") >= 12
 
 
@@ -417,10 +429,10 @@ def test_recover_theta_rejects_a_nan_temperature_on_the_table(eos_table, monkeyp
     log = []
     _count_thermo_calls(monkeypatch, log)
     _log_newton_iterates(monkeypatch, log)
-    _lookups_per_recovery(monkeypatch, eos_table, log)
+    _log_table_passes(monkeypatch, eos_table, log)
     with pytest.raises(th.EosDomainError, match="temperature must be positive"):
         sv._recover_theta(eos_table, sv.SolverConfig(t_end=1.0), rho, w, guess)
-    # no thermo call, Newton evaluation or spline lookup was logged
+    # no thermo call, Newton evaluation, table pass or spline lookup was logged
     assert log == []
 
 

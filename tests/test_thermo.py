@@ -442,6 +442,15 @@ def test_general_table_gauge_may_lie_in_the_tail():
     assert above == pytest.approx(below, abs=1e-10)
 
 
+def test_general_table_gauge_on_the_spline():
+    # the general mode pins S(1) = 0 where Z = 1 lies on the spline too: the
+    # build evaluates S there before it shifts the offsets, and a later pass
+    # at Z = 1 must read the shifted rows, not rows kept from that pass
+    shape = make_table_eos(third_law=False).shape_fn
+    assert shape.z_lo < 1.0 < shape.z_hi
+    assert shape.evaluate(np.array([1.0]), "s")[0][0] == pytest.approx(0.0, abs=1e-14)
+
+
 def test_nonmonotone_table_rejected():
     z = np.geomspace(0.1, 10, 8)
     p = z.copy()
@@ -684,14 +693,17 @@ def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, requ
 
 
 @pytest.mark.parametrize("name", ("eos_table", "eos_table_nolaw"))
-def test_bound_pieces_match_the_unbound_pass(name, request, monkeypatch):
-    # Newton-like calls of one binding, as a recovery's residual makes them:
-    # Z moves inside its pieces, crosses an interior knot, lands on z_hi,
-    # steps just past it into the tail, comes back, drops below z_lo into
-    # the head, turns NaN; every call's P and P' (and P alone, as the
-    # recovery's check) equal the unbound pass bit for bit, and a lookup is
-    # made only where some Z left its piece or lies off the spline
-    shape = request.getfixturevalue(name).shape_fn
+def test_bound_pieces_match_the_unbound_pass(name, monkeypatch):
+    # Newton-like calls on one fresh table, as a recovery's residual makes
+    # them: Z moves inside its pieces, crosses an interior knot, lands on
+    # z_hi, steps just past it into the tail, comes back, drops below z_lo
+    # into the head, turns NaN; every call's P and P' (and P alone, as the
+    # recovery's check) equal a fresh table's bit for bit, and a lookup is
+    # made only where some Z left the piece the table kept for it or lies
+    # off the spline
+    def fresh():
+        return make_table_eos(name == "eos_table").shape_fn
+    shape = fresh()
     k = shape._knots
     lo, hi, up = shape.z_lo, shape.z_hi, math.inf
     z0 = np.array([0.5 * (k[0] + k[1]), k[6] * (1 - 1e-3), k[10], 0.5 * (k[-2] + k[-1])])
@@ -701,27 +713,73 @@ def test_bound_pieces_match_the_unbound_pass(name, request, monkeypatch):
         (np.array([z0[0], k[6] * (1 + 1e-3), k[10], z0[3]]), True),  # across knot 6
         (np.array([z0[0], k[6], k[10], hi]), False),               # onto knot 6 and z_hi
         (np.array([z0[0], k[6], k[10], np.nextafter(hi, up)]), True),  # the tail, masked
-        (np.array([z0[0], k[6], k[10], hi]), True),                # back on the spline
+        (np.array([z0[0], k[6], k[10], hi]), False),               # back in the kept pieces
         (np.array([np.nextafter(lo, 0.0), k[6], k[10], hi]), True),  # the head, masked
-        (np.array([lo, k[6], k[10], hi]), True),
+        (np.array([lo, k[6], k[10], hi]), False),                  # knot 0, z0[0]'s piece
         (np.array([lo, k[6], np.nan, hi]), True),                  # NaN, masked
-        (np.array([lo, k[6], k[10], hi]), True),
+        (np.array([lo, k[6], k[10], hi]), False),
     ]
-    reference = [shape.evaluate(z, "p", "dp") for z, _ in calls]
+    reference = [fresh().evaluate(z, "p", "dp") for z, _ in calls]
     lookups = []
     locate = shape._locate
     monkeypatch.setattr(shape, "_locate",
                         lambda z, names: lookups.append(1) or locate(z, names))
-    evaluate = shape.bind_pieces()
     for (z, located), (p, dp) in zip(calls, reference):
         lookups.clear()
-        bound_p, bound_dp = evaluate(z, "p", "dp")
-        assert bound_p.tobytes() == p.tobytes() and bound_dp.tobytes() == dp.tobytes()
+        kept_p, kept_dp = shape.evaluate(z, "p", "dp")
+        assert kept_p.tobytes() == p.tobytes() and kept_dp.tobytes() == dp.tobytes()
         assert len(lookups) == located
-        # the check's value alone reads the same binding: it looks up only
+        # the check's value alone reads the same kept rows: it looks up only
         # where a z lies off the spline (NaN fails both comparisons)
-        assert evaluate(z, "p")[0].tobytes() == p.tobytes()
+        assert shape.evaluate(z, "p")[0].tobytes() == p.tobytes()
         assert len(lookups) == located + (not (lo <= z.min() and z.max() <= hi))
+
+
+_NAMES = ("p", "dp", "s", "ds")
+
+
+@seed(SEED)
+@settings(max_examples=60, deadline=None)
+@given(third_law=st.booleans(), n=st.integers(1, 9), data=st.data())
+def test_kept_pieces_match_a_fresh_table_property(third_law, n, data):
+    # random sequences of calls on one long-lived table against a fresh
+    # table per call: 1-d arrays of several lengths (n and n + 2 as a solver
+    # step makes them, and more, so that the oldest kept length is dropped)
+    # and 2-d stacks, drifting inside their pieces or across knots, with
+    # knots, head, tail and NaN values; every value agrees bit for bit, at
+    # most four lengths are kept, and a 2-d z is never kept
+    z_tab = np.geomspace(0.02, 400, 25)
+    p_tab = z_tab + z_tab ** (5.0 / 3.0) + z_tab ** (5.0 / 3.0) / (1.0 + z_tab)
+
+    def fresh():
+        return th.TabulatedShape(z_tab, p_tab, 1.0, third_law)
+    shape = fresh()
+    k, lo, hi = shape._knots, shape.z_lo, shape.z_hi
+    specials = [lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, math.inf), 1e-3 * lo,
+                1e3 * hi, math.nan, *k, *np.nextafter(k, 0.0)]
+    drifting = {}
+    for _ in range(data.draw(st.integers(1, 12), label="calls")):
+        length = n + data.draw(st.sampled_from([0, 2, 0, 2, 1, 3, 4, 5]), label="extra")
+        rows = data.draw(st.sampled_from([None, None, None, 2]), label="stack")
+        shape_z = (length,) if rows is None else (rows, length)
+        base = drifting.get(shape_z)
+        if base is None:
+            base = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=length * (rows or 1),
+                                               max_size=length * (rows or 1)),
+                                      label="z")).reshape(shape_z)
+        step = data.draw(st.sampled_from([0.0, 1e-12, 1e-4, 0.3]), label="drift")
+        base = np.clip(base * (1.0 + step * np.cos(np.arange(base.size))).reshape(shape_z),
+                       lo, hi)
+        drifting[shape_z] = base
+        z = base.copy()
+        for _ in range(data.draw(st.integers(0, 2), label="specials")):
+            z.flat[data.draw(st.integers(0, z.size - 1), label="cell")] = data.draw(
+                st.sampled_from(specials), label="special")
+        got, expected = shape.evaluate(z, *_NAMES), fresh().evaluate(z, *_NAMES)
+        for name, g, e in zip(_NAMES, got, expected):
+            assert g.tobytes() == e.tobytes(), (name, z)
+        assert len(shape._kept) <= 4
+        assert all(len(key) == 1 for key in shape._kept)
 
 
 @pytest.mark.parametrize("third_law,knots", ((True, 25), (False, 25), (True, 60), (False, 60)))
@@ -855,6 +913,10 @@ _NAN_SITES = [
      lambda e, r, t: bd.entropy_inflow_flux(e, 1.0, 1.0, -r * t, -5.0), True),
     ("cold_heat_flux_split-u_b.n", bd.BoundaryDataError,
      lambda e, r, t: bd.cold_heat_flux_split(e, 1.0, -r * t, -5.0), True),
+    ("cold_heat_flux_split-rho_b", bd.BoundaryDataError,
+     lambda e, r, t: bd.cold_heat_flux_split(e, r * t, -1.0, -5.0), True),
+    ("admissibility_margin-rho_b", bd.BoundaryDataError,
+     lambda e, r, t: bd.admissibility_margin(e, r * t, -1.0, -5.0), True),
 ]
 
 

@@ -278,6 +278,37 @@ def test_thermo_takes_powers_of_theta_in_one_helper():
     assert sites and {func for func, _ in sites} == {"_theta_powers"}, sites
 
 
+def _qualified_functions(path: Path) -> list:
+    """(name, node) of each function of a module, named as
+    ``module.Class.method`` and nested functions under their parent."""
+    functions = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                if isinstance(child, ast.FunctionDef):
+                    functions.append((prefix + child.name, child))
+                visit(child, f"{prefix}{child.name}.")
+    visit(ast.parse(path.read_text()), f"{path.stem}.")
+    return functions
+
+
+def test_table_looks_its_pieces_up_in_one_place():
+    # a table has one evaluation path: ``evaluate`` alone calls the piece
+    # lookup and alone writes the rows it keeps, and no method of the table
+    # nests a function, the form a per-solve binding of rows would take
+    functions = [f for path in sorted((ROOT / "src" / "nsfsim").glob("*.py"))
+                 for f in _qualified_functions(path)]
+    callers = {name for name, node in functions
+               if any(getattr(n, "attr", None) == "_locate" for n in ast.walk(node))}
+    keepers = {name for name, node in functions
+               if any(isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+                      and getattr(n.value, "attr", None) == "_kept" for n in ast.walk(node))}
+    assert callers == keepers == {"thermo.TabulatedShape.evaluate"}
+    assert [name for name, _ in functions
+            if name.startswith("thermo.TabulatedShape.") and name.count(".") > 2] == []
+
+
 _DOMAIN_ERRORS = {"EosDomainError", "OutOfDomainError", "BoundaryDataError"}
 
 
