@@ -86,11 +86,41 @@ The discrete mass identity thus telescopes to rounding, and the audits in
 :mod:`nsfsim.budgets` separate scheme error from quadrature error.  A step
 plan, cached per (mesh, boundary) pair, holds what steps and audits read of
 the two; ``step`` and ``euler_step`` look it up once.
+
+Every attempt of a step, each step's first stage and ``euler_step`` run
+under one guard, :func:`_guarded`, which makes numpy's overflow,
+invalid-operation and division flags raise.  The operation that would make
+a value that is not finite then rejects the attempt, with numpy's message,
+and a first stage that rejects aborts the run before any attempt; from
+finite data a guarded step's numpy arithmetic makes only finite values, so
+``run`` checks its initial data and no state after.  Three checks remain where no flag is set:
+on the ``dptsv`` solutions, since LAPACK runs outside numpy's flag checks;
+on the values of a callable g and energy source, since a NaN a callable
+returns spreads without a flag; and on the start state of ``euler_step``
+and of a ``step`` called without its first stage.  Python-float arithmetic
+sets no flag either: a ``**`` that overflows raises ``OverflowError``, which
+the guard maps too, but a product or sum rounds to inf silently.  So
+``run`` keeps one test of its dt: above epsilon of about 9e307 the epsilon
+limit h^2/(2 epsilon) takes 2 epsilon as inf and is 0, and the first stage
+refuses that dt before any attempt.  The face pass sums three such
+terms over the two faces: F_ib (``energy_bdry_in``), rho_b u_b.n
+(``mass_in_conv``) and delta rho_b^Gamma/(Gamma - 1) u_b.n
+(``delta_energy_in_rho_b_gamma``); the step's increments and ``run``'s
+running sums of every accumulator are Python floats too.  Any of them can
+round to inf, but only at values near the largest float (about 1.8e308).
+The stage forms the F_ib sum again in numpy as ``energy_bdry_total``, and
+rho_b u_b and delta rho_b^Gamma as the inflow face's mass flux and
+pressure, where an overflow raises.  The products with u_b.n, their sum
+over the two faces and the step's and the run's sums have no such twin; in
+the cases tried through the API with F_ib, rho_b u_b or delta rho_b^Gamma
+near that limit, numpy's arithmetic overflowed first and the step was
+rejected under its name.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import ctypes
 import functools
 import math
@@ -111,7 +141,9 @@ class StepRejected(Exception):
 
 
 class RunAborted(RuntimeError):
-    """Too many consecutive step rejections; carries the partial trajectory."""
+    """A step that cannot be taken (too many consecutive rejections, a first
+    stage that rejects, or a start state that is not finite); carries the
+    partial trajectory."""
 
     def __init__(self, message, state=None):
         super().__init__(message)
@@ -161,9 +193,10 @@ class SolverConfig:
 
     def body_force(self, t: float, x: np.ndarray):
         """g at the cell centers x: an array for a callable g, else the float
-        itself, which broadcasts to the same values."""
+        itself, which broadcasts to the same values.  A callable's value
+        that is not finite rejects the step (:class:`StepRejected`)."""
         if callable(self.g):
-            return np.asarray(self.g(t, x), dtype=float) * np.ones_like(x)
+            return _finite("g", np.asarray(self.g(t, x), dtype=float) * np.ones_like(x))
         return float(self.g)
 
     @property
@@ -471,7 +504,8 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
     div_u = (u_face[1:] - u_face[:-1]) / h
     source = -(pad.p[1:-1] * div_u)
     if cfg.energy_source is not None:
-        q = np.asarray(cfg.energy_source(t, x), dtype=float) * np.ones_like(x)
+        q = _finite("energy source",
+                    np.asarray(cfg.energy_source(t, x), dtype=float) * np.ones_like(x))
         source = source + q
         vol["mms_energy_source"], vol["mms_energy_source_over_theta"] = q, q / theta
     if dl > 0.0:
@@ -608,8 +642,7 @@ def _implicit_solves(mesh, ts, cfg, plan, theta_face, rho, m, theta, capacity, d
     """
     nu_face = cfg.viscosity(ts, theta_face)
     ghosts = plan.u_ghosts
-    u = _diffusion_solve(mesh, nu_face, rho, m, dt, ghosts)
-    _reject_nonfinite("velocity", u)
+    u = _finite("velocity", _diffusion_solve(mesh, nu_face, rho, m, dt, ghosts))
     stress, du_face = _diffusive_flux(mesh, nu_face, u, ghosts)
     diss = 0.5 * (stress[:-1] * du_face[:-1] + stress[1:] * du_face[1:])
     kappa_face = cfg.conductivity(ts, theta_face)
@@ -617,7 +650,7 @@ def _implicit_solves(mesh, ts, cfg, plan, theta_face, rho, m, theta, capacity, d
     theta_l = _diffusion_solve(mesh, kappa_face, capacity, capacity * theta + dt * diss, dt,
                                insulated)
     if not theta_l.min() >= THETA_FLOOR:
-        _reject_nonfinite("temperature", theta_l)
+        _finite("temperature", theta_l)
         raise StepRejected("temperature fell below its floor")
     heat = _diffusive_flux(mesh, kappa_face, theta_l, insulated)[0]
     return u, stress, diss, theta_l, heat, dt * diss + dt * ((heat[1:] - heat[:-1]) / mesh.h)
@@ -654,21 +687,51 @@ def _first_nonfinite(values):
     return int(np.flatnonzero(~finite)[0])
 
 
-def _reject_nonfinite(name, values):
+def _finite(name, values):
+    """``values``; a cell that is not finite rejects the step, naming
+    ``name`` and the first such cell."""
     if (cell := _first_nonfinite(values)) is not None:
         raise StepRejected(f"{name} is not finite at cell {cell}")
+    return values
+
+
+@contextlib.contextmanager
+def _guarded(first_stage_at=None, state=None):
+    """A block with numpy's overflow, invalid-operation and division flags
+    raising: numpy's ``FloatingPointError``, and the ``OverflowError`` of a
+    Python-float ``**``, reject the step with their message.  A block that
+    is the first stage of a step at t = ``first_stage_at`` (in ``run``, with
+    its dt) aborts the run instead, on any rejection, before any attempt and
+    with ``state``."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (FloatingPointError, OverflowError, StepRejected) as err:
+        if first_stage_at is None:
+            raise StepRejected(err.args[-1]) from None
+        raise RunAborted(f"step at t={first_stage_at:.6g}: first stage: {err.args[-1]}; "
+                         "no attempt made", state=state) from None
+
+
+def _check_start(state):
+    """A start state that is not finite rejects the step, naming the field,
+    its first bad cell and the value there."""
+    for name, values in vars(state).items():
+        if (cell := _first_nonfinite(values)) is not None:
+            raise StepRejected(f"{name} is not finite at cell {cell} ({values[cell]})")
 
 
 def _linear_start(theta0, dw, drho, w_rho, w_theta):
     """Newton's start theta0 + (dw - w_rho drho) / w_theta: the temperature
     at which rho e_delta has moved by dw and rho by drho from a state at
     theta0 with slopes (w_rho, w_theta), to first order.  Cells where that
-    is not finite and positive start from theta0."""
+    is not positive (or NaN, from a stage value that is NaN) start from
+    theta0; under the guard's flags an infinite guess raises instead."""
     guess = theta0 + (dw - w_rho * drho) / w_theta
-    # NaN fails the first comparison
-    if guess.min() > 0.0 and guess.max() < math.inf:
+    # NaN fails the comparison
+    if guess.min() > 0.0:
         return guess
-    return np.where((guess > 0.0) & (guess < math.inf), guess, theta0)
+    return np.where(guess > 0.0, guess, theta0)
 
 
 def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
@@ -678,10 +741,8 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
     iterate; a residual above 1e-9 (|w| + 1) in any cell, evaluated at theta by
     Newton's own residual with no EOS pass of its own, rejects the step.
     """
-    _reject_nonfinite("density", rho)
     if not rho.min() >= RHO_FLOOR:
         raise StepRejected("density fell below its floor")
-    _reject_nonfinite("energy density", w)
     theta = np.asarray(theta_guess, dtype=float)
     # the 0.1 theta damping keeps a positive guess positive; NaN fails the
     # comparison, so a NaN guess is refused before any residual call
@@ -691,8 +752,7 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
     for _ in range(40):
         f, df = residual(theta)
         step = f / df
-        # fmax takes the damped value where theta - step is NaN
-        theta = np.fmax(theta - step, 0.1 * theta)
+        theta = np.maximum(theta - step, 0.1 * theta)
         if (np.abs(step) / (theta + 1e-300)).max() < _NEWTON_LAST_STEP:
             break
     f = residual(theta, slope=False)
@@ -715,15 +775,19 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     balance with (rho, u) held fixed.  The stage's EOS pass has no slopes:
     the first recovery starts from theta^n, one Newton step from the
     linearised guess of :func:`step`'s predictor with no density change, and
-    the second from the conduction solve's temperature.
+    the second from the conduction solve's temperature.  It runs under the
+    guard of :func:`step`'s attempts, and a start state that is not finite
+    rejects it before its stage, naming the field and first bad cell.
     """
     plan = _step_plan(mesh, bspec)
-    stage = _stage_rhs(mesh, eos, cfg, plan, 0.0, state, False)
-    rho, m, w = _predictor(state.rho, state.rho * state.u, stage, dt)
-    theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, state.theta)
-    u, _, _, theta_l, _, dw = _implicit_solves(
-        mesh, ts, cfg, plan, stage[3].theta_face, rho, m, theta_hat, capacity, dt)
-    return rho, rho * u, _recover_theta(eos, cfg, state.rho, w + dw, theta_l)[0]
+    with _guarded():
+        _check_start(state)
+        stage = _stage_rhs(mesh, eos, cfg, plan, 0.0, state, False)
+        rho, m, w = _predictor(state.rho, state.rho * state.u, stage, dt)
+        theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, state.theta)
+        u, _, _, theta_l, _, dw = _implicit_solves(
+            mesh, ts, cfg, plan, stage[3].theta_face, rho, m, theta_hat, capacity, dt)
+        return rho, rho * u, _recover_theta(eos, cfg, state.rho, w + dw, theta_l)[0]
 
 
 def stable_dt(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
@@ -785,33 +849,27 @@ def _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1):
     return new_state, inc
 
 
-def _first_stage(mesh, eos, cfg, plan, t, state):
-    """The first stage of a step at (t, state), after the state's check: a
-    non-finite state aborts at once, naming the field and first bad cell."""
-    for name in ("rho", "u", "theta"):
-        values = getattr(state, name)
-        if (cell := _first_nonfinite(values)) is not None:
-            raise RunAborted(f"step at t={t:.6g}: {name} is not finite at cell {cell} "
-                             f"({values[cell]}); diagnostic state attached", state=state)
-    return _stage_rhs(mesh, eos, cfg, plan, t, state)
-
-
 def step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
          cfg: SolverConfig, bspec: BoundarySpec, dt: float, t: float = 0.0, stage1=None):
     """One adaptive SSP-RK2 step; halves dt on rejection (up to MAX_REJECTS).
 
-    Returns (new_state, dt_used, accumulator_increments, n_rejects).  A
-    non-finite start state aborts at once, naming the field and first bad cell.
+    Returns (new_state, dt_used, accumulator_increments, n_rejects).
     ``stage1`` is the step's first stage at (t, state) where the caller has
-    evaluated it, as ``run`` does for its dt.
+    evaluated it, as ``run`` does for its dt; without it, a start state that
+    is not finite aborts as a first stage that rejects, naming the field and
+    first bad cell.  The first stage and each attempt run under numpy's
+    floating-point flags (:func:`_guarded`).
     """
     plan = _step_plan(mesh, bspec)
     if stage1 is None:
-        stage1 = _first_stage(mesh, eos, cfg, plan, t, state)
+        with _guarded(t, state):
+            _check_start(state)
+            stage1 = _stage_rhs(mesh, eos, cfg, plan, t, state)
     rejects = 0
     while True:
         try:
-            new_state, inc = _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1)
+            with _guarded():
+                new_state, inc = _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1)
             return new_state, dt, inc, rejects
         except StepRejected as err:
             rejects += 1
@@ -914,11 +972,13 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
         while t < target - 1e-14 * (1.0 + target):
             try:
                 # the dt of stable_dt, from the first stage's sound speed
-                stage1 = _first_stage(mesh, eos, cfg, plan, t, state)
-                dt = min(_cfl_dt(plan.h, cfg, state.u, stage1[3].c2), target - t)
-                if not dt > 0.0:  # NaN or zero, from a sound speed that is not finite
-                    raise RunAborted(f"step at t={t:.6g}: the time step {dt!r} is not a "
-                                     "positive finite number; no attempt made", state=state)
+                with _guarded(t, state):
+                    stage1 = _stage_rhs(mesh, eos, cfg, plan, t, state)
+                    dt = min(_cfl_dt(plan.h, cfg, state.u, stage1[3].c2), target - t)
+                    # zero where the epsilon limit h^2/(2 epsilon), a Python
+                    # float, underflows: 2 epsilon rounds to inf with no flag
+                    if not dt > 0.0:
+                        raise StepRejected(f"the time step {dt!r} is not positive")
                 state, dt_used, inc, rej = step(state, mesh, eos, ts, cfg, bspec, dt, t=t,
                                                 stage1=stage1)
             except RunAborted as err:

@@ -179,18 +179,19 @@ def _issue_path(path) -> str:
     return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
 
 
-def test_every_mutated_leaf_parses_or_is_refused():
-    # the parse half of the property: a document with any leaf set to any
-    # value of the pool is a Scenario or the issue list, never a raw
-    # exception or a warning; a keyed float set to a value that is not
-    # finite is one <section>-schema issue under its own path
+@pytest.fixture(scope="module")
+def mutated_leaf_documents():
+    """(path, value, keyed_float, outcome) for each leaf of three documents
+    set to each value of the pool; the outcome of parse_scenario, with
+    warnings as errors, is the Scenario, the (path, code) of each issue, or
+    the repr of any other exception."""
     table = make_table_eos(third_law=True)
     closed = json.loads((SCENARIO_DIR / "closed_box.json").read_text())
     closed["mesh"]["n"] = 16
     docs = [_throughflow16(lambda d: None), closed, _throughflow16(lambda d: d.update(eos={
         "shape": "table", "third_law": True,
         "table": {"z": list(table.table_z), "p": list(table.table_p)}}))]
-    failures = []
+    out = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for doc, path, value in ((d, p, v) for d in docs for p in _leaves(d) for v in _POOL):
@@ -201,17 +202,113 @@ def test_every_mutated_leaf_parses_or_is_refused():
             keyed_float = isinstance(node[path[-1]], float) and path[0] != "output_times"
             node[path[-1]] = value
             try:
-                sc.parse_scenario(mutated)
-                issues = None
+                outcome = sc.parse_scenario(mutated)
             except sc.ScenarioValidationError as err:
-                issues = [(i.path, i.code) for i in err.issues]
+                outcome = [(i.path, i.code) for i in err.issues]
+            except Exception as err:
+                outcome = repr(err)
+            out.append((path, value, keyed_float, outcome))
+    return out
+
+
+def test_every_mutated_leaf_parses_or_is_refused(mutated_leaf_documents):
+    # the parse half of the property: a document with any leaf set to any
+    # value of the pool is a Scenario or the issue list, never a raw
+    # exception or a warning; a keyed float set to a value that is not
+    # finite is one <section>-schema issue under its own path
+    failures = []
+    for path, value, keyed_float, outcome in mutated_leaf_documents:
+        if isinstance(outcome, str):
+            failures.append((path, value, outcome))
+        elif keyed_float and isinstance(value, float) and not math.isfinite(value):
+            if outcome != [(_issue_path(path), f"{path[0]}-schema")]:
+                failures.append((path, value, outcome))
+    assert failures == []
+
+
+_FIRST_STAGE = "first stage: overflow encountered in multiply; no attempt made"
+_EVERY_ATTEMPT = "rejected 21 times (last: overflow encountered in multiply)"
+
+
+@pytest.mark.parametrize("mutate, cause", [
+    (lambda d: d["config"].update(delta=1e300), _FIRST_STAGE),
+    (lambda d: d["initial"].update(u="1e200*x"), _FIRST_STAGE),
+    (lambda d: d["transport"].update(mu_scale=1e300), _EVERY_ATTEMPT),
+    (lambda d: d["config"].update(g=1e300), _EVERY_ATTEMPT),
+    (lambda d: d["config"].update(g=-1e300), _EVERY_ATTEMPT),
+    (lambda d: d["boundary"]["faces"][0].update(F_ib=-1e200), _EVERY_ATTEMPT)],
+    ids=["delta", "initial-u", "mu_scale", "g", "g-negative", "F_ib"])
+def test_a_run_that_overflows_aborts_naming_the_overflow(mutate, cause):
+    # each document parses and its run overflows in a multiply: numpy's
+    # flags reject the attempt that overflows, or abort a first stage that
+    # does before any attempt, and nothing warns (warnings are errors here)
+    scenario = sc.parse_scenario(_throughflow16(mutate))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(solver.RunAborted) as err:
+            scenario.run()
+    assert cause in str(err.value)
+
+
+class _Enough(Exception):
+    """Stops a run after the steps a test asked for."""
+
+
+def _capped_steps(monkeypatch, n):
+    """Make solver.step stop a run by _Enough after n steps, and fail a step
+    whose dt is not positive, which would leave t where it is for ever."""
+    step, calls = solver.step, []
+
+    def capped(*args, **kwargs):
+        if len(calls) == n:
+            raise _Enough
+        calls.append(1)
+        result = step(*args, **kwargs)
+        assert result[1] > 0.0, f"a step of dt {result[1]!r} does not advance t"
+        return result
+    monkeypatch.setattr(solver, "step", capped)
+
+
+def test_every_parsed_mutated_leaf_runs_or_aborts(mutated_leaf_documents, monkeypatch):
+    # the run half of the property: each document the sweep parses takes
+    # three steps that advance t, or reaches t_end, or raises RunAborted,
+    # with warnings as errors; 17 of them (mu, eta or kappa scale, epsilon,
+    # delta or the outflow u_b at 1e308) overflow in the run.  The cap on
+    # the steps keeps a run whose dt is tiny short
+    parsed = [(path, value, outcome) for path, value, _, outcome in mutated_leaf_documents
+              if isinstance(outcome, sc.Scenario)]
+    assert parsed
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path, value, scenario in parsed:
+            _capped_steps(monkeypatch, 3)
+            try:
+                scenario.run()
+            except (_Enough, solver.RunAborted):
+                pass
             except Exception as err:
                 failures.append((path, value, repr(err)))
-                continue
-            if keyed_float and isinstance(value, float) and not math.isfinite(value):
-                if issues != [(_issue_path(path), f"{path[0]}-schema")]:
-                    failures.append((path, value, issues))
     assert failures == []
+
+
+def test_a_run_whose_epsilon_limit_underflows_aborts_before_any_step(monkeypatch):
+    # at epsilon = 1e308, 2 epsilon rounds to inf as a Python float with no
+    # flag, so the epsilon limit h^2/(2 epsilon) of the dt is 0.0 while the
+    # stage stays finite; the run refuses that dt instead of stepping in
+    # place for ever (the step cap turns such a step into a failure)
+    doc = json.loads((SCENARIO_DIR / "closed_box.json").read_text())
+    doc["mesh"]["n"] = 16
+    doc["initial"] = {"rho": "1", "u": "0", "theta": "0.3"}
+    doc["config"]["epsilon"] = 1e308
+    scenario = sc.parse_scenario(doc)
+    _capped_steps(monkeypatch, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(solver.RunAborted, match=r"^step at t=0: first stage: the time step "
+                           r"0\.0 is not positive; no attempt made$") as err:
+            scenario.run()
+    assert err.value.trajectory.n_steps == 0
 
 
 def test_all_failures_reported_together():

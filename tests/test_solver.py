@@ -527,40 +527,37 @@ def test_recover_theta_rejects_unconverged_newton(eos_name, delta, request):
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("field, name", [("energy_source", "energy source"), ("g", "g")],
+                         ids=["energy_source", "g"])
 @pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
-def test_recover_theta_names_nonfinite_energy_density(eos_name, bad, request):
+def test_step_names_a_nonfinite_source(eos_name, field, name, bad, transport, box, request,
+                                       monkeypatch):
+    # a NaN that a callable returns sets no floating-point flag, so the
+    # stage checks the values of g and of the energy source and names the
+    # first bad cell before any attempt
     eos = request.getfixturevalue(eos_name)
-    cfg = sv.SolverConfig(t_end=1.0)
-    rho = np.ones(8)
-    theta = np.ones(8)
-    w = rho * th.stage_closures(eos, rho, theta, delta=cfg.delta)[1]
-    w[3] = bad
+    mesh, walls = box
+
+    def source(t, x):
+        values = np.zeros_like(x)
+        values[3] = bad
+        return values
+    cfg = sv.SolverConfig(t_end=1.0, **{field: source})
+    attempts = []
+    heun = sv._heun_step
+    monkeypatch.setattr(sv, "_heun_step", lambda *a: attempts.append(1) or heun(*a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(sv.StepRejected, match="energy density is not finite at cell 3"):
-            sv._recover_theta(eos, cfg, rho, w, theta)
-
-
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("eos_name", ["eos", "eos_table"])
-def test_recover_theta_names_nonfinite_density(eos_name, bad, request):
-    # NaN passes a `rho < floor` test; it must reject the step, not recover
-    eos = request.getfixturevalue(eos_name)
-    cfg = sv.SolverConfig(t_end=1.0)
-    rho = np.ones(8)
-    theta = np.ones(8)
-    w = rho * th.stage_closures(eos, rho, theta, delta=cfg.delta)[1]
-    rho[3] = bad
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(sv.StepRejected, match="^density is not finite at cell 3$"):
-            sv._recover_theta(eos, cfg, rho, w, theta)
+        with pytest.raises(sv.RunAborted, match=rf"^step at t=0: first stage: {name} is not "
+                           "finite at cell 3; no attempt made$"):
+            sv.step(_uniform_state(32), mesh, eos, transport, cfg, walls, 1e-4)
+    assert attempts == []
 
 
 @pytest.mark.parametrize("eos_name", ["eos", "eos_table_nolaw"])
 def test_recover_theta_rejects_below_the_floors(eos_name, request):
-    # a density below its floor rejects before Newton, and an energy density
-    # whose temperature lies below its floor after it
+    # a density below its floor, or NaN, rejects before Newton, and an
+    # energy density whose temperature lies below its floor after it
     eos = request.getfixturevalue(eos_name)
     cfg = sv.SolverConfig(t_end=1.0)
     rho = np.ones(4)
@@ -568,9 +565,10 @@ def test_recover_theta_rejects_below_the_floors(eos_name, request):
     w = rho * th.stage_closures(eos, rho, theta)[1]
     with pytest.raises(sv.StepRejected, match="^temperature fell below its floor$"):
         sv._recover_theta(eos, cfg, rho, w, np.ones(4))
-    rho[1] = 0.5 * sv.RHO_FLOOR
-    with pytest.raises(sv.StepRejected, match="^density fell below its floor$"):
-        sv._recover_theta(eos, cfg, rho, w, np.ones(4))
+    for bad in (0.5 * sv.RHO_FLOOR, np.nan):
+        rho[1] = bad
+        with pytest.raises(sv.StepRejected, match="^density fell below its floor$"):
+            sv._recover_theta(eos, cfg, rho, w, np.ones(4))
 
 
 class _PastChecks(Exception):
@@ -584,7 +582,7 @@ def _past_checks(*args, **kwargs):
 @pytest.mark.parametrize("fields", ["rho", "w", "rho and w"])
 def test_recover_theta_passes_finite_cells_whose_sum_overflows(eos, monkeypatch, fields):
     # two cells of 1e308, whose sum overflows, are finite: they pass the
-    # finiteness checks without a warning, and the floor check too
+    # floor check without a warning
     rho, w, theta = np.ones(8), np.full(8, 4.0), np.ones(8)
     for name, values in (("rho", rho), ("w", w)):
         if name in fields:
@@ -696,16 +694,44 @@ def test_recovery_takes_two_newton_evaluations_per_solve(eos, eos_table, transpo
     assert names == "biic" * 6, names
 
 
+@pytest.mark.parametrize("channel", [False, True], ids=["box", "channel"])
+def test_run_makes_one_finiteness_pass_per_step(eos, transport, monkeypatch, channel):
+    # numpy's flags check what a step's arithmetic makes, so the one pass
+    # left is on the viscous solve's velocity, which LAPACK makes outside
+    # numpy's flag checks
+    mesh = Mesh1D(0.0, 1.0, 32)
+    x = mesh.centers
+    if channel:
+        bspec = bd.make_boundary(u_b_left=0.5, u_b_right=0.5, rho_b_left=1.0, F_ib_left=-2.0)
+        cfg, u = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.02), 0.5
+    else:
+        bspec, cfg, u = bd.make_boundary(), sv.SolverConfig(t_end=0.02), 0.0
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=np.full(32, u),
+                          theta=1 + 0.2 * x ** 2 * (3 - 2 * x))
+    passes = []
+    first_nonfinite = sv._first_nonfinite
+    monkeypatch.setattr(sv, "_first_nonfinite",
+                        lambda values: passes.append(values.size) or first_nonfinite(values))
+    traj = sv.run(mesh, eos, transport, cfg, bspec, state)
+    assert traj.n_steps > 0 and traj.n_rejects == 0
+    assert passes == [32] * traj.n_steps
+
+
 def test_nonfinite_or_nonpositive_guess_falls_back_to_the_old_start():
-    # theta0 + (dw - w_rho drho) / w_theta where that is finite and positive,
-    # theta0 in the other cells, with no warning (the suite makes warnings
-    # errors)
+    # theta0 + (dw - w_rho drho) / w_theta where that is positive, theta0 in
+    # the other cells, NaN ones included, with no warning (the suite makes
+    # warnings errors); a guess that would be infinite from finite stage
+    # values raises under the guard's flags instead
     theta0 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    dw = np.array([0.5, np.nan, np.inf, -np.inf, -10.0])
+    dw = np.array([0.5, np.nan, -np.inf, -10.0, 0.5])
     start = sv._linear_start(theta0, dw, 1.0, 0.25, np.full(5, 2.0))
-    assert np.array_equal(start, [1.125, 2.0, 3.0, 4.0, 5.0])
+    assert np.array_equal(start, [1.125, 2.0, 3.0, 4.0, 5.125])
     guess = sv._linear_start(theta0, np.full(5, 0.5), 1.0, 0.25, np.full(5, 2.0))
     assert np.array_equal(guess, theta0 + 0.125)
+    for dw, w_theta, flag in ((0.5, 0.0, "divide by zero"), (1e308, 1e-10, "overflow")):
+        with pytest.raises(sv.StepRejected, match=f"^{flag} encountered in divide$"):
+            with sv._guarded():
+                sv._linear_start(theta0, np.full(5, dw), 1.0, 0.25, np.full(5, w_theta))
 
 
 def test_step_starts_from_theta_n_where_the_guess_fails(eos, transport, box, monkeypatch):
@@ -1333,6 +1359,23 @@ def test_step_names_nonfinite_state(eos, transport, box, monkeypatch, name, cell
     assert attempts == []
 
 
+@pytest.mark.parametrize("name, cell, bad", [("rho", 0, np.inf), ("u", 5, np.nan),
+                                             ("theta", 31, -np.inf)])
+def test_euler_step_names_nonfinite_state(eos, transport, box, monkeypatch, name, cell, bad):
+    # a NaN in the input spreads through the stage without a flag, so
+    # euler_step checks its start state as step does, before its stage
+    mesh, walls = box
+    state = _uniform_state(32)
+    getattr(state, name)[cell] = bad
+    stages = []
+    stage_rhs = sv._stage_rhs
+    monkeypatch.setattr(sv, "_stage_rhs", lambda *a: stages.append(1) or stage_rhs(*a))
+    with pytest.raises(sv.StepRejected, match=rf"^{name} is not finite at cell {cell} "
+                       rf"\({bad}\)$"):
+        sv.euler_step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)
+    assert stages == []
+
+
 def test_step_passes_finite_cells_whose_sum_overflows(eos, transport, box, monkeypatch):
     # two cells of 1e308 in u, whose sum overflows, are finite: the step
     # goes on to its first stage without a warning
@@ -1533,15 +1576,16 @@ def test_regularized_runs_converge_to_target(eos, transport):
 
 def test_run_refuses_a_non_finite_time_step_before_any_attempt(monkeypatch):
     # at a = 1e308 the closures hold at theta = 1 but c^2 is inf/inf: the
-    # NaN dt used to be halved 21 times into "density fell below its floor"
+    # first stage's flags name the division that makes the NaN, before any
+    # dt is taken from it
     eos = th.EosSpec(a=1e308)
     mesh = Mesh1D(0.0, 1.0, 16)
     state = sv.FieldState(rho=np.ones(16), u=np.zeros(16), theta=np.ones(16))
     attempts = []
     heun = sv._heun_step
     monkeypatch.setattr(sv, "_heun_step", lambda *a: attempts.append(a) or heun(*a))
-    with np.errstate(all="ignore"), pytest.raises(
-            sv.RunAborted, match=r"t=0: the time step nan is not a positive finite number") as err:
+    with pytest.raises(sv.RunAborted, match=r"^step at t=0: first stage: invalid value "
+                       "encountered in divide; no attempt made$") as err:
         sv.run(mesh, eos, th.TransportSpec(), sv.SolverConfig(t_end=0.01), bd.make_boundary(),
                state)
     assert attempts == [] and err.value.trajectory.n_steps == 0

@@ -309,6 +309,23 @@ def test_table_looks_its_pieces_up_in_one_place():
             if name.startswith("thermo.TabulatedShape.") and name.count(".") > 2] == []
 
 
+def test_floating_point_flags_raise_in_one_guard():
+    # a step's finiteness is decided by numpy's flags in one place: a single
+    # function of the package sets a flag to "raise" and catches the
+    # FloatingPointError (or its base ArithmeticError) that follows
+    functions = [f for path in sorted((ROOT / "src" / "nsfsim").glob("*.py"))
+                 for f in _qualified_functions(path)]
+    raisers = {name for name, node in functions
+               if any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "errstate"
+                      and any(getattr(k.value, "value", None) == "raise" for k in n.keywords)
+                      for n in ast.walk(node))}
+    catchers = {name for name, node in functions
+                if any(isinstance(n, ast.ExceptHandler) and n.type is not None
+                       and {getattr(e, "id", None) for e in ast.walk(n.type)}
+                       & {"FloatingPointError", "ArithmeticError"} for n in ast.walk(node))}
+    assert raisers == catchers == {"solver._guarded"}
+
+
 _DOMAIN_ERRORS = {"EosDomainError", "OutOfDomainError", "BoundaryDataError"}
 
 
