@@ -6,13 +6,15 @@ volume term is a window difference of the solver's own accumulators, which
 carry the update's stage, epsilon and delta weights, so the mass identity
 telescopes to rounding and the residuals measure scheme, not quadrature, error.
 
-Storage is evaluated on the recorded states stacked into (k, n) arrays by
-one :func:`~nsfsim.thermo.stage_closures` call, which gives e_delta and
-s_delta together.  The a-priori sup over all T outputs is thus one closure
-call on O(n T) array work, not T calls.  A window audit resolves its two
-ends once and makes one closure call, whatever the output count; each
-single budget indexes the same full balances.  The window-independent
-a-priori monitor of a report is evaluated when read.  The weak-strong trace
+Storage is evaluated on all recorded states of a trajectory, stacked into
+(k, n) arrays, by one :func:`~nsfsim.thermo.stage_closures` call, which
+gives e_delta and s_delta together, and kept on the trajectory until its
+number of states changes.  Every window audit, the whole audit and the
+a-priori sup over all outputs index those integrals: a sweep of audits over
+T outputs makes one closure call on O(n T) array work, not T calls.  A
+window audit resolves its two ends once; each single budget indexes the
+same full balances.  The window-independent a-priori monitor of a report
+is evaluated when read.  The weak-strong trace
 makes one relative-energy call on the stacked coarse and block-averaged fine
 states.
 
@@ -52,8 +54,7 @@ class BudgetReport:
 
     ``apriori`` does not depend on the window: it is the
     :func:`apriori_monitor` of the whole ``trajectory``, evaluated when it
-    is first read, so a window audit evaluates no storage beyond its own
-    window ends.
+    is first read.
     """
 
     window: tuple
@@ -74,9 +75,10 @@ class BudgetReport:
 
 
 def _window_ends(traj: Trajectory, window):
-    """The recorded (states, accumulators) at the two window ends, each resolved once."""
-    i0, i1 = map(traj._index, window)
-    return (traj.states[i0], traj.states[i1]), (traj.accums[i0], traj.accums[i1])
+    """The recorded indices and accumulators of the two window ends, each
+    resolved once."""
+    ends = tuple(map(traj._index, window))
+    return ends, tuple(traj.accums[i] for i in ends)
 
 
 def _delta_acc(accs, key: str) -> float:
@@ -94,21 +96,27 @@ def _stacked(states) -> np.ndarray:
     return np.stack([(st.rho, st.u, st.theta) for st in states], axis=1)
 
 
-def _storages(traj: Trajectory, states):
-    """Mass, energy and entropy integrals of each state.
+def _storages(traj: Trajectory):
+    """Mass, energy and entropy integrals of each recorded state, three
+    arrays over the states.
 
     The states are stacked into (k, n) arrays, so one ``stage_closures``
     call gives e_delta and s_delta on the stack; row sums times h are the
-    :meth:`Mesh1D.integrate` quadrature.
+    :meth:`Mesh1D.integrate` quadrature.  The integrals are kept on the
+    trajectory and evaluated again only when its number of states changes.
     """
-    cfg, h = traj.config, traj.mesh.h
-    rho, u, theta = _stacked(states)
-    _, e, s = stage_closures(traj.eos, rho, theta, delta=cfg.delta)
-    ub = _step_plan(traj.mesh, traj.boundary).ub_ext
-    dens = 0.5 * rho * (u - ub) ** 2 + rho * e
-    if cfg.delta > 0.0:
-        dens = dens + cfg.delta * cfg.delta_pressure_potential(rho)
-    return rho.sum(axis=1) * h, dens.sum(axis=1) * h, (rho * s).sum(axis=1) * h
+    k = len(traj.states)
+    if traj._storages is None or traj._storages[0] != k:
+        cfg, h = traj.config, traj.mesh.h
+        rho, u, theta = _stacked(traj.states)
+        _, e, s = stage_closures(traj.eos, rho, theta, delta=cfg.delta)
+        ub = _step_plan(traj.mesh, traj.boundary).ub_ext
+        dens = 0.5 * rho * (u - ub) ** 2 + rho * e
+        if cfg.delta > 0.0:
+            dens = dens + cfg.delta * cfg.delta_pressure_potential(rho)
+        traj._storages = k, (rho.sum(axis=1) * h, dens.sum(axis=1) * h,
+                             (rho * s).sum(axis=1) * h)
+    return traj._storages[1]
 
 
 def _default_window(traj: Trajectory, window):
@@ -139,13 +147,13 @@ def entropy_budget(traj: Trajectory, window=None):
 
 def _balances(traj: Trajectory, window):
     """(mass residual, (energy residual, terms), (entropy production, terms))
-    over the window, from one storage evaluation."""
-    states, accs = _window_ends(traj, _default_window(traj, window))
-    mass, energy_storage, entropy_storage = _storages(traj, states)
-    mass_res = float(mass[1] - mass[0]) + _delta_acc(accs, "mass_bdry")
+    over the window, from the trajectory's storage integrals."""
+    (i0, i1), accs = _window_ends(traj, _default_window(traj, window))
+    mass, energy_storage, entropy_storage = _storages(traj)
+    mass_res = float(mass[i1] - mass[i0]) + _delta_acc(accs, "mass_bdry")
 
     terms = {}
-    terms["storage"] = float(energy_storage[1] - energy_storage[0])
+    terms["storage"] = float(energy_storage[i1] - energy_storage[i0])
     terms["outflow_internal_energy"] = _delta_acc(accs, "energy_out_conv")
     terms["outflow_delta_pressure"] = _delta_acc(accs, "delta_energy_out")
     terms["inflow_energy_flux"] = _delta_acc(accs, "energy_bdry_in")
@@ -168,7 +176,7 @@ def _balances(traj: Trajectory, window):
     energy = lhs - rhs, terms
 
     terms = {}
-    terms["storage"] = float(entropy_storage[1] - entropy_storage[0])
+    terms["storage"] = float(entropy_storage[i1] - entropy_storage[i0])
     terms["outflow_efflux"] = _delta_acc(accs, "entropy_out_conv")
     terms["dissipation"] = (_delta_acc(accs, "dissipation_no_delta")
                             + _delta_acc(accs, "delta_heating_over_theta"))
@@ -194,7 +202,7 @@ def apriori_monitor(traj: Trajectory) -> dict:
     regularization-scaled integrals as the solver weighted them."""
     _, accs = _window_ends(traj, _default_window(traj, None))
     out = {}
-    _, energy, entropy = _storages(traj, traj.states)
+    _, energy, entropy = _storages(traj)
     out["energy_sup"] = float(np.max(energy - THETA_BAR * entropy))
     out["dissipation_integral"] = THETA_BAR * _delta_acc(accs, "dissipation_no_delta")
     out["inflow_coercive"] = _delta_acc(accs, "apriori_in_coercive")
@@ -210,8 +218,8 @@ def apriori_monitor(traj: Trajectory) -> dict:
 def audit(traj: Trajectory, window=None) -> BudgetReport:
     """Run all budgets over the window and attach PASS/FAIL verdicts.
 
-    The window ends are resolved once, and one storage evaluation of the
-    two end states serves all three balances.
+    The window ends are resolved once, and the trajectory's storage
+    integrals at the two ends serve all three balances.
 
     Tolerances: mass |residual| <= MASS_TOL_PER_STEP * steps; entropy
     production >= -ENTROPY_TOL * measure * window length; energy residual

@@ -50,8 +50,9 @@ once through ``ctypes``; where no such symbol is found, a pure-Python LDL^T
 sweep in the same order of operations does.
 
 Each stage pads the state with one ghost cell per side, filling one new
-array per field, and makes one ``stage_closures`` pass for (p, e_delta,
-s_delta) on the padded arrays, with the weight delta of the configuration:
+array per field, and makes one pass of ``thermo._stage_closures``, the
+core of ``stage_closures`` with no domain check, for (p, e_delta, s_delta)
+on the padded arrays, with the weight delta of the configuration:
 the delta terms of e and s are formed there, in :mod:`nsfsim.thermo`, and
 nowhere here.  Fluxes, sources and the budget record all read that one
 evaluation.  The first stage's pass also has slopes: the sound speed, from
@@ -74,7 +75,7 @@ guess that makes no EOS call: the predictor's theta^n
 + (w_n - (w1 + dw) - w_rho (rho_n - rho1)) / C with the first stage's
 w_rho, since rho_n - rho1 is O(dt^2); each takes two Newton evaluations on
 smooth data where theta^n and theta_l took two or three.  A step thus makes
-four EOS passes: two ``stage_closures`` and two residual builds.
+four EOS passes: two stage passes and two residual builds.
 ``euler_step`` has no density change to follow: its stage pass has no
 slopes, and its first recovery starts from theta^n.  Every
 budget-relevant face flux and volume integrand is accumulated during the
@@ -85,24 +86,34 @@ once with its epsilon or delta weight and booked only where that is nonzero.
 The discrete mass identity thus telescopes to rounding, and the audits in
 :mod:`nsfsim.budgets` separate scheme error from quadrature error.  A step
 plan, cached per (mesh, boundary) pair, holds what steps and audits read of
-the two; ``step`` and ``euler_step`` look it up once.
+the two; ``run``, ``step`` and ``euler_step`` look it up once per call, and
+``run`` hands its plan to each step.
 
-Every attempt of a step, each step's first stage and ``euler_step`` run
-under one guard, :func:`_guarded`, which makes numpy's overflow,
-invalid-operation and division flags raise.  The operation that would make
-a value that is not finite then rejects the attempt, with numpy's message,
-and a first stage that rejects aborts the run before any attempt; from
-finite data a guarded step's numpy arithmetic makes only finite values, so
-``run`` checks its initial data and no state after.  Three checks remain where no flag is set:
-on the ``dptsv`` solutions, since LAPACK runs outside numpy's flag checks;
-on the values of a callable g and energy source, since a NaN a callable
-returns spreads without a flag; and on the start state of ``euler_step``
-and of a ``step`` called without its first stage.  Python-float arithmetic
-sets no flag either: a ``**`` that overflows raises ``OverflowError``, which
-the guard maps too, but a product or sum rounds to inf silently.  So
-``run`` keeps one test of its dt: above epsilon of about 9e307 the epsilon
-limit h^2/(2 epsilon) takes 2 epsilon as inf and is 0, and the first stage
-refuses that dt before any attempt.  The face pass sums three such
+``run``, ``step`` and ``euler_step`` each make numpy's overflow,
+invalid-operation and division flags raise once, for the whole call,
+through the module constant ``_RAISE``; a step of ``run`` sets no flag of
+its own.  The operation that would make a value that is not finite then
+raises, and one guard, :func:`_guarded`, around every attempt of a step,
+each step's first stage and ``euler_step``, turns that into a rejection
+with numpy's message; a first stage that rejects aborts the run before any
+attempt.  From finite data a step's numpy arithmetic thus makes only finite
+values, so ``run`` checks its initial data and no state after, and each
+other check is made once, on the array it tests, where that is made: the
+predictor's rho1 and the corrector's rho_n against the density floor, each
+linearised guess's minimum, each recovery's residual and temperature
+floor, and the implicit solves' solutions.  The stage passes and the
+residual builds check no domain of their own.  Three checks remain where
+no flag is set: on the ``dptsv`` solutions, since LAPACK runs outside
+numpy's flag checks; on the values of a callable g and energy source, since
+a NaN a callable returns spreads without a flag; and on the start state of
+``euler_step`` and of a ``step`` called without its first stage, which must
+be finite and above both floors.  Python-float arithmetic sets no flag
+either: a ``**`` that overflows raises ``OverflowError``, which the guard
+maps too, but a product or sum rounds to inf silently.  So ``run`` tests
+its dt in each first stage, before any attempt: a dt at which t_end lies
+more than ``MAX_STEPS`` steps away (0 among them, which the epsilon limit
+h^2/(2 epsilon) is above epsilon of about 9e307, where 2 epsilon rounds to
+inf), or one that does not advance t, aborts the run.  The face pass sums three such
 terms over the two faces: F_ib (``energy_bdry_in``), rho_b u_b.n
 (``mass_in_conv``) and delta rho_b^Gamma/(Gamma - 1) u_b.n
 (``delta_energy_in_rho_b_gamma``); the step's increments and ``run``'s
@@ -125,15 +136,15 @@ import ctypes
 import functools
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .boundary import BoundarySpec, FaceKind
 from .mesh import Mesh1D
-from .thermo import (EosSpec, EosDomainError, TransportSpec, _energy_density_rho_slope,
-                     energy_density_residual, sound_speed_sq, stage_closures)
+from .thermo import (EosSpec, TransportSpec, _energy_density_rho_slope, _stage_closures,
+                     energy_density_residual, sound_speed_sq)
 
 
 class StepRejected(Exception):
@@ -152,11 +163,16 @@ class RunAborted(RuntimeError):
 
 
 # Positivity floors of density and temperature, consecutive rejections a
-# step may take before the run aborts, and the reference temperature of the
-# a priori energy bound.
+# step may take before the run aborts, the steps a run may need to reach
+# t_end at its dt, and the reference temperature of the a priori energy
+# bound.
 RHO_FLOOR = THETA_FLOOR = 1e-10
 MAX_REJECTS = 20
+MAX_STEPS = 10 ** 9
 THETA_BAR = 1.0
+
+# numpy's floating-point flags under which run, step and euler_step compute
+_RAISE = dict(over="raise", invalid="raise", divide="raise")
 
 
 @dataclass(frozen=True)
@@ -313,8 +329,7 @@ def _ghosts(state: FieldState, plan: _StepPlan):
             _padded((_TRACE, _TRACE), state.theta))
 
 
-@dataclass(frozen=True)
-class StageFields:
+class StageFields(NamedTuple):
     """Ghost-padded fields of one stage and the closures evaluated on them.
 
     Entries [0] and [-1] are the ghosts of the left and right faces (the
@@ -337,8 +352,7 @@ class StageFields:
     w_theta: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     """Named budget integrands of one RHS evaluation and two cell arrays.
 
     ``scalars`` hold instantaneous rates (volume and boundary integrals),
@@ -378,7 +392,7 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     for f, i, _ in plan.faces:
         u_face[i] = f.u_b
 
-    p_p, e_p, s_p, *slope_values = stage_closures(eos, rho_p, theta_p, slopes, cfg.delta)
+    p_p, e_p, s_p, *slope_values = _stage_closures(eos, rho_p, theta_p, slopes, cfg.delta)
     # the stage keeps c^2, w_rho and w_theta; it reads no p_theta of its own
     pad = StageFields(rho_p, u_p, theta_p, p_p, e_p, s_p, rho_p * e_p, *slope_values[:3])
 
@@ -649,7 +663,8 @@ def _implicit_solves(mesh, ts, cfg, plan, theta_face, rho, m, theta, capacity, d
     insulated = (_TRACE, _TRACE)
     theta_l = _diffusion_solve(mesh, kappa_face, capacity, capacity * theta + dt * diss, dt,
                                insulated)
-    if not theta_l.min() >= THETA_FLOOR:
+    # +inf passes the floor, NaN neither comparison
+    if not (theta_l.min() >= THETA_FLOOR and theta_l.max() < math.inf):
         _finite("temperature", theta_l)
         raise StepRejected("temperature fell below its floor")
     heat = _diffusive_flux(mesh, kappa_face, theta_l, insulated)[0]
@@ -697,15 +712,14 @@ def _finite(name, values):
 
 @contextlib.contextmanager
 def _guarded(first_stage_at=None, state=None):
-    """A block with numpy's overflow, invalid-operation and division flags
-    raising: numpy's ``FloatingPointError``, and the ``OverflowError`` of a
+    """A block run under the flags of ``_RAISE``, which its caller has set:
+    numpy's ``FloatingPointError``, and the ``OverflowError`` of a
     Python-float ``**``, reject the step with their message.  A block that
     is the first stage of a step at t = ``first_stage_at`` (in ``run``, with
     its dt) aborts the run instead, on any rejection, before any attempt and
     with ``state``."""
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            yield
+        yield
     except (FloatingPointError, OverflowError, StepRejected) as err:
         if first_stage_at is None:
             raise StepRejected(err.args[-1]) from None
@@ -714,11 +728,17 @@ def _guarded(first_stage_at=None, state=None):
 
 
 def _check_start(state):
-    """A start state that is not finite rejects the step, naming the field,
-    its first bad cell and the value there."""
+    """A start state that is not finite, or whose rho or theta lies below its
+    floor, rejects the step, naming the field, its first bad cell and the
+    value there."""
     for name, values in vars(state).items():
         if (cell := _first_nonfinite(values)) is not None:
             raise StepRejected(f"{name} is not finite at cell {cell} ({values[cell]})")
+    for name, floor in (("rho", RHO_FLOOR), ("theta", THETA_FLOOR)):
+        values = getattr(state, name)
+        if not values.min() >= floor:
+            cell = int(np.flatnonzero(values < floor)[0])
+            raise StepRejected(f"{name} is below its floor at cell {cell} ({values[cell]})")
 
 
 def _linear_start(theta0, dw, drho, w_rho, w_theta):
@@ -734,20 +754,16 @@ def _linear_start(theta0, dw, drho, w_rho, w_theta):
     return np.where(guess > 0.0, guess, theta0)
 
 
-def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta_guess):
-    """Invert rho e_delta(rho, theta) = w per cell by damped Newton.
+def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta):
+    """Invert rho e_delta(rho, theta) = w per cell by damped Newton from the
+    guess ``theta``.
 
     Returns (theta, slope), slope being d(rho e_delta)/dtheta at the last Newton
     iterate; a residual above 1e-9 (|w| + 1) in any cell, evaluated at theta by
-    Newton's own residual with no EOS pass of its own, rejects the step.
+    Newton's own residual with no EOS pass of its own, rejects the step.  The
+    caller has checked rho against its floor and the guess positive where it
+    made them; the 0.1 theta damping keeps a positive guess positive.
     """
-    if not rho.min() >= RHO_FLOOR:
-        raise StepRejected("density fell below its floor")
-    theta = np.asarray(theta_guess, dtype=float)
-    # the 0.1 theta damping keeps a positive guess positive; NaN fails the
-    # comparison, so a NaN guess is refused before any residual call
-    if not theta.min() > 0.0:
-        raise EosDomainError("temperature must be positive")
     residual = energy_density_residual(eos, rho, w, cfg.delta)
     for _ in range(40):
         f, df = residual(theta)
@@ -776,11 +792,12 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     the first recovery starts from theta^n, one Newton step from the
     linearised guess of :func:`step`'s predictor with no density change, and
     the second from the conduction solve's temperature.  It runs under the
-    guard of :func:`step`'s attempts, and a start state that is not finite
-    rejects it before its stage, naming the field and first bad cell.
+    flags and the guard of :func:`step`'s attempts, and a start state that is
+    not finite or lies below a floor rejects it before its stage, naming the
+    field and first bad cell.
     """
     plan = _step_plan(mesh, bspec)
-    with _guarded():
+    with np.errstate(**_RAISE), _guarded():
         _check_start(state)
         stage = _stage_rhs(mesh, eos, cfg, plan, 0.0, state, False)
         rho, m, w = _predictor(state.rho, state.rho * state.u, stage, dt)
@@ -824,6 +841,8 @@ def _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1):
         mesh, ts, cfg, plan, rec1.theta_face, rho1, m1, theta1, capacity, dt)
     h, hdt = plan.h, 0.5 * dt
     rho_n = rho0 + hdt * (d1rho + d2rho)
+    if not rho_n.min() >= RHO_FLOOR:
+        raise StepRejected("density fell below its floor")
     # the implicit increments enter with full weight
     m_n = m0 + hdt * (d1m + d2m) + (rho1 * u1 - m1)
     w_n = w0 + hdt * (d1w + d2w) + dw
@@ -855,16 +874,28 @@ def step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
 
     Returns (new_state, dt_used, accumulator_increments, n_rejects).
     ``stage1`` is the step's first stage at (t, state) where the caller has
-    evaluated it, as ``run`` does for its dt; without it, a start state that
-    is not finite aborts as a first stage that rejects, naming the field and
-    first bad cell.  The first stage and each attempt run under numpy's
-    floating-point flags (:func:`_guarded`).
+    evaluated it; without it, a start state that is not finite or lies below
+    a floor aborts as a first stage that rejects, naming the field and first
+    bad cell.  The first stage and each attempt run under numpy's
+    floating-point flags, ``_RAISE``, and the guard :func:`_guarded`.
+    ``run`` passes the step plan of (mesh, bspec) as ``bspec``, with its
+    ``stage1``, from under its own flags: such a call goes straight to the
+    attempts.
     """
+    if isinstance(bspec, _StepPlan):
+        return _attempts(mesh, eos, ts, cfg, bspec, t, state, dt, stage1)
     plan = _step_plan(mesh, bspec)
-    if stage1 is None:
-        with _guarded(t, state):
-            _check_start(state)
-            stage1 = _stage_rhs(mesh, eos, cfg, plan, t, state)
+    with np.errstate(**_RAISE):
+        if stage1 is None:
+            with _guarded(t, state):
+                _check_start(state)
+                stage1 = _stage_rhs(mesh, eos, cfg, plan, t, state)
+        return _attempts(mesh, eos, ts, cfg, plan, t, state, dt, stage1)
+
+
+def _attempts(mesh, eos, ts, cfg, plan, t, state, dt, stage1):
+    """The attempts of :func:`step` from its first stage, under the flags
+    its caller set, each in the guard; returns what ``step`` does."""
     rejects = 0
     while True:
         try:
@@ -894,6 +925,9 @@ class Trajectory:
     accums: list
     n_steps: int = 0
     n_rejects: int = 0
+    # the budgets' storage integrals of the recorded states, with the count
+    # of states they were evaluated on
+    _storages: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def state_at(self, t: float) -> FieldState:
         idx = self._index(t)
@@ -949,7 +983,9 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     instant exactly.  Output times with an :func:`output_times_problem` and
     initial data with :func:`initial_data_problems` raise ValueError; on
     abort the partial trajectory is attached to the raised
-    :class:`RunAborted`.
+    :class:`RunAborted`.  A step whose dt would leave t_end more than
+    ``MAX_STEPS`` steps away, or would not advance t, aborts the run before
+    its first attempt.
     """
     if output_times is None:
         output_times = [0.0, cfg.t_end]
@@ -967,35 +1003,41 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
 
     plan = _step_plan(mesh, bspec)
     t = 0.0
-    # outs[0] is 0.0, recorded above
-    for target in outs[1:]:
-        while t < target - 1e-14 * (1.0 + target):
-            try:
-                # the dt of stable_dt, from the first stage's sound speed
-                with _guarded(t, state):
-                    stage1 = _stage_rhs(mesh, eos, cfg, plan, t, state)
-                    dt = min(_cfl_dt(plan.h, cfg, state.u, stage1[3].c2), target - t)
-                    # zero where the epsilon limit h^2/(2 epsilon), a Python
-                    # float, underflows: 2 epsilon rounds to inf with no flag
-                    if not dt > 0.0:
-                        raise StepRejected(f"the time step {dt!r} is not positive")
-                state, dt_used, inc, rej = step(state, mesh, eos, ts, cfg, bspec, dt, t=t,
-                                                stage1=stage1)
-            except RunAborted as err:
-                err.trajectory = traj
-                raise
-            if acc is None:
-                acc = dict(inc)
-            else:
-                for k, v in inc.items():
-                    acc[k] += v
-            traj.n_steps += 1
-            traj.n_rejects += rej
-            if dt_used == dt and target - (t + dt) < 1e-14 * (1.0 + target):
-                t = target
-            else:
-                t += dt_used
-        traj.times.append(target)
-        traj.states.append(state.copy())
-        traj.accums.append(dict(acc) if acc else {})
+    with np.errstate(**_RAISE):
+        # outs[0] is 0.0, recorded above
+        for target in outs[1:]:
+            while t < target - 1e-14 * (1.0 + target):
+                try:
+                    # the dt of stable_dt, from the first stage's sound speed
+                    with _guarded(t, state):
+                        stage1 = _stage_rhs(mesh, eos, cfg, plan, t, state)
+                        dt = _cfl_dt(plan.h, cfg, state.u, stage1[3].c2)
+                        # Python floats, which no flag checks: a dt of 0
+                        # (the epsilon limit h^2/(2 epsilon) above epsilon
+                        # of about 9e307) or NaN fails the step budget too
+                        if not dt * MAX_STEPS >= cfg.t_end - t:
+                            raise StepRejected(f"the time step {dt!r} would take more than "
+                                               f"{MAX_STEPS:.0e} steps to reach t_end")
+                        dt = min(dt, target - t)
+                        if not t + dt > t:
+                            raise StepRejected(f"the time step {dt!r} does not advance t")
+                    state, dt_used, inc, rej = step(state, mesh, eos, ts, cfg, plan, dt, t=t,
+                                                    stage1=stage1)
+                except RunAborted as err:
+                    err.trajectory = traj
+                    raise
+                if acc is None:
+                    acc = dict(inc)
+                else:
+                    for k, v in inc.items():
+                        acc[k] += v
+                traj.n_steps += 1
+                traj.n_rejects += rej
+                if dt_used == dt and target - (t + dt) < 1e-14 * (1.0 + target):
+                    t = target
+                else:
+                    t += dt_used
+            traj.times.append(target)
+            traj.states.append(state.copy())
+            traj.accums.append(dict(acc) if acc else {})
     return traj

@@ -37,9 +37,10 @@ iterates of a run look up about once per length.  The closures
 apply formulas written once in (rho, the powers of theta, P, P', S).
 ``_theta_powers`` builds Z and theta^{3/2}, theta^{5/2}, theta^3, theta^4
 from one sqrt, once per closure pass and once per Newton iterate; no other
-function raises theta to a fractional or large power.  ``stage_closures`` is a solver stage's and a
-budget audit's one EOS pass: (p, e_delta, s_delta) from one Z and one
-(P, S) pass, or with slopes from one (P, P', S) pass that adds the sound
+function raises theta to a fractional or large power.
+``stage_closures`` is a budget audit's one EOS pass, and its core
+``_stage_closures`` a solver stage's: (p, e_delta, s_delta) from one Z and
+one (P, S) pass, or with slopes from one (P, P', S) pass that adds the sound
 speed squared, the slopes of rho e_delta in rho and theta and the
 theta-slope of p.  Its weight delta gives the energy and entropy of the
 regularized system, e_delta = e + delta theta and s_delta = s + delta log
@@ -49,10 +50,12 @@ delta = 0 none is, each value then bitwise equal to its separate closure.
 recovery, rho e_delta - w, once per solve (a quartic in theta on the iconic
 shape; on a table one (P, P') ``evaluate`` per iterate), ``sound_speed_sq``
 is the step limit's sound speed, and ``gibbs_residual`` keeps independent
-routes.  Every state
-function checks its domain, theta > 0 and rho > 0 (rho >= 0 for p), through
-one helper, ``_in_domain``, in which NaN fails; the slope closures check the
-domain of the closure they differentiate, as p or e does.
+routes.  Every public state function checks its domain, theta > 0 and
+rho > 0 (rho >= 0 for p), through one helper, ``_in_domain``, in which NaN
+fails; the slope closures check the domain of the closure they
+differentiate, as p or e does.  The two the solver calls in a step,
+``_stage_closures`` and ``energy_density_residual``, check none: the
+solver floors each density and temperature it hands them where it makes it.
 ``temperature_from_entropy`` inverts rho s by bracketed Newton in log theta
 on ``entropy_density_residual``; ``extended_internal_energy`` E(rho, S) has
 closed-form boundary values (radiation at rho = 0, cold on the S = 0 edge).
@@ -660,6 +663,12 @@ def stage_closures(eos: EosSpec, rho, theta, slopes: bool = False, delta: float 
     closure's bitwise.
     """
     rho, theta = _e_domain(rho, theta)
+    return _stage_closures(eos, rho, theta, slopes, delta)
+
+
+def _stage_closures(eos: EosSpec, rho, theta, slopes: bool, delta: float):
+    """``stage_closures`` with no domain check, on float arrays: the solver's
+    stage pass, whose states are above their floors."""
     pw = _theta_powers(rho, theta)
     if slopes:
         p, dp, s_shape = eos.shape_fn.evaluate(pw.z, "p", "dp", "s")
@@ -681,7 +690,8 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     """theta -> (rho e_delta - w, d(rho e_delta)/dtheta) at fixed (rho, w),
     with e_delta = e + delta theta: the residual of the temperature recovery.
 
-    rho > 0 is checked once, here; callers keep theta positive.  On the
+    It checks no domain: its one caller in the package, the solver's
+    recovery, is handed rho above its floor and a positive theta.  On the
     iconic shape rho e_delta = a theta^4 + (3/2 + delta) rho theta
     + (3/2) p_inf rho^{5/3}, a quartic whose coefficients are set up once,
     so an iterate evaluates no Z, no shape and no domain check.  On a table
@@ -691,8 +701,7 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     ``slope=False`` the residual returns its value alone, one P and no P'.
     At delta = 0 no delta term is formed.
     """
-    rho = _in_domain(rho, "density", hint=_E_HINT)
-    w = np.asarray(w, dtype=float)
+    rho, w = np.asarray(rho, dtype=float), np.asarray(w, dtype=float)
     if eos.shape == "iconic":
         a, b = eos.a, (1.5 + delta) * rho
         c = cold_energy_density(eos, rho) - w

@@ -196,15 +196,8 @@ def test_audit_report_shape(throughflow_traj):
         report.entropy_production >= -report.verdicts["entropy"]["tol"])
 
 
-def test_window_audit_cost_independent_of_output_count(eos, throughflow_setup, monkeypatch):
-    # a window audit evaluates its two window-end storages only (one
-    # closure call for e_delta and s_delta); the a-priori sup over all
-    # outputs is one more call on the stacked states, made when the
-    # report's apriori is read
-    mesh, ts, _, bspec, initial = throughflow_setup
-    cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.01)
-    trajs = [sv.run(mesh, eos, ts, cfg, bspec, initial,
-                    output_times=np.linspace(0.0, cfg.t_end, k)) for k in (5, 41)]
+def _count_budget_thermo_calls(monkeypatch):
+    """Count the thermo functions the solver and the budgets call, by name."""
     calls = {}
     for module in (sv, bg):
         for name, fn in list(vars(module).items()):
@@ -213,6 +206,19 @@ def test_window_audit_cost_independent_of_output_count(eos, throughflow_setup, m
                     calls[_name] = calls.get(_name, 0) + 1
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_window_audit_cost_independent_of_output_count(eos, throughflow_setup, monkeypatch):
+    # the first audit of a trajectory evaluates the storage of all its
+    # states in one closure call (e_delta and s_delta together), whatever
+    # the output count; the report's apriori, read on demand, and every
+    # later budget of the trajectory index those integrals with no call
+    mesh, ts, _, bspec, initial = throughflow_setup
+    cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.01)
+    trajs = [sv.run(mesh, eos, ts, cfg, bspec, initial,
+                    output_times=np.linspace(0.0, cfg.t_end, k)) for k in (5, 41)]
+    calls = _count_budget_thermo_calls(monkeypatch)
     counts = []
     for traj in trajs:
         calls.clear()
@@ -221,12 +227,36 @@ def test_window_audit_cost_independent_of_output_count(eos, throughflow_setup, m
         assert report.apriori == bg.apriori_monitor(traj)
         counts.append(dict(calls))
     assert [len(traj.times) for traj in trajs] == [5, 41]
-    assert counts[0] == counts[2] == {"stage_closures": 1}
-    assert counts[1] == counts[3] == {"stage_closures": 3}
-    # each single budget indexes the full balances: one closure call too
+    assert counts == [{"stage_closures": 1}] * 4
+    # each single budget indexes the full balances, with no call either
     calls.clear()
     bg.mass_budget(trajs[1], window=(trajs[1].times[1], trajs[1].times[2]))
+    assert calls == {}
+
+
+def test_audit_sweep_evaluates_the_storages_once(eos, throughflow_setup, monkeypatch):
+    # the audits of all 200 windows of a 201-output run, the whole audit and
+    # its apriori read one storage evaluation of the 201 states, bitwise
+    # equal to the integrals of each state on its own; a state recorded
+    # later evaluates them again
+    mesh, ts, _, bspec, initial = throughflow_setup
+    cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.004)
+    traj = sv.run(mesh, eos, ts, cfg, bspec, initial,
+                  output_times=np.linspace(0.0, cfg.t_end, 201))
+    assert len(traj.times) == 201
+    calls = _count_budget_thermo_calls(monkeypatch)
+    reports = [bg.audit(traj, window=w) for w in zip(traj.times[:-1], traj.times[1:])]
+    whole = bg.audit(traj)
+    assert whole.apriori and all(report.passed for report in reports + [whole])
     assert calls == {"stage_closures": 1}
+    storages = bg._storages(traj)
+    for i in (0, 117, 200):
+        single = sv.Trajectory(mesh=mesh, eos=eos, transport=ts, config=cfg, boundary=bspec,
+                               times=[0.0], states=[traj.states[i]], accums=[{}])
+        assert all(a[i] == b[0] for a, b in zip(storages, bg._storages(single)))
+    traj.states.append(traj.states[-1])
+    # one call for the sweep, one per single-state trajectory, one for 202 states
+    assert len(bg._storages(traj)[0]) == 202 and calls == {"stage_closures": 5}
 
 
 # ---------------------------------------------------------------------------

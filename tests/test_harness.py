@@ -306,9 +306,50 @@ def test_a_run_whose_epsilon_limit_underflows_aborts_before_any_step(monkeypatch
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(solver.RunAborted, match=r"^step at t=0: first stage: the time step "
-                           r"0\.0 is not positive; no attempt made$") as err:
+                           r"0\.0 would take more than 1e\+09 steps to reach t_end; "
+                           r"no attempt made$") as err:
             scenario.run()
     assert err.value.trajectory.n_steps == 0
+
+
+@pytest.mark.parametrize("section, key", [("config", "epsilon"), ("config", "t_end")])
+def test_a_run_that_would_not_end_aborts_before_any_step(monkeypatch, section, key):
+    # at epsilon = 1e300 the epsilon limit makes the first dt 7.8e-304, and
+    # at t_end = 1e300 the acoustic dt is about 0.01: either run would take
+    # far more than MAX_STEPS steps, so it refuses its dt before any attempt
+    # instead of stepping for ever (the step cap turns a step into a failure)
+    doc = json.loads((SCENARIO_DIR / "throughflow.json").read_text())
+    doc["mesh"]["n"] = 16
+    doc[section][key] = 1e300
+    scenario = sc.parse_scenario(doc)
+    _capped_steps(monkeypatch, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(solver.RunAborted, match=r"^step at t=0: first stage: the time step "
+                           r"\S+ would take more than 1e\+09 steps to reach t_end; "
+                           r"no attempt made$") as err:
+            scenario.run()
+    assert err.value.trajectory.n_steps == 0
+
+
+def test_a_dt_that_does_not_advance_t_aborts(monkeypatch):
+    # a dt within the step budget that is below half an ulp of t leaves t
+    # where it is: here a rest state in a closed box, which any dt keeps at
+    # rest, takes one step to 1 - 1e-8 and then gets a dt of 2e-17, whose
+    # 1e9 steps span the 1e-8 left but which is below half an ulp of t
+    doc = json.loads((SCENARIO_DIR / "closed_box.json").read_text())
+    doc["mesh"]["n"] = 8
+    doc["initial"] = {"rho": "1", "u": "0", "theta": "1"}
+    doc["config"]["t_end"] = 1.0
+    doc["output_times"] = [0.0, 1.0]
+    scenario = sc.parse_scenario(doc)
+    first = [1.0 - 1e-8]
+    monkeypatch.setattr(solver, "_cfl_dt", lambda *args: first.pop() if first else 2e-17)
+    _capped_steps(monkeypatch, 3)
+    with pytest.raises(solver.RunAborted, match=r"^step at t=1: first stage: the time step "
+                       r"2e-17 does not advance t; no attempt made$") as err:
+        scenario.run()
+    assert err.value.trajectory.n_steps == 1
 
 
 def test_all_failures_reported_together():

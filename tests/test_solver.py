@@ -266,7 +266,7 @@ def test_stage_evaluates_each_closure_once(eos, transport, monkeypatch, channel)
     calls = _count_thermo_calls(monkeypatch)
     sv._stage_rhs(mesh, eos, cfg, sv._step_plan(mesh, bspec), 0.0, state)
     # at epsilon > 0 the stage also forms g from its closures, with no EOS pass
-    assert calls == {"stage_closures": 1, **({"_energy_density_rho_slope": 1} if channel else {})}
+    assert calls == {"_stage_closures": 1, **({"_energy_density_rho_slope": 1} if channel else {})}
 
 
 def _count_thermo_calls(monkeypatch, log=None):
@@ -417,23 +417,39 @@ def test_channel_recoveries_locate_the_pieces_once(monkeypatch):
     assert [name for name, _ in log].count("iterate") >= 12
 
 
-def test_recover_theta_rejects_a_nan_temperature_on_the_table(eos_table, monkeypatch):
-    # a NaN guess fails the positivity check: the recovery refuses it before
-    # it builds a residual, so no Newton iterate and no table pass runs
-    x = np.linspace(0.0, 1.0, 16)
-    rho = 1.0 + 0.1 * np.cos(np.pi * x)
-    theta_true = 1.0 + 0.1 * np.sin(np.pi * x)
-    w = rho * th.stage_closures(eos_table, rho, theta_true)[1]
-    guess = theta_true.copy()
-    guess[7] = np.nan
+def test_recover_theta_rejects_a_nan_temperature_on_the_table(eos_table, transport, box,
+                                                               monkeypatch):
+    # no NaN temperature reaches a recovery on the table: a step refuses a
+    # NaN start temperature before its first stage, so no thermo call, Newton
+    # iterate, table pass or spline lookup runs; and a first stage whose
+    # slopes make the predictor's guess NaN in a cell starts that cell from
+    # theta^n, so every Newton iterate is finite
+    mesh, walls = box
+    x = mesh.centers
+    state = sv.FieldState(rho=1.0 + 0.1 * np.cos(np.pi * x), u=np.zeros(mesh.n_cells),
+                          theta=1.0 + 0.1 * np.sin(np.pi * x))
+    cfg = sv.SolverConfig(t_end=1.0)
+    bad = state.copy()
+    bad.theta[7] = np.nan
     log = []
-    _count_thermo_calls(monkeypatch, log)
-    _log_newton_iterates(monkeypatch, log)
-    _log_table_passes(monkeypatch, eos_table, log)
-    with pytest.raises(th.EosDomainError, match="temperature must be positive"):
-        sv._recover_theta(eos_table, sv.SolverConfig(t_end=1.0), rho, w, guess)
-    # no thermo call, Newton evaluation, table pass or spline lookup was logged
+    with monkeypatch.context() as mp:
+        _count_thermo_calls(mp, log)
+        _log_newton_iterates(mp, log)
+        _log_table_passes(mp, eos_table, log)
+        with pytest.raises(sv.RunAborted, match=r"theta is not finite at cell 7 \(nan\)"):
+            sv.step(bad, mesh, eos_table, transport, cfg, walls, 1e-4)
     assert log == []
+    plan = sv._step_plan(mesh, walls)
+    drho, dm, dW, rec = sv._stage_rhs(mesh, eos_table, cfg, plan, 0.0, state)
+    w_theta = rec.w_theta.copy()
+    w_theta[7] = np.nan
+    _log_newton_iterates(monkeypatch, log)
+    with np.errstate(**sv._RAISE):
+        sv._heun_step(mesh, eos_table, transport, cfg, plan, 0.0, state, 1e-4,
+                      (drho, dm, dW, rec._replace(w_theta=w_theta)))
+    iterates = [args[0] for name, args in log if name == "iterate"]
+    assert iterates[0][7] == state.theta[7]
+    assert all(np.isfinite(theta).all() for theta in iterates)
 
 
 def test_step_thermo_calls_do_not_grow_with_newton_iterates(eos, transport, box,
@@ -446,7 +462,7 @@ def test_step_thermo_calls_do_not_grow_with_newton_iterates(eos, transport, box,
     dt0 = sv.stable_dt(state, mesh, eos, transport, cfg)
     # two stages of one (p, e, s) pass; two recoveries, each one residual
     # build whose value alone checks the returned theta
-    expected = {"stage_closures": 2, "energy_density_residual": 2}
+    expected = {"_stage_closures": 2, "energy_density_residual": 2}
     iterates = []
     for dt in (1e-9 * dt0, dt0):
         log = []
@@ -486,7 +502,7 @@ def test_run_makes_four_thermo_calls_and_two_rhs_evaluations_per_step(
     assert traj.n_rejects == 0 and k > 1
     # at epsilon > 0 each stage also forms g from its closures, with no EOS pass
     g_calls = {"_energy_density_rho_slope": 2 * k} if channel else {}
-    assert calls == {"stage_closures": 2 * k, "energy_density_residual": 2 * k, **g_calls}
+    assert calls == {"_stage_closures": 2 * k, "energy_density_residual": 2 * k, **g_calls}
     assert sum(calls.values()) - sum(g_calls.values()) == 4 * k and len(rhs) == 2 * k
 
 
@@ -555,9 +571,11 @@ def test_step_names_a_nonfinite_source(eos_name, field, name, bad, transport, bo
 
 
 @pytest.mark.parametrize("eos_name", ["eos", "eos_table_nolaw"])
-def test_recover_theta_rejects_below_the_floors(eos_name, request):
-    # a density below its floor, or NaN, rejects before Newton, and an
-    # energy density whose temperature lies below its floor after it
+def test_recover_theta_rejects_below_the_floors(eos_name, transport, box, monkeypatch,
+                                                request):
+    # an energy density whose temperature lies below its floor rejects after
+    # Newton; a corrector density below its floor, or NaN, rejects where the
+    # step forms it, before the corrector's recovery
     eos = request.getfixturevalue(eos_name)
     cfg = sv.SolverConfig(t_end=1.0)
     rho = np.ones(4)
@@ -565,10 +583,23 @@ def test_recover_theta_rejects_below_the_floors(eos_name, request):
     w = rho * th.stage_closures(eos, rho, theta)[1]
     with pytest.raises(sv.StepRejected, match="^temperature fell below its floor$"):
         sv._recover_theta(eos, cfg, rho, w, np.ones(4))
+    mesh, walls = box
+    state = _uniform_state(mesh.n_cells)
+    plan = sv._step_plan(mesh, walls)
+    stage1 = sv._stage_rhs(mesh, eos, cfg, plan, 0.0, state)
+    stage_rhs, recover, dt = sv._stage_rhs, sv._recover_theta, 1e-4
+    recoveries = []
+    monkeypatch.setattr(sv, "_recover_theta", lambda *a: recoveries.append(1) or recover(*a))
     for bad in (0.5 * sv.RHO_FLOOR, np.nan):
-        rho[1] = bad
-        with pytest.raises(sv.StepRejected, match="^density fell below its floor$"):
-            sv._recover_theta(eos, cfg, rho, w, np.ones(4))
+        # the second stage's drho puts rho_n = 1 + dt/2 (0 + d2rho) at bad
+        d2rho = np.zeros(mesh.n_cells)
+        d2rho[1] = (bad - 1.0) / (0.5 * dt)
+        monkeypatch.setattr(sv, "_stage_rhs", lambda *a: (d2rho,) + stage_rhs(*a)[1:])
+        recoveries.clear()
+        with np.errstate(**sv._RAISE):
+            with pytest.raises(sv.StepRejected, match="^density fell below its floor$"):
+                sv._heun_step(mesh, eos, transport, cfg, plan, 0.0, state, dt, stage1)
+        assert len(recoveries) == 1
 
 
 class _PastChecks(Exception):
@@ -581,8 +612,8 @@ def _past_checks(*args, **kwargs):
 
 @pytest.mark.parametrize("fields", ["rho", "w", "rho and w"])
 def test_recover_theta_passes_finite_cells_whose_sum_overflows(eos, monkeypatch, fields):
-    # two cells of 1e308, whose sum overflows, are finite: they pass the
-    # floor check without a warning
+    # two cells of 1e308, whose sum overflows, are finite: the recovery
+    # reaches its residual build without a warning
     rho, w, theta = np.ones(8), np.full(8, 4.0), np.ones(8)
     for name, values in (("rho", rho), ("w", w)):
         if name in fields:
@@ -604,22 +635,26 @@ def test_euler_step_floor_rejects_nan_density(eos, transport, box, monkeypatch):
         sv.euler_step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)
 
 
-@pytest.mark.parametrize("solve, name", [(0, "velocity"), (1, "temperature")])
+@pytest.mark.parametrize("solve, name, bad", [(0, "velocity", np.nan),
+                                             (1, "temperature", np.nan),
+                                             (1, "temperature", np.inf)],
+                         ids=["0-velocity", "1-temperature", "1-temperature-inf"])
 def test_implicit_solves_name_a_nonfinite_solution(eos, transport, box, monkeypatch, solve,
-                                                   name):
-    # a NaN out of the viscous solve, or out of the conduction solve, is
-    # rejected as such, not as a temperature below its floor
+                                                   name, bad):
+    # a NaN out of the viscous solve, or a NaN or +inf (which passes the
+    # floor) out of the conduction solve, is rejected as such, not as a
+    # temperature below its floor or by the corrector's inf / inf
     mesh, walls = box
     diffusion_solve = sv._diffusion_solve
     calls = []
 
-    def nan_at_cell_3(*args):
+    def bad_at_cell_3(*args):
         x = diffusion_solve(*args)
         if len(calls) == solve:
-            x[3] = np.nan
+            x[3] = bad
         calls.append(1)
         return x
-    monkeypatch.setattr(sv, "_diffusion_solve", nan_at_cell_3)
+    monkeypatch.setattr(sv, "_diffusion_solve", bad_at_cell_3)
     with pytest.raises(sv.StepRejected, match=f"^{name} is not finite at cell 3$"):
         sv.euler_step(_uniform_state(32), mesh, eos, transport, sv.SolverConfig(t_end=1.0),
                       walls, 1e-4)
@@ -717,6 +752,39 @@ def test_run_makes_one_finiteness_pass_per_step(eos, transport, monkeypatch, cha
     assert passes == [32] * traj.n_steps
 
 
+@pytest.mark.parametrize("channel", [False, True], ids=["box", "channel"])
+def test_run_sets_the_flags_and_looks_up_the_plan_once(eos, transport, monkeypatch, channel):
+    # run makes numpy's flags raise and looks up the step plan once, and
+    # hands both to its steps; no step makes a thermo domain check, since
+    # each array of a step is checked where the step makes it
+    mesh = Mesh1D(0.0, 1.0, 32)
+    x = mesh.centers
+    if channel:
+        bspec = bd.make_boundary(u_b_left=0.5, u_b_right=0.5, rho_b_left=1.0, F_ib_left=-2.0)
+        cfg, u = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.02), 0.5
+    else:
+        bspec, cfg, u = bd.make_boundary(), sv.SolverConfig(t_end=0.02), 0.0
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=np.full(32, u),
+                          theta=1 + 0.2 * x ** 2 * (3 - 2 * x))
+    counts = {}
+
+    def counted(owner, name, raising=lambda kwargs: True):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if raising(kwargs):
+                counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+    # the iconic entropy's own errstate(divide="ignore") blocks are not flags raised
+    counted(np, "errstate", lambda kwargs: "raise" in kwargs.values())
+    counted(sv, "_step_plan")
+    counted(th, "_in_domain")
+    traj = sv.run(mesh, eos, transport, cfg, bspec, state)
+    assert traj.n_steps > 2 and traj.n_rejects == 0
+    assert counts == {"errstate": 1, "_step_plan": 1}
+
+
 def test_nonfinite_or_nonpositive_guess_falls_back_to_the_old_start():
     # theta0 + (dw - w_rho drho) / w_theta where that is positive, theta0 in
     # the other cells, NaN ones included, with no warning (the suite makes
@@ -730,7 +798,7 @@ def test_nonfinite_or_nonpositive_guess_falls_back_to_the_old_start():
     assert np.array_equal(guess, theta0 + 0.125)
     for dw, w_theta, flag in ((0.5, 0.0, "divide by zero"), (1e308, 1e-10, "overflow")):
         with pytest.raises(sv.StepRejected, match=f"^{flag} encountered in divide$"):
-            with sv._guarded():
+            with np.errstate(**sv._RAISE), sv._guarded():
                 sv._linear_start(theta0, np.full(5, dw), 1.0, 0.25, np.full(5, w_theta))
 
 
@@ -744,7 +812,7 @@ def test_step_starts_from_theta_n_where_the_guess_fails(eos, transport, box, mon
     cfg = sv.SolverConfig(t_end=1.0)
     plan = sv._step_plan(mesh, walls)
     drho, dm, dW, rec = sv._stage_rhs(mesh, eos, cfg, plan, 0.0, state)
-    rec = dataclasses.replace(rec, w_theta=np.full(mesh.n_cells, np.nan))
+    rec = rec._replace(w_theta=np.full(mesh.n_cells, np.nan))
     log = []
     _log_newton_iterates(monkeypatch, log)
     dt = sv.stable_dt(state, mesh, eos, transport, cfg)
@@ -752,10 +820,29 @@ def test_step_starts_from_theta_n_where_the_guess_fails(eos, transport, box, mon
     assert log[0][0] == "iterate" and np.array_equal(log[0][1][0], state.theta)
 
 
-def test_recover_theta_checks_guess_once(eos):
-    cfg = sv.SolverConfig(t_end=1.0)
-    with pytest.raises(th.EosDomainError, match="temperature must be positive"):
-        sv._recover_theta(eos, cfg, np.ones(3), np.full(3, 4.0), np.array([1.0, 0.0, 1.0]))
+def test_recover_theta_checks_guess_once(eos, transport, box, monkeypatch):
+    # each guess a recovery gets is checked once, where it is made, and not
+    # again by the recovery: a step's guesses by _linear_start's minimum, an
+    # euler_step's theta^n by the start state's floor, which refuses a
+    # temperature of 0 before the stage and so before any recovery
+    mesh, walls = box
+    state = _uniform_state(mesh.n_cells)
+    state.theta[1] = 0.0
+    recoveries = []
+    recover = sv._recover_theta
+    monkeypatch.setattr(sv, "_recover_theta", lambda *a: recoveries.append(1) or recover(*a))
+    with pytest.raises(sv.StepRejected, match=r"^theta is below its floor at cell 1 \(0\.0\)$"):
+        sv.euler_step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)
+    assert recoveries == []
+    guesses = []
+    linear_start = sv._linear_start
+    monkeypatch.setattr(sv, "_linear_start",
+                        lambda *a: guesses.append(linear_start(*a)) or guesses[-1])
+    state.theta[1] = 1.0
+    new = sv.step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)[0]
+    assert len(guesses) == len(recoveries) == 2
+    assert all(guess.min() > 0.0 for guess in guesses)
+    assert new.theta.min() >= sv.THETA_FLOOR
 
 
 @pytest.mark.parametrize("channel", [False, True])
@@ -1373,6 +1460,30 @@ def test_euler_step_names_nonfinite_state(eos, transport, box, monkeypatch, name
     with pytest.raises(sv.StepRejected, match=rf"^{name} is not finite at cell {cell} "
                        rf"\({bad}\)$"):
         sv.euler_step(state, mesh, eos, transport, sv.SolverConfig(t_end=1.0), walls, 1e-4)
+    assert stages == []
+
+
+@pytest.mark.parametrize("name, cell, bad", [("rho", 0, 0.5 * sv.RHO_FLOOR), ("rho", 7, -1.0),
+                                             ("theta", 31, 0.0), ("theta", 3, -2.0)])
+def test_steps_refuse_a_start_state_below_a_floor(eos, transport, box, monkeypatch, name,
+                                                  cell, bad):
+    # a finite start state below a floor is refused before any stage, by
+    # name and cell, as a first stage that rejects in step and as a reject
+    # in euler_step; neither reaches a thermo domain check
+    mesh, walls = box
+    state = _uniform_state(32)
+    getattr(state, name)[cell] = bad
+    stages = []
+    stage_rhs = sv._stage_rhs
+    monkeypatch.setattr(sv, "_stage_rhs", lambda *a: stages.append(1) or stage_rhs(*a))
+    message = rf"{name} is below its floor at cell {cell} \({bad}\)"
+    cfg = sv.SolverConfig(t_end=1.0)
+    with pytest.raises(sv.RunAborted, match=rf"^step at t=0: first stage: {message}; "
+                       "no attempt made$") as err:
+        sv.step(state, mesh, eos, transport, cfg, walls, 1e-4)
+    assert err.value.state is state
+    with pytest.raises(sv.StepRejected, match=rf"^{message}$"):
+        sv.euler_step(state, mesh, eos, transport, cfg, walls, 1e-4)
     assert stages == []
 
 

@@ -812,12 +812,21 @@ def test_shape_is_freed_without_the_cycle_collector(build):
         gc.enable()
 
 
-def test_fused_energy_closure_keeps_domain_checks(eos, eos_table):
-    # rho is checked when the residual is built; theta > 0 once per solve,
-    # on the Newton guess in the solver
+def test_fused_energy_closure_checks_no_domain(eos, eos_table, monkeypatch):
+    # its one caller, the solver's recovery, floors rho where it forms it
+    # and hands it a positive guess, so the residual builds and evaluates
+    # with no domain check, to the values of the checked closures
+    rho, theta, w = np.array([1.0, 0.5, 2.0]), np.array([1.2, 0.8, 1.0]), np.ones(3)
     for e in (eos, eos_table):
-        with pytest.raises(th.EosDomainError, match="extended_internal_energy"):
-            th.energy_density_residual(e, np.array([1.0, 0.0, 1.0]), np.ones(3))
+        w_at_theta = rho * th.specific_internal_energy(e, rho, theta)
+        with monkeypatch.context() as mp:
+            mp.setattr(th, "_in_domain", _unexpected_call)
+            f = th.energy_density_residual(e, rho, w)(theta, slope=False)
+        np.testing.assert_allclose(f, w_at_theta - w, rtol=1e-13)
+
+
+def _unexpected_call(*args, **kwargs):
+    raise AssertionError("unexpected call")
 
 
 _ONES = np.ones(3)

@@ -310,20 +310,28 @@ def test_table_looks_its_pieces_up_in_one_place():
 
 
 def test_floating_point_flags_raise_in_one_guard():
-    # a step's finiteness is decided by numpy's flags in one place: a single
-    # function of the package sets a flag to "raise" and catches the
-    # FloatingPointError (or its base ArithmeticError) that follows
+    # a step's finiteness is decided by numpy's flags: the three entry
+    # points run, step and euler_step each make them raise once, through
+    # the one constant solver._RAISE, and a single function, the guard,
+    # catches the FloatingPointError (or its base ArithmeticError) that
+    # follows
+    assert solver._RAISE == {"over": "raise", "invalid": "raise", "divide": "raise"}
     functions = [f for path in sorted((ROOT / "src" / "nsfsim").glob("*.py"))
                  for f in _qualified_functions(path)]
-    raisers = {name for name, node in functions
-               if any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "errstate"
-                      and any(getattr(k.value, "value", None) == "raise" for k in n.keywords)
-                      for n in ast.walk(node))}
+    raisers = collections.Counter()
+    for name, node in functions:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "errstate":
+                values = [getattr(k.value, "value", None) for k in n.keywords]
+                through = [getattr(k.value, "id", None) for k in n.keywords if k.arg is None]
+                if "raise" in values or through:
+                    raisers[name, tuple(through)] += 1
     catchers = {name for name, node in functions
                 if any(isinstance(n, ast.ExceptHandler) and n.type is not None
                        and {getattr(e, "id", None) for e in ast.walk(n.type)}
                        & {"FloatingPointError", "ArithmeticError"} for n in ast.walk(node))}
-    assert raisers == catchers == {"solver._guarded"}
+    assert raisers == {(f"solver.{name}", ("_RAISE",)): 1 for name in ("run", "step", "euler_step")}
+    assert catchers == {"solver._guarded"}
 
 
 _DOMAIN_ERRORS = {"EosDomainError", "OutOfDomainError", "BoundaryDataError"}
