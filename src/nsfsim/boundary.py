@@ -153,7 +153,8 @@ def cold_heat_flux_split(eos: EosSpec, rho_b: float, u_b_dot_n: float,
 
 def admissibility_margin(eos: EosSpec, rho_b: float, u_b_dot_n: float,
                          F_ib: float) -> float:
-    """Per-face margin F_ib/|u_b.n| + (3/2) p_inf rho_b^{5/3}; strictly negative passes."""
+    """Per-face margin F_ib/|u_b.n| + (3/2) p_inf rho_b^{5/3}; strictly negative
+    passes.  It is +inf where the cold energy overflows."""
     _in_domain(rho_b, "inflow density", BoundaryDataError)
     return F_ib / abs(u_b_dot_n) + cold_energy_density(eos, rho_b)
 
@@ -170,8 +171,8 @@ def admissibility_check(eos: EosSpec, spec: BoundarySpec) -> AdmissibilityReport
     """Verdict on the inflow energy-flux data: margins plus strict-sign checks.
 
     PASS requires, on every inflow face, F_ib < 0 and a strictly negative
-    margin F_ib/|u_b.n| + (3/2) p_inf rho_b^{5/3}.  Domains without inflow
-    pass vacuously.
+    margin F_ib/|u_b.n| + (3/2) p_inf rho_b^{5/3}; a margin that overflows
+    is refused as such.  Domains without inflow pass vacuously.
     """
     margins = {}
     signs = {}
@@ -192,6 +193,7 @@ def admissibility_check(eos: EosSpec, spec: BoundarySpec) -> AdmissibilityReport
             ok = False
             messages.append(
                 f"x={f.pos:g}: inflow flux margin F_ib/|u_b.n| + 1.5 p_inf rho_b^(5/3) "
-                f"= {m:g} must be strictly negative")
+                + (f"overflows at rho_b = {f.rho_b:g}" if m == math.inf
+                   else f"= {m:g} must be strictly negative"))
     return AdmissibilityReport(passed=ok, margins=margins, influx_negative=signs,
                                messages=tuple(messages))

@@ -338,11 +338,7 @@ def _build_boundary(faces: list, mesh: Mesh1D, eos, issues: list) -> Optional[bd
                                 f"F_ib = {f.F_ib:g} overflows divided by |u_b.n| = "
                                 f"{abs(f.u_dot_n):g} or by the cell width {mesh.h:g}"))
             return None
-        try:  # the power raises OverflowError, the product rounds to inf
-            finite = eos is None or math.isfinite(cold_energy_density(eos, f.rho_b))
-        except OverflowError:
-            finite = False
-        if not finite:
+        if eos is not None and not math.isfinite(cold_energy_density(eos, f.rho_b)):
             issues.append(Issue(f"boundary.faces[{k}].rho_b", "boundary-schema",
                                 f"the inflow cold energy 1.5 p_inf rho_b^(5/3) overflows "
                                 f"at rho_b = {f.rho_b:g}"))

@@ -12,29 +12,36 @@ derived from the same shape function ``P`` so that Gibbs' relation
     s(rho, theta) = S(Z) + (4a/3) theta^3 / rho,
     S'(Z) = -(3/2) ((5/3) P(Z) - P'(Z) Z) / Z^2.
 
-Two shapes are built in:
+P is built from two kinds of region.  Every closed-form region is one
+member of the family ``PowerShape``, P(Z) = a Z^{5/3} + b Z + c + d/Z,
+whose S and S' are written once; the other is a table's spline.  Two shapes
+are built in:
 
-* ``"iconic"``: P(Z) = Z + p_inf * Z^{5/3}, for which S(Z) = -log Z + const.
+* ``"iconic"``: P(Z) = Z + p_inf * Z^{5/3}, the member (p_inf, 1), for which
+  S(Z) = -log Z + const.
 * ``"table"``: a monotone piecewise-cubic interpolant of user knots (Z_i, P_i)
-  with a linear head below the first knot and an asymptote-matched tail above
-  the last one.  The tail selects the low-temperature entropy limit: a constant
-  offset from p_inf * Z^{5/3} makes S(Z) -> 0 (Third-law mode), a linear
-  correction reproduces the logarithmically divergent limit of the iconic gas.
+  with a head member (beta, alpha) below the first knots and an
+  asymptote-matched tail member above the last ones.  The tail selects the
+  low-temperature entropy limit: a constant offset from p_inf * Z^{5/3}
+  makes S(Z) -> 0 (Third-law mode), a linear correction reproduces the
+  logarithmically divergent limit of the iconic gas.
 
 Admissibility of a shape means: P(0) = 0, P' > 0, the stability gap
 ((5/3) P - P' Z)/Z positive and bounded, and P/Z^{5/3} nonincreasing with a
 positive limit ``p_inf``.
 
 All state functions broadcast over numpy arrays in (rho, theta).  Both
-shapes share one protocol, ``evaluate(z, *names)``: one pass over closed
-forms written once returns one array per name, among ``"p"`` (P), ``"dp"``
-(P'), ``"s"`` (S) and ``"ds"`` (S'), on a table from one piece lookup and
-one gather, its pieces expanded by Horner with no ``np.polynomial``.  A
-caller that reads several values at one Z takes them from one call.  A
-table keeps the rows it gathered for each length of Z and looks up again
-only when some Z leaves its piece, so the stage passes and the Newton
-iterates of a run look up about once per length.  The closures
-apply formulas written once in (rho, the powers of theta, P, P', S).
+shapes share one protocol, ``evaluate(z, *names)``: one pass returns one
+array per name, among ``"p"`` (P), ``"dp"`` (P'), ``"s"`` (S) and ``"ds"``
+(S').  The forms are written twice in all, once for the ``PowerShape``
+family and once for the spline, whose pieces a table evaluates from one
+piece lookup and one gather, expanded by Horner with no ``np.polynomial``;
+a table's head and tail are ``PowerShape`` members evaluated under one mask
+pass.  A caller that reads several values at one Z takes them from one
+call.  A table keeps the rows it gathered for each length of Z and looks up
+again only when some Z leaves its piece, so the stage passes and the Newton
+iterates of a run look up about once per length.  The closures apply
+formulas written once in (rho, the powers of theta, P, P', S).
 ``_theta_powers`` builds Z and theta^{3/2}, theta^{5/2}, theta^3, theta^4
 from one sqrt, once per closure pass and once per Newton iterate; no other
 function raises theta to a fractional or large power.
@@ -90,14 +97,21 @@ _FIVE_THIRDS = 5.0 / 3.0
 # ---------------------------------------------------------------------------
 
 
-class IconicShape:
-    """P(Z) = Z + p_inf Z^{5/3}; molecular + electron-degeneracy pressure.
+class PowerShape:
+    """P(Z) = a Z^{5/3} + b Z + c + d/Z: the closed form of every analytic
+    region of P, the iconic shape and a table's head and tail.
 
-    S(Z) = -log Z, normalized so S(1) = 0, and S'(Z) = -1/Z.
+    The Z^{5/3} term is neutral for the stability gap, so S' = -(3/2)((5/3)P
+    - P'Z)/Z^2 = -(b + (2.5 c + 4 d/Z)/Z)/Z, integrated once to S = -b log Z
+    + 2.5 c/Z + 2 d/Z^2 + s0.  A zero b, c, d or s0 forms no term, so the
+    iconic forms meet no d/Z at Z = 0 and a Third-law tail's no b log Z at
+    Z = inf.  The iconic shape is ``PowerShape(p_inf, 1)``, P = Z + p_inf
+    Z^{5/3}, whose S = -log Z vanishes at Z = 1.
     """
 
-    def __init__(self, p_inf: float):
-        self.p_inf = float(p_inf)
+    def __init__(self, a: float, b: float, c: float = 0.0, d: float = 0.0):
+        self.a, self.b, self.c, self.d = float(a), float(b), float(c), float(d)
+        self.s0 = 0.0  # the entropy gauge, set by a table's gauge shift
 
     def evaluate(self, z, *names):
         """One array per name, among ``"p"`` (P), ``"dp"`` (P'), ``"s"`` (the
@@ -108,42 +122,56 @@ class IconicShape:
         z = np.asarray(z, dtype=float)
         return tuple([self._FORMS[n](self, z) for n in names])
 
-    def _entropy(self, z):
+    def _p(self, z):
+        p = self.a * z ** _FIVE_THIRDS
+        p = p + self.b * z if self.b else p
+        p = p + self.c if self.c else p
+        return p + self.d / z if self.d else p
+
+    def _dp(self, z):
+        dp = _FIVE_THIRDS * self.a * z ** (2.0 / 3.0)
+        dp = dp + self.b if self.b else dp
+        return dp - self.d / (z * z) if self.d else dp
+
+    def _s(self, z):
         with np.errstate(divide="ignore"):  # +inf at Z = 0
-            return -np.log(z)
+            s = -self.b * np.log(z) if self.b else 0.0
+        s = s + 2.5 * self.c / z if self.c else s
+        s = s + 2.0 * self.d / (z * z) if self.d else s
+        return s + self.s0 if self.s0 else s
 
-    def _entropy_slope(self, z):
-        with np.errstate(divide="ignore"):  # -inf at Z = 0
-            return -1.0 / z
+    def _ds(self, z):
+        if not (self.c or self.d):
+            with np.errstate(divide="ignore"):  # -inf at Z = 0
+                return -self.b / z
+        g = (2.5 * self.c + 4.0 * self.d / z if self.d else 2.5 * self.c) / z
+        return -(self.b + g) / z if self.b else -g / z
 
-    _FORMS = {
-        "p": lambda sh, z: z + sh.p_inf * z ** _FIVE_THIRDS,
-        "dp": lambda sh, z: 1.0 + _FIVE_THIRDS * sh.p_inf * z ** (2.0 / 3.0),
-        "s": _entropy,
-        "ds": _entropy_slope,
-    }
+    _FORMS = {"p": _p, "dp": _dp, "s": _s, "ds": _ds}
 
 
 class TabulatedShape:
     """Monotone piecewise-cubic P(Z) from knots, with admissible head and tail.
 
     The interpolant keeps its shape-preserving end slopes; the head and
-    tail closures carry two parameters each so value and slope match at the
-    junctions and P stays C^1:
+    tail are ``PowerShape`` members with two parameters each, fitted so
+    value and slope match at the junctions and P stays C^1:
 
-    * head (Z < Z_0): ``alpha Z + beta Z^{5/3}``; the Z^{5/3} direction is
-      neutral for the stability gap, which equals the constant (2/3) alpha.
-    * tail (Z > Z_N), Third-law mode: ``p_inf Z^{5/3} + c + gamma / Z``; the
-      entropy shape then decays like 1/Z and is normalized to vanish.
-    * tail, general mode: ``p_inf Z^{5/3} + k Z + gamma``; the entropy shape
-      diverges like -k log Z, matching the iconic low-temperature behaviour.
+    * ``head`` (Z < Z_0): ``PowerShape(beta, alpha)``, alpha Z + beta
+      Z^{5/3}; the stability gap equals the constant (2/3) alpha.
+    * ``tail`` (Z > Z_N), Third-law mode: ``PowerShape(p_inf, 0, c, gamma)``,
+      p_inf Z^{5/3} + c + gamma/Z; the entropy shape then decays like 1/Z
+      and is normalized to vanish.
+    * ``tail``, general mode: ``PowerShape(p_inf, k, gamma)``, p_inf Z^{5/3}
+      + k Z + gamma; the entropy shape diverges like -k log Z, matching the
+      iconic low-temperature behaviour.
 
-    Head, spline and tail hold their forms of P, P', S and S' once, keyed
-    like ``evaluate``'s names; the tail mode picks the tail's forms once.
-    Head and tail S are closed forms and S' their derivatives (the gap
-    formula cancels the Z^{5/3} terms of P there and loses every digit far
-    out); on the spline S is integrated exactly piece by piece, anchored at
-    the tail's S, and S' is the gap formula.
+    The tail mode is decided where the tail is fitted, and nowhere else.
+    Head and tail S are the family's closed forms and S' their derivatives
+    (the gap formula cancels the Z^{5/3} terms of P there and loses every
+    digit far out); on the spline S is integrated exactly piece by piece,
+    anchored at the tail's S, and S' is the gap formula.  The entropy gauge
+    shift sets the head's and the tail's ``s0`` and the pieces' offsets.
 
     The spline is built in numpy, in the order of operations of scipy's
     ``PchipInterpolator`` slopes and ``CubicHermiteSpline`` coefficients, so
@@ -183,7 +211,6 @@ class TabulatedShape:
             raise EosValidationError(
                 f"table end value p/z^{{5/3}}={g[-1]:.6g} must exceed the asymptote p_inf={p_inf:.6g}")
 
-        self.p_inf = float(p_inf)
         # Head/tail interpolate the two outermost knots on each side; the
         # spline spans the interior knots and inherits the closure slopes at
         # the junctions, keeping P globally C^1.
@@ -192,12 +219,12 @@ class TabulatedShape:
 
         # head alpha Z + beta Z^{5/3} through (z0, p0), (z1, p1)
         det = z[0] * z[1] ** _FIVE_THIRDS - z[1] * z[0] ** _FIVE_THIRDS
-        self.head_lin = float((p[0] * z[1] ** _FIVE_THIRDS - p[1] * z[0] ** _FIVE_THIRDS) / det)
-        self.head_pow = float((z[0] * p[1] - z[1] * p[0]) / det)
-        if self.head_lin <= 0.0:
+        alpha = (p[0] * z[1] ** _FIVE_THIRDS - p[1] * z[0] ** _FIVE_THIRDS) / det
+        if alpha <= 0.0:
             raise EosValidationError(
                 "table start is too steep: the stability gap would close below the first knots")
-        d_lo = self._HEAD["dp"](self, z[1])
+        self.head = PowerShape((z[0] * p[1] - z[1] * p[0]) / det, alpha)
+        d_lo = self.head.evaluate(z[1], "dp")[0]
         if d_lo <= 0.0:
             raise EosValidationError("head closure is not increasing at the junction")
 
@@ -206,27 +233,27 @@ class TabulatedShape:
         r_a = p[-2] - p_inf * z[-2] ** _FIVE_THIRDS
         r_b = p[-1] - p_inf * z[-1] ** _FIVE_THIRDS
         if third_law:
-            self.tail_gamma = float((r_a - r_b) / (1.0 / z[-2] - 1.0 / z[-1]))
-            self.tail_const = float(r_b - self.tail_gamma / z[-1])
-            if self.tail_const <= 0.0:
+            gamma = (r_a - r_b) / (1.0 / z[-2] - 1.0 / z[-1])
+            c = r_b - gamma / z[-1]
+            if c <= 0.0:
                 raise EosValidationError(
                     "Third-law tail needs a positive constant offset from the asymptote; "
                     "extend the table to larger Z or lower p_inf")
-            if _FIVE_THIRDS * self.tail_const + (8.0 / 3.0) * self.tail_gamma / z[-2] <= 0.0:
+            if _FIVE_THIRDS * c + (8.0 / 3.0) * gamma / z[-2] <= 0.0:
                 raise EosValidationError("tail closure closes the stability gap near the last knots")
-            self._tail = self._THIRD_LAW_TAIL
+            self.tail = PowerShape(p_inf, 0.0, c, gamma)
             gauge_z = math.inf
         else:
-            self.tail_lin = float((r_b - r_a) / (z[-1] - z[-2]))
-            self.tail_gamma = float(r_b - self.tail_lin * z[-1])
-            if self.tail_lin <= 0.0:
+            k = (r_b - r_a) / (z[-1] - z[-2])
+            gamma = r_b - k * z[-1]
+            if k <= 0.0:
                 raise EosValidationError(
                     "table end is too shallow: the stability gap would close beyond the last knots")
-            if 2.0 * self.tail_lin * z[-2] / 3.0 + _FIVE_THIRDS * self.tail_gamma <= 0.0:
+            if 2.0 * k * z[-2] / 3.0 + _FIVE_THIRDS * gamma <= 0.0:
                 raise EosValidationError("tail closure closes the stability gap near the last knots")
-            self._tail = self._GENERAL_TAIL
+            self.tail = PowerShape(p_inf, k, gamma)
             gauge_z = 1.0
-        d_hi = self._tail["dp"](self, z[-2])
+        d_hi = self.tail.evaluate(z[-2], "dp")[0]
         if d_hi <= 0.0:
             raise EosValidationError("tail closure is not increasing at the junction")
 
@@ -278,19 +305,18 @@ class TabulatedShape:
         offs = np.zeros(n_pieces)
         # Anchor at the tail and chain constants backwards for continuity,
         # then shift every constant so that S vanishes at gauge_z.
-        self._tail_shift = 0.0
-        s_right = self._tail["s"](self, self.z_hi)
+        s_right = self.tail.evaluate(self.z_hi, "s")[0]
         for k in range(n_pieces - 1, -1, -1):
             c = self._coeffs[:, k]
             zl, zr = self._knots[k], self._knots[k + 1]
             offs[k] = s_right - self._cubic_entropy_antideriv(c, zr)
             s_right = self._cubic_entropy_antideriv(c, zl) + offs[k]
         self._offsets[:] = offs
-        self._head_off = s_right + self.head_lin * math.log(self.z_lo)
+        self.head.s0 = s_right + self.head.b * math.log(self.z_lo)
         shift = float(self.evaluate(np.array([gauge_z]), "s")[0][0])
-        self._head_off -= shift
+        self.head.s0 -= shift
+        self.tail.s0 -= shift
         self._offsets -= shift
-        self._tail_shift = -shift
         # rows gathered before the shift hold the old offsets
         self._kept.clear()
 
@@ -348,11 +374,11 @@ class TabulatedShape:
         outs = tuple([np.empty_like(z) for _ in names])
         # a NaN z is neither head nor tail and falls to the spline branch,
         # which locates directly: ``evaluate`` would find it off the spline
-        for forms, m in ((self._HEAD, lo), (self._SPLINE, ~(lo | hi)), (self._tail, hi)):
+        for region, m in ((self.head, lo), (None, ~(lo | hi)), (self.tail, hi)):
             if m.any():
                 zm = z[m]
-                values = (self._locate(zm, names)[1] if forms is self._SPLINE
-                          else [forms[n](self, zm) for n in names])
+                values = (region.evaluate(zm, *names) if region
+                          else self._locate(zm, names)[1])
                 for out, v in zip(outs, values):
                     out[m] = v
         return outs
@@ -384,34 +410,6 @@ class TabulatedShape:
                        - self._spline_dp(z, c, s, s2) * z) / (z * z)
 
     _SPLINE = {"p": _spline_p, "dp": _spline_dp, "s": _spline_s, "ds": _spline_ds}
-
-    def _head_entropy(self, v):
-        with np.errstate(divide="ignore"):  # +inf at Z = 0, as on the iconic shape
-            return -self.head_lin * np.log(v) + self._head_off
-
-    def _head_entropy_slope(self, v):
-        with np.errstate(divide="ignore"):  # -inf at Z = 0
-            return -self.head_lin / v
-
-    _HEAD = {
-        "p": lambda sh, v: sh.head_lin * v + sh.head_pow * v ** _FIVE_THIRDS,
-        "dp": lambda sh, v: sh.head_lin + _FIVE_THIRDS * sh.head_pow * v ** (2.0 / 3.0),
-        "s": _head_entropy,
-        "ds": _head_entropy_slope,
-    }
-    _THIRD_LAW_TAIL = {
-        "p": lambda sh, v: sh.p_inf * v ** _FIVE_THIRDS + sh.tail_const + sh.tail_gamma / v,
-        "dp": lambda sh, v: _FIVE_THIRDS * sh.p_inf * v ** (2.0 / 3.0) - sh.tail_gamma / (v * v),
-        "s": lambda sh, v: 2.5 * sh.tail_const / v + 2.0 * sh.tail_gamma / (v * v),
-        "ds": lambda sh, v: -(2.5 * sh.tail_const + 4.0 * sh.tail_gamma / v) / (v * v),
-    }
-    _GENERAL_TAIL = {
-        "p": lambda sh, v: sh.p_inf * v ** _FIVE_THIRDS + sh.tail_lin * v + sh.tail_gamma,
-        "dp": lambda sh, v: _FIVE_THIRDS * sh.p_inf * v ** (2.0 / 3.0) + sh.tail_lin,
-        "s": lambda sh, v: (-sh.tail_lin * np.log(v) + 2.5 * sh.tail_gamma / v
-                            + sh._tail_shift),
-        "ds": lambda sh, v: -(sh.tail_lin + 2.5 * sh.tail_gamma / v) / v,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +447,7 @@ class EosSpec:
                 raise EosValidationError(
                     "the iconic shape has S(Z) ~ -log Z and cannot satisfy the Third law; "
                     "use a tabulated shape for Third-law mode")
-            fn = IconicShape(self.p_inf)
+            fn = PowerShape(self.p_inf, 1.0)
         elif self.shape == "table":
             if self.table_z is None or self.table_p is None:
                 raise EosValidationError("tabulated shape requires table_z and table_p")
@@ -921,8 +919,12 @@ def from_conservative(eos: EosSpec, c: ConservativeState) -> ThermoState:
 
 def cold_energy_density(eos: EosSpec, rho):
     """(3/2) p_inf rho^{5/3}: the theta -> 0 limit of rho e at fixed rho,
-    shape-independent by the asymptote P(Z)/Z^{5/3} -> p_inf."""
-    return 1.5 * eos.p_inf * rho ** _FIVE_THIRDS
+    shape-independent by the asymptote P(Z)/Z^{5/3} -> p_inf.  It is +inf
+    where it overflows, for a float rho as for an array."""
+    try:
+        return 1.5 * eos.p_inf * rho ** _FIVE_THIRDS
+    except OverflowError:  # a float's ** raises where an array's rounds to inf
+        return math.inf
 
 
 def extended_internal_energy(eos: EosSpec, rho: float, S: float) -> float:
@@ -934,6 +936,7 @@ def extended_internal_energy(eos: EosSpec, rho: float, S: float) -> float:
     (Rockafellar, Convex Analysis, Thm 7.5), in closed form: at rho = 0
     a (3 S^+ / 4a)^{4/3}, or for a = 0 zero at S <= 0 and +inf at S > 0; on
     the Third-law edge S = 0 the cold energy ``cold_energy_density``.
+    Where the cold energy, a lower bound of E, overflows, E = +inf.
     The iconic inversion without radiation is closed-form at any S.  Past
     the hot end theta = 1e100, E is +inf where rho e overflows there (a > 0);
     otherwise the inversion raises OutOfDomainError.  A NaN rho or S raises
@@ -951,6 +954,8 @@ def extended_internal_energy(eos: EosSpec, rho: float, S: float) -> float:
             return eos.a * (0.75 * max(S, 0.0) / eos.a) ** (4.0 / 3.0)
         return 0.0 if S <= 0.0 else math.inf
     cold = float(cold_energy_density(eos, rho))
+    if cold == math.inf:  # E >= the cold energy
+        return math.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if eos.shape == "iconic" and eos.a == 0.0:
             # rho s = rho (1.5 log theta - log rho + entropy_const), rho e = 1.5 rho theta + cold

@@ -360,6 +360,33 @@ def test_extension_past_hot_end_overflows_with_radiation(eos):
     assert 1e301 > hot
 
 
+_COLD_OVERFLOW_CALLS = {
+    "extended_internal_energy": lambda e: th.extended_internal_energy(e, 1e300, 1.0),
+    "total_energy": lambda e: rl.total_energy(e, th.ConservativeState(1e300, [0.0], 1.0)),
+    "relative_energy_conservative": lambda e: rl.relative_energy_conservative(
+        e, th.ConservativeState(1e300, [0.0], 1.0), th.ConservativeState(1.0, [0.0], 1.0)).value,
+    "admissibility_margin": lambda e: bd.admissibility_margin(e, 1e300, -0.5, -2.0),
+    "cold_heat_flux_split": lambda e: -bd.cold_heat_flux_split(e, 1e300, -0.5, -2.0)[1],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", _COLD_OVERFLOW_CALLS.values(), ids=_COLD_OVERFLOW_CALLS)
+@pytest.mark.parametrize("name", ("eos", "eos_table", "eos_table_nolaw"))
+def test_overflowing_cold_energy_is_infinite(name, call, request):
+    # at rho = 1e300 the cold energy (3/2) p_inf rho^{5/3} overflows: a
+    # Python float's ** raises OverflowError where an array's rounds to inf,
+    # and each caller returns its +inf (the split its F_tau = -inf) silently
+    eos = request.getfixturevalue(name)
+    assert th.cold_energy_density(eos, 1e300) == math.inf
+    assert call(eos) == math.inf
+    spec = bd.make_boundary(u_b_left=0.5, u_b_right=0.5, rho_b_left=1e300, F_ib_left=-2.0)
+    report = bd.admissibility_check(eos, spec)
+    assert not report.passed and report.margins[0.0] == math.inf
+    assert report.messages == ("x=0: inflow flux margin F_ib/|u_b.n| + 1.5 p_inf rho_b^(5/3) "
+                               "overflows at rho_b = 1e+300",)
+
+
 def test_extension_midpoint_convexity(eos, rng):
     rho = rng.uniform(0.1, 5.0, 2000)
     theta = rng.uniform(0.1, 5.0, 2000)
@@ -611,6 +638,26 @@ def test_shape_entropy_at_zero_is_silent(name, request):
     assert slope[0] == -np.inf and np.isfinite(slope[1])
 
 
+def test_power_shape_slopes_match_the_family_and_the_gap_formula():
+    # a member with a, b, c and d all nonzero, unlike any shipped region: P'
+    # and S' against central differences of P and S, and S' against the gap
+    # formula -(3/2)((5/3)P - P'Z)/Z^2 to the rounding of the formula's terms
+    # (far out it cancels the Z^{5/3} terms of P)
+    shape = th.PowerShape(0.7, 1.3, 0.4, 0.25)
+    shape.s0 = -0.6
+    z = np.geomspace(1e-3, 1e3, 200)
+    p, dp, s, ds = shape.evaluate(z, "p", "dp", "s", "ds")
+    np.testing.assert_array_equal(p, 0.7 * z ** FT + 1.3 * z + 0.4 + 0.25 / z)
+    h = 1e-5
+    p_up, s_up = shape.evaluate(z * (1 + h), "p", "s")
+    p_dn, s_dn = shape.evaluate(z * (1 - h), "p", "s")
+    np.testing.assert_allclose(dp, (p_up - p_dn) / (2 * h * z), rtol=1e-8)
+    np.testing.assert_allclose(ds, (s_up - s_dn) / (2 * h * z), rtol=1e-8)
+    gap = -1.5 * (FT * p - dp * z) / (z * z)
+    terms = 1.5 * (FT * p + dp * z) / (z * z)
+    assert np.all(np.abs(ds - gap) <= 16 * np.finfo(float).eps * terms)
+
+
 @pytest.mark.parametrize("theta0", (1.0, 4.0))
 @pytest.mark.parametrize("name", PARITY_EOS)
 def test_fused_closures_match_separate_calls(name, theta0, eos_table, request):
@@ -669,8 +716,8 @@ def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, requ
     table_z, table_p = np.asarray(eos.table_z), np.asarray(eos.table_p)
     knots = table_z[1:-1]
     slopes = PchipInterpolator(table_z, table_p).derivative()(knots)
-    slopes[0] = shape._HEAD["dp"](shape, knots[0])
-    slopes[-1] = shape._tail["dp"](shape, knots[-1])
+    slopes[0] = shape.head.evaluate(knots[0], "dp")[0]
+    slopes[-1] = shape.tail.evaluate(knots[-1], "dp")[0]
     spline = CubicHermiteSpline(knots, table_p[1:-1], slopes)
     z = _parity_z(eos_table)
     on = (z >= shape.z_lo) & (z <= shape.z_hi)

@@ -309,6 +309,29 @@ def test_table_looks_its_pieces_up_in_one_place():
             if name.startswith("thermo.TabulatedShape.") and name.count(".") > 2] == []
 
 
+def test_shape_forms_are_written_once_per_kind_of_region(eos_table, eos_table_nolaw):
+    # every closed-form region of P is a PowerShape, so the forms of P, P',
+    # S and S' are written twice in all: once for the family, once for the
+    # spline.  Only PowerShape and TabulatedShape define ``evaluate``, the
+    # only dicts of forms are their two, and a table's head and tail, in
+    # either tail mode, are family members
+    tree = ast.parse((ROOT / "src" / "nsfsim" / "thermo.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    evaluators = {c.name for c in classes
+                  if any(isinstance(n, ast.FunctionDef) and n.name == "evaluate" for n in c.body)}
+    assert evaluators == {"PowerShape", "TabulatedShape"}
+    # a dict of forms is keyed by the names "p" and "dp", wherever it is written
+    form_dicts = [n for n in ast.walk(tree) if isinstance(n, ast.Dict)
+                  and {"p", "dp"} <= {getattr(k, "value", None) for k in n.keys}]
+    named = {f"{c.name}.{n.targets[0].id}": n.value for c in classes for n in c.body
+             if isinstance(n, ast.Assign) and n.value in form_dicts}
+    assert len(form_dicts) == 2
+    assert set(named) == {"PowerShape._FORMS", "TabulatedShape._SPLINE"}
+    for eos in (eos_table, eos_table_nolaw):
+        shape = eos.shape_fn
+        assert type(shape.head) is type(shape.tail) is nsfsim.thermo.PowerShape
+
+
 def test_floating_point_flags_raise_in_one_guard():
     # a step's finiteness is decided by numpy's flags: the three entry
     # points run, step and euler_step each make them raise once, through
