@@ -55,11 +55,18 @@ class RelEnergyTrace:
                    [self.times, self.integrals, self.kinetic, self.bregman])
 
 
-def _write_csv(path, header, columns) -> None:
+def _write_csv(path, header, columns, first=None) -> None:
     """Write equal-length ``columns`` under ``header`` as the bytes ``csv.writer``
-    gives for ``f"{v:.17g}"`` cells, formatted by one ``%`` and written at once."""
+    gives for ``f"{v:.17g}"`` cells, formatted by one ``%`` and written at once.
+    ``first``, a column of such cells already formatted, goes before the
+    others and is written with ``%s``."""
     rows = np.column_stack(columns).astype(float)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    cells = ["%.17g"] * rows.shape[1]
+    if first is not None:
+        table = np.empty((len(rows), len(cells) + 1), dtype=object)
+        table[:, 0], table[:, 1:] = first, rows
+        rows, cells = table, ["%s"] + cells
+    line = ",".join(cells) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n" + line * len(rows) % tuple(rows.ravel().tolist()))
 

@@ -499,9 +499,10 @@ def export_timeseries(traj: Trajectory, outdir) -> list:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
+    x_cells = [f"{x:.17g}" for x in traj.mesh.centers.tolist()]  # formatted once
     for t, st in zip(traj.times, traj.states):
         p = outdir / f"state_{t!r}.csv"
-        _write_csv(p, ["x", "rho", "u", "theta"], [traj.mesh.centers, st.rho, st.u, st.theta])
+        _write_csv(p, ["x", "rho", "u", "theta"], [st.rho, st.u, st.theta], first=x_cells)
         paths.append(p)
 
     flux_keys = ["mass_in_conv", "mass_out_conv", "mass_robin", "mass_bdry",

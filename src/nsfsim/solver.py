@@ -51,18 +51,23 @@ sweep in the same order of operations does.
 
 Each stage pads the state with one ghost cell per side, filling one new
 array per field, and makes one pass of ``thermo._stage_closures``, the
-core of ``stage_closures`` with no domain check, for (p, e_delta, s_delta)
-on the padded arrays, with the weight delta of the configuration:
-the delta terms of e and s are formed there, in :mod:`nsfsim.thermo`, and
-nowhere here.  Fluxes, sources and the budget record all read that one
-evaluation.  The first stage's pass also has slopes: the sound speed, from
-which ``run`` takes the dt of ``stable_dt`` with no pass of its own, and
-w_rho = d(rho e_delta)/drho and w_theta = d(rho e_delta)/dtheta.  One pass
-over the two faces then books the other boundary rules: the F_ib and wall
-energy fluxes, the Robin inflow mass flux and the boundary budget
-integrands.  The stage's volume integrands are stacked into one (K, n)
-array and reduced once.  The first stage of a step is evaluated once and
-reused by rejected attempts.  The temperature recovery builds its
+core of ``stage_closures`` with no domain check, for (p, e_delta) on the
+padded arrays, with the weight delta of the configuration: the delta terms
+of e and s are formed there, in :mod:`nsfsim.thermo`, and nowhere here.
+The pass evaluates s_delta only where it is read: by the inflow and
+outflow face terms, and at epsilon > 0 by the entropy variable g.  A stage
+with two walls at epsilon = 0 forms no S.  Fluxes, sources and the budget
+record all read that one evaluation; the upwind donors are picked by
+index, from the sign of each face velocity.  The first stage's pass also
+has slopes: the sound speed, from which ``run`` takes the dt of
+``stable_dt`` with no pass of its own, and w_rho = d(rho e_delta)/drho and
+w_theta = d(rho e_delta)/dtheta.  The implicit solves freeze their
+coefficients at the first stage's face temperatures, so the second stage
+forms none.  One pass over the two faces, on Python floats, then books the
+other boundary rules: the F_ib and wall energy fluxes, the Robin inflow
+mass flux and the boundary budget integrands.  The stage's volume
+integrands are stacked into one (K, n) array and reduced once.  The first
+stage of a step is evaluated once and reused by rejected attempts.  The temperature recovery builds its
 energy-density residual once per solve; a Newton iterate makes no EOS call
 on the iconic shape, and on a table one (P, P') evaluation from the spline
 pieces the table kept from its last pass on n cells, located again only
@@ -212,7 +217,7 @@ class SolverConfig:
         itself, which broadcasts to the same values.  A callable's value
         that is not finite rejects the step (:class:`StepRejected`)."""
         if callable(self.g):
-            return _finite("g", np.asarray(self.g(t, x), dtype=float) * np.ones_like(x))
+            return _cell_values("g", self.g, t, x)
         return float(self.g)
 
     @property
@@ -286,8 +291,10 @@ class _StepPlan:
     """What a step reads of (mesh, boundary): the cell width ``h`` and the
     centers ``x``, the linear interior extension ``ub_ext`` of the boundary
     velocity (read-only) and its gradient, the velocity and density ghost
-    rules (rho_b on inflow, else the trace) and the end faces as (face, cell
-    index, u_b . n)."""
+    rules (rho_b on inflow, else the trace), the end faces as (face, cell
+    index, u_b . n), whether one of them is an inflow or outflow face, whose
+    terms read the entropy, and ``right``, the padded index 1, ..., n + 1 of
+    the right neighbour of each face."""
 
     h: float
     x: np.ndarray
@@ -296,6 +303,8 @@ class _StepPlan:
     u_ghosts: tuple
     rho_ghosts: tuple
     faces: tuple
+    open: bool
+    right: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -310,16 +319,19 @@ def _step_plan(mesh: Mesh1D, bspec: BoundarySpec) -> _StepPlan:
                      u_ghosts=tuple(_ghost_velocity(f) for f, _ in ends),
                      rho_ghosts=tuple((f.rho_b, 0.0) if f.kind is FaceKind.IN else _TRACE
                                       for f, _ in ends),
-                     faces=tuple((f, i, f.u_dot_n) for f, i in ends))
+                     faces=tuple((f, i, f.u_dot_n) for f, i in ends),
+                     open=any(f.kind is not FaceKind.WALL for f, _ in ends),
+                     right=np.arange(1, mesh.n_cells + 2))
 
 
 def _padded(ghosts, x):
-    """``x`` with the ghost value of each end face's rule on its side."""
-    (al, bl), (ar, br) = ghosts
+    """``x`` with the ghost value of each end face's rule on its side; the
+    trace rule copies the end value."""
+    left, right = ghosts
     out = np.empty(x.size + 2)
-    out[0] = al + bl * x[0]
+    out[0] = x[0] if left is _TRACE else left[0] + left[1] * x[0]
     out[1:-1] = x
-    out[-1] = ar + br * x[-1]
+    out[-1] = x[-1] if right is _TRACE else right[0] + right[1] * x[-1]
     return out
 
 
@@ -335,9 +347,10 @@ class StageFields(NamedTuple):
     Entries [0] and [-1] are the ghosts of the left and right faces (the
     inflow data, or the interior trace), entries [1:-1] are the cells.
     ``e`` and ``s`` are the regularized e_delta and s_delta, ``w`` is the
-    energy density rho e_delta.  A pass with slopes also holds the sound
-    speed squared ``c2`` and the slopes ``w_rho`` = d(rho e_delta)/drho and
-    ``w_theta`` = d(rho e_delta)/dtheta; without, they are None.
+    energy density rho e_delta; ``s`` is None on a stage that reads no
+    entropy (two walls at epsilon = 0).  A pass with slopes also holds the
+    sound speed squared ``c2`` and the slopes ``w_rho`` = d(rho e_delta)/drho
+    and ``w_theta`` = d(rho e_delta)/dtheta; without, they are None.
     """
 
     rho: np.ndarray
@@ -345,7 +358,7 @@ class StageFields(NamedTuple):
     theta: np.ndarray
     p: np.ndarray
     e: np.ndarray
-    s: np.ndarray
+    s: Optional[np.ndarray]
     w: np.ndarray
     c2: Optional[np.ndarray] = None
     w_rho: Optional[np.ndarray] = None
@@ -359,13 +372,14 @@ class StageRecord(NamedTuple):
     each with its epsilon or delta weight; time-weighted sums of them
     reproduce the scheme's own updates exactly.  ``w`` is the energy density
     the stage started from, ``theta_face`` the face temperatures (the step
-    freezes the viscosity and the conductivity there).  A stage with slopes
-    also keeps the cells of its ``c2``, ``w_rho`` and ``w_theta``.
+    freezes the viscosity and the conductivity there), None on a stage that
+    forms none.  A stage with slopes also keeps the cells of its ``c2``,
+    ``w_rho`` and ``w_theta``.
     """
 
     scalars: dict
     w: np.ndarray
-    theta_face: np.ndarray
+    theta_face: Optional[np.ndarray]
     c2: Optional[np.ndarray] = None
     w_rho: Optional[np.ndarray] = None
     w_theta: Optional[np.ndarray] = None
@@ -382,8 +396,9 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     ``pad`` being the :class:`StageFields` the fluxes were built from: every
     closure of a stage is evaluated here, once, on the ghost-padded arrays,
     with ``slopes`` in a (P, P', S) pass that also gives the sound speed and
-    the slopes of rho e_delta.  ``bspec`` may also be the step plan of
-    (mesh, bspec), as a stage passes.
+    the slopes of rho e_delta.  S is evaluated only where an inflow or
+    outflow face or epsilon > 0 reads it.  ``bspec`` may also be the step
+    plan of (mesh, bspec), as a stage passes.
     """
     plan = bspec if isinstance(bspec, _StepPlan) else _step_plan(mesh, bspec)
     rho_p, u_p, theta_p = _ghosts(state, plan)
@@ -392,33 +407,30 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     for f, i, _ in plan.faces:
         u_face[i] = f.u_b
 
-    p_p, e_p, s_p, *slope_values = _stage_closures(eos, rho_p, theta_p, slopes, cfg.delta)
+    p_p, e_p, s_p, *slope_values = _stage_closures(eos, rho_p, theta_p, slopes, cfg.delta,
+                                                   plan.open or cfg.epsilon > 0.0)
     # the stage keeps c^2, w_rho and w_theta; it reads no p_theta of its own
     pad = StageFields(rho_p, u_p, theta_p, p_p, e_p, s_p, rho_p * e_p, *slope_values[:3])
 
-    take_left = u_face >= 0.0
-    rho_up = np.where(take_left, rho_p[:-1], rho_p[1:])
-    u_up = np.where(take_left, u_p[:-1], u_p[1:])
-    w_up = np.where(take_left, pad.w[:-1], pad.w[1:])
-
-    f_mass = rho_up * u_face
-    f_mom = f_mass * u_up
-    f_energy = w_up * u_face
+    # face j's donor is padded cell j where u_face >= 0, else j + 1 (so on NaN)
+    donor = plan.right - (u_face >= 0.0)
+    f_mass = rho_p.take(donor) * u_face
+    f_mom = f_mass * u_p.take(donor)
+    f_energy = pad.w.take(donor) * u_face
     assert f_mass.shape == (n + 1,)
     return f_mass, f_mom, f_energy, u_face, pad
 
 
 def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
-               t: float, state: FieldState, slopes: bool = True):
+               t: float, state: FieldState, slopes: bool = True, faces: bool = True):
     """One right-hand-side evaluation; returns (drho, dm, dW, StageRecord).
-    Its EOS pass has slopes unless ``slopes`` is false."""
-    n = mesh.n_cells
+    Its EOS pass has slopes unless ``slopes`` is false, and its record the
+    face temperatures unless ``faces`` is false."""
     h = plan.h
     rho, u, theta = state.rho, state.u, state.theta
     f_mass, f_mom, f_energy, u_face, pad = convective_fluxes(state, mesh, plan, eos, cfg, slopes)
-    u_p, theta_p = pad.u, pad.theta
     # the step treats the stress and the heat flux, with coefficients frozen here
-    theta_face = 0.5 * (theta_p[:-1] + theta_p[1:])
+    theta_face = 0.5 * (pad.theta[:-1] + pad.theta[1:]) if faces else None
 
     # cell pressures and face averages (ghost-padded)
     p_delta_p = pad.p
@@ -426,20 +438,21 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
         p_delta_p = pad.p + cfg.delta * (pad.rho ** cfg.Gamma + pad.rho ** 2)
     p_face = 0.5 * (p_delta_p[:-1] + p_delta_p[1:])
 
-    # interior mass diffusion (x-direction fluxes); the face pass sets the ends
-    if cfg.epsilon > 0.0:
-        diff_mass = np.zeros(n + 1)
-        diff_mass[1:-1] = -cfg.epsilon * (rho[1:] - rho[:-1]) / h
-    e_flux = f_energy
-
-    # the epsilon-level entropy variable g = (e_delta - theta s_delta + p/rho)/theta
-    if cfg.epsilon > 0.0:
+    eps = cfg.epsilon
+    if eps > 0.0:
+        # mass diffusion (x-direction face fluxes); the face pass sets an
+        # inflow end, the other ends carry none
+        diff_mass = -eps * (pad.rho[1:] - pad.rho[:-1]) / h
+        diff_mass[0] = diff_mass[-1] = 0.0
+        # the epsilon-level entropy variable g = (e_delta - theta s_delta + p/rho)/theta
         g_cell = _energy_density_rho_slope(rho, theta, pad.p[1:-1], pad.e[1:-1],
                                            pad.s[1:-1]) / theta
+    e_flux = f_energy
 
-    # the face pass: i (0 left, -1 right) indexes the face arrays, the cells
-    # and the ghosts of ``pad``; boundary integrands are outward-normal values,
-    # the delta ones weighted; outflow keeps the convective trace in place
+    # the face pass, on Python floats: i (0 left, -1 right) indexes the face
+    # arrays, the cells and the ghosts of ``pad``; boundary integrands are
+    # outward-normal values, the delta ones weighted; outflow keeps the
+    # convective trace in place
     sc = dict.fromkeys(("mass_in_conv", "mass_out_conv", "mass_robin", "energy_bdry_in",
                         "energy_out_conv", "entropy_out_conv", "entropy_in", "entropy_in_robin",
                         "apriori_in_coercive", "apriori_out_ballistic"), 0.0)
@@ -448,9 +461,8 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
         sc.update(dict.fromkeys(("delta_energy_out", "delta_energy_in_gamma_breg",
                                  "delta_energy_in_rho_sq", "delta_energy_in_rho_b_gamma"), 0.0))
     for f, i, udn in plan.faces:
-        th = pad.theta[i]
         if f.kind is FaceKind.IN:
-            rb, rc = f.rho_b, rho[i]
+            th, rb, rc = pad.theta.item(i), f.rho_b, rho.item(i)
             e_flux[i] = f.normal * f.F_ib
             sc["mass_in_conv"] += rb * udn
             sc["energy_bdry_in"] += f.F_ib
@@ -460,18 +472,18 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
                     - rc ** gm / (gm - 1.0)) * udn
                 sc["delta_energy_in_rho_sq"] += dl * (rc - rb) ** 2 * udn
                 sc["delta_energy_in_rho_b_gamma"] += dl * rb ** gm / (gm - 1.0) * udn
-            sc["entropy_in"] += -f.F_ib / th + (pad.e[i] / th - pad.s[i]) * rb * udn
-            if cfg.epsilon > 0.0:
+            sc["entropy_in"] += -f.F_ib / th + (pad.e.item(i) / th - pad.s.item(i)) * rb * udn
+            if eps > 0.0:
                 # the Robin mass flux enters the mass balance and carries
                 # g with it; without this term the production would depend
                 # on the additive entropy gauge
                 robin = (rb - rc) * udn
                 diff_mass[i] = f.normal * robin
                 sc["mass_robin"] += robin
-                sc["entropy_in_robin"] += g_cell[i] * robin
+                sc["entropy_in_robin"] += g_cell.item(i) * robin
             sc["apriori_in_coercive"] += 1.0 / th + th ** 3 * abs(udn)
         elif f.kind is FaceKind.OUT:
-            rc, e_del, s_del = pad.rho[i], pad.e[i], pad.s[i]
+            rc, e_del, s_del = pad.rho.item(i), pad.e.item(i), pad.s.item(i)
             sc["mass_out_conv"] += rc * udn
             sc["energy_out_conv"] += rc * e_del * udn
             if dl > 0.0:
@@ -481,13 +493,12 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
         else:
             e_flux[i] = 0.0  # insulated wall
 
-    mass_flux = f_mass + diff_mass if cfg.epsilon > 0.0 else f_mass
-    sc["mass_bdry"] = -mass_flux[0] + mass_flux[-1]
-    sc["energy_bdry_total"] = -e_flux[0] + e_flux[-1]
+    mass_flux = f_mass + diff_mass if eps > 0.0 else f_mass
+    sc["mass_bdry"] = mass_flux.item(-1) - mass_flux.item(0)
+    sc["energy_bdry_total"] = e_flux.item(-1) - e_flux.item(0)
 
-    drho = -(mass_flux[1:] - mass_flux[:-1]) / h
-    dm = (-(f_mom[1:] - f_mom[:-1]) / h
-          - (p_face[1:] - p_face[:-1]) / h)
+    drho = (mass_flux[:-1] - mass_flux[1:]) / h
+    dm = (f_mom[:-1] - f_mom[1:]) / h - (p_face[1:] - p_face[:-1]) / h
 
     # volume integrands in record order, each with its weight; None marks a
     # term the step books (S_grad_ub and the viscous and heat parts of the
@@ -497,54 +508,60 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
     vol = dict.fromkeys(("dissipation_no_delta", "S_grad_ub", "conv_p_grad_ub", "rho_u_grad_ub2",
                          "rho_g_rel_u"))
     if grad_ub != 0.0:
-        vol["conv_p_grad_ub"] = (rho * u * u + p_delta_p[1:-1]) * grad_ub
-        vol["rho_u_grad_ub2"] = rho * u * 2.0 * ub_ext * grad_ub
+        rho_u = rho * u
+        vol["conv_p_grad_ub"] = (rho_u * u + p_delta_p[1:-1]) * grad_ub
+        vol["rho_u_grad_ub2"] = rho_u * 2.0 * ub_ext * grad_ub
     if callable(cfg.g) or cfg.g != 0.0:
-        g = cfg.body_force(t, x)
-        dm = dm + rho * g
-        vol["rho_g_rel_u"] = rho * g * (u - ub_ext)
+        rho_g = rho * cfg.body_force(t, x)
+        dm = dm + rho_g
+        vol["rho_g_rel_u"] = rho_g * (u - ub_ext)
 
-    if cfg.epsilon > 0.0:
+    if eps > 0.0:
         grad_rho_c = (pad.rho[2:] - pad.rho[:-2]) / (2.0 * h)
-        grad_u_c = (u_p[2:] - u_p[:-2]) / (2.0 * h)
-        dm = dm - cfg.epsilon * grad_rho_c * grad_u_c
-        vol["eps_mom_ub"] = cfg.epsilon * (grad_rho_c * (grad_u_c - grad_ub) * ub_ext)
-        # the entropy correction grad rho . grad g; g_pad repeats the ends
-        g_pad = np.concatenate([g_cell[:1], g_cell, g_cell[-1:]])
+        grad_u_c = (pad.u[2:] - pad.u[:-2]) / (2.0 * h)
+        dm = dm - eps * grad_rho_c * grad_u_c
+        vol["eps_mom_ub"] = eps * (grad_rho_c * (grad_u_c - grad_ub if grad_ub else grad_u_c)
+                                   * ub_ext)
+        # the entropy correction grad rho . grad g, g repeating its end cells
+        g_pad = _padded((_TRACE, _TRACE), g_cell)
         grad_g = (g_pad[2:] - g_pad[:-2]) / (2.0 * h)
-        vol["eps_grad_rho_grad_g"] = cfg.epsilon * (grad_rho_c * grad_g)
+        vol["eps_grad_rho_grad_g"] = eps * (grad_rho_c * grad_g)
 
-    # internal energy sources q, each booking the integral of q, q / theta or both
+    # internal energy sources q, each booking the integral of q, q / theta or
+    # both; ``source`` is their sum minus p div u
     div_u = (u_face[1:] - u_face[:-1]) / h
-    source = -(pad.p[1:-1] * div_u)
+    p_div_u = pad.p[1:-1] * div_u
+    source = None
     if cfg.energy_source is not None:
-        q = _finite("energy source",
-                    np.asarray(cfg.energy_source(t, x), dtype=float) * np.ones_like(x))
-        source = source + q
+        q = _cell_values("energy source", cfg.energy_source, t, x)
+        source = q - p_div_u
         vol["mms_energy_source"], vol["mms_energy_source_over_theta"] = q, q / theta
     if dl > 0.0:
         q = dl / theta ** 2
-        source = source + q
+        source = q - p_div_u if source is None else source + q
         vol["delta_heating"], vol["delta_heating_over_theta"] = q, q / theta
-        if cfg.epsilon > 0.0:
-            q = cfg.epsilon * dl * (gm * rho ** (gm - 2.0) + 2.0) * grad_rho_c ** 2
+        if eps > 0.0:
+            q = eps * dl * (gm * rho ** (gm - 2.0) + 2.0) * grad_rho_c ** 2
             source = source + q
             vol["eps_delta_grad_rho_heating_over_theta"] = q / theta
-    if cfg.epsilon > 0.0:
-        q = -(cfg.epsilon * theta ** 5)
-        source = source + q
+    if eps > 0.0:
+        q = -eps * theta ** 5
+        source = q - p_div_u if source is None else source + q
         vol["eps_radiation"], vol["eps_radiation_over_theta"] = q, q / theta
 
-    dW = -(e_flux[1:] - e_flux[:-1]) / h + source
+    dW = (e_flux[:-1] - e_flux[1:]) / h
+    dW = dW - p_div_u if source is None else dW + source
 
     # one reduction: row sums times h are the Mesh1D.integrate quadrature
     rows = [v for v in vol.values() if v is not None]
-    sums = iter((np.array(rows).sum(axis=1) * h).tolist() if rows else ())
-    sc.update((k, 0.0 if v is None else next(sums)) for k, v in vol.items())
+    if rows:
+        sums = iter((np.array(rows).sum(axis=1) * h).tolist())
+        sc.update((k, 0.0 if v is None else next(sums)) for k, v in vol.items())
+    else:
+        sc.update(dict.fromkeys(vol, 0.0))
 
-    slope_cells = {k: getattr(pad, k)[1:-1] for k in ("c2", "w_rho", "w_theta")} if slopes else {}
-    return drho, dm, dW, StageRecord(scalars=sc, w=pad.w[1:-1], theta_face=theta_face,
-                                     **slope_cells)
+    slope_cells = (pad.c2[1:-1], pad.w_rho[1:-1], pad.w_theta[1:-1]) if slopes else ()
+    return drho, dm, dW, StageRecord(sc, pad.w[1:-1], theta_face, *slope_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -658,27 +675,31 @@ def _implicit_solves(mesh, ts, cfg, plan, theta_face, rho, m, theta, capacity, d
     ghosts = plan.u_ghosts
     u = _finite("velocity", _diffusion_solve(mesh, nu_face, rho, m, dt, ghosts))
     stress, du_face = _diffusive_flux(mesh, nu_face, u, ghosts)
-    diss = 0.5 * (stress[:-1] * du_face[:-1] + stress[1:] * du_face[1:])
+    work = stress * du_face
+    diss = 0.5 * (work[:-1] + work[1:])
+    dt_diss = dt * diss
     kappa_face = cfg.conductivity(ts, theta_face)
     insulated = (_TRACE, _TRACE)
-    theta_l = _diffusion_solve(mesh, kappa_face, capacity, capacity * theta + dt * diss, dt,
+    theta_l = _diffusion_solve(mesh, kappa_face, capacity, capacity * theta + dt_diss, dt,
                                insulated)
     # +inf passes the floor, NaN neither comparison
     if not (theta_l.min() >= THETA_FLOOR and theta_l.max() < math.inf):
         _finite("temperature", theta_l)
         raise StepRejected("temperature fell below its floor")
     heat = _diffusive_flux(mesh, kappa_face, theta_l, insulated)[0]
-    return u, stress, diss, theta_l, heat, dt * diss + dt * ((heat[1:] - heat[:-1]) / mesh.h)
+    return u, stress, diss, theta_l, heat, dt_diss + dt * ((heat[1:] - heat[:-1]) / mesh.h)
 
 
 def _predictor(rho, m, stage, dt):
     """Forward Euler by the stage from density ``rho`` and momentum ``m``:
-    (rho1, m1, w1)."""
+    (rho1, m1, w1) and the increments dt drho and dt dW."""
     drho, dm, dW, rec = stage
-    rho1 = rho + dt * drho
+    dt_drho = dt * drho
+    rho1 = rho + dt_drho
     if not rho1.min() >= RHO_FLOOR:
         raise StepRejected("density fell below its floor")
-    return rho1, m + dt * dm, rec.w + dt * dW
+    dt_dw = dt * dW
+    return rho1, m + dt * dm, rec.w + dt_dw, dt_drho, dt_dw
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +721,13 @@ def _first_nonfinite(values):
     if finite.all():
         return None
     return int(np.flatnonzero(~finite)[0])
+
+
+def _cell_values(name, fn, t, x):
+    """fn(t, x) as floats on the cells x, a value that is not yet cell-shaped
+    broadcast to them; a cell that is not finite rejects the step."""
+    values = np.asarray(fn(t, x), dtype=float)
+    return _finite(name, values if values.shape == x.shape else values * np.ones_like(x))
 
 
 def _finite(name, values):
@@ -769,7 +797,7 @@ def _recover_theta(eos: EosSpec, cfg: SolverConfig, rho, w, theta):
         f, df = residual(theta)
         step = f / df
         theta = np.maximum(theta - step, 0.1 * theta)
-        if (np.abs(step) / (theta + 1e-300)).max() < _NEWTON_LAST_STEP:
+        if (np.abs(step) / theta).max() < _NEWTON_LAST_STEP:
             break
     f = residual(theta, slope=False)
     # a NaN residual fails too
@@ -800,7 +828,7 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     with np.errstate(**_RAISE), _guarded():
         _check_start(state)
         stage = _stage_rhs(mesh, eos, cfg, plan, 0.0, state, False)
-        rho, m, w = _predictor(state.rho, state.rho * state.u, stage, dt)
+        rho, m, w, _, _ = _predictor(state.rho, state.rho * state.u, stage, dt)
         theta_hat, capacity = _recover_theta(eos, cfg, state.rho, w, state.theta)
         u, _, _, theta_l, _, dw = _implicit_solves(
             mesh, ts, cfg, plan, stage[3].theta_face, rho, m, theta_hat, capacity, dt)
@@ -831,12 +859,13 @@ def _heun_step(mesh, eos, ts, cfg, plan, t, state, dt, stage1):
     on dt; returns (new_state, accumulator increments)."""
     d1rho, d1m, d1w, rec1 = stage1
     rho0, m0, w0 = state.rho, state.rho * state.u, rec1.w
-    rho1, m1, w1 = _predictor(rho0, m0, stage1, dt)
+    rho1, m1, w1, dt_drho, dt_dw = _predictor(rho0, m0, stage1, dt)
     # the predictor's start: theta^n moved along the first stage's slopes
-    start = _linear_start(state.theta, dt * d1w, dt * d1rho, rec1.w_rho, rec1.w_theta)
+    start = _linear_start(state.theta, dt_dw, dt_drho, rec1.w_rho, rec1.w_theta)
     theta1, capacity = _recover_theta(eos, cfg, rho1, w1, start)
+    # the second stage has no slopes and forms no face temperatures
     d2rho, d2m, d2w, rec2 = _stage_rhs(mesh, eos, cfg, plan, t + dt,
-                                       _new_state(rho1, m1 / rho1, theta1), False)
+                                       _new_state(rho1, m1 / rho1, theta1), False, False)
     u1, stress, diss, theta_l, heat, dw = _implicit_solves(
         mesh, ts, cfg, plan, rec1.theta_face, rho1, m1, theta1, capacity, dt)
     h, hdt = plan.h, 0.5 * dt

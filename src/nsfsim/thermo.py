@@ -49,10 +49,12 @@ function raises theta to a fractional or large power.
 ``_stage_closures`` a solver stage's: (p, e_delta, s_delta) from one Z and
 one (P, S) pass, or with slopes from one (P, P', S) pass that adds the sound
 speed squared, the slopes of rho e_delta in rho and theta and the
-theta-slope of p.  Its weight delta gives the energy and entropy of the
-regularized system, e_delta = e + delta theta and s_delta = s + delta log
-theta; this module is the one place those terms are formed, and at
-delta = 0 none is, each value then bitwise equal to its separate closure.
+theta-slope of p.  A stage that reads no entropy asks the core for none; it
+then evaluates no S and returns None for s_delta.  Its weight delta gives
+the energy and entropy of the regularized system, e_delta = e + delta theta
+and s_delta = s + delta log theta; this module is the one place those terms
+are formed, and at delta = 0 none is, each value then bitwise equal to its
+separate closure.
 ``energy_density_residual`` builds the residual of the solver's temperature
 recovery, rho e_delta - w, once per solve (a quartic in theta on the iconic
 shape; on a table one (P, P') ``evaluate`` per iterate), ``sound_speed_sq``
@@ -664,23 +666,27 @@ def stage_closures(eos: EosSpec, rho, theta, slopes: bool = False, delta: float 
     return _stage_closures(eos, rho, theta, slopes, delta)
 
 
-def _stage_closures(eos: EosSpec, rho, theta, slopes: bool, delta: float):
+def _stage_closures(eos: EosSpec, rho, theta, slopes: bool, delta: float,
+                    entropy: bool = True):
     """``stage_closures`` with no domain check, on float arrays: the solver's
-    stage pass, whose states are above their floors."""
+    stage pass, whose states are above their floors.  Without ``entropy``
+    s_delta is None, and the pass evaluates no S and no delta log theta."""
     pw = _theta_powers(rho, theta)
-    if slopes:
-        p, dp, s_shape = eos.shape_fn.evaluate(pw.z, "p", "dp", "s")
-    else:
-        p, s_shape = eos.shape_fn.evaluate(pw.z, "p", "s")
-    e, s = _energy(eos, rho, pw, p), _entropy(eos, rho, pw, s_shape)
+    names = ("p", "dp", "s") if slopes else ("p", "s")
+    p, *rest = eos.shape_fn.evaluate(pw.z, *(names if entropy else names[:-1]))
+    e = _energy(eos, rho, pw, p)
+    s = _entropy(eos, rho, pw, rest[-1]) if entropy else None
     if delta:
-        e, s = e + delta * theta, s + delta * np.log(theta)
+        dtheta = delta * theta
+        e = e + dtheta
+        if entropy:
+            s = s + delta * np.log(theta)
     closures = (_pressure(eos, pw, p), e, s)
     if not slopes:
         return closures
-    c2, w_rho, w_theta, p_theta = _slopes(eos, rho, theta, pw, p, dp)
+    c2, w_rho, w_theta, p_theta = _slopes(eos, rho, theta, pw, p, rest[0])
     if delta:
-        w_rho, w_theta = w_rho + delta * theta, w_theta + delta * rho
+        w_rho, w_theta = w_rho + dtheta, w_theta + delta * rho
     return (*closures, c2, w_rho, w_theta, p_theta)
 
 

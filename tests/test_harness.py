@@ -997,6 +997,26 @@ def test_csv_writer_matches_csv_module(n_rows, tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == ref.read_bytes()
 
 
+def test_exported_files_match_csv_module(tmp_path, closed_box_traj):
+    # the state files write x formatted once per export: every file equals
+    # csv.writer's output of f"{v:.17g}" cells
+    traj = closed_box_traj
+    paths = sc.export_timeseries(traj, tmp_path / "run")
+    flux_keys = paths[-1].read_text().splitlines()[0].split(",")[1:]
+    expected = [(["x", "rho", "u", "theta"],
+                 [traj.mesh.centers, st.rho, st.u, st.theta]) for st in traj.states]
+    expected.append((["t"] + flux_keys, [traj.times] + [[acc.get(k, 0.0) for acc in traj.accums]
+                                                      for k in flux_keys]))
+    assert len(paths) == len(expected) == len(traj.times) + 1
+    for path, (header, columns) in zip(paths, expected):
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([f"{v:.17g}" for v in row] for row in zip(*columns))
+        assert path.read_bytes() == ref.read_bytes(), path.name
+
+
 def test_budget_csv_columns(tmp_path, closed_box_traj):
     from nsfsim.budgets import audit
 

@@ -119,6 +119,29 @@ def test_uniform_closed_state_has_flat_fluxes(eos):
         assert np.all(f == f[0])
 
 
+@pytest.mark.parametrize("channel", [False, True])
+def test_upwind_donor_matches_a_selection_by_sign(eos, channel):
+    # face velocities of both signs, both zeros and NaN: the donors picked
+    # by index are np.where's on the sign test, bit for bit
+    mesh = Mesh1D(0.0, 1.0, 10)
+    bspec = (bd.make_boundary(u_b_left=0.5, u_b_right=0.5, rho_b_left=1.1, F_ib_left=-2.5)
+             if channel else bd.make_boundary())
+    x = mesh.centers
+    u = np.array([0.3, 0.2, 1.0, -1.0, -0.0, -0.0, -0.4, -0.5, np.nan, 0.1])
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=u,
+                          theta=1 + 0.1 * np.sin(np.pi * x))
+    cfg = sv.SolverConfig(t_end=1.0)
+    f_mass, f_mom, f_energy, u_face, pad = sv.convective_fluxes(state, mesh, bspec, eos, cfg)
+    zeros = u_face[u_face == 0.0]
+    assert (u_face > 0).any() and (u_face < 0).any() and np.isnan(u_face).any()
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    left = u_face >= 0.0
+    rho_up, u_up, w_up = (np.where(left, v[:-1], v[1:]) for v in (pad.rho, pad.u, pad.w))
+    assert f_mass.tobytes() == (rho_up * u_face).tobytes()
+    assert f_mom.tobytes() == (rho_up * u_face * u_up).tobytes()
+    assert f_energy.tobytes() == (w_up * u_face).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # individual balance updates
 # ---------------------------------------------------------------------------
@@ -504,6 +527,32 @@ def test_run_makes_four_thermo_calls_and_two_rhs_evaluations_per_step(
     g_calls = {"_energy_density_rho_slope": 2 * k} if channel else {}
     assert calls == {"_stage_closures": 2 * k, "energy_density_residual": 2 * k, **g_calls}
     assert sum(calls.values()) - sum(g_calls.values()) == 4 * k and len(rhs) == 2 * k
+
+
+@pytest.mark.parametrize("case, reads_s", [("walls", False), ("walls_eps", True),
+                                           ("channel", True)])
+def test_stages_evaluate_the_entropy_only_where_it_is_read(eos, transport, monkeypatch,
+                                                          case, reads_s):
+    # S is read by the inflow and outflow face terms and by the epsilon-level
+    # g alone: both stages of a wall box at epsilon = 0 evaluate no "s"; the
+    # iconic recovery evaluates no shape
+    mesh = Mesh1D(0.0, 1.0, 32)
+    x = mesh.centers
+    u = 0.05 * np.sin(np.pi * x)
+    bspec = bd.make_boundary()
+    if case == "channel":
+        bspec, u = bd.make_boundary(u_b_left=0.5, u_b_right=0.5, rho_b_left=1.0,
+                                    F_ib_left=-4.0), u + 0.5
+    cfg = sv.SolverConfig(epsilon=1e-3 if case == "walls_eps" else 0.0, t_end=0.02)
+    state = sv.FieldState(rho=1 + 0.05 * np.cos(np.pi * x), u=u,
+                          theta=1 + 0.05 * np.cos(np.pi * x))
+    names = []
+    evaluate = eos.shape_fn.evaluate
+    monkeypatch.setattr(eos.shape_fn, "evaluate", lambda z, *n: names.append(n) or evaluate(z, *n))
+    traj = sv.run(mesh, eos, transport, cfg, bspec, state)
+    assert traj.n_steps > 1 and traj.n_rejects == 0
+    s = ("s",) if reads_s else ()
+    assert names == [("p", "dp") + s, ("p",) + s] * traj.n_steps
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
@@ -1173,7 +1222,7 @@ def test_step_books_viscous_terms_with_weight_dt(eos, transport):
     stage1 = sv._stage_rhs(mesh, eos, cfg, plan, 0.0, state)
     dt = sv.stable_dt(state, mesh, eos, transport, cfg)
     new, inc = sv._heun_step(mesh, eos, transport, cfg, plan, 0.0, state, dt, stage1)
-    rho1, m1, w1 = sv._predictor(state.rho, state.rho * state.u, stage1, dt)
+    rho1, m1, w1, _, _ = sv._predictor(state.rho, state.rho * state.u, stage1, dt)
     rec1 = stage1[3]
     start = sv._linear_start(state.theta, dt * stage1[2], dt * stage1[0], rec1.w_rho,
                              rec1.w_theta)
@@ -1352,6 +1401,31 @@ def test_constant_body_force_matches_callable(eos, transport, g):
     assert ([(k, v.hex()) for k, v in rec.scalars.items()]
             == [(k, v.hex()) for k, v in ref.scalars.items()])
     assert all(getattr(rec, k).tobytes() == getattr(ref, k).tobytes() for k in ("w", "theta_face"))
+
+
+def test_scalar_sources_give_the_cell_arrays_of_a_broadcast(eos):
+    # a callable g or energy source may return a scalar or cell values; the
+    # stage uses cell values as they are, and broadcasts a scalar to the
+    # bits of the value times np.ones_like(x)
+    mesh = Mesh1D(0.0, 1.0, 16)
+    x = mesh.centers
+    bspec = bd.make_boundary(u_b_left=0.5, u_b_right=0.7, rho_b_left=1.1, F_ib_left=-2.5)
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x),
+                          u=0.5 + 0.2 * x + 0.05 * np.sin(np.pi * x),
+                          theta=1 + 0.1 * np.cos(np.pi * x))
+    stages = []
+    for cells in (False, True):
+        def source(value, cells=cells):
+            return lambda t, x: value * np.ones_like(x) if cells else value
+        cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=1.0, g=source(-0.7),
+                              energy_source=source(0.4))
+        force = cfg.body_force(0.3, x)
+        assert force.shape == x.shape and force.tobytes() == (-0.7 * np.ones_like(x)).tobytes()
+        stages.append(sv._stage_rhs(mesh, eos, cfg, sv._step_plan(mesh, bspec), 0.3, state))
+    (*scalar, rec), (*cells, ref) = stages
+    assert [a.tobytes() for a in scalar] == [a.tobytes() for a in cells]
+    assert ([(k, v.hex()) for k, v in rec.scalars.items()]
+            == [(k, v.hex()) for k, v in ref.scalars.items()])
 
 
 class _StackLog:

@@ -332,6 +332,19 @@ def test_shape_forms_are_written_once_per_kind_of_region(eos_table, eos_table_no
         assert type(shape.head) is type(shape.tail) is nsfsim.thermo.PowerShape
 
 
+def test_stage_calls_no_where_zeros_concatenate_or_ones_like():
+    # the stage and its fluxes pick upwind donors by index, take the mass
+    # diffusion ends in the face pass, pad g by the trace rule and use a
+    # source's cell-shaped value as it is: none of these numpy calls
+    functions = dict(_qualified_functions(ROOT / "src" / "nsfsim" / "solver.py"))
+    banned = {"where", "zeros", "concatenate", "ones_like"}
+    for name in ("solver._stage_rhs", "solver.convective_fluxes"):
+        calls = [(n.func.attr, n.lineno) for n in ast.walk(functions[name])
+                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                 and getattr(n.func.value, "id", None) == "np" and n.func.attr in banned]
+        assert calls == [], (name, calls)
+
+
 def test_floating_point_flags_raise_in_one_guard():
     # a step's finiteness is decided by numpy's flags: the three entry
     # points run, step and euler_step each make them raise once, through
