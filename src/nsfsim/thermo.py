@@ -14,7 +14,7 @@ derived from the same shape function ``P`` so that Gibbs' relation
 
 P is built from two kinds of region.  Every closed-form region is one
 member of the family ``PowerShape``, P(Z) = a Z^{5/3} + b Z + c + d/Z,
-whose S and S' are written once; the other is a table's spline.  Two shapes
+whose forms are written once; the other is a table's spline.  Two shapes
 are built in:
 
 * ``"iconic"``: P(Z) = Z + p_inf * Z^{5/3}, the member (p_inf, 1), for which
@@ -30,31 +30,50 @@ Admissibility of a shape means: P(0) = 0, P' > 0, the stability gap
 ((5/3) P - P' Z)/Z positive and bounded, and P/Z^{5/3} nonincreasing with a
 positive limit ``p_inf``.
 
-All state functions broadcast over numpy arrays in (rho, theta).  Both
-shapes share one protocol, ``evaluate(z, *names)``: one pass returns one
-array per name, among ``"p"`` (P), ``"dp"`` (P'), ``"s"`` (S) and ``"ds"``
-(S').  The forms are written twice in all, once for the ``PowerShape``
-family and once for the spline, whose pieces a table evaluates from one
-piece lookup and one gather, expanded by Horner with no ``np.polynomial``;
-a table's head and tail are ``PowerShape`` members evaluated under one mask
-pass.  A caller that reads several values at one Z takes them from one
-call.  A table keeps the rows it gathered for each length of Z and looks up
-again only when some Z leaves its piece, so the stage passes and the Newton
-iterates of a run look up about once per length.  The closures apply
-formulas written once in (rho, the powers of theta, P, P', S).
-``_theta_powers`` builds Z and theta^{3/2}, theta^{5/2}, theta^3, theta^4
-from one sqrt, once per closure pass and once per Newton iterate; no other
-function raises theta to a fractional or large power.
+All state functions broadcast over numpy arrays in (rho, theta).  Every
+closure reads the shape through one (rho, theta) entry that both shapes
+implement, ``evaluate_state(rho, theta, *names)``: one pass returns one
+array per name, among ``"p"`` (Pi = theta^{5/2} P), ``"p_rho"`` (Pi_rho =
+theta P'), ``"p_theta"`` (Pi_theta) and ``"s"`` (S).  The closures are then
+written once each:
+
+    p = Pi + (a/3) theta^4,        rho e = 1.5 Pi + a theta^4,
+    s = S + (4a/3) theta^3/rho + entropy_const,
+    p_rho = Pi_rho,  p_theta = Pi_theta + (4a/3) theta^3,
+    (rho e)_theta = 1.5 Pi_theta + 4a theta^3.
+
+A ``PowerShape`` writes Pi, Pi_rho, Pi_theta and S in (rho, theta) and forms
+no Z; a zero coefficient forms no term and a unit one no product, so the
+iconic member forms no power of theta, and its Pi_theta = rho is the
+Maxwell form (dp/dtheta)_rho = -rho^2 (ds/drho)_theta, with no p_inf part
+to cancel.  A table forms Z and theta^{3/2}, theta^{5/2} by
+``_theta_powers``, the one place a fractional power of theta is taken, and
+reads its spline's P, P', S from one pass, so its Pi_theta is still 2.5
+theta^{3/2} P - 1.5 rho P'.  The radiation terms take theta^3 and theta^4
+from ``_integer_powers``, each formed only where it is read.
+
+Each shape also has a Z view, ``evaluate(z, *names)``, one array per name
+among ``"p"`` (P), ``"dp"`` (P'), ``"s"`` (S) and ``"ds"`` (S'): a
+``PowerShape``'s is its forms at theta = 1, with S = +inf and S' = -inf at
+Z = 0 and no warning; a table's is its spline, whose pieces it evaluates
+from one piece lookup and one gather, expanded by Horner with no
+``np.polynomial``, with its head and tail, ``PowerShape`` members, under one
+mask pass.  The Z view is what a table's (rho, theta) entry, its build, the
+Gibbs terms and ``check_eos_invariants`` read.  A table keeps the rows it
+gathered for each length of Z and looks up again only when some Z leaves
+its piece, so the stage passes and the Newton iterates of a run look up
+about once per length.
 ``stage_closures`` is a budget audit's one EOS pass, and its core
-``_stage_closures`` a solver stage's: (p, e_delta, s_delta) from one Z and
-one (P, S) pass, or with slopes from one (P, P', S) pass that adds the sound
-speed squared, the slopes of rho e_delta in rho and theta and the
+``_stage_closures`` a solver stage's: (p, e_delta, s_delta) from one (Pi, S)
+pass, or with slopes from one (Pi, Pi_rho, Pi_theta, S) pass that adds the
+sound speed squared, the slopes of rho e_delta in rho and theta and the
 theta-slope of p.  A stage that reads no entropy asks the core for none; it
-then evaluates no S and returns None for s_delta.  Its weight delta gives
-the energy and entropy of the regularized system, e_delta = e + delta theta
-and s_delta = s + delta log theta; this module is the one place those terms
-are formed, and at delta = 0 none is, each value then bitwise equal to its
-separate closure.
+then evaluates no S and no theta^3 and returns None for s_delta.  Its weight
+delta gives the energy and entropy of the regularized system, e_delta = e +
+delta theta and s_delta = s + delta log theta; this module is the one place
+those terms are formed, and at delta = 0 none is, each value then bitwise
+equal to its separate closure.  An iconic stage pass enters no
+``np.errstate``.
 ``energy_density_residual`` builds the residual of the solver's temperature
 recovery, rho e_delta - w, once per solve (a quartic in theta on the iconic
 shape; on a table one (P, P') ``evaluate`` per iterate), ``sound_speed_sq``
@@ -72,6 +91,7 @@ closed-form boundary values (radiation at rho = 0, cold on the S = 0 edge).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -92,6 +112,9 @@ class OutOfDomainError(EosDomainError):
 
 
 _FIVE_THIRDS = 5.0 / 3.0
+_TWO_THIRDS = 2.0 / 3.0
+# the powers of theta = 1 that a PowerShape's Z view reads
+_UNIT_POWERS = (1.0, 1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -99,57 +122,106 @@ _FIVE_THIRDS = 5.0 / 3.0
 # ---------------------------------------------------------------------------
 
 
+def _scaled(k: float, x):
+    """k x, where a unit coefficient forms no product: x itself at k = 1."""
+    return x if k == 1.0 else k * x
+
+
 class PowerShape:
     """P(Z) = a Z^{5/3} + b Z + c + d/Z: the closed form of every analytic
     region of P, the iconic shape and a table's head and tail.
 
-    The Z^{5/3} term is neutral for the stability gap, so S' = -(3/2)((5/3)P
-    - P'Z)/Z^2 = -(b + (2.5 c + 4 d/Z)/Z)/Z, integrated once to S = -b log Z
-    + 2.5 c/Z + 2 d/Z^2 + s0.  A zero b, c, d or s0 forms no term, so the
-    iconic forms meet no d/Z at Z = 0 and a Third-law tail's no b log Z at
-    Z = inf.  The iconic shape is ``PowerShape(p_inf, 1)``, P = Z + p_inf
-    Z^{5/3}, whose S = -log Z vanishes at Z = 1.
+    Its forms are written once, in (rho, theta), and form no Z = rho /
+    theta^{3/2}: with q = b + 2.5 c theta^{3/2}/rho + 4 d theta^3/rho^2,
+
+        Pi = theta^{5/2} P = rho (a rho^{2/3} + b theta) + c theta^{5/2} + d theta^4/rho,
+        Pi_rho = theta P' = (5/3) a rho^{2/3} + b theta - d theta^4/rho^2,
+        Pi_theta = rho q  (= (5/2) theta^{3/2} P - (3/2) rho P', whose p_inf
+                           parts cancel),
+        S = -b (log rho - 1.5 log theta) + 2.5 c theta^{3/2}/rho
+            + 2 d theta^3/rho^2 + s0,
+
+    S integrating S' = -(3/2)((5/3)P - P'Z)/Z^2 = -q/Z, to which the Z^{5/3}
+    term is neutral.  A zero b, c, d or s0 forms no term, so the iconic
+    member forms no power of theta at all and a Third-law tail no b log Z.
+    The iconic shape is ``PowerShape(p_inf, 1)``, P = Z + p_inf Z^{5/3},
+    whose S = -log Z vanishes at Z = 1.  The Z view ``evaluate`` is these
+    forms at theta = 1, where rho = Z, Pi = P and Pi_rho = P'.
     """
 
     def __init__(self, a: float, b: float, c: float = 0.0, d: float = 0.0):
         self.a, self.b, self.c, self.d = float(a), float(b), float(c), float(d)
         self.s0 = 0.0  # the entropy gauge, set by a table's gauge shift
 
-    def evaluate(self, z, *names):
-        """One array per name, among ``"p"`` (P), ``"dp"`` (P'), ``"s"`` (the
-        entropy shape S) and ``"ds"`` (S'), from one pass over z.  The forms
-        are class attributes, functions of (shape, z): a shape then holds no
-        reference cycle and is freed by reference counting, not by the
+    def evaluate_state(self, rho, theta, *names):
+        """One array per name at (rho, theta), among ``"p"`` (Pi), ``"p_rho"``
+        (Pi_rho), ``"p_theta"`` (Pi_theta) and ``"s"`` (S), from one pass:
+        the shape's parts of p, its slopes and s (Pi_theta of a member
+        without c and d terms and with b = 1 is rho itself, not a copy).
+        The forms are class attributes, functions of (shape, rho, theta,
+        ...): a shape then holds
+        no reference cycle and is freed by reference counting, not by the
         cyclic garbage collector, whose full passes a run would pay for."""
+        powers = self._powers(theta) if self.c or self.d else None
+        return self._values(rho, theta, names, powers)
+
+    def evaluate(self, z, *names):
+        """The Z view: one array per name, among ``"p"`` (P), ``"dp"`` (P'),
+        ``"s"`` (S) and ``"ds"`` (S'), the forms at theta = 1 and rho = Z,
+        with S' = -Pi_theta/Z^2 taken as -q/Z, so that S = +inf and
+        S' = -inf at Z = 0."""
         z = np.asarray(z, dtype=float)
-        return tuple([self._FORMS[n](self, z) for n in names])
+        with np.errstate(divide="ignore"):  # the logarithm and 1/Z at Z = 0
+            return self._values(z, 1.0, [self._Z_VIEW[n] for n in names],
+                                _UNIT_POWERS if self.c or self.d else None)
 
-    def _p(self, z):
-        p = self.a * z ** _FIVE_THIRDS
-        p = p + self.b * z if self.b else p
-        p = p + self.c if self.c else p
-        return p + self.d / z if self.d else p
+    @staticmethod
+    def _powers(theta):
+        """(theta^{3/2}, theta^{5/2}, theta^3, theta^4), the powers the c and
+        d terms read."""
+        fractional = _theta_powers(None, theta)
+        return (fractional.t15, fractional.t25, *_integer_powers(theta))
 
-    def _dp(self, z):
-        dp = _FIVE_THIRDS * self.a * z ** (2.0 / 3.0)
-        dp = dp + self.b if self.b else dp
-        return dp - self.d / (z * z) if self.d else dp
+    def _values(self, rho, theta, names, powers):
+        # a rho^{2/3} and b theta, shared by Pi and Pi_rho
+        ab = None
+        if "p" in names or "p_rho" in names:
+            ab = _scaled(self.a, rho ** _TWO_THIRDS), _scaled(self.b, theta) if self.b else None
+        return tuple([self._FORMS[n](self, rho, theta, powers, ab) for n in names])
 
-    def _s(self, z):
-        with np.errstate(divide="ignore"):  # +inf at Z = 0
-            s = -self.b * np.log(z) if self.b else 0.0
-        s = s + 2.5 * self.c / z if self.c else s
-        s = s + 2.0 * self.d / (z * z) if self.d else s
+    def _p(self, rho, theta, powers, ab):
+        u, v = ab
+        p = rho * (u + v) if self.b else rho * u
+        p = p + self.c * powers[1] if self.c else p
+        return p + self.d * powers[3] / rho if self.d else p
+
+    def _p_rho(self, rho, theta, powers, ab):
+        u, v = ab
+        dp = _FIVE_THIRDS * u + v if self.b else _FIVE_THIRDS * u
+        return dp - self.d * powers[3] / (rho * rho) if self.d else dp
+
+    def _q(self, rho, powers):
+        """Pi_theta / rho, a function of Z alone: the float b on a member
+        without c and d terms."""
+        q = self.b + 2.5 * self.c * powers[0] / rho if self.c else self.b
+        return q + 4.0 * self.d * powers[2] / (rho * rho) if self.d else q
+
+    def _p_theta(self, rho, theta, powers, ab):
+        return rho * self._q(rho, powers) if self.c or self.d else _scaled(self.b, rho)
+
+    def _s(self, rho, theta, powers, ab):
+        s = _scaled(self.b, 1.5 * np.log(theta) - np.log(rho)) if self.b else 0.0
+        s = s + 2.5 * self.c * powers[0] / rho if self.c else s
+        s = s + 2.0 * self.d * powers[2] / (rho * rho) if self.d else s
         return s + self.s0 if self.s0 else s
 
-    def _ds(self, z):
-        if not (self.c or self.d):
-            with np.errstate(divide="ignore"):  # -inf at Z = 0
-                return -self.b / z
-        g = (2.5 * self.c + 4.0 * self.d / z if self.d else 2.5 * self.c) / z
-        return -(self.b + g) / z if self.b else -g / z
+    def _ds(self, rho, theta, powers, ab):
+        # the Z view's S' = -q/Z, read at theta = 1, where Z = rho
+        return -self._q(rho, powers) / rho
 
-    _FORMS = {"p": _p, "dp": _dp, "s": _s, "ds": _ds}
+    _FORMS = {"p": _p, "p_rho": _p_rho, "p_theta": _p_theta, "s": _s, "ds": _ds}
+    # the Z view's names for the forms
+    _Z_VIEW = {"p": "p", "dp": "p_rho", "s": "s", "ds": "ds"}
 
 
 class TabulatedShape:
@@ -385,6 +457,18 @@ class TabulatedShape:
                     out[m] = v
         return outs
 
+    def evaluate_state(self, rho, theta, *names):
+        """One array per name at (rho, theta), among ``"p"`` (Pi = theta^{5/2}
+        P), ``"p_rho"`` (Pi_rho = theta P'), ``"p_theta"`` (Pi_theta = 2.5
+        theta^{3/2} P - 1.5 rho P') and ``"s"`` (S), from Z and one
+        ``evaluate`` of the names they read among P, P' and S."""
+        pw = _theta_powers(rho, theta, "p" in names)
+        reads = _spline_reads(names)
+        v = dict(zip(reads, self.evaluate(pw.z, *reads)))
+        return tuple([pw.t25 * v["p"] if n == "p" else theta * v["dp"] if n == "p_rho"
+                      else 2.5 * pw.t15 * v["p"] - 1.5 * rho * v["dp"] if n == "p_theta"
+                      else v["s"] for n in names])
+
     def _locate(self, z, names):
         """(c, values): c the rows of each z's piece, found by one
         ``searchsorted`` and gathered by one ``take``, and the named spline
@@ -412,6 +496,18 @@ class TabulatedShape:
                        - self._spline_dp(z, c, s, s2) * z) / (z * z)
 
     _SPLINE = {"p": _spline_p, "dp": _spline_dp, "s": _spline_s, "ds": _spline_ds}
+
+
+# the spline values each (rho, theta) form of a table reads
+_SPLINE_READS = {"p": ("p",), "p_rho": ("dp",), "p_theta": ("p", "dp"), "s": ("s",)}
+
+
+@functools.lru_cache(maxsize=16)
+def _spline_reads(names: tuple) -> tuple:
+    """The spline names, in the order ("p", "dp", "s"), that a table's
+    (rho, theta) forms ``names`` read."""
+    wanted = {read for n in names for read in _SPLINE_READS[n]}
+    return tuple(n for n in ("p", "dp", "s") if n in wanted)
 
 
 # ---------------------------------------------------------------------------
@@ -545,66 +641,66 @@ class ConservativeState:
 
 
 class _ThetaPowers(NamedTuple):
-    """Z = rho / theta^{3/2} and the powers of theta the closures take."""
+    """Z = rho / theta^{3/2} and the fractional powers of theta the Z route
+    reads; one its caller does not read is None."""
 
-    z: np.ndarray
+    z: Optional[np.ndarray]
     t15: np.ndarray
-    t25: np.ndarray
-    t3: np.ndarray
-    t4: np.ndarray
+    t25: Optional[np.ndarray]
 
 
-def _theta_powers(rho, theta, energy: bool = True) -> _ThetaPowers:
-    """Z and theta^{3/2}, theta^{5/2}, theta^3, theta^4 from one sqrt and five
-    products: the only place the closures raise theta to a fractional or
-    large power.  Without ``energy`` theta^{5/2} and theta^4, which only p
-    and e read, are None: the entropy then overflows no sooner than theta^3."""
+def _theta_powers(rho, theta, t25: bool = True) -> _ThetaPowers:
+    """theta^{3/2} from one sqrt, Z = rho / theta^{3/2} unless rho is None,
+    and theta^{5/2} with ``t25``: the only place thermo takes a fractional
+    power of theta, called by a table's (rho, theta) entry, the Gibbs terms,
+    the entropy's theta-slope and a PowerShape with c or d terms."""
     theta = np.asarray(theta, dtype=float)
-    root = np.sqrt(theta)
+    t15 = theta * np.sqrt(theta)
+    z = None if rho is None else np.asarray(rho, dtype=float) / t15
+    return _ThetaPowers(z, t15, t15 * theta if t25 else None)
+
+
+def _integer_powers(theta, cube: bool = True, fourth: bool = True):
+    """(theta^3, theta^4) by products from theta^2, each None unless its flag
+    is set: the powers the radiation terms and a PowerShape's d terms read."""
     t2 = theta * theta
-    t15 = theta * root
-    z = np.asarray(rho, dtype=float) / t15
-    if not energy:
-        return _ThetaPowers(z, t15, None, t2 * theta, None)
-    return _ThetaPowers(z, t15, t2 * root, t2 * theta, t2 * t2)
+    return (t2 * theta if cube else None), (t2 * t2 if fourth else None)
 
 
-# Closure formulas in (rho, theta), the powers of theta and the shape values
-# (P, P', S) at Z.
+# Closure formulas in (rho, theta), the shape's parts Pi, Pi_theta and S at
+# (rho, theta) and the powers theta^3, theta^4 of the radiation terms; the
+# shape's Pi_rho is p_rho itself.
 
 
-def _pressure(eos: EosSpec, pw, p):
-    return pw.t25 * p + (eos.a / 3.0) * pw.t4
+def _pressure(eos: EosSpec, pi, t4):
+    return pi + (eos.a / 3.0) * t4
 
 
-def _entropy(eos: EosSpec, rho, pw, s_shape):
-    return s_shape + eos.entropy_const + (4.0 * eos.a / 3.0) * pw.t3 / rho
+def _entropy(eos: EosSpec, rho, s_shape, t3):
+    return s_shape + eos.entropy_const + (4.0 * eos.a / 3.0) * t3 / rho
 
 
-def _energy(eos: EosSpec, rho, pw, p):
-    return 1.5 * pw.t25 / rho * p + eos.a * pw.t4 / rho
+def _energy(eos: EosSpec, rho, pi, t4):
+    """e = (rho e) / rho, rho e = 1.5 Pi + a theta^4."""
+    return (1.5 * pi + _scaled(eos.a, t4)) / rho
 
 
-def _energy_theta(eos: EosSpec, rho, pw, p, dp):
-    return 3.75 * pw.t15 / rho * p - 2.25 * dp + 4.0 * eos.a * pw.t3 / rho
+def _energy_theta(eos: EosSpec, rho, pi_theta, t3):
+    """de/dtheta = (rho e)_theta / rho, (rho e)_theta = 1.5 Pi_theta + 4 a theta^3."""
+    return (1.5 * pi_theta + 4.0 * eos.a * t3) / rho
 
 
-def _pressure_rho(theta, dp):
-    return theta * dp
+def _pressure_theta(eos: EosSpec, pi_theta, t3):
+    return pi_theta + (4.0 * eos.a / 3.0) * t3
 
 
-def _pressure_theta(eos: EosSpec, rho, pw, p, dp):
-    return 2.5 * pw.t15 * p - 1.5 * rho * dp + (4.0 * eos.a / 3.0) * pw.t3
-
-
-def _slopes(eos: EosSpec, rho, theta, pw, p, dp):
+def _slopes(eos: EosSpec, rho, theta, p_rho, pi_theta, t3):
     """(c^2, d(rho e)/drho|theta, d(rho e)/dtheta|rho, dp/dtheta|rho): the
     adiabatic sound speed squared dp/drho|theta + (dp/dtheta)^2 theta /
-    (rho^2 de/dtheta), the slopes of rho e, the first (3/2) theta P'(Z) =
-    (3/2) dp/drho, and the theta-slope of p the sound speed reads."""
-    p_rho = _pressure_rho(theta, dp)
-    p_theta = _pressure_theta(eos, rho, pw, p, dp)
-    e_theta = _energy_theta(eos, rho, pw, p, dp)
+    (rho^2 de/dtheta), the slopes of rho e, the first (3/2) dp/drho, and the
+    theta-slope of p the sound speed reads."""
+    p_theta = _pressure_theta(eos, pi_theta, t3)
+    e_theta = _energy_theta(eos, rho, pi_theta, t3)
     return (p_rho + p_theta * p_theta * theta / (rho * rho * e_theta), 1.5 * p_rho,
             rho * e_theta, p_theta)
 
@@ -638,23 +734,23 @@ def _e_domain(rho, theta):
 def pressure(eos: EosSpec, rho, theta):
     """p(rho, theta); strictly increasing in rho at fixed theta."""
     rho, theta = _p_domain(rho, theta)
-    pw = _theta_powers(rho, theta)
-    return _pressure(eos, pw, eos.shape_fn.evaluate(pw.z, "p")[0])
+    return _pressure(eos, eos.shape_fn.evaluate_state(rho, theta, "p")[0],
+                     _integer_powers(theta, cube=False)[1])
 
 
 def specific_internal_energy(eos: EosSpec, rho, theta):
     """e(rho, theta); strictly increasing in theta at fixed rho."""
     rho, theta = _e_domain(rho, theta)
-    pw = _theta_powers(rho, theta)
-    return _energy(eos, rho, pw, eos.shape_fn.evaluate(pw.z, "p")[0])
+    return _energy(eos, rho, eos.shape_fn.evaluate_state(rho, theta, "p")[0],
+                   _integer_powers(theta, cube=False)[1])
 
 
 def stage_closures(eos: EosSpec, rho, theta, slopes: bool = False, delta: float = 0.0):
-    """(p, e_delta, s_delta) at (rho, theta) from one Z and one (P, S) shape
-    pass, with e_delta = e + delta theta and s_delta = s + delta log theta
-    the energy and entropy of the regularized system.
+    """(p, e_delta, s_delta) at (rho, theta) from one (Pi, S) shape pass,
+    with e_delta = e + delta theta and s_delta = s + delta log theta the
+    energy and entropy of the regularized system.
 
-    With ``slopes``, one (P, P', S) pass returns (p, e_delta, s_delta, c^2,
+    With ``slopes``, one (Pi, Pi_rho, Pi_theta, S) pass returns (p, e_delta, s_delta, c^2,
     w_rho, w_theta, p_theta): the sound speed squared of ``sound_speed_sq``,
     the slopes w_rho = d(rho e_delta)/drho|theta and w_theta =
     d(rho e_delta)/dtheta|rho, and p_theta = dp/dtheta|rho.  Checks theta > 0
@@ -670,21 +766,22 @@ def _stage_closures(eos: EosSpec, rho, theta, slopes: bool, delta: float,
                     entropy: bool = True):
     """``stage_closures`` with no domain check, on float arrays: the solver's
     stage pass, whose states are above their floors.  Without ``entropy``
-    s_delta is None, and the pass evaluates no S and no delta log theta."""
-    pw = _theta_powers(rho, theta)
-    names = ("p", "dp", "s") if slopes else ("p", "s")
-    p, *rest = eos.shape_fn.evaluate(pw.z, *(names if entropy else names[:-1]))
-    e = _energy(eos, rho, pw, p)
-    s = _entropy(eos, rho, pw, rest[-1]) if entropy else None
+    s_delta is None, and the pass evaluates no S, no theta^3 and no delta
+    log theta."""
+    names = ("p", "p_rho", "p_theta", "s") if slopes else ("p", "s")
+    pi, *rest = eos.shape_fn.evaluate_state(rho, theta, *(names if entropy else names[:-1]))
+    t3, t4 = _integer_powers(theta, cube=slopes or entropy)
+    e = _energy(eos, rho, pi, t4)
+    s = _entropy(eos, rho, rest[-1], t3) if entropy else None
     if delta:
         dtheta = delta * theta
         e = e + dtheta
         if entropy:
             s = s + delta * np.log(theta)
-    closures = (_pressure(eos, pw, p), e, s)
+    closures = (_pressure(eos, pi, t4), e, s)
     if not slopes:
         return closures
-    c2, w_rho, w_theta, p_theta = _slopes(eos, rho, theta, pw, p, rest[0])
+    c2, w_rho, w_theta, p_theta = _slopes(eos, rho, theta, rest[0], rest[1], t3)
     if delta:
         w_rho, w_theta = w_rho + dtheta, w_theta + delta * rho
     return (*closures, c2, w_rho, w_theta, p_theta)
@@ -699,11 +796,11 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     iconic shape rho e_delta = a theta^4 + (3/2 + delta) rho theta
     + (3/2) p_inf rho^{5/3}, a quartic whose coefficients are set up once,
     so an iterate evaluates no Z, no shape and no domain check.  On a table
-    an iterate evaluates the powers of theta, Z and one (P, P') by the
-    shape's ``evaluate``, which reuses the spline pieces of its last call
+    an iterate evaluates one (Pi, Pi_theta) by the shape's (rho, theta)
+    entry, whose one (P, P') pass reuses the spline pieces of its last call
     on Z's length while every Z stays in its piece.  Called with
-    ``slope=False`` the residual returns its value alone, one P and no P'.
-    At delta = 0 no delta term is formed.
+    ``slope=False`` the residual returns its value alone, one Pi, one P and
+    no P'.  At delta = 0 no delta term is formed.
     """
     rho, w = np.asarray(rho, dtype=float), np.asarray(w, dtype=float)
     if eos.shape == "iconic":
@@ -716,19 +813,19 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
             return (f, 4.0 * a_theta3 + b) if slope else f
         return quartic
 
-    evaluate = eos.shape_fn.evaluate
+    evaluate_state = eos.shape_fn.evaluate_state
 
     def residual(theta, slope=True):
         theta = np.asarray(theta, dtype=float)
-        pw = _theta_powers(rho, theta)
-        p, dp = evaluate(pw.z, "p", "dp") if slope else (evaluate(pw.z, "p")[0], None)
-        e = _energy(eos, rho, pw, p)
+        pi, *pi_theta = evaluate_state(rho, theta, *(("p", "p_theta") if slope else ("p",)))
+        t3, t4 = _integer_powers(theta, cube=slope)
+        e = _energy(eos, rho, pi, t4)
         if delta:
             e = e + delta * theta
         f = rho * e - w
         if not slope:
             return f
-        e_theta = _energy_theta(eos, rho, pw, p, dp)
+        e_theta = _energy_theta(eos, rho, pi_theta[0], t3)
         return f, rho * (e_theta + delta if delta else e_theta)
     return residual
 
@@ -763,37 +860,34 @@ def specific_entropy(eos: EosSpec, rho, theta):
     """s(rho, theta) = S(rho/theta^{3/2}) + (4a/3) theta^3 / rho."""
     theta = _in_domain(theta, "temperature")
     rho = _in_domain(rho, "density")
-    pw = _theta_powers(rho, theta, energy=False)
-    return _entropy(eos, rho, pw, eos.shape_fn.evaluate(pw.z, "s")[0])
+    return _entropy(eos, rho, eos.shape_fn.evaluate_state(rho, theta, "s")[0],
+                    _integer_powers(theta, fourth=False)[0])
 
 
 def pressure_rho_slope(eos: EosSpec, rho, theta):
     """dp/drho at fixed theta ( = theta P'(Z) )."""
     rho, theta = _p_domain(rho, theta)
-    dp = eos.shape_fn.evaluate(_theta_powers(rho, theta, energy=False).z, "dp")[0]
-    return _pressure_rho(theta, dp)
+    return eos.shape_fn.evaluate_state(rho, theta, "p_rho")[0]
 
 
 def pressure_theta_slope(eos: EosSpec, rho, theta):
     """dp/dtheta at fixed rho."""
     rho, theta = _p_domain(rho, theta)
-    pw = _theta_powers(rho, theta)
-    p, dp = eos.shape_fn.evaluate(pw.z, "p", "dp")
-    return _pressure_theta(eos, rho, pw, p, dp)
+    return _pressure_theta(eos, eos.shape_fn.evaluate_state(rho, theta, "p_theta")[0],
+                           _integer_powers(theta, fourth=False)[0])
 
 
 def energy_theta_slope(eos: EosSpec, rho, theta):
     """de/dtheta at fixed rho (specific-heat-like, positive by stability)."""
     rho, theta = _e_domain(rho, theta)
-    pw = _theta_powers(rho, theta)
-    p, dp = eos.shape_fn.evaluate(pw.z, "p", "dp")
-    return _energy_theta(eos, rho, pw, p, dp)
+    return _energy_theta(eos, rho, eos.shape_fn.evaluate_state(rho, theta, "p_theta")[0],
+                         _integer_powers(theta, fourth=False)[0])
 
 
 def entropy_theta_slope(eos: EosSpec, rho, theta):
     """ds/dtheta at fixed rho ( = de/dtheta / theta, by Gibbs)."""
     rho, theta = _e_domain(rho, theta)
-    z = _theta_powers(rho, theta, energy=False).z
+    z = _theta_powers(rho, theta, t25=False).z
     return (-1.5 * z / theta * eos.shape_fn.evaluate(z, "ds")[0]
             + 4.0 * eos.a * theta ** 2 / rho)
 
@@ -840,10 +934,10 @@ def stability_margins(eos: EosSpec, rho, theta):
 
 def sound_speed_sq(eos: EosSpec, rho, theta):
     """Adiabatic sound speed squared, dp/drho|_theta + (dp/dtheta)^2 theta / (rho^2 de/dtheta),
-    from one Z and one (P, P') pass."""
+    from one (Pi_rho, Pi_theta) pass."""
     rho, theta = _e_domain(rho, theta)
-    pw = _theta_powers(rho, theta)
-    return _slopes(eos, rho, theta, pw, *eos.shape_fn.evaluate(pw.z, "p", "dp"))[0]
+    return _slopes(eos, rho, theta, *eos.shape_fn.evaluate_state(rho, theta, "p_rho", "p_theta"),
+                   _integer_powers(theta, fourth=False)[0])[0]
 
 
 def transport_coefficients(ts: TransportSpec, theta):

@@ -324,15 +324,17 @@ def _log_newton_iterates(monkeypatch, log):
 
 
 def _count_shape_calls(monkeypatch, eos):
-    """Count the pressure-shape evaluations of ``eos`` as ``evaluate`` and
-    a table's piece lookups as ``_locate``."""
+    """Count the pressure-shape evaluations of ``eos``'s shape class by its
+    (rho, theta) entry as ``evaluate_state``, by its Z view as ``evaluate``,
+    and a table's piece lookups as ``_locate``.  The class is patched, so
+    that no shape instance is left holding a method of its own."""
     calls = {}
-    shape = eos.shape_fn
-    for name in ("evaluate",) + (("_locate",) if eos.shape == "table" else ()):
-        def counted(*args, _fn=getattr(shape, name), _name=name):
+    cls = type(eos.shape_fn)
+    for name in ("evaluate_state", "evaluate") + (("_locate",) if eos.shape == "table" else ()):
+        def counted(self, *args, _fn=getattr(cls, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args)
-        monkeypatch.setattr(shape, name, counted)
+            return _fn(self, *args)
+        monkeypatch.setattr(cls, name, counted)
     return calls
 
 
@@ -384,7 +386,8 @@ def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkey
         zs = [th._theta_powers(rho, t).z for t in [theta_true] + [
             args[0] for name, args in log if name in ("iterate", "check")]]
         assert _relocations(knots, zs[1:]) == 2
-        assert shape_calls == {"evaluate": len(zs) - 1, "_locate": _relocations(knots, zs) - 1}
+        assert shape_calls == {"evaluate_state": len(zs) - 1, "evaluate": len(zs) - 1,
+                               "_locate": _relocations(knots, zs) - 1}
         assert shape_calls["_locate"] == 2
     else:
         assert shape_calls == {}
@@ -396,13 +399,20 @@ def test_recover_theta_one_fused_call_per_newton_iterate(eos_name, delta, monkey
 
 def _log_table_passes(monkeypatch, eos, log):
     """Log ("pass", (z,)) for each evaluation of ``eos``'s table and
-    ("locate", ()) for each of its piece lookups."""
+    ("locate", ()) for each of its piece lookups; the table class is
+    patched, and only ``eos``'s table is logged."""
     shape = eos.shape_fn
-    evaluate, locate = shape.evaluate, shape._locate
-    monkeypatch.setattr(shape, "evaluate",
-                        lambda z, *names: log.append(("pass", (z,))) or evaluate(z, *names))
-    monkeypatch.setattr(shape, "_locate",
-                        lambda z, names: log.append(("locate", ())) or locate(z, names))
+    cls = type(shape)
+    evaluate, locate = cls.evaluate, cls._locate
+
+    def logged(entry, fn):
+        def wrapper(self, *args):
+            if self is shape:
+                log.append(entry(*args))
+            return fn(self, *args)
+        return wrapper
+    monkeypatch.setattr(cls, "evaluate", logged(lambda z, *names: ("pass", (z,)), evaluate))
+    monkeypatch.setattr(cls, "_locate", logged(lambda z, names: ("locate", ()), locate))
 
 
 def test_channel_recoveries_locate_the_pieces_once(monkeypatch):
@@ -547,28 +557,31 @@ def test_stages_evaluate_the_entropy_only_where_it_is_read(eos, transport, monke
     state = sv.FieldState(rho=1 + 0.05 * np.cos(np.pi * x), u=u,
                           theta=1 + 0.05 * np.cos(np.pi * x))
     names = []
-    evaluate = eos.shape_fn.evaluate
-    monkeypatch.setattr(eos.shape_fn, "evaluate", lambda z, *n: names.append(n) or evaluate(z, *n))
+    evaluate_state = th.PowerShape.evaluate_state
+    monkeypatch.setattr(th.PowerShape, "evaluate_state", lambda self, rho, theta, *n: (
+        names.append(n) or evaluate_state(self, rho, theta, *n)))
     traj = sv.run(mesh, eos, transport, cfg, bspec, state)
     assert traj.n_steps > 1 and traj.n_rejects == 0
     s = ("s",) if reads_s else ()
-    assert names == [("p", "dp") + s, ("p",) + s] * traj.n_steps
+    assert names == [("p", "p_rho", "p_theta") + s, ("p",) + s] * traj.n_steps
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
 def test_iconic_recovery_matches_generic_residual(eos, delta, rng):
     # reference: the bracketed solve through the table-style residual
-    # (Z, then P and P', then the closure formulas) written out
+    # (the shape's (rho, theta) entry, then the closure formulas of e and
+    # de/dtheta) written out
     cfg = sv.SolverConfig(delta=delta, t_end=1.0)
     rho = rng.uniform(0.1, 10.0, 64)
     theta_true = rng.uniform(0.1, 10.0, 64)
     w = rho * th.stage_closures(eos, rho, theta_true, delta=cfg.delta)[1]
 
     def generic(theta):
-        pw = th._theta_powers(rho, theta)
-        p, dp = eos.shape_fn.evaluate(pw.z, "p", "dp")
-        return (rho * (th._energy(eos, rho, pw, p) + delta * theta) - w,
-                rho * (th._energy_theta(eos, rho, pw, p, dp) + delta))
+        theta = np.asarray(theta, dtype=float)
+        pi, pi_theta = eos.shape_fn.evaluate_state(rho, theta, "p", "p_theta")
+        t3, t4 = th._integer_powers(theta)
+        return (rho * (th._energy(eos, rho, pi, t4) + delta * theta) - w,
+                rho * (th._energy_theta(eos, rho, pi_theta, t3) + delta))
 
     reference = _solve_monotone_theta(generic, 1e-10, 1e9)
     np.testing.assert_allclose(sv._recover_theta(eos, cfg, rho, w, 1.05 * theta_true)[0],
@@ -825,13 +838,38 @@ def test_run_sets_the_flags_and_looks_up_the_plan_once(eos, transport, monkeypat
                 counts[name] = counts.get(name, 0) + 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
-    # the iconic entropy's own errstate(divide="ignore") blocks are not flags raised
+    # only raising entries are counted here; every entry is counted by
+    # test_iconic_run_enters_errstate_only_through_run
     counted(np, "errstate", lambda kwargs: "raise" in kwargs.values())
     counted(sv, "_step_plan")
     counted(th, "_in_domain")
     traj = sv.run(mesh, eos, transport, cfg, bspec, state)
     assert traj.n_steps > 2 and traj.n_rejects == 0
     assert counts == {"errstate": 1, "_step_plan": 1}
+
+
+@pytest.mark.parametrize("channel", [False, True], ids=["walls_eps", "channel"])
+def test_iconic_run_enters_errstate_only_through_run(transport, monkeypatch, channel):
+    # the iconic entropy is written in (rho, theta) and meets no log 0, so a
+    # stage pass that evaluates S enters no np.errstate: a 32-cell run at
+    # epsilon > 0, whose every stage reads S, enters it once, run's _RAISE
+    # entry, counting every entry whatever its arguments
+    mesh = Mesh1D(0.0, 1.0, 32)
+    x = mesh.centers
+    if channel:
+        bspec, u = bd.make_boundary(u_b_left=0.5, u_b_right=0.5, rho_b_left=1.0,
+                                    F_ib_left=-2.0), 0.5
+    else:
+        bspec, u = bd.make_boundary(), 0.0
+    cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.02)
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=np.full(32, u),
+                          theta=1 + 0.2 * x ** 2 * (3 - 2 * x))
+    entries = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kwargs: entries.append(kwargs) or errstate(**kwargs))
+    traj = sv.run(mesh, th.iconic_eos(), transport, cfg, bspec, state)
+    assert traj.n_steps > 2 and traj.n_rejects == 0
+    assert entries == [sv._RAISE]
 
 
 def test_nonfinite_or_nonpositive_guess_falls_back_to_the_old_start():

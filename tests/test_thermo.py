@@ -591,14 +591,59 @@ def test_gibbs_and_invariants_evaluate_the_shape_once(name, request, monkeypatch
     # the invariant checks take them on their Z grid from one
     eos = request.getfixturevalue(name)
     shape = eos.shape_fn
-    evaluate, calls = shape.evaluate, []
-    monkeypatch.setattr(shape, "evaluate", lambda z, *names: calls.append(
-        (np.size(z), names)) or evaluate(z, *names))
+    evaluate, calls = type(shape).evaluate, []
+
+    def logged(self, z, *names):
+        if self is shape:
+            calls.append((np.size(z), names))
+        return evaluate(self, z, *names)
+    # the class is patched, so that the shared shape keeps no method of its own
+    monkeypatch.setattr(type(shape), "evaluate", logged)
     th.gibbs_residual(eos, np.array([0.003, 1.0, 2000.0]), np.full(3, 1.3))
     assert calls == [(3, ("p", "dp", "ds"))]
     calls.clear()
     assert all(ok for ok, _ in th.check_eos_invariants(eos).values())
     assert [names for size, names in calls if size == 400] == [("p", "dp", "ds")]
+
+
+@pytest.mark.parametrize("p_inf, a", [(1.0, 1.0), (2.5, 0.3)])
+def test_iconic_theta_slopes_hold_down_to_the_coldest_states(p_inf, a):
+    # by the Maxwell relation p_theta = rho + (4a/3) theta^3 and (rho e)_theta
+    # = 1.5 rho + 4a theta^3 on the iconic shape, with no p_inf term: the
+    # closures and the stage pass hold them to 1e-13 at rho = 1 from theta
+    # = 1e-12 (where the form 2.5 theta^{3/2} P - 1.5 rho P' read 1.1e-2
+    # high) to 10
+    eos = th.iconic_eos(p_inf=p_inf, a=a)
+    theta = np.geomspace(1e-12, 10.0, 131)
+    rho = np.ones_like(theta)
+    p_theta = rho + (4.0 * a / 3.0) * theta ** 3
+    w_theta = 1.5 * rho + 4.0 * a * theta ** 3
+    *_, stage_w_theta, stage_p_theta = th.stage_closures(eos, rho, theta, True)
+    for got, expected in ((th.pressure_theta_slope(eos, rho, theta), p_theta),
+                          (stage_p_theta, p_theta),
+                          (rho * th.energy_theta_slope(eos, rho, theta), w_theta),
+                          (stage_w_theta, w_theta)):
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+
+def test_power_shape_state_forms_match_the_z_view():
+    # a member with a, b, c and d all nonzero: its (rho, theta) forms against
+    # theta^{5/2} P(Z), theta P'(Z), 2.5 theta^{3/2} P - 1.5 rho P' and S(Z)
+    # of its Z view, over Z from 1e-2 to 1e2 and theta from 1e-2 to 1e2; at
+    # theta = 1 the view is the forms themselves
+    shape = th.PowerShape(0.7, 1.3, 0.4, 0.25)
+    shape.s0 = -0.6
+    z, theta = (g.ravel() for g in np.meshgrid(np.geomspace(1e-2, 1e2, 21),
+                                              np.geomspace(1e-2, 1e2, 17)))
+    rho = z * theta ** 1.5
+    p, dp, s = shape.evaluate(z, "p", "dp", "s")
+    pi, pi_rho, pi_theta, s_state = shape.evaluate_state(rho, theta, "p", "p_rho", "p_theta", "s")
+    np.testing.assert_allclose(pi, theta ** 2.5 * p, rtol=1e-13)
+    np.testing.assert_allclose(pi_rho, theta * dp, rtol=1e-13)
+    np.testing.assert_allclose(pi_theta, 2.5 * theta ** 1.5 * p - 1.5 * rho * dp, rtol=1e-12)
+    np.testing.assert_allclose(s_state, s, rtol=1e-12, atol=1e-13)
+    at_one = shape.evaluate_state(z, np.ones_like(z), "p", "p_rho", "s")
+    assert all(map(np.array_equal, at_one, (p, dp, s)))
 
 
 @pytest.mark.parametrize("name", PARITY_EOS)
@@ -647,7 +692,7 @@ def test_power_shape_slopes_match_the_family_and_the_gap_formula():
     shape.s0 = -0.6
     z = np.geomspace(1e-3, 1e3, 200)
     p, dp, s, ds = shape.evaluate(z, "p", "dp", "s", "ds")
-    np.testing.assert_array_equal(p, 0.7 * z ** FT + 1.3 * z + 0.4 + 0.25 / z)
+    np.testing.assert_array_equal(p, z * (0.7 * z ** (2 / 3) + 1.3) + 0.4 + 0.25 / z)
     h = 1e-5
     p_up, s_up = shape.evaluate(z * (1 + h), "p", "s")
     p_dn, s_dn = shape.evaluate(z * (1 - h), "p", "s")
@@ -1017,25 +1062,17 @@ def test_stage_closures_carry_the_delta_terms(name, request):
 
 
 def _assert_quartic_matches_closures(eos, rho, theta, delta):
-    """The iconic quartic against rho (e + delta theta) and rho (de/dtheta + delta)
-    of the generic closures, at rtol 1e-14.
-
-    On the iconic shape ``_energy_theta`` sums 3.75 theta^1.5 P / rho and
-    -2.25 P', whose p_inf Z^{2/3} parts cancel, so its rounding scales with
-    the magnitude of its terms, not of its result (1e-11 relative at
-    Z = 4e5): the slope is pinned relative to that magnitude, and relative to
-    itself against exact rational arithmetic of 4 a theta^3 + (3/2 + delta) rho.
-    """
+    """The iconic quartic against rho (e + delta theta) and rho (de/dtheta +
+    delta) of the closures, and its slope against exact rational arithmetic
+    of 4 a theta^3 + (3/2 + delta) rho, each at rtol 1e-14."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     f, df = th.energy_density_residual(eos, rho, np.zeros_like(rho), delta)(theta)
-    pw = th._theta_powers(rho, theta)
-    p, dp = eos.shape_fn.evaluate(pw.z, "p", "dp")
-    np.testing.assert_allclose(f, rho * (th._energy(eos, rho, pw, p) + delta * theta),
+    np.testing.assert_allclose(
+        f, rho * (th.specific_internal_energy(eos, rho, theta) + delta * theta),
+        rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(df, rho * (th.energy_theta_slope(eos, rho, theta) + delta),
                                rtol=1e-14, atol=0.0)
-    slope = rho * (th._energy_theta(eos, rho, pw, p, dp) + delta)
-    terms = 3.75 * theta ** 1.5 * p + 2.25 * rho * dp + 4.0 * eos.a * theta ** 3 + rho * delta
-    assert np.all(np.abs(df - slope) <= 1e-14 * terms)
     for r, t, d in zip(rho.ravel(), theta.ravel(), np.ravel(df)):
         exact = 4 * Fraction(eos.a) * Fraction(t) ** 3 + (Fraction(3, 2) + Fraction(delta)) * Fraction(r)
         assert abs(Fraction(d) - exact) <= Fraction(1e-14) * exact

@@ -14,6 +14,8 @@ import pytest
 import nsfsim
 from nsfsim import BoundarySpec, Mesh1D, make_boundary, mms, scenario, solver
 
+from conftest import make_table_eos
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -310,26 +312,62 @@ def test_table_looks_its_pieces_up_in_one_place():
 
 
 def test_shape_forms_are_written_once_per_kind_of_region(eos_table, eos_table_nolaw):
-    # every closed-form region of P is a PowerShape, so the forms of P, P',
-    # S and S' are written twice in all: once for the family, once for the
-    # spline.  Only PowerShape and TabulatedShape define ``evaluate``, the
-    # only dicts of forms are their two, and a table's head and tail, in
-    # either tail mode, are family members
+    # every closed-form region of P is a PowerShape, so the shape's forms
+    # are written twice in all: once for the family, in (rho, theta), and
+    # once for the spline, in Z.  Only PowerShape and TabulatedShape define
+    # the (rho, theta) entry ``evaluate_state`` and the Z view ``evaluate``,
+    # the only dicts of forms (every value a function of the module) are
+    # their two, and a table's head and tail, in either tail mode, are
+    # family members
     tree = ast.parse((ROOT / "src" / "nsfsim" / "thermo.py").read_text())
     classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
-    evaluators = {c.name for c in classes
-                  if any(isinstance(n, ast.FunctionDef) and n.name == "evaluate" for n in c.body)}
-    assert evaluators == {"PowerShape", "TabulatedShape"}
-    # a dict of forms is keyed by the names "p" and "dp", wherever it is written
-    form_dicts = [n for n in ast.walk(tree) if isinstance(n, ast.Dict)
-                  and {"p", "dp"} <= {getattr(k, "value", None) for k in n.keys}]
-    named = {f"{c.name}.{n.targets[0].id}": n.value for c in classes for n in c.body
+    for entry in ("evaluate", "evaluate_state"):
+        assert {c.name for c in classes if any(
+            isinstance(n, ast.FunctionDef) and n.name == entry for n in c.body)} == {
+                "PowerShape", "TabulatedShape"}, entry
+    functions = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    form_dicts = [n for n in ast.walk(tree) if isinstance(n, ast.Dict) and n.values
+                  and all(isinstance(v, ast.Name) and v.id in functions for v in n.values)]
+    named = {f"{c.name}.{n.targets[0].id}": {k.value for k in n.value.keys}
+             for c in classes for n in c.body
              if isinstance(n, ast.Assign) and n.value in form_dicts}
     assert len(form_dicts) == 2
-    assert set(named) == {"PowerShape._FORMS", "TabulatedShape._SPLINE"}
+    assert named == {"PowerShape._FORMS": {"p", "p_rho", "p_theta", "s", "ds"},
+                     "TabulatedShape._SPLINE": {"p", "dp", "s", "ds"}}
     for eos in (eos_table, eos_table_nolaw):
         shape = eos.shape_fn
         assert type(shape.head) is type(shape.tail) is nsfsim.thermo.PowerShape
+
+
+@pytest.mark.parametrize("case", ["iconic_walls", "iconic_channel", "table_channel"])
+def test_iconic_runs_form_no_z(case, monkeypatch):
+    # the iconic shape's closures are read in (rho, theta): an iconic run,
+    # wall box or regularized channel, takes no fractional power of theta
+    # and no Z view of a shape, while a table still forms Z for its spline
+    thermo = nsfsim.thermo
+    calls = collections.Counter()
+    for owner, name in ((thermo, "_theta_powers"), (thermo.PowerShape, "evaluate"),
+                        (thermo.TabulatedShape, "evaluate")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    mesh = Mesh1D(0.0, 1.0, 32)
+    x = mesh.centers
+    eos = make_table_eos(True) if case == "table_channel" else nsfsim.iconic_eos()
+    if case == "iconic_walls":
+        bspec, cfg, u = make_boundary(), solver.SolverConfig(t_end=0.02), 0.0
+    else:
+        bspec = make_boundary(u_b_left=0.5, u_b_right=0.5, rho_b_left=1.0, F_ib_left=-2.0)
+        cfg, u = solver.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.02), 0.5
+    state = solver.FieldState(rho=1 + 0.05 * np.cos(np.pi * x), u=np.full(32, u),
+                              theta=1 + 0.05 * np.cos(np.pi * x))
+    traj = solver.run(mesh, eos, nsfsim.TransportSpec(), cfg, bspec, state)
+    assert traj.n_steps > 1 and traj.n_rejects == 0
+    if case == "table_channel":
+        assert calls["_theta_powers"] > 0 and calls["evaluate"] > 0
+    else:
+        assert calls == {}
 
 
 def test_stage_calls_no_where_zeros_concatenate_or_ones_like():
