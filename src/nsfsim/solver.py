@@ -69,9 +69,9 @@ mass flux and the boundary budget integrands.  The stage's volume
 integrands are stacked into one (K, n) array and reduced once.  The first
 stage of a step is evaluated once and reused by rejected attempts.  The temperature recovery builds its
 energy-density residual once per solve; a Newton iterate makes no EOS call
-on the iconic shape, and on a table one (P, P') evaluation from the spline
-pieces the table kept from its last pass on n cells, located again only
-when some Z leaves its piece (on smooth data, a few times per run).
+on the iconic shape, and on a table one (P, P_theta) evaluation from the
+spline pieces the table kept from its last pass on n cells, located again
+only when some Z leaves its piece (on smooth data, a few times per run).
 Newton stops after its first step below 1e-8 theta, since quadratic
 convergence leaves only rounding for the next, and the recovery is checked
 by the residual's value alone.  Both recoveries start from a linearised
@@ -395,10 +395,10 @@ def convective_fluxes(state: FieldState, mesh: Mesh1D, bspec: BoundarySpec,
     inflow faces and walls).  Returns (f_mass, f_mom, f_energy, u_face, pad),
     ``pad`` being the :class:`StageFields` the fluxes were built from: every
     closure of a stage is evaluated here, once, on the ghost-padded arrays,
-    with ``slopes`` in a (P, P', S) pass that also gives the sound speed and
-    the slopes of rho e_delta.  S is evaluated only where an inflow or
-    outflow face or epsilon > 0 reads it.  ``bspec`` may also be the step
-    plan of (mesh, bspec), as a stage passes.
+    with ``slopes`` in a (Pi, Pi_rho, Pi_theta, S) pass that also gives the
+    sound speed and the slopes of rho e_delta.  S is evaluated only where an
+    inflow or outflow face or epsilon > 0 reads it.  ``bspec`` may also be
+    the step plan of (mesh, bspec), as a stage passes.
     """
     plan = bspec if isinstance(bspec, _StepPlan) else _step_plan(mesh, bspec)
     rho_p, u_p, theta_p = _ghosts(state, plan)

@@ -42,27 +42,33 @@ written once each:
     p_rho = Pi_rho,  p_theta = Pi_theta + (4a/3) theta^3,
     (rho e)_theta = 1.5 Pi_theta + 4a theta^3.
 
-A ``PowerShape`` writes Pi, Pi_rho, Pi_theta and S in (rho, theta) and forms
-no Z; a zero coefficient forms no term and a unit one no product, so the
-iconic member forms no power of theta, and its Pi_theta = rho is the
-Maxwell form (dp/dtheta)_rho = -rho^2 (ds/drho)_theta, with no p_inf part
-to cancel.  A table forms Z and theta^{3/2}, theta^{5/2} by
-``_theta_powers``, the one place a fractional power of theta is taken, and
-reads its spline's P, P', S from one pass, so its Pi_theta is still 2.5
-theta^{3/2} P - 1.5 rho P'.  The radiation terms take theta^3 and theta^4
-from ``_integer_powers``, each formed only where it is read.
+Since p is homogeneous in theta, each of these is the shape's value at Z
+times a fixed power of theta: Pi = theta^{5/2} P, Pi_rho = theta P',
+Pi_theta = theta^{3/2} P_theta with P_theta = 2.5 P - 1.5 Z P' = -Z^2 S',
+and S = S(Z).  Each shape has that Z view, ``evaluate(z, *names)``, under
+the same names plus ``"ds"``: one array per name among ``"p"`` (P),
+``"p_rho"`` (P'), ``"p_theta"`` (P_theta), ``"s"`` (S) and ``"ds"`` (S').
+Every closed-form region writes P_theta = Z q in its Maxwell form,
+(dp/dtheta)_rho = -rho^2 (ds/drho)_theta, with no p_inf part to cancel; the
+spline reads it from P's cubic in powers of Z, and its S' = -P_theta/Z^2.
 
-Each shape also has a Z view, ``evaluate(z, *names)``, one array per name
-among ``"p"`` (P), ``"dp"`` (P'), ``"s"`` (S) and ``"ds"`` (S'): a
-``PowerShape``'s is its forms at theta = 1, with S = +inf and S' = -inf at
-Z = 0 and no warning; a table's is its spline, whose pieces it evaluates
-from one piece lookup and one gather, expanded by Horner with no
-``np.polynomial``, with its head and tail, ``PowerShape`` members, under one
-mask pass.  The Z view is what a table's (rho, theta) entry, its build, the
-Gibbs terms and ``check_eos_invariants`` read.  A table keeps the rows it
-gathered for each length of Z and looks up again only when some Z leaves
-its piece, so the stage passes and the Newton iterates of a run look up
-about once per length.
+A ``PowerShape`` writes its forms in (rho, theta) and forms no Z; its Z view
+is the same forms at theta = 1, with S = +inf and S' = -inf at Z = 0 and no
+warning.  A zero coefficient forms no term and a unit one no product, so
+the iconic member forms no power of theta, and its Pi_theta = rho.  A
+table's (rho, theta) entry is its Z view at Z = rho/theta^{3/2}, scaled by
+theta^{5/2}, theta and theta^{3/2}, with Z and the powers from
+``_theta_powers``, the one place a fractional power of theta is taken; so
+its head and tail give the Maxwell Pi_theta = rho q of their own members.
+A table's view is its spline, whose pieces it evaluates from one piece
+lookup and one gather, expanded by Horner with no ``np.polynomial``, with
+its head and tail, ``PowerShape`` members, under one mask pass.  The Z view
+is also what a table's build, the Gibbs terms and ``check_eos_invariants``
+read.  A table keeps the rows it gathered for each length of Z and looks up
+again only when some Z leaves its piece, so the stage passes and the Newton
+iterates of a run look up about once per length.  The radiation terms take
+theta^3 and theta^4 from ``_integer_powers``, each formed only where it is
+read.
 ``stage_closures`` is a budget audit's one EOS pass, and its core
 ``_stage_closures`` a solver stage's: (p, e_delta, s_delta) from one (Pi, S)
 pass, or with slopes from one (Pi, Pi_rho, Pi_theta, S) pass that adds the
@@ -76,7 +82,7 @@ equal to its separate closure.  An iconic stage pass enters no
 ``np.errstate``.
 ``energy_density_residual`` builds the residual of the solver's temperature
 recovery, rho e_delta - w, once per solve (a quartic in theta on the iconic
-shape; on a table one (P, P') ``evaluate`` per iterate), ``sound_speed_sq``
+shape; on a table one (Pi, Pi_theta) pass per iterate), ``sound_speed_sq``
 is the step limit's sound speed, and ``gibbs_residual`` keeps independent
 routes.  Every public state function checks its domain, theta > 0 and
 rho > 0 (rho >= 0 for p), through one helper, ``_in_domain``, in which NaN
@@ -91,7 +97,6 @@ closed-form boundary values (radiation at rho = 0, cold on the S = 0 edge).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -146,7 +151,8 @@ class PowerShape:
     member forms no power of theta at all and a Third-law tail no b log Z.
     The iconic shape is ``PowerShape(p_inf, 1)``, P = Z + p_inf Z^{5/3},
     whose S = -log Z vanishes at Z = 1.  The Z view ``evaluate`` is these
-    forms at theta = 1, where rho = Z, Pi = P and Pi_rho = P'.
+    forms at theta = 1, where rho = Z, Pi = P, Pi_rho = P' and Pi_theta =
+    P_theta = Z q, with the same names.
     """
 
     def __init__(self, a: float, b: float, c: float = 0.0, d: float = 0.0):
@@ -166,14 +172,13 @@ class PowerShape:
         return self._values(rho, theta, names, powers)
 
     def evaluate(self, z, *names):
-        """The Z view: one array per name, among ``"p"`` (P), ``"dp"`` (P'),
-        ``"s"`` (S) and ``"ds"`` (S'), the forms at theta = 1 and rho = Z,
-        with S' = -Pi_theta/Z^2 taken as -q/Z, so that S = +inf and
-        S' = -inf at Z = 0."""
+        """The Z view: the forms at theta = 1 and rho = Z, one array per name
+        among ``"p"`` (P), ``"p_rho"`` (P'), ``"p_theta"`` (P_theta = Z q),
+        ``"s"`` (S) and ``"ds"`` (S' = -P_theta/Z^2, taken as -q/Z), so that
+        S = +inf and S' = -inf at Z = 0."""
         z = np.asarray(z, dtype=float)
         with np.errstate(divide="ignore"):  # the logarithm and 1/Z at Z = 0
-            return self._values(z, 1.0, [self._Z_VIEW[n] for n in names],
-                                _UNIT_POWERS if self.c or self.d else None)
+            return self._values(z, 1.0, names, _UNIT_POWERS if self.c or self.d else None)
 
     @staticmethod
     def _powers(theta):
@@ -220,8 +225,6 @@ class PowerShape:
         return -self._q(rho, powers) / rho
 
     _FORMS = {"p": _p, "p_rho": _p_rho, "p_theta": _p_theta, "s": _s, "ds": _ds}
-    # the Z view's names for the forms
-    _Z_VIEW = {"p": "p", "dp": "p_rho", "s": "s", "ds": "ds"}
 
 
 class TabulatedShape:
@@ -244,7 +247,8 @@ class TabulatedShape:
     Head and tail S are the family's closed forms and S' their derivatives
     (the gap formula cancels the Z^{5/3} terms of P there and loses every
     digit far out); on the spline S is integrated exactly piece by piece,
-    anchored at the tail's S, and S' is the gap formula.  The entropy gauge
+    anchored at the tail's S, and S' = -P_theta/Z^2, P_theta = 2.5 P
+    - 1.5 Z P' read from P's cubic in powers of Z.  The entropy gauge
     shift sets the head's and the tail's ``s0`` and the pieces' offsets.
 
     The spline is built in numpy, in the order of operations of scipy's
@@ -298,7 +302,7 @@ class TabulatedShape:
             raise EosValidationError(
                 "table start is too steep: the stability gap would close below the first knots")
         self.head = PowerShape((z[0] * p[1] - z[1] * p[0]) / det, alpha)
-        d_lo = self.head.evaluate(z[1], "dp")[0]
+        d_lo = self.head.evaluate(z[1], "p_rho")[0]
         if d_lo <= 0.0:
             raise EosValidationError("head closure is not increasing at the junction")
 
@@ -327,7 +331,7 @@ class TabulatedShape:
                 raise EosValidationError("tail closure closes the stability gap near the last knots")
             self.tail = PowerShape(p_inf, k, gamma)
             gauge_z = 1.0
-        d_hi = self.tail.evaluate(z[-2], "dp")[0]
+        d_hi = self.tail.evaluate(z[-2], "p_rho")[0]
         if d_hi <= 0.0:
             raise EosValidationError("tail closure is not increasing at the junction")
 
@@ -356,9 +360,10 @@ class TabulatedShape:
         u2 = t2 + a3 * q
         self._coeffs = np.stack((a0 + t1 * q, t1 + u2 * q, u2 + a3 * q, a3))
         # every row a piece is evaluated from, stacked for one gather: P's
-        # cubic in Z - knot, P''s quadratic, S's cubic in Z, the entropy
-        # offset (the row ``_offsets`` views, set by the entropy build), and
-        # the piece's bounds [knot, next knot), the last one closed at z_hi
+        # cubic in Z - knot, P''s quadratic, P's cubic in Z (which S and
+        # P_theta read), the entropy offset (the row ``_offsets`` views, set
+        # by the entropy build), and the piece's bounds [knot, next knot),
+        # the last one closed at z_hi
         upper = np.append(zin[1:-1], np.nextafter(self.z_hi, math.inf))
         self._rows = np.vstack((self._c, self._c[:-1] * np.array([3.0, 2.0, 1.0])[:, None],
                                 self._coeffs, np.zeros(len(zin) - 1), zin[:-1], upper))
@@ -400,7 +405,7 @@ class TabulatedShape:
             np.geomspace(self.z_lo, self.z_hi, 400)[1:],
             np.geomspace(self.z_hi, self.z_hi * 1e3, 40)[1:],
         ])
-        p, dp = self.evaluate(zg, "p", "dp")
+        p, dp = self.evaluate(zg, "p", "p_rho")
         gap = (_FIVE_THIRDS * p - dp * zg) / zg
         if np.any(gap <= 0.0):
             raise EosValidationError("interpolated table violates the stability gap ((5/3)P - P'Z)/Z > 0")
@@ -409,17 +414,19 @@ class TabulatedShape:
 
     # -- evaluation ------------------------------------------------------------
 
-    # the rows of ``_rows``: P, P', S, the entropy offset, the piece's bounds
+    # the rows of ``_rows``: P in Z - knot, P', P in Z, the entropy offset,
+    # the piece's bounds
     _P, _DP, _S, _OFFSET, _LO, _HI = slice(0, 4), slice(4, 7), slice(7, 11), 11, 12, 13
     # the lengths whose gathered rows ``evaluate`` keeps: a solver step
     # evaluates on n cells and on n + 2
     _KEPT = 4
 
     def evaluate(self, z, *names):
-        """One array per name, among ``"p"`` (P), ``"dp"`` (P'), ``"s"`` (S)
-        and ``"ds"`` (S'), from one pass over z: spline forms take (z, c, s,
-        s2) with c the rows of each z's piece, s = z - knot and s2 = s * s,
-        head and tail forms take z.
+        """The Z view: one array per name, among ``"p"`` (P), ``"p_rho"``
+        (P'), ``"p_theta"`` (P_theta = 2.5 P - 1.5 Z P'), ``"s"`` (S) and
+        ``"ds"`` (S' = -P_theta/Z^2), from one pass over z: spline forms
+        take (z, c, s, s2) with c the rows of each z's piece, s = z - knot
+        and s2 = s * s, head and tail forms take z.
 
         The rows gathered for a 1-d z on the spline are kept, one set per
         length, for at most ``_KEPT`` lengths.  While every z of a later call
@@ -458,16 +465,16 @@ class TabulatedShape:
         return outs
 
     def evaluate_state(self, rho, theta, *names):
-        """One array per name at (rho, theta), among ``"p"`` (Pi = theta^{5/2}
-        P), ``"p_rho"`` (Pi_rho = theta P'), ``"p_theta"`` (Pi_theta = 2.5
-        theta^{3/2} P - 1.5 rho P') and ``"s"`` (S), from Z and one
-        ``evaluate`` of the names they read among P, P' and S."""
+        """One array per name at (rho, theta), among ``"p"`` (Pi), ``"p_rho"``
+        (Pi_rho), ``"p_theta"`` (Pi_theta) and ``"s"`` (S): the Z view of the
+        same names at Z = rho/theta^{3/2}, times the power of theta each
+        carries, Pi = theta^{5/2} P, Pi_rho = theta P', Pi_theta = theta^{3/2}
+        P_theta, S unscaled.  Head and tail thus give Pi_theta = rho q, the
+        Maxwell form of their own ``PowerShape``."""
         pw = _theta_powers(rho, theta, "p" in names)
-        reads = _spline_reads(names)
-        v = dict(zip(reads, self.evaluate(pw.z, *reads)))
-        return tuple([pw.t25 * v["p"] if n == "p" else theta * v["dp"] if n == "p_rho"
-                      else 2.5 * pw.t15 * v["p"] - 1.5 * rho * v["dp"] if n == "p_theta"
-                      else v["s"] for n in names])
+        scales = {"p": pw.t25, "p_rho": theta, "p_theta": pw.t15}
+        return tuple([v if n == "s" else scales[n] * v
+                      for n, v in zip(names, self.evaluate(pw.z, *names))])
 
     def _locate(self, z, names):
         """(c, values): c the rows of each z's piece, found by one
@@ -484,30 +491,23 @@ class TabulatedShape:
         a3, a2, a1, a0 = c[self._P]
         return a0 + a1 * s + a2 * s2 + a3 * (s2 * s)
 
-    def _spline_dp(self, z, c, s, s2):
+    def _spline_p_rho(self, z, c, s, s2):
         b2, b1, b0 = c[self._DP]
         return b0 + b1 * s + b2 * s2
+
+    def _spline_p_theta(self, z, c, s, s2):
+        # 2.5 P - 1.5 Z P' from P's cubic in powers of Z
+        a0, a1, a2, a3 = c[self._S]
+        return 2.5 * a0 + z * (a1 - z * (0.5 * a2 + 2.0 * a3 * z))
 
     def _spline_s(self, z, c, s, s2):
         return self._cubic_entropy_antideriv(c[self._S], z) + c[self._OFFSET]
 
     def _spline_ds(self, z, c, s, s2):
-        return -1.5 * (_FIVE_THIRDS * self._spline_p(z, c, s, s2)
-                       - self._spline_dp(z, c, s, s2) * z) / (z * z)
+        return -self._spline_p_theta(z, c, s, s2) / (z * z)
 
-    _SPLINE = {"p": _spline_p, "dp": _spline_dp, "s": _spline_s, "ds": _spline_ds}
-
-
-# the spline values each (rho, theta) form of a table reads
-_SPLINE_READS = {"p": ("p",), "p_rho": ("dp",), "p_theta": ("p", "dp"), "s": ("s",)}
-
-
-@functools.lru_cache(maxsize=16)
-def _spline_reads(names: tuple) -> tuple:
-    """The spline names, in the order ("p", "dp", "s"), that a table's
-    (rho, theta) forms ``names`` read."""
-    wanted = {read for n in names for read in _SPLINE_READS[n]}
-    return tuple(n for n in ("p", "dp", "s") if n in wanted)
+    _SPLINE = {"p": _spline_p, "p_rho": _spline_p_rho, "p_theta": _spline_p_theta,
+               "s": _spline_s, "ds": _spline_ds}
 
 
 # ---------------------------------------------------------------------------
@@ -797,10 +797,10 @@ def energy_density_residual(eos: EosSpec, rho, w, delta: float = 0.0):
     + (3/2) p_inf rho^{5/3}, a quartic whose coefficients are set up once,
     so an iterate evaluates no Z, no shape and no domain check.  On a table
     an iterate evaluates one (Pi, Pi_theta) by the shape's (rho, theta)
-    entry, whose one (P, P') pass reuses the spline pieces of its last call
-    on Z's length while every Z stays in its piece.  Called with
-    ``slope=False`` the residual returns its value alone, one Pi, one P and
-    no P'.  At delta = 0 no delta term is formed.
+    entry, whose one (P, P_theta) pass reuses the spline pieces of its last
+    call on Z's length while every Z stays in its piece.  Called with
+    ``slope=False`` the residual returns its value alone, one Pi from one P.
+    At delta = 0 no delta term is formed.
     """
     rho, w = np.asarray(rho, dtype=float), np.asarray(w, dtype=float)
     if eos.shape == "iconic":
@@ -913,7 +913,7 @@ def _gibbs_terms(eos: EosSpec, rho, theta):
     rho = _in_domain(rho, "density")
     pw = _theta_powers(rho, theta)
     z = pw.z
-    pz, dpz, sz = eos.shape_fn.evaluate(z, "p", "dp", "ds")
+    pz, dpz, sz = eos.shape_fn.evaluate(z, "p", "p_rho", "ds")
 
     # theta * d(S(Z))/dtheta  vs  d/dtheta of the P-part of e
     s_route_1 = -1.5 * z * sz
@@ -1130,7 +1130,7 @@ def check_eos_invariants(eos: EosSpec) -> dict:
     z = np.geomspace(1e-3, 1e3, 400)
     rho, theta = np.full(64, 1.7), np.geomspace(0.2, 5.0, 64)
     with np.errstate(all="ignore"):
-        p, dp, sz = shape.evaluate(z, "p", "dp", "ds")
+        p, dp, sz = shape.evaluate(z, "p", "p_rho", "ds")
     bad = _first_not_finite(("the shape's P", "the shape's P'", "the shape's S'"),
                             (p, dp, sz), lambda k: f"Z = {z[k]:.3g}")
     results = {"shape finite": (bad is None, bad or "P, P' and S' finite on the grid")}

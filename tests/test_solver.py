@@ -632,19 +632,24 @@ def test_step_names_a_nonfinite_source(eos_name, field, name, bad, transport, bo
     assert attempts == []
 
 
-@pytest.mark.parametrize("eos_name", ["eos", "eos_table_nolaw"])
+@pytest.mark.parametrize("eos_name", ["eos", "eos_table", "eos_table_nolaw"])
 def test_recover_theta_rejects_below_the_floors(eos_name, transport, box, monkeypatch,
                                                 request):
-    # an energy density whose temperature lies below its floor rejects after
-    # Newton; a corrector density below its floor, or NaN, rejects where the
-    # step forms it, before the corrector's recovery
+    # an energy density whose temperature, 1e-12 at rho = 1, lies below its
+    # floor rejects after Newton, from a guess of 1, 1e-3 or 1e-12 (on the
+    # Third-law table only a slope in the Maxwell form keeps its sign
+    # there); a corrector density below its floor, or NaN, rejects where
+    # the step forms it, before the corrector's recovery
     eos = request.getfixturevalue(eos_name)
     cfg = sv.SolverConfig(t_end=1.0)
     rho = np.ones(4)
     theta = np.array([1.0, 1.0, 0.01 * sv.THETA_FLOOR, 1.0])
     w = rho * th.stage_closures(eos, rho, theta)[1]
-    with pytest.raises(sv.StepRejected, match="^temperature fell below its floor$"):
-        sv._recover_theta(eos, cfg, rho, w, np.ones(4))
+    for cold_guess in (1.0, 1e-3, 1e-12):
+        guess = np.ones(4)
+        guess[2] = cold_guess
+        with pytest.raises(sv.StepRejected, match="^temperature fell below its floor$"):
+            sv._recover_theta(eos, cfg, rho, w, guess)
     mesh, walls = box
     state = _uniform_state(mesh.n_cells)
     plan = sv._step_plan(mesh, walls)

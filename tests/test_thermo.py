@@ -151,7 +151,7 @@ def test_entropy_slope_matches_defining_ode(eos, eos_table):
             z = z[keep]
         h = 1e-5 * z
         fd = (sh.evaluate(z + h, "s")[0] - sh.evaluate(z - h, "s")[0]) / (2 * h)
-        ode = -1.5 * (FT * sh.evaluate(z, "p")[0] - sh.evaluate(z, "dp")[0] * z) / z ** 2
+        ode = -1.5 * (FT * sh.evaluate(z, "p")[0] - sh.evaluate(z, "p_rho")[0] * z) / z ** 2
         np.testing.assert_allclose(fd, ode, rtol=1e-6, atol=1e-9)
 
 
@@ -576,7 +576,7 @@ def test_shape_p_dp_matches_separate_calls(name, eos_table, request):
     # at a time on head, z_lo, z_hi and tail
     shape = request.getfixturevalue(name).shape_fn
     z = _parity_z(eos_table)
-    names = ("p", "dp", "s", "ds")
+    names = ("p", "p_rho", "s", "ds")
     for zk in (z, z[0], eos_table.shape_fn.z_lo, eos_table.shape_fn.z_hi, z[-1]):
         apart = {n: shape.evaluate(zk, n)[0] for n in names}
         for k in range(2, len(names) + 1):
@@ -600,24 +600,38 @@ def test_gibbs_and_invariants_evaluate_the_shape_once(name, request, monkeypatch
     # the class is patched, so that the shared shape keeps no method of its own
     monkeypatch.setattr(type(shape), "evaluate", logged)
     th.gibbs_residual(eos, np.array([0.003, 1.0, 2000.0]), np.full(3, 1.3))
-    assert calls == [(3, ("p", "dp", "ds"))]
+    assert calls == [(3, ("p", "p_rho", "ds"))]
     calls.clear()
     assert all(ok for ok, _ in th.check_eos_invariants(eos).values())
-    assert [names for size, names in calls if size == 400] == [("p", "dp", "ds")]
+    assert [names for size, names in calls if size == 400] == [("p", "p_rho", "ds")]
 
 
-@pytest.mark.parametrize("p_inf, a", [(1.0, 1.0), (2.5, 0.3)])
-def test_iconic_theta_slopes_hold_down_to_the_coldest_states(p_inf, a):
-    # by the Maxwell relation p_theta = rho + (4a/3) theta^3 and (rho e)_theta
-    # = 1.5 rho + 4a theta^3 on the iconic shape, with no p_inf term: the
-    # closures and the stage pass hold them to 1e-13 at rho = 1 from theta
-    # = 1e-12 (where the form 2.5 theta^{3/2} P - 1.5 rho P' read 1.1e-2
-    # high) to 10
-    eos = th.iconic_eos(p_inf=p_inf, a=a)
-    theta = np.geomspace(1e-12, 10.0, 131)
+@pytest.mark.parametrize("case", [(1.0, 1.0), (2.5, 0.3), "eos_table", "eos_table_nolaw"],
+                         ids=["1.0-1.0", "2.5-0.3", "eos_table", "eos_table_nolaw"])
+def test_iconic_theta_slopes_hold_down_to_the_coldest_states(case, request):
+    # by the Maxwell relation p_theta = Pi_theta + (4a/3) theta^3 and
+    # (rho e)_theta = 1.5 Pi_theta + 4a theta^3, where the PowerShape region
+    # that holds Z gives Pi_theta = b rho + 2.5 c theta^{3/2} + 4 d theta^3/rho
+    # with no p_inf term: the closures and the stage pass hold them to 1e-13
+    # at rho = 1, on the iconic shape (Pi_theta = rho) from theta = 1e-12
+    # (where the form 2.5 theta^{3/2} P - 1.5 rho P' read 1.1e-2 high) to
+    # 10, and on a table's tail from 1e-12 until Z reaches z_hi (where that
+    # form read -2.6e11 relative on the Third-law tail and 7.5e-6 on the
+    # general one)
+    if isinstance(case, str):
+        eos = request.getfixturevalue(case)
+        region = eos.shape_fn.tail
+        theta = np.geomspace(1e-12, 0.999 * eos.shape_fn.z_hi ** (-2.0 / 3.0), 131)
+        assert np.all(1.0 / theta ** 1.5 > eos.shape_fn.z_hi)
+    else:
+        eos = th.iconic_eos(p_inf=case[0], a=case[1])
+        region = eos.shape_fn
+        theta = np.geomspace(1e-12, 10.0, 131)
+    a, b, c, d = eos.a, region.b, region.c, region.d
     rho = np.ones_like(theta)
-    p_theta = rho + (4.0 * a / 3.0) * theta ** 3
-    w_theta = 1.5 * rho + 4.0 * a * theta ** 3
+    pi_theta = b * rho + 2.5 * c * theta ** 1.5 + 4.0 * d * theta ** 3 / rho
+    p_theta = pi_theta + (4.0 * a / 3.0) * theta ** 3
+    w_theta = 1.5 * pi_theta + 4.0 * a * theta ** 3
     *_, stage_w_theta, stage_p_theta = th.stage_closures(eos, rho, theta, True)
     for got, expected in ((th.pressure_theta_slope(eos, rho, theta), p_theta),
                           (stage_p_theta, p_theta),
@@ -626,24 +640,33 @@ def test_iconic_theta_slopes_hold_down_to_the_coldest_states(p_inf, a):
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
 
-def test_power_shape_state_forms_match_the_z_view():
-    # a member with a, b, c and d all nonzero: its (rho, theta) forms against
-    # theta^{5/2} P(Z), theta P'(Z), 2.5 theta^{3/2} P - 1.5 rho P' and S(Z)
-    # of its Z view, over Z from 1e-2 to 1e2 and theta from 1e-2 to 1e2; at
-    # theta = 1 the view is the forms themselves
-    shape = th.PowerShape(0.7, 1.3, 0.4, 0.25)
-    shape.s0 = -0.6
-    z, theta = (g.ravel() for g in np.meshgrid(np.geomspace(1e-2, 1e2, 21),
-                                              np.geomspace(1e-2, 1e2, 17)))
-    rho = z * theta ** 1.5
-    p, dp, s = shape.evaluate(z, "p", "dp", "s")
-    pi, pi_rho, pi_theta, s_state = shape.evaluate_state(rho, theta, "p", "p_rho", "p_theta", "s")
-    np.testing.assert_allclose(pi, theta ** 2.5 * p, rtol=1e-13)
-    np.testing.assert_allclose(pi_rho, theta * dp, rtol=1e-13)
-    np.testing.assert_allclose(pi_theta, 2.5 * theta ** 1.5 * p - 1.5 * rho * dp, rtol=1e-12)
-    np.testing.assert_allclose(s_state, s, rtol=1e-12, atol=1e-13)
-    at_one = shape.evaluate_state(z, np.ones_like(z), "p", "p_rho", "s")
-    assert all(map(np.array_equal, at_one, (p, dp, s)))
+def test_power_shape_state_forms_match_the_z_view(eos_table, eos_table_nolaw):
+    # a member with a, b, c and d all nonzero, over Z from 1e-2 to 1e2, and
+    # both tables on head, spline and tail Z: the (rho, theta) entry against
+    # the Z view of the same names times the power of theta each carries,
+    # Pi = theta^{5/2} P, Pi_rho = theta P', Pi_theta = theta^{3/2} P_theta
+    # and S, for theta from 1e-2 to 1e2; the view's P_theta is 2.5 P
+    # - 1.5 Z P' to the rounding of those terms, and at theta = 1 the entry
+    # is the view bit for bit
+    member = th.PowerShape(0.7, 1.3, 0.4, 0.25)
+    member.s0 = -0.6
+    names = ("p", "p_rho", "p_theta", "s")
+    for shape, z_grid in ((member, np.geomspace(1e-2, 1e2, 21)),
+                          (eos_table.shape_fn, _parity_z(eos_table)),
+                          (eos_table_nolaw.shape_fn, _parity_z(eos_table))):
+        z, theta = (g.ravel() for g in np.meshgrid(z_grid, np.geomspace(1e-2, 1e2, 17)))
+        rho = z * theta ** 1.5
+        p, dp, p_theta, s = shape.evaluate(z, *names)
+        pi, pi_rho, pi_theta, s_state = shape.evaluate_state(rho, theta, *names)
+        np.testing.assert_allclose(pi, theta ** 2.5 * p, rtol=1e-13)
+        np.testing.assert_allclose(pi_rho, theta * dp, rtol=1e-13)
+        np.testing.assert_allclose(pi_theta, theta ** 1.5 * p_theta, rtol=1e-13)
+        np.testing.assert_allclose(s_state, s, rtol=1e-12, atol=1e-13)
+        terms = 2.5 * np.abs(p) + 1.5 * np.abs(z * dp)
+        assert np.all(np.abs(p_theta - (2.5 * p - 1.5 * z * dp))
+                      <= 4 * np.finfo(float).eps * terms)
+        at_one = shape.evaluate_state(z, np.ones_like(z), *names)
+        assert all(map(np.array_equal, at_one, (p, dp, p_theta, s)))
 
 
 @pytest.mark.parametrize("name", PARITY_EOS)
@@ -691,7 +714,7 @@ def test_power_shape_slopes_match_the_family_and_the_gap_formula():
     shape = th.PowerShape(0.7, 1.3, 0.4, 0.25)
     shape.s0 = -0.6
     z = np.geomspace(1e-3, 1e3, 200)
-    p, dp, s, ds = shape.evaluate(z, "p", "dp", "s", "ds")
+    p, dp, s, ds = shape.evaluate(z, "p", "p_rho", "s", "ds")
     np.testing.assert_array_equal(p, z * (0.7 * z ** (2 / 3) + 1.3) + 0.4 + 0.25 / z)
     h = 1e-5
     p_up, s_up = shape.evaluate(z * (1 + h), "p", "s")
@@ -761,8 +784,8 @@ def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, requ
     table_z, table_p = np.asarray(eos.table_z), np.asarray(eos.table_p)
     knots = table_z[1:-1]
     slopes = PchipInterpolator(table_z, table_p).derivative()(knots)
-    slopes[0] = shape.head.evaluate(knots[0], "dp")[0]
-    slopes[-1] = shape.tail.evaluate(knots[-1], "dp")[0]
+    slopes[0] = shape.head.evaluate(knots[0], "p_rho")[0]
+    slopes[-1] = shape.tail.evaluate(knots[-1], "p_rho")[0]
     spline = CubicHermiteSpline(knots, table_p[1:-1], slopes)
     z = _parity_z(eos_table)
     on = (z >= shape.z_lo) & (z <= shape.z_hi)
@@ -773,11 +796,11 @@ def test_table_kernel_matches_spline_and_per_piece_entropy(name, eos_table, requ
         s_ref[m] = (shape._cubic_entropy_antideriv(shape._coeffs[:, k], z[on][m])
                     + shape._offsets[k])
     for zz, sel in ((z[on], slice(None)), (z, on)):
-        p, dp = shape.evaluate(zz, "p", "dp")
+        p, dp = shape.evaluate(zz, "p", "p_rho")
         assert np.array_equal(p[sel], spline(z[on]))
         assert np.array_equal(dp[sel], spline.derivative()(z[on]))
         assert np.array_equal(shape.evaluate(zz, "p")[0][sel], p[sel])
-        assert np.array_equal(shape.evaluate(zz, "dp")[0][sel], dp[sel])
+        assert np.array_equal(shape.evaluate(zz, "p_rho")[0][sel], dp[sel])
         assert np.array_equal(shape.evaluate(zz, "s")[0][sel], s_ref)
     # one z at a time (0-d arrays) reaches the same values
     for zk, pk in zip(z[on], spline(z[on])):
@@ -811,14 +834,14 @@ def test_bound_pieces_match_the_unbound_pass(name, monkeypatch):
         (np.array([lo, k[6], np.nan, hi]), True),                  # NaN, masked
         (np.array([lo, k[6], k[10], hi]), False),
     ]
-    reference = [fresh().evaluate(z, "p", "dp") for z, _ in calls]
+    reference = [fresh().evaluate(z, "p", "p_rho") for z, _ in calls]
     lookups = []
     locate = shape._locate
     monkeypatch.setattr(shape, "_locate",
                         lambda z, names: lookups.append(1) or locate(z, names))
     for (z, located), (p, dp) in zip(calls, reference):
         lookups.clear()
-        kept_p, kept_dp = shape.evaluate(z, "p", "dp")
+        kept_p, kept_dp = shape.evaluate(z, "p", "p_rho")
         assert kept_p.tobytes() == p.tobytes() and kept_dp.tobytes() == dp.tobytes()
         assert len(lookups) == located
         # the check's value alone reads the same kept rows: it looks up only
@@ -827,7 +850,7 @@ def test_bound_pieces_match_the_unbound_pass(name, monkeypatch):
         assert len(lookups) == located + (not (lo <= z.min() and z.max() <= hi))
 
 
-_NAMES = ("p", "dp", "s", "ds")
+_NAMES = ("p", "p_rho", "s", "ds")
 
 
 @seed(SEED)

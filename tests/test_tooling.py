@@ -314,11 +314,11 @@ def test_table_looks_its_pieces_up_in_one_place():
 def test_shape_forms_are_written_once_per_kind_of_region(eos_table, eos_table_nolaw):
     # every closed-form region of P is a PowerShape, so the shape's forms
     # are written twice in all: once for the family, in (rho, theta), and
-    # once for the spline, in Z.  Only PowerShape and TabulatedShape define
-    # the (rho, theta) entry ``evaluate_state`` and the Z view ``evaluate``,
-    # the only dicts of forms (every value a function of the module) are
-    # their two, and a table's head and tail, in either tail mode, are
-    # family members
+    # once for the spline, in Z, under one set of names.  Only PowerShape
+    # and TabulatedShape define the (rho, theta) entry ``evaluate_state``
+    # and the Z view ``evaluate``, the only dicts of forms (every value a
+    # function of the module) are their two, and a table's head and tail,
+    # in either tail mode, are family members
     tree = ast.parse((ROOT / "src" / "nsfsim" / "thermo.py").read_text())
     classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
     for entry in ("evaluate", "evaluate_state"):
@@ -332,8 +332,20 @@ def test_shape_forms_are_written_once_per_kind_of_region(eos_table, eos_table_no
              for c in classes for n in c.body
              if isinstance(n, ast.Assign) and n.value in form_dicts}
     assert len(form_dicts) == 2
-    assert named == {"PowerShape._FORMS": {"p", "p_rho", "p_theta", "s", "ds"},
-                     "TabulatedShape._SPLINE": {"p", "dp", "s", "ds"}}
+    # both speak one name set, so no dict translates one name into another
+    # (every key and value a string, or a tuple of strings)
+    names = {"p", "p_rho", "p_theta", "s", "ds"}
+    assert named == {"PowerShape._FORMS": names, "TabulatedShape._SPLINE": names}
+
+    def strings(node):
+        return all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                   for e in (node.elts if isinstance(node, ast.Tuple) else [node]))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Dict) and n.keys
+            and all(k is not None and strings(k) for k in n.keys)
+            and all(map(strings, n.values))] == []
+    assigned = {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                for t in n.targets if isinstance(t, ast.Name)}
+    assert not (functions | assigned) & {"_Z_VIEW", "_SPLINE_READS", "_spline_reads"}
     for eos in (eos_table, eos_table_nolaw):
         shape = eos.shape_fn
         assert type(shape.head) is type(shape.tail) is nsfsim.thermo.PowerShape
