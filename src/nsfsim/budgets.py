@@ -12,9 +12,10 @@ gives e_delta and s_delta together, and kept on the trajectory until its
 number of states changes.  Every window audit, the whole audit and the
 a-priori sup over all outputs index those integrals: a sweep of audits over
 T outputs makes one closure call on O(n T) array work, not T calls.  A
-window audit resolves its two ends once; each single budget indexes the
-same full balances.  The window-independent a-priori monitor of a report
-is evaluated when read.  The weak-strong trace
+window audit resolves its two ends once and reads every flux and volume
+term from one difference of their two records, which hold the same rows;
+each single budget indexes the same full balances.  The window-independent
+a-priori monitor of a report is evaluated when read.  The weak-strong trace
 makes one relative-energy call on the stacked coarse and block-averaged fine
 states.
 
@@ -40,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .relent import RelEnergyTrace, relative_energy_fields
-from .solver import THETA_BAR, Trajectory, _step_plan
+from .solver import BUDGET_ROWS, THETA_BAR, Trajectory, _step_plan
 from .thermo import stage_closures
 
 ENTROPY_TOL = 1e-8
@@ -52,9 +53,11 @@ ENERGY_SLACK_COEFF = 5.0
 class BudgetReport:
     """Residuals of the discrete balances over a window, with verdicts.
 
-    ``apriori`` does not depend on the window: it is the
-    :func:`apriori_monitor` of the whole ``trajectory``, evaluated when it
-    is first read.
+    ``boundary_terms`` holds the energy terms whose name contains "flow"
+    and every entropy term, storage and dissipation included, under the
+    prefix ``entropy:``.  ``apriori`` does not depend on the window: it is
+    the :func:`apriori_monitor` of the whole ``trajectory``, evaluated when
+    it is first read.
     """
 
     window: tuple
@@ -74,21 +77,14 @@ class BudgetReport:
         return apriori_monitor(self.trajectory)
 
 
-def _window_ends(traj: Trajectory, window):
-    """The recorded indices and accumulators of the two window ends, each
-    resolved once."""
-    ends = tuple(map(traj._index, window))
-    return ends, tuple(traj.accums[i] for i in ends)
-
-
-def _delta_acc(accs, key: str) -> float:
-    a0, a1 = accs
-    return a1.get(key, 0.0) - a0.get(key, 0.0)
-
-
-def _drop_acc(accs, key: str) -> float:
-    """-_delta_acc, but 0.0, not -0.0, for a key never booked."""
-    return _delta_acc(accs[::-1], key)
+def _window(traj: Trajectory, window):
+    """The recorded indices of the two window ends, and what each budget row
+    gained and lost over the window: two differences of the end records, so
+    a row that did not move reads 0.0 in both, not -0.0."""
+    i0, i1 = map(traj._index, window)
+    a0, a1 = traj.accums[i0], traj.accums[i1]
+    gain = {k: a1[k] - a0[k] for k in BUDGET_ROWS}
+    return (i0, i1), gain, {k: a0[k] - a1[k] for k in BUDGET_ROWS}
 
 
 def _stacked(states) -> np.ndarray:
@@ -148,44 +144,42 @@ def entropy_budget(traj: Trajectory, window=None):
 def _balances(traj: Trajectory, window):
     """(mass residual, (energy residual, terms), (entropy production, terms))
     over the window, from the trajectory's storage integrals."""
-    (i0, i1), accs = _window_ends(traj, _default_window(traj, window))
+    (i0, i1), gain, loss = _window(traj, _default_window(traj, window))
     mass, energy_storage, entropy_storage = _storages(traj)
-    mass_res = float(mass[i1] - mass[i0]) + _delta_acc(accs, "mass_bdry")
+    mass_res = float(mass[i1] - mass[i0]) + gain["mass_bdry"]
 
     terms = {}
     terms["storage"] = float(energy_storage[i1] - energy_storage[i0])
-    terms["outflow_internal_energy"] = _delta_acc(accs, "energy_out_conv")
-    terms["outflow_delta_pressure"] = _delta_acc(accs, "delta_energy_out")
-    terms["inflow_energy_flux"] = _delta_acc(accs, "energy_bdry_in")
-    terms["inflow_delta_bregman"] = _drop_acc(accs, "delta_energy_in_gamma_breg")
-    terms["inflow_delta_mismatch"] = _drop_acc(accs, "delta_energy_in_rho_sq")
+    terms["outflow_internal_energy"] = gain["energy_out_conv"]
+    terms["outflow_delta_pressure"] = gain["delta_energy_out"]
+    terms["inflow_energy_flux"] = gain["energy_bdry_in"]
+    terms["inflow_delta_bregman"] = loss["delta_energy_in_gamma_breg"]
+    terms["inflow_delta_mismatch"] = loss["delta_energy_in_rho_sq"]
     lhs = sum(terms.values())
 
     rhs_terms = {}
-    rhs_terms["convective_pressure_work"] = -_delta_acc(accs, "conv_p_grad_ub")
-    rhs_terms["boundary_kinetic_work"] = 0.5 * _delta_acc(accs, "rho_u_grad_ub2")
-    rhs_terms["stress_boundary_work"] = _delta_acc(accs, "S_grad_ub")
-    rhs_terms["body_force_work"] = _delta_acc(accs, "rho_g_rel_u")
-    rhs_terms["regularization_sources"] = (_delta_acc(accs, "delta_heating")
-                                           + _delta_acc(accs, "eps_radiation"))
-    rhs_terms["inflow_delta_reference"] = _drop_acc(accs, "delta_energy_in_rho_b_gamma")
-    rhs_terms["mass_diffusion_work"] = _delta_acc(accs, "eps_mom_ub")
-    rhs_terms["manufactured_source"] = _delta_acc(accs, "mms_energy_source")
+    rhs_terms["convective_pressure_work"] = -gain["conv_p_grad_ub"]
+    rhs_terms["boundary_kinetic_work"] = 0.5 * gain["rho_u_grad_ub2"]
+    rhs_terms["stress_boundary_work"] = gain["S_grad_ub"]
+    rhs_terms["body_force_work"] = gain["rho_g_rel_u"]
+    rhs_terms["regularization_sources"] = gain["delta_heating"] + gain["eps_radiation"]
+    rhs_terms["inflow_delta_reference"] = loss["delta_energy_in_rho_b_gamma"]
+    rhs_terms["mass_diffusion_work"] = gain["eps_mom_ub"]
+    rhs_terms["manufactured_source"] = gain["mms_energy_source"]
     rhs = sum(rhs_terms.values())
     terms.update({f"rhs:{k}": v for k, v in rhs_terms.items()})
     energy = lhs - rhs, terms
 
     terms = {}
     terms["storage"] = float(entropy_storage[i1] - entropy_storage[i0])
-    terms["outflow_efflux"] = _delta_acc(accs, "entropy_out_conv")
-    terms["dissipation"] = (_delta_acc(accs, "dissipation_no_delta")
-                            + _delta_acc(accs, "delta_heating_over_theta"))
-    terms["grad_rho_entropy"] = _delta_acc(accs, "eps_delta_grad_rho_heating_over_theta")
-    terms["radiation_sink"] = _drop_acc(accs, "eps_radiation_over_theta")
-    terms["mass_diffusion_entropy"] = _delta_acc(accs, "eps_grad_rho_grad_g")
-    terms["inflow_terms"] = _delta_acc(accs, "entropy_in")
-    terms["inflow_robin"] = _delta_acc(accs, "entropy_in_robin")
-    terms["manufactured_source"] = _delta_acc(accs, "mms_energy_source_over_theta")
+    terms["outflow_efflux"] = gain["entropy_out_conv"]
+    terms["dissipation"] = gain["dissipation_no_delta"] + gain["delta_heating_over_theta"]
+    terms["grad_rho_entropy"] = gain["eps_delta_grad_rho_heating_over_theta"]
+    terms["radiation_sink"] = loss["eps_radiation_over_theta"]
+    terms["mass_diffusion_entropy"] = gain["eps_grad_rho_grad_g"]
+    terms["inflow_terms"] = gain["entropy_in"]
+    terms["inflow_robin"] = gain["entropy_in_robin"]
+    terms["manufactured_source"] = gain["mms_energy_source_over_theta"]
     production = (terms["storage"] + terms["outflow_efflux"]
                   - terms["dissipation"]
                   - terms["grad_rho_entropy"]
@@ -200,18 +194,17 @@ def _balances(traj: Trajectory, window):
 def apriori_monitor(traj: Trajectory) -> dict:
     """Coercivity-bound quantities of the whole trajectory, the
     regularization-scaled integrals as the solver weighted them."""
-    _, accs = _window_ends(traj, _default_window(traj, None))
+    _, gain, loss = _window(traj, _default_window(traj, None))
     out = {}
     _, energy, entropy = _storages(traj)
     out["energy_sup"] = float(np.max(energy - THETA_BAR * entropy))
-    out["dissipation_integral"] = THETA_BAR * _delta_acc(accs, "dissipation_no_delta")
-    out["inflow_coercive"] = _delta_acc(accs, "apriori_in_coercive")
-    out["outflow_ballistic"] = _delta_acc(accs, "apriori_out_ballistic")
-    out["delta_inv_theta3"] = _delta_acc(accs, "delta_heating_over_theta")
-    out["eps_theta5"] = _drop_acc(accs, "eps_radiation")
-    out["delta_boundary"] = (_delta_acc(accs, "delta_energy_out")
-                             - _delta_acc(accs, "delta_energy_in_rho_sq"))
-    out["eps_delta_grad_rho"] = _delta_acc(accs, "eps_delta_grad_rho_heating_over_theta")
+    out["dissipation_integral"] = THETA_BAR * gain["dissipation_no_delta"]
+    out["inflow_coercive"] = gain["apriori_in_coercive"]
+    out["outflow_ballistic"] = gain["apriori_out_ballistic"]
+    out["delta_inv_theta3"] = gain["delta_heating_over_theta"]
+    out["eps_theta5"] = loss["eps_radiation"]
+    out["delta_boundary"] = gain["delta_energy_out"] - gain["delta_energy_in_rho_sq"]
+    out["eps_delta_grad_rho"] = gain["eps_delta_grad_rho_heating_over_theta"]
     return out
 
 

@@ -510,7 +510,7 @@ def export_timeseries(traj: Trajectory, outdir) -> list:
                  "entropy_in", "entropy_out_conv"]
     p = outdir / "fluxes.csv"
     _write_csv(p, ["t"] + flux_keys,
-               [traj.times] + [[acc.get(k, 0.0) for acc in traj.accums] for k in flux_keys])
+               [traj.times] + [[acc[k] for acc in traj.accums] for k in flux_keys])
     paths.append(p)
     return paths
 

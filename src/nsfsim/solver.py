@@ -79,20 +79,23 @@ guess that makes no EOS call: the predictor's theta^n
 + (w1 - w^n - w_rho (rho1 - rho^n)) / w_theta, the corrector's theta_l
 + (w_n - (w1 + dw) - w_rho (rho_n - rho1)) / C with the first stage's
 w_rho, since rho_n - rho1 is O(dt^2); each takes two Newton evaluations on
-smooth data where theta^n and theta_l took two or three.  A step thus makes
-four EOS passes: two stage passes and two residual builds.
+smooth data.  A step thus makes four EOS passes: two stage passes and two
+residual builds.
 ``euler_step`` has no density change to follow: its stage pass has no
 slopes, and its first recovery starts from theta^n.  Every
 budget-relevant face flux and volume integrand is accumulated during the
 run with the same weights as the update itself: the stage terms with the
 stage weights, the implicit terms with weight dt (the entropy terms at the
 step's end temperature, the heat term summed by parts), each written here
-once with its epsilon or delta weight and booked only where that is nonzero.
-The discrete mass identity thus telescopes to rounding, and the audits in
-:mod:`nsfsim.budgets` separate scheme error from quadrature error.  A step
-plan, cached per (mesh, boundary) pair, holds what steps and audits read of
-the two; ``run``, ``step`` and ``euler_step`` look it up once per call, and
-``run`` hands its plan to each step.
+once with its epsilon or delta weight.  Every stage record, step increment
+and trajectory record holds every row of ``BUDGET_ROWS``, in its order, the
+first trajectory record being zero; a row whose weight is zero reads 0.0,
+and no array work forms it.  The discrete mass identity thus telescopes to
+rounding, and the audits in :mod:`nsfsim.budgets` separate scheme error
+from quadrature error.  A step plan, cached per (mesh, boundary) pair,
+holds what steps and audits read of the two; ``run``, ``step`` and
+``euler_step`` look it up once per call, and ``run`` hands its plan to each
+step.
 
 ``run``, ``step`` and ``euler_step`` each make numpy's overflow,
 invalid-operation and division flags raise once, for the whole call,
@@ -118,12 +121,14 @@ maps too, but a product or sum rounds to inf silently.  So ``run`` tests
 its dt in each first stage, before any attempt: a dt at which t_end lies
 more than ``MAX_STEPS`` steps away (0 among them, which the epsilon limit
 h^2/(2 epsilon) is above epsilon of about 9e307, where 2 epsilon rounds to
-inf), or one that does not advance t, aborts the run.  The face pass sums three such
-terms over the two faces: F_ib (``energy_bdry_in``), rho_b u_b.n
-(``mass_in_conv``) and delta rho_b^Gamma/(Gamma - 1) u_b.n
-(``delta_energy_in_rho_b_gamma``); the step's increments and ``run``'s
-running sums of every accumulator are Python floats too.  Any of them can
-round to inf, but only at values near the largest float (about 1.8e308).
+inf), or one that is not finite or does not advance t, aborts the run;
+``step`` and ``euler_step`` refuse the latter before their stage too.  The
+face pass sums three such terms over the two faces: F_ib
+(``energy_bdry_in``), rho_b u_b.n (``mass_in_conv``) and delta
+rho_b^Gamma/(Gamma - 1) u_b.n (``delta_energy_in_rho_b_gamma``); the step's
+increments and ``run``'s running sums of every row are Python floats too.
+Any of them can round to inf, but only at values near the largest float
+(about 1.8e308).
 The stage forms the F_ib sum again in numpy as ``energy_bdry_total``, and
 rho_b u_b and delta rho_b^Gamma as the inflow face's mass flux and
 pressure, where an overflow raises.  The products with u_b.n, their sum
@@ -178,6 +183,18 @@ THETA_BAR = 1.0
 
 # numpy's floating-point flags under which run, step and euler_step compute
 _RAISE = dict(over="raise", invalid="raise", divide="raise")
+
+# The rows of every budget record, in record order: the face pass's
+# boundary integrands, then the volume integrals
+BUDGET_ROWS = (
+    "mass_in_conv", "mass_out_conv", "mass_robin", "energy_bdry_in", "energy_out_conv",
+    "entropy_out_conv", "entropy_in", "entropy_in_robin", "apriori_in_coercive",
+    "apriori_out_ballistic", "delta_energy_out", "delta_energy_in_gamma_breg",
+    "delta_energy_in_rho_sq", "delta_energy_in_rho_b_gamma", "mass_bdry", "energy_bdry_total",
+    "dissipation_no_delta", "S_grad_ub", "conv_p_grad_ub", "rho_u_grad_ub2", "rho_g_rel_u",
+    "eps_mom_ub", "eps_grad_rho_grad_g", "mms_energy_source", "mms_energy_source_over_theta",
+    "delta_heating", "delta_heating_over_theta", "eps_delta_grad_rho_heating_over_theta",
+    "eps_radiation", "eps_radiation_over_theta")
 
 
 @dataclass(frozen=True)
@@ -453,13 +470,8 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
     # arrays, the cells and the ghosts of ``pad``; boundary integrands are
     # outward-normal values, the delta ones weighted; outflow keeps the
     # convective trace in place
-    sc = dict.fromkeys(("mass_in_conv", "mass_out_conv", "mass_robin", "energy_bdry_in",
-                        "energy_out_conv", "entropy_out_conv", "entropy_in", "entropy_in_robin",
-                        "apriori_in_coercive", "apriori_out_ballistic"), 0.0)
+    sc = dict.fromkeys(BUDGET_ROWS, 0.0)
     gm, dl = cfg.Gamma, cfg.delta
-    if dl > 0.0:
-        sc.update(dict.fromkeys(("delta_energy_out", "delta_energy_in_gamma_breg",
-                                 "delta_energy_in_rho_sq", "delta_energy_in_rho_b_gamma"), 0.0))
     for f, i, udn in plan.faces:
         if f.kind is FaceKind.IN:
             th, rb, rc = pad.theta.item(i), f.rho_b, rho.item(i)
@@ -500,13 +512,10 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
     drho = (mass_flux[:-1] - mass_flux[1:]) / h
     dm = (f_mom[:-1] - f_mom[1:]) / h - (p_face[1:] - p_face[:-1]) / h
 
-    # volume integrands in record order, each with its weight; None marks a
-    # term the step books (S_grad_ub and the viscous and heat parts of the
-    # dissipation) or one that vanishes here, such as the work of a
-    # constant g = 0
+    # volume integrands, each with its weight, where they do not vanish (the
+    # step books S_grad_ub and the viscous and heat parts of the dissipation)
     x, ub_ext, grad_ub = plan.x, plan.ub_ext, plan.grad_ub
-    vol = dict.fromkeys(("dissipation_no_delta", "S_grad_ub", "conv_p_grad_ub", "rho_u_grad_ub2",
-                         "rho_g_rel_u"))
+    vol = {}
     if grad_ub != 0.0:
         rho_u = rho * u
         vol["conv_p_grad_ub"] = (rho_u * u + p_delta_p[1:-1]) * grad_ub
@@ -553,12 +562,8 @@ def _stage_rhs(mesh: Mesh1D, eos: EosSpec, cfg: SolverConfig, plan: _StepPlan,
     dW = dW - p_div_u if source is None else dW + source
 
     # one reduction: row sums times h are the Mesh1D.integrate quadrature
-    rows = [v for v in vol.values() if v is not None]
-    if rows:
-        sums = iter((np.array(rows).sum(axis=1) * h).tolist())
-        sc.update((k, 0.0 if v is None else next(sums)) for k, v in vol.items())
-    else:
-        sc.update(dict.fromkeys(vol, 0.0))
+    if vol:
+        sc.update(zip(vol, (np.array(list(vol.values())).sum(axis=1) * h).tolist()))
 
     slope_cells = (pad.c2[1:-1], pad.w_rho[1:-1], pad.w_theta[1:-1]) if slopes else ()
     return drho, dm, dW, StageRecord(sc, pad.w[1:-1], theta_face, *slope_cells)
@@ -755,6 +760,13 @@ def _guarded(first_stage_at=None, state=None):
                          "no attempt made", state=state) from None
 
 
+def _check_dt(t, dt):
+    """A dt that is not finite or does not advance t rejects the step."""
+    # NaN fails both comparisons, and t + inf the second
+    if not t < t + dt < math.inf:
+        raise StepRejected(f"the time step {dt!r} does not advance t")
+
+
 def _check_start(state):
     """A start state that is not finite, or whose rho or theta lies below its
     floor, rejects the step, naming the field, its first bad cell and the
@@ -822,10 +834,11 @@ def euler_step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
     the second from the conduction solve's temperature.  It runs under the
     flags and the guard of :func:`step`'s attempts, and a start state that is
     not finite or lies below a floor rejects it before its stage, naming the
-    field and first bad cell.
+    field and first bad cell, as does a dt that is not finite or positive.
     """
     plan = _step_plan(mesh, bspec)
     with np.errstate(**_RAISE), _guarded():
+        _check_dt(0.0, dt)
         _check_start(state)
         stage = _stage_rhs(mesh, eos, cfg, plan, 0.0, state, False)
         rho, m, w, _, _ = _predictor(state.rho, state.rho * state.u, stage, dt)
@@ -901,12 +914,14 @@ def step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
          cfg: SolverConfig, bspec: BoundarySpec, dt: float, t: float = 0.0, stage1=None):
     """One adaptive SSP-RK2 step; halves dt on rejection (up to MAX_REJECTS).
 
-    Returns (new_state, dt_used, accumulator_increments, n_rejects).
+    Returns (new_state, dt_used, accumulator_increments, n_rejects), the
+    increments holding the rows of ``BUDGET_ROWS``.  A dt that is not
+    finite or does not advance t aborts as a first stage that rejects.
     ``stage1`` is the step's first stage at (t, state) where the caller has
     evaluated it; without it, a start state that is not finite or lies below
-    a floor aborts as a first stage that rejects, naming the field and first
-    bad cell.  The first stage and each attempt run under numpy's
-    floating-point flags, ``_RAISE``, and the guard :func:`_guarded`.
+    a floor aborts so too, naming the field and first bad cell.  The first
+    stage and each attempt run under numpy's floating-point flags,
+    ``_RAISE``, and the guard :func:`_guarded`.
     ``run`` passes the step plan of (mesh, bspec) as ``bspec``, with its
     ``stage1``, from under its own flags: such a call goes straight to the
     attempts.
@@ -915,8 +930,9 @@ def step(state: FieldState, mesh: Mesh1D, eos: EosSpec, ts: TransportSpec,
         return _attempts(mesh, eos, ts, cfg, bspec, t, state, dt, stage1)
     plan = _step_plan(mesh, bspec)
     with np.errstate(**_RAISE):
-        if stage1 is None:
-            with _guarded(t, state):
+        with _guarded(t, state):
+            _check_dt(t, dt)
+            if stage1 is None:
                 _check_start(state)
                 stage1 = _stage_rhs(mesh, eos, cfg, plan, t, state)
         return _attempts(mesh, eos, ts, cfg, plan, t, state, dt, stage1)
@@ -942,7 +958,9 @@ def _attempts(mesh, eos, ts, cfg, plan, t, state, dt, stage1):
 
 @dataclass
 class Trajectory:
-    """States and cumulative budget integrals recorded along a run."""
+    """States and cumulative budget integrals recorded along a run: each
+    ``accums`` entry holds the rows of ``BUDGET_ROWS`` at its time, the
+    first all 0.0."""
 
     mesh: Mesh1D
     eos: EosSpec
@@ -1026,9 +1044,9 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
     if problems := initial_data_problems(vars(state)):
         raise ValueError("; ".join(message for _, _, message in problems))
 
-    acc = None
+    acc = dict.fromkeys(BUDGET_ROWS, 0.0)
     traj = Trajectory(mesh=mesh, eos=eos, transport=ts, config=cfg, boundary=bspec,
-                      times=[0.0], states=[state.copy()], accums=[{}])
+                      times=[0.0], states=[state.copy()], accums=[dict(acc)])
 
     plan = _step_plan(mesh, bspec)
     t = 0.0
@@ -1048,18 +1066,14 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
                             raise StepRejected(f"the time step {dt!r} would take more than "
                                                f"{MAX_STEPS:.0e} steps to reach t_end")
                         dt = min(dt, target - t)
-                        if not t + dt > t:
-                            raise StepRejected(f"the time step {dt!r} does not advance t")
+                        _check_dt(t, dt)
                     state, dt_used, inc, rej = step(state, mesh, eos, ts, cfg, plan, dt, t=t,
                                                     stage1=stage1)
                 except RunAborted as err:
                     err.trajectory = traj
                     raise
-                if acc is None:
-                    acc = dict(inc)
-                else:
-                    for k, v in inc.items():
-                        acc[k] += v
+                for k, v in inc.items():
+                    acc[k] += v
                 traj.n_steps += 1
                 traj.n_rejects += rej
                 if dt_used == dt and target - (t + dt) < 1e-14 * (1.0 + target):
@@ -1068,5 +1082,5 @@ def run(mesh: Mesh1D, eos: EosSpec, ts: TransportSpec, cfg: SolverConfig,
                     t += dt_used
             traj.times.append(target)
             traj.states.append(state.copy())
-            traj.accums.append(dict(acc) if acc else {})
+            traj.accums.append(dict(acc))
     return traj

@@ -937,6 +937,16 @@ def test_recover_theta_checks_guess_once(eos, transport, box, monkeypatch):
     assert new.theta.min() >= sv.THETA_FLOOR
 
 
+class _LoggedNumpy:
+    """numpy, with each ``array`` call's argument logged in ``log``."""
+
+    def __init__(self, log):
+        self.array = lambda rows, *args, **kw: log.append(rows) or np.array(rows, *args, **kw)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 @pytest.mark.parametrize("channel", [False, True])
 def test_stage_scalars_are_one_stacked_quadrature(eos, transport, monkeypatch, channel):
     # every volume scalar comes from one (K, n) reduction, bitwise equal to
@@ -956,18 +966,20 @@ def test_stage_scalars_are_one_stacked_quadrature(eos, transport, monkeypatch, c
         u = 0.05 * np.sin(np.pi * x)
     state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=u,
                           theta=1 + 0.1 * np.cos(np.pi * x))
-    reductions = []
+    reductions, stacks = [], []
     integrate = Mesh1D.integrate
     monkeypatch.setattr(Mesh1D, "integrate",
                         lambda self, v: reductions.append(v) or integrate(self, v))
+    # the stage's one np.array call is the stack of its volume rows
+    monkeypatch.setattr(sv, "np", _LoggedNumpy(stacks))
     _, _, _, rec = sv._stage_rhs(mesh, eos, cfg, sv._step_plan(mesh, bspec), 0.0, state)
     assert reductions == []
     sc = rec.scalars
-    assert all(type(sc[k]) is float for k in ("S_grad_ub", "rho_g_rel_u"))
+    assert all(type(sc[k]) is float for k in sv.BUDGET_ROWS)
     # the step books the stress term
     assert sc["S_grad_ub"] == 0.0
-    # the epsilon and delta rows carry their weight and are booked only
-    # where it is nonzero, so at epsilon = delta = 0 every one reads 0.0
+    # the epsilon and delta rows carry their weight, and a zero weight forms
+    # no term, so at epsilon = delta = 0 every one reads 0.0
     weighted = {"delta_energy_out", "delta_energy_in_gamma_breg", "delta_energy_in_rho_sq",
                 "delta_energy_in_rho_b_gamma", "eps_mom_ub", "eps_grad_rho_grad_g",
                 "delta_heating", "delta_heating_over_theta",
@@ -976,10 +988,12 @@ def test_stage_scalars_are_one_stacked_quadrature(eos, transport, monkeypatch, c
     mms_rows = {"mms_energy_source", "mms_energy_source_over_theta"}
     active = {"conv_p_grad_ub", "rho_u_grad_ub2"} | weighted | mms_rows
     if not channel:
-        assert sc["conv_p_grad_ub"] == sc["rho_u_grad_ub2"] == 0.0
-        assert (weighted | mms_rows).isdisjoint(sc)
+        # nor does the constant g = 0, so no volume row is left to stack
+        assert all(sc[k] == 0.0 for k in active | {"rho_g_rel_u"})
+        assert stacks == []
         return
     assert all(sc[k] != 0.0 for k in active)
+    assert len(stacks) == 1
     # each source row is its rate q, or q / theta, weighted and integrated
     rho, theta = state.rho, state.theta
     eps, dlt, gm = cfg.epsilon, cfg.delta, cfg.Gamma
@@ -1360,6 +1374,80 @@ def test_step_rejection_and_abort(eos, transport, box, monkeypatch):
         sv.step(state, mesh, eos, transport, cfg, walls, huge)
     assert err.value.state is state
     assert attempts == [huge * 0.5 ** k for k in range(sv.MAX_REJECTS + 1)]
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_step_and_euler_step_refuse_a_dt_that_does_not_advance_t(eos, transport, box,
+                                                                 monkeypatch, dt):
+    # as run does, before any stage: step aborts as a first stage that
+    # rejects, euler_step rejects
+    mesh, walls = box
+    x = mesh.centers
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=0.05 * np.sin(np.pi * x),
+                          theta=1 + 0.1 * np.cos(np.pi * x))
+    cfg = sv.SolverConfig(t_end=1.0)
+    stages = []
+    monkeypatch.setattr(sv, "_stage_rhs", lambda *a: stages.append(a[4]))
+    message = f"the time step {dt!r} does not advance t"
+    with pytest.raises(sv.RunAborted, match=f"first stage: {message}; no attempt made$") as err:
+        sv.step(state, mesh, eos, transport, cfg, walls, dt)
+    assert err.value.state is state
+    with pytest.raises(sv.StepRejected, match=f"^{message}$"):
+        sv.euler_step(state, mesh, eos, transport, cfg, walls, dt)
+    assert stages == []
+
+
+@pytest.mark.parametrize("case", ["box", "channel"])
+def test_every_record_holds_the_budget_rows(eos, transport, case):
+    # a stage record, a step's increments and every trajectory record hold
+    # exactly the rows of BUDGET_ROWS, in its order, on the wall box at
+    # epsilon = delta = 0 and on the regularized channel; the first record
+    # is zero
+    mesh = Mesh1D(0.0, 1.0, 16)
+    x = mesh.centers
+    if case == "box":
+        bspec, cfg = bd.make_boundary(), sv.SolverConfig(t_end=0.002)
+        u = 0.05 * np.sin(np.pi * x)
+    else:
+        bspec = bd.make_boundary(u_b_left=0.5, u_b_right=0.7, rho_b_left=1.1, F_ib_left=-2.5)
+        cfg = sv.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.002,
+                              energy_source=lambda t, x: 0.1 * np.sin(np.pi * x))
+        u = 0.5 + 0.2 * x + 0.05 * np.sin(np.pi * x)
+    initial = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x), u=u,
+                            theta=1 + 0.1 * np.cos(np.pi * x))
+    rows = list(sv.BUDGET_ROWS)
+    rec = sv._stage_rhs(mesh, eos, cfg, sv._step_plan(mesh, bspec), 0.0, initial)[3]
+    assert list(rec.scalars) == rows
+    inc = sv.step(initial, mesh, eos, transport, cfg, bspec, 1e-4)[2]
+    assert list(inc) == rows
+    traj = sv.run(mesh, eos, transport, cfg, bspec, initial,
+                  output_times=[0.0, 0.001, 0.002])
+    assert traj.n_steps > 0 and len(traj.accums) == 3
+    assert all(list(acc) == rows for acc in traj.accums)
+    assert traj.accums[0] == dict.fromkeys(rows, 0.0)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_stage_entropy_inflow_row_is_the_boundary_flux(eos, side):
+    # the face pass writes -entropy_inflow_flux at the inflow face's rho_b
+    # and interior temperature trace; at delta = 0 the two agree bit for bit
+    n = 16
+    mesh = Mesh1D(0.0, 1.0, n)
+    x = mesh.centers
+    if side == "left":
+        bspec = bd.make_boundary(u_b_left=0.5, u_b_right=0.7, rho_b_left=1.1, F_ib_left=-2.5)
+        face, cell, sign = bspec.left, 0, 1.0
+    else:
+        bspec = bd.make_boundary(u_b_left=-0.7, u_b_right=-0.5, rho_b_right=1.1,
+                                 F_ib_right=-2.5)
+        face, cell, sign = bspec.right, n - 1, -1.0
+    state = sv.FieldState(rho=1 + 0.1 * np.cos(np.pi * x),
+                          u=sign * (0.6 + 0.05 * np.sin(np.pi * x)),
+                          theta=1 + 0.2 * x ** 2 * (3 - 2 * x))
+    cfg = sv.SolverConfig(t_end=1.0)
+    rec = sv._stage_rhs(mesh, eos, cfg, sv._step_plan(mesh, bspec), 0.0, state)[3]
+    flux = bd.entropy_inflow_flux(eos, face.rho_b, state.theta[cell], face.u_dot_n, face.F_ib)
+    assert rec.scalars["entropy_in"] == -flux
 
 
 def test_step_evaluates_first_stage_once_per_step(eos, transport, box, monkeypatch):

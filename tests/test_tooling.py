@@ -180,15 +180,15 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 
 
 def _accumulator_reads() -> set:
-    """The accumulator keys the audits and the exports read: the string
-    arguments of the budgets module's _delta_acc and _drop_acc calls and the
-    strings of the scenario module's flux_keys list."""
+    """The budget rows the audits and the exports read: the string
+    subscripts of the budgets module's ``gain`` and ``loss`` and the strings
+    of the scenario module's flux_keys list."""
     package = ROOT / "src" / "nsfsim"
     reads = set()
     for node in ast.walk(ast.parse((package / "budgets.py").read_text())):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_delta_acc",
-                                                                            "_drop_acc"):
-            reads |= {arg.value for arg in node.args if isinstance(arg, ast.Constant)}
+        if (isinstance(node, ast.Subscript) and getattr(node.value, "id", None) in ("gain", "loss")
+                and isinstance(node.slice, ast.Constant)):
+            reads.add(node.slice.value)
     for node in ast.walk(ast.parse((package / "scenario.py").read_text())):
         if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "flux_keys"
                                                 for target in node.targets):
@@ -196,26 +196,14 @@ def _accumulator_reads() -> set:
     return reads
 
 
-def test_every_booked_accumulator_is_read_and_every_read_one_booked(eos, transport):
-    # one run that books every term: inflow and outflow, u_b varying,
-    # epsilon = delta > 0, a callable g and an energy source; a row booked
-    # but never read is waste, and a key read but never booked (a misspelling)
-    # reads as 0.0 in the audits
-    mesh = Mesh1D(0.0, 1.0, 16)
-    x = mesh.centers
-    bspec = make_boundary(u_b_left=0.5, u_b_right=0.7, rho_b_left=1.1, F_ib_left=-2.5)
-    cfg = solver.SolverConfig(epsilon=1e-3, delta=1e-3, t_end=0.002,
-                              g=lambda t, x: -0.7 * np.cos(np.pi * x),
-                              energy_source=lambda t, x: 0.1 * np.sin(np.pi * x))
-    initial = solver.FieldState(rho=1 + 0.1 * np.cos(np.pi * x),
-                                u=0.5 + 0.2 * x + 0.05 * np.sin(np.pi * x),
-                                theta=1 + 0.1 * np.cos(np.pi * x))
-    traj = solver.run(mesh, eos, transport, cfg, bspec, initial)
-    booked = set().union(*traj.accums)
+def test_every_booked_accumulator_is_read_and_every_read_one_booked():
+    # every record holds the rows of solver.BUDGET_ROWS: a row no audit or
+    # export reads is waste, and a read row missing from the tuple (a
+    # misspelling) would raise KeyError at the first audit
     reads = _accumulator_reads()
-    assert booked and reads
-    assert sorted(booked - reads) == []
-    assert sorted(reads - booked) == []
+    assert reads and len(set(solver.BUDGET_ROWS)) == len(solver.BUDGET_ROWS)
+    assert sorted(set(solver.BUDGET_ROWS) - reads) == []
+    assert sorted(reads - set(solver.BUDGET_ROWS)) == []
 
 
 def test_step_looks_up_its_plan_once(eos, transport, monkeypatch):
